@@ -26,7 +26,7 @@ print("  completeness     |WW* - (1-P_b)| :",
 print("\nidentity residual under refinement:")
 for m in (256, 512, 1024):
     gm = replace(g, m_theta=m)
-    dm = hl.scattering_grid(p, gm)
+    dm = hl.scattering_grid(d, gm)      # reuses d's thresholds and bound states
     r = hl.wave_identity_residual(dm, p, gm)
     print(f"  m_theta = {m:5d}: {r:.3e}")
 

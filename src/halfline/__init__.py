@@ -32,7 +32,6 @@ from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        wave_symbol_remainder, wave_symbol_stability,
                        weyl_commutation_defect)
 from .topology import (BoundaryCurve, WindingReport, assemble_boundary,
-                       gamma_curve, index_theorem_check, winding_number,
-                       winding_report)
+                       gamma_curve, winding_number, winding_report)
 
 __version__ = "0.1.0"

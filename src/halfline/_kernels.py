@@ -80,12 +80,13 @@ def _jost_steps(V, zeta, two_z):
         yield n, t_cur
 
 
-def _omega_rows(V, zeta, two_z):
-    """t(-1) on a grid of points."""
-    t = np.ones_like(zeta)
-    for _, t in _jost_steps(V, zeta, two_z):
-        pass
-    return t
+def _kept_rows(V, zeta, two_z, n_keep):
+    """t(n) on a grid of points for n = -1..n_keep, row index n + 1."""
+    out = np.ones((n_keep + 2, zeta.shape[0]), zeta.dtype)
+    for n, t in _jost_steps(V, zeta, two_z):
+        if n <= n_keep:
+            out[n + 1] = t
+    return out
 
 
 def _deviations(V, zeta, two_z):
@@ -116,16 +117,13 @@ def _omega_scalar(V, zeta, two_z) -> float:
 def jost_scaled(V, zeta, two_z, n_keep):
     """Scaled Jost values t(n) = theta(n)/zeta^n for n = -1..n_keep.
 
-    Shape (n_keep + 2, len(zeta)); row index n + 1.  n_keep = -1 returns
-    only t(-1), whose value is the Jost function Omega(z) = zeta * theta(-1).
-    Real zeta and 2z give a real table.
+    Shape (n_keep + 2, len(zeta)); row index n + 1.  Row 0, t(-1), is the
+    Jost function Omega(z) = zeta * theta(-1), equal to `jost_function_values`
+    on the same points.  Real zeta and 2z give a real table.
     """
     V, zeta, two_z = _prepare(V, zeta, two_z)
-    out = np.ones((int(n_keep) + 2, zeta.shape[0]), zeta.dtype)
-    for n, t in _jost_steps(V, zeta, two_z):
-        if n <= n_keep:
-            out[n + 1] = t
-    return out
+    parts = _split_points(_kept_rows, V, zeta, two_z, int(n_keep))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def jost_function_values(V, zeta, two_z):
@@ -133,7 +131,7 @@ def jost_function_values(V, zeta, two_z):
     V, zeta, two_z = _prepare(V, zeta, two_z)
     if zeta.dtype == np.float64 and zeta.shape[0] <= SCALAR_POINTS:
         return np.array([_omega_scalar(V, z, t) for z, t in zip(zeta, two_z)])
-    return np.concatenate(_split_points(_omega_rows, V, zeta, two_z))
+    return np.concatenate(_split_points(_kept_rows, V, zeta, two_z, -1), axis=1)[0]
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):
@@ -206,26 +204,26 @@ def _serve():
 _helper = None
 
 
-def _split_points(fn, V, zeta, two_z):
-    """[fn(V, zeta, two_z)], or for a long grid on a machine with a second
-    CPU, fn over the two halves of the points, the second half stepped by
-    the helper meanwhile.  A half keeps at least two points: numpy steps a
+def _split_points(fn, V, zeta, two_z, *extra):
+    """[fn(V, zeta, two_z, *extra)], or for a long grid on a machine with a
+    second CPU, fn over the two halves of the points, the second half stepped
+    by the helper meanwhile.  A half keeps at least two points: numpy steps a
     one-element array through a different loop."""
     global _helper
     half = zeta.shape[0] // 2
     if V.shape[0] * zeta.shape[0] < SPLIT_WORK or half < 2 or (os.cpu_count() or 1) < 2:
-        return [fn(V, zeta, two_z)]
+        return [fn(V, zeta, two_z, *extra)]
     helper, _helper = _helper, None         # held by this call; a failed call drops it
     if helper is None or helper.poll() is not None:
         try:
             helper = _start_helper()
         except OSError:                     # no second process to be had
-            return [fn(V, zeta, two_z)]
+            return [fn(V, zeta, two_z, *extra)]
     try:
-        pickle.dump((fn.__name__, (V, zeta[half:], two_z[half:])), helper.stdin,
+        pickle.dump((fn.__name__, (V, zeta[half:], two_z[half:], *extra)), helper.stdin,
                     pickle.HIGHEST_PROTOCOL)
         helper.stdin.flush()
-        first = fn(V, zeta[:half], two_z[:half])
+        first = fn(V, zeta[:half], two_z[:half], *extra)
         rest = pickle.load(helper.stdout)
     except BaseException:
         helper.kill()

@@ -17,15 +17,17 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
-from .model import GridSpec, Potential, make_potential
+from .model import GridSpec, OffAxisPoint, Potential, make_potential
 from .rescaled import (coupling_symbol_stability, shift_identity_check,
                        wave_symbol_stability)
-from .scattering import ScatteringData, eta_endpoints, levinson_residual, scattering_grid
+from .scattering import (ScatteringData, eta_endpoints, jost_function, levinson_residual,
+                         scattering_grid)
 from .specops import wave_identity_residual
 from .topology import assemble_boundary, winding_number
 
@@ -101,38 +103,70 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list, rows, cfg_hash: str):
+def _write_csv(outputs: dict, name: str, header: list, rows, cfg_hash: str):
+    """Write outputs/name when the config asks for csv files; rows may be lazy."""
+    if "csv" not in outputs["formats"]:
+        return
     lines = [f"# config={cfg_hash}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
                               else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    (Path(outputs["directory"]) / name).write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, obj: dict, cfg_hash: str):
-    obj = {"config_hash": cfg_hash, **obj}
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(outputs: dict, name: str, obj: dict, cfg_hash: str):
+    """Write outputs/name when the config asks for json files."""
+    if "json" not in outputs["formats"]:
+        return
+    # numpy arrays and scalars that are not Python numbers go out through tolist
+    text = json.dumps({"config_hash": cfg_hash, **obj}, sort_keys=True, indent=2,
+                      default=lambda x: x.tolist())
+    (Path(outputs["directory"]) / name).write_text(text + "\n")
 
 
-def _jsonable(x):
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+def _gates(g: GridSpec, scatter: dict | None = None, ops: dict | None = None,
+           winding=None) -> dict:
+    """Pass or fail of each gate on the parts a command computed."""
+    # a remainder at the rounding floor is trivially compact: its singular
+    # values are pure noise and the rank summary is meaningless there
+    def compact_ok(block, bound):
+        return block["s1"] <= 1e-10 or block["rank_tenth"] <= bound
+
+    passes = {}
+    if scatter is not None:
+        passes["levinson"] = scatter["levinson_residual"] <= GATES["levinson_residual"]
+    if ops is not None:
+        passes.update(
+            wave_identity=ops["wave_identity"]["residual"] <= GATES["wave_identity_residual"],
+            shift_identity=(ops["shift_identity"]["exact_residual"]
+                            <= GATES["shift_exact_residual"]),
+            coupling_compact=compact_ok(ops["coupling_symbol"],
+                                        GATES["coupling_rank_fraction"] * g.m_beta),
+            wave_compact=compact_ok(ops["wave_symbol"], GATES["wave_rank_fraction"] * g.n_site))
+    if winding is not None:
+        passes["winding_match"] = winding.match
+    return passes
+
+
+def _enforce(passes: dict, message: str):
+    if not all(passes.values()):
+        failed = ", ".join(k for k, v in sorted(passes.items()) if not v)
+        raise CheckFailure(f"{message} ({failed})")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def _start(args):
+    """The config (its grids refined under --refine), with its output
+    directory made: (potential, grids, outputs, normalized config, hash)."""
+    p, g, outputs, normalized, cfg_hash = load_config(args.config)
+    if args.refine:
+        g = g.refined()
+    Path(outputs["directory"]).mkdir(parents=True, exist_ok=True)
+    return p, g, outputs, normalized, cfg_hash
+
 
 def cmd_validate(args) -> int:
     _, _, _, normalized, cfg_hash = load_config(args.config)
@@ -140,22 +174,15 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _scatter_outputs(p: Potential, g: GridSpec, d: ScatteringData,
-                     out: Path, cfg_hash: str):
+def _scatter_outputs(p: Potential, d: ScatteringData, outputs: dict, cfg_hash: str):
     rows = zip(d.lam, d.theta, d.omega.real, d.omega.imag, d.amplitude,
                d.eta, d.smatrix.real, d.smatrix.imag)
-    _write_csv(out / "scatter.csv",
+    _write_csv(outputs, "scatter.csv",
                ["lambda", "theta", "re_omega", "im_omega", "amplitude",
                 "eta", "re_s", "im_s"], rows, cfg_hash)
-    bs_rows = [(z, float(np.sign(z) / (abs(z) + np.sqrt(z * z - 1.0))),
-                abs(_omega_at(p, z))) for z in d.bound_states]
-    _write_csv(out / "boundstates.csv", ["z", "zeta", "residual"], bs_rows, cfg_hash)
-
-
-def _omega_at(p: Potential, z: float) -> float:
-    from .model import OffAxisPoint
-    from .scattering import jost_function
-    return jost_function(p, OffAxisPoint.from_z(z)).real
+    bs_rows = ((pt.z, pt.zeta, abs(jost_function(p, pt).real))
+               for pt in map(OffAxisPoint.from_z, d.bound_states))
+    _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows, cfg_hash)
 
 
 def _scatter_summary(d: ScatteringData) -> dict:
@@ -174,32 +201,38 @@ def _scatter_summary(d: ScatteringData) -> dict:
 
 
 def cmd_scatter(args) -> int:
-    p, g, outputs, _, cfg_hash = load_config(args.config)
-    if args.refine:
-        g = g.refined()
-    out = Path(outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    _scatter_outputs(p, g, d, out, cfg_hash)
+    _scatter_outputs(p, d, outputs, cfg_hash)
     summary = _scatter_summary(d)
     print(f"scatter: N={summary['count_n']} delta=({d.delta_minus},{d.delta_plus}) "
           f"levinson_residual={summary['levinson_residual']:.3e} "
           f"[{time.perf_counter() - t0:.2f}s]")
+    if args.check:
+        _enforce(_gates(g, scatter=summary), "scattering data fails its gate")
     return 0
 
 
-def _waveop_payload(p: Potential, g: GridSpec) -> dict:
-    from dataclasses import replace
-    d = scattering_grid(p, g)
+def _waveop_payload(p: Potential, g: GridSpec):
+    """The operator identities, their scattering data d on the cut grid of g
+    and the seconds taken.  The data on the grid twice as fine reuses d's
+    thresholds and bound states.
+
+    The order sets the peak memory (measured on `report --refine`).  The
+    checks free of the potential hold the largest arrays (m_beta^2 complex),
+    so they run before any Jost rows are kept; the wave symbol before the
+    wave identity leaves less heap behind for a next command in the same
+    process."""
     t0 = time.perf_counter()
-    base = wave_identity_residual(d, p, g)
-    g2 = replace(g, m_theta=2 * g.m_theta)
-    d2 = scattering_grid(p, g2)
-    refined = wave_identity_residual(d2, p, g2)
     shift = shift_identity_check(g)
     coup = coupling_symbol_stability(g)
-    wave = wave_symbol_stability(d, p, g)
+    g2 = replace(g, m_theta=2 * g.m_theta)
+    d = scattering_grid(p, g)
+    d2 = scattering_grid(d, g2)
+    wave = wave_symbol_stability(d, d2, p, g)
+    base = wave_identity_residual(d, p, g)
+    refined = wave_identity_residual(d2, p, g2)
     elapsed = time.perf_counter() - t0
     payload = {
         "wave_identity": {
@@ -230,21 +263,19 @@ def _waveop_payload(p: Potential, g: GridSpec) -> dict:
         "grids": {"m_theta": g.m_theta, "n_site": g.n_site, "m_beta": g.m_beta,
                   "beta_max": g.beta_max},
     }
-    return payload, elapsed
+    return payload, d, elapsed
 
 
 def cmd_waveop(args) -> int:
-    p, g, outputs, _, cfg_hash = load_config(args.config)
-    if args.refine:
-        g = g.refined()
-    out = Path(outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
-    payload, elapsed = _waveop_payload(p, g)
-    _write_json(out / "waveop.json", _jsonable(payload), cfg_hash)
+    p, g, outputs, _, cfg_hash = _start(args)
+    payload, _, elapsed = _waveop_payload(p, g)
+    _write_json(outputs, "waveop.json", payload, cfg_hash)
     wi = payload["wave_identity"]
     print(f"waveop: identity residual {wi['residual']:.3e} "
           f"(refined {wi['residual_refined']:.3e}, ratio {wi['ratio']:.1f}) "
           f"[{elapsed:.2f}s]")
+    if args.check:
+        _enforce(_gates(g, ops=payload), "operator identities fail their gates")
     return 0
 
 
@@ -255,61 +286,39 @@ def _winding_payload(p: Potential, g: GridSpec, d: ScatteringData):
 
 
 def cmd_winding(args) -> int:
-    p, g, outputs, _, cfg_hash = load_config(args.config)
-    if args.refine:
-        g = g.refined()
-    out = Path(outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
     curve, report = _winding_payload(p, g, d)
     ph = np.unwrap(np.angle(curve.points))
-    rows = [(curve.edge_name(i), curve.params[i], curve.points[i].real,
-             curve.points[i].imag, ph[i]) for i in range(len(curve.points))]
-    _write_csv(out / "winding.csv",
+    rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,
+             curve.points[i].imag, ph[i]) for i in range(len(curve.points)))
+    _write_csv(outputs, "winding.csv",
                ["edge", "param", "re", "im", "phase_unwrapped"], rows, cfg_hash)
-    _write_json(out / "winding.json", _jsonable({
+    _write_json(outputs, "winding.json", {
         "winding": report.winding,
         "raw_phase_total": report.raw_phase_total,
         "per_edge": report.per_edge,
         "n_from_scattering": report.n_from_scattering,
         "match": report.match,
-    }), cfg_hash)
+    }, cfg_hash)
     print(f"winding: {report.winding} (N={d.count_n}, match={report.match}) "
           f"[{time.perf_counter() - t0:.2f}s]")
-    if args.check and not report.match:
-        raise CheckFailure("winding number does not match the bound-state count")
+    if args.check:
+        _enforce(_gates(g, winding=report),
+                 "winding number does not match the bound-state count")
     return 0
 
 
 def cmd_report(args) -> int:
-    p, g, outputs, normalized, cfg_hash = load_config(args.config)
-    if args.refine:
-        g = g.refined()
-    out = Path(outputs["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    p, g, outputs, normalized, cfg_hash = _start(args)
     t0 = time.perf_counter()
-    d = scattering_grid(p, g)
-    _scatter_outputs(p, g, d, out, cfg_hash)
+    payload, d, _ = _waveop_payload(p, g)
+    _scatter_outputs(p, d, outputs, cfg_hash)
     scatter = _scatter_summary(d)
-    payload, _ = _waveop_payload(p, g)
-    _write_json(out / "waveop.json", _jsonable(payload), cfg_hash)
+    _write_json(outputs, "waveop.json", payload, cfg_hash)
     curve, wrep = _winding_payload(p, g, d)
-    # a remainder at the rounding floor is trivially compact: its singular
-    # values are pure noise and the rank summary is meaningless there
-    def compact_ok(block, bound):
-        return block["s1"] <= 1e-10 or block["rank_tenth"] <= bound
-
-    passes = {
-        "levinson": scatter["levinson_residual"] <= GATES["levinson_residual"],
-        "wave_identity": payload["wave_identity"]["residual"] <= GATES["wave_identity_residual"],
-        "shift_identity": payload["shift_identity"]["exact_residual"] <= GATES["shift_exact_residual"],
-        "coupling_compact": compact_ok(payload["coupling_symbol"],
-                                       GATES["coupling_rank_fraction"] * g.m_beta),
-        "wave_compact": compact_ok(payload["wave_symbol"],
-                                   GATES["wave_rank_fraction"] * g.n_site),
-        "winding_match": wrep.match,
-    }
+    passes = _gates(g, scatter, payload, wrep)
     report = {
         "provenance": {"config": normalized},
         "scattering": scatter,
@@ -322,14 +331,13 @@ def cmd_report(args) -> int:
         },
         "pass": passes,
     }
-    _write_json(out / "report.json", _jsonable(report), cfg_hash)
+    _write_json(outputs, "report.json", report, cfg_hash)
     elapsed = time.perf_counter() - t0
     for k, v in sorted(passes.items()):
         print(f"  {'PASS' if v else 'FAIL'} {k}")
     print(f"report: {'all pass' if all(passes.values()) else 'FAILURES'} "
           f"[{elapsed:.2f}s]")
-    if not all(passes.values()):
-        raise CheckFailure("report contains failing checks")
+    _enforce(passes, "report contains failing checks")
     return 0
 
 

@@ -162,8 +162,10 @@ class SpectralPoint:
     def from_theta(cls, theta: float) -> "SpectralPoint":
         if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        return cls(lam=math.cos(theta), theta=theta,
-                   zeta=complex(math.cos(theta), -math.sin(theta)))
+        lam = math.cos(theta)
+        # sin(pi) is 1.2e-16 in floating point: the thresholds get zeta = +-1 exactly
+        zeta = complex(lam, -math.sin(theta)) if 0.0 < theta < math.pi else complex(lam)
+        return cls(lam=lam, theta=theta, zeta=zeta)
 
     @classmethod
     def from_lambda(cls, lam: float) -> "SpectralPoint":

@@ -16,7 +16,7 @@ test would be wrong, the remainders are O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,26 +191,25 @@ def coupling_symbol_remainder(g: GridSpec, m_beta: int | None = None) -> Singula
     return rep
 
 
-def coupling_symbol_stability(g: GridSpec) -> dict:
-    """Leading-singular-value stability under doubling of the beta grid."""
-    base = coupling_symbol_remainder(g)
-    fine = coupling_symbol_remainder(g, m_beta=2 * g.m_beta)
+def _stability(base: SingularReport, fine: SingularReport) -> dict:
+    """The leading singular value's change from base to the refined report."""
     if base.s1 > 0 and fine.s1 > 10.0 * base.s1:
         raise NumericsError("not convergent: leading singular value grows under refinement")
     rel = abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0
     return {"base": base, "refined": fine, "rel_change": rel}
 
 
-def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec,
-                          m_theta: int | None = None) -> SingularReport:
+def coupling_symbol_stability(g: GridSpec) -> dict:
+    """Leading-singular-value stability under doubling of the beta grid."""
+    return _stability(coupling_symbol_remainder(g),
+                      coupling_symbol_remainder(g, m_beta=2 * g.m_beta))
+
+
+def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec) -> SingularReport:
     """Remainder of the wave-operator formula with the symbol factor:
-    W - 1 - (1/2)(1 + R^*[symbol]R)(S - 1) on the interior site block."""
-    from .scattering import scattering_grid
-    if m_theta is not None and m_theta != g.m_theta:
-        g2 = replace(g, m_theta=m_theta)
-        d = scattering_grid(p, g2)
-        g = g2
-    grid = quadrature_grid(g.m_theta)
+    W - 1 - (1/2)(1 + R^*[symbol]R)(S - 1) on the interior site block, on
+    the cut grid of d."""
+    grid = quadrature_grid(d.m_theta)
     n = g.n_site
     W = wave_operator(d, p, grid, n, tol_threshold=g.tol_threshold).entries
     S = scattering_operator(d, grid, n).entries
@@ -220,17 +219,15 @@ def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec,
     inner = np.eye(n) + R.conj().T @ P @ R
     K = W - np.eye(n) - 0.5 * inner @ (S - np.eye(n))
     nb = n // 2
-    return _sv_report(K[:nb, :nb], m_theta=g.m_theta, n_site=n,
+    return _sv_report(K[:nb, :nb], m_theta=d.m_theta, n_site=n,
                       m_beta=g.m_beta, potential=p.content_hash())
 
 
-def wave_symbol_stability(d: ScatteringData, p: Potential, g: GridSpec) -> dict:
-    base = wave_symbol_remainder(d, p, g)
-    fine = wave_symbol_remainder(d, p, g, m_theta=2 * g.m_theta)
-    if base.s1 > 0 and fine.s1 > 10.0 * base.s1:
-        raise NumericsError("not convergent: leading singular value grows under refinement")
-    rel = abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0
-    return {"base": base, "refined": fine, "rel_change": rel}
+def wave_symbol_stability(d: ScatteringData, d_fine: ScatteringData, p: Potential,
+                          g: GridSpec) -> dict:
+    """Leading-singular-value stability of the wave remainder from the cut
+    grid of d to the finer one of d_fine."""
+    return _stability(wave_symbol_remainder(d, p, g), wave_symbol_remainder(d_fine, p, g))
 
 
 def shift_identity_check(g: GridSpec, m_beta: int | None = None) -> dict:

@@ -12,7 +12,7 @@ corrections in Levinson's relation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,12 +65,16 @@ class ScatteringData:
     """Scattering quantities sampled on the theta-midpoint grid.
 
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
-    lambda = -1 end with its first value reduced to (-pi, pi].
+    lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
+    holds the scaled Jost values t(n) = theta(n)/zeta^n on the grid for
+    n = -1..n_site-1, row index n + 1; omega is its row 0.
     """
 
+    potential: Potential
     theta: np.ndarray
     lam: np.ndarray
     zeta: np.ndarray
+    jost_rows: np.ndarray
     omega: np.ndarray
     amplitude: np.ndarray
     eta: np.ndarray
@@ -88,6 +92,11 @@ class ScatteringData:
     @property
     def m_theta(self) -> int:
         return len(self.theta)
+
+    def content_hash(self) -> str:
+        """The potential's hash: the data stands for its potential in
+        `scattering_grid`."""
+        return self.potential.content_hash()
 
     def point(self, j: int) -> SpectralPoint:
         return SpectralPoint(lam=float(self.lam[j]), theta=float(self.theta[j]),
@@ -164,14 +173,28 @@ def _omega_off_axis(p: Potential, z: np.ndarray) -> np.ndarray:
     return _kernels.jost_function_values(p.values, zeta, 2.0 * z)
 
 
-def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
-    """Assemble all scattering data on the theta-midpoint grid."""
+def scattering_grid(p: Potential | ScatteringData, g: GridSpec) -> ScatteringData:
+    """Assemble all scattering data on the theta-midpoint grid of g.
+
+    One recursion over the grid gives Omega and the rows t(-1..n_site-1)
+    that the correction kernel reads.  Given the scattering data of a
+    potential on another grid in place of the potential, the grid-free
+    stages (threshold classification, bound states and their count) are
+    taken from it instead of computed again; they depend on the tolerances
+    and on z_max only, which must then agree.
+    """
+    known = p if isinstance(p, ScatteringData) else None
+    if known is not None:
+        p = known.potential
+        if any(known.meta[k] != v for k, v in _stage_keys(p, g).items()):
+            raise ValueError("scattering data built with other tolerances or z_max")
     m = g.m_theta
     j = np.arange(m)
     theta = ((j + 0.5) * np.pi / m)[::-1].copy()      # ascending lambda
     lam = np.cos(theta)
     zeta = np.exp(-1j * theta)
-    omega = _kernels.jost_function_values(p.values, zeta, 2.0 * lam + 0j)
+    rows = _kernels.jost_scaled(p.values, zeta, 2.0 * lam + 0j, g.n_site - 1)
+    omega = rows[0].copy()          # a view would keep all the rows alive with omega
     amplitude = np.abs(omega)
     if np.min(amplitude) == 0.0:
         raise NumericsError("interior zero of the Jost function")
@@ -180,16 +203,23 @@ def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
     jump = np.max(np.abs(np.diff(eta)), initial=0.0)
     if jump >= np.pi / 2:
         raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
-    smatrix = np.conj(omega) / omega
+    on_grid = dict(theta=theta, lam=lam, zeta=zeta, jost_rows=rows, omega=omega,
+                   amplitude=amplitude, eta=eta, smatrix=np.conj(omega) / omega,
+                   meta={"m_theta": m, "potential": p.content_hash(), **_stage_keys(p, g)})
+    if known is not None:
+        return replace(known, **on_grid)
     dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
     roots, count = bound_states(p, g)
     return ScatteringData(
-        theta=theta, lam=lam, zeta=zeta, omega=omega, amplitude=amplitude,
-        eta=eta, smatrix=smatrix, omega_minus=om_m, omega_plus=om_p,
+        potential=p, **on_grid, omega_minus=om_m, omega_plus=om_p,
         delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
-        bound_states=roots, count_n=count,
-        meta={"m_theta": m, "potential": p.content_hash(),
-              "tol_threshold": g.tol_threshold, "tol_root": g.tol_root})
+        bound_states=roots, count_n=count)
+
+
+def _stage_keys(p: Potential, g: GridSpec) -> dict:
+    """The settings the grid-free stages of `scattering_grid` depend on."""
+    return {"tol_threshold": g.tol_threshold, "tol_root": g.tol_root,
+            "z_max": g.effective_z_max(p)}
 
 
 def eta_endpoints(d: ScatteringData):

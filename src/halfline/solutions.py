@@ -87,20 +87,16 @@ def jost_solution(p: Potential, point, n_max: int,
     """
     if isinstance(point, SpectralPoint) and point.is_threshold:
         raise ValueError("use jost_at_threshold for lambda = +-1")
-    if n_tail is not None and p.support_end > n_tail:
-        raise NumericsError(
-            f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")
-    zeta = np.array([point.zeta], dtype=complex)
-    t = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[:, 0]
-    powers = np.asarray(zeta[0]) ** np.arange(-1, n_max + 1)
-    return SolutionSequence(kind=_kind("jost", p), point=point,
-                            values=t * powers, potential=p)
+    return _jost_sequence(p, point, n_max, n_tail)
 
 
 def jost_at_threshold(p: Potential, sign: int, n_max: int,
                       n_tail: int | None = None) -> SolutionSequence:
     """Threshold Jost solution, tail (+-1)^n, via the same backward recursion."""
-    point = SpectralPoint.threshold(sign)
+    return _jost_sequence(p, SpectralPoint.threshold(sign), n_max, n_tail)
+
+
+def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> SolutionSequence:
     if n_tail is not None and p.support_end > n_tail:
         raise NumericsError(
             f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")

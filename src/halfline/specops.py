@@ -177,10 +177,15 @@ class CorrectionOperator:
 def correction_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
                         n_site: int) -> CorrectionOperator:
     """K0(n, lambda) = sqrt(2/pi) [conj(p zeta) - s p zeta] / (2i) with
-    p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4), and K0 Fsin."""
+    p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4), and K0 Fsin.
+
+    theta(n)/zeta^n is read from the rows that `scattering_grid` kept."""
     _require_same_grid(d, grid)
     _check_site_count(grid, n_site)
-    t = _kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j, n_site - 1)[1:]
+    if n_site > d.jost_rows.shape[0] - 1:
+        raise ValueError(f"scattering data keeps Jost rows for "
+                         f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
+    t = d.jost_rows[1:n_site + 1]
     zpow = d.zeta[None, :] ** np.arange(n_site)[:, None]
     pker = zpow * (t - 1.0) / (1.0 - d.lam ** 2) ** 0.25
     pz = pker * d.zeta[None, :]
@@ -202,7 +207,7 @@ def correction_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
 def wave_identity_residual(d: ScatteringData, p: Potential, g: GridSpec,
                            block: int | None = None) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
-    block.
+    block, on the cut grid of d.
 
     The product (U+1)/2 (S-1) is composed at the full quadrature-supported
     site dimension (m-2): truncating the composition at n_site leaks the
@@ -210,7 +215,7 @@ def wave_identity_residual(d: ScatteringData, p: Potential, g: GridSpec,
     regardless of m.  Composed at full resolution the residual is genuine
     quadrature error and falls at second order in the node count.
     """
-    grid = quadrature_grid(g.m_theta)
+    grid = quadrature_grid(d.m_theta)
     n_site = g.n_site
     block = n_site // 2 if block is None else block
     W = wave_operator(d, p, grid, n_site, tol_threshold=g.tol_threshold).entries

@@ -175,8 +175,3 @@ def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingRepor
     bound-state count."""
     curve = assemble_boundary(d, p, g)
     return winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
-
-
-def index_theorem_check(report: WindingReport, d: ScatteringData) -> bool:
-    """Winding number equals the number of bound states (integer equality)."""
-    return report.winding == d.count_n

@@ -17,11 +17,12 @@ def grid_default():
 
 @pytest.fixture(scope="session")
 def scatter_cache():
-    """Memoised scattering data keyed by (potential hash, m_theta)."""
+    """Memoised scattering data keyed by (potential hash, m_theta,
+    tol_threshold, n_site): the data keeps Jost rows for n_site sites."""
     cache = {}
 
     def get(p, g):
-        key = (p.content_hash(), g.m_theta, g.tol_threshold)
+        key = (p.content_hash(), g.m_theta, g.tol_threshold, g.n_site)
         if key not in cache:
             cache[key] = hl.scattering_grid(p, g)
         return cache[key]

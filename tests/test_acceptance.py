@@ -108,9 +108,10 @@ def test_criterion_05_coupling_symbol_compactness():
 
 def test_criterion_06_wave_symbol_compactness(scatter_cache):
     with _Timer(6, "wave-operator symbol remainder compactness", budget=120.0):
+        fine = replace(GRID, m_theta=2 * GRID.m_theta)
         for p in (hl.rank_one(0.75), hl.table_potential(TWO_SITE, rho=3.0)):
             d = scatter_cache(p, GRID)
-            out = hl.wave_symbol_stability(d, p, GRID)
+            out = hl.wave_symbol_stability(d, scatter_cache(p, fine), p, GRID)
             assert out["base"].rank_at(0.1) <= GRID.n_site // 8
             assert out["rel_change"] < 0.05
 

@@ -77,6 +77,13 @@ class TestScatter:
         # 17 significant digits round-trip
         assert len(rows[0][0].replace(".", "").replace("-", "").lstrip("0")) >= 16
 
+    def test_check_exits_5_on_failed_levinson_gate(self, tmp_path, capsys):
+        # linear extrapolation across the last theta cell: residual 1.3e-2
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.51, "rho": 3.0})
+        assert main(["scatter", str(cfg)]) == 0
+        assert main(["scatter", str(cfg), "--check"]) == 5
+        assert "levinson" in capsys.readouterr().err
+
     def test_ambiguous_threshold_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.4999, "rho": 3.0})
         assert main(["scatter", str(cfg)]) == 4
@@ -92,10 +99,19 @@ class TestWaveop:
 
     def test_two_site_refinement_ratio(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "table", "values": [0.3, -0.2], "rho": 3.0})
-        assert main(["waveop", str(cfg)]) == 0
+        assert main(["waveop", str(cfg), "--check"]) == 0
         data = json.loads((tmp_path / "out" / "waveop.json").read_text())
         assert data["wave_identity"]["residual"] <= 1e-6
         assert data["wave_identity"]["ratio"] >= 4.0
+
+
+    def test_check_exits_5_on_failed_identity_gate(self, tmp_path, capsys):
+        # m_theta = 64 leaves the wave identity at 7e-6, over its 1e-6 gate
+        cfg = write_cfg(tmp_path, {"kind": "table", "values": [0.3, -0.2], "rho": 3.0},
+                        grids={"m_theta": 64, "n_site": 16, "m_beta": 128, "n_edge": 256})
+        assert main(["waveop", str(cfg)]) == 0
+        assert main(["waveop", str(cfg), "--check"]) == 5
+        assert "wave_identity" in capsys.readouterr().err
 
 
 class TestWinding:
@@ -147,6 +163,39 @@ class TestReport:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["scattering"]["delta_plus"] == 0.5
         assert report["winding"]["winding"] == 0
+
+    def test_one_eigensolve_and_one_bound_state_search(self, tmp_path, monkeypatch):
+        # the grid at twice m_theta reuses the first grid's grid-free stages
+        from halfline import model, scattering
+        calls = {"eigenvalues": 0, "bound_states": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(model.TridiagonalTruncation, "eigenvalues")
+        counted(scattering, "bound_states")
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        assert main(["report", str(cfg)]) == 0
+        assert calls == {"eigenvalues": 1, "bound_states": 1}
+
+    @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
+    def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+            "grids": {"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024},
+            "outputs": {"directory": str(tmp_path / "out"), "formats": [fmt]}}))
+        assert main(["validate", str(cfg)]) == 0
+        h = json.loads(capsys.readouterr().out)["config_hash"]
+        assert main(["report", str(cfg)]) == 0
+        written = list((tmp_path / "out").iterdir())
+        assert written and not any(f.suffix == absent for f in written)
+        assert all(h in f.read_text() for f in written)
 
     def test_hash_stamped_everywhere(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": -0.75, "rho": 3.0})

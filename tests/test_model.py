@@ -82,6 +82,13 @@ class TestSpectralGeometry:
         assert pt.zeta.imag <= 0.0
         assert pt.zeta + 1.0 / pt.zeta == pytest.approx(2.0 * lam, abs=1e-13)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_threshold_zeta_exact(self, sign):
+        # sin(pi) != 0 in floating point; the threshold must not carry it
+        pt = hl.SpectralPoint.threshold(sign)
+        assert pt.zeta.imag == 0.0 and pt.zeta.real == sign == pt.lam
+        assert hl.SpectralPoint.from_lambda(float(sign)).zeta == pt.zeta
+
     def test_zeta_of_dispatch(self):
         assert hl.zeta_of(hl.SpectralPoint.from_lambda(0.0)) == pytest.approx(-1j)
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,56 @@ class TestScatteringGrid:
         assert np.angle(om) == pytest.approx(math.atan2(1.5, 1.0), rel=1e-13)
         s = np.conj(om) / om
         assert s == pytest.approx((-1.25 - 3.0j) / 3.25, rel=1e-12)
+
+
+GRID_POTENTIALS = {
+    "rank_one": hl.rank_one(0.75),
+    "two_site": hl.table_potential(TWO_SITE, rho=3.0),
+    "random_rho4": hl.random_decaying(3, rho_gen=4.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRID_POTENTIALS))
+def grid_data(request, grid_default):
+    p = GRID_POTENTIALS[request.param]
+    return p, hl.scattering_grid(p, grid_default)
+
+
+class TestOneRecursionPerGrid:
+    """scattering_grid steps its grid once: Omega, the kept Jost rows and a
+    build on a second grid that reuses the grid-free stages are bit-identical
+    to computing each directly."""
+
+    def test_omega_is_row_zero(self, grid_data):
+        p, d = grid_data
+        direct = _kernels.jost_function_values(p.values, d.zeta, 2.0 * d.lam + 0j)
+        assert np.array_equal(d.omega, direct)
+        assert np.array_equal(d.jost_rows[0], direct)
+
+    def test_kept_rows_match_direct_recursion(self, grid_data, grid_default, monkeypatch):
+        p, d = grid_data
+        assert d.jost_rows.shape == (grid_default.n_site + 1, grid_default.m_theta)
+        args = (p.values, d.zeta, 2.0 * d.lam + 0j, grid_default.n_site - 1)
+        assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args))
+        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one by the helper
+        assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args))
+
+    def test_second_grid_reuse_equals_fresh_build(self, grid_data, grid_default):
+        p, d = grid_data
+        g2 = replace(grid_default, m_theta=2 * grid_default.m_theta)
+        reused, fresh = hl.scattering_grid(d, g2), hl.scattering_grid(p, g2)
+        for f in fields(hl.ScatteringData):
+            a, b = getattr(reused, f.name), getattr(fresh, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a is b or a == b, f.name
+
+    def test_reuse_refuses_other_stage_settings(self, grid_data, grid_default):
+        _, d = grid_data
+        for change in ({"tol_threshold": 2e-3}, {"tol_root": 1e-8}, {"z_max": 50.0}):
+            with pytest.raises(ValueError, match="other tolerances"):
+                hl.scattering_grid(d, replace(grid_default, **change))
 
 
 class TestThresholds:

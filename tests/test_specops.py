@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import halfline as hl
 from conftest import closed_form_omega
+from halfline import _kernels
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +218,27 @@ class TestCorrectionOperator:
         rows = np.max(np.abs(c.times_sine.entries), axis=1)
         assert rows[0] > rows[5] > rows[15]
         assert np.max(rows[21:]) < 1e-13
+
+
+    @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
+                                   hl.random_decaying(3, rho_gen=4.0)],
+                             ids=["rank_one", "two_site", "random_rho4"])
+    def test_kept_rows_equal_fresh_recursion(self, p, grid_default, grid512, scatter_cache):
+        d = scatter_cache(p, grid_default)
+        n = grid_default.n_site
+        fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j,
+                                                          n - 1))
+        a = hl.correction_operator(d, p, grid512, n)
+        b = hl.correction_operator(fresh, p, grid512, n)
+        assert np.array_equal(a.kernel.entries, b.kernel.entries)
+        assert np.array_equal(a.times_sine.entries, b.times_sine.entries)
+        assert np.array_equal(a.singular_values, b.singular_values)
+
+    def test_more_sites_than_kept_rows_refused(self, scatter_cache):
+        p = hl.rank_one(0.75)
+        d = scatter_cache(p, hl.GridSpec(n_site=64))
+        with pytest.raises(ValueError, match="keeps Jost rows for 64 sites"):
+            hl.correction_operator(d, p, hl.quadrature_grid(512), 128)
 
 
 class TestWaveIdentity:
