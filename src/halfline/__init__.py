@@ -26,9 +26,9 @@ from .specops import (CorrectionOperator, OperatorMatrix, QuadratureGrid,
                       wave_identity_residual, wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        coupling_symbol_remainder, coupling_symbol_stability,
-                       energy_rescale_matrix, hyperbolic_pv_matrix, pdo_composite,
-                       pv_kernel_action_gap, rescale_intertwining_defect,
-                       shift_identity_check, shift_symbol_composite,
+                       energy_rescale_matrix, hyperbolic_pv_matrix, pdo_apply,
+                       pdo_composite, pv_kernel_action_gap, rescale_intertwining_defect,
+                       shift_identity_check, shift_symbol_apply,
                        wave_symbol_remainder, wave_symbol_stability,
                        weyl_commutation_defect)
 from .topology import (BoundaryCurve, WindingReport, assemble_boundary,

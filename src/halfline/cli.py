@@ -219,17 +219,14 @@ def _waveop_payload(p: Potential, g: GridSpec):
     and the seconds taken.  The data on the grid twice as fine reuses d's
     thresholds and bound states.
 
-    The order sets the peak memory (measured on `report --refine`).  The
-    checks free of the potential hold the largest arrays (m_beta^2 complex),
-    so they run before any Jost rows are kept; the wave symbol before the
-    wave identity leaves less heap behind for a next command in the same
-    process."""
+    The scattering data comes first, so that an input it refuses (exit 4)
+    is refused before the checks that do not depend on the potential."""
     t0 = time.perf_counter()
+    d = scattering_grid(p, g)
+    g2 = replace(g, m_theta=2 * g.m_theta)
+    d2 = scattering_grid(d, g2)
     shift = shift_identity_check(g)
     coup = coupling_symbol_stability(g)
-    g2 = replace(g, m_theta=2 * g.m_theta)
-    d = scattering_grid(p, g)
-    d2 = scattering_grid(d, g2)
     wave = wave_symbol_stability(d, d2, p, g)
     base = wave_identity_residual(d, p, g)
     refined = wave_identity_residual(d2, p, g2)

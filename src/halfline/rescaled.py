@@ -24,7 +24,7 @@ from .errors import NumericsError
 from .model import GridSpec, Potential
 from .scattering import ScatteringData
 from .specops import (OperatorMatrix, cos_sin_coupling, quadrature_grid,
-                      scattering_operator, sine_transform, wave_operator)
+                      scattering_operator, wave_operator)
 
 #: interior-block Gram tolerance before the window is declared too small
 GRAM_GUARD = 1e-4
@@ -54,42 +54,41 @@ def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
     return BetaGrid.make(m_beta, beta_max)
 
 
-def fourier_multiplier_matrix(bg: BetaGrid, symbol: np.ndarray) -> np.ndarray:
-    """Dense matrix of a(D) on the periodised grid, a given on the DFT bins."""
-    spec = np.fft.fft(np.eye(bg.m_beta), axis=0)
-    return np.fft.ifft(symbol[:, None] * spec, axis=0)
+def fourier_apply(symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """a(D) X on the periodised grid: the multiplier a, given on the DFT bins,
+    applied to each column of X."""
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(X, axis=0), axis=0)
 
 
-def _odd_symbol(bg: BetaGrid, fn) -> np.ndarray:
-    s = fn(bg.xi)
-    s[bg.m_beta // 2] = 0.0      # odd symbols vanish at the unpaired Nyquist bin
+def tanh_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
+    s = np.tanh(np.pi * bg.xi)
+    s[bg.m_beta // 2] = 0.0      # an odd symbol vanishes at the unpaired Nyquist bin
     return s
 
 
-def tanh_pi_d_matrix(bg: BetaGrid) -> np.ndarray:
-    return fourier_multiplier_matrix(bg, _odd_symbol(bg, lambda x: np.tanh(np.pi * x)))
-
-
-def sech_pi_d_matrix(bg: BetaGrid) -> np.ndarray:
+def sech_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
     with np.errstate(over="ignore"):
-        sym = 1.0 / np.cosh(np.pi * bg.xi)
-    return fourier_multiplier_matrix(bg, sym)
+        return 1.0 / np.cosh(np.pi * bg.xi)
+
+
+def pdo_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
+    """(-tanh(pi D) + i tanh(X/2) sech(pi D)) applied to the columns of X."""
+    return -fourier_apply(tanh_pi_d_symbol(bg), X) \
+        + 1j * np.tanh(bg.beta / 2.0)[:, None] * fourier_apply(sech_pi_d_symbol(bg), X)
+
+
+def shift_symbol_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
+    """(tanh(X) - i sech(X) tanh(pi D)), the symbol form of the shift, applied
+    to the columns of X."""
+    with np.errstate(over="ignore"):
+        sech_b = 1.0 / np.cosh(bg.beta)
+    return np.tanh(bg.beta)[:, None] * X \
+        - 1j * sech_b[:, None] * fourier_apply(tanh_pi_d_symbol(bg), X)
 
 
 def pdo_composite(bg: BetaGrid) -> OperatorMatrix:
-    """-tanh(pi D) + i tanh(X/2) sech(pi D) on the beta grid."""
-    e = -tanh_pi_d_matrix(bg) + 1j * (np.tanh(bg.beta / 2.0)[:, None] * sech_pi_d_matrix(bg))
-    return OperatorMatrix(e, "beta-grid", "beta-grid",
-                          {"m_beta": bg.m_beta, "beta_max": bg.beta_max})
-
-
-def shift_symbol_composite(bg: BetaGrid) -> OperatorMatrix:
-    """tanh(X) - i sech(X) tanh(pi D), the symbol form of the shift."""
-    with np.errstate(over="ignore"):
-        sech_b = 1.0 / np.cosh(bg.beta)
-    e = np.diag(np.tanh(bg.beta)).astype(complex) \
-        - 1j * (sech_b[:, None] * tanh_pi_d_matrix(bg))
-    return OperatorMatrix(e, "beta-grid", "beta-grid",
+    """The dense m_beta x m_beta matrix of -tanh(pi D) + i tanh(X/2) sech(pi D)."""
+    return OperatorMatrix(pdo_apply(bg, np.eye(bg.m_beta)), "beta-grid", "beta-grid",
                           {"m_beta": bg.m_beta, "beta_max": bg.beta_max})
 
 
@@ -113,16 +112,13 @@ def hyperbolic_pv_matrix(bg: BetaGrid) -> OperatorMatrix:
 
 def pv_kernel_action_gap(bg: BetaGrid, centers=(-2.0, 0.0, 1.5)) -> float:
     """Worst relative difference between the weight-conjugated symbol and the
-    direct principal-value kernel on Gaussian bumps."""
-    P = pdo_composite(bg).entries
+    direct principal-value kernel on Gaussian bumps g: the conjugated symbol
+    acts as w P(g / w), with w the conjugation weight."""
     K = hyperbolic_pv_matrix(bg).entries
-    w = b_weight(bg.beta)
-    conj = w[:, None] * P / w[None, :]
-    worst = 0.0
-    for c in centers:
-        g = np.exp(-(bg.beta - c) ** 2)
-        worst = max(worst, float(np.linalg.norm((conj - K) @ g) / np.linalg.norm(g)))
-    return worst
+    w = b_weight(bg.beta)[:, None]
+    G = np.exp(-(bg.beta[:, None] - np.asarray(centers)[None, :]) ** 2)
+    gap = w * pdo_apply(bg, G / w) - K @ G
+    return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(G, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +173,20 @@ def _sv_report(mat: np.ndarray, **meta) -> SingularReport:
     return SingularReport(singular_values=sv, meta=meta)
 
 
+def _pulled_back(bg: BetaGrid, n_site: int, apply) -> np.ndarray:
+    """R^* a(X, D) R on the site space: `apply` takes a(X, D) to the n_site
+    columns of R, so no m_beta x m_beta matrix is formed."""
+    R = energy_rescale_matrix(bg, n_site).entries
+    return R.T @ apply(bg, R)
+
+
 def coupling_symbol_remainder(g: GridSpec, m_beta: int | None = None) -> SingularReport:
     """Singular values of R U R^* minus the symbol composite, pulled back to
     the site space through R (where the truncation is faithful)."""
     bg = beta_grid(m_beta or g.m_beta, g.beta_max)
-    R = energy_rescale_matrix(bg, g.n_site).entries
-    grid = quadrature_grid(g.m_theta)
-    U = cos_sin_coupling(grid, g.n_site).entries
-    P = pdo_composite(bg).entries
-    diff = U - R.conj().T @ P @ R
-    rep = _sv_report(diff, m_beta=bg.m_beta, beta_max=bg.beta_max,
-                     n_site=g.n_site, m_theta=g.m_theta)
-    return rep
+    U = cos_sin_coupling(quadrature_grid(g.m_theta), g.n_site).entries
+    return _sv_report(U - _pulled_back(bg, g.n_site, pdo_apply), m_beta=bg.m_beta,
+                      beta_max=bg.beta_max, n_site=g.n_site, m_theta=g.m_theta)
 
 
 def _stability(base: SingularReport, fine: SingularReport) -> dict:
@@ -213,10 +211,7 @@ def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec) -> Singu
     n = g.n_site
     W = wave_operator(d, p, grid, n, tol_threshold=g.tol_threshold).entries
     S = scattering_operator(d, grid, n).entries
-    bg = beta_grid(g.m_beta, g.beta_max)
-    R = energy_rescale_matrix(bg, n).entries
-    P = pdo_composite(bg).entries
-    inner = np.eye(n) + R.conj().T @ P @ R
+    inner = np.eye(n) + _pulled_back(beta_grid(g.m_beta, g.beta_max), n, pdo_apply)
     K = W - np.eye(n) - 0.5 * inner @ (S - np.eye(n))
     nb = n // 2
     return _sv_report(K[:nb, :nb], m_theta=d.m_theta, n_site=n,
@@ -237,10 +232,9 @@ def shift_identity_check(g: GridSpec, m_beta: int | None = None) -> dict:
     from .specops import shift_identity_residual
     exact = shift_identity_residual(g)
     bg = beta_grid(m_beta or g.m_beta, g.beta_max)
-    R = energy_rescale_matrix(bg, g.n_site).entries
-    P = shift_symbol_composite(bg).entries
     T = np.diag(np.ones(g.n_site - 1), -1)
-    rep = _sv_report(T - R.conj().T @ P @ R, m_beta=bg.m_beta, n_site=g.n_site)
+    rep = _sv_report(T - _pulled_back(bg, g.n_site, shift_symbol_apply),
+                     m_beta=bg.m_beta, n_site=g.n_site)
     return {"exact_residual": exact["composite"],
             "naive_product_residual": exact["naive_product"],
             "symbol_remainder": rep}

@@ -164,6 +164,15 @@ class TestReport:
         assert report["scattering"]["delta_plus"] == 0.5
         assert report["winding"]["winding"] == 0
 
+    def test_refused_before_potential_free_checks(self, tmp_path, monkeypatch):
+        # the scattering data refuses the input before the shift check runs
+        from halfline import cli
+        called = []
+        monkeypatch.setattr(cli, "shift_identity_check", lambda g: called.append(g))
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.4999, "rho": 3.0})
+        assert main(["report", str(cfg)]) == 4
+        assert called == []
+
     def test_one_eigensolve_and_one_bound_state_search(self, tmp_path, monkeypatch):
         # the grid at twice m_theta reuses the first grid's grid-free stages
         from halfline import model, scattering

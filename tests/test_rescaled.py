@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from halfline.rescaled import fourier_apply, sech_pi_d_symbol, tanh_pi_d_symbol
 
 
 @pytest.fixture(scope="module")
@@ -19,29 +20,75 @@ class TestBetaGrid:
             hl.beta_grid(1023, 12.0)
 
 
+def dense_multiplier(symbol):
+    """FFT of the identity: the dense matrix of a Fourier multiplier."""
+    eye = np.eye(symbol.size)
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(eye, axis=0), axis=0)
+
+
 class TestFourierMultipliers:
     def test_pure_frequency_is_eigenvector(self, bg1024):
-        from halfline.rescaled import tanh_pi_d_matrix
-        T = tanh_pi_d_matrix(bg1024)
         xi0 = bg1024.xi[17]
         v = np.exp(1j * xi0 * bg1024.beta)
-        assert np.max(np.abs(T @ v - np.tanh(np.pi * xi0) * v)) < 1e-10
+        Tv = fourier_apply(tanh_pi_d_symbol(bg1024), v[:, None])[:, 0]
+        assert np.max(np.abs(Tv - np.tanh(np.pi * xi0) * v)) < 1e-10
 
     def test_sech_preserves_constants(self, bg1024):
-        from halfline.rescaled import sech_pi_d_matrix
-        S = sech_pi_d_matrix(bg1024)
-        v = np.ones(bg1024.m_beta, dtype=complex)
-        assert np.max(np.abs(S @ v - v)) < 1e-12     # sech(0) = 1 on the DC bin
+        v = np.ones((bg1024.m_beta, 1), dtype=complex)
+        Sv = fourier_apply(sech_pi_d_symbol(bg1024), v)
+        assert np.max(np.abs(Sv - v)) < 1e-12     # sech(0) = 1 on the DC bin
 
     def test_nyquist_bin_zeroed_for_odd_symbol(self, bg1024):
-        from halfline.rescaled import _odd_symbol
-        s = _odd_symbol(bg1024, lambda x: np.tanh(np.pi * x))
+        s = tanh_pi_d_symbol(bg1024)
         assert s[bg1024.m_beta // 2] == 0.0
 
     def test_pdo_composite_potential_free(self, bg1024):
         a = hl.pdo_composite(bg1024).entries
         b = hl.pdo_composite(hl.beta_grid(1024, 12.0)).entries
         assert np.array_equal(a, b)
+
+
+class TestMatrixFreeSymbols:
+    """The symbols applied to columns against dense FFT-of-identity matrices
+    built here from the symbols' formulas."""
+
+    @pytest.fixture(scope="class", params=[256, 1024])
+    def dense(self, request):
+        bg = hl.beta_grid(request.param, 12.0)
+        tanh_sym = np.tanh(np.pi * bg.xi)
+        tanh_sym[bg.m_beta // 2] = 0.0
+        with np.errstate(over="ignore"):
+            sech_sym = 1.0 / np.cosh(np.pi * bg.xi)
+            sech_x = 1.0 / np.cosh(bg.beta)
+        T, S = dense_multiplier(tanh_sym), dense_multiplier(sech_sym)
+        return bg, {
+            "tanh": T,
+            "sech": S,
+            "pdo": -T + 1j * np.tanh(bg.beta / 2.0)[:, None] * S,
+            "shift": np.diag(np.tanh(bg.beta)) - 1j * sech_x[:, None] * T,
+        }
+
+    def test_applications_match_dense(self, dense):
+        bg, M = dense
+        X = np.random.default_rng(7).standard_normal((bg.m_beta, 12))
+        got = {
+            "tanh": fourier_apply(tanh_pi_d_symbol(bg), X),
+            "sech": fourier_apply(sech_pi_d_symbol(bg), X),
+            "pdo": hl.pdo_apply(bg, X),
+            "shift": hl.shift_symbol_apply(bg, X),
+        }
+        for name, val in got.items():
+            assert np.max(np.abs(val - M[name] @ X)) < 1e-13, name
+        assert np.max(np.abs(hl.pdo_composite(bg).entries - M["pdo"])) < 1e-13
+
+    def test_pull_back_matches_dense(self, dense):
+        from halfline.rescaled import _pulled_back
+        bg, M = dense
+        n = bg.m_beta // 8
+        R = hl.energy_rescale_matrix(bg, n).entries
+        for name, apply in (("pdo", hl.pdo_apply), ("shift", hl.shift_symbol_apply)):
+            diff = _pulled_back(bg, n, apply) - R.T @ M[name] @ R
+            assert np.max(np.abs(diff)) < 1e-13, name
 
 
 class TestRescaleMatrix:
@@ -88,6 +135,18 @@ class TestHyperbolicKernel:
     def test_conjugated_symbol_matches_kernel(self, bg1024):
         assert hl.pv_kernel_action_gap(bg1024) < 2e-2
 
+    def test_action_gap_equals_dense_conjugation(self, bg1024):
+        # the gap of w P(g/w) equals that of the dense matrix w P w^(-1)
+        P = hl.pdo_composite(bg1024).entries
+        K = hl.hyperbolic_pv_matrix(bg1024).entries
+        w = hl.b_weight(bg1024.beta)
+        conj = w[:, None] * P / w[None, :]
+        worst = 0.0
+        for c in (-2.0, 0.0, 1.5):
+            g = np.exp(-(bg1024.beta - c) ** 2)
+            worst = max(worst, np.linalg.norm((conj - K) @ g) / np.linalg.norm(g))
+        assert abs(hl.pv_kernel_action_gap(bg1024) - worst) < 1e-13
+
     def test_weight_commutator_compact(self):
         # [b(X), symbol] has rapidly decaying singular values: the weight
         # conjugation changes the symbol only by a compact piece
@@ -113,6 +172,17 @@ class TestCouplingRemainder:
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
         out = hl.coupling_symbol_stability(g)
         assert out["rel_change"] < 0.05
+
+    def test_converges_over_four_doublings(self):
+        # matrix-free, m_beta = 16384 costs O(m_beta n_site) memory
+        g = hl.GridSpec(m_theta=512, n_site=128)
+        reps = [hl.coupling_symbol_remainder(g, m_beta=mb)
+                for mb in (1024, 2048, 4096, 8192, 16384)]
+        s1 = np.array([r.s1 for r in reps])
+        assert np.all(np.isfinite(s1)) and np.all(s1 > 0)
+        assert np.all(np.abs(np.diff(s1)) < 1e-5 * s1[1:])
+        for r in reps:
+            assert r.rank_at(0.1) <= r.meta["m_beta"] // 16
 
 
 class TestWaveRemainder:

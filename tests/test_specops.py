@@ -262,6 +262,39 @@ class TestWaveIdentity:
         r2 = hl.wave_identity_residual(scatter_cache(p, g2), p, g2)
         assert r1 / r2 >= 4.0
 
+    @pytest.mark.parametrize("m", [256, 512])
+    def test_block_equals_full_composition(self, m, scatter_cache):
+        from halfline.specops import _composed_block
+        p = hl.table_potential([0.3, -0.2], rho=3.0)
+        g = hl.GridSpec(m_theta=m, n_site=64)
+        d = scatter_cache(p, g)
+        grid = hl.quadrature_grid(m)
+        ni, b = m - 2, 32
+        # (U+1)/2 (S-1) composed in full at m-2 sites
+        F = np.sqrt(2.0 / m) * np.sin(np.outer(grid.theta, np.arange(1, ni + 1)))
+        C = np.sqrt(2.0 / m) * np.cos(np.outer(grid.theta, np.arange(1, ni + 1)))
+        U = 1j * (C.T @ F)
+        S = F.T @ (d.smatrix[:, None] * F)
+        A = (U + np.eye(ni)) / 2.0 @ (S - np.eye(ni))
+        assert np.max(np.abs(_composed_block(grid, d.smatrix, b) - A[:b, :b])) < 1e-13
+        W = hl.wave_operator(d, p, grid, g.n_site).entries[:b, :b]
+        K = hl.correction_operator(d, p, grid, g.n_site).times_sine.entries[:b, :b]
+        full = np.max(np.abs(W - np.eye(b) - A[:b, :b] - K))
+        assert abs(hl.wave_identity_residual(d, p, g) - full) < 1e-13
+
+    def test_second_order_over_four_doublings(self):
+        # only the gate's block is composed, so m_theta = 8192 is cheap
+        p = hl.table_potential([0.3, -0.2], rho=3.0)
+        g = hl.GridSpec(m_theta=512)
+        d = hl.scattering_grid(p, g)
+        res = []
+        for m in (512, 1024, 2048, 4096, 8192):
+            gm = replace(g, m_theta=m)
+            res.append(hl.wave_identity_residual(
+                d if m == g.m_theta else hl.scattering_grid(d, gm), p, gm))
+        ratios = np.array(res[:-1]) / np.array(res[1:])
+        assert np.all(ratios >= 4.0), ratios
+
 
 class TestPrincipalValue:
     def test_kernel_entries_definition(self):
