@@ -14,7 +14,9 @@ import halfline as hl
 
 p = hl.table_potential([0.3, -0.2], rho=3.0)
 g = hl.GridSpec()
-d = hl.scattering_grid(p, g)
+grids = [replace(g, m_theta=m) for m in (256, 512, 1024)]
+ds = hl.scattering_grids(p, grids)      # one recursion pass for the three grids
+d = ds[1]                               # the data on g
 grid = hl.quadrature_grid(g.m_theta)
 
 W = hl.wave_operator(d, p, grid, g.n_site)
@@ -24,11 +26,9 @@ print("  completeness     |WW* - (1-P_b)| :",
       f"{hl.completeness_defect(W, p):.3e}")
 
 print("\nidentity residual under refinement:")
-for m in (256, 512, 1024):
-    gm = replace(g, m_theta=m)
-    dm = hl.scattering_grid(d, gm)      # reuses d's thresholds and bound states
+for gm, dm in zip(grids, ds):
     r = hl.wave_identity_residual(dm, p, gm)
-    print(f"  m_theta = {m:5d}: {r:.3e}")
+    print(f"  m_theta = {gm.m_theta:5d}: {r:.3e}")
 
 c = hl.correction_operator(d, p, grid, g.n_site)
 print("\nJost-tail correction K0 F_sin:")

@@ -10,14 +10,14 @@ from .errors import (AssumptionError, CheckFailure, ConfigError, HalflineError,
                      NumericsError)
 from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
                     TridiagonalTruncation, hamiltonian_truncation, make_potential,
-                    random_decaying, rank_one, table_potential, zero_potential,
-                    zeta_of)
+                    random_decaying, rank_one, table_potential, theta_midpoints,
+                    zero_potential, zeta_of)
 from .solutions import (DecayReport, SolutionSequence, decay_diagnostic,
                         decay_scan, free_regular, jost_at_threshold,
                         jost_solution, regular_solution, volterra_jost)
 from .scattering import (ScatteringData, bound_states, classify_thresholds,
-                         eta_endpoints, jost_function, levinson_residual,
-                         scattering_grid, wronskian)
+                         edge_beta, eta_endpoints, jost_function, levinson_residual,
+                         scattering_grid, scattering_grids, wronskian)
 from .specops import (CorrectionOperator, OperatorMatrix, QuadratureGrid,
                       completeness_defect, correction_operator, cos_sin_coupling,
                       cosine_transform, coupling_pv_matrix, jost_transforms,

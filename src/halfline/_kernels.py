@@ -11,9 +11,10 @@ picks the form:
   grid (table sites x points >= SPLIT_WORK) on a machine with a second CPU
   is cut in two halves of points, the second stepped meanwhile by a helper
   interpreter.
-* A few real points (the thresholds, the bisection midpoints of the
-  bound-state search) are stepped one at a time as Python floats: at one
-  point the fixed cost of a ufunc call is what dominates.
+* A few real points (the bisection midpoints of the bound-state search,
+  single points asked for by `jost_function`) are stepped one at a time as
+  Python floats: at one point the fixed cost of a ufunc call is what
+  dominates.
 
 Every form evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the same
 operations in the same order, and each point independently of the others, so
@@ -80,13 +81,15 @@ def _jost_steps(V, zeta, two_z):
         yield n, t_cur
 
 
-def _kept_rows(V, zeta, two_z, n_keep):
-    """t(n) on a grid of points for n = -1..n_keep, row index n + 1."""
-    out = np.ones((n_keep + 2, zeta.shape[0]), zeta.dtype)
+def _kept_rows(V, zeta, two_z, n_keep, n_cols):
+    """t(-1) on every point, and t(n) for n = -1..n_keep on the first n_cols
+    points, row index n + 1."""
+    rows = np.ones((n_keep + 2, n_cols), zeta.dtype)
+    t = np.ones_like(zeta)                      # t(-1) of the empty table
     for n, t in _jost_steps(V, zeta, two_z):
         if n <= n_keep:
-            out[n + 1] = t
-    return out
+            rows[n + 1] = t[:n_cols]
+    return t, rows
 
 
 def _deviations(V, zeta, two_z):
@@ -114,16 +117,23 @@ def _omega_scalar(V, zeta, two_z) -> float:
     return t_cur
 
 
-def jost_scaled(V, zeta, two_z, n_keep):
-    """Scaled Jost values t(n) = theta(n)/zeta^n for n = -1..n_keep.
+def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
+    """Omega(z) = t(-1) on every point, and the scaled Jost values
+    t(n) = theta(n)/zeta^n for n = -1..n_keep on the first n_cols points
+    (all by default).
 
-    Shape (n_keep + 2, len(zeta)); row index n + 1.  Row 0, t(-1), is the
-    Jost function Omega(z) = zeta * theta(-1), equal to `jost_function_values`
-    on the same points.  Real zeta and 2z give a real table.
+    Returns (omega, rows); rows has shape (n_keep + 2, n_cols), row index
+    n + 1, and its row 0 is the first n_cols values of omega.  Real zeta and
+    2z give real values.
     """
     V, zeta, two_z = _prepare(V, zeta, two_z)
-    parts = _split_points(_kept_rows, V, zeta, two_z, int(n_keep))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    n_keep = int(n_keep)
+    n_cols = zeta.shape[0] if n_cols is None else int(n_cols)
+    parts = _split_points(_kept_rows, V, zeta, two_z,
+                          lambda lo, hi: (n_keep, min(max(n_cols - lo, 0), hi - lo)))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
 
 
 def jost_function_values(V, zeta, two_z):
@@ -131,7 +141,8 @@ def jost_function_values(V, zeta, two_z):
     V, zeta, two_z = _prepare(V, zeta, two_z)
     if zeta.dtype == np.float64 and zeta.shape[0] <= SCALAR_POINTS:
         return np.array([_omega_scalar(V, z, t) for z, t in zip(zeta, two_z)])
-    return np.concatenate(_split_points(_kept_rows, V, zeta, two_z, -1), axis=1)[0]
+    return np.concatenate([omega for omega, _ in
+                           _split_points(_kept_rows, V, zeta, two_z, lambda lo, hi: (-1, 0))])
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):
@@ -204,26 +215,28 @@ def _serve():
 _helper = None
 
 
-def _split_points(fn, V, zeta, two_z, *extra):
-    """[fn(V, zeta, two_z, *extra)], or for a long grid on a machine with a
-    second CPU, fn over the two halves of the points, the second half stepped
-    by the helper meanwhile.  A half keeps at least two points: numpy steps a
-    one-element array through a different loop."""
+def _split_points(fn, V, zeta, two_z, args=lambda lo, hi: ()):
+    """[fn(V, zeta, two_z, *args(0, n))] for the n points, or for a long
+    grid on a machine with a second CPU, fn over the two halves of the
+    points, with args(lo, hi) for the points lo:hi; the second half is
+    stepped by the helper meanwhile.  A half keeps at least two points:
+    numpy steps a one-element array through a different loop."""
     global _helper
-    half = zeta.shape[0] // 2
-    if V.shape[0] * zeta.shape[0] < SPLIT_WORK or half < 2 or (os.cpu_count() or 1) < 2:
-        return [fn(V, zeta, two_z, *extra)]
+    n = zeta.shape[0]
+    half = n // 2
+    if V.shape[0] * n < SPLIT_WORK or half < 2 or (os.cpu_count() or 1) < 2:
+        return [fn(V, zeta, two_z, *args(0, n))]
     helper, _helper = _helper, None         # held by this call; a failed call drops it
     if helper is None or helper.poll() is not None:
         try:
             helper = _start_helper()
         except OSError:                     # no second process to be had
-            return [fn(V, zeta, two_z, *extra)]
+            return [fn(V, zeta, two_z, *args(0, n))]
     try:
-        pickle.dump((fn.__name__, (V, zeta[half:], two_z[half:], *extra)), helper.stdin,
-                    pickle.HIGHEST_PROTOCOL)
+        pickle.dump((fn.__name__, (V, zeta[half:], two_z[half:], *args(half, n))),
+                    helper.stdin, pickle.HIGHEST_PROTOCOL)
         helper.stdin.flush()
-        first = fn(V, zeta[:half], two_z[:half], *extra)
+        first = fn(V, zeta[:half], two_z[:half], *args(0, half))
         rest = pickle.load(helper.stdout)
     except BaseException:
         helper.kill()

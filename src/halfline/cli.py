@@ -27,7 +27,7 @@ from .model import GridSpec, OffAxisPoint, Potential, make_potential
 from .rescaled import (coupling_symbol_stability, shift_identity_check,
                        wave_symbol_stability)
 from .scattering import (ScatteringData, eta_endpoints, jost_function, levinson_residual,
-                         scattering_grid)
+                         scattering_grid, scattering_grids)
 from .specops import wave_identity_residual
 from .topology import assemble_boundary, winding_number
 
@@ -216,15 +216,14 @@ def cmd_scatter(args) -> int:
 
 def _waveop_payload(p: Potential, g: GridSpec):
     """The operator identities, their scattering data d on the cut grid of g
-    and the seconds taken.  The data on the grid twice as fine reuses d's
-    thresholds and bound states.
+    and the seconds taken.  The data on g and on the grid twice as fine come
+    from one recursion pass.
 
     The scattering data comes first, so that an input it refuses (exit 4)
     is refused before the checks that do not depend on the potential."""
     t0 = time.perf_counter()
-    d = scattering_grid(p, g)
     g2 = replace(g, m_theta=2 * g.m_theta)
-    d2 = scattering_grid(d, g2)
+    d, d2 = scattering_grids(p, [g, g2])
     shift = shift_identity_check(g)
     coup = coupling_symbol_stability(g)
     wave = wave_symbol_stability(d, d2, p, g)

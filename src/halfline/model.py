@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import AssumptionError, ConfigError
 
@@ -209,6 +209,12 @@ class OffAxisPoint:
         return complex(2.0 * self.z)
 
 
+def theta_midpoints(m: int) -> np.ndarray:
+    """The midpoint nodes theta_j = (j + 1/2) pi / m, ordered by increasing
+    lambda = cos(theta)."""
+    return ((np.arange(m) + 0.5) * np.pi / m)[::-1].copy()
+
+
 def zeta_of(point) -> complex:
     """The multiplier zeta at a spectral point (rim or off-axis)."""
     if isinstance(point, (SpectralPoint, OffAxisPoint)):
@@ -249,10 +255,6 @@ class GridSpec:
         if self.beta_max <= 0 or self.alpha_max <= 0:
             raise ConfigError("window half-widths must be positive")
 
-    def effective_tail(self, p: Potential) -> int:
-        base = self.n_tail if self.n_tail is not None else self.n_site
-        return max(base, p.support_end)
-
     def effective_z_max(self, p: Potential) -> float:
         if self.z_max is not None:
             return self.z_max
@@ -282,6 +284,16 @@ class TridiagonalTruncation:
         return eigh_tridiagonal(self.diagonal,
                                 self.off_diagonal * np.ones(self.size - 1),
                                 eigvals_only=True)
+
+    def eigenvalues_outside(self, band: float) -> np.ndarray:
+        """The eigenvalues with |lambda| > band, ascending, by Sturm bisection
+        (LAPACK stebz) on each side; its ranges are half-open, (lo, hi]."""
+        off = self.off_diagonal * np.ones(self.size - 1)
+        return np.concatenate([
+            eigvalsh_tridiagonal(self.diagonal, off, select="v",
+                                 select_range=(-np.inf, np.nextafter(-band, -np.inf))),
+            eigvalsh_tridiagonal(self.diagonal, off, select="v",
+                                 select_range=(band, np.inf))])
 
 
 def hamiltonian_truncation(p: Potential, size: int) -> TridiagonalTruncation:

@@ -12,13 +12,14 @@ corrections in Levinson's relation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import GridSpec, OffAxisPoint, Potential, SpectralPoint, hamiltonian_truncation
+from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint, hamiltonian_truncation,
+                    theta_midpoints)
 from .solutions import SolutionSequence
 
 #: relative tolerance on Wronskian constancy
@@ -67,7 +68,9 @@ class ScatteringData:
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the scaled Jost values t(n) = theta(n)/zeta^n on the grid for
-    n = -1..n_site-1, row index n + 1; omega is its row 0.
+    n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_omega is
+    Omega on the scattering edge of the boundary symbol, at the points
+    `edge_beta` gives for the grid's n_edge and alpha_max (in meta).
     """
 
     potential: Potential
@@ -79,6 +82,7 @@ class ScatteringData:
     amplitude: np.ndarray
     eta: np.ndarray
     smatrix: np.ndarray
+    edge_omega: np.ndarray
     omega_minus: float
     omega_plus: float
     delta_minus: float
@@ -93,25 +97,23 @@ class ScatteringData:
     def m_theta(self) -> int:
         return len(self.theta)
 
-    def content_hash(self) -> str:
-        """The potential's hash: the data stands for its potential in
-        `scattering_grid`."""
-        return self.potential.content_hash()
-
     def point(self, j: int) -> SpectralPoint:
         return SpectralPoint(lam=float(self.lam[j]), theta=float(self.theta[j]),
                              zeta=complex(self.zeta[j]))
 
 
-def classify_thresholds(p: Potential, tol_threshold: float):
+def classify_thresholds(p: Potential, tol_threshold: float, omegas=None):
     """Threshold corrections from Omega(+-1).
 
     Delta = 1/2 when |Omega| < tol, 0 when |Omega| > 10 tol; the band
     in between is refused as unstable.  The limiting scattering-matrix
-    values are +1 (generic) and -1 (resonant).
+    values are +1 (generic) and -1 (resonant).  omegas is (Omega(-1),
+    Omega(+1)) when the caller has stepped them; otherwise they are stepped
+    here.
     """
-    om_p = jost_function(p, SpectralPoint.threshold(+1)).real
-    om_m = jost_function(p, SpectralPoint.threshold(-1)).real
+    if omegas is None:
+        omegas = [jost_function(p, SpectralPoint.threshold(s)).real for s in (-1, 1)]
+    om_m, om_p = omegas
     out = []
     for om in (om_m, om_p):
         mag = abs(om)
@@ -126,19 +128,21 @@ def classify_thresholds(p: Potential, tol_threshold: float):
     return delta_minus, delta_plus, s_minus, s_plus, om_m, om_p
 
 
-def bound_states(p: Potential, g: GridSpec):
+def bound_states(p: Potential, g: GridSpec, scan=None):
     """All zeros of Omega on [-z_max, -1) u (1, z_max], with the count
-    cross-checked against a large tridiagonal eigensolve.
+    cross-checked against the eigenvalues of a large tridiagonal truncation.
 
-    The scan grid is geometric, accumulating at the thresholds where zeros
-    cluster; each sign change is bisected down to tol_root.
+    The scan grid (`_scan_points`) is geometric, accumulating at the
+    thresholds where zeros cluster; scan is Omega on it when the caller has
+    stepped it, otherwise it is stepped here.  Each sign change is bisected
+    down to tol_root.
     """
     z_max = g.effective_z_max(p)
-    z_side = 1.0 + np.geomspace(z_max - 1.0, SCAN_FLOOR, SCAN_POINTS)
-    om_sides = _omega_off_axis(p, np.concatenate([z_side, -z_side])).reshape(2, -1)
+    z_scan = _scan_points(p, g)
+    if scan is None:
+        scan = _omega_off_axis(p, z_scan)
     roots = []
-    for sgn, om in zip((1.0, -1.0), om_sides):
-        z = sgn * z_side
+    for z, om in zip(z_scan.reshape(2, -1), np.reshape(scan, (2, -1))):
         idx = np.where(np.diff(np.sign(om)) != 0)[0]
         if idx.size == 0:
             continue
@@ -153,11 +157,8 @@ def bound_states(p: Potential, g: GridSpec):
         roots.extend((0.5 * (lo + hi)).tolist())
     roots = np.sort(np.asarray(roots))
 
-    size = 2000
-    trunc = hamiltonian_truncation(p, size)
-    evals = trunc.eigenvalues()
     band = 1.0 + 10.0 * g.tol_root
-    outside = evals[np.abs(evals) > band]
+    outside = hamiltonian_truncation(p, 2000).eigenvalues_outside(band)
     if outside.size and np.max(np.abs(outside)) > z_max:
         raise NumericsError(f"z_max too small: eigenvalue at {np.max(np.abs(outside)):.6f}")
     if outside.size != roots.size:
@@ -167,59 +168,88 @@ def bound_states(p: Potential, g: GridSpec):
     return roots, int(roots.size)
 
 
+def _scan_points(p: Potential, g: GridSpec) -> np.ndarray:
+    """The real z of the bound-state scan: SCAN_POINTS from z_max down to
+    1 + SCAN_FLOOR, then the same points negated."""
+    z_side = 1.0 + np.geomspace(g.effective_z_max(p) - 1.0, SCAN_FLOOR, SCAN_POINTS)
+    return np.concatenate([z_side, -z_side])
+
+
+def _off_axis_zeta(z: np.ndarray) -> np.ndarray:
+    return np.sign(z) / (np.abs(z) + np.sqrt(z * z - 1.0))
+
+
 def _omega_off_axis(p: Potential, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, float))
-    zeta = np.sign(z) / (np.abs(z) + np.sqrt(z * z - 1.0))
-    return _kernels.jost_function_values(p.values, zeta, 2.0 * z)
+    return _kernels.jost_function_values(p.values, _off_axis_zeta(z), 2.0 * z)
 
 
-def scattering_grid(p: Potential | ScatteringData, g: GridSpec) -> ScatteringData:
-    """Assemble all scattering data on the theta-midpoint grid of g.
+def edge_beta(g: GridSpec) -> np.ndarray:
+    """The n_edge values of beta, from 2 alpha_max down to -2 alpha_max, at
+    which the scattering edge of the boundary symbol samples s(tanh beta)."""
+    bmax = 2.0 * g.alpha_max
+    return np.linspace(bmax, -bmax, g.n_edge)
 
-    One recursion over the grid gives Omega and the rows t(-1..n_site-1)
-    that the correction kernel reads.  Given the scattering data of a
-    potential on another grid in place of the potential, the grid-free
-    stages (threshold classification, bound states and their count) are
-    taken from it instead of computed again; they depend on the tolerances
-    and on z_max only, which must then agree.
+
+def scattering_grids(p: Potential, grids) -> list:
+    """Assemble all scattering data of p on the theta-midpoint grid of each
+    of the grids, from one recursion pass over the table.
+
+    The pass steps together every point that does not depend on an earlier
+    result: each cut grid, keeping the rows t(-1..n_site-1) that the
+    correction kernel reads; the scattering edge of each distinct
+    (n_edge, alpha_max); both sides of the bound-state scan; and Omega(+-1).
+    Only the bisection midpoints of the bound-state search are stepped
+    after it.  The grid-free stages (threshold classification, bound states
+    and their count) run once, so the grids must share n_site, the
+    tolerances and z_max; otherwise ValueError.
     """
-    known = p if isinstance(p, ScatteringData) else None
-    if known is not None:
-        p = known.potential
-        if any(known.meta[k] != v for k, v in _stage_keys(p, g).items()):
-            raise ValueError("scattering data built with other tolerances or z_max")
-    m = g.m_theta
-    j = np.arange(m)
-    theta = ((j + 0.5) * np.pi / m)[::-1].copy()      # ascending lambda
-    lam = np.cos(theta)
-    zeta = np.exp(-1j * theta)
-    rows = _kernels.jost_scaled(p.values, zeta, 2.0 * lam + 0j, g.n_site - 1)
-    omega = rows[0].copy()          # a view would keep all the rows alive with omega
-    amplitude = np.abs(omega)
-    if np.min(amplitude) == 0.0:
-        raise NumericsError("interior zero of the Jost function")
-    raw = np.angle(omega)
-    eta = np.unwrap(raw)
-    jump = np.max(np.abs(np.diff(eta)), initial=0.0)
-    if jump >= np.pi / 2:
-        raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
-    on_grid = dict(theta=theta, lam=lam, zeta=zeta, jost_rows=rows, omega=omega,
-                   amplitude=amplitude, eta=eta, smatrix=np.conj(omega) / omega,
-                   meta={"m_theta": m, "potential": p.content_hash(), **_stage_keys(p, g)})
-    if known is not None:
-        return replace(known, **on_grid)
-    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
-    roots, count = bound_states(p, g)
-    return ScatteringData(
-        potential=p, **on_grid, omega_minus=om_m, omega_plus=om_p,
+    grids = list(grids)
+    if len({(g.n_site, g.tol_threshold, g.tol_root, g.effective_z_max(p)) for g in grids}) != 1:
+        raise ValueError("grids of one pass must share n_site, the tolerances and z_max")
+    g0 = grids[0]
+    thetas = [theta_midpoints(g.m_theta) for g in grids]
+    edges = {(g.n_edge, g.alpha_max): 2.0 * np.arctan(np.exp(-edge_beta(g))) for g in grids}
+    z_scan = _scan_points(p, g0)
+    cut = thetas + list(edges.values())
+    zetas, lams = [np.exp(-1j * th) for th in cut], [np.cos(th) for th in cut]
+    omega, rows = _kernels.jost_scaled(
+        p.values, np.concatenate(zetas + [_off_axis_zeta(z_scan), [1.0, -1.0]]),
+        np.concatenate([2.0 * lam + 0j for lam in lams] + [2.0 * z_scan, [2.0, -2.0]]),
+        g0.n_site - 1, sum(map(len, thetas)))
+    pieces = np.split(omega, np.cumsum(list(map(len, cut)) + [len(z_scan)]))
+    edge_omega = {key: om.copy() for key, om in zip(edges, pieces[len(thetas):len(cut)])}
+    scan, (om_p, om_m) = pieces[len(cut)].real, pieces[-1].real.tolist()
+
+    on_grid, col = [], 0
+    for g, theta, zeta, lam, om in zip(grids, thetas, zetas, lams, pieces):
+        amplitude = np.abs(om)
+        if np.min(amplitude) == 0.0:
+            raise NumericsError("interior zero of the Jost function")
+        eta = np.unwrap(np.angle(om))
+        jump = np.max(np.abs(np.diff(eta)), initial=0.0)
+        if jump >= np.pi / 2:
+            raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
+        on_grid.append(dict(
+            theta=theta, lam=lam, zeta=zeta,
+            jost_rows=rows[:, col:col + len(theta)],   # a copy would hold the rows twice
+            omega=om.copy(), amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om,
+            edge_omega=edge_omega[g.n_edge, g.alpha_max],
+            meta={"m_theta": g.m_theta, "potential": p.content_hash(),
+                  "n_edge": g.n_edge, "alpha_max": g.alpha_max}))
+        col += len(theta)
+    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g0.tol_threshold, (om_m, om_p))
+    roots, count = bound_states(p, g0, scan)
+    return [ScatteringData(
+        potential=p, **fields_, omega_minus=om_m, omega_plus=om_p,
         delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
-        bound_states=roots, count_n=count)
+        bound_states=roots, count_n=count) for fields_ in on_grid]
 
 
-def _stage_keys(p: Potential, g: GridSpec) -> dict:
-    """The settings the grid-free stages of `scattering_grid` depend on."""
-    return {"tol_threshold": g.tol_threshold, "tol_root": g.tol_root,
-            "z_max": g.effective_z_max(p)}
+def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
+    """All scattering data of p on the theta-midpoint grid of g: the one-grid
+    case of `scattering_grids`."""
+    return scattering_grids(p, [g])[0]
 
 
 def eta_endpoints(d: ScatteringData):

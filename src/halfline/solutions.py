@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import OffAxisPoint, Potential, SpectralPoint
+from .model import OffAxisPoint, Potential, SpectralPoint, theta_midpoints
 
 #: rounding slack allowed on exact inequalities
 DECAY_SLACK = 1e-10
@@ -101,7 +101,7 @@ def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> Solut
         raise NumericsError(
             f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")
     zeta = np.array([point.zeta], dtype=complex)
-    t = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[:, 0]
+    t = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[1][:, 0]
     powers = np.asarray(zeta[0]) ** np.arange(-1, n_max + 1)
     return SolutionSequence(kind=_kind("jost", p), point=point,
                             values=t * powers, potential=p)
@@ -181,7 +181,7 @@ def decay_diagnostic(p: Potential, point) -> DecayReport:
     if L == 0:
         return DecayReport(0.0, 0.0, True)
     t = _kernels.jost_scaled(p.values, np.array([point.zeta], complex),
-                             np.array([point.two_z]), L - 2)[1:, 0]
+                             np.array([point.two_z]), L - 2)[1][1:, 0]
     dev = np.abs(t - 1.0)                       # |zeta^n| = 1 on the cut
     bounds = _tail_bounds(p)[:L - 1]
     viol = float(np.max(dev - bounds, initial=-np.inf))
@@ -199,8 +199,7 @@ def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     """
     if p.support_end == 0:
         return DecayReport(0.0, 0.0, True)
-    j = np.arange(m_theta)
-    th = (j + 0.5) * np.pi / m_theta
+    th = theta_midpoints(m_theta)
     zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
     two_z = np.concatenate([2.0 * np.cos(th) + 0j, [2.0 + 0j, -2.0 + 0j]])
     worst, c_emp = _kernels.decay_scan(p.values, zeta, two_z,

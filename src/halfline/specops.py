@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 
 from . import _kernels
 from .errors import NumericsError
-from .model import GridSpec, Potential, hamiltonian_truncation
+from .model import GridSpec, Potential, hamiltonian_truncation, theta_midpoints
 from .scattering import ScatteringData
 
 
@@ -36,8 +36,7 @@ class QuadratureGrid:
 
     @classmethod
     def midpoint(cls, m: int) -> "QuadratureGrid":
-        j = np.arange(m)
-        theta = ((j + 0.5) * np.pi / m)[::-1].copy()
+        theta = theta_midpoints(m)
         lam = np.cos(theta)
         w = (np.pi / m) * np.sin(theta)
         return cls(m=m, theta=theta, lam=lam, weights=w)

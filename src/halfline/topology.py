@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericsError
 from .model import GridSpec, Potential
-from .scattering import ScatteringData
+from .scattering import ScatteringData, edge_beta
 
 #: pre-snap corner mismatch allowed before the classification is distrusted
 CORNER_GUARD = 1e-4
@@ -74,17 +73,20 @@ def assemble_boundary(d: ScatteringData, p: Potential, g: GridSpec) -> BoundaryC
     classification.  The scattering edge gets twice the Gamma window:
     s(tanh beta) approaches its limit only like e^(-beta) times the phase
     slope, while the Gamma profiles saturate like e^(-pi alpha).
+
+    The scattering edge is read from d, whose recursion pass stepped it;
+    d must be built for g's n_edge and alpha_max (ValueError otherwise).
     """
     n_edge = g.n_edge
     amax = g.alpha_max
-    bmax = 2.0 * g.alpha_max
+    if (d.meta["n_edge"], d.meta["alpha_max"]) != (n_edge, amax):
+        raise ValueError(f"scattering data holds the edge for n_edge={d.meta['n_edge']}, "
+                         f"alpha_max={d.meta['alpha_max']}, not {n_edge}, {amax}")
+    bmax = 2.0 * amax
     sp, sm = d.s_plus, d.s_minus
 
-    beta = np.linspace(bmax, -bmax, n_edge)
-    theta_b = 2.0 * np.arctan(np.exp(-beta))
-    om = _kernels.jost_function_values(p.values, np.exp(-1j * theta_b),
-                                       2.0 * np.cos(theta_b) + 0j)
-    s_edge = np.conj(om) / om
+    beta = edge_beta(g)
+    s_edge = np.conj(d.edge_omega) / d.edge_omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)
     gm = gamma_curve(-1, sm, alpha_up)

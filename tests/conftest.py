@@ -18,11 +18,12 @@ def grid_default():
 @pytest.fixture(scope="session")
 def scatter_cache():
     """Memoised scattering data keyed by (potential hash, m_theta,
-    tol_threshold, n_site): the data keeps Jost rows for n_site sites."""
+    tol_threshold, n_site, n_edge, alpha_max): the data keeps Jost rows for
+    n_site sites and Omega on the boundary edge of (n_edge, alpha_max)."""
     cache = {}
 
     def get(p, g):
-        key = (p.content_hash(), g.m_theta, g.tol_threshold, g.n_site)
+        key = (p.content_hash(), g.m_theta, g.tol_threshold, g.n_site, g.n_edge, g.alpha_max)
         if key not in cache:
             cache[key] = hl.scattering_grid(p, g)
         return cache[key]

@@ -174,9 +174,9 @@ class TestReport:
         assert called == []
 
     def test_one_eigensolve_and_one_bound_state_search(self, tmp_path, monkeypatch):
-        # the grid at twice m_theta reuses the first grid's grid-free stages
+        # both cut grids come from one pass, whose grid-free stages run once
         from halfline import model, scattering
-        calls = {"eigenvalues": 0, "bound_states": 0}
+        calls = {"eigenvalues_outside": 0, "bound_states": 0}
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -186,11 +186,31 @@ class TestReport:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(model.TridiagonalTruncation, "eigenvalues")
+        counted(model.TridiagonalTruncation, "eigenvalues_outside")
         counted(scattering, "bound_states")
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         assert main(["report", str(cfg)]) == 0
-        assert calls == {"eigenvalues": 1, "bound_states": 1}
+        assert calls == {"eigenvalues_outside": 1, "bound_states": 1}
+
+    def test_one_recursion_pass(self, tmp_path, monkeypatch):
+        # grids, edge, scan and thresholds in one jost_scaled call; what is
+        # stepped apart (bisection midpoints, the residual point) is a few
+        # points.  regular_values steps n_site sites, not the table.
+        from halfline import _kernels
+        calls = []
+        for name in ("jost_scaled", "jost_function_values", "decay_scan"):
+            fn = getattr(_kernels, name)
+
+            def wrapper(V, zeta, *args, fn=fn, name=name):
+                calls.append((name, np.size(zeta)))
+                return fn(V, zeta, *args)
+            monkeypatch.setattr(_kernels, name, wrapper)
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        assert main(["report", str(cfg)]) == 0
+        fused = 256 + 512 + 1024 + 2 * 512 + 2       # two grids, edge, scan, thresholds
+        assert [c for c in calls if c[0] == "jost_scaled"] == [("jost_scaled", fused)]
+        others = [points for name, points in calls if name != "jost_scaled"]
+        assert others and max(others) <= _kernels.SCALAR_POINTS
 
     @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
     def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):

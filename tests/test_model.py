@@ -129,12 +129,6 @@ class TestGridSpec:
         with pytest.raises(hl.ConfigError):
             hl.GridSpec(tol_root=0.0)
 
-    def test_effective_tail_covers_support(self):
-        p = hl.random_decaying(1, amplitude=0.3)
-        g = hl.GridSpec()
-        assert g.effective_tail(p) >= p.support_end
-        assert g.effective_tail(p) >= g.n_site
-
     def test_default_z_max(self):
         p = hl.rank_one(0.75)
         assert hl.GridSpec().effective_z_max(p) == pytest.approx(1 + 2 * 1.75)

@@ -6,7 +6,7 @@ import pytest
 
 import halfline as hl
 from conftest import TWO_SITE, closed_form_bound_state, closed_form_omega
-from halfline import _kernels
+from halfline import _kernels, scattering
 
 
 def reference_jost_rows(V, zeta, two_z, n_max=0):
@@ -81,8 +81,10 @@ class TestJostFunction:
         ref = reference_jost_rows(V, zeta, two_z, n_max=6)
         omega = _kernels.jost_function_values(V, zeta, two_z)
         assert np.array_equal(omega, ref[0])
-        rows = _kernels.jost_scaled(V, zeta, two_z, 6)
-        assert np.array_equal(rows, ref[:8])
+        omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, 6)
+        assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:8])
+        omega_too, head = _kernels.jost_scaled(V, zeta, two_z, 6, 10)
+        assert np.array_equal(omega_too, ref[0]) and np.array_equal(head, ref[:8, :10])
 
     def test_split_grid_matches_whole(self, monkeypatch):
         # halves stepped by this process and by the helper interpreter
@@ -169,47 +171,109 @@ GRID_POTENTIALS = {
 }
 
 
+def fused_points(p, grids):
+    """The points of one pass of `scattering_grids`, in its order, and the
+    number of cut-grid points first among them."""
+    thetas = [hl.theta_midpoints(g.m_theta) for g in grids]
+    edges = {(g.n_edge, g.alpha_max): 2.0 * np.arctan(np.exp(-hl.edge_beta(g))) for g in grids}
+    z = scattering._scan_points(p, grids[0])
+    cut = thetas + list(edges.values())
+    zeta = np.concatenate([np.exp(-1j * th) for th in cut] + [off_axis_zeta(z), [1.0, -1.0]])
+    two_z = np.concatenate([2.0 * np.cos(th) + 0j for th in cut] + [2.0 * z, [2.0, -2.0]])
+    return zeta, two_z, [len(th) for th in cut], z
+
+
 @pytest.fixture(scope="module", params=sorted(GRID_POTENTIALS))
-def grid_data(request, grid_default):
+def grid_pair(request, grid_default):
     p = GRID_POTENTIALS[request.param]
-    return p, hl.scattering_grid(p, grid_default)
+    grids = [grid_default, replace(grid_default, m_theta=2 * grid_default.m_theta)]
+    return p, grids, hl.scattering_grids(p, grids)
 
 
 class TestOneRecursionPerGrid:
-    """scattering_grid steps its grid once: Omega, the kept Jost rows and a
-    build on a second grid that reuses the grid-free stages are bit-identical
-    to computing each directly."""
+    """scattering_grids steps its grids once: Omega, the kept Jost rows and
+    the data of each grid are bit-identical to computing each directly."""
 
-    def test_omega_is_row_zero(self, grid_data):
-        p, d = grid_data
-        direct = _kernels.jost_function_values(p.values, d.zeta, 2.0 * d.lam + 0j)
-        assert np.array_equal(d.omega, direct)
-        assert np.array_equal(d.jost_rows[0], direct)
+    def test_omega_is_row_zero(self, grid_pair):
+        p, _, ds = grid_pair
+        for d in ds:
+            direct = _kernels.jost_function_values(p.values, d.zeta, 2.0 * d.lam + 0j)
+            assert np.array_equal(d.omega, direct)
+            assert np.array_equal(d.jost_rows[0], direct)
 
-    def test_kept_rows_match_direct_recursion(self, grid_data, grid_default, monkeypatch):
-        p, d = grid_data
-        assert d.jost_rows.shape == (grid_default.n_site + 1, grid_default.m_theta)
-        args = (p.values, d.zeta, 2.0 * d.lam + 0j, grid_default.n_site - 1)
-        assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args))
+    def test_kept_rows_match_direct_recursion(self, grid_pair, monkeypatch):
+        p, grids, ds = grid_pair
+        for g, d in zip(grids, ds):
+            assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
+            args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
+            assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
         monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one by the helper
-        assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args))
+        for g, d in zip(grids, ds):
+            args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
+            assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
-    def test_second_grid_reuse_equals_fresh_build(self, grid_data, grid_default):
-        p, d = grid_data
-        g2 = replace(grid_default, m_theta=2 * grid_default.m_theta)
-        reused, fresh = hl.scattering_grid(d, g2), hl.scattering_grid(p, g2)
-        for f in fields(hl.ScatteringData):
-            a, b = getattr(reused, f.name), getattr(fresh, f.name)
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-            else:
-                assert a is b or a == b, f.name
+    def test_second_grid_reuse_equals_fresh_build(self, grid_pair):
+        # both grids share one pass and its grid-free stages
+        p, grids, ds = grid_pair
+        for g, d in zip(grids, ds):
+            alone = hl.scattering_grid(p, g)
+            for f in fields(hl.ScatteringData):
+                a, b = getattr(d, f.name), getattr(alone, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+                else:
+                    assert a is b or a == b, f.name
 
-    def test_reuse_refuses_other_stage_settings(self, grid_data, grid_default):
-        _, d = grid_data
-        for change in ({"tol_threshold": 2e-3}, {"tol_root": 1e-8}, {"z_max": 50.0}):
-            with pytest.raises(ValueError, match="other tolerances"):
-                hl.scattering_grid(d, replace(grid_default, **change))
+    def test_reuse_refuses_other_stage_settings(self, grid_pair):
+        p, grids, _ = grid_pair
+        for change in ({"tol_threshold": 2e-3}, {"tol_root": 1e-8}, {"z_max": 50.0},
+                       {"n_site": 64}):
+            with pytest.raises(ValueError, match="must share"):
+                hl.scattering_grids(p, [grids[0], replace(grids[1], **change)])
+
+
+class TestFusedPass:
+    """The one pass over all points of a report equals the forms that stepped
+    each set of points apart, bit for bit, whole and split across the helper."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_equals_separate_forms(self, grid_pair, split, monkeypatch):
+        p, grids, ds = grid_pair
+        if split:
+            monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
+        zeta, two_z, sizes, z = fused_points(p, grids)
+        n_cols = sum(g.m_theta for g in grids)
+        omega, rows = _kernels.jost_scaled(p.values, zeta, two_z, grids[0].n_site - 1, n_cols)
+        col = 0
+        for g, d in zip(grids, ds):
+            _, alone = _kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
+            assert np.array_equal(rows[:, col:col + g.m_theta], alone)
+            col += g.m_theta
+        beta = hl.edge_beta(grids[0])
+        theta_b = 2.0 * np.arctan(np.exp(-beta))
+        edge = _kernels.jost_function_values(p.values, np.exp(-1j * theta_b),
+                                             2.0 * np.cos(theta_b) + 0j)
+        assert np.array_equal(omega[col:col + sizes[-1]], edge)
+        assert all(np.array_equal(d.edge_omega, edge) for d in ds)
+        scan = omega[col + sizes[-1]:-2]
+        assert np.all(scan.imag == 0.0)
+        assert np.array_equal(scan.real,
+                              _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z))
+        at_thresholds = [hl.jost_function(p, hl.SpectralPoint.threshold(s)) for s in (1, -1)]
+        assert np.array_equal(omega[-2:].real, np.real(at_thresholds))
+        assert (ds[0].omega_plus, ds[0].omega_minus) == tuple(np.real(at_thresholds))
+
+    def test_decisions_equal_stepping_apart(self, grid_pair):
+        # classify_thresholds and bound_states step their own points when
+        # not handed the pass's values
+        p, grids, ds = grid_pair
+        g = grids[0]
+        dm, dp, sm, sp, om_m, om_p = hl.classify_thresholds(p, g.tol_threshold)
+        assert (dm, dp, sm, sp, om_m, om_p) == (ds[0].delta_minus, ds[0].delta_plus,
+                                                ds[0].s_minus, ds[0].s_plus,
+                                                ds[0].omega_minus, ds[0].omega_plus)
+        roots, count = hl.bound_states(p, g)
+        assert np.array_equal(roots, ds[0].bound_states) and count == ds[0].count_n
 
 
 class TestThresholds:

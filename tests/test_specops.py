@@ -227,7 +227,7 @@ class TestCorrectionOperator:
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
         fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j,
-                                                          n - 1))
+                                                          n - 1)[1])
         a = hl.correction_operator(d, p, grid512, n)
         b = hl.correction_operator(fresh, p, grid512, n)
         assert np.array_equal(a.kernel.entries, b.kernel.entries)
@@ -285,13 +285,9 @@ class TestWaveIdentity:
     def test_second_order_over_four_doublings(self):
         # only the gate's block is composed, so m_theta = 8192 is cheap
         p = hl.table_potential([0.3, -0.2], rho=3.0)
-        g = hl.GridSpec(m_theta=512)
-        d = hl.scattering_grid(p, g)
-        res = []
-        for m in (512, 1024, 2048, 4096, 8192):
-            gm = replace(g, m_theta=m)
-            res.append(hl.wave_identity_residual(
-                d if m == g.m_theta else hl.scattering_grid(d, gm), p, gm))
+        grids = [hl.GridSpec(m_theta=m) for m in (512, 1024, 2048, 4096, 8192)]
+        res = [hl.wave_identity_residual(d, p, g)
+               for d, g in zip(hl.scattering_grids(p, grids), grids)]
         ratios = np.array(res[:-1]) / np.array(res[1:])
         assert np.all(ratios >= 4.0), ratios
 

@@ -99,15 +99,22 @@ class TestWindingNumber:
     def test_refinement_invariance(self, scatter_cache):
         p = hl.rank_one(0.75)
         g1, g2 = small_grid(), small_grid(n_edge=2048)
-        d = scatter_cache(p, g1)
-        assert hl.winding_report(d, p, g1).winding == hl.winding_report(d, p, g2).winding
+        assert (hl.winding_report(scatter_cache(p, g1), p, g1).winding
+                == hl.winding_report(scatter_cache(p, g2), p, g2).winding)
 
     def test_undersampled_guard(self, scatter_cache):
         g = small_grid(n_edge=16)
         p = hl.rank_one(0.75)
-        d = scatter_cache(p, small_grid())
         with pytest.raises(hl.NumericsError, match="undersampled"):
-            hl.winding_report(d, p, g)
+            hl.winding_report(scatter_cache(p, g), p, g)
+
+    @pytest.mark.parametrize("change", [{"n_edge": 2048}, {"alpha_max": 10.0}])
+    def test_other_edge_refused(self, change, scatter_cache):
+        # the scattering edge comes from d's recursion pass, not a new one
+        g = small_grid()
+        p = hl.rank_one(0.75)
+        with pytest.raises(ValueError, match="holds the edge"):
+            hl.assemble_boundary(scatter_cache(p, g), p, small_grid(**change))
 
     def test_open_arc_not_integer(self):
         # quarter turn: the rounding residual 0.25 exceeds any sane tolerance
