@@ -30,18 +30,18 @@ for gm, dm in zip(grids, ds):
     r = hl.wave_identity_residual(dm, p, gm)
     print(f"  m_theta = {gm.m_theta:5d}: {r:.3e}")
 
-c = hl.correction_operator(d, p, grid, g.n_site)
+K = hl.correction_operator(d, grid, g.n_site)
 print("\nJost-tail correction K0 F_sin:")
-print("  Hilbert-Schmidt norm:", f"{c.hilbert_schmidt_norm:.6f}")
+print("  Hilbert-Schmidt norm:", f"{np.linalg.norm(K):.6f}")
 print("  nonzero rows (two-site support => only site 0):",
-      int(np.sum(np.max(np.abs(c.times_sine.entries), axis=1) > 1e-12)))
+      int(np.sum(np.max(np.abs(K), axis=1) > 1e-12)))
 
-S = hl.scattering_operator(d, grid, g.n_site).entries
+S = hl.scattering_operator(d, grid, g.n_site)
 off = 0.5 * np.ones(g.n_site - 1)
 H0 = np.diag(off, 1) + np.diag(off, -1)
 nb = g.n_site // 2
 print("\nscattering operator:")
 print("  |[S, H0]| interior:", f"{np.max(np.abs((S @ H0 - H0 @ S)[:nb, :nb])):.3e}")
 print("  |S - W_+^* W_-| interior:",
-      f"""{np.max(np.abs((S - hl.wave_operator(d, p, grid, g.n_site, sign=+1).entries.conj().T
-                         @ W.entries)[:nb, :nb])):.3e}""")
+      f"""{np.max(np.abs((S - hl.wave_operator(d, p, grid, g.n_site, sign=+1).conj().T
+                         @ W)[:nb, :nb])):.3e}""")

@@ -11,23 +11,22 @@ from .errors import (AssumptionError, CheckFailure, ConfigError, HalflineError,
 from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
                     TridiagonalTruncation, hamiltonian_truncation, make_potential,
                     random_decaying, rank_one, table_potential, theta_midpoints,
-                    zero_potential, zeta_of)
+                    zero_potential)
 from .solutions import (DecayReport, SolutionSequence, decay_diagnostic,
                         decay_scan, free_regular, jost_at_threshold,
                         jost_solution, regular_solution, volterra_jost)
 from .scattering import (ScatteringData, bound_states, classify_thresholds,
                          edge_beta, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids, wronskian)
-from .specops import (CorrectionOperator, OperatorMatrix, QuadratureGrid,
-                      completeness_defect, correction_operator, cos_sin_coupling,
-                      cosine_transform, coupling_pv_matrix, jost_transforms,
-                      pv_action_gap, quadrature_grid, scattering_operator,
-                      shift_identity_residual, sine_transform,
+from .specops import (QuadratureGrid, completeness_defect, correction_operator,
+                      cos_sin_coupling, cosine_transform, coupling_pv_matrix,
+                      jost_transforms, pv_action_gap, quadrature_grid,
+                      scattering_operator, shift_identity_residual, sine_transform,
                       wave_identity_residual, wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        coupling_symbol_remainder, coupling_symbol_stability,
                        energy_rescale_matrix, hyperbolic_pv_matrix, pdo_apply,
-                       pdo_composite, pv_kernel_action_gap, rescale_intertwining_defect,
+                       pv_kernel_action_gap, rescale_intertwining_defect,
                        shift_identity_check, shift_symbol_apply,
                        wave_symbol_remainder, wave_symbol_stability,
                        weyl_commutation_defect)

@@ -215,13 +215,6 @@ def theta_midpoints(m: int) -> np.ndarray:
     return ((np.arange(m) + 0.5) * np.pi / m)[::-1].copy()
 
 
-def zeta_of(point) -> complex:
-    """The multiplier zeta at a spectral point (rim or off-axis)."""
-    if isinstance(point, (SpectralPoint, OffAxisPoint)):
-        return complex(point.zeta)
-    raise TypeError("expected SpectralPoint or OffAxisPoint")
-
-
 # ---------------------------------------------------------------------------
 # grids and truncations
 # ---------------------------------------------------------------------------

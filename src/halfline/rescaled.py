@@ -23,8 +23,7 @@ import numpy as np
 from .errors import NumericsError
 from .model import GridSpec, Potential
 from .scattering import ScatteringData
-from .specops import (OperatorMatrix, cos_sin_coupling, quadrature_grid,
-                      scattering_operator, wave_operator)
+from .specops import cos_sin_coupling, quadrature_grid, scattering_operator, wave_operator
 
 #: interior-block Gram tolerance before the window is declared too small
 GRAM_GUARD = 1e-4
@@ -40,18 +39,14 @@ class BetaGrid:
     beta: np.ndarray
     xi: np.ndarray
 
-    @classmethod
-    def make(cls, m_beta: int, beta_max: float) -> "BetaGrid":
-        if m_beta % 2 != 0:
-            raise NumericsError("m_beta must be even")
-        h = 2.0 * beta_max / m_beta
-        beta = -beta_max + (np.arange(m_beta) + 0.5) * h
-        xi = 2.0 * np.pi * np.fft.fftfreq(m_beta, d=h)
-        return cls(m_beta=m_beta, beta_max=beta_max, h=h, beta=beta, xi=xi)
-
 
 def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
-    return BetaGrid.make(m_beta, beta_max)
+    if m_beta % 2 != 0:
+        raise NumericsError("m_beta must be even")
+    h = 2.0 * beta_max / m_beta
+    return BetaGrid(m_beta=m_beta, beta_max=beta_max, h=h,
+                    beta=-beta_max + (np.arange(m_beta) + 0.5) * h,
+                    xi=2.0 * np.pi * np.fft.fftfreq(m_beta, d=h))
 
 
 def fourier_apply(symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -86,19 +81,13 @@ def shift_symbol_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
         - 1j * sech_b[:, None] * fourier_apply(tanh_pi_d_symbol(bg), X)
 
 
-def pdo_composite(bg: BetaGrid) -> OperatorMatrix:
-    """The dense m_beta x m_beta matrix of -tanh(pi D) + i tanh(X/2) sech(pi D)."""
-    return OperatorMatrix(pdo_apply(bg, np.eye(bg.m_beta)), "beta-grid", "beta-grid",
-                          {"m_beta": bg.m_beta, "beta_max": bg.beta_max})
-
-
 def b_weight(t: np.ndarray) -> np.ndarray:
     """sqrt(2) cosh(t/2) / sqrt(cosh t): the bounded conjugation weight that
     turns the hyperbolic principal-value kernel into a pure symbol."""
     return np.sqrt(2.0) * np.cosh(t / 2.0) / np.sqrt(np.cosh(t))
 
 
-def hyperbolic_pv_matrix(bg: BetaGrid) -> OperatorMatrix:
+def hyperbolic_pv_matrix(bg: BetaGrid) -> np.ndarray:
     """Skip-diagonal discretisation of the kernel
     (i/pi) sech^(1/2)(beta) cosh^(1/2)(gamma) / sinh(gamma - beta)."""
     b = bg.beta
@@ -106,15 +95,14 @@ def hyperbolic_pv_matrix(bg: BetaGrid) -> OperatorMatrix:
         ker = (1j / np.pi) * np.sqrt(1.0 / np.cosh(b))[:, None] \
             * np.sqrt(np.cosh(b))[None, :] / np.sinh(b[None, :] - b[:, None])
     np.fill_diagonal(ker, 0.0)
-    return OperatorMatrix(ker * bg.h, "beta-grid", "beta-grid",
-                          {"m_beta": bg.m_beta, "beta_max": bg.beta_max})
+    return ker * bg.h
 
 
 def pv_kernel_action_gap(bg: BetaGrid, centers=(-2.0, 0.0, 1.5)) -> float:
     """Worst relative difference between the weight-conjugated symbol and the
     direct principal-value kernel on Gaussian bumps g: the conjugated symbol
     acts as w P(g / w), with w the conjugation weight."""
-    K = hyperbolic_pv_matrix(bg).entries
+    K = hyperbolic_pv_matrix(bg)
     w = b_weight(bg.beta)[:, None]
     G = np.exp(-(bg.beta[:, None] - np.asarray(centers)[None, :]) ** 2)
     gap = w * pdo_apply(bg, G / w) - K @ G
@@ -125,7 +113,7 @@ def pv_kernel_action_gap(bg: BetaGrid, centers=(-2.0, 0.0, 1.5)) -> float:
 # the rescale matrix R
 # ---------------------------------------------------------------------------
 
-def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> OperatorMatrix:
+def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
     """R[k, n] = sqrt(h) sech(beta_k) psi_sin(n, tanh beta_k), evaluated
     directly at lambda = tanh(beta_k) with theta(beta) = 2 atan(e^(-beta))."""
     if n_site > bg.m_beta // 4:
@@ -140,9 +128,7 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> OperatorMatrix:
     defect = float(np.max(np.abs((gram - np.eye(n_site))[:nb, :nb])))
     if defect > GRAM_GUARD:
         raise NumericsError(f"beta window too small: interior Gram defect {defect:.2e}")
-    return OperatorMatrix(e, "beta-grid", "site",
-                          {"m_beta": bg.m_beta, "beta_max": bg.beta_max,
-                           "n_site": n_site, "gram_defect": defect})
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +162,7 @@ def _sv_report(mat: np.ndarray, **meta) -> SingularReport:
 def _pulled_back(bg: BetaGrid, n_site: int, apply) -> np.ndarray:
     """R^* a(X, D) R on the site space: `apply` takes a(X, D) to the n_site
     columns of R, so no m_beta x m_beta matrix is formed."""
-    R = energy_rescale_matrix(bg, n_site).entries
+    R = energy_rescale_matrix(bg, n_site)
     return R.T @ apply(bg, R)
 
 
@@ -184,7 +170,7 @@ def coupling_symbol_remainder(g: GridSpec, m_beta: int | None = None) -> Singula
     """Singular values of R U R^* minus the symbol composite, pulled back to
     the site space through R (where the truncation is faithful)."""
     bg = beta_grid(m_beta or g.m_beta, g.beta_max)
-    U = cos_sin_coupling(quadrature_grid(g.m_theta), g.n_site).entries
+    U = cos_sin_coupling(quadrature_grid(g.m_theta), g.n_site)
     return _sv_report(U - _pulled_back(bg, g.n_site, pdo_apply), m_beta=bg.m_beta,
                       beta_max=bg.beta_max, n_site=g.n_site, m_theta=g.m_theta)
 
@@ -209,13 +195,12 @@ def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec) -> Singu
     the cut grid of d."""
     grid = quadrature_grid(d.m_theta)
     n = g.n_site
-    W = wave_operator(d, p, grid, n, tol_threshold=g.tol_threshold).entries
-    S = scattering_operator(d, grid, n).entries
+    W = wave_operator(d, p, grid, n, tol_threshold=g.tol_threshold)
+    S = scattering_operator(d, grid, n)
     inner = np.eye(n) + _pulled_back(beta_grid(g.m_beta, g.beta_max), n, pdo_apply)
     K = W - np.eye(n) - 0.5 * inner @ (S - np.eye(n))
     nb = n // 2
-    return _sv_report(K[:nb, :nb], m_theta=d.m_theta, n_site=n,
-                      m_beta=g.m_beta, potential=p.content_hash())
+    return _sv_report(K[:nb, :nb], m_theta=d.m_theta, n_site=n, m_beta=g.m_beta)
 
 
 def wave_symbol_stability(d: ScatteringData, d_fine: ScatteringData, p: Potential,
@@ -264,7 +249,7 @@ def weyl_commutation_defect(bg: BetaGrid, shift_steps: int, mod_steps: int) -> f
 def rescale_intertwining_defect(bg: BetaGrid, n_site: int) -> float:
     """Max-norm of R H0 - tanh(X) R on interior columns (exact identity of
     the sine recursion under lambda = tanh beta)."""
-    R = energy_rescale_matrix(bg, n_site).entries
+    R = energy_rescale_matrix(bg, n_site)
     H0 = (np.diag(np.ones(n_site - 1), 1) + np.diag(np.ones(n_site - 1), -1)) / 2.0
     lhs = R @ H0
     rhs = np.tanh(bg.beta)[:, None] * R

@@ -97,10 +97,6 @@ class ScatteringData:
     def m_theta(self) -> int:
         return len(self.theta)
 
-    def point(self, j: int) -> SpectralPoint:
-        return SpectralPoint(lam=float(self.lam[j]), theta=float(self.theta[j]),
-                             zeta=complex(self.zeta[j]))
-
 
 def classify_thresholds(p: Potential, tol_threshold: float, omegas=None):
     """Threshold corrections from Omega(+-1).
@@ -235,8 +231,7 @@ def scattering_grids(p: Potential, grids) -> list:
             jost_rows=rows[:, col:col + len(theta)],   # a copy would hold the rows twice
             omega=om.copy(), amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om,
             edge_omega=edge_omega[g.n_edge, g.alpha_max],
-            meta={"m_theta": g.m_theta, "potential": p.content_hash(),
-                  "n_edge": g.n_edge, "alpha_max": g.alpha_max}))
+            meta={"n_edge": g.n_edge, "alpha_max": g.alpha_max}))
         col += len(theta)
     dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g0.tol_threshold, (om_m, om_p))
     roots, count = bound_states(p, g0, scan)

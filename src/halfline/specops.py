@@ -14,7 +14,7 @@ matrices; operators on the site space are (n_site x n_site) complex arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -34,34 +34,15 @@ class QuadratureGrid:
     lam: np.ndarray
     weights: np.ndarray
 
-    @classmethod
-    def midpoint(cls, m: int) -> "QuadratureGrid":
-        theta = theta_midpoints(m)
-        lam = np.cos(theta)
-        w = (np.pi / m) * np.sin(theta)
-        return cls(m=m, theta=theta, lam=lam, weights=w)
-
     @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 
 
 def quadrature_grid(m: int) -> QuadratureGrid:
-    return QuadratureGrid.midpoint(m)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix tagged with the spaces its indices live on."""
-
-    entries: np.ndarray
-    row_space: str
-    col_space: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def shape(self):
-        return self.entries.shape
+    theta = theta_midpoints(m)
+    return QuadratureGrid(m=m, theta=theta, lam=np.cos(theta),
+                          weights=(np.pi / m) * np.sin(theta))
 
 
 def _check_site_count(grid: QuadratureGrid, n_site: int):
@@ -70,35 +51,24 @@ def _check_site_count(grid: QuadratureGrid, n_site: int):
             f"grid too small: n_site = {n_site} exceeds m/2 = {grid.m // 2}")
 
 
-def _sine_entries(grid: QuadratureGrid, n_site: int) -> np.ndarray:
+def sine_transform(grid: QuadratureGrid, n_site: int) -> np.ndarray:
+    """sqrt(w_j) psi_sin(n, lambda_j) = sqrt(2/m) sin((n+1) theta_j)."""
+    _check_site_count(grid, n_site)
     return np.sqrt(2.0 / grid.m) * np.sin(np.outer(grid.theta, np.arange(1, n_site + 1)))
 
 
-def _cosine_entries(grid: QuadratureGrid, n_site: int) -> np.ndarray:
+def cosine_transform(grid: QuadratureGrid, n_site: int) -> np.ndarray:
+    """sqrt(w_j) psi_cos(n, lambda_j) = sqrt(2/m) cos((n+1) theta_j)."""
+    _check_site_count(grid, n_site)
     return np.sqrt(2.0 / grid.m) * np.cos(np.outer(grid.theta, np.arange(1, n_site + 1)))
 
 
-def sine_transform(grid: QuadratureGrid, n_site: int) -> OperatorMatrix:
-    """sqrt(w_j) psi_sin(n, lambda_j) = sqrt(2/m) sin((n+1) theta_j)."""
-    _check_site_count(grid, n_site)
-    return OperatorMatrix(_sine_entries(grid, n_site), "lambda-grid", "site",
-                          {"m": grid.m, "n_site": n_site})
-
-
-def cosine_transform(grid: QuadratureGrid, n_site: int) -> OperatorMatrix:
-    """sqrt(w_j) psi_cos(n, lambda_j) = sqrt(2/m) cos((n+1) theta_j)."""
-    _check_site_count(grid, n_site)
-    return OperatorMatrix(_cosine_entries(grid, n_site), "lambda-grid", "site",
-                          {"m": grid.m, "n_site": n_site})
-
-
-def cos_sin_coupling(grid: QuadratureGrid, n_site: int) -> OperatorMatrix:
+def cos_sin_coupling(grid: QuadratureGrid, n_site: int) -> np.ndarray:
     """U = i Fcos^* Fsin: the potential-independent factor multiplying the
     scattering operator in the wave-operator identity."""
-    F = sine_transform(grid, n_site).entries
-    C = cosine_transform(grid, n_site).entries
-    return OperatorMatrix(1j * (C.T @ F), "site", "site",
-                          {"m": grid.m, "n_site": n_site})
+    F = sine_transform(grid, n_site)
+    C = cosine_transform(grid, n_site)
+    return 1j * (C.T @ F)
 
 
 def _require_same_grid(d: ScatteringData, grid: QuadratureGrid):
@@ -107,26 +77,11 @@ def _require_same_grid(d: ScatteringData, grid: QuadratureGrid):
 
 
 def scattering_operator(d: ScatteringData, grid: QuadratureGrid,
-                        n_site: int) -> OperatorMatrix:
+                        n_site: int) -> np.ndarray:
     """S = Fsin^* s(lambda) Fsin with the scattering-matrix multiplier."""
     _require_same_grid(d, grid)
-    F = sine_transform(grid, n_site).entries
-    e = F.T @ (d.smatrix[:, None] * F)
-    return OperatorMatrix(e, "site", "site",
-                          {"m": grid.m, "n_site": n_site, "potential": d.meta.get("potential")})
-
-
-def _wave_kernels(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                  n_site: int, tol_threshold: float):
-    """psi_+(n, lambda_j) and psi_-(n, lambda_j), shape (n_site, m)."""
-    if np.min(d.amplitude) < tol_threshold:
-        raise NumericsError("resonant grid: amplitude below threshold tolerance")
-    phi = _kernels.regular_values(p.values, 2.0 * d.lam, n_site - 1)[1:]
-    sig_p = d.omega / d.amplitude
-    sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
-    psi_p = sq * phi * np.conj(sig_p)
-    psi_m = sq * phi * sig_p
-    return psi_p, psi_m
+    F = sine_transform(grid, n_site)
+    return F.T @ (d.smatrix[:, None] * F)
 
 
 def jost_transforms(d: ScatteringData, p: Potential, grid: QuadratureGrid,
@@ -135,48 +90,33 @@ def jost_transforms(d: ScatteringData, p: Potential, grid: QuadratureGrid,
     functions; in the free case both coincide with the sine transform."""
     _require_same_grid(d, grid)
     _check_site_count(grid, n_site)
-    psi_p, psi_m = _wave_kernels(d, p, grid, n_site, tol_threshold)
+    if np.min(d.amplitude) < tol_threshold:
+        raise NumericsError("resonant grid: amplitude below threshold tolerance")
+    phi = _kernels.regular_values(p.values, 2.0 * d.lam, n_site - 1)[1:]
+    sig_p = d.omega / d.amplitude
+    sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
+    psi_p = sq * phi * np.conj(sig_p)       # psi_+(n, lambda_j), shape (n_site, m)
+    psi_m = sq * phi * sig_p
     sw = grid.sqrt_weights[:, None]
-    meta = {"m": grid.m, "n_site": n_site, "potential": p.content_hash()}
-    return (OperatorMatrix(sw * psi_p.T, "lambda-grid", "site", meta),
-            OperatorMatrix(sw * psi_m.T, "lambda-grid", "site", meta))
+    return sw * psi_p.T, sw * psi_m.T
 
 
 def wave_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
                   n_site: int, sign: int = -1,
-                  tol_threshold: float = 1e-3) -> OperatorMatrix:
+                  tol_threshold: float = 1e-3) -> np.ndarray:
     """Stationary wave operator W_- = F_-^* Fsin (or W_+ for sign=+1)."""
     Fp, Fm = jost_transforms(d, p, grid, n_site, tol_threshold)
-    F = sine_transform(grid, n_site).entries
-    Fpm = Fm if sign < 0 else Fp
-    e = Fpm.entries.conj().T @ F
-    return OperatorMatrix(e, "site", "site",
-                          {"m": grid.m, "n_site": n_site, "sign": sign,
-                           "potential": p.content_hash()})
+    return (Fm if sign < 0 else Fp).conj().T @ sine_transform(grid, n_site)
 
 
 # ---------------------------------------------------------------------------
 # Jost-tail correction kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrectionOperator:
-    """The remainder kernel built from theta(n) - zeta^n, and its product
-    with the sine transform (a Hilbert-Schmidt operator on the sites)."""
-
-    kernel: OperatorMatrix          # (site x lambda-grid), plain kernel values
-    times_sine: OperatorMatrix      # (site x site)
-    singular_values: np.ndarray
-
-    @property
-    def hilbert_schmidt_norm(self) -> float:
-        return float(np.linalg.norm(self.times_sine.entries))
-
-
-def correction_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                        n_site: int) -> CorrectionOperator:
-    """K0(n, lambda) = sqrt(2/pi) [conj(p zeta) - s p zeta] / (2i) with
-    p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4), and K0 Fsin.
+def correction_operator(d: ScatteringData, grid: QuadratureGrid, n_site: int) -> np.ndarray:
+    """K0 Fsin (n_site x n_site), a Hilbert-Schmidt operator on the sites,
+    from the remainder kernel K0(n, lambda) = sqrt(2/pi) [conj(p zeta) -
+    s p zeta] / (2i) with p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4).
 
     theta(n)/zeta^n is read from the rows that `scattering_grid` kept."""
     _require_same_grid(d, grid)
@@ -189,14 +129,8 @@ def correction_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
     pker = zpow * (t - 1.0) / (1.0 - d.lam ** 2) ** 0.25
     pz = pker * d.zeta[None, :]
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
-    F = sine_transform(grid, n_site).entries
-    prod = (k0 * grid.weights[None, :]) @ (F / grid.sqrt_weights[:, None])
-    sv = np.linalg.svd(prod, compute_uv=False)
-    meta = {"m": grid.m, "n_site": n_site, "potential": p.content_hash()}
-    return CorrectionOperator(
-        kernel=OperatorMatrix(k0, "site", "lambda-grid", meta),
-        times_sine=OperatorMatrix(prod, "site", "site", meta),
-        singular_values=sv)
+    F = sine_transform(grid, n_site)
+    return (k0 * grid.weights[None, :]) @ (F / grid.sqrt_weights[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +148,8 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
     forms no m x (m-2) transform.
     """
     m = grid.m
-    F = _sine_entries(grid, block)
-    C = _cosine_entries(grid, block)
+    F = sine_transform(grid, block)
+    C = cosine_transform(grid, block)
     Y = smatrix[:, None] * F
     top = np.stack([np.sqrt(2.0 / m) * np.sin((m - 1) * grid.theta),
                     np.sqrt(1.0 / m) * np.sin(m * grid.theta)], axis=1)
@@ -239,33 +173,31 @@ def wave_identity_residual(d: ScatteringData, p: Potential, g: GridSpec,
     grid = quadrature_grid(d.m_theta)
     n_site = g.n_site
     block = n_site // 2 if block is None else block
-    W = wave_operator(d, p, grid, n_site, tol_threshold=g.tol_threshold).entries
-    K = correction_operator(d, p, grid, n_site).times_sine.entries
+    W = wave_operator(d, p, grid, n_site, tol_threshold=g.tol_threshold)
+    K = correction_operator(d, grid, n_site)
     A = _composed_block(grid, d.smatrix, block)
     R = W[:block, :block] - (np.eye(block) + A + K[:block, :block])
     return float(np.max(np.abs(R)))
 
 
-def wave_isometry_defect(W: OperatorMatrix, block: int | None = None) -> float:
+def wave_isometry_defect(W: np.ndarray, block: int | None = None) -> float:
     """Max-norm of W^*W - 1 on the interior block (isometry of W_-)."""
-    e = W.entries
-    n = e.shape[0]
+    n = W.shape[0]
     block = n // 2 if block is None else block
-    D = e.conj().T @ e - np.eye(n)
+    D = W.conj().T @ W - np.eye(n)
     return float(np.max(np.abs(D[:block, :block])))
 
 
-def completeness_defect(W: OperatorMatrix, p: Potential,
+def completeness_defect(W: np.ndarray, p: Potential,
                         band_margin: float = 1e-9, block: int | None = None) -> float:
     """Max-norm of W W^* - (1 - P_b) on the interior block, P_b the spectral
     projector of the dense site truncation onto its out-of-band eigenvectors."""
-    e = W.entries
-    n = e.shape[0]
+    n = W.shape[0]
     block = n // 2 if block is None else block
     evals, evecs = eigh(hamiltonian_truncation(p, n).matrix())
     out = np.abs(evals) > 1.0 + band_margin
     Pb = evecs[:, out] @ evecs[:, out].T
-    D = e @ e.conj().T - (np.eye(n) - Pb)
+    D = W @ W.conj().T - (np.eye(n) - Pb)
     return float(np.max(np.abs(D[:block, :block])))
 
 
@@ -273,7 +205,7 @@ def completeness_defect(W: OperatorMatrix, p: Potential,
 # principal-value realisation of the coupling operator
 # ---------------------------------------------------------------------------
 
-def coupling_pv_matrix(grid: QuadratureGrid) -> OperatorMatrix:
+def coupling_pv_matrix(grid: QuadratureGrid) -> np.ndarray:
     """Skip-diagonal principal-value discretisation of the singular kernel
     (i/pi) (1-lambda^2)^(1/4) (nu-lambda)^(-1) (1-nu^2)^(-1/4), in the
     sqrt(w)-normalised grid coordinates.  Diagnostic only."""
@@ -284,8 +216,7 @@ def coupling_pv_matrix(grid: QuadratureGrid) -> OperatorMatrix:
         ker = (1j / np.pi) * (1.0 - lam[jj] ** 2) ** 0.25 \
             / (lam[kk] - lam[jj]) / (1.0 - lam[kk] ** 2) ** 0.25
     np.fill_diagonal(ker, 0.0)
-    return OperatorMatrix(sw[:, None] * ker * sw[None, :],
-                          "lambda-grid", "lambda-grid", {"m": grid.m})
+    return sw[:, None] * ker * sw[None, :]
 
 
 def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
@@ -296,10 +227,10 @@ def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
     threshold rows are singular); on smooth data the gap halves with each
     grid doubling.
     """
-    F = sine_transform(grid, n_site).entries
-    U = cos_sin_coupling(grid, n_site).entries
+    F = sine_transform(grid, n_site)
+    U = cos_sin_coupling(grid, n_site)
     lhs = F @ U @ F.conj().T
-    A = coupling_pv_matrix(grid).entries
+    A = coupling_pv_matrix(grid)
     gvec = grid.lam * (1.0 - grid.lam ** 2) * grid.sqrt_weights
     return float(np.linalg.norm((lhs - A) @ gvec) / np.linalg.norm(gvec))
 
@@ -320,8 +251,8 @@ def shift_identity_residual(g: GridSpec, block: int | None = None) -> dict:
     grid = quadrature_grid(g.m_theta)
     n = g.n_site
     block = n // 2 if block is None else block
-    F = sine_transform(grid, n).entries
-    C = cosine_transform(grid, n).entries
+    F = sine_transform(grid, n)
+    C = cosine_transform(grid, n)
     sth = np.sin(grid.theta)
     T = np.diag(np.ones(n - 1), -1)
     off = 0.5 * np.ones(n - 1)

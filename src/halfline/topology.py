@@ -12,7 +12,7 @@ closed form; the per-edge contributions then come out as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class BoundaryCurve:
     params: np.ndarray
     edge_slices: dict
     corners: dict
-    meta: dict = field(default_factory=dict)
 
     @property
     def min_abs(self) -> float:
@@ -127,9 +126,7 @@ def assemble_boundary(d: ScatteringData, p: Potential, g: GridSpec) -> BoundaryC
     points = np.concatenate(pts)
     corners = {"s_plus": sp, "s_minus": sm}
     return BoundaryCurve(points=points, params=np.concatenate(prm),
-                         edge_slices=slices, corners=corners,
-                         meta={"n_edge": n_edge, "alpha_max": amax,
-                               "potential": p.content_hash()})
+                         edge_slices=slices, corners=corners)
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ def test_criterion_01_free_case_identities(scatter_cache):
         grid = hl.quadrature_grid(g.m_theta)
         assert np.max(np.abs(d.omega - 1.0)) <= 1e-10
         assert np.max(np.abs(d.eta)) <= 1e-10
-        S = hl.scattering_operator(d, grid, g.n_site).entries
+        S = hl.scattering_operator(d, grid, g.n_site)
         assert np.max(np.abs(S - np.eye(g.n_site))) <= 1e-10
-        W = hl.wave_operator(d, p, grid, g.n_site).entries
+        W = hl.wave_operator(d, p, grid, g.n_site)
         assert np.max(np.abs(W - np.eye(g.n_site))) <= 1e-10
         assert hl.wave_identity_residual(d, p, g) <= 1e-10
         assert hl.shift_identity_residual(g)["composite"] <= 1e-10

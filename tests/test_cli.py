@@ -212,6 +212,22 @@ class TestReport:
         others = [points for name, points in calls if name != "jost_scaled"]
         assert others and max(others) <= _kernels.SCALAR_POINTS
 
+    def test_svd_count(self, tmp_path, monkeypatch):
+        # the coupling symbol at m_beta and 2 m_beta, the wave symbol on both
+        # cut grids and the shift symbol; the correction kernel takes none
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                                   "outputs": {"directory": str(tmp_path / "out")}}))
+        assert main(["report", str(cfg)]) == 0
+        assert len(calls) == 5, calls
+
     @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
     def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):
         cfg = tmp_path / "cfg.json"

@@ -89,11 +89,6 @@ class TestSpectralGeometry:
         assert pt.zeta.imag == 0.0 and pt.zeta.real == sign == pt.lam
         assert hl.SpectralPoint.from_lambda(float(sign)).zeta == pt.zeta
 
-    def test_zeta_of_dispatch(self):
-        assert hl.zeta_of(hl.SpectralPoint.from_lambda(0.0)) == pytest.approx(-1j)
-        with pytest.raises(TypeError):
-            hl.zeta_of(0.5)
-
 
 class TestTruncation:
     def test_free_two_by_two(self):
