@@ -27,7 +27,8 @@ print("  completeness     |WW* - (1-P_b)| :",
 
 print("\nidentity residual under refinement:")
 for gm, dm in zip(grids, ds):
-    r = hl.wave_identity_residual(dm, p, gm)
+    r = hl.wave_identity_residual(
+        dm, hl.wave_operator(dm, p, hl.quadrature_grid(gm.m_theta), gm.n_site))
     print(f"  m_theta = {gm.m_theta:5d}: {r:.3e}")
 
 K = hl.correction_operator(d, grid, g.n_site)

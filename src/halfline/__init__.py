@@ -24,12 +24,9 @@ from .specops import (QuadratureGrid, completeness_defect, correction_operator,
                       scattering_operator, shift_identity_residual, sine_transform,
                       wave_identity_residual, wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
-                       coupling_symbol_remainder, coupling_symbol_stability,
-                       energy_rescale_matrix, hyperbolic_pv_matrix, pdo_apply,
-                       pv_kernel_action_gap, rescale_intertwining_defect,
-                       shift_identity_check, shift_symbol_apply,
-                       wave_symbol_remainder, wave_symbol_stability,
-                       weyl_commutation_defect)
+                       energy_rescale_matrix, hyperbolic_pv_matrix, operator_checks,
+                       pdo_apply, pv_kernel_action_gap, rescale_intertwining_defect,
+                       shift_symbol_apply, weyl_commutation_defect)
 from .topology import (BoundaryCurve, WindingReport, assemble_boundary,
                        gamma_curve, winding_number, winding_report)
 

@@ -24,11 +24,9 @@ import numpy as np
 
 from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
 from .model import GridSpec, OffAxisPoint, Potential, make_potential
-from .rescaled import (coupling_symbol_stability, shift_identity_check,
-                       wave_symbol_stability)
+from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids)
-from .specops import wave_identity_residual
 from .topology import assemble_boundary, winding_number
 
 #: pass/fail gates used by the report command
@@ -222,44 +220,11 @@ def _waveop_payload(p: Potential, g: GridSpec):
     The scattering data comes first, so that an input it refuses (exit 4)
     is refused before the checks that do not depend on the potential."""
     t0 = time.perf_counter()
-    g2 = replace(g, m_theta=2 * g.m_theta)
-    d, d2 = scattering_grids(p, [g, g2])
-    shift = shift_identity_check(g)
-    coup = coupling_symbol_stability(g)
-    wave = wave_symbol_stability(d, d2, p, g)
-    base = wave_identity_residual(d, p, g)
-    refined = wave_identity_residual(d2, p, g2)
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "wave_identity": {
-            "residual": base,
-            "residual_refined": refined,
-            "ratio": base / refined if refined > 0 else float("inf"),
-        },
-        "shift_identity": {
-            "exact_residual": shift["exact_residual"],
-            "naive_product_residual": shift["naive_product_residual"],
-            "symbol_s1": shift["symbol_remainder"].s1,
-            "symbol_rank_tenth": shift["symbol_remainder"].rank_at(0.1),
-        },
-        "coupling_symbol": {
-            "s1": coup["base"].s1,
-            "rank_tenth": coup["base"].rank_at(0.1),
-            "s1_refined": coup["refined"].s1,
-            "rel_change": coup["rel_change"],
-            "singular_values": coup["base"].singular_values[:32],
-        },
-        "wave_symbol": {
-            "s1": wave["base"].s1,
-            "rank_tenth": wave["base"].rank_at(0.1),
-            "s1_refined": wave["refined"].s1,
-            "rel_change": wave["rel_change"],
-            "singular_values": wave["base"].singular_values[:32],
-        },
-        "grids": {"m_theta": g.m_theta, "n_site": g.n_site, "m_beta": g.m_beta,
-                  "beta_max": g.beta_max},
-    }
-    return payload, d, elapsed
+    d, d2 = scattering_grids(p, [g, replace(g, m_theta=2 * g.m_theta)])
+    payload = {**operator_checks(d, d2, p, g),
+               "grids": {"m_theta": g.m_theta, "n_site": g.n_site, "m_beta": g.m_beta,
+                         "beta_max": g.beta_max}}
+    return payload, d, time.perf_counter() - t0
 
 
 def cmd_waveop(args) -> int:
@@ -275,8 +240,8 @@ def cmd_waveop(args) -> int:
     return 0
 
 
-def _winding_payload(p: Potential, g: GridSpec, d: ScatteringData):
-    curve = assemble_boundary(d, p, g)
+def _winding_payload(g: GridSpec, d: ScatteringData):
+    curve = assemble_boundary(d, g)
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     return curve, report
 
@@ -285,7 +250,7 @@ def cmd_winding(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    curve, report = _winding_payload(p, g, d)
+    curve, report = _winding_payload(g, d)
     ph = np.unwrap(np.angle(curve.points))
     rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,
              curve.points[i].imag, ph[i]) for i in range(len(curve.points)))
@@ -313,7 +278,7 @@ def cmd_report(args) -> int:
     _scatter_outputs(p, d, outputs, cfg_hash)
     scatter = _scatter_summary(d)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
-    curve, wrep = _winding_payload(p, g, d)
+    curve, wrep = _winding_payload(g, d)
     passes = _gates(g, scatter, payload, wrep)
     report = {
         "provenance": {"config": normalized},

@@ -236,6 +236,16 @@ class GridSpec:
     tol_winding: float = 0.05
 
     def __post_init__(self):
+        for name in ("m_theta", "n_site", "m_beta", "n_edge", "n_tail"):
+            v = getattr(self, name)
+            if not (name == "n_tail" and v is None) and (
+                    isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise ConfigError(f"{name} must be an integer, not {v!r}")
+        # the operator checks read an n_site/2 block; an edge needs two ends
+        if self.n_site < 2 or self.n_edge < 2:
+            raise ConfigError("n_site and n_edge must be at least 2")
+        if self.m_beta <= 0:
+            raise ConfigError("m_beta must be positive")
         if self.m_theta < 2 * self.n_site:
             raise ConfigError("m_theta must be at least 2 * n_site")
         if self.n_tail is not None and self.n_tail < self.n_site:

@@ -16,14 +16,15 @@ test would be wrong, the remainders are O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
 from .model import GridSpec, Potential
 from .scattering import ScatteringData
-from .specops import cos_sin_coupling, quadrature_grid, scattering_operator, wave_operator
+from .specops import (cos_sin_coupling, quadrature_grid, scattering_operator,
+                      shift_identity_residual, wave_identity_residual, wave_operator)
 
 #: interior-block Gram tolerance before the window is declared too small
 GRAM_GUARD = 1e-4
@@ -52,7 +53,9 @@ def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
 def fourier_apply(symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
     """a(D) X on the periodised grid: the multiplier a, given on the DFT bins,
     applied to each column of X."""
-    return np.fft.ifft(symbol[:, None] * np.fft.fft(X, axis=0), axis=0)
+    Y = np.fft.fft(X, axis=0)
+    Y *= symbol[:, None]
+    return np.fft.ifft(Y, axis=0)
 
 
 def tanh_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
@@ -68,8 +71,10 @@ def sech_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
 
 def pdo_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
     """(-tanh(pi D) + i tanh(X/2) sech(pi D)) applied to the columns of X."""
-    return -fourier_apply(tanh_pi_d_symbol(bg), X) \
-        + 1j * np.tanh(bg.beta / 2.0)[:, None] * fourier_apply(sech_pi_d_symbol(bg), X)
+    out = fourier_apply(sech_pi_d_symbol(bg), X)
+    out *= 1j * np.tanh(bg.beta / 2.0)[:, None]
+    out -= fourier_apply(tanh_pi_d_symbol(bg), X)
+    return out
 
 
 def shift_symbol_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
@@ -132,7 +137,7 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# singular-value reports
+# the operator stage of a report
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -140,7 +145,6 @@ class SingularReport:
     """Singular values of a sampled remainder plus the finite-rank summary."""
 
     singular_values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def s1(self) -> float:
@@ -154,75 +158,79 @@ class SingularReport:
         return int(np.searchsorted(-sv, -frac * sv[0]))
 
 
-def _sv_report(mat: np.ndarray, **meta) -> SingularReport:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return SingularReport(singular_values=sv, meta=meta)
-
-
-def _pulled_back(bg: BetaGrid, n_site: int, apply) -> np.ndarray:
-    """R^* a(X, D) R on the site space: `apply` takes a(X, D) to the n_site
-    columns of R, so no m_beta x m_beta matrix is formed."""
-    R = energy_rescale_matrix(bg, n_site)
-    return R.T @ apply(bg, R)
-
-
-def coupling_symbol_remainder(g: GridSpec, m_beta: int | None = None) -> SingularReport:
-    """Singular values of R U R^* minus the symbol composite, pulled back to
-    the site space through R (where the truncation is faithful)."""
-    bg = beta_grid(m_beta or g.m_beta, g.beta_max)
-    U = cos_sin_coupling(quadrature_grid(g.m_theta), g.n_site)
-    return _sv_report(U - _pulled_back(bg, g.n_site, pdo_apply), m_beta=bg.m_beta,
-                      beta_max=bg.beta_max, n_site=g.n_site, m_theta=g.m_theta)
+def _sv_report(mat: np.ndarray) -> SingularReport:
+    return SingularReport(np.linalg.svd(mat, compute_uv=False))
 
 
 def _stability(base: SingularReport, fine: SingularReport) -> dict:
-    """The leading singular value's change from base to the refined report."""
+    """The base remainder's summary and its leading singular value's change
+    under refinement."""
     if base.s1 > 0 and fine.s1 > 10.0 * base.s1:
         raise NumericsError("not convergent: leading singular value grows under refinement")
-    rel = abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0
-    return {"base": base, "refined": fine, "rel_change": rel}
+    return {"s1": base.s1, "rank_tenth": base.rank_at(0.1), "s1_refined": fine.s1,
+            "rel_change": abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0,
+            "singular_values": base.singular_values[:32]}
 
 
-def coupling_symbol_stability(g: GridSpec) -> dict:
-    """Leading-singular-value stability under doubling of the beta grid."""
-    return _stability(coupling_symbol_remainder(g),
-                      coupling_symbol_remainder(g, m_beta=2 * g.m_beta))
+def operator_checks(d: ScatteringData, d2: ScatteringData, p: Potential,
+                    g: GridSpec) -> dict:
+    """The operator identities of a report, d holding the scattering data on
+    the cut grid of g and d2 on the grid twice as fine.
 
-
-def wave_symbol_remainder(d: ScatteringData, p: Potential, g: GridSpec) -> SingularReport:
-    """Remainder of the wave-operator formula with the symbol factor:
-    W - 1 - (1/2)(1 + R^*[symbol]R)(S - 1) on the interior site block, on
-    the cut grid of d."""
-    grid = quadrature_grid(d.m_theta)
+    Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
+    (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
+    no m_beta x m_beta matrix is formed), U at m_theta, and W_- and S on
+    both cut grids.  From them come
+      shift_identity:  T = H0 + i (1-H0^2)^(1/2) U^* exactly, and the
+                       remainder T - R^*[tanh(X) - i sech(X) tanh(pi D)]R;
+      coupling_symbol: U - R^*[pdo]R, at m_beta and 2 m_beta;
+      wave_symbol:     W_- - 1 - (1/2)(1 + R^*[pdo]R)(S - 1) on the interior
+                       site block, on both cut grids;
+      wave_identity:   the defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on
+                       both cut grids.
+    """
     n = g.n_site
-    W = wave_operator(d, p, grid, n, tol_threshold=g.tol_threshold)
-    S = scattering_operator(d, grid, n)
-    inner = np.eye(n) + _pulled_back(beta_grid(g.m_beta, g.beta_max), n, pdo_apply)
-    K = W - np.eye(n) - 0.5 * inner @ (S - np.eye(n))
-    nb = n // 2
-    return _sv_report(K[:nb, :nb], m_theta=d.m_theta, n_site=n, m_beta=g.m_beta)
+    eye = np.eye(n)
 
+    def pulled_back(m_beta, *applies):
+        """R^* a R, R at m_beta, for each a(X, D) that `applies` takes to R's columns."""
+        bg = beta_grid(m_beta, g.beta_max)
+        R = energy_rescale_matrix(bg, n)
+        return [R.T @ apply(bg, R) for apply in applies]
 
-def wave_symbol_stability(d: ScatteringData, d_fine: ScatteringData, p: Potential,
-                          g: GridSpec) -> dict:
-    """Leading-singular-value stability of the wave remainder from the cut
-    grid of d to the finer one of d_fine."""
-    return _stability(wave_symbol_remainder(d, p, g), wave_symbol_remainder(d_fine, p, g))
-
-
-def shift_identity_check(g: GridSpec, m_beta: int | None = None) -> dict:
-    """Both halves of the shift-operator comparison: the exact identity
-    T = H0 + i (1-H0^2)^(1/2) U^* on the theta grid, and the compact
-    remainder against tanh(X) - i sech(X) tanh(pi D) through R."""
-    from .specops import shift_identity_residual
+    # each operator is reduced as soon as it is formed, so the FFT and kernel
+    # temporaries of the later steps meet few held arrays (peak RSS)
+    U = cos_sin_coupling(quadrature_grid(g.m_theta), n)
+    coupling_fine = _sv_report(U - pulled_back(2 * g.m_beta, pdo_apply)[0])
+    P, P_shift = pulled_back(g.m_beta, pdo_apply, shift_symbol_apply)
+    coupling = _stability(_sv_report(U - P), coupling_fine)
+    shift = _sv_report(np.diag(np.ones(n - 1), -1) - P_shift)
     exact = shift_identity_residual(g)
-    bg = beta_grid(m_beta or g.m_beta, g.beta_max)
-    T = np.diag(np.ones(g.n_site - 1), -1)
-    rep = _sv_report(T - _pulled_back(bg, g.n_site, shift_symbol_apply),
-                     m_beta=bg.m_beta, n_site=g.n_site)
-    return {"exact_residual": exact["composite"],
+
+    def on_cut_grid(dd):
+        """The wave-symbol remainder and the wave-identity defect on the cut grid of dd."""
+        grid = quadrature_grid(dd.m_theta)
+        W = wave_operator(dd, p, grid, n, tol_threshold=g.tol_threshold)
+        S = scattering_operator(dd, grid, n)
+        return (_sv_report((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
+                wave_identity_residual(dd, W))
+
+    (symbol, base), (symbol2, refined) = [on_cut_grid(dd) for dd in (d, d2)]
+    return {
+        "wave_identity": {
+            "residual": base,
+            "residual_refined": refined,
+            "ratio": base / refined if refined > 0 else float("inf"),
+        },
+        "shift_identity": {
+            "exact_residual": exact["composite"],
             "naive_product_residual": exact["naive_product"],
-            "symbol_remainder": rep}
+            "symbol_s1": shift.s1,
+            "symbol_rank_tenth": shift.rank_at(0.1),
+        },
+        "coupling_symbol": coupling,
+        "wave_symbol": _stability(symbol, symbol2),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,9 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
     return 0.5 * (US - 1j * (C.T @ F) + F.T @ Y - np.eye(block))
 
 
-def wave_identity_residual(d: ScatteringData, p: Potential, g: GridSpec,
-                           block: int | None = None) -> float:
+def wave_identity_residual(d: ScatteringData, W: np.ndarray) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
-    block, on the cut grid of d.
+    block, for the wave operator W (n_site x n_site) on the cut grid of d.
 
     The product (U+1)/2 (S-1) is composed at the full quadrature-supported
     site dimension (m-2): truncating the composition at n_site leaks the
@@ -171,9 +170,8 @@ def wave_identity_residual(d: ScatteringData, p: Potential, g: GridSpec,
     `_composed_block`): O(m block^2) time and O(m block) memory.
     """
     grid = quadrature_grid(d.m_theta)
-    n_site = g.n_site
-    block = n_site // 2 if block is None else block
-    W = wave_operator(d, p, grid, n_site, tol_threshold=g.tol_threshold)
+    n_site = W.shape[0]
+    block = n_site // 2
     K = correction_operator(d, grid, n_site)
     A = _composed_block(grid, d.smatrix, block)
     R = W[:block, :block] - (np.eye(block) + A + K[:block, :block])

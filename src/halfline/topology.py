@@ -61,7 +61,7 @@ class BoundaryCurve:
         raise IndexError(i)
 
 
-def assemble_boundary(d: ScatteringData, p: Potential, g: GridSpec) -> BoundaryCurve:
+def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
     """Concatenate the four edges into one closed curve.
 
     Traversal: the scattering edge from beta = +inf down to -inf, then
@@ -171,6 +171,6 @@ def winding_number(curve: BoundaryCurve, tol_winding: float = 0.05,
 
 def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingReport:
     """Assemble the boundary curve and compare its winding with the
-    bound-state count."""
-    curve = assemble_boundary(d, p, g)
+    bound-state count.  p is not read: the boundary comes from d alone."""
+    curve = assemble_boundary(d, g)
     return winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def scatter_cache():
 
 
 @pytest.fixture(scope="session")
+def operator_stage(scatter_cache):
+    """The report's operator stage for p on g, from the cached scattering
+    data on g's cut grid and on the grid twice as fine."""
+    def run(p, g):
+        fine = replace(g, m_theta=2 * g.m_theta)
+        return hl.operator_checks(scatter_cache(p, g), scatter_cache(p, fine), p, g)
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def suite_potentials():
     pots = [hl.rank_one(v) for v in RANK_ONE_FAMILY]
     pots.append(hl.table_potential(TWO_SITE, rho=3.0))
@@ -54,3 +67,18 @@ def closed_form_bound_state(v0):
         return None
     zeta = 1.0 / (2.0 * v0)
     return 0.5 * (zeta + 1.0 / zeta)
+
+
+def symbol_remainder(op, g, apply, m_beta=None):
+    """Singular values of op - R^*[a]R on g's sites, a(X, D) applied to R's
+    columns by `apply`, at m_beta (g's by default)."""
+    bg = hl.beta_grid(m_beta or g.m_beta, g.beta_max)
+    R = hl.energy_rescale_matrix(bg, g.n_site)
+    return hl.SingularReport(np.linalg.svd(op - R.T @ apply(bg, R), compute_uv=False))
+
+
+def wave_identity(d, p, g):
+    """The wave-identity defect of p's W_- on the cut grid of d."""
+    W = hl.wave_operator(d, p, hl.quadrature_grid(d.m_theta), g.n_site,
+                         tol_threshold=g.tol_threshold)
+    return hl.wave_identity_residual(d, W)

@@ -6,14 +6,13 @@ potential), so later criteria report marginal time only.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import halfline as hl
 from conftest import (RANK_ONE_FAMILY, TWO_SITE, closed_form_bound_state,
-                      closed_form_omega)
+                      closed_form_omega, symbol_remainder)
 
 GRID = hl.GridSpec()                      # m_theta=512, n_site=128, m_beta=1024
 
@@ -40,7 +39,7 @@ class _Timer:
         return False
 
 
-def test_criterion_01_free_case_identities(scatter_cache):
+def test_criterion_01_free_case_identities(scatter_cache, operator_stage):
     with _Timer(1, "free-case identities", budget=5.0):
         g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
         p = hl.zero_potential()
@@ -52,9 +51,9 @@ def test_criterion_01_free_case_identities(scatter_cache):
         assert np.max(np.abs(S - np.eye(g.n_site))) <= 1e-10
         W = hl.wave_operator(d, p, grid, g.n_site)
         assert np.max(np.abs(W - np.eye(g.n_site))) <= 1e-10
-        assert hl.wave_identity_residual(d, p, g) <= 1e-10
+        assert hl.wave_identity_residual(d, W) <= 1e-10
         assert hl.shift_identity_residual(g)["composite"] <= 1e-10
-        assert hl.wave_symbol_remainder(d, p, g).s1 <= 1e-10
+        assert operator_stage(p, g)["wave_symbol"]["s1"] <= 1e-10
         rep = hl.winding_report(d, p, g)
         assert rep.winding == 0 and abs(rep.raw_phase_total) <= 1e-10
         assert hl.levinson_residual(d) <= 1e-10
@@ -87,32 +86,27 @@ def test_criterion_03_classical_levinson(scatter_cache, random_potentials):
             assert n_matrix == d.count_n, (p.kind, p.params)
 
 
-def test_criterion_04_wave_operator_identity(scatter_cache):
+def test_criterion_04_wave_operator_identity(operator_stage):
     with _Timer(4, "wave-operator identity and refinement order", budget=120.0):
-        p1 = hl.rank_one(0.75)
-        assert hl.wave_identity_residual(scatter_cache(p1, GRID), p1, GRID) <= 1e-6
-        p2 = hl.table_potential(TWO_SITE, rho=3.0)
-        base = hl.wave_identity_residual(scatter_cache(p2, GRID), p2, GRID)
+        assert operator_stage(hl.rank_one(0.75), GRID)["wave_identity"]["residual"] <= 1e-6
+        out = operator_stage(hl.table_potential(TWO_SITE, rho=3.0), GRID)["wave_identity"]
+        base, fine = out["residual"], out["residual_refined"]
         assert base <= 1e-6
-        g2 = replace(GRID, m_theta=2 * GRID.m_theta)
-        fine = hl.wave_identity_residual(scatter_cache(p2, g2), p2, g2)
         assert base / fine >= 4.0
 
 
-def test_criterion_05_coupling_symbol_compactness():
+def test_criterion_05_coupling_symbol_compactness(operator_stage):
     with _Timer(5, "coupling-operator symbol compactness", budget=120.0):
-        out = hl.coupling_symbol_stability(GRID)
-        assert out["base"].rank_at(0.1) <= GRID.m_beta // 16
+        out = operator_stage(hl.rank_one(0.75), GRID)["coupling_symbol"]
+        assert out["rank_tenth"] <= GRID.m_beta // 16
         assert out["rel_change"] < 0.05
 
 
-def test_criterion_06_wave_symbol_compactness(scatter_cache):
+def test_criterion_06_wave_symbol_compactness(operator_stage):
     with _Timer(6, "wave-operator symbol remainder compactness", budget=120.0):
-        fine = replace(GRID, m_theta=2 * GRID.m_theta)
         for p in (hl.rank_one(0.75), hl.table_potential(TWO_SITE, rho=3.0)):
-            d = scatter_cache(p, GRID)
-            out = hl.wave_symbol_stability(d, scatter_cache(p, fine), p, GRID)
-            assert out["base"].rank_at(0.1) <= GRID.n_site // 8
+            out = operator_stage(p, GRID)["wave_symbol"]
+            assert out["rank_tenth"] <= GRID.n_site // 8
             assert out["rel_change"] < 0.05
 
 
@@ -140,11 +134,12 @@ def test_criterion_07_topological_levinson(scatter_cache, random_potentials):
 
 def test_criterion_08_shift_identity():
     with _Timer(8, "shift-operator identity and symbol remainder", budget=120.0):
-        out = hl.shift_identity_check(GRID)
-        assert out["exact_residual"] <= 1e-6
-        assert out["symbol_remainder"].rank_at(0.1) <= GRID.m_beta // 16
-        fine = hl.shift_identity_check(GRID, m_beta=2 * GRID.m_beta)
-        s1, s1f = out["symbol_remainder"].s1, fine["symbol_remainder"].s1
+        assert hl.shift_identity_residual(GRID)["composite"] <= 1e-6
+        T = np.diag(np.ones(GRID.n_site - 1), -1)
+        rep = symbol_remainder(T, GRID, hl.shift_symbol_apply)
+        assert rep.rank_at(0.1) <= GRID.m_beta // 16
+        fine = symbol_remainder(T, GRID, hl.shift_symbol_apply, m_beta=2 * GRID.m_beta)
+        s1, s1f = rep.s1, fine.s1
         assert abs(s1f - s1) / s1 < 0.05
 
 

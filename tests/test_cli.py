@@ -49,6 +49,18 @@ class TestValidate:
                                    "weird": 1})
         assert main(["validate", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("grids", [
+        {"n_edge": 0}, {"n_edge": 1}, {"n_site": 0}, {"n_site": 1}, {"m_beta": 0},
+        {"m_beta": -2}, {"n_edge": 2.5}, {"m_theta": 256.5}, {"n_tail": 64.5},
+        {"n_edge": True},
+    ])
+    def test_bad_grid_count_exit_2(self, tmp_path, grids):
+        # counts that would crash a later stage are refused as config errors
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                        grids={"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024,
+                               **grids})
+        assert main(["validate", str(cfg)]) == 2
+
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -165,10 +177,10 @@ class TestReport:
         assert report["winding"]["winding"] == 0
 
     def test_refused_before_potential_free_checks(self, tmp_path, monkeypatch):
-        # the scattering data refuses the input before the shift check runs
+        # the scattering data refuses the input before the operator stage runs
         from halfline import cli
         called = []
-        monkeypatch.setattr(cli, "shift_identity_check", lambda g: called.append(g))
+        monkeypatch.setattr(cli, "operator_checks", lambda *args: called.append(args))
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.4999, "rho": 3.0})
         assert main(["report", str(cfg)]) == 4
         assert called == []
@@ -227,6 +239,32 @@ class TestReport:
                                    "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["report", str(cfg)]) == 0
         assert len(calls) == 5, calls
+
+    def test_each_operator_formed_once(self, tmp_path, monkeypatch):
+        # R at m_beta and 2 m_beta, R^*[pdo]R at each, W_- on each cut grid
+        # and U once; the five SVDs are those of test_svd_count
+        from halfline import rescaled, specops
+        calls = {"energy_rescale_matrix": 0, "pdo_apply": 0, "jost_transforms": 0,
+                 "cos_sin_coupling": 0, "svd": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("energy_rescale_matrix", "pdo_apply", "cos_sin_coupling"):
+            counted(rescaled, name)
+        counted(specops, "jost_transforms")
+        counted(np.linalg, "svd")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                                   "outputs": {"directory": str(tmp_path / "out")}}))
+        assert main(["report", str(cfg)]) == 0
+        assert calls == {"energy_rescale_matrix": 2, "pdo_apply": 2, "jost_transforms": 2,
+                         "cos_sin_coupling": 1, "svd": 5}
 
     @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
     def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from conftest import symbol_remainder
 from halfline.rescaled import fourier_apply, sech_pi_d_symbol, tanh_pi_d_symbol
 
 
@@ -82,12 +83,11 @@ class TestMatrixFreeSymbols:
         assert np.max(np.abs(hl.pdo_apply(bg, np.eye(bg.m_beta)) - M["pdo"])) < 1e-13
 
     def test_pull_back_matches_dense(self, dense):
-        from halfline.rescaled import _pulled_back
         bg, M = dense
         n = bg.m_beta // 8
         R = hl.energy_rescale_matrix(bg, n)
         for name, apply in (("pdo", hl.pdo_apply), ("shift", hl.shift_symbol_apply)):
-            diff = _pulled_back(bg, n, apply) - R.T @ M[name] @ R
+            diff = R.T @ apply(bg, R) - R.T @ M[name] @ R
             assert np.max(np.abs(diff)) < 1e-13, name
 
 
@@ -159,57 +159,60 @@ class TestHyperbolicKernel:
         assert sv[63] < 0.01 * sv[0]
 
 
+def coupling(g):
+    return hl.cos_sin_coupling(hl.quadrature_grid(g.m_theta), g.n_site)
+
+
 class TestCouplingRemainder:
     def test_compactness_profile(self):
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
-        rep = hl.coupling_symbol_remainder(g)
+        rep = symbol_remainder(coupling(g), g, hl.pdo_apply)
         assert rep.s1 < 1.0
         assert rep.rank_at(0.1) <= g.m_beta // 16
         sv = rep.singular_values
         assert sv[0] >= sv[-1]
 
-    def test_stability_under_refinement(self):
+    def test_stability_under_refinement(self, operator_stage):
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
-        out = hl.coupling_symbol_stability(g)
+        out = operator_stage(hl.zero_potential(), g)["coupling_symbol"]
         assert out["rel_change"] < 0.05
 
     def test_converges_over_four_doublings(self):
         # matrix-free, m_beta = 16384 costs O(m_beta n_site) memory
         g = hl.GridSpec(m_theta=512, n_site=128)
-        reps = [hl.coupling_symbol_remainder(g, m_beta=mb)
-                for mb in (1024, 2048, 4096, 8192, 16384)]
+        mbs = (1024, 2048, 4096, 8192, 16384)
+        reps = [symbol_remainder(coupling(g), g, hl.pdo_apply, m_beta=mb) for mb in mbs]
         s1 = np.array([r.s1 for r in reps])
         assert np.all(np.isfinite(s1)) and np.all(s1 > 0)
         assert np.all(np.abs(np.diff(s1)) < 1e-5 * s1[1:])
-        for r in reps:
-            assert r.rank_at(0.1) <= r.meta["m_beta"] // 16
+        for r, mb in zip(reps, mbs):
+            assert r.rank_at(0.1) <= mb // 16
 
 
 class TestWaveRemainder:
-    def test_free_vanishes(self, scatter_cache):
+    def test_free_vanishes(self, operator_stage):
         g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
-        p = hl.zero_potential()
-        rep = hl.wave_symbol_remainder(scatter_cache(p, g), p, g)
-        assert rep.s1 < 1e-10
+        rep = operator_stage(hl.zero_potential(), g)["wave_symbol"]
+        assert rep["s1"] < 1e-10
 
-    def test_rank_one_finite_rank(self, grid_default, scatter_cache):
-        p = hl.rank_one(0.75)
-        rep = hl.wave_symbol_remainder(scatter_cache(p, grid_default), p, grid_default)
-        assert 0 < rep.rank_at(0.1) <= grid_default.n_site // 8
+    def test_rank_one_finite_rank(self, grid_default, operator_stage):
+        rep = operator_stage(hl.rank_one(0.75), grid_default)["wave_symbol"]
+        assert 0 < rep["rank_tenth"] <= grid_default.n_site // 8
 
 
 class TestShiftCheck:
-    def test_exact_and_compact_parts(self):
+    def test_exact_and_compact_parts(self, operator_stage):
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
-        out = hl.shift_identity_check(g)
+        out = operator_stage(hl.zero_potential(), g)["shift_identity"]
         assert out["exact_residual"] < 1e-10
-        assert out["symbol_remainder"].rank_at(0.1) <= g.m_beta // 16
+        assert out["symbol_rank_tenth"] <= g.m_beta // 16
 
-    def test_potential_independent(self):
-        # free objects only: two runs agree bitwise
+    def test_potential_independent(self, operator_stage):
+        # free objects only: the stage gives the same shift and coupling
+        # results, bit for bit, for two potentials
         g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
-        a = hl.shift_identity_check(g)
-        b = hl.shift_identity_check(g)
-        assert a["exact_residual"] == b["exact_residual"]
-        assert np.array_equal(a["symbol_remainder"].singular_values,
-                              b["symbol_remainder"].singular_values)
+        a = operator_stage(hl.zero_potential(), g)
+        b = operator_stage(hl.rank_one(0.75), g)
+        assert a["shift_identity"] == b["shift_identity"]
+        assert np.array_equal(a["coupling_symbol"]["singular_values"],
+                              b["coupling_symbol"]["singular_values"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import closed_form_omega
+from conftest import closed_form_omega, wave_identity
 from halfline import _kernels
 
 
@@ -244,20 +244,20 @@ class TestWaveIdentity:
         g = hl.GridSpec(m_theta=256, n_site=64)
         p = hl.zero_potential()
         d = scatter_cache(p, g)
-        assert hl.wave_identity_residual(d, p, g) < 1e-10
+        assert wave_identity(d, p, g) < 1e-10
 
     def test_rank_one_meets_gate(self, grid_default, scatter_cache):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, grid_default)
-        assert hl.wave_identity_residual(d, p, grid_default) < 1e-7
+        assert wave_identity(d, p, grid_default) < 1e-7
 
     def test_second_order_refinement(self, scatter_cache):
         # quadrature-limited residual falls at least 4x per m doubling
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         g1 = hl.GridSpec(m_theta=256, n_site=64)
         g2 = hl.GridSpec(m_theta=512, n_site=64)
-        r1 = hl.wave_identity_residual(scatter_cache(p, g1), p, g1)
-        r2 = hl.wave_identity_residual(scatter_cache(p, g2), p, g2)
+        r1 = wave_identity(scatter_cache(p, g1), p, g1)
+        r2 = wave_identity(scatter_cache(p, g2), p, g2)
         assert r1 / r2 >= 4.0
 
     @pytest.mark.parametrize("m", [256, 512])
@@ -278,13 +278,13 @@ class TestWaveIdentity:
         W = hl.wave_operator(d, p, grid, g.n_site)[:b, :b]
         K = hl.correction_operator(d, grid, g.n_site)[:b, :b]
         full = np.max(np.abs(W - np.eye(b) - A[:b, :b] - K))
-        assert abs(hl.wave_identity_residual(d, p, g) - full) < 1e-13
+        assert abs(wave_identity(d, p, g) - full) < 1e-13
 
     def test_second_order_over_four_doublings(self):
         # only the gate's block is composed, so m_theta = 8192 is cheap
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         grids = [hl.GridSpec(m_theta=m) for m in (512, 1024, 2048, 4096, 8192)]
-        res = [hl.wave_identity_residual(d, p, g)
+        res = [wave_identity(d, p, g)
                for d, g in zip(hl.scattering_grids(p, grids), grids)]
         ratios = np.array(res[:-1]) / np.array(res[1:])
         assert np.all(ratios >= 4.0), ratios
