@@ -18,8 +18,9 @@ grids = [replace(g, m_theta=m) for m in (256, 512, 1024)]
 ds = hl.scattering_grids(p, grids)      # one recursion pass for the three grids
 d = ds[1]                               # the data on g
 grid = hl.quadrature_grid(g.m_theta)
+F, C = hl.sine_cosine_transforms(grid, g.n_site)
 
-W = hl.wave_operator(d, p, grid, g.n_site)
+W = hl.wave_operator(d, p, grid, F)
 print("wave operator W_- on", W.shape, "sites")
 print("  isometry defect  |W*W - 1| :", f"{hl.wave_isometry_defect(W):.3e}")
 print("  completeness     |WW* - (1-P_b)| :",
@@ -27,22 +28,23 @@ print("  completeness     |WW* - (1-P_b)| :",
 
 print("\nidentity residual under refinement:")
 for gm, dm in zip(grids, ds):
-    r = hl.wave_identity_residual(
-        dm, hl.wave_operator(dm, p, hl.quadrature_grid(gm.m_theta), gm.n_site))
+    gridm = hl.quadrature_grid(gm.m_theta)
+    Fm, Cm = hl.sine_cosine_transforms(gridm, gm.n_site)
+    r = hl.wave_identity_residual(dm, gridm, Fm, Cm, hl.wave_operator(dm, p, gridm, Fm))
     print(f"  m_theta = {gm.m_theta:5d}: {r:.3e}")
 
-K = hl.correction_operator(d, grid, g.n_site)
+K = hl.correction_operator(d, grid, F, C)
 print("\nJost-tail correction K0 F_sin:")
 print("  Hilbert-Schmidt norm:", f"{np.linalg.norm(K):.6f}")
 print("  nonzero rows (two-site support => only site 0):",
       int(np.sum(np.max(np.abs(K), axis=1) > 1e-12)))
 
-S = hl.scattering_operator(d, grid, g.n_site)
+S = hl.scattering_operator(d, F)
 off = 0.5 * np.ones(g.n_site - 1)
 H0 = np.diag(off, 1) + np.diag(off, -1)
 nb = g.n_site // 2
 print("\nscattering operator:")
 print("  |[S, H0]| interior:", f"{np.max(np.abs((S @ H0 - H0 @ S)[:nb, :nb])):.3e}")
 print("  |S - W_+^* W_-| interior:",
-      f"""{np.max(np.abs((S - hl.wave_operator(d, p, grid, g.n_site, sign=+1).conj().T
+      f"""{np.max(np.abs((S - hl.wave_operator(d, p, grid, F, sign=+1).conj().T
                          @ W)[:nb, :nb])):.3e}""")

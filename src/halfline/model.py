@@ -241,6 +241,13 @@ class GridSpec:
             if not (name == "n_tail" and v is None) and (
                     isinstance(v, bool) or not isinstance(v, (int, np.integer))):
                 raise ConfigError(f"{name} must be an integer, not {v!r}")
+        for name, low in (("beta_max", 0), ("alpha_max", 0), ("z_max", 1), ("tol_threshold", 0),
+                          ("tol_root", 0), ("tol_winding", 0)):
+            v = getattr(self, name)
+            if not (name == "z_max" and v is None) and (
+                    isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+                    or not math.isfinite(v) or v <= low):
+                raise ConfigError(f"{name} must be a finite real number above {low}, not {v!r}")
         # the operator checks read an n_site/2 block; an edge needs two ends
         if self.n_site < 2 or self.n_edge < 2:
             raise ConfigError("n_site and n_edge must be at least 2")
@@ -252,11 +259,6 @@ class GridSpec:
             raise ConfigError("n_tail must be at least n_site")
         if self.m_beta % 2 != 0:
             raise ConfigError("m_beta must be even")
-        for name in ("tol_threshold", "tol_root", "tol_winding"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.beta_max <= 0 or self.alpha_max <= 0:
-            raise ConfigError("window half-widths must be positive")
 
     def effective_z_max(self, p: Potential) -> float:
         if self.z_max is not None:

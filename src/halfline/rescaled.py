@@ -12,6 +12,9 @@ operationalised as finite-rank approximability of the sampled difference
 (singular values dropping below a fraction of the largest) together with
 stability of the leading singular value under grid refinement; a smallness
 test would be wrong, the remainders are O(1).
+
+Both symbols act on R's real columns in real arithmetic, from one rfft
+(`symbol_columns`): sech(pi D) is even and tanh(pi D) odd, Nyquist bin zeroed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import NumericsError
 from .model import GridSpec, Potential
 from .scattering import ScatteringData
 from .specops import (cos_sin_coupling, quadrature_grid, scattering_operator,
-                      shift_identity_residual, wave_identity_residual, wave_operator)
+                      shift_identity_residual, sine_cosine_transforms,
+                      wave_identity_residual, wave_operator)
 
 #: interior-block Gram tolerance before the window is declared too small
 GRAM_GUARD = 1e-4
@@ -50,14 +54,6 @@ def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
                     xi=2.0 * np.pi * np.fft.fftfreq(m_beta, d=h))
 
 
-def fourier_apply(symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """a(D) X on the periodised grid: the multiplier a, given on the DFT bins,
-    applied to each column of X."""
-    Y = np.fft.fft(X, axis=0)
-    Y *= symbol[:, None]
-    return np.fft.ifft(Y, axis=0)
-
-
 def tanh_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
     s = np.tanh(np.pi * bg.xi)
     s[bg.m_beta // 2] = 0.0      # an odd symbol vanishes at the unpaired Nyquist bin
@@ -69,21 +65,33 @@ def sech_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
         return 1.0 / np.cosh(np.pi * bg.xi)
 
 
+def symbol_columns(bg: BetaGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, v) with (-tanh(pi D) + i tanh(X/2) sech(pi D)) X = i q and
+    tanh(pi D) X = i v, for the real columns of X: both real, from one rfft."""
+    Xh = np.fft.rfft(X, axis=0)      # the first m/2 + 1 bins, the last one Nyquist
+    q = np.fft.irfft(sech_pi_d_symbol(bg)[:len(Xh), None] * Xh, n=bg.m_beta, axis=0)
+    q *= np.tanh(bg.beta / 2.0)[:, None]
+    Xh *= -1j * tanh_pi_d_symbol(bg)[:len(Xh), None]
+    v = np.fft.irfft(Xh, n=bg.m_beta, axis=0)
+    q -= v
+    return q, v
+
+
+def _shift_real(bg: BetaGrid, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The shift symbol on the real X: tanh(X) X + sech(X) v, v from `symbol_columns`."""
+    with np.errstate(over="ignore"):
+        sech_b = 1.0 / np.cosh(bg.beta)
+    return np.tanh(bg.beta)[:, None] * X + sech_b[:, None] * v
+
+
 def pdo_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
-    """(-tanh(pi D) + i tanh(X/2) sech(pi D)) applied to the columns of X."""
-    out = fourier_apply(sech_pi_d_symbol(bg), X)
-    out *= 1j * np.tanh(bg.beta / 2.0)[:, None]
-    out -= fourier_apply(tanh_pi_d_symbol(bg), X)
-    return out
+    """(-tanh(pi D) + i tanh(X/2) sech(pi D)) applied to the real columns of X."""
+    return 1j * symbol_columns(bg, X)[0]
 
 
 def shift_symbol_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
-    """(tanh(X) - i sech(X) tanh(pi D)), the symbol form of the shift, applied
-    to the columns of X."""
-    with np.errstate(over="ignore"):
-        sech_b = 1.0 / np.cosh(bg.beta)
-    return np.tanh(bg.beta)[:, None] * X \
-        - 1j * sech_b[:, None] * fourier_apply(tanh_pi_d_symbol(bg), X)
+    """The shift's symbol tanh(X) - i sech(X) tanh(pi D) on the real columns of X: real."""
+    return _shift_real(bg, X, symbol_columns(bg, X)[1])
 
 
 def b_weight(t: np.ndarray) -> np.ndarray:
@@ -179,8 +187,8 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, p: Potential,
 
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
-    no m_beta x m_beta matrix is formed), U at m_theta, and W_- and S on
-    both cut grids.  From them come
+    no m_beta x m_beta matrix is formed), U at m_theta, and Fsin, Fcos, W_-
+    and S on each cut grid.  From them come
       shift_identity:  T = H0 + i (1-H0^2)^(1/2) U^* exactly, and the
                        remainder T - R^*[tanh(X) - i sech(X) tanh(pi D)]R;
       coupling_symbol: U - R^*[pdo]R, at m_beta and 2 m_beta;
@@ -192,30 +200,36 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, p: Potential,
     n = g.n_site
     eye = np.eye(n)
 
-    def pulled_back(m_beta, *applies):
-        """R^* a R, R at m_beta, for each a(X, D) that `applies` takes to R's columns."""
+    def pulled_back(m_beta, shift=False):
+        """R^*[pdo]R at m_beta, and R^*[shift symbol]R if `shift`: one rfft of R."""
         bg = beta_grid(m_beta, g.beta_max)
         R = energy_rescale_matrix(bg, n)
-        return [R.T @ apply(bg, R) for apply in applies]
-
-    # each operator is reduced as soon as it is formed, so the FFT and kernel
-    # temporaries of the later steps meet few held arrays (peak RSS)
-    U = cos_sin_coupling(quadrature_grid(g.m_theta), n)
-    coupling_fine = _sv_report(U - pulled_back(2 * g.m_beta, pdo_apply)[0])
-    P, P_shift = pulled_back(g.m_beta, pdo_apply, shift_symbol_apply)
-    coupling = _stability(_sv_report(U - P), coupling_fine)
-    shift = _sv_report(np.diag(np.ones(n - 1), -1) - P_shift)
-    exact = shift_identity_residual(g)
+        q, v = symbol_columns(bg, R)
+        return 1j * (R.T @ q), (R.T @ _shift_real(bg, R, v) if shift else None)
 
     def on_cut_grid(dd):
-        """The wave-symbol remainder and the wave-identity defect on the cut grid of dd."""
+        """The wave checks from Fsin and Fcos on the cut grid of dd, and on the
+        grid of g U's remainders and the exact shift identity."""
         grid = quadrature_grid(dd.m_theta)
-        W = wave_operator(dd, p, grid, n, tol_threshold=g.tol_threshold)
-        S = scattering_operator(dd, grid, n)
-        return (_sv_report((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
-                wave_identity_residual(dd, W))
+        F, C = sine_cosine_transforms(grid, n)
+        W = wave_operator(dd, p, grid, F, tol_threshold=g.tol_threshold)
+        S = scattering_operator(dd, F)
+        checks = (_sv_report((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
+                  wave_identity_residual(dd, grid, F, C, W))
+        if dd is not d:
+            return checks
+        U = cos_sin_coupling(F, C)
+        return checks + (_stability(_sv_report(U - P), _sv_report(U - P_fine)),
+                         shift_identity_residual(grid, F, C, U))
 
-    (symbol, base), (symbol2, refined) = [on_cut_grid(dd) for dd in (d, d2)]
+    # each operator is reduced as soon as it is formed, and one cut grid's
+    # transforms are held at a time, so the FFT and kernel temporaries of the
+    # later steps meet few held arrays (peak RSS)
+    P_fine = pulled_back(2 * g.m_beta)[0]
+    P, P_shift = pulled_back(g.m_beta, shift=True)
+    shift = _sv_report(np.diag(np.ones(n - 1), -1) - P_shift)
+    symbol, base, coupling, exact = on_cut_grid(d)
+    symbol2, refined = on_cut_grid(d2)
     return {
         "wave_identity": {
             "residual": base,

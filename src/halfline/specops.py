@@ -10,6 +10,8 @@ the free identities below hold to rounding on interior blocks.
 
 Matrix conventions: lambda-grid index is always the row of the transform
 matrices; operators on the site space are (n_site x n_site) complex arrays.
+The operators of a cut grid take its transforms F = Fsin and C = Fcos, formed
+once per grid by the caller; they also give zeta^(n+1) = sqrt(m/2) (C - i F).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.linalg import eigh
 
 from . import _kernels
 from .errors import NumericsError
-from .model import GridSpec, Potential, hamiltonian_truncation, theta_midpoints
+from .model import Potential, hamiltonian_truncation, theta_midpoints
 from .scattering import ScatteringData
 
 
@@ -51,85 +53,72 @@ def _check_site_count(grid: QuadratureGrid, n_site: int):
             f"grid too small: n_site = {n_site} exceeds m/2 = {grid.m // 2}")
 
 
-def sine_transform(grid: QuadratureGrid, n_site: int) -> np.ndarray:
-    """sqrt(w_j) psi_sin(n, lambda_j) = sqrt(2/m) sin((n+1) theta_j)."""
+def sine_cosine_transforms(grid: QuadratureGrid, n_site: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Fsin, Fcos): sqrt(w_j) psi_sin(n, lambda_j) = sqrt(2/m) sin((n+1) theta_j)
+    and sqrt(w_j) psi_cos(n, lambda_j) = sqrt(2/m) cos((n+1) theta_j)."""
     _check_site_count(grid, n_site)
-    return np.sqrt(2.0 / grid.m) * np.sin(np.outer(grid.theta, np.arange(1, n_site + 1)))
+    phase = np.outer(grid.theta, np.arange(1, n_site + 1))
+    return np.sqrt(2.0 / grid.m) * np.sin(phase), np.sqrt(2.0 / grid.m) * np.cos(phase)
 
 
-def cosine_transform(grid: QuadratureGrid, n_site: int) -> np.ndarray:
-    """sqrt(w_j) psi_cos(n, lambda_j) = sqrt(2/m) cos((n+1) theta_j)."""
-    _check_site_count(grid, n_site)
-    return np.sqrt(2.0 / grid.m) * np.cos(np.outer(grid.theta, np.arange(1, n_site + 1)))
-
-
-def cos_sin_coupling(grid: QuadratureGrid, n_site: int) -> np.ndarray:
+def cos_sin_coupling(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """U = i Fcos^* Fsin: the potential-independent factor multiplying the
     scattering operator in the wave-operator identity."""
-    F = sine_transform(grid, n_site)
-    C = cosine_transform(grid, n_site)
     return 1j * (C.T @ F)
 
 
-def _require_same_grid(d: ScatteringData, grid: QuadratureGrid):
-    if d.m_theta != grid.m:
+def _require_same_grid(d: ScatteringData, m: int):
+    if d.m_theta != m:
         raise NumericsError("scattering data and quadrature grid disagree")
 
 
-def scattering_operator(d: ScatteringData, grid: QuadratureGrid,
-                        n_site: int) -> np.ndarray:
+def scattering_operator(d: ScatteringData, F: np.ndarray) -> np.ndarray:
     """S = Fsin^* s(lambda) Fsin with the scattering-matrix multiplier."""
-    _require_same_grid(d, grid)
-    F = sine_transform(grid, n_site)
+    _require_same_grid(d, F.shape[0])
     return F.T @ (d.smatrix[:, None] * F)
 
 
-def jost_transforms(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                    n_site: int, tol_threshold: float = 1e-3):
-    """Generalised transforms (F_+, F_-) built from the perturbed wave
-    functions; in the free case both coincide with the sine transform."""
-    _require_same_grid(d, grid)
+def jost_transform(d: ScatteringData, p: Potential, grid: QuadratureGrid,
+                   n_site: int, tol_threshold: float = 1e-3) -> np.ndarray:
+    """Generalised transform F_- built from the perturbed wave functions; in
+    the free case it is the sine transform.  F_+ = conj(F_-) on the cut."""
+    _require_same_grid(d, grid.m)
     _check_site_count(grid, n_site)
     if np.min(d.amplitude) < tol_threshold:
         raise NumericsError("resonant grid: amplitude below threshold tolerance")
     phi = _kernels.regular_values(p.values, 2.0 * d.lam, n_site - 1)[1:]
-    sig_p = d.omega / d.amplitude
     sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
-    psi_p = sq * phi * np.conj(sig_p)       # psi_+(n, lambda_j), shape (n_site, m)
-    psi_m = sq * phi * sig_p
-    sw = grid.sqrt_weights[:, None]
-    return sw * psi_p.T, sw * psi_m.T
+    psi_m = sq * phi * (d.omega / d.amplitude)      # psi_-(n, lambda_j), shape (n_site, m)
+    return grid.sqrt_weights[:, None] * psi_m.T
 
 
 def wave_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                  n_site: int, sign: int = -1,
+                  F: np.ndarray, sign: int = -1,
                   tol_threshold: float = 1e-3) -> np.ndarray:
-    """Stationary wave operator W_- = F_-^* Fsin (or W_+ for sign=+1)."""
-    Fp, Fm = jost_transforms(d, p, grid, n_site, tol_threshold)
-    return (Fm if sign < 0 else Fp).conj().T @ sine_transform(grid, n_site)
+    """Stationary wave operator W_- = F_-^* Fsin (or W_+ = F_-^T Fsin for sign=+1)."""
+    Fm = jost_transform(d, p, grid, F.shape[1], tol_threshold)
+    return (Fm.conj().T if sign < 0 else Fm.T) @ F
 
 
 # ---------------------------------------------------------------------------
 # Jost-tail correction kernel
 # ---------------------------------------------------------------------------
 
-def correction_operator(d: ScatteringData, grid: QuadratureGrid, n_site: int) -> np.ndarray:
+def correction_operator(d: ScatteringData, grid: QuadratureGrid,
+                        F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """K0 Fsin (n_site x n_site), a Hilbert-Schmidt operator on the sites,
     from the remainder kernel K0(n, lambda) = sqrt(2/pi) [conj(p zeta) -
     s p zeta] / (2i) with p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4).
 
     theta(n)/zeta^n is read from the rows that `scattering_grid` kept."""
-    _require_same_grid(d, grid)
-    _check_site_count(grid, n_site)
+    _require_same_grid(d, F.shape[0])
+    n_site = F.shape[1]
     if n_site > d.jost_rows.shape[0] - 1:
         raise ValueError(f"scattering data keeps Jost rows for "
                          f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
     t = d.jost_rows[1:n_site + 1]
-    zpow = d.zeta[None, :] ** np.arange(n_site)[:, None]
-    pker = zpow * (t - 1.0) / (1.0 - d.lam ** 2) ** 0.25
-    pz = pker * d.zeta[None, :]
+    pz = np.sqrt(grid.m / 2.0) * (C - 1j * F).T * (t - 1.0) / (1.0 - d.lam ** 2) ** 0.25
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
-    F = sine_transform(grid, n_site)
     return (k0 * grid.weights[None, :]) @ (F / grid.sqrt_weights[:, None])
 
 
@@ -137,7 +126,8 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid, n_site: int) ->
 # the wave-operator identity
 # ---------------------------------------------------------------------------
 
-def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np.ndarray:
+def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, F: np.ndarray,
+                    C: np.ndarray, block: int) -> np.ndarray:
     """A[:b, :b] of A = (U+1)/2 (S-1), U and S composed at m-2 sites.
 
     A[:b, :b] = 1/2 (U[:b, :] S[:, :b] - U[:b, :b] + S[:b, :b] - 1), and
@@ -148,8 +138,7 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
     forms no m x (m-2) transform.
     """
     m = grid.m
-    F = sine_transform(grid, block)
-    C = cosine_transform(grid, block)
+    F, C = F[:, :block], C[:, :block]
     Y = smatrix[:, None] * F
     top = np.stack([np.sqrt(2.0 / m) * np.sin((m - 1) * grid.theta),
                     np.sqrt(1.0 / m) * np.sin(m * grid.theta)], axis=1)
@@ -157,7 +146,8 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
     return 0.5 * (US - 1j * (C.T @ F) + F.T @ Y - np.eye(block))
 
 
-def wave_identity_residual(d: ScatteringData, W: np.ndarray) -> float:
+def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, F: np.ndarray,
+                           C: np.ndarray, W: np.ndarray) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
     block, for the wave operator W (n_site x n_site) on the cut grid of d.
 
@@ -169,11 +159,9 @@ def wave_identity_residual(d: ScatteringData, W: np.ndarray) -> float:
     Only the block x block corner that the defect reads is composed (see
     `_composed_block`): O(m block^2) time and O(m block) memory.
     """
-    grid = quadrature_grid(d.m_theta)
-    n_site = W.shape[0]
-    block = n_site // 2
-    K = correction_operator(d, grid, n_site)
-    A = _composed_block(grid, d.smatrix, block)
+    block = W.shape[0] // 2
+    K = correction_operator(d, grid, F, C)
+    A = _composed_block(grid, d.smatrix, F, C, block)
     R = W[:block, :block] - (np.eye(block) + A + K[:block, :block])
     return float(np.max(np.abs(R)))
 
@@ -225,8 +213,8 @@ def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
     threshold rows are singular); on smooth data the gap halves with each
     grid doubling.
     """
-    F = sine_transform(grid, n_site)
-    U = cos_sin_coupling(grid, n_site)
+    F, C = sine_cosine_transforms(grid, n_site)
+    U = cos_sin_coupling(F, C)
     lhs = F @ U @ F.conj().T
     A = coupling_pv_matrix(grid)
     gvec = grid.lam * (1.0 - grid.lam ** 2) * grid.sqrt_weights
@@ -237,7 +225,8 @@ def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
 # shift-operator identity on the theta grid
 # ---------------------------------------------------------------------------
 
-def shift_identity_residual(g: GridSpec, block: int | None = None) -> dict:
+def shift_identity_residual(grid: QuadratureGrid, F: np.ndarray, C: np.ndarray,
+                            U: np.ndarray, block: int | None = None) -> dict:
     """Defect of T = H0 + i (1 - H0^2)^(1/2) U^* on the site truncation.
 
     `composite` assembles the product (1-H0^2)^(1/2) U^* as one quadrature
@@ -246,19 +235,14 @@ def shift_identity_residual(g: GridSpec, block: int | None = None) -> dict:
     multiplies the separately truncated factors and carries the projection
     leakage of the truncated site space.
     """
-    grid = quadrature_grid(g.m_theta)
-    n = g.n_site
+    n = F.shape[1]
     block = n // 2 if block is None else block
-    F = sine_transform(grid, n)
-    C = cosine_transform(grid, n)
     sth = np.sin(grid.theta)
     T = np.diag(np.ones(n - 1), -1)
-    off = 0.5 * np.ones(n - 1)
-    H0 = np.diag(off, 1) + np.diag(off, -1)
+    H0 = (T + T.T) / 2.0
     composite = F.T @ (sth[:, None] * C)
     sqrt_term = F.T @ (sth[:, None] * F)
-    Ustar = (1j * (C.T @ F)).conj().T
-    naive = 1j * (sqrt_term @ Ustar)
+    naive = 1j * (sqrt_term @ U.conj().T)
     r_comp = float(np.max(np.abs((T - H0 - composite)[:block, :block])))
     r_naive = float(np.max(np.abs((T - H0 - naive)[:block, :block])))
     return {"composite": r_comp, "naive_product": r_naive}

@@ -79,6 +79,14 @@ def symbol_remainder(op, g, apply, m_beta=None):
 
 def wave_identity(d, p, g):
     """The wave-identity defect of p's W_- on the cut grid of d."""
-    W = hl.wave_operator(d, p, hl.quadrature_grid(d.m_theta), g.n_site,
-                         tol_threshold=g.tol_threshold)
-    return hl.wave_identity_residual(d, W)
+    grid = hl.quadrature_grid(d.m_theta)
+    F, C = hl.sine_cosine_transforms(grid, g.n_site)
+    W = hl.wave_operator(d, p, grid, F, tol_threshold=g.tol_threshold)
+    return hl.wave_identity_residual(d, grid, F, C, W)
+
+
+def shift_identity(g):
+    """The shift-identity residuals on g's cut grid and sites."""
+    grid = hl.quadrature_grid(g.m_theta)
+    F, C = hl.sine_cosine_transforms(grid, g.n_site)
+    return hl.shift_identity_residual(grid, F, C, hl.cos_sin_coupling(F, C))

@@ -12,7 +12,7 @@ import pytest
 
 import halfline as hl
 from conftest import (RANK_ONE_FAMILY, TWO_SITE, closed_form_bound_state,
-                      closed_form_omega, symbol_remainder)
+                      closed_form_omega, shift_identity, symbol_remainder)
 
 GRID = hl.GridSpec()                      # m_theta=512, n_site=128, m_beta=1024
 
@@ -47,12 +47,13 @@ def test_criterion_01_free_case_identities(scatter_cache, operator_stage):
         grid = hl.quadrature_grid(g.m_theta)
         assert np.max(np.abs(d.omega - 1.0)) <= 1e-10
         assert np.max(np.abs(d.eta)) <= 1e-10
-        S = hl.scattering_operator(d, grid, g.n_site)
+        F, C = hl.sine_cosine_transforms(grid, g.n_site)
+        S = hl.scattering_operator(d, F)
         assert np.max(np.abs(S - np.eye(g.n_site))) <= 1e-10
-        W = hl.wave_operator(d, p, grid, g.n_site)
+        W = hl.wave_operator(d, p, grid, F)
         assert np.max(np.abs(W - np.eye(g.n_site))) <= 1e-10
-        assert hl.wave_identity_residual(d, W) <= 1e-10
-        assert hl.shift_identity_residual(g)["composite"] <= 1e-10
+        assert hl.wave_identity_residual(d, grid, F, C, W) <= 1e-10
+        assert shift_identity(g)["composite"] <= 1e-10
         assert operator_stage(p, g)["wave_symbol"]["s1"] <= 1e-10
         rep = hl.winding_report(d, p, g)
         assert rep.winding == 0 and abs(rep.raw_phase_total) <= 1e-10
@@ -134,7 +135,7 @@ def test_criterion_07_topological_levinson(scatter_cache, random_potentials):
 
 def test_criterion_08_shift_identity():
     with _Timer(8, "shift-operator identity and symbol remainder", budget=120.0):
-        assert hl.shift_identity_residual(GRID)["composite"] <= 1e-6
+        assert shift_identity(GRID)["composite"] <= 1e-6
         T = np.diag(np.ones(GRID.n_site - 1), -1)
         rep = symbol_remainder(T, GRID, hl.shift_symbol_apply)
         assert rep.rank_at(0.1) <= GRID.m_beta // 16
@@ -157,6 +158,7 @@ def test_criterion_10_isometry_and_completeness(scatter_cache):
     with _Timer(10, "wave-operator isometry and completeness", budget=60.0):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, GRID)
-        W = hl.wave_operator(d, p, hl.quadrature_grid(GRID.m_theta), GRID.n_site)
+        grid = hl.quadrature_grid(GRID.m_theta)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, GRID.n_site)[0])
         assert hl.wave_isometry_defect(W) <= 1e-6
         assert hl.completeness_defect(W, p) <= 1e-4

@@ -61,6 +61,22 @@ class TestValidate:
                                **grids})
         assert main(["validate", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("grids,tols", [
+        ({"beta_max": "12"}, {}), ({"alpha_max": None}, {}), ({}, {"threshold": "1e-3"}),
+        ({"z_max": "3"}, {}), ({"z_max": 1.0}, {}), ({"z_max": float("nan")}, {}),
+        ({}, {"root": float("nan")}), ({"beta_max": float("nan")}, {}),
+        ({"beta_max": float("inf")}, {}), ({"alpha_max": True}, {}),
+    ])
+    def test_bad_grid_float_exit_2(self, tmp_path, grids, tols):
+        # window widths, z_max and tolerances must be finite real numbers,
+        # z_max above 1; each of these crashed or ran through a later stage
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+            "grids": {"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024, **grids},
+            "tolerances": tols, "outputs": {"directory": str(tmp_path / "out")}}))
+        assert main(["validate", str(cfg)]) == 2
+
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -241,30 +257,39 @@ class TestReport:
         assert len(calls) == 5, calls
 
     def test_each_operator_formed_once(self, tmp_path, monkeypatch):
-        # R at m_beta and 2 m_beta, R^*[pdo]R at each, W_- on each cut grid
-        # and U once; the five SVDs are those of test_svd_count
+        # the sine and cosine transforms and F_- once per cut grid, R at m_beta and
+        # 2 m_beta with one rfft and one pull-back each, U once; no complex
+        # FFT; the five SVDs are those of test_svd_count
         from halfline import rescaled, specops
-        calls = {"energy_rescale_matrix": 0, "pdo_apply": 0, "jost_transforms": 0,
-                 "cos_sin_coupling": 0, "svd": 0}
+        calls = {name: [] for name in ("sine_cosine_transforms", "jost_transform",
+                                       "energy_rescale_matrix", "symbol_columns",
+                                       "cos_sin_coupling", "rfft", "fft", "ifft", "svd")}
 
-        def counted(owner, name):
+        def counted(owner, name, size=lambda *args: 0):     # the grid size of each call
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(size(*args))
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("energy_rescale_matrix", "pdo_apply", "cos_sin_coupling"):
-            counted(rescaled, name)
-        counted(specops, "jost_transforms")
+        for owner in (rescaled, specops):
+            counted(owner, "sine_cosine_transforms", lambda grid, n_site: grid.m)
+        counted(specops, "jost_transform", lambda d, p, grid, *rest: grid.m)
+        for name in ("energy_rescale_matrix", "symbol_columns"):
+            counted(rescaled, name, lambda bg, *rest: bg.m_beta)
+        counted(rescaled, "cos_sin_coupling")
+        for name in ("rfft", "fft", "ifft"):
+            counted(np.fft, name, lambda X, *rest: len(X))
         counted(np.linalg, "svd")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
                                    "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["report", str(cfg)]) == 0
-        assert calls == {"energy_rescale_matrix": 2, "pdo_apply": 2, "jost_transforms": 2,
-                         "cos_sin_coupling": 1, "svd": 5}
+        assert {name: sorted(sizes) for name, sizes in calls.items()} == {
+            "sine_cosine_transforms": [512, 1024], "jost_transform": [512, 1024],
+            "energy_rescale_matrix": [1024, 2048], "symbol_columns": [1024, 2048],
+            "cos_sin_coupling": [0], "rfft": [1024, 2048], "fft": [], "ifft": [], "svd": [0] * 5}
 
     @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
     def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):

@@ -3,7 +3,7 @@ import pytest
 
 import halfline as hl
 from conftest import symbol_remainder
-from halfline.rescaled import fourier_apply, sech_pi_d_symbol, tanh_pi_d_symbol
+from halfline.rescaled import sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,12 @@ class TestBetaGrid:
     def test_odd_count_rejected(self):
         with pytest.raises(hl.NumericsError):
             hl.beta_grid(1023, 12.0)
+
+
+def fourier_apply(symbol, X):
+    """a(D) X on the periodised grid by complex FFT, the multiplier a given on
+    the DFT bins: the reference for the real-arithmetic symbols."""
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(X, axis=0), axis=0)
 
 
 def dense_multiplier(symbol):
@@ -42,6 +48,24 @@ class TestFourierMultipliers:
     def test_nyquist_bin_zeroed_for_odd_symbol(self, bg1024):
         s = tanh_pi_d_symbol(bg1024)
         assert s[bg1024.m_beta // 2] == 0.0
+
+    @pytest.mark.parametrize("m_beta", [256, 1024])
+    def test_real_form_matches_complex_fft(self, m_beta):
+        # q = -i pdo X and v = -i tanh(pi D) X from one rfft, and the two
+        # symbols built on them, against the complex-FFT multipliers
+        bg = hl.beta_grid(m_beta, 12.0)
+        eye = np.eye(m_beta)
+        T, S = fourier_apply(tanh_pi_d_symbol(bg), eye), fourier_apply(sech_pi_d_symbol(bg), eye)
+        with np.errstate(over="ignore"):
+            sech_b = 1.0 / np.cosh(bg.beta)
+        pdo = -T + 1j * np.tanh(bg.beta / 2.0)[:, None] * S
+        shift = np.tanh(bg.beta)[:, None] * eye - 1j * sech_b[:, None] * T
+        q, v = symbol_columns(bg, eye)
+        assert q.dtype == v.dtype == np.float64
+        assert np.max(np.abs(1j * q - pdo)) <= 1e-14
+        assert np.max(np.abs(1j * v - T)) <= 1e-14
+        assert np.max(np.abs(hl.pdo_apply(bg, eye) - pdo)) <= 1e-14
+        assert np.max(np.abs(hl.shift_symbol_apply(bg, eye) - shift)) <= 1e-14
 
     def test_pdo_matrix_potential_free(self, bg1024):
         a = hl.pdo_apply(bg1024, np.eye(bg1024.m_beta))
@@ -160,7 +184,7 @@ class TestHyperbolicKernel:
 
 
 def coupling(g):
-    return hl.cos_sin_coupling(hl.quadrature_grid(g.m_theta), g.n_site)
+    return hl.cos_sin_coupling(*hl.sine_cosine_transforms(hl.quadrature_grid(g.m_theta), g.n_site))
 
 
 class TestCouplingRemainder:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import closed_form_omega, wave_identity
+from conftest import closed_form_omega, shift_identity, wave_identity
 from halfline import _kernels
 
 
@@ -37,19 +37,17 @@ class TestQuadrature:
 class TestTransforms:
     def test_small_gram_exact(self):
         g = hl.quadrature_grid(8)
-        F = hl.sine_transform(g, 4)
-        C = hl.cosine_transform(g, 4)
+        F, C = hl.sine_cosine_transforms(g, 4)
         assert np.max(np.abs(F.T @ F - np.eye(4))) < 1e-12
         assert np.max(np.abs(C.T @ C - np.eye(4))) < 1e-12
 
     def test_large_gram_exact(self, grid512):
-        F = hl.sine_transform(grid512, 128)
+        F = hl.sine_cosine_transforms(grid512, 128)[0]
         assert np.max(np.abs(F.T @ F - np.eye(128))) < 1e-10
 
     def test_entries_match_kernel_definition(self):
         g = hl.quadrature_grid(16)
-        F = hl.sine_transform(g, 3)
-        C = hl.cosine_transform(g, 3)
+        F, C = hl.sine_cosine_transforms(g, 3)
         sw = g.sqrt_weights
         psi_sin = np.sqrt(2 / np.pi) * np.sin(np.outer(g.theta, [1, 2, 3])) \
             / (1 - g.lam[:, None] ** 2) ** 0.25
@@ -59,7 +57,7 @@ class TestTransforms:
         assert np.max(np.abs(C - sw[:, None] * psi_cos)) < 1e-14
 
     def test_sine_diagonalizes_free_hamiltonian(self, grid512):
-        F = hl.sine_transform(grid512, 64)
+        F = hl.sine_cosine_transforms(grid512, 64)[0]
         off = 0.5 * np.ones(63)
         H0 = np.diag(off, 1) + np.diag(off, -1)
         resid = F @ H0 - grid512.lam[:, None] * F
@@ -67,13 +65,13 @@ class TestTransforms:
 
     def test_site_count_guard(self):
         with pytest.raises(hl.NumericsError, match="grid too small"):
-            hl.sine_transform(hl.quadrature_grid(8), 5)
+            hl.sine_cosine_transforms(hl.quadrature_grid(8), 5)
 
 
 class TestCouplingOperator:
     def test_potential_independent_bitwise(self, grid512):
-        u1 = hl.cos_sin_coupling(grid512, 64)
-        u2 = hl.cos_sin_coupling(hl.quadrature_grid(512), 64)
+        u1 = hl.cos_sin_coupling(*hl.sine_cosine_transforms(grid512, 64))
+        u2 = hl.cos_sin_coupling(*hl.sine_cosine_transforms(hl.quadrature_grid(512), 64))
         assert np.array_equal(u1, u2)
 
     def test_co_isometry_defect_small_and_shrinking(self):
@@ -83,14 +81,14 @@ class TestCouplingOperator:
         defects = []
         for (m, n) in ((512, 64), (512, 128), (1024, 256)):
             g = hl.quadrature_grid(m)
-            U = hl.cos_sin_coupling(g, n)
+            U = hl.cos_sin_coupling(*hl.sine_cosine_transforms(g, n))
             D = U @ U.conj().T - np.eye(n)
             defects.append(np.max(np.abs(D[: n // 2, : n // 2])))
         assert defects[0] < 2e-2
         assert defects[2] < defects[0]
 
     def test_adjoint_order_not_unitary(self, grid512):
-        U = hl.cos_sin_coupling(grid512, 64)
+        U = hl.cos_sin_coupling(*hl.sine_cosine_transforms(grid512, 64))
         D = U.conj().T @ U - np.eye(64)
         assert abs(D[0, 0]) > 0.5    # constant-mode defect is O(1)
 
@@ -100,9 +98,9 @@ class TestWaveTransforms:
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
         grid = hl.quadrature_grid(grid_default.m_theta)
-        Fp, Fm = hl.jost_transforms(d, p, grid, 64)
-        F = hl.sine_transform(grid, 64)
-        assert np.max(np.abs(Fp - F)) < 1e-12
+        Fm = hl.jost_transform(d, p, grid, 64)
+        F = hl.sine_cosine_transforms(grid, 64)[0]
+        assert np.max(np.abs(np.conj(Fm) - F)) < 1e-12
         assert np.max(np.abs(Fm - F)) < 1e-12
 
     def test_resonant_grid_guard(self, grid_default, scatter_cache):
@@ -112,11 +110,23 @@ class TestWaveTransforms:
         d = scatter_cache(p, grid_default)
         grid = hl.quadrature_grid(grid_default.m_theta)
         with pytest.raises(hl.NumericsError, match="resonant grid"):
-            hl.jost_transforms(d, p, grid, 64, tol_threshold=1e-2)
+            hl.jost_transform(d, p, grid, 64, tol_threshold=1e-2)
+
+    def test_plus_transform_is_conjugate(self, pack075):
+        # F_+ from psi_+ = sqrt(2/pi) (1-lambda^2)^(1/4) phi conj(Omega)/|Omega|^2
+        # is conj(F_-) bit for bit, and so is W_+ = F_+^* Fsin
+        p, d, grid = pack075
+        n = 64
+        phi = _kernels.regular_values(p.values, 2.0 * d.lam, n - 1)[1:]
+        sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
+        Fp = grid.sqrt_weights[:, None] * (sq * phi * np.conj(d.omega / d.amplitude)).T
+        assert np.array_equal(Fp, np.conj(hl.jost_transform(d, p, grid, n)))
+        F = hl.sine_cosine_transforms(grid, n)[0]
+        assert np.array_equal(hl.wave_operator(d, p, grid, F, sign=+1), Fp.conj().T @ F)
 
     def test_kernel_value_against_closed_form(self, pack075):
         p, d, grid = pack075
-        Fp, _ = hl.jost_transforms(d, p, grid, 8)
+        Fp = np.conj(hl.jost_transform(d, p, grid, 8))
         j = 200
         om = closed_form_omega(0.75, d.zeta[j])
         a = abs(om)
@@ -131,30 +141,32 @@ class TestWaveOperator:
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
         grid = hl.quadrature_grid(grid_default.m_theta)
-        W = hl.wave_operator(d, p, grid, 64)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 64)[0])
         assert np.max(np.abs(W - np.eye(64))) < 1e-12
 
     def test_isometry_generic(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, p, grid, 128)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_two_site(self, grid_default, scatter_cache):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         d = scatter_cache(p, grid_default)
-        W = hl.wave_operator(d, p, hl.quadrature_grid(512), 128)
+        grid = hl.quadrature_grid(512)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_resonant_degrades(self, grid_default, scatter_cache):
         # threshold resonance slows the co-isometry convergence to ~1e-4
         p = hl.rank_one(0.5)
         d = scatter_cache(p, grid_default)
-        W = hl.wave_operator(d, p, hl.quadrature_grid(512), 128)
+        grid = hl.quadrature_grid(512)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
         assert hl.wave_isometry_defect(W) < 5e-4
 
     def test_completeness_against_projector(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, p, grid, 128)
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
         assert hl.completeness_defect(W, p) < 1e-4
 
 
@@ -162,12 +174,12 @@ class TestScatteringOperator:
     def test_free_identity(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        S = hl.scattering_operator(d, hl.quadrature_grid(512), 64)
+        S = hl.scattering_operator(d, hl.sine_cosine_transforms(hl.quadrature_grid(512), 64)[0])
         assert np.max(np.abs(S - np.eye(64))) < 1e-12
 
     def test_commutes_with_free_hamiltonian(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, grid, 128)
+        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
         off = 0.5 * np.ones(127)
         H0 = np.diag(off, 1) + np.diag(off, -1)
         comm = S @ H0 - H0 @ S
@@ -175,15 +187,15 @@ class TestScatteringOperator:
 
     def test_unitary_defect_interior(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, grid, 128)
+        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
         D = S.conj().T @ S - np.eye(128)
         assert np.max(np.abs(D[:64, :64])) < 1e-5
 
     def test_consistent_with_wave_operator_product(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, grid, 128)
-        Wm = hl.wave_operator(d, p, grid, 128, sign=-1)
-        Wp = hl.wave_operator(d, p, grid, 128, sign=+1)
+        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
+        Wm = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0], sign=-1)
+        Wp = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0], sign=+1)
         D = S - Wp.conj().T @ Wm
         assert np.max(np.abs(D[:64, :64])) < 2e-6
 
@@ -192,19 +204,21 @@ class TestCorrectionOperator:
     def test_free_vanishes(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        c = hl.correction_operator(d, hl.quadrature_grid(512), 64)
+        grid = hl.quadrature_grid(512)
+        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
         assert np.max(np.abs(c)) < 1e-13
 
     def test_rank_one_vanishes_on_sites(self, pack075):
         # the tail is exact from site 0 on, so the kernel is zero there
         p, d, grid = pack075
-        c = hl.correction_operator(d, grid, 64)
+        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
         assert np.max(np.abs(c)) < 1e-13
 
     def test_two_site_structure(self, grid_default, scatter_cache):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         d = scatter_cache(p, grid_default)
-        c = hl.correction_operator(d, hl.quadrature_grid(512), 64)
+        grid = hl.quadrature_grid(512)
+        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
         rows = np.max(np.abs(c), axis=1)
         assert rows[0] > 0.1                      # site 0 feels the tail
         assert np.max(rows[1:]) < 1e-13           # exact beyond the support
@@ -214,7 +228,8 @@ class TestCorrectionOperator:
         n = np.arange(21)
         p = hl.table_potential(0.5 * (1.0 + n) ** -3.0, rho=3.0)
         d = scatter_cache(p, grid_default)
-        c = hl.correction_operator(d, hl.quadrature_grid(512), 64)
+        grid = hl.quadrature_grid(512)
+        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
         rows = np.max(np.abs(c), axis=1)
         assert rows[0] > rows[5] > rows[15]
         assert np.max(rows[21:]) < 1e-13
@@ -229,14 +244,34 @@ class TestCorrectionOperator:
         fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j,
                                                           n - 1)[1])
         assert np.array_equal(d.jost_rows[:n + 1], fresh.jost_rows)
-        assert np.array_equal(hl.correction_operator(d, grid512, n),
-                              hl.correction_operator(fresh, grid512, n))
+        FC = hl.sine_cosine_transforms(grid512, n)
+        assert np.array_equal(hl.correction_operator(d, grid512, *FC),
+                              hl.correction_operator(fresh, grid512, *FC))
+
+    @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
+                                   hl.random_decaying(0, amplitude=1.5, rho_gen=4.0)],
+                             ids=["rank_one", "two_site", "random_rho4"])
+    def test_matches_zeta_power_formula(self, p, grid_default, scatter_cache):
+        # zeta^(n+1) read from the cosine and sine tables against the complex
+        # power of zeta, with the kernel and the sine columns written out here
+        d = scatter_cache(p, grid_default)
+        grid = hl.quadrature_grid(d.m_theta)
+        n = grid_default.n_site
+        pz = d.zeta[None, :] ** np.arange(1, n + 1)[:, None] \
+            * (d.jost_rows[1:n + 1] - 1.0) / (1.0 - d.lam ** 2) ** 0.25
+        k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
+        psi_sin = np.sqrt(2.0 / np.pi) * np.sin(np.outer(grid.theta, np.arange(1, n + 1))) \
+            / (1.0 - grid.lam[:, None] ** 2) ** 0.25
+        ref = (k0 * grid.weights[None, :]) @ psi_sin
+        K = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, n))
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_more_sites_than_kept_rows_refused(self, scatter_cache):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, hl.GridSpec(n_site=64))
+        grid = hl.quadrature_grid(512)
         with pytest.raises(ValueError, match="keeps Jost rows for 64 sites"):
-            hl.correction_operator(d, hl.quadrature_grid(512), 128)
+            hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 128))
 
 
 class TestWaveIdentity:
@@ -274,9 +309,10 @@ class TestWaveIdentity:
         U = 1j * (C.T @ F)
         S = F.T @ (d.smatrix[:, None] * F)
         A = (U + np.eye(ni)) / 2.0 @ (S - np.eye(ni))
-        assert np.max(np.abs(_composed_block(grid, d.smatrix, b) - A[:b, :b])) < 1e-13
-        W = hl.wave_operator(d, p, grid, g.n_site)[:b, :b]
-        K = hl.correction_operator(d, grid, g.n_site)[:b, :b]
+        block = _composed_block(grid, d.smatrix, *hl.sine_cosine_transforms(grid, b), b)
+        assert np.max(np.abs(block - A[:b, :b])) < 1e-13
+        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, g.n_site)[0])[:b, :b]
+        K = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, g.n_site))[:b, :b]
         full = np.max(np.abs(W - np.eye(b) - A[:b, :b] - K))
         assert abs(wave_identity(d, p, g) - full) < 1e-13
 
@@ -310,9 +346,9 @@ class TestPrincipalValue:
 
 class TestShiftIdentity:
     def test_composite_exact(self):
-        res = hl.shift_identity_residual(hl.GridSpec())
+        res = shift_identity(hl.GridSpec())
         assert res["composite"] < 1e-10
 
     def test_naive_product_carries_leakage(self):
-        res = hl.shift_identity_residual(hl.GridSpec())
+        res = shift_identity(hl.GridSpec())
         assert res["naive_product"] > res["composite"]
