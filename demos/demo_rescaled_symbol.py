@@ -7,8 +7,6 @@ shows up numerically as fast-decaying singular values whose leading value is
 stable under grid refinement.  The same picture gives the shift operator as
 tanh(X) - i sech(X) tanh(pi D) plus a compact part.
 """
-from dataclasses import replace
-
 import numpy as np
 
 import halfline as hl
@@ -16,8 +14,7 @@ import halfline as hl
 g = hl.GridSpec()
 p = hl.rank_one(0.75)
 # the operator stage of a report: every operator below is formed once
-ops = hl.operator_checks(*hl.scattering_grids(p, [g, replace(g, m_theta=2 * g.m_theta)]),
-                         p, g)
+ops = hl.operator_checks(*hl.scattering_grids(p, g, [g.m_theta, 2 * g.m_theta]), g)
 
 out = ops["coupling_symbol"]
 print("coupling operator vs its symbol, pulled back to the site space:")

@@ -21,8 +21,8 @@ from .scattering import (ScatteringData, bound_states, classify_thresholds,
 from .specops import (QuadratureGrid, completeness_defect, correction_operator,
                       cos_sin_coupling, coupling_pv_matrix, jost_transform,
                       pv_action_gap, quadrature_grid, scattering_operator,
-                      shift_identity_residual, sine_cosine_transforms,
-                      wave_identity_residual, wave_isometry_defect, wave_operator)
+                      shift_identity_residual, wave_identity_residual,
+                      wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        energy_rescale_matrix, hyperbolic_pv_matrix, operator_checks,
                        pdo_apply, pv_kernel_action_gap, rescale_intertwining_defect,

@@ -14,7 +14,8 @@ picks the form:
 * A few real points (the bisection midpoints of the bound-state search,
   single points asked for by `jost_function`) are stepped one at a time as
   Python floats: at one point the fixed cost of a ufunc call is what
-  dominates.
+  dominates.  A lone complex point is stepped as two copies of itself, since
+  numpy steps a one-element array through a different loop.
 
 Every form evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the same
 operations in the same order, and each point independently of the others, so
@@ -139,10 +140,13 @@ def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
 def jost_function_values(V, zeta, two_z):
     """Omega(z) = t(-1) on a batch of spectral points (real for real input)."""
     V, zeta, two_z = _prepare(V, zeta, two_z)
-    if zeta.dtype == np.float64 and zeta.shape[0] <= SCALAR_POINTS:
+    n = zeta.shape[0]
+    if zeta.dtype == np.float64 and n <= SCALAR_POINTS:
         return np.array([_omega_scalar(V, z, t) for z, t in zip(zeta, two_z)])
-    return np.concatenate([omega for omega, _ in
-                           _split_points(_kept_rows, V, zeta, two_z, lambda lo, hi: (-1, 0))])
+    if n == 1:
+        zeta, two_z = np.repeat(zeta, 2), np.repeat(two_z, 2)
+    parts = _split_points(_kept_rows, V, zeta, two_z, lambda lo, hi: (-1, 0))
+    return np.concatenate([omega for omega, _ in parts])[:n]
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):

@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,13 +171,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _scatter_outputs(p: Potential, d: ScatteringData, outputs: dict, cfg_hash: str):
+def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
     rows = zip(d.lam, d.theta, d.omega.real, d.omega.imag, d.amplitude,
                d.eta, d.smatrix.real, d.smatrix.imag)
     _write_csv(outputs, "scatter.csv",
                ["lambda", "theta", "re_omega", "im_omega", "amplitude",
                 "eta", "re_s", "im_s"], rows, cfg_hash)
-    bs_rows = ((pt.z, pt.zeta, abs(jost_function(p, pt).real))
+    bs_rows = ((pt.z, pt.zeta, abs(jost_function(d.potential, pt).real))
                for pt in map(OffAxisPoint.from_z, d.bound_states))
     _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows, cfg_hash)
 
@@ -202,7 +201,7 @@ def cmd_scatter(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    _scatter_outputs(p, d, outputs, cfg_hash)
+    _scatter_outputs(d, outputs, cfg_hash)
     summary = _scatter_summary(d)
     print(f"scatter: N={summary['count_n']} delta=({d.delta_minus},{d.delta_plus}) "
           f"levinson_residual={summary['levinson_residual']:.3e} "
@@ -220,8 +219,8 @@ def _waveop_payload(p: Potential, g: GridSpec):
     The scattering data comes first, so that an input it refuses (exit 4)
     is refused before the checks that do not depend on the potential."""
     t0 = time.perf_counter()
-    d, d2 = scattering_grids(p, [g, replace(g, m_theta=2 * g.m_theta)])
-    payload = {**operator_checks(d, d2, p, g),
+    d, d2 = scattering_grids(p, g, [g.m_theta, 2 * g.m_theta])
+    payload = {**operator_checks(d, d2, g),
                "grids": {"m_theta": g.m_theta, "n_site": g.n_site, "m_beta": g.m_beta,
                          "beta_max": g.beta_max}}
     return payload, d, time.perf_counter() - t0
@@ -241,7 +240,7 @@ def cmd_waveop(args) -> int:
 
 
 def _winding_payload(g: GridSpec, d: ScatteringData):
-    curve = assemble_boundary(d, g)
+    curve = assemble_boundary(d)
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     return curve, report
 
@@ -275,7 +274,7 @@ def cmd_report(args) -> int:
     p, g, outputs, normalized, cfg_hash = _start(args)
     t0 = time.perf_counter()
     payload, d, _ = _waveop_payload(p, g)
-    _scatter_outputs(p, d, outputs, cfg_hash)
+    _scatter_outputs(d, outputs, cfg_hash)
     scatter = _scatter_summary(d)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
     curve, wrep = _winding_payload(g, d)

@@ -18,10 +18,24 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import AssumptionError, ConfigError
+from .errors import AssumptionError, ConfigError, NumericsError
 
 RHO_MIN = 2.5
 ENVELOPE_FLOOR = 1e-16
+
+#: the off-diagonal entry of H0, (u(n-1) + u(n+1))/2
+OFF_DIAGONAL = 0.5
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite real number that is not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +92,13 @@ def _validated(values, rho: float, kind: str, params: dict) -> Potential:
     if not rho > RHO_MIN:
         raise AssumptionError(
             f"assumption violated: decay exponent rho must exceed 5/2, got {rho}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ConfigError("potential table must be one-dimensional")
-    if values.size and not np.all(np.isfinite(values)):
-        raise ConfigError("potential table contains non-finite entries")
-    values = np.trim_zeros(values, "b")
+    try:
+        values = np.asarray(values)
+    except ValueError:          # ragged nesting
+        values = np.asarray(None)
+    if values.dtype.kind not in "iuf" or values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise ConfigError("potential table must be a one-dimensional list of finite real numbers")
+    values = np.trim_zeros(values.astype(float), "b")
     if values.size:
         env = float(np.max((1.0 + np.arange(len(values))) ** rho * np.abs(values)))
     else:
@@ -97,6 +112,10 @@ def zero_potential(rho: float = 3.0) -> Potential:
 
 
 def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
+    if not _is_real(v0):
+        raise ConfigError(f"v0 must be a finite real number, not {v0!r}")
+    if not _is_int(site) or site < 0:
+        raise ConfigError(f"site must be a non-negative integer, not {site!r}")
     values = np.zeros(site + 1)
     values[site] = v0
     return _validated(values, rho, "rank_one", {"v0": v0, "site": site})
@@ -113,8 +132,13 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
     The table is truncated where the envelope falls below 1e-16, which keeps
     the free tail of the recursion exact.
     """
-    if amplitude <= 0:
-        raise ConfigError("amplitude must be positive")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not {seed!r}")
+    if not _is_real(amplitude) or amplitude <= 0:
+        raise ConfigError(f"amplitude must be a finite real number above 0, not {amplitude!r}")
+    if not rho_gen > RHO_MIN:       # the table's length grows without bound toward 5/2
+        raise AssumptionError(
+            f"assumption violated: rho_gen must exceed 5/2, got {rho_gen}")
     length = int(math.floor((amplitude / ENVELOPE_FLOOR) ** (1.0 / rho_gen)))
     rng = np.random.default_rng(seed)
     n = np.arange(length)
@@ -238,15 +262,12 @@ class GridSpec:
     def __post_init__(self):
         for name in ("m_theta", "n_site", "m_beta", "n_edge", "n_tail"):
             v = getattr(self, name)
-            if not (name == "n_tail" and v is None) and (
-                    isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            if not (name == "n_tail" and v is None) and not _is_int(v):
                 raise ConfigError(f"{name} must be an integer, not {v!r}")
         for name, low in (("beta_max", 0), ("alpha_max", 0), ("z_max", 1), ("tol_threshold", 0),
                           ("tol_root", 0), ("tol_winding", 0)):
             v = getattr(self, name)
-            if not (name == "z_max" and v is None) and (
-                    isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-                    or not math.isfinite(v) or v <= low):
+            if not (name == "z_max" and v is None) and not (_is_real(v) and v > low):
                 raise ConfigError(f"{name} must be a finite real number above {low}, not {v!r}")
         # the operator checks read an n_site/2 block; an edge needs two ends
         if self.n_site < 2 or self.n_edge < 2:
@@ -277,28 +298,29 @@ class TridiagonalTruncation:
 
     size: int
     diagonal: np.ndarray
-    off_diagonal: float = 0.5
 
     def matrix(self) -> np.ndarray:
         m = np.diag(self.diagonal).astype(float)
-        off = self.off_diagonal * np.ones(self.size - 1)
+        off = OFF_DIAGONAL * np.ones(self.size - 1)
         m += np.diag(off, 1) + np.diag(off, -1)
         return m
 
     def eigenvalues(self) -> np.ndarray:
-        return eigh_tridiagonal(self.diagonal,
-                                self.off_diagonal * np.ones(self.size - 1),
+        return eigh_tridiagonal(self.diagonal, OFF_DIAGONAL * np.ones(self.size - 1),
                                 eigvals_only=True)
 
     def eigenvalues_outside(self, band: float) -> np.ndarray:
         """The eigenvalues with |lambda| > band, ascending, by Sturm bisection
         (LAPACK stebz) on each side; its ranges are half-open, (lo, hi]."""
-        off = self.off_diagonal * np.ones(self.size - 1)
-        return np.concatenate([
-            eigvalsh_tridiagonal(self.diagonal, off, select="v",
-                                 select_range=(-np.inf, np.nextafter(-band, -np.inf))),
-            eigvalsh_tridiagonal(self.diagonal, off, select="v",
-                                 select_range=(band, np.inf))])
+        off = OFF_DIAGONAL * np.ones(self.size - 1)
+        try:
+            return np.concatenate([
+                eigvalsh_tridiagonal(self.diagonal, off, select="v",
+                                     select_range=(-np.inf, np.nextafter(-band, -np.inf))),
+                eigvalsh_tridiagonal(self.diagonal, off, select="v",
+                                     select_range=(band, np.inf))])
+        except np.linalg.LinAlgError as exc:    # stebz fails on entries near overflow
+            raise NumericsError(f"count oracle failed: {exc}") from None
 
 
 def hamiltonian_truncation(p: Potential, size: int) -> TridiagonalTruncation:

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .model import GridSpec, Potential
+from .model import GridSpec
 from .scattering import ScatteringData
 from .specops import (cos_sin_coupling, quadrature_grid, scattering_operator,
-                      shift_identity_residual, sine_cosine_transforms,
-                      wave_identity_residual, wave_operator)
+                      shift_identity_residual, wave_identity_residual, wave_operator)
 
 #: interior-block Gram tolerance before the window is declared too small
 GRAM_GUARD = 1e-4
@@ -180,8 +179,7 @@ def _stability(base: SingularReport, fine: SingularReport) -> dict:
             "singular_values": base.singular_values[:32]}
 
 
-def operator_checks(d: ScatteringData, d2: ScatteringData, p: Potential,
-                    g: GridSpec) -> dict:
+def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities of a report, d holding the scattering data on
     the cut grid of g and d2 on the grid twice as fine.
 
@@ -208,19 +206,18 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, p: Potential,
         return 1j * (R.T @ q), (R.T @ _shift_real(bg, R, v) if shift else None)
 
     def on_cut_grid(dd):
-        """The wave checks from Fsin and Fcos on the cut grid of dd, and on the
-        grid of g U's remainders and the exact shift identity."""
-        grid = quadrature_grid(dd.m_theta)
-        F, C = sine_cosine_transforms(grid, n)
-        W = wave_operator(dd, p, grid, F, tol_threshold=g.tol_threshold)
-        S = scattering_operator(dd, F)
+        """The wave checks on the cut grid of dd, and on the grid of g U's
+        remainders and the exact shift identity."""
+        grid = quadrature_grid(dd.m_theta, n)
+        W = wave_operator(dd, grid, tol_threshold=g.tol_threshold)
+        S = scattering_operator(dd, grid)
         checks = (_sv_report((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
-                  wave_identity_residual(dd, grid, F, C, W))
+                  wave_identity_residual(dd, grid, W))
         if dd is not d:
             return checks
-        U = cos_sin_coupling(F, C)
+        U = cos_sin_coupling(grid)
         return checks + (_stability(_sv_report(U - P), _sv_report(U - P_fine)),
-                         shift_identity_residual(grid, F, C, U))
+                         shift_identity_residual(grid, U))
 
     # each operator is reduced as soon as it is formed, and one cut grid's
     # transforms are held at a time, so the FFT and kernel temporaries of the

@@ -12,7 +12,7 @@ corrections in Levinson's relation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class ScatteringData:
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the scaled Jost values t(n) = theta(n)/zeta^n on the grid for
     n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_omega is
-    Omega on the scattering edge of the boundary symbol, at the points
-    `edge_beta` gives for the grid's n_edge and alpha_max (in meta).
+    Omega on the scattering edge of the boundary symbol, at the edge_beta
+    that `edge_beta` gives for the grid's n_edge and alpha_max.
     """
 
     potential: Potential
@@ -82,6 +82,7 @@ class ScatteringData:
     amplitude: np.ndarray
     eta: np.ndarray
     smatrix: np.ndarray
+    edge_beta: np.ndarray
     edge_omega: np.ndarray
     omega_minus: float
     omega_plus: float
@@ -91,7 +92,6 @@ class ScatteringData:
     s_plus: float
     bound_states: np.ndarray
     count_n: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def m_theta(self) -> int:
@@ -143,7 +143,9 @@ def bound_states(p: Potential, g: GridSpec, scan=None):
         if idx.size == 0:
             continue
         lo, hi, flo = z[idx].copy(), z[idx + 1].copy(), om[idx].copy()
-        while np.max(np.abs(hi - lo)) > g.tol_root:
+        # stop too where no float lies strictly inside a bracket: far from
+        # 0, adjacent floats can be more than tol_root apart
+        while np.any((np.abs(hi - lo) > g.tol_root) & (np.nextafter(lo, hi) != hi)):
             mid = 0.5 * (lo + hi)
             fm = _omega_off_axis(p, mid)
             same = (fm > 0) == (flo > 0)
@@ -187,38 +189,33 @@ def edge_beta(g: GridSpec) -> np.ndarray:
     return np.linspace(bmax, -bmax, g.n_edge)
 
 
-def scattering_grids(p: Potential, grids) -> list:
-    """Assemble all scattering data of p on the theta-midpoint grid of each
-    of the grids, from one recursion pass over the table.
+def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
+    """Assemble all scattering data of p on the theta-midpoint grids of
+    m_thetas points, each with g's other settings, from one recursion pass
+    over the table.
 
     The pass steps together every point that does not depend on an earlier
     result: each cut grid, keeping the rows t(-1..n_site-1) that the
-    correction kernel reads; the scattering edge of each distinct
-    (n_edge, alpha_max); both sides of the bound-state scan; and Omega(+-1).
-    Only the bisection midpoints of the bound-state search are stepped
-    after it.  The grid-free stages (threshold classification, bound states
-    and their count) run once, so the grids must share n_site, the
-    tolerances and z_max; otherwise ValueError.
+    correction kernel reads; the scattering edge; both sides of the
+    bound-state scan; and Omega(+-1).  Only the bisection midpoints of the
+    bound-state search are stepped after it.  The grid-free stages
+    (threshold classification, bound states and their count) run once.
     """
-    grids = list(grids)
-    if len({(g.n_site, g.tol_threshold, g.tol_root, g.effective_z_max(p)) for g in grids}) != 1:
-        raise ValueError("grids of one pass must share n_site, the tolerances and z_max")
-    g0 = grids[0]
-    thetas = [theta_midpoints(g.m_theta) for g in grids]
-    edges = {(g.n_edge, g.alpha_max): 2.0 * np.arctan(np.exp(-edge_beta(g))) for g in grids}
-    z_scan = _scan_points(p, g0)
-    cut = thetas + list(edges.values())
+    thetas = [theta_midpoints(m) for m in m_thetas]
+    beta = edge_beta(g)
+    z_scan = _scan_points(p, g)
+    cut = thetas + [2.0 * np.arctan(np.exp(-beta))]
     zetas, lams = [np.exp(-1j * th) for th in cut], [np.cos(th) for th in cut]
     omega, rows = _kernels.jost_scaled(
         p.values, np.concatenate(zetas + [_off_axis_zeta(z_scan), [1.0, -1.0]]),
         np.concatenate([2.0 * lam + 0j for lam in lams] + [2.0 * z_scan, [2.0, -2.0]]),
-        g0.n_site - 1, sum(map(len, thetas)))
+        g.n_site - 1, sum(map(len, thetas)))
     pieces = np.split(omega, np.cumsum(list(map(len, cut)) + [len(z_scan)]))
-    edge_omega = {key: om.copy() for key, om in zip(edges, pieces[len(thetas):len(cut)])}
+    edge_omega = pieces[len(thetas)].copy()
     scan, (om_p, om_m) = pieces[len(cut)].real, pieces[-1].real.tolist()
 
     on_grid, col = [], 0
-    for g, theta, zeta, lam, om in zip(grids, thetas, zetas, lams, pieces):
+    for theta, zeta, lam, om in zip(thetas, zetas, lams, pieces):
         amplitude = np.abs(om)
         if np.min(amplitude) == 0.0:
             raise NumericsError("interior zero of the Jost function")
@@ -229,22 +226,20 @@ def scattering_grids(p: Potential, grids) -> list:
         on_grid.append(dict(
             theta=theta, lam=lam, zeta=zeta,
             jost_rows=rows[:, col:col + len(theta)],   # a copy would hold the rows twice
-            omega=om.copy(), amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om,
-            edge_omega=edge_omega[g.n_edge, g.alpha_max],
-            meta={"n_edge": g.n_edge, "alpha_max": g.alpha_max}))
+            omega=om.copy(), amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
         col += len(theta)
-    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g0.tol_threshold, (om_m, om_p))
-    roots, count = bound_states(p, g0, scan)
+    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold, (om_m, om_p))
+    roots, count = bound_states(p, g, scan)
     return [ScatteringData(
-        potential=p, **fields_, omega_minus=om_m, omega_plus=om_p,
-        delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
+        potential=p, **fields_, edge_beta=beta, edge_omega=edge_omega, omega_minus=om_m,
+        omega_plus=om_p, delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
         bound_states=roots, count_n=count) for fields_ in on_grid]
 
 
 def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
     """All scattering data of p on the theta-midpoint grid of g: the one-grid
     case of `scattering_grids`."""
-    return scattering_grids(p, [g])[0]
+    return scattering_grids(p, g, [g.m_theta])[0]
 
 
 def eta_endpoints(d: ScatteringData):

@@ -10,8 +10,8 @@ the free identities below hold to rounding on interior blocks.
 
 Matrix conventions: lambda-grid index is always the row of the transform
 matrices; operators on the site space are (n_site x n_site) complex arrays.
-The operators of a cut grid take its transforms F = Fsin and C = Fcos, formed
-once per grid by the caller; they also give zeta^(n+1) = sqrt(m/2) (C - i F).
+A cut grid carries its transforms Fsin and Fcos, formed once with the grid;
+they also give zeta^(n+1) = sqrt(m/2) (Fcos - i Fsin).
 """
 
 from __future__ import annotations
@@ -29,42 +29,41 @@ from .scattering import ScatteringData
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Theta-midpoint nodes ordered by increasing lambda."""
+    """Theta-midpoint nodes ordered by increasing lambda, with the sine and
+    cosine transforms on n_site sites: fsin[j, n] = sqrt(w_j) psi_sin(n, lambda_j)
+    = sqrt(2/m) sin((n+1) theta_j), and fcos likewise with cos."""
 
     m: int
     theta: np.ndarray
     lam: np.ndarray
     weights: np.ndarray
+    fsin: np.ndarray
+    fcos: np.ndarray
+
+    @property
+    def n_site(self) -> int:
+        return self.fsin.shape[1]
 
     @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 
 
-def quadrature_grid(m: int) -> QuadratureGrid:
+def quadrature_grid(m: int, n_site: int) -> QuadratureGrid:
+    if n_site > m // 2:
+        raise NumericsError(f"grid too small: n_site = {n_site} exceeds m/2 = {m // 2}")
     theta = theta_midpoints(m)
+    phase = np.outer(theta, np.arange(1, n_site + 1))
     return QuadratureGrid(m=m, theta=theta, lam=np.cos(theta),
-                          weights=(np.pi / m) * np.sin(theta))
+                          weights=(np.pi / m) * np.sin(theta),
+                          fsin=np.sqrt(2.0 / m) * np.sin(phase),
+                          fcos=np.sqrt(2.0 / m) * np.cos(phase))
 
 
-def _check_site_count(grid: QuadratureGrid, n_site: int):
-    if n_site > grid.m // 2:
-        raise NumericsError(
-            f"grid too small: n_site = {n_site} exceeds m/2 = {grid.m // 2}")
-
-
-def sine_cosine_transforms(grid: QuadratureGrid, n_site: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Fsin, Fcos): sqrt(w_j) psi_sin(n, lambda_j) = sqrt(2/m) sin((n+1) theta_j)
-    and sqrt(w_j) psi_cos(n, lambda_j) = sqrt(2/m) cos((n+1) theta_j)."""
-    _check_site_count(grid, n_site)
-    phase = np.outer(grid.theta, np.arange(1, n_site + 1))
-    return np.sqrt(2.0 / grid.m) * np.sin(phase), np.sqrt(2.0 / grid.m) * np.cos(phase)
-
-
-def cos_sin_coupling(F: np.ndarray, C: np.ndarray) -> np.ndarray:
+def cos_sin_coupling(grid: QuadratureGrid) -> np.ndarray:
     """U = i Fcos^* Fsin: the potential-independent factor multiplying the
     scattering operator in the wave-operator identity."""
-    return 1j * (C.T @ F)
+    return 1j * (grid.fcos.T @ grid.fsin)
 
 
 def _require_same_grid(d: ScatteringData, m: int):
@@ -72,62 +71,59 @@ def _require_same_grid(d: ScatteringData, m: int):
         raise NumericsError("scattering data and quadrature grid disagree")
 
 
-def scattering_operator(d: ScatteringData, F: np.ndarray) -> np.ndarray:
+def scattering_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     """S = Fsin^* s(lambda) Fsin with the scattering-matrix multiplier."""
-    _require_same_grid(d, F.shape[0])
-    return F.T @ (d.smatrix[:, None] * F)
+    _require_same_grid(d, grid.m)
+    return grid.fsin.T @ (d.smatrix[:, None] * grid.fsin)
 
 
-def jost_transform(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                   n_site: int, tol_threshold: float = 1e-3) -> np.ndarray:
+def jost_transform(d: ScatteringData, grid: QuadratureGrid,
+                   tol_threshold: float = 1e-3) -> np.ndarray:
     """Generalised transform F_- built from the perturbed wave functions; in
     the free case it is the sine transform.  F_+ = conj(F_-) on the cut."""
     _require_same_grid(d, grid.m)
-    _check_site_count(grid, n_site)
     if np.min(d.amplitude) < tol_threshold:
         raise NumericsError("resonant grid: amplitude below threshold tolerance")
-    phi = _kernels.regular_values(p.values, 2.0 * d.lam, n_site - 1)[1:]
+    phi = _kernels.regular_values(d.potential.values, 2.0 * d.lam, grid.n_site - 1)[1:]
     sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
     psi_m = sq * phi * (d.omega / d.amplitude)      # psi_-(n, lambda_j), shape (n_site, m)
     return grid.sqrt_weights[:, None] * psi_m.T
 
 
-def wave_operator(d: ScatteringData, p: Potential, grid: QuadratureGrid,
-                  F: np.ndarray, sign: int = -1,
+def wave_operator(d: ScatteringData, grid: QuadratureGrid, sign: int = -1,
                   tol_threshold: float = 1e-3) -> np.ndarray:
     """Stationary wave operator W_- = F_-^* Fsin (or W_+ = F_-^T Fsin for sign=+1)."""
-    Fm = jost_transform(d, p, grid, F.shape[1], tol_threshold)
-    return (Fm.conj().T if sign < 0 else Fm.T) @ F
+    Fm = jost_transform(d, grid, tol_threshold)
+    return (Fm.conj().T if sign < 0 else Fm.T) @ grid.fsin
 
 
 # ---------------------------------------------------------------------------
 # Jost-tail correction kernel
 # ---------------------------------------------------------------------------
 
-def correction_operator(d: ScatteringData, grid: QuadratureGrid,
-                        F: np.ndarray, C: np.ndarray) -> np.ndarray:
+def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     """K0 Fsin (n_site x n_site), a Hilbert-Schmidt operator on the sites,
     from the remainder kernel K0(n, lambda) = sqrt(2/pi) [conj(p zeta) -
     s p zeta] / (2i) with p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4).
 
     theta(n)/zeta^n is read from the rows that `scattering_grid` kept."""
-    _require_same_grid(d, F.shape[0])
-    n_site = F.shape[1]
+    _require_same_grid(d, grid.m)
+    n_site = grid.n_site
     if n_site > d.jost_rows.shape[0] - 1:
         raise ValueError(f"scattering data keeps Jost rows for "
                          f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
     t = d.jost_rows[1:n_site + 1]
-    pz = np.sqrt(grid.m / 2.0) * (C - 1j * F).T * (t - 1.0) / (1.0 - d.lam ** 2) ** 0.25
+    pz = np.sqrt(grid.m / 2.0) * (grid.fcos - 1j * grid.fsin).T * (t - 1.0) \
+        / (1.0 - d.lam ** 2) ** 0.25
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
-    return (k0 * grid.weights[None, :]) @ (F / grid.sqrt_weights[:, None])
+    return (k0 * grid.weights[None, :]) @ (grid.fsin / grid.sqrt_weights[:, None])
 
 
 # ---------------------------------------------------------------------------
 # the wave-operator identity
 # ---------------------------------------------------------------------------
 
-def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, F: np.ndarray,
-                    C: np.ndarray, block: int) -> np.ndarray:
+def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np.ndarray:
     """A[:b, :b] of A = (U+1)/2 (S-1), U and S composed at m-2 sites.
 
     A[:b, :b] = 1/2 (U[:b, :] S[:, :b] - U[:b, :b] + S[:b, :b] - 1), and
@@ -138,7 +134,7 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, F: np.ndarray,
     forms no m x (m-2) transform.
     """
     m = grid.m
-    F, C = F[:, :block], C[:, :block]
+    F, C = grid.fsin[:, :block], grid.fcos[:, :block]
     Y = smatrix[:, None] * F
     top = np.stack([np.sqrt(2.0 / m) * np.sin((m - 1) * grid.theta),
                     np.sqrt(1.0 / m) * np.sin(m * grid.theta)], axis=1)
@@ -146,8 +142,7 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, F: np.ndarray,
     return 0.5 * (US - 1j * (C.T @ F) + F.T @ Y - np.eye(block))
 
 
-def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, F: np.ndarray,
-                           C: np.ndarray, W: np.ndarray) -> float:
+def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, W: np.ndarray) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
     block, for the wave operator W (n_site x n_site) on the cut grid of d.
 
@@ -160,8 +155,8 @@ def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, F: np.ndarra
     `_composed_block`): O(m block^2) time and O(m block) memory.
     """
     block = W.shape[0] // 2
-    K = correction_operator(d, grid, F, C)
-    A = _composed_block(grid, d.smatrix, F, C, block)
+    K = correction_operator(d, grid)
+    A = _composed_block(grid, d.smatrix, block)
     R = W[:block, :block] - (np.eye(block) + A + K[:block, :block])
     return float(np.max(np.abs(R)))
 
@@ -205,7 +200,7 @@ def coupling_pv_matrix(grid: QuadratureGrid) -> np.ndarray:
     return sw[:, None] * ker * sw[None, :]
 
 
-def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
+def pv_action_gap(grid: QuadratureGrid) -> float:
     """Relative difference between Fsin U Fsin^* and the principal-value
     matrix acting on a smooth odd test function.
 
@@ -213,9 +208,8 @@ def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
     threshold rows are singular); on smooth data the gap halves with each
     grid doubling.
     """
-    F, C = sine_cosine_transforms(grid, n_site)
-    U = cos_sin_coupling(F, C)
-    lhs = F @ U @ F.conj().T
+    F = grid.fsin
+    lhs = F @ cos_sin_coupling(grid) @ F.conj().T
     A = coupling_pv_matrix(grid)
     gvec = grid.lam * (1.0 - grid.lam ** 2) * grid.sqrt_weights
     return float(np.linalg.norm((lhs - A) @ gvec) / np.linalg.norm(gvec))
@@ -225,8 +219,8 @@ def pv_action_gap(grid: QuadratureGrid, n_site: int) -> float:
 # shift-operator identity on the theta grid
 # ---------------------------------------------------------------------------
 
-def shift_identity_residual(grid: QuadratureGrid, F: np.ndarray, C: np.ndarray,
-                            U: np.ndarray, block: int | None = None) -> dict:
+def shift_identity_residual(grid: QuadratureGrid, U: np.ndarray,
+                            block: int | None = None) -> dict:
     """Defect of T = H0 + i (1 - H0^2)^(1/2) U^* on the site truncation.
 
     `composite` assembles the product (1-H0^2)^(1/2) U^* as one quadrature
@@ -235,12 +229,12 @@ def shift_identity_residual(grid: QuadratureGrid, F: np.ndarray, C: np.ndarray,
     multiplies the separately truncated factors and carries the projection
     leakage of the truncated site space.
     """
-    n = F.shape[1]
+    F, n = grid.fsin, grid.n_site
     block = n // 2 if block is None else block
     sth = np.sin(grid.theta)
     T = np.diag(np.ones(n - 1), -1)
     H0 = (T + T.T) / 2.0
-    composite = F.T @ (sth[:, None] * C)
+    composite = F.T @ (sth[:, None] * grid.fcos)
     sqrt_term = F.T @ (sth[:, None] * F)
     naive = 1j * (sqrt_term @ U.conj().T)
     r_comp = float(np.max(np.abs((T - H0 - composite)[:block, :block])))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .model import GridSpec, Potential
-from .scattering import ScatteringData, edge_beta
+from .scattering import ScatteringData
 
 #: pre-snap corner mismatch allowed before the classification is distrusted
 CORNER_GUARD = 1e-4
@@ -47,7 +47,6 @@ class BoundaryCurve:
     points: np.ndarray
     params: np.ndarray
     edge_slices: dict
-    corners: dict
 
     @property
     def min_abs(self) -> float:
@@ -61,7 +60,7 @@ class BoundaryCurve:
         raise IndexError(i)
 
 
-def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
+def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
     """Concatenate the four edges into one closed curve.
 
     Traversal: the scattering edge from beta = +inf down to -inf, then
@@ -73,18 +72,14 @@ def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
     s(tanh beta) approaches its limit only like e^(-beta) times the phase
     slope, while the Gamma profiles saturate like e^(-pi alpha).
 
-    The scattering edge is read from d, whose recursion pass stepped it;
-    d must be built for g's n_edge and alpha_max (ValueError otherwise).
+    The scattering edge is read from d, whose recursion pass stepped it at
+    d.edge_beta; n_edge and 2 alpha_max are its length and first point
+    (exact: linspace keeps its endpoints).
     """
-    n_edge = g.n_edge
-    amax = g.alpha_max
-    if (d.meta["n_edge"], d.meta["alpha_max"]) != (n_edge, amax):
-        raise ValueError(f"scattering data holds the edge for n_edge={d.meta['n_edge']}, "
-                         f"alpha_max={d.meta['alpha_max']}, not {n_edge}, {amax}")
-    bmax = 2.0 * amax
+    beta = d.edge_beta
+    n_edge, bmax = len(beta), float(beta[0])
+    amax = bmax / 2.0
     sp, sm = d.s_plus, d.s_minus
-
-    beta = edge_beta(g)
     s_edge = np.conj(d.edge_omega) / d.edge_omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)
@@ -114,19 +109,11 @@ def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
         "constant": np.zeros(len(const)),
         "gamma_plus": np.concatenate([[amax], alpha_up[::-1], [-amax]]),
     }
-    pts, prm = [], []
-    slices = {}
-    pos = 0
-    for name in EDGE_ORDER:
-        e = edges[name]
-        slices[name] = slice(pos, pos + len(e))
-        pts.append(e)
-        prm.append(params[name])
-        pos += len(e)
-    points = np.concatenate(pts)
-    corners = {"s_plus": sp, "s_minus": sm}
-    return BoundaryCurve(points=points, params=np.concatenate(prm),
-                         edge_slices=slices, corners=corners)
+    ends = np.cumsum([0] + [len(edges[name]) for name in EDGE_ORDER]).tolist()
+    return BoundaryCurve(
+        points=np.concatenate([edges[name] for name in EDGE_ORDER]),
+        params=np.concatenate([params[name] for name in EDGE_ORDER]),
+        edge_slices={name: slice(a, b) for name, a, b in zip(EDGE_ORDER, ends, ends[1:])})
 
 
 @dataclass(frozen=True)
@@ -172,5 +159,5 @@ def winding_number(curve: BoundaryCurve, tol_winding: float = 0.05,
 def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingReport:
     """Assemble the boundary curve and compare its winding with the
     bound-state count.  p is not read: the boundary comes from d alone."""
-    curve = assemble_boundary(d, g)
+    curve = assemble_boundary(d)
     return winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)

@@ -39,7 +39,7 @@ def operator_stage(scatter_cache):
     data on g's cut grid and on the grid twice as fine."""
     def run(p, g):
         fine = replace(g, m_theta=2 * g.m_theta)
-        return hl.operator_checks(scatter_cache(p, g), scatter_cache(p, fine), p, g)
+        return hl.operator_checks(scatter_cache(p, g), scatter_cache(p, fine), g)
 
     return run
 
@@ -77,16 +77,14 @@ def symbol_remainder(op, g, apply, m_beta=None):
     return hl.SingularReport(np.linalg.svd(op - R.T @ apply(bg, R), compute_uv=False))
 
 
-def wave_identity(d, p, g):
-    """The wave-identity defect of p's W_- on the cut grid of d."""
-    grid = hl.quadrature_grid(d.m_theta)
-    F, C = hl.sine_cosine_transforms(grid, g.n_site)
-    W = hl.wave_operator(d, p, grid, F, tol_threshold=g.tol_threshold)
-    return hl.wave_identity_residual(d, grid, F, C, W)
+def wave_identity(d, g):
+    """The wave-identity defect of W_- on the cut grid of d and g's sites."""
+    grid = hl.quadrature_grid(d.m_theta, g.n_site)
+    W = hl.wave_operator(d, grid, tol_threshold=g.tol_threshold)
+    return hl.wave_identity_residual(d, grid, W)
 
 
 def shift_identity(g):
     """The shift-identity residuals on g's cut grid and sites."""
-    grid = hl.quadrature_grid(g.m_theta)
-    F, C = hl.sine_cosine_transforms(grid, g.n_site)
-    return hl.shift_identity_residual(grid, F, C, hl.cos_sin_coupling(F, C))
+    grid = hl.quadrature_grid(g.m_theta, g.n_site)
+    return hl.shift_identity_residual(grid, hl.cos_sin_coupling(grid))

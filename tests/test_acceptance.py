@@ -44,15 +44,14 @@ def test_criterion_01_free_case_identities(scatter_cache, operator_stage):
         g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
         p = hl.zero_potential()
         d = scatter_cache(p, g)
-        grid = hl.quadrature_grid(g.m_theta)
+        grid = hl.quadrature_grid(g.m_theta, g.n_site)
         assert np.max(np.abs(d.omega - 1.0)) <= 1e-10
         assert np.max(np.abs(d.eta)) <= 1e-10
-        F, C = hl.sine_cosine_transforms(grid, g.n_site)
-        S = hl.scattering_operator(d, F)
+        S = hl.scattering_operator(d, grid)
         assert np.max(np.abs(S - np.eye(g.n_site))) <= 1e-10
-        W = hl.wave_operator(d, p, grid, F)
+        W = hl.wave_operator(d, grid)
         assert np.max(np.abs(W - np.eye(g.n_site))) <= 1e-10
-        assert hl.wave_identity_residual(d, grid, F, C, W) <= 1e-10
+        assert hl.wave_identity_residual(d, grid, W) <= 1e-10
         assert shift_identity(g)["composite"] <= 1e-10
         assert operator_stage(p, g)["wave_symbol"]["s1"] <= 1e-10
         rep = hl.winding_report(d, p, g)
@@ -158,7 +157,6 @@ def test_criterion_10_isometry_and_completeness(scatter_cache):
     with _Timer(10, "wave-operator isometry and completeness", budget=60.0):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, GRID)
-        grid = hl.quadrature_grid(GRID.m_theta)
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, GRID.n_site)[0])
+        W = hl.wave_operator(d, hl.quadrature_grid(GRID.m_theta, GRID.n_site))
         assert hl.wave_isometry_defect(W) <= 1e-6
         assert hl.completeness_defect(W, p) <= 1e-4

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import halfline
+from conftest import closed_form_bound_state
 from halfline.cli import main
+
+SRC = str(Path(halfline.__file__).resolve().parents[1])
 
 
 def write_cfg(tmp_path, potential, grids=None, tolerances=None, name="cfg.json"):
@@ -77,6 +85,23 @@ class TestValidate:
             "tolerances": tols, "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["validate", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("potential,code", [
+        ({"kind": "random_decaying", "seed": 0, "rho_gen": 0}, 3),
+        ({"kind": "random_decaying", "seed": 0, "rho_gen": 1.0, "rho": 3.0}, 3),
+        ({"kind": "random_decaying", "seed": 0, "amplitude": float("nan")}, 2),
+        ({"kind": "random_decaying", "seed": 0, "amplitude": float("inf")}, 2),
+        ({"kind": "random_decaying", "seed": -1}, 2),
+        ({"kind": "rank_one", "v0": 0.75, "site": -1}, 2),
+        ({"kind": "table", "values": "ab", "rho": 3.0}, 2),
+        ({"kind": "rank_one", "v0": "0.75"}, 2),
+        ({"kind": "rank_one", "v0": True}, 2),
+    ])
+    def test_bad_potential_refused(self, tmp_path, potential, code):
+        # each of these crashed `validate` or ran through it; a rho_gen not
+        # above 5/2 is refused before its table (107 PiB for 1.0) is built
+        cfg = write_cfg(tmp_path, potential)
+        assert main(["validate", str(cfg)]) == code
+
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -104,6 +129,22 @@ class TestScatter:
         assert float(rows[0][0]) == pytest.approx(13.0 / 12.0, abs=1e-8)
         # 17 significant digits round-trip
         assert len(rows[0][0].replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+    @pytest.mark.parametrize("v0,code", [(1e6, 0), (1e7, 0), (1e12, 0), (-1e6, 0),
+                                         (1e200, 4), (1e308, 4)])
+    def test_large_coupling_ends(self, tmp_path, v0, code):
+        # far from 0 adjacent floats lie more than tol_root apart, so the
+        # bisection also ends where no float is left inside a bracket; the
+        # command runs in a process of its own, so a search that never ends fails
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": v0, "rho": 3.0})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "halfline.cli", "scatter", str(cfg)],
+                             env=env, capture_output=True, timeout=60)
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            _, _, rows = read_csv(tmp_path / "out" / "boundstates.csv")
+            assert [float(r[0]) for r in rows] == [
+                pytest.approx(closed_form_bound_state(v0), rel=1e-14)]
 
     def test_check_exits_5_on_failed_levinson_gate(self, tmp_path, capsys):
         # linear extrapolation across the last theta cell: residual 1.3e-2
@@ -257,11 +298,11 @@ class TestReport:
         assert len(calls) == 5, calls
 
     def test_each_operator_formed_once(self, tmp_path, monkeypatch):
-        # the sine and cosine transforms and F_- once per cut grid, R at m_beta and
-        # 2 m_beta with one rfft and one pull-back each, U once; no complex
-        # FFT; the five SVDs are those of test_svd_count
+        # each cut grid with its sine and cosine transforms, and F_-, once per
+        # cut grid, R at m_beta and 2 m_beta with one rfft and one pull-back
+        # each, U once; no complex FFT; the five SVDs are those of test_svd_count
         from halfline import rescaled, specops
-        calls = {name: [] for name in ("sine_cosine_transforms", "jost_transform",
+        calls = {name: [] for name in ("quadrature_grid", "jost_transform",
                                        "energy_rescale_matrix", "symbol_columns",
                                        "cos_sin_coupling", "rfft", "fft", "ifft", "svd")}
 
@@ -274,8 +315,8 @@ class TestReport:
             monkeypatch.setattr(owner, name, wrapper)
 
         for owner in (rescaled, specops):
-            counted(owner, "sine_cosine_transforms", lambda grid, n_site: grid.m)
-        counted(specops, "jost_transform", lambda d, p, grid, *rest: grid.m)
+            counted(owner, "quadrature_grid", lambda m, n_site: m)
+        counted(specops, "jost_transform", lambda d, grid, *rest: grid.m)
         for name in ("energy_rescale_matrix", "symbol_columns"):
             counted(rescaled, name, lambda bg, *rest: bg.m_beta)
         counted(rescaled, "cos_sin_coupling")
@@ -287,7 +328,7 @@ class TestReport:
                                    "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["report", str(cfg)]) == 0
         assert {name: sorted(sizes) for name, sizes in calls.items()} == {
-            "sine_cosine_transforms": [512, 1024], "jost_transform": [512, 1024],
+            "quadrature_grid": [512, 1024], "jost_transform": [512, 1024],
             "energy_rescale_matrix": [1024, 2048], "symbol_columns": [1024, 2048],
             "cos_sin_coupling": [0], "rfft": [1024, 2048], "fft": [], "ifft": [], "svd": [0] * 5}
 

@@ -184,7 +184,7 @@ class TestHyperbolicKernel:
 
 
 def coupling(g):
-    return hl.cos_sin_coupling(*hl.sine_cosine_transforms(hl.quadrature_grid(g.m_theta), g.n_site))
+    return hl.cos_sin_coupling(hl.quadrature_grid(g.m_theta, g.n_site))
 
 
 class TestCouplingRemainder:

@@ -9,45 +9,40 @@ from halfline import _kernels
 
 
 @pytest.fixture(scope="module")
-def grid512():
-    return hl.quadrature_grid(512)
-
-
-@pytest.fixture(scope="module")
 def pack075(grid_default, scatter_cache):
     p = hl.rank_one(0.75)
     d = scatter_cache(p, grid_default)
-    grid = hl.quadrature_grid(grid_default.m_theta)
+    grid = hl.quadrature_grid(grid_default.m_theta, grid_default.n_site)
     return p, d, grid
 
 
 class TestQuadrature:
     def test_weights_sum_to_two(self):
         # midpoint rule: the total weight converges to 2 at second order
-        errs = [abs(np.sum(hl.quadrature_grid(m).weights) - 2.0) for m in (64, 128)]
+        errs = [abs(np.sum(hl.quadrature_grid(m, 2).weights) - 2.0) for m in (64, 128)]
         assert errs[1] < errs[0] / 3.5
         assert errs[1] < 1e-4
 
     def test_nodes_strictly_interior_and_sorted(self):
-        g = hl.quadrature_grid(32)
+        g = hl.quadrature_grid(32, 2)
         assert np.all(np.diff(g.lam) > 0)
         assert np.all(np.abs(g.lam) < 1.0)
 
 
 class TestTransforms:
     def test_small_gram_exact(self):
-        g = hl.quadrature_grid(8)
-        F, C = hl.sine_cosine_transforms(g, 4)
+        g = hl.quadrature_grid(8, 4)
+        F, C = g.fsin, g.fcos
         assert np.max(np.abs(F.T @ F - np.eye(4))) < 1e-12
         assert np.max(np.abs(C.T @ C - np.eye(4))) < 1e-12
 
-    def test_large_gram_exact(self, grid512):
-        F = hl.sine_cosine_transforms(grid512, 128)[0]
+    def test_large_gram_exact(self):
+        F = hl.quadrature_grid(512, 128).fsin
         assert np.max(np.abs(F.T @ F - np.eye(128))) < 1e-10
 
     def test_entries_match_kernel_definition(self):
-        g = hl.quadrature_grid(16)
-        F, C = hl.sine_cosine_transforms(g, 3)
+        g = hl.quadrature_grid(16, 3)
+        F, C = g.fsin, g.fcos
         sw = g.sqrt_weights
         psi_sin = np.sqrt(2 / np.pi) * np.sin(np.outer(g.theta, [1, 2, 3])) \
             / (1 - g.lam[:, None] ** 2) ** 0.25
@@ -56,22 +51,23 @@ class TestTransforms:
         assert np.max(np.abs(F - sw[:, None] * psi_sin)) < 1e-14
         assert np.max(np.abs(C - sw[:, None] * psi_cos)) < 1e-14
 
-    def test_sine_diagonalizes_free_hamiltonian(self, grid512):
-        F = hl.sine_cosine_transforms(grid512, 64)[0]
+    def test_sine_diagonalizes_free_hamiltonian(self):
+        g = hl.quadrature_grid(512, 64)
+        F = g.fsin
         off = 0.5 * np.ones(63)
         H0 = np.diag(off, 1) + np.diag(off, -1)
-        resid = F @ H0 - grid512.lam[:, None] * F
+        resid = F @ H0 - g.lam[:, None] * F
         assert np.max(np.abs(resid[:, :63])) < 1e-12   # all but the cut column
 
     def test_site_count_guard(self):
         with pytest.raises(hl.NumericsError, match="grid too small"):
-            hl.sine_cosine_transforms(hl.quadrature_grid(8), 5)
+            hl.quadrature_grid(8, 5)
 
 
 class TestCouplingOperator:
-    def test_potential_independent_bitwise(self, grid512):
-        u1 = hl.cos_sin_coupling(*hl.sine_cosine_transforms(grid512, 64))
-        u2 = hl.cos_sin_coupling(*hl.sine_cosine_transforms(hl.quadrature_grid(512), 64))
+    def test_potential_independent_bitwise(self):
+        u1 = hl.cos_sin_coupling(hl.quadrature_grid(512, 64))
+        u2 = hl.cos_sin_coupling(hl.quadrature_grid(512, 64))
         assert np.array_equal(u1, u2)
 
     def test_co_isometry_defect_small_and_shrinking(self):
@@ -80,15 +76,14 @@ class TestCouplingOperator:
         # macroscopic rank-one defect from the missing constant mode)
         defects = []
         for (m, n) in ((512, 64), (512, 128), (1024, 256)):
-            g = hl.quadrature_grid(m)
-            U = hl.cos_sin_coupling(*hl.sine_cosine_transforms(g, n))
+            U = hl.cos_sin_coupling(hl.quadrature_grid(m, n))
             D = U @ U.conj().T - np.eye(n)
             defects.append(np.max(np.abs(D[: n // 2, : n // 2])))
         assert defects[0] < 2e-2
         assert defects[2] < defects[0]
 
-    def test_adjoint_order_not_unitary(self, grid512):
-        U = hl.cos_sin_coupling(*hl.sine_cosine_transforms(grid512, 64))
+    def test_adjoint_order_not_unitary(self):
+        U = hl.cos_sin_coupling(hl.quadrature_grid(512, 64))
         D = U.conj().T @ U - np.eye(64)
         assert abs(D[0, 0]) > 0.5    # constant-mode defect is O(1)
 
@@ -97,9 +92,9 @@ class TestWaveTransforms:
     def test_free_equals_sine(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(grid_default.m_theta)
-        Fm = hl.jost_transform(d, p, grid, 64)
-        F = hl.sine_cosine_transforms(grid, 64)[0]
+        grid = hl.quadrature_grid(grid_default.m_theta, 64)
+        Fm = hl.jost_transform(d, grid)
+        F = grid.fsin
         assert np.max(np.abs(np.conj(Fm) - F)) < 1e-12
         assert np.max(np.abs(Fm - F)) < 1e-12
 
@@ -108,25 +103,26 @@ class TestWaveTransforms:
         # above the nodal minimum must be refused
         p = hl.rank_one(0.5)
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(grid_default.m_theta)
+        grid = hl.quadrature_grid(grid_default.m_theta, 64)
         with pytest.raises(hl.NumericsError, match="resonant grid"):
-            hl.jost_transform(d, p, grid, 64, tol_threshold=1e-2)
+            hl.jost_transform(d, grid, tol_threshold=1e-2)
 
     def test_plus_transform_is_conjugate(self, pack075):
         # F_+ from psi_+ = sqrt(2/pi) (1-lambda^2)^(1/4) phi conj(Omega)/|Omega|^2
         # is conj(F_-) bit for bit, and so is W_+ = F_+^* Fsin
-        p, d, grid = pack075
+        p, d, _ = pack075
         n = 64
+        grid = hl.quadrature_grid(d.m_theta, n)
         phi = _kernels.regular_values(p.values, 2.0 * d.lam, n - 1)[1:]
         sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
         Fp = grid.sqrt_weights[:, None] * (sq * phi * np.conj(d.omega / d.amplitude)).T
-        assert np.array_equal(Fp, np.conj(hl.jost_transform(d, p, grid, n)))
-        F = hl.sine_cosine_transforms(grid, n)[0]
-        assert np.array_equal(hl.wave_operator(d, p, grid, F, sign=+1), Fp.conj().T @ F)
+        assert np.array_equal(Fp, np.conj(hl.jost_transform(d, grid)))
+        assert np.array_equal(hl.wave_operator(d, grid, sign=+1), Fp.conj().T @ grid.fsin)
 
     def test_kernel_value_against_closed_form(self, pack075):
-        p, d, grid = pack075
-        Fp = np.conj(hl.jost_transform(d, p, grid, 8))
+        p, d, _ = pack075
+        grid = hl.quadrature_grid(d.m_theta, 8)
+        Fp = np.conj(hl.jost_transform(d, grid))
         j = 200
         om = closed_form_omega(0.75, d.zeta[j])
         a = abs(om)
@@ -140,33 +136,30 @@ class TestWaveOperator:
     def test_free_identity(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(grid_default.m_theta)
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 64)[0])
+        W = hl.wave_operator(d, hl.quadrature_grid(grid_default.m_theta, 64))
         assert np.max(np.abs(W - np.eye(64))) < 1e-12
 
     def test_isometry_generic(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
+        W = hl.wave_operator(d, grid)
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_two_site(self, grid_default, scatter_cache):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(512)
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
+        W = hl.wave_operator(d, hl.quadrature_grid(512, 128))
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_resonant_degrades(self, grid_default, scatter_cache):
         # threshold resonance slows the co-isometry convergence to ~1e-4
         p = hl.rank_one(0.5)
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(512)
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
+        W = hl.wave_operator(d, hl.quadrature_grid(512, 128))
         assert hl.wave_isometry_defect(W) < 5e-4
 
     def test_completeness_against_projector(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0])
+        W = hl.wave_operator(d, grid)
         assert hl.completeness_defect(W, p) < 1e-4
 
 
@@ -174,12 +167,12 @@ class TestScatteringOperator:
     def test_free_identity(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        S = hl.scattering_operator(d, hl.sine_cosine_transforms(hl.quadrature_grid(512), 64)[0])
+        S = hl.scattering_operator(d, hl.quadrature_grid(512, 64))
         assert np.max(np.abs(S - np.eye(64))) < 1e-12
 
     def test_commutes_with_free_hamiltonian(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
+        S = hl.scattering_operator(d, grid)
         off = 0.5 * np.ones(127)
         H0 = np.diag(off, 1) + np.diag(off, -1)
         comm = S @ H0 - H0 @ S
@@ -187,15 +180,15 @@ class TestScatteringOperator:
 
     def test_unitary_defect_interior(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
+        S = hl.scattering_operator(d, grid)
         D = S.conj().T @ S - np.eye(128)
         assert np.max(np.abs(D[:64, :64])) < 1e-5
 
     def test_consistent_with_wave_operator_product(self, pack075):
         p, d, grid = pack075
-        S = hl.scattering_operator(d, hl.sine_cosine_transforms(grid, 128)[0])
-        Wm = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0], sign=-1)
-        Wp = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, 128)[0], sign=+1)
+        S = hl.scattering_operator(d, grid)
+        Wm = hl.wave_operator(d, grid, sign=-1)
+        Wp = hl.wave_operator(d, grid, sign=+1)
         D = S - Wp.conj().T @ Wm
         assert np.max(np.abs(D[:64, :64])) < 2e-6
 
@@ -204,21 +197,19 @@ class TestCorrectionOperator:
     def test_free_vanishes(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(512)
-        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
+        c = hl.correction_operator(d, hl.quadrature_grid(512, 64))
         assert np.max(np.abs(c)) < 1e-13
 
     def test_rank_one_vanishes_on_sites(self, pack075):
         # the tail is exact from site 0 on, so the kernel is zero there
-        p, d, grid = pack075
-        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
+        p, d, _ = pack075
+        c = hl.correction_operator(d, hl.quadrature_grid(d.m_theta, 64))
         assert np.max(np.abs(c)) < 1e-13
 
     def test_two_site_structure(self, grid_default, scatter_cache):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(512)
-        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
+        c = hl.correction_operator(d, hl.quadrature_grid(512, 64))
         rows = np.max(np.abs(c), axis=1)
         assert rows[0] > 0.1                      # site 0 feels the tail
         assert np.max(rows[1:]) < 1e-13           # exact beyond the support
@@ -228,8 +219,7 @@ class TestCorrectionOperator:
         n = np.arange(21)
         p = hl.table_potential(0.5 * (1.0 + n) ** -3.0, rho=3.0)
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(512)
-        c = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 64))
+        c = hl.correction_operator(d, hl.quadrature_grid(512, 64))
         rows = np.max(np.abs(c), axis=1)
         assert rows[0] > rows[5] > rows[15]
         assert np.max(rows[21:]) < 1e-13
@@ -238,15 +228,15 @@ class TestCorrectionOperator:
     @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
                                    hl.random_decaying(3, rho_gen=4.0)],
                              ids=["rank_one", "two_site", "random_rho4"])
-    def test_kept_rows_equal_fresh_recursion(self, p, grid_default, grid512, scatter_cache):
+    def test_kept_rows_equal_fresh_recursion(self, p, grid_default, scatter_cache):
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
         fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j,
                                                           n - 1)[1])
         assert np.array_equal(d.jost_rows[:n + 1], fresh.jost_rows)
-        FC = hl.sine_cosine_transforms(grid512, n)
-        assert np.array_equal(hl.correction_operator(d, grid512, *FC),
-                              hl.correction_operator(fresh, grid512, *FC))
+        grid = hl.quadrature_grid(512, n)
+        assert np.array_equal(hl.correction_operator(d, grid),
+                              hl.correction_operator(fresh, grid))
 
     @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
                                    hl.random_decaying(0, amplitude=1.5, rho_gen=4.0)],
@@ -255,23 +245,22 @@ class TestCorrectionOperator:
         # zeta^(n+1) read from the cosine and sine tables against the complex
         # power of zeta, with the kernel and the sine columns written out here
         d = scatter_cache(p, grid_default)
-        grid = hl.quadrature_grid(d.m_theta)
         n = grid_default.n_site
+        grid = hl.quadrature_grid(d.m_theta, n)
         pz = d.zeta[None, :] ** np.arange(1, n + 1)[:, None] \
             * (d.jost_rows[1:n + 1] - 1.0) / (1.0 - d.lam ** 2) ** 0.25
         k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
         psi_sin = np.sqrt(2.0 / np.pi) * np.sin(np.outer(grid.theta, np.arange(1, n + 1))) \
             / (1.0 - grid.lam[:, None] ** 2) ** 0.25
         ref = (k0 * grid.weights[None, :]) @ psi_sin
-        K = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, n))
+        K = hl.correction_operator(d, grid)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_more_sites_than_kept_rows_refused(self, scatter_cache):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, hl.GridSpec(n_site=64))
-        grid = hl.quadrature_grid(512)
         with pytest.raises(ValueError, match="keeps Jost rows for 64 sites"):
-            hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, 128))
+            hl.correction_operator(d, hl.quadrature_grid(512, 128))
 
 
 class TestWaveIdentity:
@@ -279,20 +268,20 @@ class TestWaveIdentity:
         g = hl.GridSpec(m_theta=256, n_site=64)
         p = hl.zero_potential()
         d = scatter_cache(p, g)
-        assert wave_identity(d, p, g) < 1e-10
+        assert wave_identity(d, g) < 1e-10
 
     def test_rank_one_meets_gate(self, grid_default, scatter_cache):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, grid_default)
-        assert wave_identity(d, p, grid_default) < 1e-7
+        assert wave_identity(d, grid_default) < 1e-7
 
     def test_second_order_refinement(self, scatter_cache):
         # quadrature-limited residual falls at least 4x per m doubling
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         g1 = hl.GridSpec(m_theta=256, n_site=64)
         g2 = hl.GridSpec(m_theta=512, n_site=64)
-        r1 = wave_identity(scatter_cache(p, g1), p, g1)
-        r2 = wave_identity(scatter_cache(p, g2), p, g2)
+        r1 = wave_identity(scatter_cache(p, g1), g1)
+        r2 = wave_identity(scatter_cache(p, g2), g2)
         assert r1 / r2 >= 4.0
 
     @pytest.mark.parametrize("m", [256, 512])
@@ -301,7 +290,7 @@ class TestWaveIdentity:
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         g = hl.GridSpec(m_theta=m, n_site=64)
         d = scatter_cache(p, g)
-        grid = hl.quadrature_grid(m)
+        grid = hl.quadrature_grid(m, g.n_site)
         ni, b = m - 2, 32
         # (U+1)/2 (S-1) composed in full at m-2 sites
         F = np.sqrt(2.0 / m) * np.sin(np.outer(grid.theta, np.arange(1, ni + 1)))
@@ -309,26 +298,26 @@ class TestWaveIdentity:
         U = 1j * (C.T @ F)
         S = F.T @ (d.smatrix[:, None] * F)
         A = (U + np.eye(ni)) / 2.0 @ (S - np.eye(ni))
-        block = _composed_block(grid, d.smatrix, *hl.sine_cosine_transforms(grid, b), b)
+        block = _composed_block(grid, d.smatrix, b)
         assert np.max(np.abs(block - A[:b, :b])) < 1e-13
-        W = hl.wave_operator(d, p, grid, hl.sine_cosine_transforms(grid, g.n_site)[0])[:b, :b]
-        K = hl.correction_operator(d, grid, *hl.sine_cosine_transforms(grid, g.n_site))[:b, :b]
+        W = hl.wave_operator(d, grid)[:b, :b]
+        K = hl.correction_operator(d, grid)[:b, :b]
         full = np.max(np.abs(W - np.eye(b) - A[:b, :b] - K))
-        assert abs(wave_identity(d, p, g) - full) < 1e-13
+        assert abs(wave_identity(d, g) - full) < 1e-13
 
     def test_second_order_over_four_doublings(self):
         # only the gate's block is composed, so m_theta = 8192 is cheap
         p = hl.table_potential([0.3, -0.2], rho=3.0)
-        grids = [hl.GridSpec(m_theta=m) for m in (512, 1024, 2048, 4096, 8192)]
-        res = [wave_identity(d, p, g)
-               for d, g in zip(hl.scattering_grids(p, grids), grids)]
+        g = hl.GridSpec()
+        res = [wave_identity(d, g)
+               for d in hl.scattering_grids(p, g, [512, 1024, 2048, 4096, 8192])]
         ratios = np.array(res[:-1]) / np.array(res[1:])
         assert np.all(ratios >= 4.0), ratios
 
 
 class TestPrincipalValue:
     def test_kernel_entries_definition(self):
-        g = hl.quadrature_grid(16)
+        g = hl.quadrature_grid(16, 2)
         A = hl.coupling_pv_matrix(g)
         j, k = 3, 11
         lam = g.lam
@@ -339,7 +328,7 @@ class TestPrincipalValue:
         assert A[j, j] == 0.0
 
     def test_action_gap_small_and_shrinking(self):
-        gaps = [hl.pv_action_gap(hl.quadrature_grid(m), m // 4) for m in (256, 512)]
+        gaps = [hl.pv_action_gap(hl.quadrature_grid(m, m // 4)) for m in (256, 512)]
         assert gaps[1] < 1e-2
         assert gaps[1] < 0.7 * gaps[0]
 

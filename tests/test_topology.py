@@ -40,7 +40,7 @@ class TestBoundaryAssembly:
     def test_free_curve_is_constant(self, scatter_cache):
         g = small_grid()
         p = hl.zero_potential()
-        curve = hl.assemble_boundary(scatter_cache(p, g), g)
+        curve = hl.assemble_boundary(scatter_cache(p, g))
         assert np.max(np.abs(curve.points - 1.0)) < 1e-12
         assert curve.min_abs > 1 - 1e-12
 
@@ -48,7 +48,7 @@ class TestBoundaryAssembly:
         g = small_grid()
         p = hl.rank_one(0.5)
         d = scatter_cache(p, g)
-        curve = hl.assemble_boundary(d, g)
+        curve = hl.assemble_boundary(d)
         sl = curve.edge_slices["scattering"]
         assert curve.points[sl.start] == d.s_plus
         assert curve.points[sl.stop - 1] == d.s_minus
@@ -57,7 +57,7 @@ class TestBoundaryAssembly:
         for v0 in (0.5, 0.75, 1.5):
             g = small_grid()
             p = hl.rank_one(v0)
-            curve = hl.assemble_boundary(scatter_cache(p, g), g)
+            curve = hl.assemble_boundary(scatter_cache(p, g))
             assert curve.min_abs > 1e-3
 
 
@@ -108,14 +108,6 @@ class TestWindingNumber:
         with pytest.raises(hl.NumericsError, match="undersampled"):
             hl.winding_report(scatter_cache(p, g), p, g)
 
-    @pytest.mark.parametrize("change", [{"n_edge": 2048}, {"alpha_max": 10.0}])
-    def test_other_edge_refused(self, change, scatter_cache):
-        # the scattering edge comes from d's recursion pass, not a new one
-        g = small_grid()
-        p = hl.rank_one(0.75)
-        with pytest.raises(ValueError, match="holds the edge"):
-            hl.assemble_boundary(scatter_cache(p, g), small_grid(**change))
-
     def test_open_arc_not_integer(self):
         # quarter turn: the rounding residual 0.25 exceeds any sane tolerance
         t = np.linspace(0.0, np.pi / 2, 200)
@@ -124,7 +116,6 @@ class TestWindingNumber:
         curve = hl.BoundaryCurve(
             points=pts, params=t,
             edge_slices={"scattering": slice(0, n), "gamma_minus": slice(n, n),
-                         "constant": slice(n, n), "gamma_plus": slice(n, n)},
-            corners={})
+                         "constant": slice(n, n), "gamma_plus": slice(n, n)})
         with pytest.raises(hl.NumericsError, match="not integer"):
             hl.winding_number(curve, tol_winding=0.05)
