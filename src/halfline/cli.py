@@ -26,7 +26,7 @@ from .model import GridSpec, OffAxisPoint, Potential, make_potential
 from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids)
-from .topology import assemble_boundary, winding_number
+from .topology import assemble_boundary, winding_number, winding_report
 
 #: pass/fail gates used by the report command
 GATES = {
@@ -239,17 +239,12 @@ def cmd_waveop(args) -> int:
     return 0
 
 
-def _winding_payload(g: GridSpec, d: ScatteringData):
-    curve = assemble_boundary(d)
-    report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
-    return curve, report
-
-
 def cmd_winding(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    curve, report = _winding_payload(g, d)
+    curve = assemble_boundary(d)
+    report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     ph = np.unwrap(np.angle(curve.points))
     rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,
              curve.points[i].imag, ph[i]) for i in range(len(curve.points)))
@@ -277,7 +272,7 @@ def cmd_report(args) -> int:
     _scatter_outputs(d, outputs, cfg_hash)
     scatter = _scatter_summary(d)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
-    curve, wrep = _winding_payload(g, d)
+    wrep = winding_report(d, p, g)
     passes = _gates(g, scatter, payload, wrep)
     report = {
         "provenance": {"config": normalized},

@@ -16,12 +16,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import AssumptionError, ConfigError, NumericsError
 
 RHO_MIN = 2.5
 ENVELOPE_FLOOR = 1e-16
+
+#: longest `random_decaying` table: 2.5 times the 1,665,610 sites of rho_gen 2.6
+MAX_TABLE_SITES = 2 ** 22
 
 #: the off-diagonal entry of H0, (u(n-1) + u(n+1))/2
 OFF_DIAGONAL = 0.5
@@ -139,7 +141,10 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
     if not rho_gen > RHO_MIN:       # the table's length grows without bound toward 5/2
         raise AssumptionError(
             f"assumption violated: rho_gen must exceed 5/2, got {rho_gen}")
-    length = int(math.floor((amplitude / ENVELOPE_FLOOR) ** (1.0 / rho_gen)))
+    length = (amplitude / ENVELOPE_FLOOR) ** (1.0 / rho_gen)
+    if not length <= MAX_TABLE_SITES:     # refused before an array is asked for
+        raise ConfigError(f"random_decaying table of {length:.4g} sites exceeds {MAX_TABLE_SITES}")
+    length = math.floor(length)
     rng = np.random.default_rng(seed)
     n = np.arange(length)
     values = amplitude * rng.uniform(-1.0, 1.0, length) * (1.0 + n) ** (-rho_gen)
@@ -212,6 +217,15 @@ class SpectralPoint:
         return complex(2.0 * self.lam)
 
 
+def off_axis_zeta(z):
+    """zeta(z) = sign(z) / (|z| + sqrt(z^2 - 1)) for real |z| > 1, which does
+    not cancel for large |z|.  Above 1e150, where z^2 may overflow,
+    sqrt(z^2 - 1) rounds to |z| and zeta = sign(z) 0.5/|z| is the same float."""
+    a = np.abs(z)
+    c = np.minimum(a, 1e150)
+    return np.copysign(np.where(a > 1e150, 0.5 / a, 1.0 / (a + np.sqrt(c * c - 1.0))), z)
+
+
 @dataclass(frozen=True)
 class OffAxisPoint:
     """Real spectral parameter z with |z| > 1 and the contracting branch
@@ -224,9 +238,7 @@ class OffAxisPoint:
     def from_z(cls, z: float) -> "OffAxisPoint":
         if not abs(z) > 1.0:
             raise ValueError("off-axis point needs |z| > 1")
-        # 1/(|z| + sqrt(z^2-1)) avoids cancellation for large |z|
-        zeta = math.copysign(1.0 / (abs(z) + math.sqrt(z * z - 1.0)), z)
-        return cls(z=float(z), zeta=zeta)
+        return cls(z=float(z), zeta=float(off_axis_zeta(z)))
 
     @property
     def two_z(self) -> complex:
@@ -282,9 +294,11 @@ class GridSpec:
             raise ConfigError("m_beta must be even")
 
     def effective_z_max(self, p: Potential) -> float:
-        if self.z_max is not None:
-            return self.z_max
-        return 1.0 + 2.0 * (1.0 + p.sup_norm)
+        z_max = 1.0 + 2.0 * (1.0 + p.sup_norm) if self.z_max is None else self.z_max
+        # the bound-state scan steps 2z - 2V(n) for |z| up to z_max
+        if not math.isfinite(2.0 * (z_max + p.sup_norm)):
+            raise NumericsError(f"z_max {z_max:.3e} and sup|V| {p.sup_norm:.3e} overflow 2(z - V)")
+        return z_max
 
     def refined(self) -> "GridSpec":
         """Grid with doubled spectral resolution (site window unchanged)."""
@@ -306,21 +320,26 @@ class TridiagonalTruncation:
         return m
 
     def eigenvalues(self) -> np.ndarray:
+        from scipy.linalg import eigh_tridiagonal     # tests and demos only: off the import path
         return eigh_tridiagonal(self.diagonal, OFF_DIAGONAL * np.ones(self.size - 1),
                                 eigvals_only=True)
 
-    def eigenvalues_outside(self, band: float) -> np.ndarray:
-        """The eigenvalues with |lambda| > band, ascending, by Sturm bisection
-        (LAPACK stebz) on each side; its ranges are half-open, (lo, hi]."""
-        off = OFF_DIAGONAL * np.ones(self.size - 1)
-        try:
-            return np.concatenate([
-                eigvalsh_tridiagonal(self.diagonal, off, select="v",
-                                     select_range=(-np.inf, np.nextafter(-band, -np.inf))),
-                eigvalsh_tridiagonal(self.diagonal, off, select="v",
-                                     select_range=(band, np.inf))])
-        except np.linalg.LinAlgError as exc:    # stebz fails on entries near overflow
-            raise NumericsError(f"count oracle failed: {exc}") from None
+    def eigenvalues_beyond(self, bounds) -> list:
+        """For each b in bounds, the number of eigenvalues with |lambda| > b: the
+        positive pivots of LDL^T = T - b and -T - b (Sturm counts; Barth, Martin and
+        Wilkinson 1967).  A zero pivot counts as 0-, so lambda = +-b is not beyond."""
+        counts, c2 = [], OFF_DIAGONAL ** 2
+        for b in bounds:
+            counts.append(0)
+            for diag in (self.diagonal - b, -self.diagonal - b):
+                q = math.inf                # the first pivot has no off-diagonal term
+                for v in diag.tolist():
+                    q = v - c2 / q if q else math.inf
+                    if q > 0.0:             # rare: beyond b lie few eigenvalues
+                        counts[-1] += 1
+                if q != q:                  # a NaN pivot stays NaN to the last
+                    raise NumericsError(f"count oracle failed: NaN pivot at +-{b}")
+        return counts
 
 
 def hamiltonian_truncation(p: Potential, size: int) -> TridiagonalTruncation:

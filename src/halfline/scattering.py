@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericsError
 from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint, hamiltonian_truncation,
-                    theta_midpoints)
+                    off_axis_zeta, theta_midpoints)
 from .solutions import SolutionSequence
 
 #: relative tolerance on Wronskian constancy
@@ -126,7 +126,7 @@ def classify_thresholds(p: Potential, tol_threshold: float, omegas=None):
 
 def bound_states(p: Potential, g: GridSpec, scan=None):
     """All zeros of Omega on [-z_max, -1) u (1, z_max], with the count
-    cross-checked against the eigenvalues of a large tridiagonal truncation.
+    cross-checked against a Sturm count on a large tridiagonal truncation.
 
     The scan grid (`_scan_points`) is geometric, accumulating at the
     thresholds where zeros cluster; scan is Omega on it when the caller has
@@ -156,13 +156,12 @@ def bound_states(p: Potential, g: GridSpec, scan=None):
     roots = np.sort(np.asarray(roots))
 
     band = 1.0 + 10.0 * g.tol_root
-    outside = hamiltonian_truncation(p, 2000).eigenvalues_outside(band)
-    if outside.size and np.max(np.abs(outside)) > z_max:
-        raise NumericsError(f"z_max too small: eigenvalue at {np.max(np.abs(outside)):.6f}")
-    if outside.size != roots.size:
-        raise NumericsError(
-            f"oracle mismatch: {roots.size} Jost zeros vs {outside.size} "
-            f"matrix eigenvalues outside the band")
+    beyond, outside = hamiltonian_truncation(p, 2000).eigenvalues_beyond([z_max, band])
+    if beyond:
+        raise NumericsError(f"z_max too small: {beyond} eigenvalues beyond +-{z_max:.6f}")
+    if outside != roots.size:
+        raise NumericsError(f"oracle mismatch: {roots.size} Jost zeros vs {outside} "
+                            f"matrix eigenvalues outside the band")
     return roots, int(roots.size)
 
 
@@ -173,13 +172,9 @@ def _scan_points(p: Potential, g: GridSpec) -> np.ndarray:
     return np.concatenate([z_side, -z_side])
 
 
-def _off_axis_zeta(z: np.ndarray) -> np.ndarray:
-    return np.sign(z) / (np.abs(z) + np.sqrt(z * z - 1.0))
-
-
 def _omega_off_axis(p: Potential, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, float))
-    return _kernels.jost_function_values(p.values, _off_axis_zeta(z), 2.0 * z)
+    return _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z)
 
 
 def edge_beta(g: GridSpec) -> np.ndarray:
@@ -207,7 +202,7 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     cut = thetas + [2.0 * np.arctan(np.exp(-beta))]
     zetas, lams = [np.exp(-1j * th) for th in cut], [np.cos(th) for th in cut]
     omega, rows = _kernels.jost_scaled(
-        p.values, np.concatenate(zetas + [_off_axis_zeta(z_scan), [1.0, -1.0]]),
+        p.values, np.concatenate(zetas + [off_axis_zeta(z_scan), [1.0, -1.0]]),
         np.concatenate([2.0 * lam + 0j for lam in lams] + [2.0 * z_scan, [2.0, -2.0]]),
         g.n_site - 1, sum(map(len, thetas)))
     pieces = np.split(omega, np.cumsum(list(map(len, cut)) + [len(z_scan)]))

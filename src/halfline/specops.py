@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import _kernels
 from .errors import NumericsError
@@ -175,7 +174,7 @@ def completeness_defect(W: np.ndarray, p: Potential,
     projector of the dense site truncation onto its out-of-band eigenvectors."""
     n = W.shape[0]
     block = n // 2 if block is None else block
-    evals, evecs = eigh(hamiltonian_truncation(p, n).matrix())
+    evals, evecs = np.linalg.eigh(hamiltonian_truncation(p, n).matrix())
     out = np.abs(evals) > 1.0 + band_margin
     Pb = evecs[:, out] @ evecs[:, out].T
     D = W @ W.conj().T - (np.eye(n) - Pb)

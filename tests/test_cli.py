@@ -95,10 +95,13 @@ class TestValidate:
         ({"kind": "table", "values": "ab", "rho": 3.0}, 2),
         ({"kind": "rank_one", "v0": "0.75"}, 2),
         ({"kind": "rank_one", "v0": True}, 2),
+        ({"kind": "random_decaying", "seed": 0, "amplitude": 1e300}, 2),
+        ({"kind": "random_decaying", "seed": 0, "amplitude": 1e6, "rho_gen": 2.6}, 2),
     ])
     def test_bad_potential_refused(self, tmp_path, potential, code):
         # each of these crashed `validate` or ran through it; a rho_gen not
-        # above 5/2 is refused before its table (107 PiB for 1.0) is built
+        # above 5/2 is refused before its table (107 PiB for 1.0) is built, and
+        # so is a table longer than MAX_TABLE_SITES (289,426,612 sites for 1e6)
         cfg = write_cfg(tmp_path, potential)
         assert main(["validate", str(cfg)]) == code
 
@@ -131,11 +134,13 @@ class TestScatter:
         assert len(rows[0][0].replace(".", "").replace("-", "").lstrip("0")) >= 16
 
     @pytest.mark.parametrize("v0,code", [(1e6, 0), (1e7, 0), (1e12, 0), (-1e6, 0),
-                                         (1e200, 4), (1e308, 4)])
+                                         (1e200, 0), (5e307, 4), (1e308, 4)])
     def test_large_coupling_ends(self, tmp_path, v0, code):
         # far from 0 adjacent floats lie more than tol_root apart, so the
         # bisection also ends where no float is left inside a bracket; the
-        # command runs in a process of its own, so a search that never ends fails
+        # command runs in a process of its own, so a search that never ends fails.
+        # zeta stays finite where z^2 overflows; from about 3e307 the scan's
+        # 2(z - V) would overflow, and the input is refused
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": v0, "rho": 3.0})
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-m", "halfline.cli", "scatter", str(cfg)],
@@ -243,9 +248,10 @@ class TestReport:
         assert called == []
 
     def test_one_eigensolve_and_one_bound_state_search(self, tmp_path, monkeypatch):
-        # both cut grids come from one pass, whose grid-free stages run once
+        # both cut grids come from one pass, whose grid-free stages run once:
+        # one count oracle, which solves for no eigenvalue
         from halfline import model, scattering
-        calls = {"eigenvalues_outside": 0, "bound_states": 0}
+        calls = {"eigenvalues_beyond": 0, "eigenvalues": 0, "bound_states": 0}
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -255,11 +261,12 @@ class TestReport:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(model.TridiagonalTruncation, "eigenvalues_outside")
+        counted(model.TridiagonalTruncation, "eigenvalues_beyond")
+        counted(model.TridiagonalTruncation, "eigenvalues")
         counted(scattering, "bound_states")
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         assert main(["report", str(cfg)]) == 0
-        assert calls == {"eigenvalues_outside": 1, "bound_states": 1}
+        assert calls == {"eigenvalues_beyond": 1, "eigenvalues": 0, "bound_states": 1}
 
     def test_one_recursion_pass(self, tmp_path, monkeypatch):
         # grids, edge, scan and thresholds in one jost_scaled call; what is
@@ -355,3 +362,11 @@ class TestReport:
             assert f"# config={h}" in (tmp_path / "out" / name).read_text()
         wave = json.loads((tmp_path / "out" / "waveop.json").read_text())
         assert wave["config_hash"] == h
+
+
+def test_import_path_loads_no_scipy():
+    # the count oracle solves for no eigenvalue; only eigenvalues() imports scipy
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, halfline, halfline.cli; sys.exit('scipy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import halfline as hl
+from halfline.model import off_axis_zeta
 
 
 class TestPotential:
@@ -74,6 +77,20 @@ class TestSpectralGeometry:
         assert np.sign(pt.zeta) == np.sign(z)
         assert pt.zeta + 1.0 / pt.zeta == pytest.approx(2.0 * z, rel=1e-14)
 
+    def test_zeta_as_before_where_z_squared_is_finite(self):
+        z = np.geomspace(1.0 + 1e-12, 1.3e154, 4001)
+        z = np.concatenate([z, -z, [1e150], np.nextafter(1e150, [0.0, np.inf])])
+        old = np.sign(z) / (np.abs(z) + np.sqrt(z * z - 1.0))
+        assert np.array_equal(off_axis_zeta(z), old)
+        assert [hl.OffAxisPoint.from_z(x).zeta for x in z[::50]] == old[::50].tolist()
+
+    @pytest.mark.parametrize("z", [1.4e154, -1e200, 1e300, 1.7e308])
+    def test_zeta_without_overflow(self, z):
+        # z^2 overflows: zeta = 1/(2z) to the last bit, not 0
+        pt = hl.OffAxisPoint.from_z(z)
+        assert pt.zeta == off_axis_zeta(z) == 0.5 / z
+        assert pt.zeta * z == pytest.approx(0.5, rel=1e-14)
+
     @pytest.mark.parametrize("lam", np.linspace(-1, 1, 17))
     def test_rim_invariants(self, lam):
         pt = hl.SpectralPoint.from_lambda(lam)
@@ -113,6 +130,53 @@ class TestTruncation:
         ev = hl.hamiltonian_truncation(p, 50).eigenvalues()
         bound = 1.0 + p.sup_norm
         assert np.all(np.abs(ev) <= bound + 1e-12)
+
+    @staticmethod
+    def assert_counts_as_scipy(p, size, bounds):
+        """eigenvalues_beyond against the eigenvalues of scipy's tridiagonal
+        solver: equal, except that an eigenvalue within rounding of +-b may
+        fall on either side of it."""
+        from scipy.linalg import eigvalsh_tridiagonal
+        t = hl.hamiltonian_truncation(p, size)
+        ev = np.abs(eigvalsh_tridiagonal(t.diagonal, 0.5 * np.ones(size - 1)))
+        for b, count in zip(bounds, t.eigenvalues_beyond(bounds)):
+            slack = 1e-13 * (1.0 + b + p.sup_norm)
+            assert np.sum(ev > b + slack) <= count <= np.sum(ev > b - slack), (b, ev)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+           size=st.integers(1, 40), b=st.floats(0.0, 4.0))
+    def test_count_as_scipy_on_random_diagonals(self, values, size, b):
+        p = hl.table_potential(values, rho=3.0)
+        g = hl.GridSpec()
+        band = 1.0 + 10.0 * g.tol_root
+        self.assert_counts_as_scipy(p, size, [band, g.effective_z_max(p), b])
+
+    @settings(max_examples=40, deadline=None)
+    @given(v0=st.floats(0.45, 0.55), sign=st.sampled_from([1.0, -1.0]))
+    @example(v0=0.5, sign=1.0)
+    @example(v0=0.5001, sign=1.0)
+    @example(v0=0.51, sign=-1.0)
+    def test_count_as_scipy_across_the_resonance(self, v0, sign):
+        # the 2,000-site truncation of the bound-state oracle; near v0 = 1/2
+        # the bound state leaves the band through its edge
+        p = hl.rank_one(sign * v0)
+        g = hl.GridSpec()
+        self.assert_counts_as_scipy(p, 2000, [1.0 + 10.0 * g.tol_root, g.effective_z_max(p)])
+
+    @pytest.mark.parametrize("diagonal,count", [
+        ([1.0, 1.0], 1),        # first pivot of T - 1 is zero; eigenvalues 0.5, 1.5
+        ([0.5, 0.5], 0),        # eigenvalue 1 lies on the bound, not beyond it
+        ([-1.0, -1.0, 0.0], 1),  # first pivot of -T - 1 is zero; eigenvalue -1.59
+    ])
+    def test_zero_pivot_and_eigenvalue_on_the_bound(self, diagonal, count):
+        t = hl.TridiagonalTruncation(size=len(diagonal), diagonal=np.array(diagonal))
+        assert t.eigenvalues_beyond([1.0]) == [count]
+
+    def test_nan_pivot_refused(self):
+        t = hl.TridiagonalTruncation(size=3, diagonal=np.array([0.0, np.nan, 0.0]))
+        with pytest.raises(hl.NumericsError, match="NaN pivot"):
+            t.eigenvalues_beyond([1.0])
 
 
 class TestGridSpec:
