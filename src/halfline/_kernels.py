@@ -9,13 +9,13 @@ picks the form:
   every ufunc writing into one of three preallocated rows.  A site then costs
   five ufunc calls however many points there are, and no allocation.  A long
   grid (table sites x points >= SPLIT_WORK) on a machine with a second CPU
-  is cut in two halves of points, the second stepped meanwhile by a helper
-  interpreter.
+  is cut in two halves of points, the second stepped meanwhile by a forked
+  child process.  A lone point is stepped as two copies of itself, since
+  numpy steps a one-element array through a different loop.
 * A few real points (the bisection midpoints of the bound-state search,
   single points asked for by `jost_function`) are stepped one at a time as
   Python floats: at one point the fixed cost of a ufunc call is what
-  dominates.  A lone complex point is stepped as two copies of itself, since
-  numpy steps a one-element array through a different loop.
+  dominates.
 
 Every form evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the same
 operations in the same order, and each point independently of the others, so
@@ -32,20 +32,18 @@ exact for finitely supported potentials.
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
 import signal
-import subprocess
-import sys
 
 import numpy as np
 
 #: real queries with at most this many points are stepped as Python floats
 SCALAR_POINTS = 4
 
-#: table sites x points from which a grid is shared with the helper process
-#: (below it, about half a second of stepping, shipping the table does not pay)
+#: table sites x points from which half of a grid is stepped in a forked
+#: child (each half still pays the per-site cost of the ufunc calls in full,
+#: so only the per-point share of a long grid's stepping is halved)
 SPLIT_WORK = 2 ** 26
 
 #: sites whose deviations the decay scan reduces in one vectorised call
@@ -69,6 +67,10 @@ def _jost_steps(V, zeta, two_z):
 
     The yielded row is overwritten two steps later; copy what must be kept.
     """
+    if zeta.shape[0] == 1:      # numpy steps a one-element array through another loop
+        pair = _jost_steps(V, np.repeat(zeta, 2), np.repeat(two_z, 2))
+        yield from ((n, t[:1]) for n, t in pair)
+        return
     z2 = zeta * zeta
     c = np.empty_like(zeta)
     t_next, t_cur = np.ones_like(zeta), np.ones_like(zeta)
@@ -143,10 +145,8 @@ def jost_function_values(V, zeta, two_z):
     n = zeta.shape[0]
     if zeta.dtype == np.float64 and n <= SCALAR_POINTS:
         return np.array([_omega_scalar(V, z, t) for z, t in zip(zeta, two_z)])
-    if n == 1:
-        zeta, two_z = np.repeat(zeta, 2), np.repeat(two_z, 2)
     parts = _split_points(_kept_rows, V, zeta, two_z, lambda lo, hi: (-1, 0))
-    return np.concatenate([omega for omega, _ in parts])[:n]
+    return np.concatenate([omega for omega, _ in parts])
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):
@@ -186,65 +186,46 @@ def regular_values(V, two_z, n_max):
 # the second CPU
 # ---------------------------------------------------------------------------
 
-def _start_helper():
-    """A second interpreter for half of a long grid, stopped at exit.  It is
-    a plain subprocess that imports only this package: a multiprocessing
-    start method would first re-run the caller's main script."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from halfline._kernels import _serve; _serve()"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-    atexit.register(_stop_helper, proc)
-    return proc
-
-
-def _stop_helper(proc):
-    with proc:                  # closes the pipes, then reaps the helper
-        proc.stdin.close()      # end of input ends its loop
-
-
-def _serve():
-    """The helper's loop: a pickled (name, args) request in, its value out."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # an interrupt is the caller's to handle
-    requests, replies = sys.stdin.buffer, sys.stdout.buffer
-    while True:
-        try:
-            name, args = pickle.load(requests)
-        except EOFError:
-            return
-        pickle.dump(globals()[name](*args), replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
-
-
-_helper = None
-
-
 def _split_points(fn, V, zeta, two_z, args=lambda lo, hi: ()):
     """[fn(V, zeta, two_z, *args(0, n))] for the n points, or for a long
     grid on a machine with a second CPU, fn over the two halves of the
-    points, with args(lo, hi) for the points lo:hi; the second half is
-    stepped by the helper meanwhile.  A half keeps at least two points:
-    numpy steps a one-element array through a different loop."""
-    global _helper
+    points, with args(lo, hi) for the points lo:hi.  The second half is
+    stepped meanwhile by a forked child, which reads the table through
+    copy-on-write and sends its value back pickled through a pipe; no
+    process outlives the call."""
     n = zeta.shape[0]
     half = n // 2
-    if V.shape[0] * n < SPLIT_WORK or half < 2 or (os.cpu_count() or 1) < 2:
+    if (V.shape[0] * n < SPLIT_WORK or n < 2 or not hasattr(os, "fork")
+            or (os.cpu_count() or 1) < 2):
         return [fn(V, zeta, two_z, *args(0, n))]
-    helper, _helper = _helper, None         # held by this call; a failed call drops it
-    if helper is None or helper.poll() is not None:
-        try:
-            helper = _start_helper()
-        except OSError:                     # no second process to be had
-            return [fn(V, zeta, two_z, *args(0, n))]
+    read_end, write_end = os.pipe()
     try:
-        pickle.dump((fn.__name__, (V, zeta[half:], two_z[half:], *args(half, n))),
-                    helper.stdin, pickle.HIGHEST_PROTOCOL)
-        helper.stdin.flush()
-        first = fn(V, zeta[:half], two_z[:half], *args(0, half))
-        rest = pickle.load(helper.stdout)
+        pid = os.fork()
+    except OSError:                 # no second process to be had
+        os.close(read_end)
+        os.close(write_end)
+        return [fn(V, zeta, two_z, *args(0, n))]
+    if pid == 0:                    # the child: no atexit hook or finaliser runs in it
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as replies:
+                pickle.dump(fn(V, zeta[half:], two_z[half:], *args(half, n)),
+                            replies, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as replies:
+            first = fn(V, zeta[:half], two_z[:half], *args(0, half))
+            rest = replies.read()
     except BaseException:
-        helper.kill()
-        helper.wait()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
         raise
-    _helper = helper
-    return [first, rest]
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError(f"the child stepping the second half of the points "
+                           f"ended with exit status {status}")
+    return [first, pickle.loads(rest)]

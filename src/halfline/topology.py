@@ -18,10 +18,14 @@ import numpy as np
 
 from .errors import NumericsError
 from .model import GridSpec, Potential
-from .scattering import ScatteringData
+from .scattering import ScatteringData, eta_endpoints
 
 #: pre-snap corner mismatch allowed before the classification is distrusted
 CORNER_GUARD = 1e-4
+
+#: turns by which the scattering edge may differ from (eta(+1) - eta(-1))/pi
+#: before the edge is taken to have lost a turn between two samples
+EDGE_TURN_GUARD = 0.25
 
 EDGE_ORDER = ("scattering", "gamma_minus", "constant", "gamma_plus")
 
@@ -74,7 +78,10 @@ def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
 
     The scattering edge is read from d, whose recursion pass stepped it at
     d.edge_beta; n_edge and 2 alpha_max are its length and first point
-    (exact: linspace keeps its endpoints).
+    (exact: linspace keeps its endpoints).  Its turn, the sum of its phase
+    steps, is checked against the cut grid's (eta(+1) - eta(-1))/pi: an edge
+    too coarse to follow the phase can lose a whole turn without any large
+    sampled jump.
     """
     beta = d.edge_beta
     n_edge, bmax = len(beta), float(beta[0])
@@ -103,6 +110,12 @@ def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
         "constant": const,
         "gamma_plus": np.concatenate([[1.0], gp, [sp]]),
     }
+    s_full = edges["scattering"]
+    turn = float(np.sum(np.angle(s_full[1:] / s_full[:-1])) / (2.0 * np.pi))
+    eta_m1, eta_p1 = eta_endpoints(d)
+    if abs(turn - (eta_p1 - eta_m1) / np.pi) >= EDGE_TURN_GUARD:
+        raise NumericsError(f"undersampled: the scattering edge turns {turn:.3f}, "
+                            f"(eta(+1) - eta(-1))/pi is {(eta_p1 - eta_m1) / np.pi:.3f}")
     params = {
         "scattering": np.concatenate([[bmax], beta, [-bmax]]),
         "gamma_minus": np.concatenate([[-amax], alpha_up, [amax]]),

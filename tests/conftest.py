@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,15 @@ RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
 TWO_SITE = (0.3, -0.2)
 RANDOM_SEEDS = tuple(range(10))
 RANDOM_AMPLITUDE = 1.5
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """At the end of the session no child process is left, running or
+    unreaped: a split grid reaps the child it forked before it returns."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

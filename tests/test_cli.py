@@ -205,11 +205,15 @@ class TestWinding:
         assert {r[0] for r in rows} == {"scattering", "gamma_minus",
                                         "constant", "gamma_plus"}
 
-    def test_coarse_edges_exit_4(self, tmp_path):
+    @pytest.mark.parametrize("n_edge", [2, 3, 8, 16])
+    def test_coarse_edges_exit_4(self, tmp_path, n_edge):
+        # at 2 and 8 no sampled phase jump reaches pi/2: the edge loses the
+        # whole turn that the cut grid's eta(+1) - eta(-1) shows
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
                         grids={"m_theta": 256, "n_site": 64, "m_beta": 512,
-                               "n_edge": 16})
+                               "n_edge": n_edge})
         assert main(["winding", str(cfg)]) == 4
+        assert main(["winding", str(cfg), "--check"]) == 4
 
 
 class TestReport:

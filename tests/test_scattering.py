@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -87,7 +90,7 @@ class TestJostFunction:
         assert np.array_equal(omega_too, ref[0]) and np.array_equal(head, ref[:8, :10])
 
     def test_split_grid_matches_whole(self, monkeypatch):
-        # halves stepped by this process and by the helper interpreter
+        # halves stepped by this process and by a forked child
         p = KERNEL_POTENTIALS["short_random"]
         th = (np.arange(65) + 0.5) * np.pi / 65
         zeta, two_z = np.exp(-1j * th), 2.0 * np.cos(th) + 0j
@@ -103,14 +106,75 @@ class TestJostFunction:
         assert np.array_equal(split[1], whole[1])
         assert split[2] == whole[2]
 
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Split every grid of two points or more; the pids of the forked
+        children, in order."""
+        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
+        pids, fork = [], os.fork
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        return pids
+
+    def test_split_reaps_its_child(self, forks):
+        th = (np.arange(9) + 0.5) * np.pi / 9
+        _kernels.jost_scaled(KERNEL_POTENTIALS["short_random"].values,
+                             np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 4)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failure_in_parent_half_kills_child(self, forks, error):
+        parent = os.getpid()
+
+        def half(V, zeta, two_z):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)                  # only a kill ends the child in time
+
+        start = time.monotonic()
+        with pytest.raises(error):
+            _kernels._split_points(half, np.zeros(3), np.ones(4), np.ones(4))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("status", [1, -signal.SIGKILL])
+    def test_failure_in_child_half_names_its_status(self, forks, status):
+        parent = os.getpid()
+
+        def half(V, zeta, two_z):
+            if os.getpid() != parent:
+                if status == 1:
+                    raise ValueError("the child's half fails")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return zeta
+
+        with pytest.raises(RuntimeError, match=f"exit status {status}$"):
+            _kernels._split_points(half, np.zeros(3), np.ones(4), np.ones(4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
     def test_lone_point_equals_cut_grid(self):
         # a lone complex point is stepped as two copies of itself: numpy steps
         # a one-element array through another loop, up to 4e-13 away here
         p = hl.random_decaying(3, rho_gen=4.0)
-        d = hl.scattering_grid(p, hl.GridSpec(m_theta=64, n_site=32))
+        g = hl.GridSpec(m_theta=64, n_site=32)
+        d = hl.scattering_grid(p, g)
         single = [hl.jost_function(p, hl.SpectralPoint(lam, th, complex(z)))
                   for lam, th, z in zip(d.lam, d.theta, d.zeta)]
         assert np.array_equal(single, d.omega)
+        for k, (lam, z) in enumerate(zip(d.lam, d.zeta)):
+            _, rows = _kernels.jost_scaled(p.values, np.array([z]), np.array([2.0 * lam + 0j]),
+                                           g.n_site - 1)
+            assert np.array_equal(rows[:, 0], d.jost_rows[:, k]), k
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
     def test_real_points_match_reference_loop(self, name):
@@ -215,7 +279,7 @@ class TestOneRecursionPerGrid:
             assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
-        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one by the helper
+        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one by a forked child
         for g, d in zip(grids, ds):
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
@@ -235,7 +299,8 @@ class TestOneRecursionPerGrid:
 
 class TestFusedPass:
     """The one pass over all points of a report equals the forms that stepped
-    each set of points apart, bit for bit, whole and split across the helper."""
+    each set of points apart, bit for bit, whole and split across a forked
+    child."""
 
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
     def test_equals_separate_forms(self, grid_pair, split, monkeypatch):
