@@ -1,27 +1,30 @@
 """Hot recursion kernels.
 
-The three-term recurrence has to be stepped site by site, which is the one
-place where plain numpy loops hurt (random decaying potentials carry tables
-with ~10^5 sites).  Everything here is plain numpy and Python; the query
-picks the form:
+Every Jost-type quantity is stepped by one compiled site step, `_step.c`:
+the cut grids of a report with their kept rows, the scattering edge, the
+bound-state scan and its bisection midpoints, the thresholds and the decay
+scan.  It carries each block of 16 points through all sites of the table in
+registers.  One entry takes complex points; the other takes real ones
+(off-axis points, the thresholds) and gives the real part of the complex
+recursion in float64.  Only `regular_values`, which steps n_site rows and not
+the table, stays numpy.
 
-* A grid of points is stepped all at once, one row of points per site, with
-  every ufunc writing into one of three preallocated rows.  A site then costs
-  five ufunc calls however many points there are, and no allocation.  A long
-  grid (table sites x points >= SPLIT_WORK) on a machine with a second CPU
-  is cut in two halves of points, the second stepped meanwhile by a forked
-  child process.  A lone point is stepped as two copies of itself, since
-  numpy steps a one-element array through a different loop.
-* A few real points (the bisection midpoints of the bound-state search,
-  single points asked for by `jost_function`) are stepped one at a time as
-  Python floats: at one point the fixed cost of a ufunc call is what
-  dominates.
+The step evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the
+operations of the per-site numpy loop (`reference_jost_rows` in the tests)
+in their order, and forms a complex product as numpy 2.4 does on a CPU with
+FMA: re = fma(ar, br, -ai bi), im = fma(ar, bi, ai br).  Its values equal
+that loop's bit for bit.  Each point is stepped on its own, so a value does
+not depend on the batch it came in.  A long grid (table sites x points >=
+SPLIT_WORK) on a machine with a second CPU is cut in two halves of points,
+the second stepped meanwhile on a worker thread: ctypes releases the GIL for
+the call.
 
-Every form evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the same
-operations in the same order, and each point independently of the others, so
-the value does not depend on the form.  Real input (off-axis points, the
-thresholds) is stepped in float64; its value equals the real part of the
-complex recursion at the same point.
+The first import builds `_step.c` with gcc and CFLAGS into the build
+artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
+of the source and the flags; it compiles to a temporary file and renames it
+into place, and later imports only load it.  Without gcc on PATH, or
+without a writable `__pycache__`, the import raises an ImportError that
+says which.
 
 All Jost-type kernels work with the scaled variable t(n) = theta(n, z) / zeta^n.
 Backward stepping of t is stable: the unwanted second solution corresponds to
@@ -32,92 +35,139 @@ exact for finitely supported potentials.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
 import os
-import pickle
-import signal
+import shutil
+import subprocess
+import tempfile
+import threading
 
 import numpy as np
 
-#: real queries with at most this many points are stepped as Python floats
-SCALAR_POINTS = 4
+#: how `_step.c` is built: -march=native for the CPU's FMA and vector
+#: instructions, -ffp-contract=off to fuse no product that numpy rounds apart
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
+          "-shared", "-fPIC")
 
-#: table sites x points from which half of a grid is stepped in a forked
-#: child (each half still pays the per-site cost of the ufunc calls in full,
-#: so only the per-point share of a long grid's stepping is halved)
-SPLIT_WORK = 2 ** 26
+#: table sites x points from which the second half of a grid's points is
+#: stepped on a worker thread
+SPLIT_WORK = 2 ** 22
 
 #: sites whose deviations the decay scan reduces in one vectorised call
 DECAY_ROWS = 64
 
 
-def _prepare(V, zeta, two_z):
-    """Contiguous float64 table and point arrays; the points are complex128
-    unless both zeta and 2z are real."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
+def _build() -> str:
+    """The path of the compiled step, built from `_step.c` if absent."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_step.c")
+    with open(source, "rb") as f:
+        tag = hashlib.sha256(f.read() + " ".join(CFLAGS).encode()).hexdigest()[:16]
+    cache = os.path.join(here, "__pycache__")
+    lib = os.path.join(cache, f"_step-{tag}.so")
+    if os.path.exists(lib):
+        return lib
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise ImportError(f"no C compiler (gcc) on PATH to build {source}")
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", "_step-", cache)
+    except OSError as exc:
+        raise ImportError(f"cannot write the build of {source} to {cache}: {exc}") from exc
+    os.close(fd)
+    try:
+        run = subprocess.run([gcc, *CFLAGS, "-o", tmp, source, "-lm"],
+                             capture_output=True, text=True)
+        if run.returncode != 0:
+            raise ImportError(f"gcc failed to build {source}:\n{run.stderr}")
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, lib)        # atomic: a concurrent import sees all or nothing
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return lib
+
+
+def _entries():
+    lib = ctypes.CDLL(_build())
+    entries = {}
+    for dtype, name in ((np.complex128, "step_complex"), (np.float64, "step_real")):
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
+                       + [ctypes.c_long] * 3)
+        entries[np.dtype(dtype)] = fn
+    return entries
+
+
+#: the compiled step by point dtype: step(V, r_hi, r_lo, n, zeta, two_z, t1,
+#: t2, rows, stride, n_rows, n_cols) steps the rows (t1, t2) = (r_hi, r_hi+1)
+#: of n points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
+#: first n_cols points to rows[i] for i < n_rows (row r is t(r - 1))
+_STEP = _entries()
+
+
+def _work(zeta, two_z):
+    """The rows zeta, 2z, t(r), t(r+1) of the points, the last two at the
+    free tail 1: complex128 unless both zeta and 2z are real."""
     zeta = np.atleast_1d(zeta)
-    dtype = np.float64 if np.result_type(zeta, two_z).kind in "biuf" else np.complex128
-    zeta = np.ascontiguousarray(zeta, dtype=dtype)
-    two_z = np.ascontiguousarray(np.broadcast_to(two_z, zeta.shape), dtype=dtype)
-    return V, zeta, two_z
+    real = np.result_type(zeta, two_z).kind in "biuf"
+    work = np.empty((4, zeta.shape[0]), np.float64 if real else np.complex128)
+    work[0], work[1], work[2:] = zeta, two_z, 1.0
+    return work
 
 
-def _jost_steps(V, zeta, two_z):
-    """Step t backward through the table, yielding (n, t(n)) for
-    n = L-2, L-3, ..., -1; t(L) = t(L-1) = 1 is the exact free tail.
+def _stepper(V, work, rows=None, n_cols=0):
+    """step(r_hi, r_lo, lo, hi): the compiled step on the points lo:hi of
+    work, from its rows t(r_hi), t(r_hi+1) down to t(r_lo), t(r_lo+1),
+    writing t(r_lo..) of the points below n_cols to rows.  The caller keeps
+    V, work and rows alive while it steps."""
+    fn, size = _STEP[work.dtype], work.itemsize
+    v, zeta, span = V.ctypes.data, work.ctypes.data, work.shape[1] * size
+    out, n_rows, stride = (zeta, 0, 0) if rows is None else (rows.ctypes.data, *rows.shape)
 
-    The yielded row is overwritten two steps later; copy what must be kept.
-    """
-    if zeta.shape[0] == 1:      # numpy steps a one-element array through another loop
-        pair = _jost_steps(V, np.repeat(zeta, 2), np.repeat(two_z, 2))
-        yield from ((n, t[:1]) for n, t in pair)
-        return
-    z2 = zeta * zeta
-    c = np.empty_like(zeta)
-    t_next, t_cur = np.ones_like(zeta), np.ones_like(zeta)
-    for n, two_v in zip(range(V.shape[0] - 2, -2, -1), (2.0 * V)[::-1].tolist()):
-        np.subtract(two_z, two_v, out=c)
-        np.multiply(c, zeta, out=c)
-        np.multiply(c, t_cur, out=c)
-        np.multiply(z2, t_next, out=t_next)
-        np.subtract(c, t_next, out=t_next)      # t(n) replaces t(n+2)
-        t_next, t_cur = t_cur, t_next
-        yield n, t_cur
+    def step(r_hi, r_lo, lo, hi):
+        k = zeta + lo * size
+        fn(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
+           out + lo * size, stride, n_rows, min(max(n_cols - lo, 0), hi - lo))
+    return step
 
 
-def _kept_rows(V, zeta, two_z, n_keep, n_cols):
-    """t(-1) on every point, and t(n) for n = -1..n_keep on the first n_cols
-    points, row index n + 1."""
-    rows = np.ones((n_keep + 2, n_cols), zeta.dtype)
-    t = np.ones_like(zeta)                      # t(-1) of the empty table
-    for n, t in _jost_steps(V, zeta, two_z):
-        if n <= n_keep:
-            rows[n + 1] = t[:n_cols]
-    return t, rows
+def _halves(fn, V, n):
+    """[fn(0, n)], or for a long grid on a machine with a second CPU
+    [fn(0, half), fn(half, n)], the second on a worker thread that has ended
+    when this returns.  An exception in either half reaches the caller."""
+    if V.shape[0] * n < SPLIT_WORK or n < 2 or (os.cpu_count() or 1) < 2:
+        return [fn(0, n)]
+    half, second = n // 2, {}
+
+    def second_half():
+        try:
+            second["value"] = fn(half, n)
+        except BaseException as exc:        # re-raised in the caller's thread
+            second["error"] = exc
+
+    worker = threading.Thread(target=second_half, name="halfline-step", daemon=True)
+    worker.start()
+    try:
+        first = fn(0, half)
+    finally:
+        worker.join()
+    if "error" in second:
+        raise second["error"]
+    return [first, second["value"]]
 
 
-def _deviations(V, zeta, two_z):
-    """max over the points of |t(n) - 1|, for the sites n = 0..L-2."""
-    top = max(V.shape[0] - 1, 0)
-    dev = np.empty(top)
-    rows = np.empty((DECAY_ROWS, zeta.shape[0]), zeta.dtype)   # rows[i] = t(n + i)
-    for n, t in _jost_steps(V, zeta, two_z):
-        if n < 0:
-            break
-        rows[n % DECAY_ROWS] = t
-        if n % DECAY_ROWS == 0:
-            dev[n:top] = np.max(np.abs(rows[:top - n] - 1.0), axis=1)
-            top = n
-    return dev
-
-
-def _omega_scalar(V, zeta, two_z) -> float:
-    """t(-1) at one real point, stepped as Python floats."""
-    coef = ((two_z - 2.0 * V) * zeta).tolist()
-    z2 = float(zeta * zeta)
-    t_next = t_cur = 1.0
-    for c in reversed(coef):
-        t_next, t_cur = t_cur, c * t_cur - z2 * t_next
-    return t_cur
+def _omega(V, work, rows=None, n_cols=0):
+    """t(-1) on every point of work, stepped down the whole table, and
+    t(-1..) of the points below n_cols written to rows."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    step = _stepper(V, work, rows, n_cols)
+    _halves(lambda lo, hi: step(V.shape[0], 0, lo, hi), V, work.shape[1])
+    return work[2].copy()
 
 
 def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
@@ -129,24 +179,32 @@ def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
     n + 1, and its row 0 is the first n_cols values of omega.  Real zeta and
     2z give real values.
     """
-    V, zeta, two_z = _prepare(V, zeta, two_z)
-    n_keep = int(n_keep)
-    n_cols = zeta.shape[0] if n_cols is None else int(n_cols)
-    parts = _split_points(_kept_rows, V, zeta, two_z,
-                          lambda lo, hi: (n_keep, min(max(n_cols - lo, 0), hi - lo)))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
+    work = _work(zeta, two_z)
+    n_cols = work.shape[1] if n_cols is None else int(n_cols)
+    if not 0 <= n_cols <= work.shape[1]:
+        raise ValueError(f"n_cols = {n_cols} outside 0..{work.shape[1]}")
+    rows = np.ones((int(n_keep) + 2, n_cols), work.dtype)
+    return _omega(V, work, rows, n_cols), rows
 
 
 def jost_function_values(V, zeta, two_z):
     """Omega(z) = t(-1) on a batch of spectral points (real for real input)."""
-    V, zeta, two_z = _prepare(V, zeta, two_z)
-    n = zeta.shape[0]
-    if zeta.dtype == np.float64 and n <= SCALAR_POINTS:
-        return np.array([_omega_scalar(V, z, t) for z, t in zip(zeta, two_z)])
-    parts = _split_points(_kept_rows, V, zeta, two_z, lambda lo, hi: (-1, 0))
-    return np.concatenate([omega for omega, _ in parts])
+    return _omega(V, _work(zeta, two_z))
+
+
+def _deviations(V, work, lo, hi):
+    """max over the points lo:hi of work of |t(n) - 1|, for the sites
+    n = 0..L-2, stepped DECAY_ROWS sites at a time."""
+    work = work[:, lo:hi].copy()
+    rows = np.empty((DECAY_ROWS, hi - lo), work.dtype)   # rows[i] = t(n + i)
+    step = _stepper(V, work, rows, hi - lo)
+    top = max(V.shape[0] - 1, 0)
+    dev = np.empty(top)
+    for n in range((top - 1) // DECAY_ROWS * DECAY_ROWS, -1, -DECAY_ROWS):
+        step(top + 1, n + 1, 0, hi - lo)
+        dev[n:top] = np.max(np.abs(rows[:top - n] - 1.0), axis=1)
+        top = n
+    return dev
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):
@@ -157,8 +215,9 @@ def decay_scan(V, zeta, two_z, bounds, rho):
     The sites checked are n = 0..L-2, the ones the recursion steps to.
     Returns (worst_violation, c_empirical); (-inf, 0) when there are none.
     """
-    V, zeta, two_z = _prepare(V, zeta, two_z)
-    dev = np.max(_split_points(_deviations, V, zeta, two_z), axis=0)
+    V, work = np.ascontiguousarray(V, dtype=np.float64), _work(zeta, two_z)
+    dev = np.max(_halves(lambda lo, hi: _deviations(V, work, lo, hi), V, work.shape[1]),
+                 axis=0)
     sites = np.arange(dev.shape[0])
     worst = np.max(dev - bounds[:dev.shape[0]], initial=-np.inf)
     c_emp = np.max(dev * (1.0 + sites) ** (float(rho) - 2.0), initial=0.0)
@@ -180,52 +239,3 @@ def regular_values(V, two_z, n_max):
     for n in range(0, n_max):
         out[n + 2] = (two_z - 2.0 * Vp[n]) * out[n + 1] - out[n]
     return out
-
-
-# ---------------------------------------------------------------------------
-# the second CPU
-# ---------------------------------------------------------------------------
-
-def _split_points(fn, V, zeta, two_z, args=lambda lo, hi: ()):
-    """[fn(V, zeta, two_z, *args(0, n))] for the n points, or for a long
-    grid on a machine with a second CPU, fn over the two halves of the
-    points, with args(lo, hi) for the points lo:hi.  The second half is
-    stepped meanwhile by a forked child, which reads the table through
-    copy-on-write and sends its value back pickled through a pipe; no
-    process outlives the call."""
-    n = zeta.shape[0]
-    half = n // 2
-    if (V.shape[0] * n < SPLIT_WORK or n < 2 or not hasattr(os, "fork")
-            or (os.cpu_count() or 1) < 2):
-        return [fn(V, zeta, two_z, *args(0, n))]
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:                 # no second process to be had
-        os.close(read_end)
-        os.close(write_end)
-        return [fn(V, zeta, two_z, *args(0, n))]
-    if pid == 0:                    # the child: no atexit hook or finaliser runs in it
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as replies:
-                pickle.dump(fn(V, zeta[half:], two_z[half:], *args(half, n)),
-                            replies, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        os.close(write_end)
-        with open(read_end, "rb") as replies:
-            first = fn(V, zeta[:half], two_z[:half], *args(0, half))
-            rest = replies.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise RuntimeError(f"the child stepping the second half of the points "
-                           f"ended with exit status {status}")
-    return [first, pickle.loads(rest)]

@@ -16,7 +16,7 @@ RANDOM_AMPLITUDE = 1.5
 @pytest.fixture(scope="session", autouse=True)
 def no_child_left():
     """At the end of the session no child process is left, running or
-    unreaped: a split grid reaps the child it forked before it returns."""
+    unreaped: the compiler that builds the site step is waited for."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

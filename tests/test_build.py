@@ -1,0 +1,66 @@
+"""The compiled site step is a build artifact: the first import builds it from
+`_step.c`, later imports load it, and without a compiler the import fails
+with an error that says so.  Each test imports a copy of the package in a
+fresh interpreter."""
+
+import os
+import shutil
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfline"
+
+#: imports the copy and steps the rank-one Jost function at zeta = -i
+PROBE = ("from halfline import _kernels; import numpy as np; "
+         "print(_kernels.jost_function_values([0.75], np.array([-1j]), np.array([0j]))[0])")
+
+
+@pytest.fixture
+def copy(tmp_path):
+    """A copy of the package sources, with no build artifact."""
+    shutil.copytree(PACKAGE, tmp_path / "halfline", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path
+
+
+def run(root, path=None):
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def artifacts(root):
+    return sorted((root / "halfline" / "__pycache__").glob("_step-*"))
+
+
+def test_first_import_builds_and_second_runs_no_compiler(copy, tmp_path_factory):
+    first = run(copy)
+    assert first.returncode == 0, first.stderr
+    assert complex(first.stdout) == 1.0 + 1.5j          # 1 - 2 v0 zeta
+    built = artifacts(copy)
+    assert len(built) == 1 and built[0].suffix == ".so"
+    mtime = built[0].stat().st_mtime_ns
+    # with no compiler on PATH, the second import can only load the artifact
+    second = run(copy, path=tmp_path_factory.mktemp("empty"))
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert artifacts(copy) == built and built[0].stat().st_mtime_ns == mtime
+
+
+def test_missing_compiler_is_an_import_error(copy, tmp_path_factory):
+    result = run(copy, path=tmp_path_factory.mktemp("empty"))
+    assert result.returncode != 0
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError") and "gcc" in last and "_step.c" in last
+    assert artifacts(copy) == []
+
+
+def test_source_ships_as_package_data():
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as f:
+        config = tomllib.load(f)
+    assert "_step.c" in config["tool"]["setuptools"]["package-data"]["halfline"]

@@ -290,7 +290,7 @@ class TestReport:
         fused = 256 + 512 + 1024 + 2 * 512 + 2       # two grids, edge, scan, thresholds
         assert [c for c in calls if c[0] == "jost_scaled"] == [("jost_scaled", fused)]
         others = [points for name, points in calls if name != "jost_scaled"]
-        assert others and max(others) <= _kernels.SCALAR_POINTS
+        assert others and max(others) <= 4
 
     def test_svd_count(self, tmp_path, monkeypatch):
         # the coupling symbol at m_beta and 2 m_beta, the wave symbol on both

@@ -1,11 +1,12 @@
 import math
-import os
-import signal
+import threading
 import time
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfline as hl
 from conftest import TWO_SITE, closed_form_bound_state, closed_form_omega
@@ -14,9 +15,14 @@ from halfline import _kernels, scattering
 
 def reference_jost_rows(V, zeta, two_z, n_max=0):
     """The per-site complex numpy loop every kernel form must reproduce bit
-    for bit: rows n = -1..max(L, n_max) of t(n), row index n + 1."""
-    zeta = np.asarray(zeta, complex)
-    two_z = np.asarray(two_z, complex)
+    for bit: rows n = -1..max(L, n_max) of t(n), row index n + 1.
+
+    A lone point is stepped as two copies of itself: numpy multiplies a
+    one-element array in a loop without FMA, which rounds differently."""
+    zeta = np.atleast_1d(np.asarray(zeta, complex))
+    two_z = np.broadcast_to(np.asarray(two_z, complex), zeta.shape)
+    if len(zeta) == 1:
+        return reference_jost_rows(V, np.repeat(zeta, 2), np.repeat(two_z, 2), n_max)[:, :1]
     z2 = zeta * zeta
     out = np.ones((max(len(V), n_max) + 2, len(zeta)), complex)
     for n in range(len(V) - 1, -1, -1):
@@ -36,6 +42,33 @@ KERNEL_POTENTIALS = {
     "two_site": hl.table_potential(TWO_SITE, rho=3.0),
     "short_random": hl.random_decaying(3, rho_gen=6.0),
 }
+
+
+@pytest.fixture
+def split_all(monkeypatch):
+    """Split every grid of two points or more across a worker thread, on
+    any machine; the monkeypatch, to undo it."""
+    monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
+    return monkeypatch
+
+
+def assert_forms_match_reference(V, zeta, two_z, n_keep, n_cols):
+    """Every kernel form on these points equals the reference loop bit for
+    bit: Omega alone, Omega with all rows t(-1..n_keep), and with the rows of
+    the first n_cols points; real points give its real part in float64."""
+    ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)
+    real = np.result_type(zeta, two_z).kind == "f"
+    if real:
+        assert np.all(ref.imag == 0.0)
+        ref = ref.real
+    omega = _kernels.jost_function_values(V, zeta, two_z)
+    assert omega.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(omega, ref[0])
+    for cols, expected in ((None, ref[:n_keep + 2]), (n_cols, ref[:n_keep + 2, :n_cols])):
+        omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep, cols)
+        assert omega_too.dtype == rows.dtype == omega.dtype
+        assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, expected)
 
 
 class TestWronskian:
@@ -89,82 +122,57 @@ class TestJostFunction:
         omega_too, head = _kernels.jost_scaled(V, zeta, two_z, 6, 10)
         assert np.array_equal(omega_too, ref[0]) and np.array_equal(head, ref[:8, :10])
 
-    def test_split_grid_matches_whole(self, monkeypatch):
-        # halves stepped by this process and by a forked child
+    def test_split_grid_matches_whole(self, split_all):
+        # halves stepped by this thread and by a worker thread
         p = KERNEL_POTENTIALS["short_random"]
         th = (np.arange(65) + 0.5) * np.pi / 65
         zeta, two_z = np.exp(-1j * th), 2.0 * np.cos(th) + 0j
         z = 1.0 + np.geomspace(2.0, 1e-9, 33)
-        whole = (_kernels.jost_function_values(p.values, zeta, two_z),
-                 _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z),
-                 hl.decay_scan(p, 65))
-        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
-        split = (_kernels.jost_function_values(p.values, zeta, two_z),
-                 _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z),
-                 hl.decay_scan(p, 65))
-        assert np.array_equal(split[0], whole[0])
-        assert np.array_equal(split[1], whole[1])
-        assert split[2] == whole[2]
+        forms = (lambda: _kernels.jost_function_values(p.values, zeta, two_z),
+                 lambda: _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z),
+                 lambda: _kernels.jost_scaled(p.values, zeta, two_z, 9, 40)[1],
+                 lambda: hl.decay_scan(p, 65))
+        split = [form() for form in forms]
+        split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
+        whole = [form() for form in forms]
+        for a, b in zip(split[:3], whole[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert split[3] == whole[3]
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Split every grid of two points or more; the pids of the forked
-        children, in order."""
-        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
-        pids, fork = [], os.fork
+    def test_split_steps_second_half_on_a_worker(self, split_all):
+        threads = threading.active_count()
+        seen = []
 
-        def recorded_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+        def half(lo, hi):
+            seen.append((lo, hi, threading.get_ident()))
+            return lo
 
-        monkeypatch.setattr(os, "fork", recorded_fork)
-        return pids
+        assert _kernels._halves(half, np.zeros(3), 5) == [0, 2]
+        first, second = sorted(seen)
+        assert first == (0, 2, threading.get_ident())
+        assert second[:2] == (2, 5) and second[2] != threading.get_ident()
+        assert threading.active_count() == threads
 
-    def test_split_reaps_its_child(self, forks):
-        th = (np.arange(9) + 0.5) * np.pi / 9
-        _kernels.jost_scaled(KERNEL_POTENTIALS["short_random"].values,
-                             np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 4)
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forks[0], os.WNOHANG)
-
+    @pytest.mark.parametrize("failing", ["first", "second"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_failure_in_parent_half_kills_child(self, forks, error):
-        parent = os.getpid()
+    def test_failure_in_either_half_reaches_caller(self, split_all, failing, error):
+        threads = threading.active_count()
+        finished = []
 
-        def half(V, zeta, two_z):
-            if os.getpid() == parent:
-                raise error
-            time.sleep(60)                  # only a kill ends the child in time
+        def half(lo, hi):
+            if (lo == 0) == (failing == "first"):
+                raise error(f"{failing} half fails")
+            time.sleep(0.05)                # the other half ends after the failure
+            finished.append(lo)
 
-        start = time.monotonic()
-        with pytest.raises(error):
-            _kernels._split_points(half, np.zeros(3), np.ones(4), np.ones(4))
-        assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forks[0], os.WNOHANG)
-
-    @pytest.mark.parametrize("status", [1, -signal.SIGKILL])
-    def test_failure_in_child_half_names_its_status(self, forks, status):
-        parent = os.getpid()
-
-        def half(V, zeta, two_z):
-            if os.getpid() != parent:
-                if status == 1:
-                    raise ValueError("the child's half fails")
-                os.kill(os.getpid(), signal.SIGKILL)
-            return zeta
-
-        with pytest.raises(RuntimeError, match=f"exit status {status}$"):
-            _kernels._split_points(half, np.zeros(3), np.ones(4), np.ones(4))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forks[0], os.WNOHANG)
+        with pytest.raises(error, match=f"{failing} half fails"):
+            _kernels._halves(half, np.zeros(3), 4)
+        assert len(finished) == 1           # the worker was joined, not left running
+        assert threading.active_count() == threads
 
     def test_lone_point_equals_cut_grid(self):
-        # a lone complex point is stepped as two copies of itself: numpy steps
-        # a one-element array through another loop, up to 4e-13 away here
+        # each point is stepped on its own: a lone point takes the grid's
+        # values (numpy's one-element loop was up to 4e-13 away here)
         p = hl.random_decaying(3, rho_gen=4.0)
         g = hl.GridSpec(m_theta=64, n_site=32)
         d = hl.scattering_grid(p, g)
@@ -178,15 +186,15 @@ class TestJostFunction:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
     def test_real_points_match_reference_loop(self, name):
-        # thresholds and both off-axis sides: Python-float form one point at
-        # a time, float64 rows for the batch; both equal the complex loop
+        # thresholds and both off-axis sides, one point at a time and as a
+        # float64 batch; both equal the complex loop
         p = KERNEL_POTENTIALS[name]
         z = np.array([1.0, -1.0, 1.0 + 1e-9, 1.3, 4.0, -1.0 - 1e-9, -1.7, -4.0])
         zeta = off_axis_zeta(z)
         ref = reference_jost_rows(p.values, zeta, 2.0 * z)[0]
         assert np.all(ref.imag == 0.0)
         batch = _kernels.jost_function_values(p.values, zeta, 2.0 * z)
-        assert batch.dtype == np.float64 and len(z) > _kernels.SCALAR_POINTS
+        assert batch.dtype == np.float64
         assert np.array_equal(batch, ref.real)
         points = [hl.SpectralPoint.threshold(+1), hl.SpectralPoint.threshold(-1)]
         points += [hl.OffAxisPoint.from_z(x) for x in z[2:]]
@@ -198,6 +206,82 @@ class TestJostFunction:
         for z in (1.3, -2.5, 4.0):
             om = hl.jost_function(p, hl.OffAxisPoint.from_z(z))
             assert om.imag == 0.0
+
+
+class TestStepBlocks:
+    """The compiled step carries blocks of points through the sites: every
+    form equals the reference loop at counts on either side of a block edge,
+    on tables of every short length, whole and split."""
+
+    COUNTS = (1, 2, 7, 15, 16, 17, 33, 4610)
+
+    @staticmethod
+    def points(n, real):
+        th = (np.arange(n) + 0.5) * np.pi / n
+        if real:        # both off-axis sides and both thresholds
+            z = np.where(np.arange(n) % 2, -1.0, 1.0) * (1.0 + np.tan(th / 2.0) ** 2)
+            z[:2] = [1.0, -1.0][:n]
+            return off_axis_zeta(z), 2.0 * z
+        return np.exp(-1j * th), 2.0 * np.cos(th) + 0j
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("real", [False, True], ids=["cut", "real"])
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_point_counts(self, n, real, split, request):
+        if split:
+            request.getfixturevalue("split_all")
+        V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
+        zeta, two_z = self.points(n, real)
+        for n_keep, n_cols in ((6, n - n // 3), (-1, 0), (len(V) - 1, n), (len(V) + 4, 1)):
+            assert_forms_match_reference(V, zeta, two_z, n_keep, min(n_cols, n))
+
+    @pytest.mark.parametrize("values", [[], [0.75], [0.3, -0.2], [0.5, 0.0, -1.25]],
+                             ids=["empty", "one_site", "two_sites", "three_sites"])
+    def test_short_tables(self, values):
+        for real in (False, True):
+            for n in (1, 2, 17):
+                zeta, two_z = self.points(n, real)
+                assert_forms_match_reference(np.asarray(values, float), zeta, two_z, 3, n)
+
+    @pytest.mark.parametrize("n", COUNTS[:-1])
+    def test_decay_scan_equals_reference_rows(self, n, split_all):
+        # 110 sites: one full block of DECAY_ROWS and a partial one
+        p = hl.random_decaying(3, rho_gen=6.0)
+        V = p.values[:110]
+        zeta, two_z = self.points(n, False)
+        bounds = np.linspace(1e-3, 0.5, len(V))
+        ref = reference_jost_rows(V, zeta, two_z)
+        dev = np.max(np.abs(ref[1:len(V)] - 1.0), axis=1)
+        expected = (float(np.max(dev - bounds[:len(dev)])),
+                    float(np.max(dev * (1.0 + np.arange(len(dev))) ** (3.0 - 2.0))))
+        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
+        split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
+        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
+
+    def test_n_cols_out_of_range_is_refused(self):
+        zeta, two_z = self.points(4, False)
+        for n_cols in (-1, 5):
+            with pytest.raises(ValueError, match="n_cols"):
+                _kernels.jost_scaled([0.5], zeta, two_z, 2, n_cols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.floats(-3.0, 3.0), max_size=7),
+           radii=st.lists(st.one_of(st.just(1.0), st.floats(0.25, 1.75)), min_size=1,
+                          max_size=19),
+           angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), split=st.booleans(),
+           n_keep=st.integers(-1, 9), data=st.data())
+    def test_random_tables_and_points(self, values, radii, angle, real, split, n_keep, data):
+        # zeta on and off the unit circle, 2z = zeta + 1/zeta
+        n = len(radii)
+        angles = angle + np.arange(n) * 2.399963
+        zeta = np.asarray(radii) * (np.sign(np.cos(angles)) if real else np.exp(1j * angles))
+        n_cols = data.draw(st.integers(0, n))
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                mp.setattr(_kernels, "SPLIT_WORK", 0)
+                mp.setattr(_kernels.os, "cpu_count", lambda: 2)
+            assert_forms_match_reference(np.asarray(values, float), zeta, zeta + 1.0 / zeta,
+                                         n_keep, n_cols)
 
 
 class TestScatteringGrid:
@@ -279,7 +363,7 @@ class TestOneRecursionPerGrid:
             assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
-        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one by a forked child
+        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one on a worker thread
         for g, d in zip(grids, ds):
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
@@ -299,8 +383,8 @@ class TestOneRecursionPerGrid:
 
 class TestFusedPass:
     """The one pass over all points of a report equals the forms that stepped
-    each set of points apart, bit for bit, whole and split across a forked
-    child."""
+    each set of points apart, bit for bit, whole and split across a worker
+    thread."""
 
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
     def test_equals_separate_forms(self, grid_pair, split, monkeypatch):
