@@ -154,8 +154,9 @@ class TestJostFunction:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("failing", ["first", "second"])
-    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_failure_in_either_half_reaches_caller(self, split_all, failing, error):
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt],
+                             ids=["ValueError", "interrupt"])
+    def test_failing_half_reaches_caller(self, split_all, failing, error):
         threads = threading.active_count()
         finished = []
 
