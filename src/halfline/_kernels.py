@@ -4,10 +4,10 @@ Every Jost-type quantity is stepped by one compiled site step, `_step.c`:
 the cut grids of a report with their kept rows, the scattering edge, the
 bound-state scan and its bisection midpoints, the thresholds and the decay
 scan.  It carries each block of 16 points through all sites of the table in
-registers.  One entry takes complex points; the other takes real ones
-(off-axis points, the thresholds) and gives the real part of the complex
-recursion in float64.  Only `regular_values`, which steps n_site rows and not
-the table, stays numpy.
+registers.  Its one entry takes complex points: real ones (off-axis points,
+the thresholds) are stepped with zero imaginary parts, which stay zero, so
+every kernel returns complex128.  Only `regular_values`, which steps n_site
+rows and not the table, stays numpy.
 
 The step evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the
 operations of the per-site numpy loop (`reference_jost_rows` in the tests)
@@ -21,10 +21,10 @@ the call.
 
 The first import builds `_step.c` with gcc and CFLAGS into the build
 artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
-of the source and the flags; it compiles to a temporary file and renames it
-into place, and later imports only load it.  Without gcc on PATH, or
-without a writable `__pycache__`, the import raises an ImportError that
-says which.
+of the source and the flags; it compiles to a temporary file, renames it
+into place and deletes the artifacts of other hashes, and later imports only
+load it.  Without gcc on PATH, or without a writable `__pycache__`, the
+import raises an ImportError that says which.
 
 All Jost-type kernels work with the scaled variable t(n) = theta(n, z) / zeta^n.
 Backward stepping of t is stable: the unwanted second solution corresponds to
@@ -39,6 +39,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -88,34 +89,30 @@ def _build() -> str:
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+    # artifacts of other sources or flags; a temporary file (8 characters
+    # from mkstemp) that a concurrent build still writes never matches
+    for name in os.listdir(cache):
+        if re.fullmatch(r"_step-[0-9a-f]{16}\.so", name) and name != os.path.basename(lib):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(cache, name))
     return lib
 
 
-def _entries():
-    lib = ctypes.CDLL(_build())
-    entries = {}
-    for dtype, name in ((np.complex128, "step_complex"), (np.float64, "step_real")):
-        fn = getattr(lib, name)
-        fn.restype = None
-        fn.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
-                       + [ctypes.c_long] * 3)
-        entries[np.dtype(dtype)] = fn
-    return entries
-
-
-#: the compiled step by point dtype: step(V, r_hi, r_lo, n, zeta, two_z, t1,
-#: t2, rows, stride, n_rows, n_cols) steps the rows (t1, t2) = (r_hi, r_hi+1)
+#: the compiled step: step(V, r_hi, r_lo, n, zeta, two_z, t1, t2, rows,
+#: stride, n_rows, n_cols) steps the complex rows (t1, t2) = (r_hi, r_hi+1)
 #: of n points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
 #: first n_cols points to rows[i] for i < n_rows (row r is t(r - 1))
-_STEP = _entries()
+_STEP = ctypes.CDLL(_build()).step
+_STEP.restype = None
+_STEP.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
+                  + [ctypes.c_long] * 3)
 
 
 def _work(zeta, two_z):
-    """The rows zeta, 2z, t(r), t(r+1) of the points, the last two at the
-    free tail 1: complex128 unless both zeta and 2z are real."""
+    """The complex128 rows zeta, 2z, t(r), t(r+1) of the points, the last two
+    at the free tail 1."""
     zeta = np.atleast_1d(zeta)
-    real = np.result_type(zeta, two_z).kind in "biuf"
-    work = np.empty((4, zeta.shape[0]), np.float64 if real else np.complex128)
+    work = np.empty((4, zeta.shape[0]), np.complex128)
     work[0], work[1], work[2:] = zeta, two_z, 1.0
     return work
 
@@ -125,14 +122,14 @@ def _stepper(V, work, rows=None, n_cols=0):
     work, from its rows t(r_hi), t(r_hi+1) down to t(r_lo), t(r_lo+1),
     writing t(r_lo..) of the points below n_cols to rows.  The caller keeps
     V, work and rows alive while it steps."""
-    fn, size = _STEP[work.dtype], work.itemsize
+    size = work.itemsize
     v, zeta, span = V.ctypes.data, work.ctypes.data, work.shape[1] * size
     out, n_rows, stride = (zeta, 0, 0) if rows is None else (rows.ctypes.data, *rows.shape)
 
     def step(r_hi, r_lo, lo, hi):
         k = zeta + lo * size
-        fn(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
-           out + lo * size, stride, n_rows, min(max(n_cols - lo, 0), hi - lo))
+        _STEP(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
+              out + lo * size, stride, n_rows, min(max(n_cols - lo, 0), hi - lo))
     return step
 
 
@@ -175,9 +172,9 @@ def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
     t(n) = theta(n)/zeta^n for n = -1..n_keep on the first n_cols points
     (all by default).
 
-    Returns (omega, rows); rows has shape (n_keep + 2, n_cols), row index
-    n + 1, and its row 0 is the first n_cols values of omega.  Real zeta and
-    2z give real values.
+    Returns (omega, rows), both complex128; rows has shape (n_keep + 2,
+    n_cols), row index n + 1, and its row 0 is the first n_cols values of
+    omega.  Real zeta and 2z give values with zero imaginary part.
     """
     work = _work(zeta, two_z)
     n_cols = work.shape[1] if n_cols is None else int(n_cols)
@@ -188,7 +185,8 @@ def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
 
 
 def jost_function_values(V, zeta, two_z):
-    """Omega(z) = t(-1) on a batch of spectral points (real for real input)."""
+    """Omega(z) = t(-1) on a batch of spectral points, complex128; real input
+    gives zero imaginary parts."""
     return _omega(V, _work(zeta, two_z))
 
 

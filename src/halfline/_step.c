@@ -13,6 +13,8 @@
  * complex product as re = fma(ar, br, -(ai bi)), im = fma(ar, bi, ai br);
  * so does CMUL, and the build passes -ffp-contract=off so that no other
  * product is fused.  The values then equal the numpy loop's bit for bit.
+ * Real points (off the cut, the thresholds) come with zero imaginary parts,
+ * which stay zero, and each real part is rounded as a real product is.
  *
  * A block of BLOCK points is carried through all sites at once, each
  * quantity of the block in two 512-bit registers where the CPU has them;
@@ -35,10 +37,10 @@
  * (t1, t2) = (r_hi, r_hi + 1) down to (r_lo, r_lo + 1), in place.  Row r of
  * the first n_cols points is written to rows[(r - r_lo) stride + k] when
  * r - r_lo < n_rows.  All arrays are interleaved complex. */
-void step_complex(const double *V, long r_hi, long r_lo, long n,
-                  const double *zeta, const double *two_z,
-                  double *t1, double *t2,
-                  double *rows, long stride, long n_rows, long n_cols)
+void step(const double *V, long r_hi, long r_lo, long n,
+          const double *zeta, const double *two_z,
+          double *t1, double *t2,
+          double *rows, long stride, long n_rows, long n_cols)
 {
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
@@ -83,45 +85,6 @@ void step_complex(const double *V, long r_hi, long r_lo, long n,
             t1[2 * (j + k) + 1] = ui[k];
             t2[2 * (j + k)] = vr[k];
             t2[2 * (j + k) + 1] = vi[k];
-        }
-    }
-}
-
-/* step_complex for real zeta and 2z (off the cut, at the thresholds), with
- * real arrays throughout. */
-void step_real(const double *V, long r_hi, long r_lo, long n,
-               const double *zeta, const double *two_z,
-               double *t1, double *t2,
-               double *rows, long stride, long n_rows, long n_cols)
-{
-    for (long j = 0; j < n; j += BLOCK) {
-        long m = n - j < BLOCK ? n - j : BLOCK;
-        long w = n_cols - j < 0 ? 0 : n_cols - j < m ? n_cols - j : m;
-        double z[BLOCK] = {0}, q[BLOCK], a[BLOCK] = {0}, u[BLOCK] = {0}, v[BLOCK] = {0};
-        for (long k = 0; k < m; k++) {
-            z[k] = zeta[j + k];
-            a[k] = two_z[j + k];
-            u[k] = t1[j + k];
-            v[k] = t2[j + k];
-        }
-        for (int k = 0; k < BLOCK; k++)
-            q[k] = z[k] * z[k];
-        for (long r = r_hi - 1; r >= r_lo; r--) {
-            double two_v = 2.0 * V[r];
-            for (int k = 0; k < BLOCK; k++) {
-                double c = (a[k] - two_v) * z[k] * u[k], s = q[k] * v[k];
-                v[k] = u[k];
-                u[k] = c - s;
-            }
-            if (r - r_lo < n_rows) {
-                double *row = rows + (r - r_lo) * stride + j;
-                for (long k = 0; k < w; k++)
-                    row[k] = u[k];
-            }
-        }
-        for (long k = 0; k < m; k++) {
-            t1[j + k] = u[k];
-            t2[j + k] = v[k];
         }
     }
 }

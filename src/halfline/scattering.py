@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint, hamiltonian_truncation,
-                    off_axis_zeta, theta_midpoints)
+from .model import (GridSpec, Potential, SpectralPoint, hamiltonian_truncation, off_axis_zeta,
+                    theta_midpoints)
 from .solutions import SolutionSequence
 
 #: relative tolerance on Wronskian constancy
@@ -48,13 +48,9 @@ def wronskian(u: SolutionSequence, v: SolutionSequence) -> complex:
 
 
 def jost_function(p: Potential, point) -> complex:
-    """Omega(z) = zeta(z) theta(-1, z); real for real z outside (-1, 1)."""
-    if isinstance(point, OffAxisPoint) or (
-            isinstance(point, SpectralPoint) and point.is_threshold):
-        zeta, two_z = complex(point.zeta).real, complex(point.two_z).real
-    else:
-        zeta, two_z = complex(point.zeta), complex(point.two_z)
-    return complex(_kernels.jost_function_values(p.values, zeta, two_z)[0])
+    """Omega(z) = zeta(z) theta(-1, z); its imaginary part is zero for real z
+    outside (-1, 1), the thresholds included."""
+    return complex(_kernels.jost_function_values(p.values, point.zeta, point.two_z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def _scan_points(p: Potential, g: GridSpec) -> np.ndarray:
 
 def _omega_off_axis(p: Potential, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, float))
-    return _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z)
+    return _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z).real
 
 
 def edge_beta(g: GridSpec) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The compiled site step is a build artifact: the first import builds it from
-`_step.c`, later imports load it, and without a compiler the import fails
-with an error that says so.  Each test imports a copy of the package in a
-fresh interpreter."""
+`_step.c` and deletes the artifacts of other sources, later imports load it,
+and without a compiler the import fails with an error that says so.  Each
+test imports a copy of the package in a fresh interpreter."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -38,6 +39,13 @@ def artifacts(root):
     return sorted((root / "halfline" / "__pycache__").glob("_step-*"))
 
 
+def current_artifact(root):
+    """The artifact name of the copy's source and flags."""
+    from halfline._kernels import CFLAGS
+    source = (root / "halfline" / "_step.c").read_bytes()
+    return f"_step-{hashlib.sha256(source + ' '.join(CFLAGS).encode()).hexdigest()[:16]}.so"
+
+
 def test_first_import_builds_and_second_runs_no_compiler(copy, tmp_path_factory):
     first = run(copy)
     assert first.returncode == 0, first.stderr
@@ -50,6 +58,21 @@ def test_first_import_builds_and_second_runs_no_compiler(copy, tmp_path_factory)
     assert second.returncode == 0, second.stderr
     assert second.stdout == first.stdout
     assert artifacts(copy) == built and built[0].stat().st_mtime_ns == mtime
+
+
+def test_build_deletes_stale_artifacts_only(copy):
+    # an artifact of an older source, and a temporary file that a concurrent
+    # build (tempfile.mkstemp: 8 random characters) is still writing
+    cache = copy / "halfline" / "__pycache__"
+    cache.mkdir()
+    stale, in_flight = cache / "_step-0123456789abcdef.so", cache / "_step-tmpxxxxx.so"
+    stale.write_bytes(b"stale")
+    in_flight.write_bytes(b"in flight")
+    result = run(copy)
+    assert result.returncode == 0, result.stderr
+    assert not stale.exists() and in_flight.read_bytes() == b"in flight"
+    assert [path.name for path in artifacts(copy)] == sorted([current_artifact(copy),
+                                                              in_flight.name])
 
 
 def test_missing_compiler_is_an_import_error(copy, tmp_path_factory):

@@ -55,15 +55,14 @@ def split_all(monkeypatch):
 
 def assert_forms_match_reference(V, zeta, two_z, n_keep, n_cols):
     """Every kernel form on these points equals the reference loop bit for
-    bit: Omega alone, Omega with all rows t(-1..n_keep), and with the rows of
-    the first n_cols points; real points give its real part in float64."""
+    bit in complex128: Omega alone, Omega with all rows t(-1..n_keep), and
+    with the rows of the first n_cols points; real points give zero
+    imaginary parts."""
     ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)
-    real = np.result_type(zeta, two_z).kind == "f"
-    if real:
+    if np.result_type(zeta, two_z).kind == "f":
         assert np.all(ref.imag == 0.0)
-        ref = ref.real
     omega = _kernels.jost_function_values(V, zeta, two_z)
-    assert omega.dtype == (np.float64 if real else np.complex128)
+    assert omega.dtype == np.complex128
     assert np.array_equal(omega, ref[0])
     for cols, expected in ((None, ref[:n_keep + 2]), (n_cols, ref[:n_keep + 2, :n_cols])):
         omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep, cols)
@@ -188,19 +187,19 @@ class TestJostFunction:
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
     def test_real_points_match_reference_loop(self, name):
         # thresholds and both off-axis sides, one point at a time and as a
-        # float64 batch; both equal the complex loop
+        # batch of real input; both equal the complex loop
         p = KERNEL_POTENTIALS[name]
         z = np.array([1.0, -1.0, 1.0 + 1e-9, 1.3, 4.0, -1.0 - 1e-9, -1.7, -4.0])
         zeta = off_axis_zeta(z)
         ref = reference_jost_rows(p.values, zeta, 2.0 * z)[0]
         assert np.all(ref.imag == 0.0)
         batch = _kernels.jost_function_values(p.values, zeta, 2.0 * z)
-        assert batch.dtype == np.float64
-        assert np.array_equal(batch, ref.real)
+        assert batch.dtype == np.complex128
+        assert np.array_equal(batch, ref)
         points = [hl.SpectralPoint.threshold(+1), hl.SpectralPoint.threshold(-1)]
         points += [hl.OffAxisPoint.from_z(x) for x in z[2:]]
         single = [hl.jost_function(p, pt) for pt in points]
-        assert np.array_equal(single, ref.real)
+        assert np.array_equal(single, ref)
 
     def test_real_off_axis(self):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
