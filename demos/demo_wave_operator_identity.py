@@ -13,7 +13,7 @@ import halfline as hl
 p = hl.table_potential([0.3, -0.2], rho=3.0)
 g = hl.GridSpec()
 m_thetas = (256, 512, 1024)
-ds = hl.scattering_grids(p, g, m_thetas)    # one recursion pass for the three grids
+ds = hl.scattering_grids(p, g, m_thetas)    # one bound-state search for the three grids
 d = ds[1]                                   # the data on g
 grid = hl.quadrature_grid(g.m_theta, g.n_site)
 

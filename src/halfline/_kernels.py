@@ -1,13 +1,14 @@
 """Hot recursion kernels.
 
-Every Jost-type quantity is stepped by one compiled site step, `_step.c`:
-the cut grids of a report with their kept rows, the scattering edge, the
-bound-state scan and its bisection midpoints, the thresholds and the decay
-scan.  It carries each block of 16 points through all sites of the table in
-registers.  Its one entry takes complex points: real ones (off-axis points,
-the thresholds) are stepped with zero imaginary parts, which stay zero, so
-every kernel returns complex128.  Only `regular_values`, which steps n_site
-rows and not the table, stays numpy.
+Every Jost-type quantity is stepped by one compiled site step, `_step.c`,
+one call per set of points where that set is read: each cut grid with its
+kept rows, the scattering edge, the bound-state scan and its bisection
+midpoints, the thresholds, the bound states and the decay scan.  It carries
+each block of 16 points through all sites of the table in registers.  Its
+one entry takes complex points: real ones (off-axis points, the thresholds)
+are stepped with zero imaginary parts, which stay zero, so every kernel
+returns complex128.  Only `regular_values`, which steps n_site rows and not
+the table, stays numpy.
 
 The step evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the
 operations of the per-site numpy loop (`reference_jost_rows` in the tests)
@@ -99,13 +100,13 @@ def _build() -> str:
 
 
 #: the compiled step: step(V, r_hi, r_lo, n, zeta, two_z, t1, t2, rows,
-#: stride, n_rows, n_cols) steps the complex rows (t1, t2) = (r_hi, r_hi+1)
-#: of n points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
-#: first n_cols points to rows[i] for i < n_rows (row r is t(r - 1))
+#: stride, n_rows) steps the complex rows (t1, t2) = (r_hi, r_hi+1) of n
+#: points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
+#: points to rows[i] for i < n_rows (row r is t(r - 1))
 _STEP = ctypes.CDLL(_build()).step
 _STEP.restype = None
 _STEP.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
-                  + [ctypes.c_long] * 3)
+                  + [ctypes.c_long] * 2)
 
 
 def _work(zeta, two_z):
@@ -117,11 +118,11 @@ def _work(zeta, two_z):
     return work
 
 
-def _stepper(V, work, rows=None, n_cols=0):
+def _stepper(V, work, rows=None):
     """step(r_hi, r_lo, lo, hi): the compiled step on the points lo:hi of
     work, from its rows t(r_hi), t(r_hi+1) down to t(r_lo), t(r_lo+1),
-    writing t(r_lo..) of the points below n_cols to rows.  The caller keeps
-    V, work and rows alive while it steps."""
+    writing their t(r_lo..) to rows when given.  The caller keeps V, work
+    and rows alive while it steps."""
     size = work.itemsize
     v, zeta, span = V.ctypes.data, work.ctypes.data, work.shape[1] * size
     out, n_rows, stride = (zeta, 0, 0) if rows is None else (rows.ctypes.data, *rows.shape)
@@ -129,7 +130,7 @@ def _stepper(V, work, rows=None, n_cols=0):
     def step(r_hi, r_lo, lo, hi):
         k = zeta + lo * size
         _STEP(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
-              out + lo * size, stride, n_rows, min(max(n_cols - lo, 0), hi - lo))
+              out + lo * size, stride, n_rows)
     return step
 
 
@@ -158,30 +159,26 @@ def _halves(fn, V, n):
     return [first, second["value"]]
 
 
-def _omega(V, work, rows=None, n_cols=0):
+def _omega(V, work, rows=None):
     """t(-1) on every point of work, stepped down the whole table, and
-    t(-1..) of the points below n_cols written to rows."""
+    t(-1..) written to rows when given."""
     V = np.ascontiguousarray(V, dtype=np.float64)
-    step = _stepper(V, work, rows, n_cols)
+    step = _stepper(V, work, rows)
     _halves(lambda lo, hi: step(V.shape[0], 0, lo, hi), V, work.shape[1])
     return work[2].copy()
 
 
-def jost_scaled(V, zeta, two_z, n_keep, n_cols=None):
-    """Omega(z) = t(-1) on every point, and the scaled Jost values
-    t(n) = theta(n)/zeta^n for n = -1..n_keep on the first n_cols points
-    (all by default).
+def jost_scaled(V, zeta, two_z, n_keep):
+    """Omega(z) = t(-1) and the scaled Jost values t(n) = theta(n)/zeta^n
+    for n = -1..n_keep on every point.
 
     Returns (omega, rows), both complex128; rows has shape (n_keep + 2,
-    n_cols), row index n + 1, and its row 0 is the first n_cols values of
-    omega.  Real zeta and 2z give values with zero imaginary part.
+    points), row index n + 1, and its row 0 is omega.  Real zeta and 2z
+    give values with zero imaginary part.
     """
     work = _work(zeta, two_z)
-    n_cols = work.shape[1] if n_cols is None else int(n_cols)
-    if not 0 <= n_cols <= work.shape[1]:
-        raise ValueError(f"n_cols = {n_cols} outside 0..{work.shape[1]}")
-    rows = np.ones((int(n_keep) + 2, n_cols), work.dtype)
-    return _omega(V, work, rows, n_cols), rows
+    rows = np.ones((int(n_keep) + 2, work.shape[1]), work.dtype)
+    return _omega(V, work, rows), rows
 
 
 def jost_function_values(V, zeta, two_z):
@@ -195,7 +192,7 @@ def _deviations(V, work, lo, hi):
     n = 0..L-2, stepped DECAY_ROWS sites at a time."""
     work = work[:, lo:hi].copy()
     rows = np.empty((DECAY_ROWS, hi - lo), work.dtype)   # rows[i] = t(n + i)
-    step = _stepper(V, work, rows, hi - lo)
+    step = _stepper(V, work, rows)
     top = max(V.shape[0] - 1, 0)
     dev = np.empty(top)
     for n in range((top - 1) // DECAY_ROWS * DECAY_ROWS, -1, -DECAY_ROWS):

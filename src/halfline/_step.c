@@ -35,16 +35,15 @@
 
 /* Step the n points (interleaved complex zeta and 2z) from the rows
  * (t1, t2) = (r_hi, r_hi + 1) down to (r_lo, r_lo + 1), in place.  Row r of
- * the first n_cols points is written to rows[(r - r_lo) stride + k] when
- * r - r_lo < n_rows.  All arrays are interleaved complex. */
+ * point k is written to rows[(r - r_lo) stride + k] when r - r_lo < n_rows.
+ * All arrays are interleaved complex. */
 void step(const double *V, long r_hi, long r_lo, long n,
           const double *zeta, const double *two_z,
           double *t1, double *t2,
-          double *rows, long stride, long n_rows, long n_cols)
+          double *rows, long stride, long n_rows)
 {
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
-        long w = n_cols - j < 0 ? 0 : n_cols - j < m ? n_cols - j : m;
         double zr[BLOCK] = {0}, zi[BLOCK] = {0}, qr[BLOCK], qi[BLOCK];
         double ar[BLOCK] = {0}, ai[BLOCK] = {0};
         double ur[BLOCK] = {0}, ui[BLOCK] = {0}, vr[BLOCK] = {0}, vi[BLOCK] = {0};
@@ -74,7 +73,7 @@ void step(const double *V, long r_hi, long r_lo, long n,
             }
             if (r - r_lo < n_rows) {
                 double *row = rows + 2 * ((r - r_lo) * stride + j);
-                for (long k = 0; k < w; k++) {
+                for (long k = 0; k < m; k++) {
                     row[2 * k] = ur[k];
                     row[2 * k + 1] = ui[k];
                 }

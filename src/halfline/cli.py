@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
-from .model import GridSpec, OffAxisPoint, Potential, make_potential
+from .model import GridSpec, Potential, make_potential, off_axis_zeta
 from .rescaled import operator_checks
-from .scattering import (ScatteringData, eta_endpoints, jost_function, levinson_residual,
-                         scattering_grid, scattering_grids)
+from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
+                         scattering_grids)
 from .topology import assemble_boundary, winding_number, winding_report
 
 #: pass/fail gates used by the report command
@@ -44,10 +45,14 @@ _OUT_KEYS = {"directory", "formats"}
 _POT_KEYS = {"kind", "v0", "site", "rho", "values", "seed", "rho_gen", "amplitude"}
 
 
-def _reject_unknown(block: dict, allowed: set, where: str):
+def _config_block(block, allowed: set, where: str) -> dict:
+    """A copy of block, refused unless it is an object of allowed keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return dict(block)
 
 
 def load_config(path: str):
@@ -61,17 +66,13 @@ def load_config(path: str):
         raise ConfigError(f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(raw, {"potential", "grids", "tolerances", "outputs"}, "config")
-    pot_block = raw.get("potential")
-    if pot_block is None:
+    _config_block(raw, {"potential", "grids", "tolerances", "outputs"}, "config")
+    if raw.get("potential") is None:
         raise ConfigError("config needs a potential block")
-    _reject_unknown(pot_block, _POT_KEYS, "potential")
-    grids = dict(raw.get("grids", {}))
-    _reject_unknown(grids, _GRID_KEYS, "grids")
-    tols = dict(raw.get("tolerances", {}))
-    _reject_unknown(tols, _TOL_KEYS, "tolerances")
-    outputs = dict(raw.get("outputs", {}))
-    _reject_unknown(outputs, _OUT_KEYS, "outputs")
+    pot_block = _config_block(raw["potential"], _POT_KEYS, "potential")
+    grids = _config_block(raw.get("grids", {}), _GRID_KEYS, "grids")
+    tols = _config_block(raw.get("tolerances", {}), _TOL_KEYS, "tolerances")
+    outputs = _config_block(raw.get("outputs", {}), _OUT_KEYS, "outputs")
 
     potential = make_potential(pot_block)
     g = GridSpec(**grids,
@@ -79,7 +80,11 @@ def load_config(path: str):
                  tol_root=tols.get("root", 1e-10),
                  tol_winding=tols.get("winding", 0.05))
     out_dir = outputs.get("directory", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError("outputs.directory must be a string")
     formats = outputs.get("formats", ["csv", "json"])
+    if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
+        raise ConfigError("outputs.formats must be a list of strings")
     bad = set(formats) - {"csv", "json"}
     if bad:
         raise ConfigError(f"unknown output formats: {sorted(bad)}")
@@ -177,9 +182,13 @@ def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
     _write_csv(outputs, "scatter.csv",
                ["lambda", "theta", "re_omega", "im_omega", "amplitude",
                 "eta", "re_s", "im_s"], rows, cfg_hash)
-    bs_rows = ((pt.z, pt.zeta, abs(jost_function(d.potential, pt).real))
-               for pt in map(OffAxisPoint.from_z, d.bound_states))
-    _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows, cfg_hash)
+
+    def bs_rows():         # stepped only when the csv file is written
+        z = d.bound_states
+        zeta = off_axis_zeta(z)
+        residual = np.abs(_kernels.jost_function_values(d.potential.values, zeta, 2.0 * z).real)
+        yield from zip(z, zeta, residual)
+    _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows(), cfg_hash)
 
 
 def _scatter_summary(d: ScatteringData) -> dict:
@@ -214,7 +223,7 @@ def cmd_scatter(args) -> int:
 def _waveop_payload(p: Potential, g: GridSpec):
     """The operator identities, their scattering data d on the cut grid of g
     and the seconds taken.  The data on g and on the grid twice as fine come
-    from one recursion pass.
+    from one `scattering_grids` call, which runs the grid-free stages once.
 
     The scattering data comes first, so that an input it refuses (exit 4)
     is refused before the checks that do not depend on the potential."""

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import (GridSpec, Potential, SpectralPoint, hamiltonian_truncation, off_axis_zeta,
-                    theta_midpoints)
+from .model import GridSpec, Potential, hamiltonian_truncation, off_axis_zeta, theta_midpoints
 from .solutions import SolutionSequence
 
 #: relative tolerance on Wronskian constancy
@@ -64,9 +63,9 @@ class ScatteringData:
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the scaled Jost values t(n) = theta(n)/zeta^n on the grid for
-    n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_omega is
-    Omega on the scattering edge of the boundary symbol, at the edge_beta
-    that `edge_beta` gives for the grid's n_edge and alpha_max.
+    n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_beta is
+    where `assemble_boundary` samples the scattering edge of the boundary
+    symbol: `edge_beta` of the grid's n_edge and alpha_max.
     """
 
     potential: Potential
@@ -79,7 +78,6 @@ class ScatteringData:
     eta: np.ndarray
     smatrix: np.ndarray
     edge_beta: np.ndarray
-    edge_omega: np.ndarray
     omega_minus: float
     omega_plus: float
     delta_minus: float
@@ -94,18 +92,15 @@ class ScatteringData:
         return len(self.theta)
 
 
-def classify_thresholds(p: Potential, tol_threshold: float, omegas=None):
+def classify_thresholds(p: Potential, tol_threshold: float):
     """Threshold corrections from Omega(+-1).
 
     Delta = 1/2 when |Omega| < tol, 0 when |Omega| > 10 tol; the band
     in between is refused as unstable.  The limiting scattering-matrix
-    values are +1 (generic) and -1 (resonant).  omegas is (Omega(-1),
-    Omega(+1)) when the caller has stepped them; otherwise they are stepped
-    here.
+    values are +1 (generic) and -1 (resonant).
     """
-    if omegas is None:
-        omegas = [jost_function(p, SpectralPoint.threshold(s)).real for s in (-1, 1)]
-    om_m, om_p = omegas
+    om_m, om_p = _kernels.jost_function_values(p.values, np.array([-1.0, 1.0]),
+                                               np.array([-2.0, 2.0])).real.tolist()
     out = []
     for om in (om_m, om_p):
         mag = abs(om)
@@ -120,21 +115,19 @@ def classify_thresholds(p: Potential, tol_threshold: float, omegas=None):
     return delta_minus, delta_plus, s_minus, s_plus, om_m, om_p
 
 
-def bound_states(p: Potential, g: GridSpec, scan=None):
+def bound_states(p: Potential, g: GridSpec):
     """All zeros of Omega on [-z_max, -1) u (1, z_max], with the count
     cross-checked against a Sturm count on a large tridiagonal truncation.
 
     The scan grid (`_scan_points`) is geometric, accumulating at the
-    thresholds where zeros cluster; scan is Omega on it when the caller has
-    stepped it, otherwise it is stepped here.  Each sign change is bisected
-    down to tol_root.
+    thresholds where zeros cluster.  Each sign change is bisected down to
+    tol_root.
     """
     z_max = g.effective_z_max(p)
     z_scan = _scan_points(p, g)
-    if scan is None:
-        scan = _omega_off_axis(p, z_scan)
+    scan = _omega_off_axis(p, z_scan)
     roots = []
-    for z, om in zip(z_scan.reshape(2, -1), np.reshape(scan, (2, -1))):
+    for z, om in zip(z_scan.reshape(2, -1), scan.reshape(2, -1)):
         idx = np.where(np.diff(np.sign(om)) != 0)[0]
         if idx.size == 0:
             continue
@@ -182,31 +175,20 @@ def edge_beta(g: GridSpec) -> np.ndarray:
 
 def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
-    m_thetas points, each with g's other settings, from one recursion pass
-    over the table.
+    m_thetas points, each with g's other settings.
 
-    The pass steps together every point that does not depend on an earlier
-    result: each cut grid, keeping the rows t(-1..n_site-1) that the
-    correction kernel reads; the scattering edge; both sides of the
-    bound-state scan; and Omega(+-1).  Only the bisection midpoints of the
-    bound-state search are stepped after it.  The grid-free stages
-    (threshold classification, bound states and their count) run once.
+    Each cut grid is stepped on its own, keeping the rows t(-1..n_site-1)
+    that the correction kernel reads.  The grid-free stages (threshold
+    classification, bound states and their count) then run once and step
+    their own points.  An input whose scan would overflow is refused before
+    any point is stepped.
     """
-    thetas = [theta_midpoints(m) for m in m_thetas]
-    beta = edge_beta(g)
-    z_scan = _scan_points(p, g)
-    cut = thetas + [2.0 * np.arctan(np.exp(-beta))]
-    zetas, lams = [np.exp(-1j * th) for th in cut], [np.cos(th) for th in cut]
-    omega, rows = _kernels.jost_scaled(
-        p.values, np.concatenate(zetas + [off_axis_zeta(z_scan), [1.0, -1.0]]),
-        np.concatenate([2.0 * lam + 0j for lam in lams] + [2.0 * z_scan, [2.0, -2.0]]),
-        g.n_site - 1, sum(map(len, thetas)))
-    pieces = np.split(omega, np.cumsum(list(map(len, cut)) + [len(z_scan)]))
-    edge_omega = pieces[len(thetas)].copy()
-    scan, (om_p, om_m) = pieces[len(cut)].real, pieces[-1].real.tolist()
-
-    on_grid, col = [], 0
-    for theta, zeta, lam, om in zip(thetas, zetas, lams, pieces):
+    g.effective_z_max(p)
+    on_grid = []
+    for m in m_thetas:
+        theta = theta_midpoints(m)
+        zeta, lam = np.exp(-1j * theta), np.cos(theta)
+        om, rows = _kernels.jost_scaled(p.values, zeta, 2.0 * lam + 0j, g.n_site - 1)
         amplitude = np.abs(om)
         if np.min(amplitude) == 0.0:
             raise NumericsError("interior zero of the Jost function")
@@ -214,16 +196,14 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
         jump = np.max(np.abs(np.diff(eta)), initial=0.0)
         if jump >= np.pi / 2:
             raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
-        on_grid.append(dict(
-            theta=theta, lam=lam, zeta=zeta,
-            jost_rows=rows[:, col:col + len(theta)],   # a copy would hold the rows twice
-            omega=om.copy(), amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
-        col += len(theta)
-    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold, (om_m, om_p))
-    roots, count = bound_states(p, g, scan)
+        on_grid.append(dict(theta=theta, lam=lam, zeta=zeta, jost_rows=rows, omega=om,
+                            amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
+    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
+    roots, count = bound_states(p, g)
+    beta = edge_beta(g)
     return [ScatteringData(
-        potential=p, **fields_, edge_beta=beta, edge_omega=edge_omega, omega_minus=om_m,
-        omega_plus=om_p, delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
+        potential=p, **fields_, edge_beta=beta, omega_minus=om_m, omega_plus=om_p,
+        delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
         bound_states=roots, count_n=count) for fields_ in on_grid]
 
 

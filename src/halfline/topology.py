@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import NumericsError
 from .model import GridSpec, Potential
 from .scattering import ScatteringData, eta_endpoints
@@ -76,18 +77,21 @@ def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
     s(tanh beta) approaches its limit only like e^(-beta) times the phase
     slope, while the Gamma profiles saturate like e^(-pi alpha).
 
-    The scattering edge is read from d, whose recursion pass stepped it at
-    d.edge_beta; n_edge and 2 alpha_max are its length and first point
-    (exact: linspace keeps its endpoints).  Its turn, the sum of its phase
-    steps, is checked against the cut grid's (eta(+1) - eta(-1))/pi: an edge
-    too coarse to follow the phase can lose a whole turn without any large
-    sampled jump.
+    The scattering edge steps Omega of d.potential at theta = 2 atan(e^(-beta))
+    for beta in d.edge_beta; n_edge and 2 alpha_max are its length and first
+    point (exact: linspace keeps its endpoints).  Its turn, the sum of its
+    phase steps, is checked against the cut grid's (eta(+1) - eta(-1))/pi:
+    an edge too coarse to follow the phase can lose a whole turn without any
+    large sampled jump.
     """
     beta = d.edge_beta
     n_edge, bmax = len(beta), float(beta[0])
     amax = bmax / 2.0
     sp, sm = d.s_plus, d.s_minus
-    s_edge = np.conj(d.edge_omega) / d.edge_omega
+    theta = 2.0 * np.arctan(np.exp(-beta))
+    omega = _kernels.jost_function_values(d.potential.values, np.exp(-1j * theta),
+                                          2.0 * np.cos(theta) + 0j)
+    s_edge = np.conj(omega) / omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)
     gm = gamma_curve(-1, sm, alpha_up)

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 import halfline
 from conftest import closed_form_bound_state
-from halfline.cli import main
+from halfline import _kernels
+from halfline.cli import load_config, main
 
 SRC = str(Path(halfline.__file__).resolve().parents[1])
 
@@ -68,6 +71,22 @@ class TestValidate:
                         grids={"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024,
                                **grids})
         assert main(["validate", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("block", [
+        {"potential": 5}, {"grids": [1]}, {"tolerances": "x"}, {"outputs": "x"},
+        {"outputs": {"formats": 5}}, {"outputs": {"formats": [["csv"]]}},
+        {"outputs": {"formats": "csv"}}, {"outputs": {"directory": 5}},
+    ], ids=["potential", "grids", "tolerances", "outputs", "formats_number",
+            "formats_nested", "formats_string", "directory"])
+    def test_malformed_block_exit_2(self, tmp_path, capsys, block):
+        # each block is an object, formats a list of strings and directory a
+        # string; these crashed with a traceback, or (directory) got through
+        # validate and crashed scatter
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "zero"}, **block}))
+        for command in ("validate", "scatter"):
+            assert main([command, str(cfg)]) == 2
+        assert "unknown output formats" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("grids,tols", [
         ({"beta_max": "12"}, {}), ({"alpha_max": None}, {}), ({}, {"threshold": "1e-3"}),
@@ -150,6 +169,19 @@ class TestScatter:
             _, _, rows = read_csv(tmp_path / "out" / "boundstates.csv")
             assert [float(r[0]) for r in rows] == [
                 pytest.approx(closed_form_bound_state(v0), rel=1e-14)]
+
+    def test_overflow_refused_before_stepping(self, tmp_path, monkeypatch, capsys):
+        # z_max = 1 + 2(1 + 5e307) would overflow the scan's 2(z - V): the
+        # input is refused before any point is stepped and any float overflows
+        calls = []
+        for name in ("jost_scaled", "jost_function_values", "decay_scan", "regular_values"):
+            monkeypatch.setattr(_kernels, name, lambda *args, name=name: calls.append(name))
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 5e307, "rho": 3.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scatter", str(cfg)]) == 4
+        assert calls == []
+        assert "overflow 2(z - V)" in capsys.readouterr().err
 
     def test_check_exits_5_on_failed_levinson_gate(self, tmp_path, capsys):
         # linear extrapolation across the last theta cell: residual 1.3e-2
@@ -252,8 +284,8 @@ class TestReport:
         assert called == []
 
     def test_one_eigensolve_and_one_bound_state_search(self, tmp_path, monkeypatch):
-        # both cut grids come from one pass, whose grid-free stages run once:
-        # one count oracle, which solves for no eigenvalue
+        # both cut grids come from one scattering_grids call, whose grid-free
+        # stages run once: one count oracle, which solves for no eigenvalue
         from halfline import model, scattering
         calls = {"eigenvalues_beyond": 0, "eigenvalues": 0, "bound_states": 0}
 
@@ -272,25 +304,42 @@ class TestReport:
         assert main(["report", str(cfg)]) == 0
         assert calls == {"eigenvalues_beyond": 1, "eigenvalues": 0, "bound_states": 1}
 
-    def test_one_recursion_pass(self, tmp_path, monkeypatch):
-        # grids, edge, scan and thresholds in one jost_scaled call; what is
-        # stepped apart (bisection midpoints, the residual point) is a few
-        # points.  regular_values steps n_site sites, not the table.
-        from halfline import _kernels
+    def test_each_command_steps_its_point_sets(self, tmp_path, monkeypatch):
+        # each command steps once each set of points it reads: the cut grid,
+        # with the grid twice as fine for the operator identities; Omega(+-1);
+        # the bound-state scan; the scattering edge for the winding number.
+        # After them come only the bisection midpoints and the residual of
+        # the bound state.  regular_values steps n_site sites, not the table.
         calls = []
         for name in ("jost_scaled", "jost_function_values", "decay_scan"):
             fn = getattr(_kernels, name)
 
-            def wrapper(V, zeta, *args, fn=fn, name=name):
-                calls.append((name, np.size(zeta)))
-                return fn(V, zeta, *args)
+            def wrapper(V, zeta, two_z, *args, fn=fn, name=name):
+                calls.append((name, np.array(two_z, complex).ravel()))
+                return fn(V, zeta, two_z, *args)
             monkeypatch.setattr(_kernels, name, wrapper)
-        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
-        assert main(["report", str(cfg)]) == 0
-        fused = 256 + 512 + 1024 + 2 * 512 + 2       # two grids, edge, scan, thresholds
-        assert [c for c in calls if c[0] == "jost_scaled"] == [("jost_scaled", fused)]
-        others = [points for name, points in calls if name != "jost_scaled"]
-        assert others and max(others) <= 4
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                        grids={"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 2048})
+        roots, _ = halfline.bound_states(*load_config(str(cfg))[:2])
+
+        def label(name, two_z):
+            if name != "jost_function_values" or len(two_z) > 4:
+                return f"{name} {len(two_z)}"
+            if np.array_equal(two_z, [-2.0, 2.0]):
+                return "thresholds"
+            return "residual" if np.array_equal(two_z, 2.0 * roots) else "bisection"
+
+        common = ["jost_scaled 256", "thresholds", "jost_function_values 1024"]
+        finer, edge = "jost_scaled 512", "jost_function_values 2048"
+        for command, extra in (("report", [finer, edge, "residual"]),
+                               ("scatter", ["residual"]), ("waveop", [finer]),
+                               ("winding", [edge])):
+            calls.clear()
+            assert main([command, str(cfg)]) == 0
+            labels = Counter(label(*c) for c in calls)
+            assert labels.pop("bisection") > 0, command
+            assert labels == Counter(common + extra), command
+            assert len({two_z.tobytes() for _, two_z in calls}) == len(calls), command
 
     def test_svd_count(self, tmp_path, monkeypatch):
         # the coupling symbol at m_beta and 2 m_beta, the wave symbol on both

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import halfline as hl
 from conftest import TWO_SITE, closed_form_bound_state, closed_form_omega
-from halfline import _kernels, scattering
+from halfline import _kernels
 
 
 def reference_jost_rows(V, zeta, two_z, n_max=0):
@@ -53,21 +53,19 @@ def split_all(monkeypatch):
     return monkeypatch
 
 
-def assert_forms_match_reference(V, zeta, two_z, n_keep, n_cols):
+def assert_forms_match_reference(V, zeta, two_z, n_keep):
     """Every kernel form on these points equals the reference loop bit for
-    bit in complex128: Omega alone, Omega with all rows t(-1..n_keep), and
-    with the rows of the first n_cols points; real points give zero
-    imaginary parts."""
+    bit in complex128: Omega alone and Omega with the rows t(-1..n_keep);
+    real points give zero imaginary parts."""
     ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)
     if np.result_type(zeta, two_z).kind == "f":
         assert np.all(ref.imag == 0.0)
     omega = _kernels.jost_function_values(V, zeta, two_z)
     assert omega.dtype == np.complex128
     assert np.array_equal(omega, ref[0])
-    for cols, expected in ((None, ref[:n_keep + 2]), (n_cols, ref[:n_keep + 2, :n_cols])):
-        omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep, cols)
-        assert omega_too.dtype == rows.dtype == omega.dtype
-        assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, expected)
+    omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep)
+    assert omega_too.dtype == rows.dtype == omega.dtype
+    assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:n_keep + 2])
 
 
 class TestWronskian:
@@ -118,8 +116,6 @@ class TestJostFunction:
         assert np.array_equal(omega, ref[0])
         omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, 6)
         assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:8])
-        omega_too, head = _kernels.jost_scaled(V, zeta, two_z, 6, 10)
-        assert np.array_equal(omega_too, ref[0]) and np.array_equal(head, ref[:8, :10])
 
     def test_split_grid_matches_whole(self, split_all):
         # halves stepped by this thread and by a worker thread
@@ -129,7 +125,7 @@ class TestJostFunction:
         z = 1.0 + np.geomspace(2.0, 1e-9, 33)
         forms = (lambda: _kernels.jost_function_values(p.values, zeta, two_z),
                  lambda: _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z),
-                 lambda: _kernels.jost_scaled(p.values, zeta, two_z, 9, 40)[1],
+                 lambda: _kernels.jost_scaled(p.values, zeta, two_z, 9)[1],
                  lambda: hl.decay_scan(p, 65))
         split = [form() for form in forms]
         split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
@@ -232,8 +228,8 @@ class TestStepBlocks:
             request.getfixturevalue("split_all")
         V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
         zeta, two_z = self.points(n, real)
-        for n_keep, n_cols in ((6, n - n // 3), (-1, 0), (len(V) - 1, n), (len(V) + 4, 1)):
-            assert_forms_match_reference(V, zeta, two_z, n_keep, min(n_cols, n))
+        for n_keep in (6, -1, len(V) - 1, len(V) + 4):
+            assert_forms_match_reference(V, zeta, two_z, n_keep)
 
     @pytest.mark.parametrize("values", [[], [0.75], [0.3, -0.2], [0.5, 0.0, -1.25]],
                              ids=["empty", "one_site", "two_sites", "three_sites"])
@@ -241,7 +237,7 @@ class TestStepBlocks:
         for real in (False, True):
             for n in (1, 2, 17):
                 zeta, two_z = self.points(n, real)
-                assert_forms_match_reference(np.asarray(values, float), zeta, two_z, 3, n)
+                assert_forms_match_reference(np.asarray(values, float), zeta, two_z, 3)
 
     @pytest.mark.parametrize("n", COUNTS[:-1])
     def test_decay_scan_equals_reference_rows(self, n, split_all):
@@ -258,30 +254,23 @@ class TestStepBlocks:
         split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
         assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
 
-    def test_n_cols_out_of_range_is_refused(self):
-        zeta, two_z = self.points(4, False)
-        for n_cols in (-1, 5):
-            with pytest.raises(ValueError, match="n_cols"):
-                _kernels.jost_scaled([0.5], zeta, two_z, 2, n_cols)
-
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(-3.0, 3.0), max_size=7),
            radii=st.lists(st.one_of(st.just(1.0), st.floats(0.25, 1.75)), min_size=1,
                           max_size=19),
            angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), split=st.booleans(),
-           n_keep=st.integers(-1, 9), data=st.data())
-    def test_random_tables_and_points(self, values, radii, angle, real, split, n_keep, data):
+           n_keep=st.integers(-1, 9))
+    def test_random_tables_and_points(self, values, radii, angle, real, split, n_keep):
         # zeta on and off the unit circle, 2z = zeta + 1/zeta
         n = len(radii)
         angles = angle + np.arange(n) * 2.399963
         zeta = np.asarray(radii) * (np.sign(np.cos(angles)) if real else np.exp(1j * angles))
-        n_cols = data.draw(st.integers(0, n))
         with pytest.MonkeyPatch.context() as mp:
             if split:
                 mp.setattr(_kernels, "SPLIT_WORK", 0)
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
             assert_forms_match_reference(np.asarray(values, float), zeta, zeta + 1.0 / zeta,
-                                         n_keep, n_cols)
+                                         n_keep)
 
 
 class TestScatteringGrid:
@@ -328,17 +317,6 @@ GRID_POTENTIALS = {
 }
 
 
-def fused_points(p, grids):
-    """The points of one pass of `scattering_grids`, in its order, and the
-    number of cut-grid points first among them."""
-    thetas = [hl.theta_midpoints(g.m_theta) for g in grids]
-    z = scattering._scan_points(p, grids[0])
-    cut = thetas + [2.0 * np.arctan(np.exp(-hl.edge_beta(grids[0])))]
-    zeta = np.concatenate([np.exp(-1j * th) for th in cut] + [off_axis_zeta(z), [1.0, -1.0]])
-    two_z = np.concatenate([2.0 * np.cos(th) + 0j for th in cut] + [2.0 * z, [2.0, -2.0]])
-    return zeta, two_z, [len(th) for th in cut], z
-
-
 @pytest.fixture(scope="module", params=sorted(GRID_POTENTIALS))
 def grid_pair(request, grid_default):
     p = GRID_POTENTIALS[request.param]
@@ -347,7 +325,7 @@ def grid_pair(request, grid_default):
 
 
 class TestOneRecursionPerGrid:
-    """scattering_grids steps its grids once: Omega, the kept Jost rows and
+    """scattering_grids steps each grid once: Omega, the kept Jost rows and
     the data of each grid are bit-identical to computing each directly."""
 
     def test_omega_is_row_zero(self, grid_pair):
@@ -369,7 +347,7 @@ class TestOneRecursionPerGrid:
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
     def test_second_grid_reuse_equals_fresh_build(self, grid_pair):
-        # both grids share one pass and its grid-free stages
+        # both grids share the grid-free stages
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
             alone = hl.scattering_grid(p, g)
@@ -380,48 +358,17 @@ class TestOneRecursionPerGrid:
                 else:
                     assert a is b or a == b, f.name
 
-
-class TestFusedPass:
-    """The one pass over all points of a report equals the forms that stepped
-    each set of points apart, bit for bit, whole and split across a worker
-    thread."""
-
-    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-    def test_equals_separate_forms(self, grid_pair, split, monkeypatch):
-        p, grids, ds = grid_pair
-        if split:
-            monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
-        zeta, two_z, sizes, z = fused_points(p, grids)
-        n_cols = sum(g.m_theta for g in grids)
-        omega, rows = _kernels.jost_scaled(p.values, zeta, two_z, grids[0].n_site - 1, n_cols)
-        col = 0
-        for g, d in zip(grids, ds):
-            _, alone = _kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
-            assert np.array_equal(rows[:, col:col + g.m_theta], alone)
-            col += g.m_theta
-        beta = hl.edge_beta(grids[0])
-        theta_b = 2.0 * np.arctan(np.exp(-beta))
-        edge = _kernels.jost_function_values(p.values, np.exp(-1j * theta_b),
-                                             2.0 * np.cos(theta_b) + 0j)
-        assert np.array_equal(omega[col:col + sizes[-1]], edge)
-        assert all(np.array_equal(d.edge_omega, edge) for d in ds)
-        scan = omega[col + sizes[-1]:-2]
-        assert np.all(scan.imag == 0.0)
-        assert np.array_equal(scan.real,
-                              _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z))
-        at_thresholds = [hl.jost_function(p, hl.SpectralPoint.threshold(s)) for s in (1, -1)]
-        assert np.array_equal(omega[-2:].real, np.real(at_thresholds))
-        assert (ds[0].omega_plus, ds[0].omega_minus) == tuple(np.real(at_thresholds))
-
     def test_decisions_equal_stepping_apart(self, grid_pair):
-        # classify_thresholds and bound_states step their own points when
-        # not handed the pass's values
+        # the grid-free stages called alone decide as in scattering_grids;
+        # Omega(+-1) of the two-point call equals each threshold stepped alone
         p, grids, ds = grid_pair
         g = grids[0]
         dm, dp, sm, sp, om_m, om_p = hl.classify_thresholds(p, g.tol_threshold)
         assert (dm, dp, sm, sp, om_m, om_p) == (ds[0].delta_minus, ds[0].delta_plus,
                                                 ds[0].s_minus, ds[0].s_plus,
                                                 ds[0].omega_minus, ds[0].omega_plus)
+        assert [om_m, om_p] == [hl.jost_function(p, hl.SpectralPoint.threshold(s)).real
+                                for s in (-1, 1)]
         roots, count = hl.bound_states(p, g)
         assert np.array_equal(roots, ds[0].bound_states) and count == ds[0].count_n
 
