@@ -12,9 +12,9 @@ from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
                     TridiagonalTruncation, hamiltonian_truncation, make_potential,
                     random_decaying, rank_one, table_potential, theta_midpoints,
                     zero_potential)
-from .solutions import (DecayReport, SolutionSequence, decay_diagnostic,
-                        decay_scan, free_regular, jost_at_threshold,
-                        jost_solution, regular_solution, volterra_jost)
+from .solutions import (DecayReport, SolutionSequence, decay_scan, free_regular,
+                        jost_at_threshold, jost_solution, regular_solution,
+                        volterra_jost)
 from .scattering import (ScatteringData, bound_states, classify_thresholds,
                          edge_beta, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids, wronskian)

@@ -7,7 +7,10 @@ midpoints, the thresholds, the bound states and the decay scan.  It carries
 each block of 16 points through all sites of the table in registers.  Its
 one entry takes complex points: real ones (off-axis points, the thresholds)
 are stepped with zero imaginary parts, which stay zero, so every kernel
-returns complex128.  Only `regular_values`, which steps n_site rows and not
+returns complex128.  For the decay scan the same entry also reduces
+max_k |t(n) - 1| per site while the block is in registers, equal to numpy's
+np.max(np.abs(t - 1.0)) bit for bit (the `_step.c` header says why), so no
+rows are stored.  Only `regular_values`, which steps n_site rows and not
 the table, stays numpy.
 
 The step evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the
@@ -15,10 +18,10 @@ operations of the per-site numpy loop (`reference_jost_rows` in the tests)
 in their order, and forms a complex product as numpy 2.4 does on a CPU with
 FMA: re = fma(ar, br, -ai bi), im = fma(ar, bi, ai br).  Its values equal
 that loop's bit for bit.  Each point is stepped on its own, so a value does
-not depend on the batch it came in.  A long grid (table sites x points >=
-SPLIT_WORK) on a machine with a second CPU is cut in two halves of points,
-the second stepped meanwhile on a worker thread: ctypes releases the GIL for
-the call.
+not depend on the batch it came in.  A long Jost grid (table sites x
+points >= SPLIT_WORK) on a machine with a second CPU is cut in two halves of
+points, the second stepped meanwhile on a worker thread: ctypes releases the
+GIL for the call.  The decay scan steps its grid in one thread.
 
 The first import builds `_step.c` with gcc and CFLAGS into the build
 artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
@@ -56,9 +59,6 @@ CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
 #: table sites x points from which the second half of a grid's points is
 #: stepped on a worker thread
 SPLIT_WORK = 2 ** 22
-
-#: sites whose deviations the decay scan reduces in one vectorised call
-DECAY_ROWS = 64
 
 
 def _build() -> str:
@@ -100,13 +100,15 @@ def _build() -> str:
 
 
 #: the compiled step: step(V, r_hi, r_lo, n, zeta, two_z, t1, t2, rows,
-#: stride, n_rows) steps the complex rows (t1, t2) = (r_hi, r_hi+1) of n
-#: points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
-#: points to rows[i] for i < n_rows (row r is t(r - 1))
+#: stride, n_rows, dev) steps the complex rows (t1, t2) = (r_hi, r_hi+1) of
+#: n points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
+#: points to rows[i] for i < n_rows (row r is t(r - 1)) and, unless dev is
+#: NULL, raising the float64 dev[i] to the max over the points of
+#: |row r_lo + i - 1|
 _STEP = ctypes.CDLL(_build()).step
 _STEP.restype = None
 _STEP.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
-                  + [ctypes.c_long] * 2)
+                  + [ctypes.c_long] * 2 + [ctypes.c_void_p])
 
 
 def _work(zeta, two_z):
@@ -118,19 +120,21 @@ def _work(zeta, two_z):
     return work
 
 
-def _stepper(V, work, rows=None):
+def _stepper(V, work, rows=None, dev=None):
     """step(r_hi, r_lo, lo, hi): the compiled step on the points lo:hi of
     work, from its rows t(r_hi), t(r_hi+1) down to t(r_lo), t(r_lo+1),
-    writing their t(r_lo..) to rows when given.  The caller keeps V, work
-    and rows alive while it steps."""
+    writing their t(r_lo..) to rows when given and raising dev[i] to the
+    max of |t(r_lo + i - 1) - 1| when dev is given.  The caller keeps V,
+    work, rows and dev alive while it steps."""
     size = work.itemsize
     v, zeta, span = V.ctypes.data, work.ctypes.data, work.shape[1] * size
     out, n_rows, stride = (zeta, 0, 0) if rows is None else (rows.ctypes.data, *rows.shape)
+    dev = None if dev is None else dev.ctypes.data
 
     def step(r_hi, r_lo, lo, hi):
         k = zeta + lo * size
         _STEP(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
-              out + lo * size, stride, n_rows)
+              out + lo * size, stride, n_rows, dev)
     return step
 
 
@@ -187,18 +191,12 @@ def jost_function_values(V, zeta, two_z):
     return _omega(V, _work(zeta, two_z))
 
 
-def _deviations(V, work, lo, hi):
-    """max over the points lo:hi of work of |t(n) - 1|, for the sites
-    n = 0..L-2, stepped DECAY_ROWS sites at a time."""
-    work = work[:, lo:hi].copy()
-    rows = np.empty((DECAY_ROWS, hi - lo), work.dtype)   # rows[i] = t(n + i)
-    step = _stepper(V, work, rows)
-    top = max(V.shape[0] - 1, 0)
-    dev = np.empty(top)
-    for n in range((top - 1) // DECAY_ROWS * DECAY_ROWS, -1, -DECAY_ROWS):
-        step(top + 1, n + 1, 0, hi - lo)
-        dev[n:top] = np.max(np.abs(rows[:top - n] - 1.0), axis=1)
-        top = n
+def _deviations(V, zeta, two_z):
+    """max over the points of |t(n) - 1| for the sites n = 0..L-2, as
+    np.max(np.abs(t - 1.0)) gives it, in one call of the compiled step."""
+    V, work = np.ascontiguousarray(V, dtype=np.float64), _work(zeta, two_z)
+    dev = np.zeros(max(V.shape[0] - 1, 0))
+    _stepper(V, work, dev=dev)(V.shape[0], 1, 0, work.shape[1])
     return dev
 
 
@@ -210,9 +208,7 @@ def decay_scan(V, zeta, two_z, bounds, rho):
     The sites checked are n = 0..L-2, the ones the recursion steps to.
     Returns (worst_violation, c_empirical); (-inf, 0) when there are none.
     """
-    V, work = np.ascontiguousarray(V, dtype=np.float64), _work(zeta, two_z)
-    dev = np.max(_halves(lambda lo, hi: _deviations(V, work, lo, hi), V, work.shape[1]),
-                 axis=0)
+    dev = _deviations(V, zeta, two_z)
     sites = np.arange(dev.shape[0])
     worst = np.max(dev - bounds[:dev.shape[0]], initial=-np.inf)
     c_emp = np.max(dev * (1.0 + sites) ** (float(rho) - 2.0), initial=0.0)

@@ -173,37 +173,25 @@ def _tail_bounds(p: Potential) -> np.ndarray:
     return np.expm1(2.0 * (sm[n + 1] - n * s1[n + 1]))
 
 
-def decay_diagnostic(p: Potential, point) -> DecayReport:
-    """Check |theta(n) - zeta^n| against the tail bound at one spectral point,
-    on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1 is the
-    exact tail); the per-point reference for `decay_scan`."""
-    L = p.support_end
-    if L == 0:
-        return DecayReport(0.0, 0.0, True)
-    t = _kernels.jost_scaled(p.values, np.array([point.zeta], complex),
-                             np.array([point.two_z]), L - 2)[1][1:, 0]
-    dev = np.abs(t - 1.0)                       # |zeta^n| = 1 on the cut
-    bounds = _tail_bounds(p)[:L - 1]
-    viol = float(np.max(dev - bounds, initial=-np.inf))
-    c_emp = float(np.max(dev * (1.0 + np.arange(L - 1)) ** (p.rho - 2.0), initial=0.0))
-    if viol > DECAY_SLACK:
-        raise NumericsError(f"estimate violated: excess {viol:.3e}")
-    return DecayReport(viol, c_emp, viol <= DECAY_SLACK)
-
-
 def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     """Decay check over the full theta grid plus both thresholds.
 
-    Streams through the recursion without storing the site window, so large
-    random tables stay cheap.
+    One compiled pass steps all points through the table and keeps only the
+    max over the points of |t(n) - 1| per site, so large random tables stay
+    cheap.  A recursion or tail bound that overflows, leaving the worst
+    excess or the envelope constant not finite, is refused.
     """
     if p.support_end == 0:
         return DecayReport(0.0, 0.0, True)
     th = theta_midpoints(m_theta)
     zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
     two_z = np.concatenate([2.0 * np.cos(th) + 0j, [2.0 + 0j, -2.0 + 0j]])
-    worst, c_emp = _kernels.decay_scan(p.values, zeta, two_z,
-                                       _tail_bounds(p), p.rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst, c_emp = _kernels.decay_scan(p.values, zeta, two_z,
+                                           _tail_bounds(p), p.rho)
+    if p.support_end > 1 and not (np.isfinite(worst) and np.isfinite(c_emp)):
+        raise NumericsError(f"decay check overflows: worst excess {worst:.3e}, "
+                            f"envelope constant {c_emp:.3e}")
     if worst > DECAY_SLACK:
         raise NumericsError(f"estimate violated: excess {worst:.3e}")
     return DecayReport(float(worst), float(c_emp), worst <= DECAY_SLACK)

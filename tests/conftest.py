@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from halfline import _kernels, solutions
 
 # canonical test potentials
 RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
@@ -69,6 +70,24 @@ def random_potentials():
 def closed_form_omega(v0, zeta):
     """Rank-one Jost function 1 - 2 v0 zeta (single backward step)."""
     return 1.0 - 2.0 * v0 * np.asarray(zeta)
+
+
+def decay_diagnostic(p, point):
+    """Check |theta(n) - zeta^n| against the tail bound at one spectral point,
+    on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1 is the
+    exact tail); the per-point reference for `decay_scan`."""
+    L = p.support_end
+    if L == 0:
+        return hl.DecayReport(0.0, 0.0, True)
+    t = _kernels.jost_scaled(p.values, np.array([point.zeta], complex),
+                             np.array([point.two_z]), L - 2)[1][1:, 0]
+    dev = np.abs(t - 1.0)                       # |zeta^n| = 1 on the cut
+    bounds = solutions._tail_bounds(p)[:L - 1]
+    viol = float(np.max(dev - bounds, initial=-np.inf))
+    c_emp = float(np.max(dev * (1.0 + np.arange(L - 1)) ** (p.rho - 2.0), initial=0.0))
+    if viol > solutions.DECAY_SLACK:
+        raise hl.NumericsError(f"estimate violated: excess {viol:.3e}")
+    return hl.DecayReport(viol, c_emp, viol <= solutions.DECAY_SLACK)
 
 
 def closed_form_bound_state(v0):

@@ -68,6 +68,18 @@ def assert_forms_match_reference(V, zeta, two_z, n_keep):
     assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:n_keep + 2])
 
 
+def assert_deviations_match_reference(V, zeta, two_z):
+    """The compiled per-site max over the points of |t(n) - 1| equals numpy's
+    reduction of the reference rows bit for bit, NaN where numpy gives NaN."""
+    V = np.asarray(V, float)
+    with np.errstate(all="ignore"):
+        ref = np.max(np.abs(reference_jost_rows(V, zeta, two_z)[1:len(V)] - 1.0), axis=1)
+    dev = _kernels._deviations(V, zeta, two_z)
+    nan = np.isnan(ref)
+    assert dev.shape == ref.shape and np.array_equal(np.isnan(dev), nan)
+    assert np.array_equal(dev[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
 class TestWronskian:
     def test_free_pair_at_two(self):
         pt = hl.OffAxisPoint.from_z(2.0)
@@ -239,9 +251,50 @@ class TestStepBlocks:
                 zeta, two_z = self.points(n, real)
                 assert_forms_match_reference(np.asarray(values, float), zeta, two_z, 3)
 
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_deviations_equal_reference(self, n):
+        # whole and at sub-ranges of the points, cut and real
+        V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
+        for real in (False, True):
+            zeta, two_z = self.points(n, real)
+            for lo, hi in ((0, n), (0, (n + 1) // 2), (n // 2, n), (min(3, n - 1), min(40, n))):
+                assert_deviations_match_reference(V, zeta[lo:hi], two_z[lo:hi])
+
+    TINY = 1.0 + 1j * np.geomspace(1e-175, 1e-148, 40)
+
+    @pytest.mark.parametrize("V, zeta, two_z", [
+        # each point twice, in one block and across blocks
+        (KERNEL_POTENTIALS["short_random"].values, np.tile(np.exp(-0.3j * np.arange(7)), 5),
+         np.tile(2.0 * np.cos(0.3 * np.arange(7)) + 0j, 5)),
+        # deviations 0.3 (1 + k 2^-52) at the last site, in shuffled order
+        (np.zeros(3), np.ones(40, complex),
+         2.0 + 0.3j * (1.0 + np.random.default_rng(0).permutation(40) * 2.0 ** -52)),
+        # deviations of 1e-175..1e-145 on a zero table: the squares
+        # underflow, and the running max lies on either side of 2^-500
+        (np.zeros(30), np.ones(40, complex), 2.0 * TINY),
+        (np.zeros(30), np.ones(40, complex), 2.0 * TINY[::-1]),
+        # deviations of about 2 x: the squares overflow above 2^512, and
+        # the running max lies on either side of 2^500
+        *[(np.r_[np.zeros(20), x], np.exp(-1j * np.linspace(0.1, 3.0, 33)),
+           2.0 * np.cos(np.linspace(0.1, 3.0, 33)) + 0j) for x in (1e140, 1e150, 1e160)],
+        # deviations 1e-160 (1 + k 1e-6): the squares lose digits below 2^-1022
+        (np.zeros(3), np.ones(40, complex),
+         2.0 + 1e-160j * (1.0 + np.random.default_rng(1).permutation(40) * 1e-6)),
+        # the recursion overflows to inf, then NaN; the first point, which
+        # grows faster, is NaN at sites where the second is inf
+        (np.full(70, 1e5), np.array([1.5, 0.5]), np.array([1.5 + 1 / 1.5, 0.5 + 1 / 0.5])),
+        *[(np.full(k, v), np.exp(-1j * np.linspace(0.1, 3.0, 20)),
+           2.0 * np.cos(np.linspace(0.1, 3.0, 20)) + 0j)
+          for k, v in ((3, 1e155), (5, 1e200), (200, 1e10))],
+    ], ids=["ties", "near_ties", "underflow", "underflow_reversed", "overflow_1e140",
+            "overflow_1e150", "overflow_1e160", "tiny_near_ties", "nan_then_inf", "inf_1e155",
+            "nan_1e200", "nan_1e10"])
+    def test_deviation_edge_cases(self, V, zeta, two_z):
+        assert_deviations_match_reference(V, zeta, two_z)
+
     @pytest.mark.parametrize("n", COUNTS[:-1])
     def test_decay_scan_equals_reference_rows(self, n, split_all):
-        # 110 sites: one full block of DECAY_ROWS and a partial one
+        # 110 sites, reduced per site while they are stepped
         p = hl.random_decaying(3, rho_gen=6.0)
         V = p.values[:110]
         zeta, two_z = self.points(n, False)
@@ -271,6 +324,21 @@ class TestStepBlocks:
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
             assert_forms_match_reference(np.asarray(values, float), zeta, zeta + 1.0 / zeta,
                                          n_keep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e200, 1e200)),
+                           max_size=7),
+           radii=st.lists(st.one_of(st.just(1.0), st.floats(0.25, 1.75)), min_size=1,
+                          max_size=19),
+           angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), copies=st.integers(1, 3))
+    def test_random_deviations(self, values, radii, angle, real, copies):
+        # tables that may overflow, points on and off the unit circle, each
+        # point up to three times
+        n = len(radii)
+        angles = angle + np.arange(n) * 2.399963
+        zeta = np.asarray(radii) * (np.sign(np.cos(angles)) if real else np.exp(1j * angles))
+        zeta = np.tile(zeta, copies)
+        assert_deviations_match_reference(values, zeta, zeta + 1.0 / zeta)
 
 
 class TestScatteringGrid:

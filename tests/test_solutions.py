@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import halfline as hl
+from conftest import decay_diagnostic
 
 
 def seq_values(seq, n_from, n_to):
@@ -164,12 +167,12 @@ class TestWronskianProperties:
 
 class TestDecayDiagnostic:
     def test_free_passes_trivially(self):
-        rep = hl.decay_diagnostic(hl.zero_potential(), hl.SpectralPoint.from_lambda(0.1))
+        rep = decay_diagnostic(hl.zero_potential(), hl.SpectralPoint.from_lambda(0.1))
         assert rep.max_violation == 0.0 and rep.passed
 
     def test_rank_one_tail_exact(self):
         # theta(n) = zeta^n exactly on the nonnegative sites
-        rep = hl.decay_diagnostic(hl.rank_one(0.75), hl.SpectralPoint.from_lambda(0.0))
+        rep = decay_diagnostic(hl.rank_one(0.75), hl.SpectralPoint.from_lambda(0.0))
         assert rep.max_violation <= 0.0 + 1e-15
         assert rep.empirical_c <= 1e-14
 
@@ -195,12 +198,23 @@ class TestDecayDiagnostic:
                   for t, z in zip(th, zeta)]
         points += [hl.SpectralPoint(lam=1.0, theta=0.0, zeta=1.0 + 0j),
                    hl.SpectralPoint(lam=-1.0, theta=np.pi, zeta=-1.0 + 0j)]
-        reps = [hl.decay_diagnostic(p, pt) for pt in points]
+        reps = [decay_diagnostic(p, pt) for pt in points]
         scan = hl.decay_scan(p, m)
         assert scan.max_violation == pytest.approx(
             max(r.max_violation for r in reps), rel=1e-12, abs=1e-15)
         assert scan.empirical_c == pytest.approx(
             max(r.empirical_c for r in reps), rel=1e-12)
+
+    @pytest.mark.parametrize("values", [[1e10] * 200, [1e155] * 3, [400.0] * 3],
+                             ids=["recursion_nan", "recursion_inf", "bound_inf"])
+    def test_overflow_refused_without_warnings(self, values):
+        # the recursion or the tail bound overflows: a typed refusal, not a
+        # NaN report beside numpy RuntimeWarnings
+        p = hl.table_potential(values, rho=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hl.NumericsError, match="decay check overflows"):
+                hl.decay_scan(p, 64)
 
     def test_reports_empirical_constant(self):
         p = hl.random_decaying(4, amplitude=0.3)
