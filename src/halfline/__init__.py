@@ -12,21 +12,18 @@ from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
                     TridiagonalTruncation, hamiltonian_truncation, make_potential,
                     random_decaying, rank_one, table_potential, theta_midpoints,
                     zero_potential)
-from .solutions import (DecayReport, SolutionSequence, decay_scan, free_regular,
-                        jost_at_threshold, jost_solution, regular_solution,
-                        volterra_jost)
+from .solutions import (DecayReport, SolutionSequence, decay_scan, jost_solution,
+                        regular_solution, volterra_jost)
 from .scattering import (ScatteringData, bound_states, classify_thresholds,
                          edge_beta, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids, wronskian)
 from .specops import (QuadratureGrid, completeness_defect, correction_operator,
-                      cos_sin_coupling, coupling_pv_matrix, jost_transform,
-                      pv_action_gap, quadrature_grid, scattering_operator,
+                      cos_sin_coupling, jost_transform, quadrature_grid, scattering_operator,
                       shift_identity_residual, wave_identity_residual,
                       wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        energy_rescale_matrix, hyperbolic_pv_matrix, operator_checks,
-                       pdo_apply, pv_kernel_action_gap, rescale_intertwining_defect,
-                       shift_symbol_apply, weyl_commutation_defect)
+                       pdo_apply, pv_kernel_action_gap, weyl_commutation_defect)
 from .topology import (BoundaryCurve, WindingReport, assemble_boundary,
                        gamma_curve, winding_number, winding_report)
 

@@ -1,27 +1,36 @@
 """Hot recursion kernels.
 
-Every Jost-type quantity is stepped by one compiled site step, `_step.c`,
+Every Jost-type quantity is stepped by the compiled site steps of `_step.c`,
 one call per set of points where that set is read: each cut grid with its
 kept rows, the scattering edge, the bound-state scan and its bisection
-midpoints, the thresholds, the bound states and the decay scan.  It carries
-each block of 16 points through all sites of the table in registers.  Its
-one entry takes complex points: real ones (off-axis points, the thresholds)
-are stepped with zero imaginary parts, which stay zero, so every kernel
-returns complex128.  For the decay scan the same entry also reduces
-max_k |t(n) - 1| per site while the block is in registers, equal to numpy's
-np.max(np.abs(t - 1.0)) bit for bit (the `_step.c` header says why), so no
-rows are stored.  Only `regular_values`, which steps n_site rows and not
-the table, stays numpy.
+midpoints, the thresholds, the bound states and the decay scan.  Only
+`regular_values`, which steps n_site rows and not the table, stays numpy.
+Each point is stepped on its own, so a value does not depend on its batch.
 
-The step evaluates ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1) with the
-operations of the per-site numpy loop (`reference_jost_rows` in the tests)
-in their order, and forms a complex product as numpy 2.4 does on a CPU with
-FMA: re = fma(ar, br, -ai bi), im = fma(ar, bi, ai br).  Its values equal
-that loop's bit for bit.  Each point is stepped on its own, so a value does
-not depend on the batch it came in.  A long Jost grid (table sites x
-points >= SPLIT_WORK) on a machine with a second CPU is cut in two halves of
-points, the second stepped meanwhile on a worker thread: ctypes releases the
-GIL for the call.  The decay scan steps its grid in one thread.
+`jost_scaled` and `jost_function_values` step real lanes: a batch of points
+all real, or all on the cut, has real recursion coefficients.  Any other
+batch is refused with a ValueError.
+  - A real point is one lane of the scaled recursion t = theta/zeta^n,
+    t(n-1) = ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1), in the operations of
+    the complex per-site numpy loop (`reference_jost_rows` in the tests),
+    whose values it equals bit for bit.
+  - A cut point (|zeta| = 1) is two lanes, re and im, of the unscaled
+    theta~(n-1) = (2z - 2V(n)) theta~(n) - theta~(n+1) from
+    (theta~(L-1), theta~(L)) = (1, zeta); Omega = zeta^L theta~(-1), with
+    zeta^L to a few ulps.  Its rounding error grows like L^2 eps near the
+    thresholds, where the two solutions meet, as the complex loop's does, and
+    is far smaller than that loop's away from them.
+The kept rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0
+is Omega; past the table they are the free tail zeta^(n+1).  On a table of
+SPLIT_SITES sites or more and a machine with a second CPU, the second half
+of the points is stepped meanwhile on a worker thread (ctypes releases the
+GIL for the call).
+
+`decay_scan` steps the complex scaled recursion in one thread and reduces
+max_k |t(n) - 1| per site while a block is in registers, bit for bit equal to
+numpy's np.max(np.abs(t - 1.0)) over the reference loop's rows (the
+`_step.c` header says why): its gate DECAY_SLACK is too tight for a rotated
+phase.
 
 The first import builds `_step.c` with gcc and CFLAGS into the build
 artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
@@ -30,11 +39,8 @@ into place and deletes the artifacts of other hashes, and later imports only
 load it.  Without gcc on PATH, or without a writable `__pycache__`, the
 import raises an ImportError that says which.
 
-All Jost-type kernels work with the scaled variable t(n) = theta(n, z) / zeta^n.
-Backward stepping of t is stable: the unwanted second solution corresponds to
-t ~ zeta^(-2n), which decays in the direction of decreasing n, and on the
-spectral cut both branches stay bounded.  The tail initialisation t = 1 is
-exact for finitely supported potentials.
+Backward stepping is stable: off the cut the unwanted solution decays like
+zeta^(-2n) toward smaller n, and on the cut both solutions stay bounded.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import re
 import shutil
 import subprocess
 import tempfile
-import threading
 
 import numpy as np
 
@@ -56,9 +61,9 @@ import numpy as np
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
           "-shared", "-fPIC")
 
-#: table sites x points from which the second half of a grid's points is
-#: stepped on a worker thread
-SPLIT_WORK = 2 ** 22
+#: table sites from which the second half of a grid's points is stepped on a
+#: worker thread: the step of a longer table waits on memory, not on the FPU
+SPLIT_SITES = 2 ** 19
 
 
 def _build() -> str:
@@ -99,104 +104,127 @@ def _build() -> str:
     return lib
 
 
-#: the compiled step: step(V, r_hi, r_lo, n, zeta, two_z, t1, t2, rows,
-#: stride, n_rows, dev) steps the complex rows (t1, t2) = (r_hi, r_hi+1) of
-#: n points down to (r_lo, r_lo+1) in place, writing row r_lo + i of the
-#: points to rows[i] for i < n_rows (row r is t(r - 1)) and, unless dev is
-#: NULL, raising the float64 dev[i] to the max over the points of
-#: |row r_lo + i - 1|
-_STEP = ctypes.CDLL(_build()).step
-_STEP.restype = None
-_STEP.argtypes = ([ctypes.c_void_p] + [ctypes.c_long] * 3 + [ctypes.c_void_p] * 5
-                  + [ctypes.c_long] * 2 + [ctypes.c_void_p])
+_LIB = ctypes.CDLL(_build())
 
 
-def _work(zeta, two_z):
-    """The complex128 rows zeta, 2z, t(r), t(r+1) of the points, the last two
-    at the free tail 1."""
-    zeta = np.atleast_1d(zeta)
-    work = np.empty((4, zeta.shape[0]), np.complex128)
-    work[0], work[1], work[2:] = zeta, two_z, 1.0
-    return work
+def _entry(name, *argtypes):
+    fn = getattr(_LIB, name)
+    fn.restype, fn.argtypes = None, [ctypes.c_long if t is int else ctypes.c_void_p
+                                     for t in argtypes]
+    return fn
 
 
-def _stepper(V, work, rows=None, dev=None):
-    """step(r_hi, r_lo, lo, hi): the compiled step on the points lo:hi of
-    work, from its rows t(r_hi), t(r_hi+1) down to t(r_lo), t(r_lo+1),
-    writing their t(r_lo..) to rows when given and raising dev[i] to the
-    max of |t(r_lo + i - 1) - 1| when dev is given.  The caller keeps V,
-    work, rows and dev alive while it steps."""
-    size = work.itemsize
-    v, zeta, span = V.ctypes.data, work.ctypes.data, work.shape[1] * size
-    out, n_rows, stride = (zeta, 0, 0) if rows is None else (rows.ctypes.data, *rows.shape)
-    dev = None if dev is None else dev.ctypes.data
-
-    def step(r_hi, r_lo, lo, hi):
-        k = zeta + lo * size
-        _STEP(v, r_hi, r_lo, hi - lo, k, k + span, k + 2 * span, k + 3 * span,
-              out + lo * size, stride, n_rows, dev)
-    return step
+#: lanes(V, L, n, cut, a, s, b, x1, x2, rows, stride, n_rows) steps n lanes
+#: from their rows (x1, x2) = (L, L+1) down to (0, 1) in place, writing row i
+#: to rows[i] for i < n_rows: real lanes with the factors s, b, or cut lanes
+#: when cut is 1; a is 2z per lane
+_LANES = _entry("lanes", None, int, int, int, *[None] * 6, int, int)
+#: decay(V, L, n, zeta, two_z, dev) steps n complex points from the free
+#: tail and raises dev[n] to the max over the points of |t(n) - 1|
+_DECAY = _entry("decay", None, int, int, None, None, None)
+#: power(n, zeta, k, out): out = zeta^k for complex points, to a few ulps
+_POWER = _entry("power", int, None, int, None)
 
 
 def _halves(fn, V, n):
-    """[fn(0, n)], or for a long grid on a machine with a second CPU
+    """[fn(0, n)], or for a long table on a machine with a second CPU
     [fn(0, half), fn(half, n)], the second on a worker thread that has ended
     when this returns.  An exception in either half reaches the caller."""
-    if V.shape[0] * n < SPLIT_WORK or n < 2 or (os.cpu_count() or 1) < 2:
+    if V.shape[0] < SPLIT_SITES or n < 2 or (os.cpu_count() or 1) < 2:
         return [fn(0, n)]
-    half, second = n // 2, {}
-
-    def second_half():
-        try:
-            second["value"] = fn(half, n)
-        except BaseException as exc:        # re-raised in the caller's thread
-            second["error"] = exc
-
-    worker = threading.Thread(target=second_half, name="halfline-step", daemon=True)
-    worker.start()
-    try:
-        first = fn(0, half)
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second["error"]
-    return [first, second["value"]]
+    from concurrent.futures import ThreadPoolExecutor      # 10 ms to import
+    with ThreadPoolExecutor(1, "halfline-step") as worker:
+        second = worker.submit(fn, n // 2, n)
+        return [fn(0, n // 2), second.result()]
 
 
-def _omega(V, work, rows=None):
-    """t(-1) on every point of work, stepped down the whole table, and
-    t(-1..) written to rows when given."""
+def _step_lanes(V, a, x, rows, s=None, b=None):
+    """Step the lanes of x, its rows x(L) and x(L+1), down the whole table in
+    place, writing their rows x(0..) to rows: real lanes with the factors s
+    and b, or else the (re, im) lane pairs of cut points, whose 2z a repeats.
+    A split cuts between points."""
+    per = 1 if s is not None else 2
+    ptrs = [arr.ctypes.data for arr in (a, a if s is None else s, a if b is None else b,
+                                        x[0], x[1], rows)]
+
+    def step(lo, hi):
+        _LANES(V.ctypes.data, V.shape[0], per * (hi - lo), per == 2,
+               *(p + 8 * per * lo for p in ptrs), rows.shape[1], rows.shape[0])
+    _halves(step, V, a.shape[0] // per)
+
+
+def _rotate(z, x):
+    """z x for complex arrays, as real products that no batch size fuses."""
+    out = np.empty(np.broadcast_shapes(z.shape, x.shape), np.complex128)
+    out.real = z.real * x.real - z.imag * x.imag
+    out.imag = z.real * x.imag + z.imag * x.real
+    return out
+
+
+def _real_points(V, zeta, two_z, n_rows):
+    s = zeta.real.copy()
+    x, rows = np.ones((2, s.shape[0])), np.ones((n_rows, s.shape[0]))
+    _step_lanes(V, two_z.real.copy(), x, rows, s, s * s)
+    powers = np.ones_like(rows)             # zeta^(n+1), by repeated products
+    np.cumprod(np.broadcast_to(s, (max(n_rows - 1, 0), s.shape[0])), axis=0, out=powers[1:])
+    return x[0].astype(np.complex128), (rows * powers).astype(np.complex128)
+
+
+def _cut_points(V, zeta, two_z, n_rows):
+    L, n = V.shape[0], zeta.shape[0]
+    x = np.empty((2, n), np.complex128)
+    x[0], x[1] = 1.0, zeta
+    rows = np.empty((n_rows, n), np.complex128)
+    _step_lanes(V, np.repeat(two_z.real, 2), x.view(np.float64), rows.view(np.float64))
+    zeta_l = np.empty(n, np.complex128)
+    _POWER(n, zeta.ctypes.data, L, zeta_l.ctypes.data)
+    rows[:L] = _rotate(zeta_l, rows[:L])
+    if n_rows > L:                          # the free tail zeta^(n+1)
+        rows[L] = zeta_l
+        for r in range(L + 1, n_rows):
+            rows[r] = _rotate(zeta, rows[r - 1])
+    return _rotate(zeta_l, x[0]), rows
+
+
+def _jost(V, zeta, two_z, n_rows):
+    """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2,
+    for points all real or all on |zeta| = 1, with real 2z."""
     V = np.ascontiguousarray(V, dtype=np.float64)
-    step = _stepper(V, work, rows)
-    _halves(lambda lo, hi: step(V.shape[0], 0, lo, hi), V, work.shape[1])
-    return work[2].copy()
+    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
+    two_z = np.broadcast_to(np.asarray(two_z, np.complex128), zeta.shape)
+    if np.all(two_z.imag == 0.0) and np.all(zeta.imag == 0.0):
+        return _real_points(V, zeta, two_z, n_rows)
+    if np.all(two_z.imag == 0.0) and np.all(np.abs(np.abs(zeta) - 1.0) <= 4e-16):
+        return _cut_points(V, zeta, two_z, n_rows)
+    raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
 
 
 def jost_scaled(V, zeta, two_z, n_keep):
-    """Omega(z) = t(-1) and the scaled Jost values t(n) = theta(n)/zeta^n
-    for n = -1..n_keep on every point.
+    """Omega(z) = zeta theta(-1) and the Jost values zeta theta(n) =
+    zeta^(n+1) t(n) for n = -1..n_keep on every point.
 
     Returns (omega, rows), both complex128; rows has shape (n_keep + 2,
     points), row index n + 1, and its row 0 is omega.  Real zeta and 2z
     give values with zero imaginary part.
     """
-    work = _work(zeta, two_z)
-    rows = np.ones((int(n_keep) + 2, work.shape[1]), work.dtype)
-    return _omega(V, work, rows), rows
+    return _jost(V, zeta, two_z, int(n_keep) + 2)
 
 
 def jost_function_values(V, zeta, two_z):
-    """Omega(z) = t(-1) on a batch of spectral points, complex128; real input
-    gives zero imaginary parts."""
-    return _omega(V, _work(zeta, two_z))
+    """Omega(z) = zeta theta(-1) on a batch of spectral points, complex128;
+    real input gives zero imaginary parts."""
+    return _jost(V, zeta, two_z, 0)[0]
 
 
 def _deviations(V, zeta, two_z):
     """max over the points of |t(n) - 1| for the sites n = 0..L-2, as
-    np.max(np.abs(t - 1.0)) gives it, in one call of the compiled step."""
-    V, work = np.ascontiguousarray(V, dtype=np.float64), _work(zeta, two_z)
+    np.max(np.abs(t - 1.0)) gives it, in one call of the complex step."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
+    two_z = np.ascontiguousarray(np.broadcast_to(two_z, zeta.shape), np.complex128)
     dev = np.zeros(max(V.shape[0] - 1, 0))
-    _stepper(V, work, dev=dev)(V.shape[0], 1, 0, work.shape[1])
+    _DECAY(V.ctypes.data, V.shape[0], zeta.shape[0], zeta.ctypes.data, two_z.ctypes.data,
+           dev.ctypes.data)
     return dev
 
 

@@ -88,11 +88,6 @@ def pdo_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
     return 1j * symbol_columns(bg, X)[0]
 
 
-def shift_symbol_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
-    """The shift's symbol tanh(X) - i sech(X) tanh(pi D) on the real columns of X: real."""
-    return _shift_real(bg, X, symbol_columns(bg, X)[1])
-
-
 def b_weight(t: np.ndarray) -> np.ndarray:
     """sqrt(2) cosh(t/2) / sqrt(cosh t): the bounded conjugation weight that
     turns the hyperbolic principal-value kernel into a pure symbol."""
@@ -263,13 +258,3 @@ def weyl_commutation_defect(bg: BetaGrid, shift_steps: int, mod_steps: int) -> f
     lhs = M @ C
     rhs = np.exp(-1j * s * t) * (C @ M)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def rescale_intertwining_defect(bg: BetaGrid, n_site: int) -> float:
-    """Max-norm of R H0 - tanh(X) R on interior columns (exact identity of
-    the sine recursion under lambda = tanh beta)."""
-    R = energy_rescale_matrix(bg, n_site)
-    H0 = (np.diag(np.ones(n_site - 1), 1) + np.diag(np.ones(n_site - 1), -1)) / 2.0
-    lhs = R @ H0
-    rhs = np.tanh(bg.beta)[:, None] * R
-    return float(np.max(np.abs((lhs - rhs)[:, : n_site - 1])))

@@ -62,7 +62,7 @@ class ScatteringData:
 
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
-    holds the scaled Jost values t(n) = theta(n)/zeta^n on the grid for
+    holds the Jost values zeta theta(n) = zeta^(n+1) t(n) on the grid for
     n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_beta is
     where `assemble_boundary` samples the scattering edge of the boundary
     symbol: `edge_beta` of the grid's n_edge and alpha_max.
@@ -177,8 +177,8 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
     m_thetas points, each with g's other settings.
 
-    Each cut grid is stepped on its own, keeping the rows t(-1..n_site-1)
-    that the correction kernel reads.  The grid-free stages (threshold
+    Each cut grid is stepped on its own, keeping the rows zeta theta(n) for
+    n = -1..n_site-1 that the correction kernel reads.  The grid-free stages (threshold
     classification, bound states and their count) then run once and step
     their own points.  An input whose scan would overflow is refused before
     any point is stepped.

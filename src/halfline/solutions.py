@@ -36,24 +36,8 @@ class SolutionSequence:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 2
-
     def value(self, n: int) -> complex:
         return complex(self.values[n + 1])
-
-    def residual(self) -> float:
-        """Max defect of the recurrence over interior sites, relative to
-        (1 + |z|) * max |u|."""
-        u = self.values
-        z = 0.5 * complex(self.point.two_z)
-        v = self.potential.diagonal(self.n_max)
-        lhs = 0.5 * (u[:-2] + u[2:]) + (v - z) * u[1:-1]
-        scale = (1.0 + abs(z)) * np.max(np.abs(u))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(lhs)) / scale)
 
 
 def _kind(base: str, p: Potential) -> str:
@@ -70,14 +54,6 @@ def regular_solution(p: Potential, point, n_max: int) -> SolutionSequence:
                             values=vals.astype(complex), potential=p)
 
 
-def free_regular(n: int, point: SpectralPoint) -> float:
-    """sin((n+1) theta) / sin(theta), the free regular solution on the cut."""
-    if point.is_threshold:
-        raise ValueError("free kernel is singular at lambda = +-1; "
-                         "use the recursion instead")
-    return float(np.sin((n + 1) * point.theta) / np.sin(point.theta))
-
-
 def jost_solution(p: Potential, point, n_max: int,
                   n_tail: int | None = None) -> SolutionSequence:
     """Jost solution on n = -1..n_max by the scaled backward recursion.
@@ -86,14 +62,9 @@ def jost_solution(p: Potential, point, n_max: int,
     the intended tail and is rejected if the support sticks out of it.
     """
     if isinstance(point, SpectralPoint) and point.is_threshold:
-        raise ValueError("use jost_at_threshold for lambda = +-1")
+        raise ValueError("lambda = +-1 is a threshold: Omega(+-1) comes from "
+                         "classify_thresholds")
     return _jost_sequence(p, point, n_max, n_tail)
-
-
-def jost_at_threshold(p: Potential, sign: int, n_max: int,
-                      n_tail: int | None = None) -> SolutionSequence:
-    """Threshold Jost solution, tail (+-1)^n, via the same backward recursion."""
-    return _jost_sequence(p, SpectralPoint.threshold(sign), n_max, n_tail)
 
 
 def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> SolutionSequence:
@@ -101,10 +72,9 @@ def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> Solut
         raise NumericsError(
             f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")
     zeta = np.array([point.zeta], dtype=complex)
-    t = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[1][:, 0]
-    powers = np.asarray(zeta[0]) ** np.arange(-1, n_max + 1)
+    rows = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[1][:, 0]
     return SolutionSequence(kind=_kind("jost", p), point=point,
-                            values=t * powers, potential=p)
+                            values=rows / zeta[0], potential=p)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ def cos_sin_coupling(grid: QuadratureGrid) -> np.ndarray:
     return 1j * (grid.fcos.T @ grid.fsin)
 
 
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex a and real b as one real product over the real and
+    imaginary parts of a stacked, where numpy would cast b to complex and run
+    a complex GEMM."""
+    parts = np.concatenate([a.real, a.imag]) @ b
+    return parts[:a.shape[0]] + 1j * parts[a.shape[0]:]
+
+
 def _require_same_grid(d: ScatteringData, m: int):
     if d.m_theta != m:
         raise NumericsError("scattering data and quadrature grid disagree")
@@ -73,7 +81,7 @@ def _require_same_grid(d: ScatteringData, m: int):
 def scattering_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     """S = Fsin^* s(lambda) Fsin with the scattering-matrix multiplier."""
     _require_same_grid(d, grid.m)
-    return grid.fsin.T @ (d.smatrix[:, None] * grid.fsin)
+    return _real_product((d.smatrix[:, None] * grid.fsin).T, grid.fsin).T
 
 
 def jost_transform(d: ScatteringData, grid: QuadratureGrid,
@@ -93,7 +101,7 @@ def wave_operator(d: ScatteringData, grid: QuadratureGrid, sign: int = -1,
                   tol_threshold: float = 1e-3) -> np.ndarray:
     """Stationary wave operator W_- = F_-^* Fsin (or W_+ = F_-^T Fsin for sign=+1)."""
     Fm = jost_transform(d, grid, tol_threshold)
-    return (Fm.conj().T if sign < 0 else Fm.T) @ grid.fsin
+    return _real_product(Fm.conj().T if sign < 0 else Fm.T, grid.fsin)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +113,21 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     from the remainder kernel K0(n, lambda) = sqrt(2/pi) [conj(p zeta) -
     s p zeta] / (2i) with p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4).
 
-    theta(n)/zeta^n is read from the rows that `scattering_grid` kept."""
+    zeta theta(n) is read from the rows that `scattering_grid` kept, and
+    zeta^(n+1) is sqrt(m/2) (Fcos - i Fsin); p is exactly 0 on the free tail
+    past the table."""
     _require_same_grid(d, grid.m)
     n_site = grid.n_site
     if n_site > d.jost_rows.shape[0] - 1:
         raise ValueError(f"scattering data keeps Jost rows for "
                          f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
-    t = d.jost_rows[1:n_site + 1]
-    pz = np.sqrt(grid.m / 2.0) * (grid.fcos - 1j * grid.fsin).T * (t - 1.0) \
-        / (1.0 - d.lam ** 2) ** 0.25
+    k = min(n_site, d.potential.support_end - 1)
+    pz = np.zeros((n_site, grid.m), np.complex128)
+    if k > 0:
+        zeta_n = np.sqrt(grid.m / 2.0) * (grid.fcos[:, :k] - 1j * grid.fsin[:, :k]).T
+        pz[:k] = (d.jost_rows[1:k + 1] - zeta_n) / (1.0 - d.lam ** 2) ** 0.25
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
-    return (k0 * grid.weights[None, :]) @ (grid.fsin / grid.sqrt_weights[:, None])
+    return _real_product(k0 * grid.weights[None, :], grid.fsin / grid.sqrt_weights[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +191,6 @@ def completeness_defect(W: np.ndarray, p: Potential,
     Pb = evecs[:, out] @ evecs[:, out].T
     D = W @ W.conj().T - (np.eye(n) - Pb)
     return float(np.max(np.abs(D[:block, :block])))
-
-
-# ---------------------------------------------------------------------------
-# principal-value realisation of the coupling operator
-# ---------------------------------------------------------------------------
-
-def coupling_pv_matrix(grid: QuadratureGrid) -> np.ndarray:
-    """Skip-diagonal principal-value discretisation of the singular kernel
-    (i/pi) (1-lambda^2)^(1/4) (nu-lambda)^(-1) (1-nu^2)^(-1/4), in the
-    sqrt(w)-normalised grid coordinates.  Diagnostic only."""
-    lam = grid.lam
-    sw = grid.sqrt_weights
-    jj, kk = np.meshgrid(np.arange(grid.m), np.arange(grid.m), indexing="ij")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = (1j / np.pi) * (1.0 - lam[jj] ** 2) ** 0.25 \
-            / (lam[kk] - lam[jj]) / (1.0 - lam[kk] ** 2) ** 0.25
-    np.fill_diagonal(ker, 0.0)
-    return sw[:, None] * ker * sw[None, :]
-
-
-def pv_action_gap(grid: QuadratureGrid) -> float:
-    """Relative difference between Fsin U Fsin^* and the principal-value
-    matrix acting on a smooth odd test function.
-
-    The skip-diagonal rule does not converge in full operator norm (the
-    threshold rows are singular); on smooth data the gap halves with each
-    grid doubling.
-    """
-    F = grid.fsin
-    lhs = F @ cos_sin_coupling(grid) @ F.conj().T
-    A = coupling_pv_matrix(grid)
-    gvec = grid.lam * (1.0 - grid.lam ** 2) * grid.sqrt_weights
-    return float(np.linalg.norm((lhs - A) @ gvec) / np.linalg.norm(gvec))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from halfline import _kernels, solutions
+from halfline import rescaled, solutions
 
 # canonical test potentials
 RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
@@ -72,15 +72,33 @@ def closed_form_omega(v0, zeta):
     return 1.0 - 2.0 * v0 * np.asarray(zeta)
 
 
+def reference_jost_rows(V, zeta, two_z, n_max=0):
+    """The per-site complex numpy loop of the scaled recursion: rows
+    n = -1..max(L, n_max) of t(n) = theta(n)/zeta^n, row index n + 1.  Real
+    points and the decay scan reproduce it bit for bit.
+
+    A lone point is stepped as two copies of itself: numpy multiplies a
+    one-element array in a loop without FMA, which rounds differently."""
+    zeta = np.atleast_1d(np.asarray(zeta, complex))
+    two_z = np.broadcast_to(np.asarray(two_z, complex), zeta.shape)
+    if len(zeta) == 1:
+        return reference_jost_rows(V, np.repeat(zeta, 2), np.repeat(two_z, 2), n_max)[:, :1]
+    z2 = zeta * zeta
+    out = np.ones((max(len(V), n_max) + 2, len(zeta)), complex)
+    for n in range(len(V) - 1, -1, -1):
+        out[n] = (two_z - 2.0 * V[n]) * zeta * out[n + 1] - z2 * out[n + 2]
+    return out
+
+
 def decay_diagnostic(p, point):
     """Check |theta(n) - zeta^n| against the tail bound at one spectral point,
     on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1 is the
-    exact tail); the per-point reference for `decay_scan`."""
+    exact tail); the per-point reference for `decay_scan`, stepped by the
+    reference loop."""
     L = p.support_end
     if L == 0:
         return hl.DecayReport(0.0, 0.0, True)
-    t = _kernels.jost_scaled(p.values, np.array([point.zeta], complex),
-                             np.array([point.two_z]), L - 2)[1][1:, 0]
+    t = reference_jost_rows(p.values, point.zeta, point.two_z)[1:L, 0]
     dev = np.abs(t - 1.0)                       # |zeta^n| = 1 on the cut
     bounds = solutions._tail_bounds(p)[:L - 1]
     viol = float(np.max(dev - bounds, initial=-np.inf))
@@ -88,6 +106,23 @@ def decay_diagnostic(p, point):
     if viol > solutions.DECAY_SLACK:
         raise hl.NumericsError(f"estimate violated: excess {viol:.3e}")
     return hl.DecayReport(viol, c_emp, viol <= solutions.DECAY_SLACK)
+
+
+def recurrence_residual(seq):
+    """Max defect of the recurrence over the interior sites of a solution
+    sequence, relative to (1 + |z|) max |u|."""
+    u = seq.values
+    z = 0.5 * complex(seq.point.two_z)
+    v = seq.potential.diagonal(len(u) - 2)
+    lhs = 0.5 * (u[:-2] + u[2:]) + (v - z) * u[1:-1]
+    scale = (1.0 + abs(z)) * np.max(np.abs(u))
+    return 0.0 if scale == 0.0 else float(np.max(np.abs(lhs)) / scale)
+
+
+def shift_symbol_apply(bg, X):
+    """The shift's symbol tanh(X) - i sech(X) tanh(pi D) on the real columns
+    of X: real."""
+    return rescaled._shift_real(bg, X, rescaled.symbol_columns(bg, X)[1])
 
 
 def closed_form_bound_state(v0):

@@ -12,7 +12,8 @@ import pytest
 
 import halfline as hl
 from conftest import (RANK_ONE_FAMILY, TWO_SITE, closed_form_bound_state,
-                      closed_form_omega, shift_identity, symbol_remainder)
+                      closed_form_omega, shift_identity, shift_symbol_apply,
+                      symbol_remainder)
 
 GRID = hl.GridSpec()                      # m_theta=512, n_site=128, m_beta=1024
 
@@ -136,9 +137,9 @@ def test_criterion_08_shift_identity():
     with _Timer(8, "shift-operator identity and symbol remainder", budget=120.0):
         assert shift_identity(GRID)["composite"] <= 1e-6
         T = np.diag(np.ones(GRID.n_site - 1), -1)
-        rep = symbol_remainder(T, GRID, hl.shift_symbol_apply)
+        rep = symbol_remainder(T, GRID, shift_symbol_apply)
         assert rep.rank_at(0.1) <= GRID.m_beta // 16
-        fine = symbol_remainder(T, GRID, hl.shift_symbol_apply, m_beta=2 * GRID.m_beta)
+        fine = symbol_remainder(T, GRID, shift_symbol_apply, m_beta=2 * GRID.m_beta)
         s1, s1f = rep.s1, fine.s1
         assert abs(s1f - s1) / s1 < 0.05
 

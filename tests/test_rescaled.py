@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import symbol_remainder
+from conftest import shift_symbol_apply, symbol_remainder
 from halfline.rescaled import sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
+
+
+def rescale_intertwining_defect(bg, n_site):
+    """Max-norm of R H0 - tanh(X) R on interior columns (exact identity of
+    the sine recursion under lambda = tanh beta)."""
+    R = hl.energy_rescale_matrix(bg, n_site)
+    H0 = (np.diag(np.ones(n_site - 1), 1) + np.diag(np.ones(n_site - 1), -1)) / 2.0
+    lhs = R @ H0
+    rhs = np.tanh(bg.beta)[:, None] * R
+    return float(np.max(np.abs((lhs - rhs)[:, : n_site - 1])))
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +75,7 @@ class TestFourierMultipliers:
         assert np.max(np.abs(1j * q - pdo)) <= 1e-14
         assert np.max(np.abs(1j * v - T)) <= 1e-14
         assert np.max(np.abs(hl.pdo_apply(bg, eye) - pdo)) <= 1e-14
-        assert np.max(np.abs(hl.shift_symbol_apply(bg, eye) - shift)) <= 1e-14
+        assert np.max(np.abs(shift_symbol_apply(bg, eye) - shift)) <= 1e-14
 
     def test_pdo_matrix_potential_free(self, bg1024):
         a = hl.pdo_apply(bg1024, np.eye(bg1024.m_beta))
@@ -100,7 +110,7 @@ class TestMatrixFreeSymbols:
             "tanh": fourier_apply(tanh_pi_d_symbol(bg), X),
             "sech": fourier_apply(sech_pi_d_symbol(bg), X),
             "pdo": hl.pdo_apply(bg, X),
-            "shift": hl.shift_symbol_apply(bg, X),
+            "shift": shift_symbol_apply(bg, X),
         }
         for name, val in got.items():
             assert np.max(np.abs(val - M[name] @ X)) < 1e-13, name
@@ -110,7 +120,7 @@ class TestMatrixFreeSymbols:
         bg, M = dense
         n = bg.m_beta // 8
         R = hl.energy_rescale_matrix(bg, n)
-        for name, apply in (("pdo", hl.pdo_apply), ("shift", hl.shift_symbol_apply)):
+        for name, apply in (("pdo", hl.pdo_apply), ("shift", shift_symbol_apply)):
             diff = R.T @ apply(bg, R) - R.T @ M[name] @ R
             assert np.max(np.abs(diff)) < 1e-13, name
 
@@ -140,7 +150,7 @@ class TestRescaleMatrix:
             hl.energy_rescale_matrix(hl.beta_grid(128, 12.0), 64)
 
     def test_tanh_intertwining(self, bg1024):
-        assert hl.rescale_intertwining_defect(bg1024, 64) < 1e-12
+        assert rescale_intertwining_defect(bg1024, 64) < 1e-12
 
 
 class TestWeylRelation:

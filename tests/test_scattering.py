@@ -3,31 +3,16 @@ import threading
 import time
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
-from conftest import TWO_SITE, closed_form_bound_state, closed_form_omega
+from conftest import (TWO_SITE, closed_form_bound_state, closed_form_omega,
+                      reference_jost_rows)
 from halfline import _kernels
-
-
-def reference_jost_rows(V, zeta, two_z, n_max=0):
-    """The per-site complex numpy loop every kernel form must reproduce bit
-    for bit: rows n = -1..max(L, n_max) of t(n), row index n + 1.
-
-    A lone point is stepped as two copies of itself: numpy multiplies a
-    one-element array in a loop without FMA, which rounds differently."""
-    zeta = np.atleast_1d(np.asarray(zeta, complex))
-    two_z = np.broadcast_to(np.asarray(two_z, complex), zeta.shape)
-    if len(zeta) == 1:
-        return reference_jost_rows(V, np.repeat(zeta, 2), np.repeat(two_z, 2), n_max)[:, :1]
-    z2 = zeta * zeta
-    out = np.ones((max(len(V), n_max) + 2, len(zeta)), complex)
-    for n in range(len(V) - 1, -1, -1):
-        out[n] = (two_z - 2.0 * V[n]) * zeta * out[n + 1] - z2 * out[n + 2]
-    return out
 
 
 def off_axis_zeta(z):
@@ -48,24 +33,65 @@ KERNEL_POTENTIALS = {
 def split_all(monkeypatch):
     """Split every grid of two points or more across a worker thread, on
     any machine; the monkeypatch, to undo it."""
-    monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)
+    monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)
     monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
     return monkeypatch
 
 
+EPS = np.finfo(float).eps
+
+
+def kept_powers(zeta, n_rows):
+    """zeta^0..zeta^(n_rows-1) by repeated products, as the real lanes scale
+    their kept rows."""
+    out = np.ones((n_rows, len(zeta)), np.asarray(zeta).dtype)
+    for r in range(1, n_rows):
+        out[r] = out[r - 1] * zeta
+    return out
+
+
+def long_double_rows(V, zeta, two_z, n_keep):
+    """zeta theta(n) for n = -1..n_keep by the scaled recursion in long
+    double, and per point its largest modulus over n = -1..max(L, n_keep)."""
+    z = np.asarray(zeta, np.clongdouble)
+    a = np.broadcast_to(np.asarray(two_z, np.clongdouble), z.shape)
+    t = np.ones((max(len(V), n_keep) + 2, len(z)), np.clongdouble)
+    for r in range(len(V) - 1, -1, -1):
+        t[r] = (a - 2 * np.longdouble(V[r])) * z * t[r + 1] - z * z * t[r + 2]
+    rows = t * kept_powers(z, t.shape[0])
+    return rows[:n_keep + 2], np.max(np.abs(rows), axis=0)
+
+
+def cut_bound(V, n_keep, scale):
+    """How far a cut point's Omega and rows may lie from the long-double
+    recursion: eps (max(L, n_keep) + 2)^2 times the largest |zeta theta(n)|.
+    Rounding errors grow like L^2 eps near the thresholds, where the two
+    solutions of the recursion meet, and like n eps along the free tail."""
+    return EPS * (max(len(V), n_keep) + 2) ** 2 * scale.astype(float)
+
+
 def assert_forms_match_reference(V, zeta, two_z, n_keep):
-    """Every kernel form on these points equals the reference loop bit for
-    bit in complex128: Omega alone and Omega with the rows t(-1..n_keep);
-    real points give zero imaginary parts."""
-    ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)
-    if np.result_type(zeta, two_z).kind == "f":
-        assert np.all(ref.imag == 0.0)
+    """Every kernel form on these points, all real or all on the unit circle:
+    Omega alone and Omega with the rows zeta theta(n) for n = -1..n_keep, in
+    complex128, the two forms equal bit for bit.  Real points equal the
+    complex reference loop bit for bit, with zero imaginary parts; cut points
+    lie within `cut_bound` of the long-double recursion."""
+    V = np.asarray(V, float)
+    zeta = np.atleast_1d(np.asarray(zeta, complex))
+    two_z = np.broadcast_to(np.asarray(two_z, complex), zeta.shape)
     omega = _kernels.jost_function_values(V, zeta, two_z)
-    assert omega.dtype == np.complex128
-    assert np.array_equal(omega, ref[0])
     omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep)
-    assert omega_too.dtype == rows.dtype == omega.dtype
-    assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:n_keep + 2])
+    assert omega.dtype == omega_too.dtype == rows.dtype == np.complex128
+    assert rows.shape == (n_keep + 2, len(zeta))
+    assert np.array_equal(omega, omega_too) and np.array_equal(rows[0], omega)
+    if np.all(zeta.imag == 0.0):
+        ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)[:n_keep + 2]
+        assert np.all(ref.imag == 0.0) and np.array_equal(omega, ref[0])
+        assert np.array_equal(rows, ref * kept_powers(zeta.real, n_keep + 2))
+    else:
+        ref, scale = long_double_rows(V, zeta, two_z, n_keep)
+        err = np.max(np.abs(rows - ref.astype(complex)), axis=0)
+        assert np.all(err <= cut_bound(V, n_keep, scale)), np.max(err / scale.astype(float))
 
 
 def assert_deviations_match_reference(V, zeta, two_z):
@@ -120,14 +146,46 @@ class TestJostFunction:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
     def test_cut_grid_matches_reference_loop(self, name):
+        # within the bound of the long-double recursion, also beside the
+        # thresholds, where the error grows like L^2 eps
         V = KERNEL_POTENTIALS[name].values
-        th = (np.arange(64) + 0.5) * np.pi / 64
-        zeta, two_z = np.exp(-1j * th), 2.0 * np.cos(th) + 0j
-        ref = reference_jost_rows(V, zeta, two_z, n_max=6)
-        omega = _kernels.jost_function_values(V, zeta, two_z)
-        assert np.array_equal(omega, ref[0])
-        omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, 6)
-        assert np.array_equal(omega_too, ref[0]) and np.array_equal(rows, ref[:8])
+        th = np.r_[1e-8, (np.arange(64) + 0.5) * np.pi / 64, np.pi - 1e-6]
+        assert_forms_match_reference(V, np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 6)
+
+    def test_long_table_within_bound(self):
+        # 11,066 sites; near the thresholds the error reaches 1e-9 relative
+        V = hl.random_decaying(3, rho_gen=4.0).values
+        th = np.r_[7.5e-9, 1e-5, (np.arange(16) + 0.5) * np.pi / 16, np.pi - 1e-6]
+        assert_forms_match_reference(V, np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 9)
+
+    def test_power_within_few_ulps(self):
+        # the scale zeta^L of the cut lanes, against mpmath
+        th = np.array([7.5e-9, 0.3, 1.0, 2.0, np.pi / 2, np.pi - 1e-6, 3.0])
+        zeta = np.exp(-1j * th)
+        for k in (0, 1, 2, 7, 1000, 246621, 1665610):
+            out = np.empty_like(zeta)
+            _kernels._POWER(len(zeta), zeta.ctypes.data, k, out.ctypes.data)
+            with mpmath.workdps(40):
+                ref = [complex(mpmath.mpc(z.real, z.imag) ** k) for z in zeta]
+            assert np.max(np.abs(out - ref)) <= 4 * EPS, k
+        exact = np.array([1.0, -1.0, 1j, -1j])
+        out = np.empty_like(exact)
+        _kernels._POWER(4, exact.ctypes.data, 7, out.ctypes.data)
+        assert np.array_equal(out, exact ** 7)
+
+    @pytest.mark.parametrize("zeta, two_z", [
+        (np.array([0.5 + 0.5j]), np.array([1.0])),              # inside the circle
+        (np.array([1.5j]), np.array([0.0])),                    # outside
+        (np.exp(-1j * np.array([0.2, 0.4])), np.array([2.0 * np.cos(0.2), 1.0 + 1e-3j])),
+        (np.array([0.5, np.exp(-0.3j), 0.9 + 0.1j]), np.array([2.5, 2.0 * np.cos(0.3), 2.0])),
+        (np.array([0.5, np.exp(-0.3j)]), np.array([2.5, 2.0 * np.cos(0.3)])),
+    ], ids=["inside", "outside", "complex_two_z", "one_of_three", "real_beside_cut"])
+    def test_points_not_of_one_kind_refused(self, zeta, two_z):
+        V = KERNEL_POTENTIALS["two_site"].values
+        for form in (lambda: _kernels.jost_function_values(V, zeta, two_z),
+                     lambda: _kernels.jost_scaled(V, zeta, two_z, 3)):
+            with pytest.raises(ValueError, match="all real, or all on"):
+                form()
 
     def test_split_grid_matches_whole(self, split_all):
         # halves stepped by this thread and by a worker thread
@@ -140,7 +198,7 @@ class TestJostFunction:
                  lambda: _kernels.jost_scaled(p.values, zeta, two_z, 9)[1],
                  lambda: hl.decay_scan(p, 65))
         split = [form() for form in forms]
-        split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
+        split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
         whole = [form() for form in forms]
         for a, b in zip(split[:3], whole[:3]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -217,11 +275,12 @@ class TestJostFunction:
 
 
 class TestStepBlocks:
-    """The compiled step carries blocks of points through the sites: every
-    form equals the reference loop at counts on either side of a block edge,
-    on tables of every short length, whole and split."""
+    """The compiled steps carry blocks of points through the sites: every
+    form matches the reference at counts on either side of a block edge (16
+    cut points, 32 real points, 16 decay points), on tables of every short
+    length, whole and split."""
 
-    COUNTS = (1, 2, 7, 15, 16, 17, 33, 4610)
+    COUNTS = (1, 2, 7, 15, 16, 17, 33, 4610, 31, 32, 65)
 
     @staticmethod
     def points(n, real):
@@ -292,7 +351,7 @@ class TestStepBlocks:
     def test_deviation_edge_cases(self, V, zeta, two_z):
         assert_deviations_match_reference(V, zeta, two_z)
 
-    @pytest.mark.parametrize("n", COUNTS[:-1])
+    @pytest.mark.parametrize("n", COUNTS[:7] + COUNTS[8:])
     def test_decay_scan_equals_reference_rows(self, n, split_all):
         # 110 sites, reduced per site while they are stepped
         p = hl.random_decaying(3, rho_gen=6.0)
@@ -304,7 +363,7 @@ class TestStepBlocks:
         expected = (float(np.max(dev - bounds[:len(dev)])),
                     float(np.max(dev * (1.0 + np.arange(len(dev))) ** (3.0 - 2.0))))
         assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
-        split_all.setattr(_kernels, "SPLIT_WORK", 2 ** 62)
+        split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
         assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -314,16 +373,25 @@ class TestStepBlocks:
            angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), split=st.booleans(),
            n_keep=st.integers(-1, 9))
     def test_random_tables_and_points(self, values, radii, angle, real, split, n_keep):
-        # zeta on and off the unit circle, 2z = zeta + 1/zeta
+        # real zeta of any radius, bit for bit; zeta on the unit circle with
+        # 2z = 2 cos(angle), within the bound; zeta off the circle, refused
         n = len(radii)
         angles = angle + np.arange(n) * 2.399963
-        zeta = np.asarray(radii) * (np.sign(np.cos(angles)) if real else np.exp(1j * angles))
+        if real:
+            zeta = np.asarray(radii) * np.sign(np.cos(angles))
+            two_z = zeta + 1.0 / zeta
+        else:
+            zeta, two_z = np.exp(1j * angles), 2.0 * np.cos(angles) + 0j
         with pytest.MonkeyPatch.context() as mp:
             if split:
-                mp.setattr(_kernels, "SPLIT_WORK", 0)
+                mp.setattr(_kernels, "SPLIT_SITES", 0)
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
-            assert_forms_match_reference(np.asarray(values, float), zeta, zeta + 1.0 / zeta,
-                                         n_keep)
+            assert_forms_match_reference(values, zeta, two_z, n_keep)
+            off = (np.asarray(radii) != 1.0) & (zeta.imag != 0.0)
+            if off.any():
+                with pytest.raises(ValueError):
+                    _kernels.jost_function_values(np.asarray(values, float),
+                                                  np.where(off, radii, 1.0) * zeta, two_z)
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e200, 1e200)),
@@ -409,7 +477,7 @@ class TestOneRecursionPerGrid:
             assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
-        monkeypatch.setattr(_kernels, "SPLIT_WORK", 0)     # halves, one on a worker thread
+        monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)     # halves, one on a worker thread
         for g, d in zip(grids, ds):
             args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])

@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import decay_diagnostic
+from conftest import decay_diagnostic, recurrence_residual
+from halfline import solutions
+
+
+def free_regular(n, point):
+    """sin((n+1) theta) / sin(theta), the free regular solution on the cut."""
+    if point.is_threshold:
+        raise ValueError("free kernel is singular at lambda = +-1; "
+                         "use the recursion instead")
+    return float(np.sin((n + 1) * point.theta) / np.sin(point.theta))
+
+
+def jost_at_threshold(p, sign, n_max):
+    """Threshold Jost solution, tail (+-1)^n, by the backward recursion."""
+    return solutions._jost_sequence(p, hl.SpectralPoint.threshold(sign), n_max, None)
 
 
 def seq_values(seq, n_from, n_to):
@@ -40,25 +54,25 @@ class TestRegularSolution:
                   hl.table_potential([0.3, -0.2], rho=3.0)):
             for pt in (hl.SpectralPoint.from_lambda(0.3), hl.OffAxisPoint.from_z(1.7)):
                 seq = hl.regular_solution(p, pt, 40)
-                assert seq.residual() < 1e-12
+                assert recurrence_residual(seq) < 1e-12
 
 
 class TestFreeRegular:
     def test_value_examples(self):
         pt = hl.SpectralPoint.from_lambda(0.5)   # theta = pi/3
-        assert hl.free_regular(0, pt) == pytest.approx(1.0)
-        assert hl.free_regular(2, pt) == pytest.approx(0.0, abs=1e-15)
-        assert hl.free_regular(1, hl.SpectralPoint.from_lambda(0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert free_regular(0, pt) == pytest.approx(1.0)
+        assert free_regular(2, pt) == pytest.approx(0.0, abs=1e-15)
+        assert free_regular(1, hl.SpectralPoint.from_lambda(0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_threshold_rejected(self):
         with pytest.raises(ValueError):
-            hl.free_regular(1, hl.SpectralPoint.threshold(+1))
+            free_regular(1, hl.SpectralPoint.threshold(+1))
 
     def test_matches_recursion(self):
         pt = hl.SpectralPoint.from_lambda(-0.35)
         seq = hl.regular_solution(hl.zero_potential(), pt, 30)
         for n in (0, 5, 17, 30):
-            assert seq.value(n).real == pytest.approx(hl.free_regular(n, pt), abs=1e-11)
+            assert seq.value(n).real == pytest.approx(free_regular(n, pt), abs=1e-11)
 
 
 class TestJostSolution:
@@ -93,26 +107,26 @@ class TestJostSolution:
         p = hl.table_potential([0.2, -0.4, 0.1], rho=3.0)
         for pt in (hl.SpectralPoint.from_lambda(0.55), hl.OffAxisPoint.from_z(-1.4)):
             seq = hl.jost_solution(p, pt, 30)
-            assert seq.residual() < 1e-12
+            assert recurrence_residual(seq) < 1e-12
 
 
 class TestThresholdJost:
     def test_free(self):
-        seq = hl.jost_at_threshold(hl.zero_potential(), +1, 6)
+        seq = jost_at_threshold(hl.zero_potential(), +1, 6)
         assert np.allclose(seq_values(seq, -1, 6), 1.0, atol=1e-15)
 
     def test_half_strength_resonance(self):
-        seq = hl.jost_at_threshold(hl.rank_one(0.5), +1, 3)
+        seq = jost_at_threshold(hl.rank_one(0.5), +1, 3)
         assert seq.value(-1) == pytest.approx(0.0, abs=1e-15)   # 2(1-0.5)*1 - 1
 
     def test_negative_threshold(self):
-        seq = hl.jost_at_threshold(hl.rank_one(0.5), -1, 3)
+        seq = jost_at_threshold(hl.rank_one(0.5), -1, 3)
         assert seq.value(-1) == pytest.approx(-2.0, abs=1e-15)  # 2(-1-0.5)*1 + 1
 
     def test_residual_invariant(self):
         p = hl.table_potential([0.2, -0.1, 0.05], rho=3.0)
         for sign in (+1, -1):
-            assert hl.jost_at_threshold(p, sign, 20).residual() < 1e-12
+            assert recurrence_residual(jost_at_threshold(p, sign, 20)) < 1e-12
 
 
 class TestVolterraOracle:
@@ -138,7 +152,7 @@ class TestVolterraOracle:
         # the kernel sin(k theta)/sin(theta) degenerates to k (+-1)^(k-1)
         rng = np.random.default_rng(11)
         p = hl.table_potential(rng.uniform(-0.15, 0.15, 12), rho=3.0)
-        rec = hl.jost_at_threshold(p, sign, 14)
+        rec = jost_at_threshold(p, sign, 14)
         vol = hl.volterra_jost(p, hl.SpectralPoint.threshold(sign), 14)
         assert np.max(np.abs(rec.values - vol.values)) < 1e-10
 
