@@ -107,23 +107,23 @@ def _build() -> str:
 _LIB = ctypes.CDLL(_build())
 
 
-def _entry(name, *argtypes):
+def _entry(name, *argtypes, restype=None):
     fn = getattr(_LIB, name)
-    fn.restype, fn.argtypes = None, [ctypes.c_long if t is int else ctypes.c_void_p
-                                     for t in argtypes]
+    fn.restype, fn.argtypes = restype, [ctypes.c_long if t is int else ctypes.c_void_p
+                                        for t in argtypes]
     return fn
 
 
-#: lanes(V, L, n, cut, a, s, b, x1, x2, rows, stride, n_rows) steps n lanes
-#: from their rows (x1, x2) = (L, L+1) down to (0, 1) in place, writing row i
-#: to rows[i] for i < n_rows: real lanes with the factors s, b, or cut lanes
-#: when cut is 1; a is 2z per lane
-_LANES = _entry("lanes", None, int, int, int, *[None] * 6, int, int)
+#: lanes(V, L, n, cut, lane, width, n_rows) steps n lanes of the lane buffer
+#: (rows 2z, s, b, x(L), x(L+1), then the kept rows, of width doubles each)
+#: down to x(0), x(1) in place, writing row i of the lanes to kept row i for
+#: i < n_rows: real lanes, or when cut is 1 (re, im) lane pairs scaled by
+#: zeta^L, with the free tail past the table; it returns the number of cut
+#: points off the unit circle, and then steps none
+_LANES = _entry("lanes", None, int, int, int, None, int, int, restype=ctypes.c_long)
 #: decay(V, L, n, zeta, two_z, dev) steps n complex points from the free
 #: tail and raises dev[n] to the max over the points of |t(n) - 1|
 _DECAY = _entry("decay", None, int, int, None, None, None)
-#: power(n, zeta, k, out): out = zeta^k for complex points, to a few ulps
-_POWER = _entry("power", int, None, int, None)
 
 
 def _halves(fn, V, n):
@@ -138,65 +138,52 @@ def _halves(fn, V, n):
         return [fn(0, n // 2), second.result()]
 
 
-def _step_lanes(V, a, x, rows, s=None, b=None):
-    """Step the lanes of x, its rows x(L) and x(L+1), down the whole table in
-    place, writing their rows x(0..) to rows: real lanes with the factors s
-    and b, or else the (re, im) lane pairs of cut points, whose 2z a repeats.
-    A split cuts between points."""
-    per = 1 if s is not None else 2
-    ptrs = [arr.ctypes.data for arr in (a, a if s is None else s, a if b is None else b,
-                                        x[0], x[1], rows)]
+def _step_lanes(V, lane, n_rows, cut):
+    """Step the lanes of the lane buffer down the whole table in place (the
+    `lanes` entry of `_step.c`).  A split cuts between points.  A batch of
+    cut points with one off the unit circle is refused."""
+    per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
 
     def step(lo, hi):
-        _LANES(V.ctypes.data, V.shape[0], per * (hi - lo), per == 2,
-               *(p + 8 * per * lo for p in ptrs), rows.shape[1], rows.shape[0])
-    _halves(step, V, a.shape[0] // per)
-
-
-def _rotate(z, x):
-    """z x for complex arrays, as real products that no batch size fuses."""
-    out = np.empty(np.broadcast_shapes(z.shape, x.shape), np.complex128)
-    out.real = z.real * x.real - z.imag * x.imag
-    out.imag = z.real * x.imag + z.imag * x.real
-    return out
+        return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width, n_rows)
+    if any(_halves(step, V, width // per)):
+        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
 
 
 def _real_points(V, zeta, two_z, n_rows):
-    s = zeta.real.copy()
-    x, rows = np.ones((2, s.shape[0])), np.ones((n_rows, s.shape[0]))
-    _step_lanes(V, two_z.real.copy(), x, rows, s, s * s)
-    powers = np.ones_like(rows)             # zeta^(n+1), by repeated products
-    np.cumprod(np.broadcast_to(s, (max(n_rows - 1, 0), s.shape[0])), axis=0, out=powers[1:])
-    return x[0].astype(np.complex128), (rows * powers).astype(np.complex128)
+    lane = np.ones((5 + n_rows, zeta.shape[0]))     # 2z, s = zeta, b = zeta^2, x(L), x(L+1)
+    lane[0], lane[1] = two_z, zeta
+    np.multiply(lane[1], lane[1], out=lane[2])
+    _step_lanes(V, lane, n_rows, False)
+    rows = lane[5:]
+    if n_rows > 1:                          # zeta^(n+1) t(n), the power by repeated products
+        rows[1:] *= np.cumprod(np.broadcast_to(lane[1], (n_rows - 1, lane.shape[1])), axis=0)
+    return lane[3].astype(np.complex128), rows.astype(np.complex128)
 
 
 def _cut_points(V, zeta, two_z, n_rows):
-    L, n = V.shape[0], zeta.shape[0]
-    x = np.empty((2, n), np.complex128)
-    x[0], x[1] = 1.0, zeta
-    rows = np.empty((n_rows, n), np.complex128)
-    _step_lanes(V, np.repeat(two_z.real, 2), x.view(np.float64), rows.view(np.float64))
-    zeta_l = np.empty(n, np.complex128)
-    _POWER(n, zeta.ctypes.data, L, zeta_l.ctypes.data)
-    rows[:L] = _rotate(zeta_l, rows[:L])
-    if n_rows > L:                          # the free tail zeta^(n+1)
-        rows[L] = zeta_l
-        for r in range(L + 1, n_rows):
-            rows[r] = _rotate(zeta, rows[r - 1])
-    return _rotate(zeta_l, x[0]), rows
+    n = zeta.shape[0]
+    lane = np.empty((5 + n_rows, 2 * n))    # 2z on both lanes, s, b, 1, zeta
+    lane[0].reshape(n, 2)[:] = two_z[:, None]
+    lane[3], lane[4] = 0.0, zeta.view(np.float64)
+    lane[3, ::2] = 1.0
+    _step_lanes(V, lane, n_rows, True)
+    return lane[3].view(np.complex128).copy(), lane[5:].view(np.complex128)
 
 
 def _jost(V, zeta, two_z, n_rows):
     """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2,
     for points all real or all on |zeta| = 1, with real 2z."""
     V = np.ascontiguousarray(V, dtype=np.float64)
-    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
-    two_z = np.broadcast_to(np.asarray(two_z, np.complex128), zeta.shape)
-    if np.all(two_z.imag == 0.0) and np.all(zeta.imag == 0.0):
-        return _real_points(V, zeta, two_z, n_rows)
-    if np.all(two_z.imag == 0.0) and np.all(np.abs(np.abs(zeta) - 1.0) <= 4e-16):
-        return _cut_points(V, zeta, two_z, n_rows)
-    raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
+    zeta = np.atleast_1d(zeta)
+    two_z = np.asarray(two_z)
+    if two_z.shape != zeta.shape:
+        two_z = np.broadcast_to(two_z, zeta.shape)
+    if np.iscomplexobj(two_z) and two_z.imag.any():
+        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
+    if not (np.iscomplexobj(zeta) and zeta.imag.any()):
+        return _real_points(V, zeta.real, two_z.real, n_rows)
+    return _cut_points(V, np.ascontiguousarray(zeta, np.complex128), two_z.real, n_rows)
 
 
 def jost_scaled(V, zeta, two_z, n_keep):

@@ -68,20 +68,26 @@ load(vec *v, const double *x, long j, long m)
 }
 
 /* the first m lanes of v to x + j, through a copy, so that v can stay in
- * registers */
+ * registers; given f, each (re, im) lane pair times the complex f + j */
 static inline __attribute__((always_inline)) void
-store(double *x, long j, long m, const vec *v)
+store(double *x, long j, long m, const vec *v, const double *f)
 {
     double l[BLOCK];
     memcpy(l, v, sizeof l);
-    memcpy(x + j, l, m * sizeof(double));
+    if (!f)
+        memcpy(x + j, l, m * sizeof(double));
+    else
+        for (long k = 0; k < m; k += 2) {
+            x[j + k] = f[j + k] * l[k] - f[j + k + 1] * l[k + 1];
+            x[j + k + 1] = f[j + k] * l[k + 1] + f[j + k + 1] * l[k];
+        }
 }
 
 /* The lane step, compiled once for real lanes and once for cut lanes. */
 static inline __attribute__((always_inline)) void
 run(const double *V, long L, long n, const double *a,
     const double *s, const double *b, double *x1, double *x2,
-    double *rows, long stride, long n_rows, const int cut)
+    double *rows, long stride, long n_rows, const double *f, const int cut)
 {
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
@@ -102,25 +108,11 @@ run(const double *V, long L, long n, const double *a,
                 u[q] = x;
             }
             if (r < n_rows)
-                store(rows + r * stride, j, m, u);
+                store(rows + r * stride, j, m, u, f);
         }
-        store(x1, j, m, u);
-        store(x2, j, m, w);
+        store(x1, j, m, u, f);
+        store(x2, j, m, w, 0);
     }
-}
-
-/* Step n lanes from the rows (x1, x2) = (L, L + 1) down to (0, 1), in place,
- * writing row r of lane k to rows[r stride + k] when r < n_rows.  a is 2z
- * per lane; s and b are the real lanes' factors, not read for cut lanes
- * (cut != 0). */
-void lanes(const double *V, long L, long n, int cut,
-           const double *a, const double *s, const double *b,
-           double *x1, double *x2, double *rows, long stride, long n_rows)
-{
-    if (cut)
-        run(V, L, n, a, s, b, x1, x2, rows, stride, n_rows, 1);
-    else
-        run(V, L, n, a, s, b, x1, x2, rows, stride, n_rows, 0);
 }
 
 /* double-double arithmetic, for the scale zeta^L of the cut lanes */
@@ -153,20 +145,68 @@ static zd zd_mul(zd a, zd b)
 }
 
 /* out = zeta^k for n interleaved complex points and k >= 0, by binary
- * powering in double-double arithmetic and rounded once at the end: within
- * a few ulps, and exact where every product is (zeta = +-1, +-i). */
+ * powering in double-double arithmetic and rounded once: within a few ulps,
+ * and exact where every product is (zeta = +-1, +-i).  The points go in
+ * chunks, each bit of k over a chunk, so that the loop over points
+ * vectorizes. */
 void power(long n, const double *zeta, long k, double *out)
 {
-    for (long j = 0; j < n; j++) {
-        zd b = {{zeta[2 * j], 0.0}, {zeta[2 * j + 1], 0.0}}, p = {{1.0, 0.0}, {0.0, 0.0}};
-        for (long e = k; e; e >>= 1) {
-            if (e & 1)
-                p = zd_mul(p, b);
-            b = zd_mul(b, b);
+    for (long j0 = 0; j0 < n; j0 += 64) {
+        long m = n - j0 < 64 ? n - j0 : 64;
+        zd b[64], p[64];
+        for (long j = 0; j < m; j++) {
+            b[j] = (zd){{zeta[2 * (j0 + j)], 0.0}, {zeta[2 * (j0 + j) + 1], 0.0}};
+            p[j] = (zd){{1.0, 0.0}, {0.0, 0.0}};
         }
-        out[2 * j] = p.re.h + p.re.l;
-        out[2 * j + 1] = p.im.h + p.im.l;
+        for (long e = k, first = 1; e; first &= !(e & 1), e >>= 1) {
+            if (e & 1)
+                for (long j = 0; j < m; j++)
+                    p[j] = first ? b[j] : zd_mul(p[j], b[j]);
+            if (e > 1)
+                for (long j = 0; j < m; j++)
+                    b[j] = zd_mul(b[j], b[j]);
+        }
+        for (long j = 0; j < m; j++) {
+            out[2 * (j0 + j)] = p[j].re.h + p[j].re.l;
+            out[2 * (j0 + j) + 1] = p[j].im.h + p[j].im.l;
+        }
     }
+}
+
+/* Step n lanes from the rows (x(L), x(L + 1)) down to (x(0), x(1)), in
+ * place, writing row r < n_rows to row r of rows.  The lane buffer holds
+ * rows of width doubles: 2z, the real lanes' factors s and b, x(L),
+ * x(L + 1), and then the n_rows kept rows.  Cut lanes (cut != 0) are
+ * (re, im) pairs from (1, zeta); in the row s, which they do not read, they
+ * put zeta^L, which scales x(0) and their rows, and past the table their
+ * rows are the free tail zeta^r.  Returns the number of cut points with
+ * ||zeta|^2 - 1| above 1e-15, which are not stepped. */
+long lanes(const double *V, long L, long n, int cut, double *lane, long width, long n_rows)
+{
+    double *s = lane + width, *x2 = lane + 4 * width, *rows = lane + 5 * width;
+    long off = 0;
+    if (!cut) {
+        run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, 0, 0);
+        return 0;
+    }
+    for (long k = 0; k < n; k += 2)
+        off += !(fabs(x2[k] * x2[k] + x2[k + 1] * x2[k + 1] - 1.0) <= 1e-15);
+    if (off)
+        return off;
+    power(n / 2, x2, L, s);
+    for (long r = L; r < n_rows; r++)
+        for (long k = 0; k < n; k += 2) {
+            double *o = rows + r * width + k;
+            if (r == L) {
+                o[0] = s[k];
+                o[1] = s[k + 1];
+            } else {
+                o[0] = o[-width] * x2[k] - o[1 - width] * x2[k + 1];
+                o[1] = o[-width] * x2[k + 1] + o[1 - width] * x2[k];
+            }
+        }
+    run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, 1);
+    return 0;
 }
 
 #define CMUL(ar, ai, br, bi, re, im) \

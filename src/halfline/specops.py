@@ -121,11 +121,9 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     if n_site > d.jost_rows.shape[0] - 1:
         raise ValueError(f"scattering data keeps Jost rows for "
                          f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
-    k = min(n_site, d.potential.support_end - 1)
-    pz = np.zeros((n_site, grid.m), np.complex128)
-    if k > 0:
-        zeta_n = np.sqrt(grid.m / 2.0) * (grid.fcos[:, :k] - 1j * grid.fsin[:, :k]).T
-        pz[:k] = (d.jost_rows[1:k + 1] - zeta_n) / (1.0 - d.lam ** 2) ** 0.25
+    pz = (d.jost_rows[1:n_site + 1] - np.sqrt(grid.m / 2.0) * (grid.fcos - 1j * grid.fsin).T) \
+        / (1.0 - d.lam ** 2) ** 0.25
+    pz[max(d.potential.support_end - 1, 0):] = 0.0
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
     return _real_product(k0 * grid.weights[None, :], grid.fsin / grid.sqrt_weights[:, None])
 
