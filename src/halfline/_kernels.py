@@ -114,13 +114,13 @@ def _entry(name, *argtypes, restype=None):
     return fn
 
 
-#: lanes(V, L, n, cut, lane, width, n_rows) steps n lanes of the lane buffer
-#: (rows 2z, s, b, x(L), x(L+1), then the kept rows, of width doubles each)
-#: down to x(0), x(1) in place, writing row i of the lanes to kept row i for
-#: i < n_rows: real lanes, or when cut is 1 (re, im) lane pairs scaled by
-#: zeta^L, with the free tail past the table; it returns the number of cut
-#: points off the unit circle, and then steps none
-_LANES = _entry("lanes", None, int, int, int, None, int, int, restype=ctypes.c_long)
+#: lanes(V, L, n, cut, lane, width, rows, n_rows) steps n lanes of the lane
+#: buffer (rows 2z, s, b, x(L), x(L+1), of width doubles each) down to x(0),
+#: x(1) in place, writing row i of the lanes to rows[i] for i < n_rows: real
+#: lanes, or when cut is 1 (re, im) lane pairs scaled by zeta^L, with the
+#: free tail past the table; it returns the number of cut points off the
+#: unit circle, and then steps none
+_LANES = _entry("lanes", None, int, int, int, None, int, None, int, restype=ctypes.c_long)
 #: decay(V, L, n, zeta, two_z, dev) steps n complex points from the free
 #: tail and raises dev[n] to the max over the points of |t(n) - 1|
 _DECAY = _entry("decay", None, int, int, None, None, None)
@@ -138,24 +138,27 @@ def _halves(fn, V, n):
         return [fn(0, n // 2), second.result()]
 
 
-def _step_lanes(V, lane, n_rows, cut):
-    """Step the lanes of the lane buffer down the whole table in place (the
-    `lanes` entry of `_step.c`).  A split cuts between points.  A batch of
-    cut points with one off the unit circle is refused."""
+def _step_lanes(V, lane, rows, cut):
+    """Step the lanes of the lane buffer down the whole table in place,
+    writing their kept rows to rows (the `lanes` entry of `_step.c`).  A
+    split cuts between points.  A batch of cut points with one off the unit
+    circle is refused."""
     per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
+    out = rows.ctypes.data
 
     def step(lo, hi):
-        return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width, n_rows)
+        return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
+                      out + 8 * per * lo, rows.shape[0])
     if any(_halves(step, V, width // per)):
         raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
 
 
 def _real_points(V, zeta, two_z, n_rows):
-    lane = np.ones((5 + n_rows, zeta.shape[0]))     # 2z, s = zeta, b = zeta^2, x(L), x(L+1)
+    lane = np.ones((5, zeta.shape[0]))      # 2z, s = zeta, b = zeta^2, x(L), x(L+1)
     lane[0], lane[1] = two_z, zeta
     np.multiply(lane[1], lane[1], out=lane[2])
-    _step_lanes(V, lane, n_rows, False)
-    rows = lane[5:]
+    rows = np.ones((n_rows, zeta.shape[0]))
+    _step_lanes(V, lane, rows, False)
     if n_rows > 1:                          # zeta^(n+1) t(n), the power by repeated products
         rows[1:] *= np.cumprod(np.broadcast_to(lane[1], (n_rows - 1, lane.shape[1])), axis=0)
     return lane[3].astype(np.complex128), rows.astype(np.complex128)
@@ -163,12 +166,13 @@ def _real_points(V, zeta, two_z, n_rows):
 
 def _cut_points(V, zeta, two_z, n_rows):
     n = zeta.shape[0]
-    lane = np.empty((5 + n_rows, 2 * n))    # 2z on both lanes, s, b, 1, zeta
+    lane = np.empty((5, 2 * n))             # 2z on both lanes, s, b, 1, zeta
     lane[0].reshape(n, 2)[:] = two_z[:, None]
     lane[3], lane[4] = 0.0, zeta.view(np.float64)
     lane[3, ::2] = 1.0
-    _step_lanes(V, lane, n_rows, True)
-    return lane[3].view(np.complex128).copy(), lane[5:].view(np.complex128)
+    rows = np.empty((n_rows, n), np.complex128)
+    _step_lanes(V, lane, rows.view(np.float64), True)
+    return lane[3].view(np.complex128).copy(), rows
 
 
 def _jost(V, zeta, two_z, n_rows):

@@ -175,15 +175,16 @@ void power(long n, const double *zeta, long k, double *out)
 
 /* Step n lanes from the rows (x(L), x(L + 1)) down to (x(0), x(1)), in
  * place, writing row r < n_rows to row r of rows.  The lane buffer holds
- * rows of width doubles: 2z, the real lanes' factors s and b, x(L),
- * x(L + 1), and then the n_rows kept rows.  Cut lanes (cut != 0) are
+ * five rows of width doubles: 2z, the real lanes' factors s and b, x(L) and
+ * x(L + 1); rows has rows of width doubles too.  Cut lanes (cut != 0) are
  * (re, im) pairs from (1, zeta); in the row s, which they do not read, they
  * put zeta^L, which scales x(0) and their rows, and past the table their
  * rows are the free tail zeta^r.  Returns the number of cut points with
  * ||zeta|^2 - 1| above 1e-15, which are not stepped. */
-long lanes(const double *V, long L, long n, int cut, double *lane, long width, long n_rows)
+long lanes(const double *V, long L, long n, int cut, double *lane, long width,
+           double *rows, long n_rows)
 {
-    double *s = lane + width, *x2 = lane + 4 * width, *rows = lane + 5 * width;
+    double *s = lane + width, *x2 = lane + 4 * width;
     long off = 0;
     if (!cut) {
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, 0, 0);

@@ -65,12 +65,10 @@ def cos_sin_coupling(grid: QuadratureGrid) -> np.ndarray:
     return 1j * (grid.fcos.T @ grid.fsin)
 
 
-def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for complex a and real b as one real product over the real and
-    imaginary parts of a stacked, where numpy would cast b to complex and run
-    a complex GEMM."""
-    parts = np.concatenate([a.real, a.imag]) @ b
-    return parts[:a.shape[0]] + 1j * parts[a.shape[0]:]
+def _real_product(F: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F^T b for complex F and real b as two real products, one over each
+    part of F, where numpy would cast b to complex and run a complex GEMM."""
+    return F.real.T @ b + 1j * (F.imag.T @ b)
 
 
 def _require_same_grid(d: ScatteringData, m: int):
@@ -81,7 +79,7 @@ def _require_same_grid(d: ScatteringData, m: int):
 def scattering_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     """S = Fsin^* s(lambda) Fsin with the scattering-matrix multiplier."""
     _require_same_grid(d, grid.m)
-    return _real_product((d.smatrix[:, None] * grid.fsin).T, grid.fsin).T
+    return _real_product(d.smatrix[:, None] * grid.fsin, grid.fsin)
 
 
 def jost_transform(d: ScatteringData, grid: QuadratureGrid,
@@ -101,7 +99,8 @@ def wave_operator(d: ScatteringData, grid: QuadratureGrid, sign: int = -1,
                   tol_threshold: float = 1e-3) -> np.ndarray:
     """Stationary wave operator W_- = F_-^* Fsin (or W_+ = F_-^T Fsin for sign=+1)."""
     Fm = jost_transform(d, grid, tol_threshold)
-    return _real_product(Fm.conj().T if sign < 0 else Fm.T, grid.fsin)
+    W = _real_product(Fm, grid.fsin)
+    return np.conj(W) if sign < 0 else W
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
         / (1.0 - d.lam ** 2) ** 0.25
     pz[max(d.potential.support_end - 1, 0):] = 0.0
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
-    return _real_product(k0 * grid.weights[None, :], grid.fsin / grid.sqrt_weights[:, None])
+    return _real_product((k0 * grid.weights[None, :]).T, grid.fsin / grid.sqrt_weights[:, None])
 
 
 # ---------------------------------------------------------------------------
