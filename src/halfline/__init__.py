@@ -18,9 +18,9 @@ from .scattering import (ScatteringData, bound_states, classify_thresholds,
                          edge_beta, eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids, wronskian)
 from .specops import (QuadratureGrid, completeness_defect, correction_operator,
-                      cos_sin_coupling, jost_transform, quadrature_grid, scattering_operator,
-                      shift_identity_residual, wave_identity_residual,
-                      wave_isometry_defect, wave_operator)
+                      cos_sin_coupling, jost_transform, quadrature_grid,
+                      scattering_operator, shift_identity_residual,
+                      wave_identity_residual, wave_isometry_defect, wave_operator)
 from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        energy_rescale_matrix, hyperbolic_pv_matrix, operator_checks,
                        pdo_apply, pv_kernel_action_gap, weyl_commutation_defect)

@@ -144,7 +144,7 @@ def _step_lanes(V, lane, rows, cut):
     split cuts between points.  A batch of cut points with one off the unit
     circle is refused."""
     per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
-    out = rows.ctypes.data
+    out = rows.ctypes.data if rows.size else p      # no rows kept: never written
 
     def step(lo, hi):
         return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
@@ -154,10 +154,10 @@ def _step_lanes(V, lane, rows, cut):
 
 
 def _real_points(V, zeta, two_z, n_rows):
-    lane = np.ones((5, zeta.shape[0]))      # 2z, s = zeta, b = zeta^2, x(L), x(L+1)
-    lane[0], lane[1] = two_z, zeta
+    lane = np.empty((5, zeta.shape[0]))     # 2z, s = zeta, b = zeta^2, x(L) = x(L+1) = 1
+    lane[0], lane[1], lane[3:] = two_z, zeta, 1.0
     np.multiply(lane[1], lane[1], out=lane[2])
-    rows = np.ones((n_rows, zeta.shape[0]))
+    rows = np.ones((n_rows, zeta.shape[0])) if n_rows else lane[:0]
     _step_lanes(V, lane, rows, False)
     if n_rows > 1:                          # zeta^(n+1) t(n), the power by repeated products
         rows[1:] *= np.cumprod(np.broadcast_to(lane[1], (n_rows - 1, lane.shape[1])), axis=0)

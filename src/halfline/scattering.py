@@ -178,9 +178,9 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     m_thetas points, each with g's other settings.
 
     Each cut grid is stepped on its own, keeping the rows zeta theta(n) for
-    n = -1..n_site-1 that the correction kernel reads.  The grid-free stages (threshold
-    classification, bound states and their count) then run once and step
-    their own points.  An input whose scan would overflow is refused before
+    n = -1..n_site-1 that the correction kernel reads.  The grid-free stages
+    (threshold classification, bound states and their count) then run once
+    and step their own points.  An input whose scan would overflow is refused before
     any point is stepped.
     """
     g.effective_z_max(p)
