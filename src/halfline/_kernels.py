@@ -26,11 +26,11 @@ SPLIT_SITES sites or more and a machine with a second CPU, the second half
 of the points is stepped meanwhile on a worker thread (ctypes releases the
 GIL for the call).
 
-`decay_scan` steps the complex scaled recursion in one thread and reduces
-max_k |t(n) - 1| per site while a block is in registers, bit for bit equal to
-numpy's np.max(np.abs(t - 1.0)) over the reference loop's rows (the
-`_step.c` header says why): its gate DECAY_SLACK is too tight for a rotated
-phase.
+`decay_scan` checks the decay on cut points in the same cut lanes: beside
+each pair a phase g = conj(zeta)^(L-1-n) turns one product per site, and the
+step raises, per site, the max over the points of |theta~(n) - g|^2 =
+|t(n) - 1|^2 (NaN if any is); one square root per site ends it.  Split in two
+halves, each half raises its own row, and the rows are merged.
 
 The first import builds `_step.c` with gcc and CFLAGS into the build
 artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
@@ -114,16 +114,15 @@ def _entry(name, *argtypes, restype=None):
     return fn
 
 
-#: lanes(V, L, n, cut, lane, width, rows, n_rows) steps n lanes of the lane
-#: buffer (rows 2z, s, b, x(L), x(L+1), of width doubles each) down to x(0),
-#: x(1) in place, writing row i of the lanes to rows[i] for i < n_rows: real
-#: lanes, or when cut is 1 (re, im) lane pairs scaled by zeta^L, with the
-#: free tail past the table; it returns the number of cut points off the
-#: unit circle, and then steps none
-_LANES = _entry("lanes", None, int, int, int, None, int, None, int, restype=ctypes.c_long)
-#: decay(V, L, n, zeta, two_z, dev) steps n complex points from the free
-#: tail and raises dev[n] to the max over the points of |t(n) - 1|
-_DECAY = _entry("decay", None, int, int, None, None, None)
+#: lanes(V, L, n, cut, lane, width, rows, n_rows, dev) steps n lanes of the
+#: lane buffer (rows 2z, s, b, x(L), x(L+1), of width doubles each) down to
+#: x(0), x(1) in place, writing row i of the lanes to rows[i] for i < n_rows:
+#: real lanes, or when cut is 1 (re, im) lane pairs scaled by zeta^L, with the
+#: free tail past the table, and given dev (else NULL) raising dev[n] to the
+#: max over the points of |t(n) - 1|^2; it returns the number of cut points
+#: off the unit circle, and then steps none
+_LANES = _entry("lanes", None, int, int, int, None, int, None, int, None,
+                restype=ctypes.c_long)
 
 
 def _halves(fn, V, n):
@@ -138,17 +137,19 @@ def _halves(fn, V, n):
         return [fn(0, n // 2), second.result()]
 
 
-def _step_lanes(V, lane, rows, cut):
+def _step_lanes(V, lane, rows, cut, dev=None):
     """Step the lanes of the lane buffer down the whole table in place,
-    writing their kept rows to rows (the `lanes` entry of `_step.c`).  A
-    split cuts between points.  A batch of cut points with one off the unit
-    circle is refused."""
+    writing their kept rows to rows (the `lanes` entry of `_step.c`) and,
+    given dev of shape (2, L - 1), the decay reduction of the first half of
+    the points to dev[0] and of the second to dev[1].  A split cuts between
+    points.  A batch of cut points with one off the unit circle is refused."""
     per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
     out = rows.ctypes.data if rows.size else p      # no rows kept: never written
 
     def step(lo, hi):
+        d = None if dev is None else dev[int(lo > 0)].ctypes.data
         return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
-                      out + 8 * per * lo, rows.shape[0])
+                      out + 8 * per * lo, rows.shape[0], d)
     if any(_halves(step, V, width // per)):
         raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
 
@@ -164,30 +165,35 @@ def _real_points(V, zeta, two_z, n_rows):
     return lane[3].astype(np.complex128), rows.astype(np.complex128)
 
 
-def _cut_points(V, zeta, two_z, n_rows):
+def _cut_points(V, zeta, two_z, n_rows, dev=None):
     n = zeta.shape[0]
     lane = np.empty((5, 2 * n))             # 2z on both lanes, s, b, 1, zeta
     lane[0].reshape(n, 2)[:] = two_z[:, None]
     lane[3], lane[4] = 0.0, zeta.view(np.float64)
     lane[3, ::2] = 1.0
     rows = np.empty((n_rows, n), np.complex128)
-    _step_lanes(V, lane, rows.view(np.float64), True)
+    _step_lanes(V, lane, rows.view(np.float64), True, dev)
     return lane[3].view(np.complex128).copy(), rows
+
+
+def _batch(V, zeta, two_z):
+    """V as contiguous float64, zeta as contiguous complex128 and 2z as real,
+    all points of one shape; complex 2z is refused."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
+    two_z = np.broadcast_to(two_z, zeta.shape)
+    if np.iscomplexobj(two_z) and two_z.imag.any():
+        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
+    return V, zeta, two_z.real
 
 
 def _jost(V, zeta, two_z, n_rows):
     """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2,
     for points all real or all on |zeta| = 1, with real 2z."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    zeta = np.atleast_1d(zeta)
-    two_z = np.asarray(two_z)
-    if two_z.shape != zeta.shape:
-        two_z = np.broadcast_to(two_z, zeta.shape)
-    if np.iscomplexobj(two_z) and two_z.imag.any():
-        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
-    if not (np.iscomplexobj(zeta) and zeta.imag.any()):
-        return _real_points(V, zeta.real, two_z.real, n_rows)
-    return _cut_points(V, np.ascontiguousarray(zeta, np.complex128), two_z.real, n_rows)
+    V, zeta, two_z = _batch(V, zeta, two_z)
+    if not zeta.imag.any():
+        return _real_points(V, zeta.real, two_z, n_rows)
+    return _cut_points(V, zeta, two_z, n_rows)
 
 
 def jost_scaled(V, zeta, two_z, n_keep):
@@ -208,15 +214,12 @@ def jost_function_values(V, zeta, two_z):
 
 
 def _deviations(V, zeta, two_z):
-    """max over the points of |t(n) - 1| for the sites n = 0..L-2, as
-    np.max(np.abs(t - 1.0)) gives it, in one call of the complex step."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
-    two_z = np.ascontiguousarray(np.broadcast_to(two_z, zeta.shape), np.complex128)
-    dev = np.zeros(max(V.shape[0] - 1, 0))
-    _DECAY(V.ctypes.data, V.shape[0], zeta.shape[0], zeta.ctypes.data, two_z.ctypes.data,
-           dev.ctypes.data)
-    return dev
+    """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
+    as cut points: every point must lie on |zeta| = 1, with real 2z."""
+    V, zeta, two_z = _batch(V, zeta, two_z)
+    dev = np.zeros((2, max(V.shape[0] - 1, 0)))
+    _cut_points(V, zeta, two_z, 0, dev)
+    return np.sqrt(np.maximum(dev[0], dev[1]))
 
 
 def decay_scan(V, zeta, two_z, bounds, rho):
@@ -224,8 +227,9 @@ def decay_scan(V, zeta, two_z, bounds, rho):
     excess of max_k |t(n) - 1| over bounds[n] and the empirical envelope
     constant max_n (1+n)^(rho-2) max_k |t(n) - 1|.
 
-    The sites checked are n = 0..L-2, the ones the recursion steps to.
-    Returns (worst_violation, c_empirical); (-inf, 0) when there are none.
+    The points must lie on |zeta| = 1, with real 2z.  The sites checked are
+    n = 0..L-2, the ones the recursion steps to.  Returns (worst_violation,
+    c_empirical); (-inf, 0) when there are none.
     """
     dev = _deviations(V, zeta, two_z)
     sites = np.arange(dev.shape[0])

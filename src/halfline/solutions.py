@@ -146,10 +146,12 @@ def _tail_bounds(p: Potential) -> np.ndarray:
 def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     """Decay check over the full theta grid plus both thresholds.
 
-    One compiled pass steps all points through the table and keeps only the
-    max over the points of |t(n) - 1| per site, so large random tables stay
-    cheap.  A recursion or tail bound that overflows, leaving the worst
-    excess or the envelope constant not finite, is refused.
+    One compiled pass steps all points through the table in the cut lanes
+    that step the Jost grids, and keeps only the max over the points of
+    |t(n) - 1| per site, so large random tables stay cheap.  A recursion or
+    tail bound that overflows, leaving the worst excess or the envelope
+    constant not finite, is refused; so is a deviation above about 1e154,
+    whose square overflows in the step.
     """
     if p.support_end == 0:
         return DecayReport(0.0, 0.0, True)

@@ -75,7 +75,7 @@ def closed_form_omega(v0, zeta):
 def reference_jost_rows(V, zeta, two_z, n_max=0):
     """The per-site complex numpy loop of the scaled recursion: rows
     n = -1..max(L, n_max) of t(n) = theta(n)/zeta^n, row index n + 1.  Real
-    points and the decay scan reproduce it bit for bit.
+    points reproduce it bit for bit.
 
     A lone point is stepped as two copies of itself: numpy multiplies a
     one-element array in a loop without FMA, which rounds differently."""
@@ -90,16 +90,47 @@ def reference_jost_rows(V, zeta, two_z, n_max=0):
     return out
 
 
+EPS = np.finfo(float).eps
+
+
+def long_double_t(V, zeta, two_z, n_max=0):
+    """The scaled recursion of `reference_jost_rows` in long double: rows
+    n = -1..max(L, n_max) of t(n), row index n + 1."""
+    z = np.atleast_1d(np.asarray(zeta, np.clongdouble))
+    a = np.broadcast_to(np.asarray(two_z, np.clongdouble), z.shape)
+    t = np.ones((max(len(V), n_max) + 2, len(z)), np.clongdouble)
+    for r in range(len(V) - 1, -1, -1):
+        t[r] = (a - 2 * np.longdouble(V[r])) * z * t[r + 1] - z * z * t[r + 2]
+    return t
+
+
+def cut_bound(V, n_keep, scale):
+    """How far a cut point's Omega and rows may lie from the long-double
+    recursion: eps (max(L, n_keep) + 2)^2 times the largest |zeta theta(n)|.
+    Rounding errors grow like L^2 eps near the thresholds, where the two
+    solutions of the recursion meet, and like n eps along the free tail."""
+    return EPS * (max(len(V), n_keep) + 2) ** 2 * scale.astype(float)
+
+
+def decay_bound(V, t):
+    """How far the decay step's per-site max over the points of |t(n) - 1|
+    may lie from the one of the long-double rows t: twice the largest
+    `cut_bound` of the points, once for the cut lanes' theta~(n) and once
+    for the phase conj(zeta)^(L-1-n) that they turn one product per site,
+    with the squares and the square root."""
+    return 2.0 * float(np.max(cut_bound(V, 0, np.max(np.abs(t), axis=0)), initial=0.0))
+
+
 def decay_diagnostic(p, point):
     """Check |theta(n) - zeta^n| against the tail bound at one spectral point,
     on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1 is the
     exact tail); the per-point reference for `decay_scan`, stepped by the
-    reference loop."""
+    long-double recursion."""
     L = p.support_end
     if L == 0:
         return hl.DecayReport(0.0, 0.0, True)
-    t = reference_jost_rows(p.values, point.zeta, point.two_z)[1:L, 0]
-    dev = np.abs(t - 1.0)                       # |zeta^n| = 1 on the cut
+    t = long_double_t(p.values, point.zeta, point.two_z)[1:L, 0]
+    dev = np.abs(t - 1).astype(float)           # |zeta^n| = 1 on the cut
     bounds = solutions._tail_bounds(p)[:L - 1]
     viol = float(np.max(dev - bounds, initial=-np.inf))
     c_emp = float(np.max(dev * (1.0 + np.arange(L - 1)) ** (p.rho - 2.0), initial=0.0))

@@ -87,3 +87,13 @@ def test_source_ships_as_package_data():
     with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as f:
         config = tomllib.load(f)
     assert "_step.c" in config["tool"]["setuptools"]["package-data"]["halfline"]
+
+
+def test_source_compiles_without_warnings():
+    # with the build's flags, to assembly and not only -fsyntax-only, which
+    # stops before gcc reports a static function left unused
+    from halfline._kernels import CFLAGS
+    result = subprocess.run(["gcc", *CFLAGS, "-Wall", "-Wextra", "-Werror", "-S", "-o",
+                             os.devnull, str(PACKAGE / "_step.c")],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -11,7 +11,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["demo_wave_operator_identity.py", "demo_rescaled_symbol.py",
-                                  "demo_jost_and_levinson.py"])
+                                  "demo_jost_and_levinson.py", "demo_topological_levinson.py"])
 def test_demo_runs(name):
     path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

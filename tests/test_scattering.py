@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
-from conftest import (TWO_SITE, closed_form_bound_state, closed_form_omega,
-                      reference_jost_rows)
+from conftest import (EPS, TWO_SITE, closed_form_bound_state, closed_form_omega, cut_bound,
+                      decay_bound, long_double_t, reference_jost_rows)
 from halfline import _kernels
 
 
@@ -38,9 +38,6 @@ def split_all(monkeypatch):
     return monkeypatch
 
 
-EPS = np.finfo(float).eps
-
-
 def kept_powers(zeta, n_rows):
     """zeta^0..zeta^(n_rows-1) by repeated products, as the real lanes scale
     their kept rows."""
@@ -53,21 +50,9 @@ def kept_powers(zeta, n_rows):
 def long_double_rows(V, zeta, two_z, n_keep):
     """zeta theta(n) for n = -1..n_keep by the scaled recursion in long
     double, and per point its largest modulus over n = -1..max(L, n_keep)."""
-    z = np.asarray(zeta, np.clongdouble)
-    a = np.broadcast_to(np.asarray(two_z, np.clongdouble), z.shape)
-    t = np.ones((max(len(V), n_keep) + 2, len(z)), np.clongdouble)
-    for r in range(len(V) - 1, -1, -1):
-        t[r] = (a - 2 * np.longdouble(V[r])) * z * t[r + 1] - z * z * t[r + 2]
-    rows = t * kept_powers(z, t.shape[0])
+    t = long_double_t(V, zeta, two_z, n_keep)
+    rows = t * kept_powers(np.asarray(zeta, np.clongdouble), t.shape[0])
     return rows[:n_keep + 2], np.max(np.abs(rows), axis=0)
-
-
-def cut_bound(V, n_keep, scale):
-    """How far a cut point's Omega and rows may lie from the long-double
-    recursion: eps (max(L, n_keep) + 2)^2 times the largest |zeta theta(n)|.
-    Rounding errors grow like L^2 eps near the thresholds, where the two
-    solutions of the recursion meet, and like n eps along the free tail."""
-    return EPS * (max(len(V), n_keep) + 2) ** 2 * scale.astype(float)
 
 
 def assert_forms_match_reference(V, zeta, two_z, n_keep):
@@ -94,16 +79,22 @@ def assert_forms_match_reference(V, zeta, two_z, n_keep):
         assert np.all(err <= cut_bound(V, n_keep, scale)), np.max(err / scale.astype(float))
 
 
+def long_double_deviations(V, zeta, two_z):
+    """The per-site max over the points of |t(n) - 1| for n = 0..L-2 by the
+    long-double recursion, and `decay_bound` of its rows."""
+    t = long_double_t(V, zeta, two_z)
+    return np.max(np.abs(t[1:len(V)] - 1), axis=1, initial=0.0), decay_bound(V, t)
+
+
 def assert_deviations_match_reference(V, zeta, two_z):
-    """The compiled per-site max over the points of |t(n) - 1| equals numpy's
-    reduction of the reference rows bit for bit, NaN where numpy gives NaN."""
+    """The compiled per-site max over the points of |t(n) - 1|, for points
+    on the unit circle, lies within `decay_bound` of the long-double one."""
     V = np.asarray(V, float)
-    with np.errstate(all="ignore"):
-        ref = np.max(np.abs(reference_jost_rows(V, zeta, two_z)[1:len(V)] - 1.0), axis=1)
+    ref, bound = long_double_deviations(V, zeta, two_z)
     dev = _kernels._deviations(V, zeta, two_z)
-    nan = np.isnan(ref)
-    assert dev.shape == ref.shape and np.array_equal(np.isnan(dev), nan)
-    assert np.array_equal(dev[~nan].view(np.int64), ref[~nan].view(np.int64))
+    assert dev.shape == ref.shape
+    err = np.abs(dev - ref.astype(float))
+    assert np.all(err <= bound), (np.max(err), bound)
 
 
 class TestWronskian:
@@ -159,20 +150,25 @@ class TestJostFunction:
         assert_forms_match_reference(V, np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 9)
 
     def test_power_within_few_ulps(self):
-        # the scale zeta^L of the cut lanes, against mpmath
-        power = _kernels._entry("power", int, None, int, None)
+        # the scale zeta^L of the cut lanes, which they leave in the lane
+        # buffer's row s, against mpmath
+        def power(zeta, k):
+            n = len(zeta)
+            lane = np.zeros((5, 2 * n))     # 2z, s, b, 1, zeta
+            lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
+            lane[3, ::2], lane[4] = 1.0, zeta.view(np.float64)
+            _kernels._step_lanes(np.zeros(k), lane, np.empty((0, 2 * n)), True)
+            return lane[1].view(np.complex128)
+
         th = np.array([7.5e-9, 0.3, 1.0, 2.0, np.pi / 2, np.pi - 1e-6, 3.0])
         zeta = np.exp(-1j * th)
         for k in (0, 1, 2, 7, 1000, 246621, 1665610):
-            out = np.empty_like(zeta)
-            power(len(zeta), zeta.ctypes.data, k, out.ctypes.data)
+            out = power(zeta, k)
             with mpmath.workdps(40):
                 ref = [complex(mpmath.mpc(z.real, z.imag) ** k) for z in zeta]
             assert np.max(np.abs(out - ref)) <= 4 * EPS, k
         exact = np.array([1.0, -1.0, 1j, -1j])
-        out = np.empty_like(exact)
-        power(4, exact.ctypes.data, 7, out.ctypes.data)
-        assert np.array_equal(out, exact ** 7)
+        assert np.array_equal(power(exact, 7), exact ** 7)
 
     @pytest.mark.parametrize("zeta, two_z", [
         (np.array([0.5 + 0.5j]), np.array([1.0])),              # inside the circle
@@ -276,10 +272,10 @@ class TestJostFunction:
 
 
 class TestStepBlocks:
-    """The compiled steps carry blocks of points through the sites: every
+    """The compiled step carries blocks of lanes through the sites: every
     form matches the reference at counts on either side of a block edge (16
-    cut points, 32 real points, 16 decay points), on tables of every short
-    length, whole and split."""
+    cut points, 32 real points), on tables of every short length, whole and
+    split."""
 
     COUNTS = (1, 2, 7, 15, 16, 17, 33, 4610, 31, 32, 65)
 
@@ -313,59 +309,70 @@ class TestStepBlocks:
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_deviations_equal_reference(self, n):
-        # whole and at sub-ranges of the points, cut and real
+        # whole and at sub-ranges of the points, cut points alone and with
+        # both thresholds, as the decay scan steps them
         V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
-        for real in (False, True):
-            zeta, two_z = self.points(n, real)
+        zeta, two_z = self.points(n, False)
+        for zeta, two_z in ((zeta, two_z), (np.r_[zeta, 1.0, -1.0], np.r_[two_z, 2.0, -2.0])):
+            n = len(zeta)
             for lo, hi in ((0, n), (0, (n + 1) // 2), (n // 2, n), (min(3, n - 1), min(40, n))):
                 assert_deviations_match_reference(V, zeta[lo:hi], two_z[lo:hi])
 
-    TINY = 1.0 + 1j * np.geomspace(1e-175, 1e-148, 40)
-
-    @pytest.mark.parametrize("V, zeta, two_z", [
+    @pytest.mark.parametrize("V, zeta, two_z, first", [
         # each point twice, in one block and across blocks
         (KERNEL_POTENTIALS["short_random"].values, np.tile(np.exp(-0.3j * np.arange(7)), 5),
-         np.tile(2.0 * np.cos(0.3 * np.arange(7)) + 0j, 5)),
-        # deviations 0.3 (1 + k 2^-52) at the last site, in shuffled order
-        (np.zeros(3), np.ones(40, complex),
-         2.0 + 0.3j * (1.0 + np.random.default_rng(0).permutation(40) * 2.0 ** -52)),
-        # deviations of 1e-175..1e-145 on a zero table: the squares
-        # underflow, and the running max lies on either side of 2^-500
-        (np.zeros(30), np.ones(40, complex), 2.0 * TINY),
-        (np.zeros(30), np.ones(40, complex), 2.0 * TINY[::-1]),
-        # deviations of about 2 x: the squares overflow above 2^512, and
-        # the running max lies on either side of 2^500
+         np.tile(2.0 * np.cos(0.3 * np.arange(7)), 5), None),
+        # deviations of about 2 x: the squares stay finite up to x = 1e150,
+        # and the square of 1e160 overflows
         *[(np.r_[np.zeros(20), x], np.exp(-1j * np.linspace(0.1, 3.0, 33)),
-           2.0 * np.cos(np.linspace(0.1, 3.0, 33)) + 0j) for x in (1e140, 1e150, 1e160)],
-        # deviations 1e-160 (1 + k 1e-6): the squares lose digits below 2^-1022
-        (np.zeros(3), np.ones(40, complex),
-         2.0 + 1e-160j * (1.0 + np.random.default_rng(1).permutation(40) * 1e-6)),
-        # the recursion overflows to inf, then NaN; the first point, which
-        # grows faster, is NaN at sites where the second is inf
-        (np.full(70, 1e5), np.array([1.5, 0.5]), np.array([1.5 + 1 / 1.5, 0.5 + 1 / 0.5])),
+           2.0 * np.cos(np.linspace(0.1, 3.0, 33)), first)
+          for x, first in ((1e140, None), (1e150, None), (1e160, np.inf))],
+        # real points off the unit circle
+        (np.full(70, 1e5), np.array([1.5, 0.5]), np.array([1.5 + 1 / 1.5, 0.5 + 1 / 0.5]),
+         ValueError),
+        # the recursion overflows to inf, then NaN
         *[(np.full(k, v), np.exp(-1j * np.linspace(0.1, 3.0, 20)),
-           2.0 * np.cos(np.linspace(0.1, 3.0, 20)) + 0j)
-          for k, v in ((3, 1e155), (5, 1e200), (200, 1e10))],
-    ], ids=["ties", "near_ties", "underflow", "underflow_reversed", "overflow_1e140",
-            "overflow_1e150", "overflow_1e160", "tiny_near_ties", "nan_then_inf", "inf_1e155",
-            "nan_1e200", "nan_1e10"])
-    def test_deviation_edge_cases(self, V, zeta, two_z):
-        assert_deviations_match_reference(V, zeta, two_z)
+           2.0 * np.cos(np.linspace(0.1, 3.0, 20)), first)
+          for k, v, first in ((3, 1e155, np.inf), (5, 1e200, np.nan), (200, 1e10, np.nan))],
+        # at zeta = -1 the recursion overflows to NaN, at zeta = 1 it stays
+        # bounded: NaN beside finite points, in either order
+        (np.ones(600), np.array([-1.0, 1.0]), np.array([-2.0, 2.0]), np.nan),
+        (np.ones(600), np.array([1.0, -1.0, 1.0]), np.array([2.0, -2.0, 2.0]), np.nan),
+    ], ids=["ties", "overflow_1e140", "overflow_1e150", "overflow_1e160", "nan_then_inf",
+            "inf_1e155", "nan_1e200", "nan_1e10", "nan_then_finite", "finite_then_nan"])
+    def test_deviation_edge_cases(self, V, zeta, two_z, first):
+        # within the bound, or a typed refusal: the kernel refuses points off
+        # the circle, and decay_scan a table whose deviations do not stay
+        # finite; at the first site the deviation is inf, or NaN if a point
+        # is NaN there
+        if first is None:
+            assert_deviations_match_reference(V, zeta, two_z)
+        elif first is ValueError:
+            with pytest.raises(ValueError, match="all real, or all on"):
+                _kernels._deviations(V, zeta, two_z)
+        else:
+            dev = _kernels._deviations(V, zeta, two_z)
+            assert np.array_equal(dev[:1], [first], equal_nan=True)
+            with pytest.raises(hl.NumericsError, match="decay check overflows"):
+                hl.decay_scan(hl.table_potential(V, rho=3.0), len(zeta))
 
     @pytest.mark.parametrize("n", COUNTS[:7] + COUNTS[8:])
     def test_decay_scan_equals_reference_rows(self, n, split_all):
-        # 110 sites, reduced per site while they are stepped
+        # 110 sites, reduced per site while they are stepped, within the
+        # bound of the long-double rows; split in two halves and whole, bit
+        # for bit the same
         p = hl.random_decaying(3, rho_gen=6.0)
         V = p.values[:110]
         zeta, two_z = self.points(n, False)
         bounds = np.linspace(1e-3, 0.5, len(V))
-        ref = reference_jost_rows(V, zeta, two_z)
-        dev = np.max(np.abs(ref[1:len(V)] - 1.0), axis=1)
-        expected = (float(np.max(dev - bounds[:len(dev)])),
-                    float(np.max(dev * (1.0 + np.arange(len(dev))) ** (3.0 - 2.0))))
-        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
+        dev, tol = long_double_deviations(V, zeta, two_z)
+        dev = dev.astype(float)
+        worst, c_emp = _kernels.decay_scan(V, zeta, two_z, bounds, 3.0)
+        assert worst == pytest.approx(float(np.max(dev - bounds[:len(dev)])), rel=0, abs=tol)
+        assert c_emp == pytest.approx(float(np.max(dev * (1.0 + np.arange(len(dev))))),
+                                      rel=0, abs=tol * len(dev))
         split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
-        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == expected
+        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == (worst, c_emp)
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(-3.0, 3.0), max_size=7),
@@ -399,15 +406,36 @@ class TestStepBlocks:
                            max_size=7),
            radii=st.lists(st.one_of(st.just(1.0), st.floats(0.25, 1.75)), min_size=1,
                           max_size=19),
-           angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), copies=st.integers(1, 3))
-    def test_random_deviations(self, values, radii, angle, real, copies):
+           angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), copies=st.integers(1, 3),
+           split=st.booleans())
+    def test_random_deviations(self, values, radii, angle, real, copies, split):
         # tables that may overflow, points on and off the unit circle, each
-        # point up to three times
+        # point up to three times: within the bound where the deviations stay
+        # finite, which they do unless the long-double rows pass 1e150;
+        # points off the circle, refused
         n = len(radii)
         angles = angle + np.arange(n) * 2.399963
-        zeta = np.asarray(radii) * (np.sign(np.cos(angles)) if real else np.exp(1j * angles))
-        zeta = np.tile(zeta, copies)
-        assert_deviations_match_reference(values, zeta, zeta + 1.0 / zeta)
+        if real:
+            zeta = np.asarray(radii) * np.sign(np.cos(angles))
+            two_z = zeta + 1.0 / zeta
+        else:
+            zeta, two_z = np.asarray(radii) * np.exp(1j * angles), 2.0 * np.cos(angles)
+        zeta, two_z = np.tile(zeta, copies), np.tile(two_z, copies)
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                mp.setattr(_kernels, "SPLIT_SITES", 0)
+                mp.setattr(_kernels.os, "cpu_count", lambda: 2)
+            if any(r != 1.0 for r in radii):
+                with pytest.raises(ValueError, match="all real, or all on"):
+                    _kernels._deviations(values, zeta, two_z)
+                return
+            dev = _kernels._deviations(values, zeta, two_z)
+        t = long_double_t(values, zeta, two_z)
+        finite = np.isfinite(dev)
+        assert np.all(finite) or np.max(np.abs(t)) > 1e150
+        with np.errstate(all="ignore"):     # rows past the double range
+            ref = np.max(np.abs(t[1:len(values)] - 1), axis=1, initial=0.0).astype(float)
+            assert np.all(np.abs(dev - ref)[finite] <= decay_bound(values, t))
 
 
 class TestScatteringGrid:

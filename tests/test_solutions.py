@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import decay_diagnostic, recurrence_residual
+from conftest import decay_bound, decay_diagnostic, long_double_t, recurrence_residual
 from halfline import solutions
 
 
@@ -214,10 +214,15 @@ class TestDecayDiagnostic:
                    hl.SpectralPoint(lam=-1.0, theta=np.pi, zeta=-1.0 + 0j)]
         reps = [decay_diagnostic(p, pt) for pt in points]
         scan = hl.decay_scan(p, m)
+        # within the bound of the long-double rows, at every site weighted
+        # by at most (L - 1)^(rho - 2) in the envelope constant
+        t = long_double_t(p.values, [pt.zeta for pt in points], [pt.two_z for pt in points])
+        tol = decay_bound(p.values, t)
         assert scan.max_violation == pytest.approx(
-            max(r.max_violation for r in reps), rel=1e-12, abs=1e-15)
+            max(r.max_violation for r in reps), rel=0, abs=tol)
         assert scan.empirical_c == pytest.approx(
-            max(r.empirical_c for r in reps), rel=1e-12)
+            max(r.empirical_c for r in reps), rel=0,
+            abs=tol * max(1.0, (p.support_end - 1) ** (p.rho - 2.0)))
 
     @pytest.mark.parametrize("values", [[1e10] * 200, [1e155] * 3, [400.0] * 3],
                              ids=["recursion_nan", "recursion_inf", "bound_inf"])
