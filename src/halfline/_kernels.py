@@ -32,6 +32,11 @@ step raises, per site, the max over the points of |theta~(n) - g|^2 =
 |t(n) - 1|^2 (NaN if any is); one square root per site ends it.  Split in two
 halves, each half raises its own row, and the rows are merged.
 
+A call pays for whole blocks of BLOCK lanes, which the bound-state bisection
+fills with the midpoints of its next levels (`scattering._bisect`).
+`sturm_counts`, the library's `sturm`, is the count oracle: Sturm counts from
+LDL^T pivots, four chains side by side, independent of the Jost step.
+
 The first import builds `_step.c` with gcc and CFLAGS into the build
 artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
 of the source and the flags; it compiles to a temporary file, renames it
@@ -109,9 +114,13 @@ _LIB = ctypes.CDLL(_build())
 
 def _entry(name, *argtypes, restype=None):
     fn = getattr(_LIB, name)
-    fn.restype, fn.argtypes = restype, [ctypes.c_long if t is int else ctypes.c_void_p
-                                        for t in argtypes]
+    kinds = {int: ctypes.c_long, float: ctypes.c_double}
+    fn.restype, fn.argtypes = restype, [kinds.get(t, ctypes.c_void_p) for t in argtypes]
     return fn
+
+
+#: lanes per block of the lane step (`block_lanes` of `_step.c`)
+BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 
 
 #: lanes(V, L, n, cut, lane, width, rows, n_rows, dev) steps n lanes of the
@@ -123,6 +132,12 @@ def _entry(name, *argtypes, restype=None):
 #: off the unit circle, and then steps none
 _LANES = _entry("lanes", None, int, int, int, None, int, None, int, None,
                 restype=ctypes.c_long)
+
+#: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
+#: beyond +-b[j] of the symmetric tridiagonal matrix with diagonal d and
+#: squared off-diagonal c2, and returns 1 + the first j whose pivots end NaN,
+#: else 0
+_STURM = _entry("sturm", None, int, float, None, int, None, restype=ctypes.c_long)
 
 
 def _halves(fn, V, n):
@@ -236,6 +251,19 @@ def decay_scan(V, zeta, two_z, bounds, rho):
     worst = np.max(dev - bounds[:dev.shape[0]], initial=-np.inf)
     c_emp = np.max(dev * (1.0 + sites) ** (float(rho) - 2.0), initial=0.0)
     return float(worst), float(c_emp)
+
+
+def sturm_counts(diagonal, c2, bounds):
+    """(counts, nan): for each b in bounds, the number of eigenvalues beyond
+    +-b of the symmetric tridiagonal matrix with this diagonal and squared
+    off-diagonal c2; nan is the index of the first bound whose LDL^T pivots
+    end NaN (the counts from it on are unset), or -1."""
+    d = np.ascontiguousarray(diagonal, np.float64)
+    b = np.ascontiguousarray(bounds, np.float64)
+    counts = np.zeros(b.shape[0], np.int64)
+    nan = _STURM(d.ctypes.data, d.shape[0], float(c2), b.ctypes.data, b.shape[0],
+                 counts.ctypes.data)
+    return counts.tolist(), nan - 1
 
 
 def regular_values(V, two_z, n_max):

@@ -18,6 +18,11 @@
  * x(L-1) = theta~(L-1) = 1 they carry the phase g = conj(zeta)^(L-1-n),
  * one product per site, and raise dev[n] to the max over the points of
  * |theta~(n) - g|^2 = |t(n) - 1|^2 for n = 0..L-2; a NaN raises it to NaN.
+ * block_lanes exports BLOCK: a call pays for whole blocks of lanes.
+ *
+ * sturm is the bound-state count oracle, independent of the Jost step: the
+ * Sturm counts of a symmetric tridiagonal matrix from the pivots of its
+ * LDL^T factorisations.
  */
 
 #include <math.h>
@@ -36,6 +41,8 @@ typedef unsigned long vec_u __attribute__((vector_size(8 * sizeof(long))));
 
 #define NV 4                    /* vectors per block of lanes */
 #define BLOCK (8 * NV)
+
+const long block_lanes = BLOCK;
 
 static inline __attribute__((always_inline)) vec vfma(vec a, vec b, vec c)
 {
@@ -234,5 +241,33 @@ long lanes(const double *V, long L, long n, int cut, double *lane, long width,
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, dev, 1);
     else
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, 0, 1);
+    return 0;
+}
+
+/* count[j] = the number of eigenvalues beyond +-b[j], j < nb, of the symmetric
+ * tridiagonal matrix T with diagonal d[0..n-1] and squared off-diagonal c2:
+ * the positive pivots of LDL^T = T - b[j] and -T - b[j] (Sturm counts; Barth,
+ * Martin and Wilkinson 1967).  A zero pivot counts as 0- and is followed by
+ * +inf.  The four chains of two bounds run side by side, so that their
+ * divisions overlap; an odd last bound is run twice.  Returns 1 + the first j
+ * whose chains end in a NaN pivot, or 0 when none does. */
+long sturm(const double *d, long n, double c2, const double *b, long nb, long *count)
+{
+    for (long j = 0; j < nb; j += 2) {
+        double b1 = b[j + 1 < nb ? j + 1 : j];
+        const double sign[4] = {1.0, -1.0, 1.0, -1.0}, s[4] = {b[j], b[j], b1, b1};
+        double q[4] = {INFINITY, INFINITY, INFINITY, INFINITY};
+        long c[4] = {0, 0, 0, 0};
+        for (long i = 0; i < n; i++)
+            for (int k = 0; k < 4; k++) {
+                q[k] = q[k] != 0.0 ? (sign[k] * d[i] - s[k]) - c2 / q[k] : INFINITY;
+                c[k] += q[k] > 0.0;
+            }
+        for (long k = 0; k < 4 && j + k / 2 < nb; k += 2) {
+            if (isnan(q[k]) || isnan(q[k + 1]))
+                return j + k / 2 + 1;
+            count[j + k / 2] = c[k] + c[k + 1];
+        }
+    }
     return 0;
 }

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .errors import AssumptionError, ConfigError, NumericsError
 
 RHO_MIN = 2.5
@@ -327,18 +328,12 @@ class TridiagonalTruncation:
     def eigenvalues_beyond(self, bounds) -> list:
         """For each b in bounds, the number of eigenvalues with |lambda| > b: the
         positive pivots of LDL^T = T - b and -T - b (Sturm counts; Barth, Martin and
-        Wilkinson 1967).  A zero pivot counts as 0-, so lambda = +-b is not beyond."""
-        counts, c2 = [], OFF_DIAGONAL ** 2
-        for b in bounds:
-            counts.append(0)
-            for diag in (self.diagonal - b, -self.diagonal - b):
-                q = math.inf                # the first pivot has no off-diagonal term
-                for v in diag.tolist():
-                    q = v - c2 / q if q else math.inf
-                    if q > 0.0:             # rare: beyond b lie few eigenvalues
-                        counts[-1] += 1
-                if q != q:                  # a NaN pivot stays NaN to the last
-                    raise NumericsError(f"count oracle failed: NaN pivot at +-{b}")
+        Wilkinson 1967), from the compiled `sturm` of `_kernels`, which steps the
+        pivot chains of two bounds side by side.  A zero pivot counts as 0-, so
+        lambda = +-b is not beyond."""
+        counts, nan = _kernels.sturm_counts(self.diagonal, OFF_DIAGONAL ** 2, bounds)
+        if nan >= 0:                        # a NaN pivot stays NaN to the last
+            raise NumericsError(f"count oracle failed: NaN pivot at +-{bounds[nan]}")
         return counts
 
 

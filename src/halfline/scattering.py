@@ -12,6 +12,7 @@ corrections in Levinson's relation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,33 +116,23 @@ def classify_thresholds(p: Potential, tol_threshold: float):
     return delta_minus, delta_plus, s_minus, s_plus, om_m, om_p
 
 
-def bound_states(p: Potential, g: GridSpec):
+def bound_states(p: Potential, g: GridSpec, z_max: float | None = None):
     """All zeros of Omega on [-z_max, -1) u (1, z_max], with the count
     cross-checked against a Sturm count on a large tridiagonal truncation.
+    z_max is g.effective_z_max(p), computed here unless given.
 
     The scan grid (`_scan_points`) is geometric, accumulating at the
-    thresholds where zeros cluster.  Each sign change is bisected down to
-    tol_root.
+    thresholds where zeros cluster.  The sign changes of each side are
+    bisected together down to tol_root (`_bisect`).
     """
-    z_max = g.effective_z_max(p)
-    z_scan = _scan_points(p, g)
+    z_max = g.effective_z_max(p) if z_max is None else z_max
+    z_scan = _scan_points(z_max)
     scan = _omega_off_axis(p, z_scan)
     roots = []
     for z, om in zip(z_scan.reshape(2, -1), scan.reshape(2, -1)):
         idx = np.where(np.diff(np.sign(om)) != 0)[0]
-        if idx.size == 0:
-            continue
-        lo, hi, flo = z[idx].copy(), z[idx + 1].copy(), om[idx].copy()
-        # stop too where no float lies strictly inside a bracket: far from
-        # 0, adjacent floats can be more than tol_root apart
-        while np.any((np.abs(hi - lo) > g.tol_root) & (np.nextafter(lo, hi) != hi)):
-            mid = 0.5 * (lo + hi)
-            fm = _omega_off_axis(p, mid)
-            same = (fm > 0) == (flo > 0)
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fm, flo)
-            hi = np.where(same, hi, mid)
-        roots.extend((0.5 * (lo + hi)).tolist())
+        if idx.size:
+            roots.extend(_bisect(p, z[idx], z[idx + 1], om[idx], g.tol_root))
     roots = np.sort(np.asarray(roots))
 
     band = 1.0 + 10.0 * g.tol_root
@@ -154,10 +145,50 @@ def bound_states(p: Potential, g: GridSpec):
     return roots, int(roots.size)
 
 
-def _scan_points(p: Potential, g: GridSpec) -> np.ndarray:
+def _bisect(p: Potential, lo, hi, flo, tol: float) -> list:
+    """The midpoints of the brackets [lo, hi] of sign changes of Omega, with
+    Omega(lo) = flo, once all are bisected down to tol or to adjacent floats.
+
+    Each level halves every bracket at its midpoint 0.5 (lo + hi) and keeps
+    the half where Omega changes sign, while any bracket is unfinished.  One
+    kernel call steps every midpoint that the next d levels can reach, 2^d - 1
+    per bracket, d as large as fits the blocks of lanes that one level's k
+    points already take: 5 levels for one bracket, 4 for two, 3 for three or
+    four.  The levels then read Omega from these, so they pick the same
+    halves, and stop at the same level, as one call per level would.
+    """
+    k = lo.size
+    d = (_kernels.BLOCK * -(-k // _kernels.BLOCK) // k + 1).bit_length() - 1
+    lo, hi, up = lo.tolist(), hi.tolist(), (flo > 0).tolist()   # the sign at lo never changes
+    while _unfinished(lo, hi, tol):
+        tree, level = [], list(zip(lo, hi))
+        for _ in range(d):
+            mids = [0.5 * (a + b) for a, b in level]
+            tree += mids
+            level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
+        omega = dict(zip(tree, _omega_off_axis(p, tree).tolist()))
+        for _ in range(d):
+            for j in range(k):
+                mid = 0.5 * (lo[j] + hi[j])
+                if (omega[mid] > 0) == up[j]:
+                    lo[j] = mid
+                else:
+                    hi[j] = mid
+            if not _unfinished(lo, hi, tol):
+                break
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
+
+
+def _unfinished(lo, hi, tol) -> bool:
+    """Whether a bracket is wider than tol with a float strictly inside: far
+    from 0, adjacent floats can be more than tol apart."""
+    return any(abs(b - a) > tol and math.nextafter(a, b) != b for a, b in zip(lo, hi))
+
+
+def _scan_points(z_max: float) -> np.ndarray:
     """The real z of the bound-state scan: SCAN_POINTS from z_max down to
     1 + SCAN_FLOOR, then the same points negated."""
-    z_side = 1.0 + np.geomspace(g.effective_z_max(p) - 1.0, SCAN_FLOOR, SCAN_POINTS)
+    z_side = 1.0 + np.geomspace(z_max - 1.0, SCAN_FLOOR, SCAN_POINTS)
     return np.concatenate([z_side, -z_side])
 
 
@@ -183,7 +214,7 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     and step their own points.  An input whose scan would overflow is refused before
     any point is stepped.
     """
-    g.effective_z_max(p)
+    z_max = g.effective_z_max(p)
     on_grid = []
     for m in m_thetas:
         theta = theta_midpoints(m)
@@ -199,7 +230,7 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
         on_grid.append(dict(theta=theta, lam=lam, zeta=zeta, jost_rows=rows, omega=om,
                             amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
     dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
-    roots, count = bound_states(p, g)
+    roots, count = bound_states(p, g, z_max)
     beta = edge_beta(g)
     return [ScatteringData(
         potential=p, **fields_, edge_beta=beta, omega_minus=om_m, omega_plus=om_p,

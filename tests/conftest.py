@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from halfline import rescaled, solutions
+from halfline import rescaled, scattering, solutions
 
 # canonical test potentials
 RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
@@ -162,6 +163,53 @@ def closed_form_bound_state(v0):
         return None
     zeta = 1.0 / (2.0 * v0)
     return 0.5 * (zeta + 1.0 / zeta)
+
+
+def scan_brackets(p, g):
+    """The brackets (lo, hi, Omega(lo)) of the bound-state scan's sign changes,
+    one triple per side with a sign change."""
+    z_scan = scattering._scan_points(g.effective_z_max(p))
+    out = []
+    for z, om in zip(z_scan.reshape(2, -1), scattering._omega_off_axis(p, z_scan).reshape(2, -1)):
+        idx = np.where(np.diff(np.sign(om)) != 0)[0]
+        if idx.size:
+            out.append((z[idx], z[idx + 1], om[idx]))
+    return out
+
+
+def reference_bisection(p, lo, hi, flo, tol):
+    """The midpoints of the brackets [lo, hi] of sign changes of Omega, with
+    Omega(lo) = flo, bisected together one level, one kernel call, at a time
+    until each is within tol or holds no float strictly inside; the reference
+    for `scattering._bisect`, which steps several levels per call."""
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    while np.any((np.abs(hi - lo) > tol) & (np.nextafter(lo, hi) != hi)):
+        mid = 0.5 * (lo + hi)
+        fm = scattering._omega_off_axis(p, mid)
+        same = (fm > 0) == (flo > 0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def reference_sturm_counts(diagonal, bounds, c2=0.25):
+    """For each b in bounds, the positive pivots of LDL^T = T - b and -T - b
+    for the tridiagonal T with this diagonal and squared off-diagonal c2, one
+    pivot per Python iteration; the reference for the compiled `sturm`.  A zero
+    pivot is followed by +inf; a NaN last pivot raises NumericsError."""
+    counts = []
+    for b in bounds:
+        counts.append(0)
+        for diag in (diagonal - b, -diagonal - b):
+            q = math.inf                # the first pivot has no off-diagonal term
+            for v in diag.tolist():
+                q = v - c2 / q if q else math.inf
+                if q > 0.0:
+                    counts[-1] += 1
+            if q != q:                  # a NaN pivot stays NaN to the last
+                raise hl.NumericsError(f"count oracle failed: NaN pivot at +-{b}")
+    return counts
 
 
 def symbol_remainder(op, g, apply, m_beta=None):

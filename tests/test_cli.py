@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import halfline
-from conftest import closed_form_bound_state
+from conftest import closed_form_bound_state, scan_brackets
 from halfline import _kernels
 from halfline.cli import load_config, main
 
@@ -308,8 +309,18 @@ class TestReport:
         # each command steps once each set of points it reads: the cut grid,
         # with the grid twice as fine for the operator identities; Omega(+-1);
         # the bound-state scan; the scattering edge for the winding number.
-        # After them come only the bisection midpoints and the residual of
-        # the bound state.  regular_values steps n_site sites, not the table.
+        # After them come only the bisection's trees of midpoints, all inside
+        # the scan's brackets, and the residual of the bound state.
+        # regular_values steps n_site sites, not the table.
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                        grids={"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 2048})
+        p, g = load_config(str(cfg))[:2]
+        roots, _ = halfline.bound_states(p, g)
+        brackets = [sorted(ends) for lo, hi, _ in scan_brackets(p, g) for ends in zip(lo, hi)]
+        # one call walks five levels of a lone bracket: 26 levels for the one
+        # of rank_one 0.75, 3.6e-3 wide, take 6 calls in place of 26
+        levels = [math.ceil(math.log2((b - a) / g.tol_root)) for a, b in brackets]
+        bisections = sum(-(-n // 5) for n in levels)
         calls = []
         for name in ("jost_scaled", "jost_function_values", "decay_scan"):
             fn = getattr(_kernels, name)
@@ -318,16 +329,18 @@ class TestReport:
                 calls.append((name, np.array(two_z, complex).ravel()))
                 return fn(V, zeta, two_z, *args)
             monkeypatch.setattr(_kernels, name, wrapper)
-        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
-                        grids={"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 2048})
-        roots, _ = halfline.bound_states(*load_config(str(cfg))[:2])
 
         def label(name, two_z):
-            if name != "jost_function_values" or len(two_z) > 4:
+            z = two_z.real / 2.0
+            if name != "jost_function_values":
                 return f"{name} {len(two_z)}"
             if np.array_equal(two_z, [-2.0, 2.0]):
                 return "thresholds"
-            return "residual" if np.array_equal(two_z, 2.0 * roots) else "bisection"
+            if np.array_equal(two_z, 2.0 * roots):
+                return "residual"
+            if all(any(a <= x <= b for a, b in brackets) for x in z):
+                return "bisection"
+            return f"{name} {len(two_z)}"
 
         common = ["jost_scaled 256", "thresholds", "jost_function_values 1024"]
         finer, edge = "jost_scaled 512", "jost_function_values 2048"
@@ -337,7 +350,7 @@ class TestReport:
             calls.clear()
             assert main([command, str(cfg)]) == 0
             labels = Counter(label(*c) for c in calls)
-            assert labels.pop("bisection") > 0, command
+            assert 0 < labels.pop("bisection") <= bisections == 6, command
             assert labels == Counter(common + extra), command
             assert len({two_z.tobytes() for _, two_z in calls}) == len(calls), command
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
+from conftest import reference_sturm_counts
 from halfline.model import off_axis_zeta
 
 
@@ -178,6 +180,32 @@ class TestTruncation:
         with pytest.raises(hl.NumericsError, match="NaN pivot"):
             t.eigenvalues_beyond([1.0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                     st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])),
+                           min_size=1, max_size=12),
+           size=st.integers(1, 66_000), tile=st.booleans(),
+           bounds=st.lists(st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.5, 1.0, 1.5])),
+                           min_size=1, max_size=3))
+    @example(values=[1.0], size=66_000, tile=True, bounds=[1.0, 1.5, 0.5])
+    def test_counts_equal_reference(self, values, size, tile, bounds):
+        # the table padded with zeros, as the truncation of a potential, or
+        # repeated along the diagonal, with eigenvalues on and beyond the bounds
+        diagonal = np.resize(values, size) if tile else np.zeros(size)
+        diagonal[:len(values)] = values[:size]
+        t = hl.TridiagonalTruncation(size=size, diagonal=diagonal)
+        assert t.eigenvalues_beyond(bounds) == reference_sturm_counts(diagonal, bounds)
+
+    @pytest.mark.parametrize("diagonal,bounds,at", [
+        ([0.0, np.nan, 0.0], [1.0, 2.0], "1.0"),        # every chain ends NaN: the first
+        ([0.0, 0.0, 0.0], [2.0, np.nan], "nan"),
+        ([0.0, 0.0, 0.0], [2.0, 3.0, np.nan], "nan"),   # an odd last bound
+    ])
+    def test_first_nan_bound_named(self, diagonal, bounds, at):
+        t = hl.TridiagonalTruncation(size=3, diagonal=np.array(diagonal))
+        for counts in (t.eigenvalues_beyond, lambda b: reference_sturm_counts(t.diagonal, b)):
+            with pytest.raises(hl.NumericsError, match=re.escape(f"NaN pivot at +-{at}")):
+                counts(bounds)
 
 class TestGridSpec:
     def test_invariants(self):

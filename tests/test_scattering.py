@@ -2,17 +2,19 @@ import math
 import threading
 import time
 from dataclasses import fields, replace
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
 from conftest import (EPS, TWO_SITE, closed_form_bound_state, closed_form_omega, cut_bound,
-                      decay_bound, long_double_t, reference_jost_rows)
-from halfline import _kernels
+                      decay_bound, long_double_t, reference_bisection, reference_jost_rows,
+                      scan_brackets)
+from halfline import _kernels, scattering
 
 
 def off_axis_zeta(z):
@@ -579,6 +581,78 @@ class TestBoundStates:
     def test_z_max_guard(self):
         with pytest.raises(hl.NumericsError, match="z_max too small"):
             hl.bound_states(hl.rank_one(0.75), hl.GridSpec(z_max=1.05))
+
+
+def assert_bisection_as_reference(p, g=hl.GridSpec()):
+    """Each side's roots equal those of the one-level `reference_bisection`
+    bit for bit, in ceil(levels / d) kernel calls, where d is the most levels
+    whose 2^d - 1 midpoints per bracket fit the blocks of lanes that one level
+    takes.  Returns the number of brackets per side."""
+    omega, block = scattering._omega_off_axis, _kernels.BLOCK
+    sides = []
+    for lo, hi, flo in scan_brackets(p, g):
+        with mock.patch.object(scattering, "_omega_off_axis", wraps=omega) as one_level:
+            reference = reference_bisection(p, lo, hi, flo, g.tol_root)
+        k = lo.size
+        lanes = block * -(-k // block)
+        d = max(d for d in range(1, lanes + 1) if (2 ** d - 1) * k <= lanes)
+        calls = -(-one_level.call_count // d)
+        points = []
+
+        def tree(p, z):             # a search that would not end fails here
+            points.append(np.size(z))
+            assert len(points) <= calls and points[-1] <= lanes
+            return omega(p, z)
+        with mock.patch.object(scattering, "_omega_off_axis", tree):
+            roots = np.array(scattering._bisect(p, lo, hi, flo, g.tol_root))
+        assert roots.tobytes() == reference.tobytes()
+        assert len(points) == calls
+        sides.append(k)
+    return sides
+
+
+class TestBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+    def test_short_tables(self, values):
+        assert_bisection_as_reference(hl.table_potential(values, rho=3.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(v0=st.floats(0.45, 0.55), sign=st.sampled_from([1.0, -1.0]))
+    @example(v0=0.5001, sign=1.0)
+    @example(v0=0.51, sign=-1.0)
+    def test_rank_one_across_the_resonance(self, v0, sign):
+        assert_bisection_as_reference(hl.rank_one(sign * v0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(exponent=st.floats(6.0, 200.0), sign=st.sampled_from([1.0, -1.0]))
+    @example(exponent=6.0, sign=1.0)
+    @example(exponent=7.0, sign=1.0)
+    @example(exponent=12.0, sign=1.0)
+    @example(exponent=6.0, sign=-1.0)
+    @example(exponent=200.0, sign=1.0)
+    def test_large_couplings(self, exponent, sign):
+        # far from 0 the search ends where no float is left inside a bracket
+        assert assert_bisection_as_reference(hl.rank_one(sign * 10.0 ** exponent)) == [1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(st.floats(2.0, 3.0), min_size=2, max_size=4),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_several_roots_on_one_side(self, values, sign):
+        # a deep well of 2-4 sites binds one state per site: d = 4 or 3
+        p = hl.table_potential([sign * v for v in values], rho=3.0)
+        assert assert_bisection_as_reference(p) == [len(values)]
+
+    @pytest.mark.parametrize("p", [hl.random_decaying(3, amplitude=1.5),
+                                   hl.random_decaying(978390736, rho_gen=4.0, amplitude=1.5)],
+                             ids=["seed 3", "sweep rho_gen 4"])
+    def test_long_tables(self, p):
+        g = hl.GridSpec()
+        assert assert_bisection_as_reference(p, g) == [1]
+        roots, count = hl.bound_states(p, g)
+        assert roots.tobytes() == np.sort(np.concatenate(
+            [reference_bisection(p, *side, g.tol_root) for side in scan_brackets(p, g)])).tobytes()
+        assert count == 1
 
 
 class TestLevinson:
