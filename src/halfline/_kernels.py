@@ -7,19 +7,23 @@ midpoints, the thresholds, the bound states and the decay scan.  Only
 `regular_values`, which steps n_site rows and not the table, stays numpy.
 Each point is stepped on its own, so a value does not depend on its batch.
 
-`jost_scaled` and `jost_function_values` step real lanes: a batch of points
-all real, or all on the cut, has real recursion coefficients.  Any other
-batch is refused with a ValueError.
-  - A real point is one lane of the scaled recursion t = theta/zeta^n,
-    t(n-1) = ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1), in the operations of
-    the complex per-site numpy loop (`reference_jost_rows` in the tests),
-    whose values it equals bit for bit.
-  - A cut point (|zeta| = 1) is two lanes, re and im, of the unscaled
-    theta~(n-1) = (2z - 2V(n)) theta~(n) - theta~(n+1) from
-    (theta~(L-1), theta~(L)) = (1, zeta); Omega = zeta^L theta~(-1), with
-    zeta^L to a few ulps.  Its rounding error grows like L^2 eps near the
-    thresholds, where the two solutions meet, as the complex loop's does, and
-    is far smaller than that loop's away from them.
+`jost_scaled` and `jost_function_values` take each point in its own
+coordinate, and step it in real lanes.  Any other input is refused with a
+ValueError: a real z with |z| < 1 or 2z not finite (NaN and +-inf among
+them), a complex zeta off the unit circle (checked in the step).
+  - A real array holds points z with |z| >= 1 and 2z finite, the
+    thresholds included; the kernel takes zeta = `off_axis_zeta(z)` and
+    2z, and returns float64.  Each is one lane of the scaled recursion
+    t = theta/zeta^n, t(n-1) = ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1), in
+    the operations of the complex per-site numpy loop (`reference_jost_rows`
+    in the tests), whose values it equals bit for bit.
+  - A complex array holds points zeta on the cut, |zeta| = 1; the kernel
+    takes 2z = 2 Re zeta, and returns complex128.  Each is two lanes, re
+    and im, of the unscaled theta~(n-1) = (2z - 2V(n)) theta~(n) -
+    theta~(n+1) from (theta~(L-1), theta~(L)) = (1, zeta); Omega =
+    zeta^L theta~(-1), with zeta^L to a few ulps.  Its rounding error grows
+    like L^2 eps near the thresholds, where the two solutions meet, as the
+    complex loop's does, and is far smaller than that loop's away from them.
 The kept rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0
 is Omega; past the table they are the free tail zeta^(n+1).  On a table of
 SPLIT_SITES sites or more and a machine with a second CPU, the second half
@@ -166,24 +170,35 @@ def _step_lanes(V, lane, rows, cut, dev=None):
         return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
                       out + 8 * per * lo, rows.shape[0], d)
     if any(_halves(step, V, width // per)):
-        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
+        raise ValueError("complex Jost points must lie on |zeta| = 1")
 
 
-def _real_points(V, zeta, two_z, n_rows):
-    lane = np.empty((5, zeta.shape[0]))     # 2z, s = zeta, b = zeta^2, x(L) = x(L+1) = 1
-    lane[0], lane[1], lane[3:] = two_z, zeta, 1.0
+def off_axis_zeta(z):
+    """zeta(z) = sign(z) / (|z| + sqrt(z^2 - 1)) for real |z| >= 1, which does
+    not cancel for large |z|.  Above 1e150, where z^2 may overflow,
+    sqrt(z^2 - 1) rounds to |z| and zeta = sign(z) 0.5/|z| is the same float."""
+    a = np.abs(z)
+    c = np.minimum(a, 1e150)
+    return np.copysign(np.where(a > 1e150, 0.5 / a, 1.0 / (a + np.sqrt(c * c - 1.0))), z)
+
+
+def _real_points(V, z, n_rows):
+    if not np.all((np.abs(z) >= 1.0) & (np.abs(z) <= np.finfo(np.float64).max / 2)):
+        raise ValueError("real Jost points need |z| >= 1 and 2z finite")
+    lane = np.empty((5, z.shape[0]))        # 2z, s = zeta, b = zeta^2, x(L) = x(L+1) = 1
+    lane[0], lane[1], lane[3:] = 2.0 * z, off_axis_zeta(z), 1.0
     np.multiply(lane[1], lane[1], out=lane[2])
-    rows = np.ones((n_rows, zeta.shape[0])) if n_rows else lane[:0]
+    rows = np.ones((n_rows, z.shape[0])) if n_rows else lane[:0]
     _step_lanes(V, lane, rows, False)
     if n_rows > 1:                          # zeta^(n+1) t(n), the power by repeated products
         rows[1:] *= np.cumprod(np.broadcast_to(lane[1], (n_rows - 1, lane.shape[1])), axis=0)
-    return lane[3].astype(np.complex128), rows.astype(np.complex128)
+    return lane[3], rows
 
 
-def _cut_points(V, zeta, two_z, n_rows, dev=None):
+def _cut_points(V, zeta, n_rows, dev=None):
     n = zeta.shape[0]
-    lane = np.empty((5, 2 * n))             # 2z on both lanes, s, b, 1, zeta
-    lane[0].reshape(n, 2)[:] = two_z[:, None]
+    lane = np.empty((5, 2 * n))             # 2z = 2 Re zeta on both lanes, s, b, 1, zeta
+    lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
     lane[3], lane[4] = 0.0, zeta.view(np.float64)
     lane[3, ::2] = 1.0
     rows = np.empty((n_rows, n), np.complex128)
@@ -191,62 +206,52 @@ def _cut_points(V, zeta, two_z, n_rows, dev=None):
     return lane[3].view(np.complex128).copy(), rows
 
 
-def _batch(V, zeta, two_z):
-    """V as contiguous float64, zeta as contiguous complex128 and 2z as real,
-    all points of one shape; complex 2z is refused."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    zeta = np.ascontiguousarray(np.atleast_1d(zeta), np.complex128)
-    two_z = np.broadcast_to(two_z, zeta.shape)
-    if np.iscomplexobj(two_z) and two_z.imag.any():
-        raise ValueError("Jost points must be all real, or all on |zeta| = 1, with real 2z")
-    return V, zeta, two_z.real
+def _jost(V, x, n_rows):
+    """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2:
+    real x as z, complex x as zeta."""
+    V, x = np.ascontiguousarray(V, dtype=np.float64), np.atleast_1d(x)
+    if np.iscomplexobj(x):
+        return _cut_points(V, np.ascontiguousarray(x, np.complex128), n_rows)
+    return _real_points(V, x, n_rows)
 
 
-def _jost(V, zeta, two_z, n_rows):
-    """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2,
-    for points all real or all on |zeta| = 1, with real 2z."""
-    V, zeta, two_z = _batch(V, zeta, two_z)
-    if not zeta.imag.any():
-        return _real_points(V, zeta.real, two_z, n_rows)
-    return _cut_points(V, zeta, two_z, n_rows)
-
-
-def jost_scaled(V, zeta, two_z, n_keep):
+def jost_scaled(V, x, n_keep):
     """Omega(z) = zeta theta(-1) and the Jost values zeta theta(n) =
-    zeta^(n+1) t(n) for n = -1..n_keep on every point.
+    zeta^(n+1) t(n) for n = -1..n_keep on every point: real x is z, complex
+    x is zeta on the cut.
 
-    Returns (omega, rows), both complex128; rows has shape (n_keep + 2,
-    points), row index n + 1, and its row 0 is omega.  Real zeta and 2z
-    give values with zero imaginary part.
+    Returns (omega, rows), float64 for real x and complex128 for complex x;
+    rows has shape (n_keep + 2, points), row index n + 1, and its row 0 is
+    omega.
     """
-    return _jost(V, zeta, two_z, int(n_keep) + 2)
+    return _jost(V, x, int(n_keep) + 2)
 
 
-def jost_function_values(V, zeta, two_z):
-    """Omega(z) = zeta theta(-1) on a batch of spectral points, complex128;
-    real input gives zero imaginary parts."""
-    return _jost(V, zeta, two_z, 0)[0]
+def jost_function_values(V, x):
+    """Omega(z) = zeta theta(-1) on a batch of points: real x is z, giving
+    float64, complex x is zeta on the cut, giving complex128."""
+    return _jost(V, x, 0)[0]
 
 
-def _deviations(V, zeta, two_z):
+def _deviations(V, zeta):
     """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
-    as cut points: every point must lie on |zeta| = 1, with real 2z."""
-    V, zeta, two_z = _batch(V, zeta, two_z)
+    as cut points: every zeta must lie on |zeta| = 1."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
     dev = np.zeros((2, max(V.shape[0] - 1, 0)))
-    _cut_points(V, zeta, two_z, 0, dev)
+    _cut_points(V, np.ascontiguousarray(np.atleast_1d(zeta), np.complex128), 0, dev)
     return np.sqrt(np.maximum(dev[0], dev[1]))
 
 
-def decay_scan(V, zeta, two_z, bounds, rho):
+def decay_scan(V, zeta, bounds, rho):
     """Roll the Jost recursion over all points at once, tracking the worst
     excess of max_k |t(n) - 1| over bounds[n] and the empirical envelope
     constant max_n (1+n)^(rho-2) max_k |t(n) - 1|.
 
-    The points must lie on |zeta| = 1, with real 2z.  The sites checked are
-    n = 0..L-2, the ones the recursion steps to.  Returns (worst_violation,
+    The points zeta must lie on |zeta| = 1.  The sites checked are n =
+    0..L-2, the ones the recursion steps to.  Returns (worst_violation,
     c_empirical); (-inf, 0) when there are none.
     """
-    dev = _deviations(V, zeta, two_z)
+    dev = _deviations(V, zeta)
     sites = np.arange(dev.shape[0])
     worst = np.max(dev - bounds[:dev.shape[0]], initial=-np.inf)
     c_emp = np.max(dev * (1.0 + sites) ** (float(rho) - 2.0), initial=0.0)

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, scattering
 from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
-from .model import GridSpec, Potential, make_potential, off_axis_zeta
+from .model import GridSpec, Potential, make_potential
 from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
                          scattering_grids)
@@ -185,9 +185,8 @@ def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
 
     def bs_rows():         # stepped only when the csv file is written
         z = d.bound_states
-        zeta = off_axis_zeta(z)
-        residual = np.abs(_kernels.jost_function_values(d.potential.values, zeta, 2.0 * z).real)
-        yield from zip(z, zeta, residual)
+        residual = np.abs(scattering._omega_off_axis(d.potential, z))
+        yield from zip(z, _kernels.off_axis_zeta(z), residual)
     _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows(), cfg_hash)
 
 

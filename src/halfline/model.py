@@ -218,15 +218,6 @@ class SpectralPoint:
         return complex(2.0 * self.lam)
 
 
-def off_axis_zeta(z):
-    """zeta(z) = sign(z) / (|z| + sqrt(z^2 - 1)) for real |z| > 1, which does
-    not cancel for large |z|.  Above 1e150, where z^2 may overflow,
-    sqrt(z^2 - 1) rounds to |z| and zeta = sign(z) 0.5/|z| is the same float."""
-    a = np.abs(z)
-    c = np.minimum(a, 1e150)
-    return np.copysign(np.where(a > 1e150, 0.5 / a, 1.0 / (a + np.sqrt(c * c - 1.0))), z)
-
-
 @dataclass(frozen=True)
 class OffAxisPoint:
     """Real spectral parameter z with |z| > 1 and the contracting branch
@@ -239,7 +230,7 @@ class OffAxisPoint:
     def from_z(cls, z: float) -> "OffAxisPoint":
         if not abs(z) > 1.0:
             raise ValueError("off-axis point needs |z| > 1")
-        return cls(z=float(z), zeta=float(off_axis_zeta(z)))
+        return cls(z=float(z), zeta=float(_kernels.off_axis_zeta(z)))
 
     @property
     def two_z(self) -> complex:

@@ -105,13 +105,14 @@ def hyperbolic_pv_matrix(bg: BetaGrid) -> np.ndarray:
     return ker * bg.h
 
 
-def pv_kernel_action_gap(bg: BetaGrid, centers=(-2.0, 0.0, 1.5)) -> float:
+def pv_kernel_action_gap(bg: BetaGrid) -> float:
     """Worst relative difference between the weight-conjugated symbol and the
-    direct principal-value kernel on Gaussian bumps g: the conjugated symbol
-    acts as w P(g / w), with w the conjugation weight."""
+    direct principal-value kernel on Gaussian bumps g centred at beta = -2, 0
+    and 1.5: the conjugated symbol acts as w P(g / w), with w the conjugation
+    weight."""
     K = hyperbolic_pv_matrix(bg)
     w = b_weight(bg.beta)[:, None]
-    G = np.exp(-(bg.beta[:, None] - np.asarray(centers)[None, :]) ** 2)
+    G = np.exp(-(bg.beta[:, None] - np.array([-2.0, 0.0, 1.5])[None, :]) ** 2)
     gap = w * pdo_apply(bg, G / w) - K @ G
     return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(G, axis=0)))
 
@@ -152,12 +153,13 @@ class SingularReport:
     def s1(self) -> float:
         return float(self.singular_values[0]) if self.singular_values.size else 0.0
 
-    def rank_at(self, frac: float = 0.1) -> int:
-        """Smallest r with s_(r+1) <= frac * s_1."""
+    @property
+    def rank_tenth(self) -> int:
+        """Smallest r with s_(r+1) <= 0.1 s_1."""
         sv = self.singular_values
         if sv.size == 0 or sv[0] == 0.0:
             return 0
-        return int(np.searchsorted(-sv, -frac * sv[0]))
+        return int(np.searchsorted(-sv, -0.1 * sv[0]))
 
 
 def _sv_report(mat: np.ndarray) -> SingularReport:
@@ -169,7 +171,7 @@ def _stability(base: SingularReport, fine: SingularReport) -> dict:
     under refinement."""
     if base.s1 > 0 and fine.s1 > 10.0 * base.s1:
         raise NumericsError("not convergent: leading singular value grows under refinement")
-    return {"s1": base.s1, "rank_tenth": base.rank_at(0.1), "s1_refined": fine.s1,
+    return {"s1": base.s1, "rank_tenth": base.rank_tenth, "s1_refined": fine.s1,
             "rel_change": abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0,
             "singular_values": base.singular_values[:32]}
 
@@ -232,7 +234,7 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
             "exact_residual": exact["composite"],
             "naive_product_residual": exact["naive_product"],
             "symbol_s1": shift.s1,
-            "symbol_rank_tenth": shift.rank_at(0.1),
+            "symbol_rank_tenth": shift.rank_tenth,
         },
         "coupling_symbol": coupling,
         "wave_symbol": _stability(symbol, symbol2),

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import GridSpec, Potential, hamiltonian_truncation, off_axis_zeta, theta_midpoints
-from .solutions import SolutionSequence
+from .model import GridSpec, Potential, hamiltonian_truncation, theta_midpoints
+from .solutions import SolutionSequence, jost_coordinate
 
 #: relative tolerance on Wronskian constancy
 WRONSKIAN_RTOL = 1e-10
@@ -50,7 +50,7 @@ def wronskian(u: SolutionSequence, v: SolutionSequence) -> complex:
 def jost_function(p: Potential, point) -> complex:
     """Omega(z) = zeta(z) theta(-1, z); its imaginary part is zero for real z
     outside (-1, 1), the thresholds included."""
-    return complex(_kernels.jost_function_values(p.values, point.zeta, point.two_z)[0])
+    return complex(_kernels.jost_function_values(p.values, jost_coordinate(point))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,7 @@ def classify_thresholds(p: Potential, tol_threshold: float):
     in between is refused as unstable.  The limiting scattering-matrix
     values are +1 (generic) and -1 (resonant).
     """
-    om_m, om_p = _kernels.jost_function_values(p.values, np.array([-1.0, 1.0]),
-                                               np.array([-2.0, 2.0])).real.tolist()
+    om_m, om_p = _kernels.jost_function_values(p.values, np.array([-1.0, 1.0])).tolist()
     out = []
     for om in (om_m, om_p):
         mag = abs(om)
@@ -192,9 +191,9 @@ def _scan_points(z_max: float) -> np.ndarray:
     return np.concatenate([z_side, -z_side])
 
 
-def _omega_off_axis(p: Potential, z: np.ndarray) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(z, float))
-    return _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z).real
+def _omega_off_axis(p: Potential, z) -> np.ndarray:
+    """Omega at the real points z, |z| >= 1."""
+    return _kernels.jost_function_values(p.values, z)
 
 
 def edge_beta(g: GridSpec) -> np.ndarray:
@@ -219,7 +218,7 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     for m in m_thetas:
         theta = theta_midpoints(m)
         zeta, lam = np.exp(-1j * theta), np.cos(theta)
-        om, rows = _kernels.jost_scaled(p.values, zeta, 2.0 * lam + 0j, g.n_site - 1)
+        om, rows = _kernels.jost_scaled(p.values, zeta, g.n_site - 1)
         amplitude = np.abs(om)
         if np.min(amplitude) == 0.0:
             raise NumericsError("interior zero of the Jost function")

@@ -67,14 +67,21 @@ def jost_solution(p: Potential, point, n_max: int,
     return _jost_sequence(p, point, n_max, n_tail)
 
 
+def jost_coordinate(point):
+    """The point as the Jost kernels take it: the real z off the cut and at
+    its ends zeta = +-1, else zeta."""
+    if isinstance(point, OffAxisPoint):
+        return point.z
+    return point.zeta if point.zeta.imag else point.lam
+
+
 def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> SolutionSequence:
     if n_tail is not None and p.support_end > n_tail:
         raise NumericsError(
             f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")
-    zeta = np.array([point.zeta], dtype=complex)
-    rows = _kernels.jost_scaled(p.values, zeta, np.array([point.two_z]), n_max)[1][:, 0]
+    rows = _kernels.jost_scaled(p.values, jost_coordinate(point), n_max)[1][:, 0]
     return SolutionSequence(kind=_kind("jost", p), point=point,
-                            values=rows / zeta[0], potential=p)
+                            values=rows / complex(point.zeta), potential=p)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +131,6 @@ def volterra_jost(p: Potential, point, n_max: int) -> SolutionSequence:
 class DecayReport:
     max_violation: float
     empirical_c: float
-    passed: bool
 
 
 def _tail_bounds(p: Potential) -> np.ndarray:
@@ -154,16 +160,14 @@ def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     whose square overflows in the step.
     """
     if p.support_end == 0:
-        return DecayReport(0.0, 0.0, True)
+        return DecayReport(0.0, 0.0)
     th = theta_midpoints(m_theta)
     zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
-    two_z = np.concatenate([2.0 * np.cos(th) + 0j, [2.0 + 0j, -2.0 + 0j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        worst, c_emp = _kernels.decay_scan(p.values, zeta, two_z,
-                                           _tail_bounds(p), p.rho)
+        worst, c_emp = _kernels.decay_scan(p.values, zeta, _tail_bounds(p), p.rho)
     if p.support_end > 1 and not (np.isfinite(worst) and np.isfinite(c_emp)):
         raise NumericsError(f"decay check overflows: worst excess {worst:.3e}, "
                             f"envelope constant {c_emp:.3e}")
     if worst > DECAY_SLACK:
         raise NumericsError(f"estimate violated: excess {worst:.3e}")
-    return DecayReport(float(worst), float(c_emp), worst <= DECAY_SLACK)
+    return DecayReport(float(worst), float(c_emp))

@@ -169,33 +169,30 @@ def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, W: np.ndarra
     return float(np.max(np.abs(R)))
 
 
-def wave_isometry_defect(W: np.ndarray, block: int | None = None) -> float:
+def wave_isometry_defect(W: np.ndarray) -> float:
     """Max-norm of W^*W - 1 on the interior block (isometry of W_-)."""
     n = W.shape[0]
-    block = n // 2 if block is None else block
     D = W.conj().T @ W - np.eye(n)
-    return float(np.max(np.abs(D[:block, :block])))
+    return float(np.max(np.abs(D[:n // 2, :n // 2])))
 
 
-def completeness_defect(W: np.ndarray, p: Potential,
-                        band_margin: float = 1e-9, block: int | None = None) -> float:
+def completeness_defect(W: np.ndarray, p: Potential) -> float:
     """Max-norm of W W^* - (1 - P_b) on the interior block, P_b the spectral
-    projector of the dense site truncation onto its out-of-band eigenvectors."""
+    projector of the dense site truncation onto its eigenvectors beyond
+    1 + 1e-9 in modulus."""
     n = W.shape[0]
-    block = n // 2 if block is None else block
     evals, evecs = np.linalg.eigh(hamiltonian_truncation(p, n).matrix())
-    out = np.abs(evals) > 1.0 + band_margin
+    out = np.abs(evals) > 1.0 + 1e-9
     Pb = evecs[:, out] @ evecs[:, out].T
     D = W @ W.conj().T - (np.eye(n) - Pb)
-    return float(np.max(np.abs(D[:block, :block])))
+    return float(np.max(np.abs(D[:n // 2, :n // 2])))
 
 
 # ---------------------------------------------------------------------------
 # shift-operator identity on the theta grid
 # ---------------------------------------------------------------------------
 
-def shift_identity_residual(grid: QuadratureGrid, U: np.ndarray,
-                            block: int | None = None) -> dict:
+def shift_identity_residual(grid: QuadratureGrid, U: np.ndarray) -> dict:
     """Defect of T = H0 + i (1 - H0^2)^(1/2) U^* on the site truncation.
 
     `composite` assembles the product (1-H0^2)^(1/2) U^* as one quadrature
@@ -205,7 +202,7 @@ def shift_identity_residual(grid: QuadratureGrid, U: np.ndarray,
     leakage of the truncated site space.
     """
     F, n = grid.fsin, grid.n_site
-    block = n // 2 if block is None else block
+    block = n // 2
     sth = np.sin(grid.theta)
     T = np.diag(np.ones(n - 1), -1)
     H0 = (T + T.T) / 2.0

@@ -89,8 +89,7 @@ def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
     amax = bmax / 2.0
     sp, sm = d.s_plus, d.s_minus
     theta = 2.0 * np.arctan(np.exp(-beta))
-    omega = _kernels.jost_function_values(d.potential.values, np.exp(-1j * theta),
-                                          2.0 * np.cos(theta) + 0j)
+    omega = _kernels.jost_function_values(d.potential.values, np.exp(-1j * theta))
     s_edge = np.conj(omega) / omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)

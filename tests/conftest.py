@@ -129,7 +129,7 @@ def decay_diagnostic(p, point):
     long-double recursion."""
     L = p.support_end
     if L == 0:
-        return hl.DecayReport(0.0, 0.0, True)
+        return hl.DecayReport(0.0, 0.0)
     t = long_double_t(p.values, point.zeta, point.two_z)[1:L, 0]
     dev = np.abs(t - 1).astype(float)           # |zeta^n| = 1 on the cut
     bounds = solutions._tail_bounds(p)[:L - 1]
@@ -137,7 +137,7 @@ def decay_diagnostic(p, point):
     c_emp = float(np.max(dev * (1.0 + np.arange(L - 1)) ** (p.rho - 2.0), initial=0.0))
     if viol > solutions.DECAY_SLACK:
         raise hl.NumericsError(f"estimate violated: excess {viol:.3e}")
-    return hl.DecayReport(viol, c_emp, viol <= solutions.DECAY_SLACK)
+    return hl.DecayReport(viol, c_emp)
 
 
 def recurrence_residual(seq):

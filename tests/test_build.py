@@ -17,7 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfline"
 
 #: imports the copy and steps the rank-one Jost function at zeta = -i
 PROBE = ("from halfline import _kernels; import numpy as np; "
-         "print(_kernels.jost_function_values([0.75], np.array([-1j]), np.array([0j]))[0])")
+         "print(_kernels.jost_function_values([0.75], np.array([-1j]))[0])")
 
 
 @pytest.fixture

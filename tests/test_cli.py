@@ -325,22 +325,21 @@ class TestReport:
         for name in ("jost_scaled", "jost_function_values", "decay_scan"):
             fn = getattr(_kernels, name)
 
-            def wrapper(V, zeta, two_z, *args, fn=fn, name=name):
-                calls.append((name, np.array(two_z, complex).ravel()))
-                return fn(V, zeta, two_z, *args)
+            def wrapper(V, x, *args, fn=fn, name=name):
+                calls.append((name, np.array(x).ravel()))
+                return fn(V, x, *args)
             monkeypatch.setattr(_kernels, name, wrapper)
 
-        def label(name, two_z):
-            z = two_z.real / 2.0
-            if name != "jost_function_values":
-                return f"{name} {len(two_z)}"
-            if np.array_equal(two_z, [-2.0, 2.0]):
+        def label(name, x):         # real x is z, complex x is zeta on the cut
+            if name != "jost_function_values" or np.iscomplexobj(x):
+                return f"{name} {len(x)}"
+            if np.array_equal(x, [-1.0, 1.0]):
                 return "thresholds"
-            if np.array_equal(two_z, 2.0 * roots):
+            if np.array_equal(x, roots):
                 return "residual"
-            if all(any(a <= x <= b for a, b in brackets) for x in z):
+            if all(any(a <= z <= b for a, b in brackets) for z in x):
                 return "bisection"
-            return f"{name} {len(two_z)}"
+            return f"{name} {len(x)}"
 
         common = ["jost_scaled 256", "thresholds", "jost_function_values 1024"]
         finer, edge = "jost_scaled 512", "jost_function_values 2048"
@@ -352,7 +351,7 @@ class TestReport:
             labels = Counter(label(*c) for c in calls)
             assert 0 < labels.pop("bisection") <= bisections == 6, command
             assert labels == Counter(common + extra), command
-            assert len({two_z.tobytes() for _, two_z in calls}) == len(calls), command
+            assert len({x.tobytes() for _, x in calls}) == len(calls), command
 
     def test_svd_count(self, tmp_path, monkeypatch):
         # the coupling symbol at m_beta and 2 m_beta, the wave symbol on both

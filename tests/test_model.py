@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import halfline as hl
 from conftest import reference_sturm_counts
-from halfline.model import off_axis_zeta
+from halfline._kernels import off_axis_zeta
 
 
 class TestPotential:

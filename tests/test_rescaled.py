@@ -202,7 +202,7 @@ class TestCouplingRemainder:
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
         rep = symbol_remainder(coupling(g), g, hl.pdo_apply)
         assert rep.s1 < 1.0
-        assert rep.rank_at(0.1) <= g.m_beta // 16
+        assert rep.rank_tenth <= g.m_beta // 16
         sv = rep.singular_values
         assert sv[0] >= sv[-1]
 
@@ -220,7 +220,7 @@ class TestCouplingRemainder:
         assert np.all(np.isfinite(s1)) and np.all(s1 > 0)
         assert np.all(np.abs(np.diff(s1)) < 1e-5 * s1[1:])
         for r, mb in zip(reps, mbs):
-            assert r.rank_at(0.1) <= mb // 16
+            assert r.rank_tenth <= mb // 16
 
 
 class TestWaveRemainder:

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import time
 from dataclasses import fields, replace
@@ -49,51 +50,62 @@ def kept_powers(zeta, n_rows):
     return out
 
 
-def long_double_rows(V, zeta, two_z, n_keep):
+def zeta_and_two_z(x):
+    """zeta and 2z of the points x as the kernels take them: real x is z,
+    complex x is zeta on the unit circle, with 2z = 2 Re zeta."""
+    x = np.atleast_1d(x)
+    if np.iscomplexobj(x):
+        return x, 2.0 * x.real
+    return off_axis_zeta(x), 2.0 * x
+
+
+def long_double_rows(V, x, n_keep):
     """zeta theta(n) for n = -1..n_keep by the scaled recursion in long
     double, and per point its largest modulus over n = -1..max(L, n_keep)."""
+    zeta, two_z = zeta_and_two_z(x)
     t = long_double_t(V, zeta, two_z, n_keep)
     rows = t * kept_powers(np.asarray(zeta, np.clongdouble), t.shape[0])
     return rows[:n_keep + 2], np.max(np.abs(rows), axis=0)
 
 
-def assert_forms_match_reference(V, zeta, two_z, n_keep):
-    """Every kernel form on these points, all real or all on the unit circle:
-    Omega alone and Omega with the rows zeta theta(n) for n = -1..n_keep, in
-    complex128, the two forms equal bit for bit.  Real points equal the
-    complex reference loop bit for bit, with zero imaginary parts; cut points
-    lie within `cut_bound` of the long-double recursion."""
-    V = np.asarray(V, float)
-    zeta = np.atleast_1d(np.asarray(zeta, complex))
-    two_z = np.broadcast_to(np.asarray(two_z, complex), zeta.shape)
-    omega = _kernels.jost_function_values(V, zeta, two_z)
-    omega_too, rows = _kernels.jost_scaled(V, zeta, two_z, n_keep)
-    assert omega.dtype == omega_too.dtype == rows.dtype == np.complex128
-    assert rows.shape == (n_keep + 2, len(zeta))
+def assert_forms_match_reference(V, x, n_keep):
+    """Every kernel form on the points x, real z or zeta on the unit circle:
+    Omega alone and Omega with the rows zeta theta(n) for n = -1..n_keep, the
+    two forms equal bit for bit, float64 for real x and complex128 for
+    complex x.  Real points equal the complex reference loop bit for bit,
+    with zero imaginary parts; cut points lie within `cut_bound` of the
+    long-double recursion."""
+    V, x = np.asarray(V, float), np.atleast_1d(x)
+    omega = _kernels.jost_function_values(V, x)
+    omega_too, rows = _kernels.jost_scaled(V, x, n_keep)
+    kind = np.complex128 if np.iscomplexobj(x) else np.float64
+    assert omega.dtype == omega_too.dtype == rows.dtype == kind
+    assert rows.shape == (n_keep + 2, len(x))
     assert np.array_equal(omega, omega_too) and np.array_equal(rows[0], omega)
-    if np.all(zeta.imag == 0.0):
+    if kind is np.float64:
+        zeta, two_z = zeta_and_two_z(x)
         ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)[:n_keep + 2]
         assert np.all(ref.imag == 0.0) and np.array_equal(omega, ref[0])
-        assert np.array_equal(rows, ref * kept_powers(zeta.real, n_keep + 2))
+        assert np.array_equal(rows, ref * kept_powers(zeta, n_keep + 2))
     else:
-        ref, scale = long_double_rows(V, zeta, two_z, n_keep)
+        ref, scale = long_double_rows(V, x, n_keep)
         err = np.max(np.abs(rows - ref.astype(complex)), axis=0)
         assert np.all(err <= cut_bound(V, n_keep, scale)), np.max(err / scale.astype(float))
 
 
-def long_double_deviations(V, zeta, two_z):
-    """The per-site max over the points of |t(n) - 1| for n = 0..L-2 by the
-    long-double recursion, and `decay_bound` of its rows."""
-    t = long_double_t(V, zeta, two_z)
+def long_double_deviations(V, zeta):
+    """The per-site max over the points zeta of |t(n) - 1| for n = 0..L-2 by
+    the long-double recursion, and `decay_bound` of its rows."""
+    t = long_double_t(V, *zeta_and_two_z(np.asarray(zeta, complex)))
     return np.max(np.abs(t[1:len(V)] - 1), axis=1, initial=0.0), decay_bound(V, t)
 
 
-def assert_deviations_match_reference(V, zeta, two_z):
+def assert_deviations_match_reference(V, zeta):
     """The compiled per-site max over the points of |t(n) - 1|, for points
     on the unit circle, lies within `decay_bound` of the long-double one."""
     V = np.asarray(V, float)
-    ref, bound = long_double_deviations(V, zeta, two_z)
-    dev = _kernels._deviations(V, zeta, two_z)
+    ref, bound = long_double_deviations(V, zeta)
+    dev = _kernels._deviations(V, zeta)
     assert dev.shape == ref.shape
     err = np.abs(dev - ref.astype(float))
     assert np.all(err <= bound), (np.max(err), bound)
@@ -143,13 +155,13 @@ class TestJostFunction:
         # thresholds, where the error grows like L^2 eps
         V = KERNEL_POTENTIALS[name].values
         th = np.r_[1e-8, (np.arange(64) + 0.5) * np.pi / 64, np.pi - 1e-6]
-        assert_forms_match_reference(V, np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 6)
+        assert_forms_match_reference(V, np.exp(-1j * th), 6)
 
     def test_long_table_within_bound(self):
         # 11,066 sites; near the thresholds the error reaches 1e-9 relative
         V = hl.random_decaying(3, rho_gen=4.0).values
         th = np.r_[7.5e-9, 1e-5, (np.arange(16) + 0.5) * np.pi / 16, np.pi - 1e-6]
-        assert_forms_match_reference(V, np.exp(-1j * th), 2.0 * np.cos(th) + 0j, 9)
+        assert_forms_match_reference(V, np.exp(-1j * th), 9)
 
     def test_power_within_few_ulps(self):
         # the scale zeta^L of the cut lanes, which they leave in the lane
@@ -172,29 +184,39 @@ class TestJostFunction:
         exact = np.array([1.0, -1.0, 1j, -1j])
         assert np.array_equal(power(exact, 7), exact ** 7)
 
-    @pytest.mark.parametrize("zeta, two_z", [
-        (np.array([0.5 + 0.5j]), np.array([1.0])),              # inside the circle
-        (np.array([1.5j]), np.array([0.0])),                    # outside
-        (np.exp(-1j * np.array([0.2, 0.4])), np.array([2.0 * np.cos(0.2), 1.0 + 1e-3j])),
-        (np.array([0.5, np.exp(-0.3j), 0.9 + 0.1j]), np.array([2.5, 2.0 * np.cos(0.3), 2.0])),
-        (np.array([0.5, np.exp(-0.3j)]), np.array([2.5, 2.0 * np.cos(0.3)])),
-    ], ids=["inside", "outside", "complex_two_z", "one_of_three", "real_beside_cut"])
-    def test_points_not_of_one_kind_refused(self, zeta, two_z):
+    @pytest.mark.parametrize("x", [
+        np.array([0.5 + 0.5j]),                                 # inside the circle
+        np.array([1.5j]),                                       # outside
+        np.array([np.exp(-0.3j), 0.9 + 0.1j, -1.0 + 0j]),
+        np.array([0.5]),                                        # inside the band
+        np.array([2.0, np.nextafter(-1.0, 0.0)]),
+        np.array([np.inf]),
+        np.array([1.5, -np.inf]),
+        np.array([np.nan, 2.0]),
+        np.array([1e308]),                                      # 2z overflows
+    ], ids=["inside", "outside", "one_of_three", "real_in_band", "real_beside_threshold",
+            "real_inf", "real_minus_inf", "real_nan", "real_two_z_overflows"])
+    def test_points_outside_their_domain_refused(self, x):
+        # real z needs |z| >= 1 and 2z finite; complex zeta needs
+        # |zeta| = 1, checked in the compiled step
         V = KERNEL_POTENTIALS["two_site"].values
-        for form in (lambda: _kernels.jost_function_values(V, zeta, two_z),
-                     lambda: _kernels.jost_scaled(V, zeta, two_z, 3)):
-            with pytest.raises(ValueError, match="all real, or all on"):
+        message = "on |zeta| = 1" if np.iscomplexobj(x) else "|z| >= 1 and 2z finite"
+        forms = [lambda: _kernels.jost_function_values(V, x),
+                 lambda: _kernels.jost_scaled(V, x, 3)]
+        if np.iscomplexobj(x):
+            forms.append(lambda: _kernels.decay_scan(V, x, np.ones(2), 3.0))
+        for form in forms:
+            with pytest.raises(ValueError, match=re.escape(message)):
                 form()
 
     def test_split_grid_matches_whole(self, split_all):
         # halves stepped by this thread and by a worker thread
         p = KERNEL_POTENTIALS["short_random"]
         th = (np.arange(65) + 0.5) * np.pi / 65
-        zeta, two_z = np.exp(-1j * th), 2.0 * np.cos(th) + 0j
-        z = 1.0 + np.geomspace(2.0, 1e-9, 33)
-        forms = (lambda: _kernels.jost_function_values(p.values, zeta, two_z),
-                 lambda: _kernels.jost_function_values(p.values, off_axis_zeta(z), 2.0 * z),
-                 lambda: _kernels.jost_scaled(p.values, zeta, two_z, 9)[1],
+        zeta, z = np.exp(-1j * th), 1.0 + np.geomspace(2.0, 1e-9, 33)
+        forms = (lambda: _kernels.jost_function_values(p.values, zeta),
+                 lambda: _kernels.jost_function_values(p.values, z),
+                 lambda: _kernels.jost_scaled(p.values, zeta, 9)[1],
                  lambda: hl.decay_scan(p, 65))
         split = [form() for form in forms]
         split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
@@ -244,9 +266,8 @@ class TestJostFunction:
         single = [hl.jost_function(p, hl.SpectralPoint(lam, th, complex(z)))
                   for lam, th, z in zip(d.lam, d.theta, d.zeta)]
         assert np.array_equal(single, d.omega)
-        for k, (lam, z) in enumerate(zip(d.lam, d.zeta)):
-            _, rows = _kernels.jost_scaled(p.values, np.array([z]), np.array([2.0 * lam + 0j]),
-                                           g.n_site - 1)
+        for k, z in enumerate(d.zeta):
+            _, rows = _kernels.jost_scaled(p.values, np.array([z]), g.n_site - 1)
             assert np.array_equal(rows[:, 0], d.jost_rows[:, k]), k
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
@@ -255,11 +276,10 @@ class TestJostFunction:
         # batch of real input; both equal the complex loop
         p = KERNEL_POTENTIALS[name]
         z = np.array([1.0, -1.0, 1.0 + 1e-9, 1.3, 4.0, -1.0 - 1e-9, -1.7, -4.0])
-        zeta = off_axis_zeta(z)
-        ref = reference_jost_rows(p.values, zeta, 2.0 * z)[0]
+        ref = reference_jost_rows(p.values, off_axis_zeta(z), 2.0 * z)[0]
         assert np.all(ref.imag == 0.0)
-        batch = _kernels.jost_function_values(p.values, zeta, 2.0 * z)
-        assert batch.dtype == np.complex128
+        batch = _kernels.jost_function_values(p.values, z)
+        assert batch.dtype == np.float64
         assert np.array_equal(batch, ref)
         points = [hl.SpectralPoint.threshold(+1), hl.SpectralPoint.threshold(-1)]
         points += [hl.OffAxisPoint.from_z(x) for x in z[2:]]
@@ -283,12 +303,14 @@ class TestStepBlocks:
 
     @staticmethod
     def points(n, real):
+        """n points: real z, on both off-axis sides and at both thresholds,
+        or zeta on the cut."""
         th = (np.arange(n) + 0.5) * np.pi / n
-        if real:        # both off-axis sides and both thresholds
+        if real:
             z = np.where(np.arange(n) % 2, -1.0, 1.0) * (1.0 + np.tan(th / 2.0) ** 2)
             z[:2] = [1.0, -1.0][:n]
-            return off_axis_zeta(z), 2.0 * z
-        return np.exp(-1j * th), 2.0 * np.cos(th) + 0j
+            return z
+        return np.exp(-1j * th)
 
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
     @pytest.mark.parametrize("real", [False, True], ids=["cut", "real"])
@@ -297,63 +319,59 @@ class TestStepBlocks:
         if split:
             request.getfixturevalue("split_all")
         V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
-        zeta, two_z = self.points(n, real)
+        x = self.points(n, real)
         for n_keep in (6, -1, len(V) - 1, len(V) + 4):
-            assert_forms_match_reference(V, zeta, two_z, n_keep)
+            assert_forms_match_reference(V, x, n_keep)
 
     @pytest.mark.parametrize("values", [[], [0.75], [0.3, -0.2], [0.5, 0.0, -1.25]],
                              ids=["empty", "one_site", "two_sites", "three_sites"])
     def test_short_tables(self, values):
         for real in (False, True):
             for n in (1, 2, 17):
-                zeta, two_z = self.points(n, real)
-                assert_forms_match_reference(np.asarray(values, float), zeta, two_z, 3)
+                assert_forms_match_reference(np.asarray(values, float), self.points(n, real), 3)
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_deviations_equal_reference(self, n):
         # whole and at sub-ranges of the points, cut points alone and with
         # both thresholds, as the decay scan steps them
         V = KERNEL_POTENTIALS["short_random"].values[:48 if n > 100 else None]
-        zeta, two_z = self.points(n, False)
-        for zeta, two_z in ((zeta, two_z), (np.r_[zeta, 1.0, -1.0], np.r_[two_z, 2.0, -2.0])):
+        zeta = self.points(n, False)
+        for zeta in (zeta, np.r_[zeta, 1.0, -1.0]):
             n = len(zeta)
             for lo, hi in ((0, n), (0, (n + 1) // 2), (n // 2, n), (min(3, n - 1), min(40, n))):
-                assert_deviations_match_reference(V, zeta[lo:hi], two_z[lo:hi])
+                assert_deviations_match_reference(V, zeta[lo:hi])
 
-    @pytest.mark.parametrize("V, zeta, two_z, first", [
+    @pytest.mark.parametrize("V, zeta, first", [
         # each point twice, in one block and across blocks
         (KERNEL_POTENTIALS["short_random"].values, np.tile(np.exp(-0.3j * np.arange(7)), 5),
-         np.tile(2.0 * np.cos(0.3 * np.arange(7)), 5), None),
+         None),
         # deviations of about 2 x: the squares stay finite up to x = 1e150,
         # and the square of 1e160 overflows
-        *[(np.r_[np.zeros(20), x], np.exp(-1j * np.linspace(0.1, 3.0, 33)),
-           2.0 * np.cos(np.linspace(0.1, 3.0, 33)), first)
+        *[(np.r_[np.zeros(20), x], np.exp(-1j * np.linspace(0.1, 3.0, 33)), first)
           for x, first in ((1e140, None), (1e150, None), (1e160, np.inf))],
         # real points off the unit circle
-        (np.full(70, 1e5), np.array([1.5, 0.5]), np.array([1.5 + 1 / 1.5, 0.5 + 1 / 0.5]),
-         ValueError),
+        (np.full(70, 1e5), np.array([1.5, 0.5]), ValueError),
         # the recursion overflows to inf, then NaN
-        *[(np.full(k, v), np.exp(-1j * np.linspace(0.1, 3.0, 20)),
-           2.0 * np.cos(np.linspace(0.1, 3.0, 20)), first)
+        *[(np.full(k, v), np.exp(-1j * np.linspace(0.1, 3.0, 20)), first)
           for k, v, first in ((3, 1e155, np.inf), (5, 1e200, np.nan), (200, 1e10, np.nan))],
         # at zeta = -1 the recursion overflows to NaN, at zeta = 1 it stays
         # bounded: NaN beside finite points, in either order
-        (np.ones(600), np.array([-1.0, 1.0]), np.array([-2.0, 2.0]), np.nan),
-        (np.ones(600), np.array([1.0, -1.0, 1.0]), np.array([2.0, -2.0, 2.0]), np.nan),
+        (np.ones(600), np.array([-1.0, 1.0]), np.nan),
+        (np.ones(600), np.array([1.0, -1.0, 1.0]), np.nan),
     ], ids=["ties", "overflow_1e140", "overflow_1e150", "overflow_1e160", "nan_then_inf",
             "inf_1e155", "nan_1e200", "nan_1e10", "nan_then_finite", "finite_then_nan"])
-    def test_deviation_edge_cases(self, V, zeta, two_z, first):
+    def test_deviation_edge_cases(self, V, zeta, first):
         # within the bound, or a typed refusal: the kernel refuses points off
         # the circle, and decay_scan a table whose deviations do not stay
         # finite; at the first site the deviation is inf, or NaN if a point
         # is NaN there
         if first is None:
-            assert_deviations_match_reference(V, zeta, two_z)
+            assert_deviations_match_reference(V, zeta)
         elif first is ValueError:
-            with pytest.raises(ValueError, match="all real, or all on"):
-                _kernels._deviations(V, zeta, two_z)
+            with pytest.raises(ValueError, match=re.escape("on |zeta| = 1")):
+                _kernels._deviations(V, zeta)
         else:
-            dev = _kernels._deviations(V, zeta, two_z)
+            dev = _kernels._deviations(V, zeta)
             assert np.array_equal(dev[:1], [first], equal_nan=True)
             with pytest.raises(hl.NumericsError, match="decay check overflows"):
                 hl.decay_scan(hl.table_potential(V, rho=3.0), len(zeta))
@@ -365,16 +383,16 @@ class TestStepBlocks:
         # for bit the same
         p = hl.random_decaying(3, rho_gen=6.0)
         V = p.values[:110]
-        zeta, two_z = self.points(n, False)
+        zeta = self.points(n, False)
         bounds = np.linspace(1e-3, 0.5, len(V))
-        dev, tol = long_double_deviations(V, zeta, two_z)
+        dev, tol = long_double_deviations(V, zeta)
         dev = dev.astype(float)
-        worst, c_emp = _kernels.decay_scan(V, zeta, two_z, bounds, 3.0)
+        worst, c_emp = _kernels.decay_scan(V, zeta, bounds, 3.0)
         assert worst == pytest.approx(float(np.max(dev - bounds[:len(dev)])), rel=0, abs=tol)
         assert c_emp == pytest.approx(float(np.max(dev * (1.0 + np.arange(len(dev))))),
                                       rel=0, abs=tol * len(dev))
         split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
-        assert _kernels.decay_scan(V, zeta, two_z, bounds, 3.0) == (worst, c_emp)
+        assert _kernels.decay_scan(V, zeta, bounds, 3.0) == (worst, c_emp)
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(-3.0, 3.0), max_size=7),
@@ -383,25 +401,23 @@ class TestStepBlocks:
            angle=st.floats(0.0, 2.0 * np.pi), real=st.booleans(), split=st.booleans(),
            n_keep=st.integers(-1, 9))
     def test_random_tables_and_points(self, values, radii, angle, real, split, n_keep):
-        # real zeta of any radius, bit for bit; zeta on the unit circle with
-        # 2z = 2 cos(angle), within the bound; zeta off the circle, refused
+        # real z = +-(r + 1/r)/2 on both sides, thresholds included, bit for
+        # bit; zeta on the unit circle, within the bound; zeta off the
+        # circle, and real z inside the band, refused
         n = len(radii)
-        angles = angle + np.arange(n) * 2.399963
-        if real:
-            zeta = np.asarray(radii) * np.sign(np.cos(angles))
-            two_z = zeta + 1.0 / zeta
-        else:
-            zeta, two_z = np.exp(1j * angles), 2.0 * np.cos(angles) + 0j
+        angles, radii = angle + np.arange(n) * 2.399963, np.asarray(radii)
+        x = np.sign(np.cos(angles)) * 0.5 * (radii + 1.0 / radii) if real else np.exp(1j * angles)
         with pytest.MonkeyPatch.context() as mp:
             if split:
                 mp.setattr(_kernels, "SPLIT_SITES", 0)
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
-            assert_forms_match_reference(values, zeta, two_z, n_keep)
-            off = (np.asarray(radii) != 1.0) & (zeta.imag != 0.0)
-            if off.any():
+            assert_forms_match_reference(values, x, n_keep)
+            off = radii != 1.0
+            if off.any():       # |z| or |zeta| = min(r, 1/r) < 1
+                shrink = np.where(off, np.minimum(radii, 1.0 / radii), 1.0)
                 with pytest.raises(ValueError):
                     _kernels.jost_function_values(np.asarray(values, float),
-                                                  np.where(off, radii, 1.0) * zeta, two_z)
+                                                  shrink * (np.sign(x) if real else x))
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e200, 1e200)),
@@ -417,22 +433,18 @@ class TestStepBlocks:
         # points off the circle, refused
         n = len(radii)
         angles = angle + np.arange(n) * 2.399963
-        if real:
-            zeta = np.asarray(radii) * np.sign(np.cos(angles))
-            two_z = zeta + 1.0 / zeta
-        else:
-            zeta, two_z = np.asarray(radii) * np.exp(1j * angles), 2.0 * np.cos(angles)
-        zeta, two_z = np.tile(zeta, copies), np.tile(two_z, copies)
+        unit = np.sign(np.cos(angles)) + 0j if real else np.exp(1j * angles)
+        zeta = np.tile(np.asarray(radii) * unit, copies)
         with pytest.MonkeyPatch.context() as mp:
             if split:
                 mp.setattr(_kernels, "SPLIT_SITES", 0)
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
             if any(r != 1.0 for r in radii):
-                with pytest.raises(ValueError, match="all real, or all on"):
-                    _kernels._deviations(values, zeta, two_z)
+                with pytest.raises(ValueError, match=re.escape("on |zeta| = 1")):
+                    _kernels._deviations(values, zeta)
                 return
-            dev = _kernels._deviations(values, zeta, two_z)
-        t = long_double_t(values, zeta, two_z)
+            dev = _kernels._deviations(values, zeta)
+        t = long_double_t(values, *zeta_and_two_z(zeta))
         finite = np.isfinite(dev)
         assert np.all(finite) or np.max(np.abs(t)) > 1e150
         with np.errstate(all="ignore"):     # rows past the double range
@@ -498,7 +510,7 @@ class TestOneRecursionPerGrid:
     def test_omega_is_row_zero(self, grid_pair):
         p, _, ds = grid_pair
         for d in ds:
-            direct = _kernels.jost_function_values(p.values, d.zeta, 2.0 * d.lam + 0j)
+            direct = _kernels.jost_function_values(p.values, d.zeta)
             assert np.array_equal(d.omega, direct)
             assert np.array_equal(d.jost_rows[0], direct)
 
@@ -506,11 +518,11 @@ class TestOneRecursionPerGrid:
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
             assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
-            args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
+            args = (p.values, d.zeta, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
         monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)     # halves, one on a worker thread
         for g, d in zip(grids, ds):
-            args = (p.values, d.zeta, 2.0 * d.lam + 0j, g.n_site - 1)
+            args = (p.values, d.zeta, g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
     def test_second_grid_reuse_equals_fresh_build(self, grid_pair):

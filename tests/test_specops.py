@@ -263,8 +263,7 @@ class TestCorrectionOperator:
     def test_kept_rows_equal_fresh_recursion(self, p, grid_default, scatter_cache):
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
-        fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, 2.0 * d.lam + 0j,
-                                                          n - 1)[1])
+        fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, n - 1)[1])
         assert np.array_equal(d.jost_rows[:n + 1], fresh.jost_rows)
         grid = hl.quadrature_grid(512, n)
         assert np.array_equal(hl.correction_operator(d, grid),
