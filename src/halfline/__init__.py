@@ -15,7 +15,7 @@ from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
 from .solutions import (DecayReport, SolutionSequence, decay_scan, jost_solution,
                         regular_solution, volterra_jost)
 from .scattering import (ScatteringData, bound_states, classify_thresholds,
-                         edge_beta, eta_endpoints, jost_function, levinson_residual,
+                         eta_endpoints, jost_function, levinson_residual,
                          scattering_grid, scattering_grids, wronskian)
 from .specops import (QuadratureGrid, completeness_defect, correction_operator,
                       cos_sin_coupling, jost_transform, quadrature_grid,

@@ -13,6 +13,7 @@ Exit codes: 0 pass, 2 config error, 3 decay assumption violated,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -38,11 +39,13 @@ GATES = {
     "wave_rank_fraction": 1.0 / 8.0,        # rank(0.1) <= n_site/8
 }
 
-_GRID_KEYS = {"m_theta", "n_site", "n_tail", "beta_max", "m_beta", "z_max",
-              "n_edge", "alpha_max"}
-_TOL_KEYS = {"threshold", "root", "winding"}
 _OUT_KEYS = {"directory", "formats"}
-_POT_KEYS = {"kind", "v0", "site", "rho", "values", "seed", "rho_gen", "amplitude"}
+
+#: config key -> GridSpec field in the grids and tolerances blocks: each
+#: tol_x field of GridSpec is the tolerance x, and every other is a grid key
+_GRID_FIELDS = {block: {f.name.removeprefix("tol_"): f.name for f in dataclasses.fields(GridSpec)
+                        if f.name.startswith("tol_") == (block == "tolerances")}
+                for block in ("grids", "tolerances")}
 
 
 def _config_block(block, allowed: set, where: str) -> dict:
@@ -69,16 +72,14 @@ def load_config(path: str):
     _config_block(raw, {"potential", "grids", "tolerances", "outputs"}, "config")
     if raw.get("potential") is None:
         raise ConfigError("config needs a potential block")
-    pot_block = _config_block(raw["potential"], _POT_KEYS, "potential")
-    grids = _config_block(raw.get("grids", {}), _GRID_KEYS, "grids")
-    tols = _config_block(raw.get("tolerances", {}), _TOL_KEYS, "tolerances")
+    blocks = {name: _config_block(raw.get(name, {}), set(keys), name)
+              for name, keys in _GRID_FIELDS.items()}
     outputs = _config_block(raw.get("outputs", {}), _OUT_KEYS, "outputs")
 
-    potential = make_potential(pot_block)
-    g = GridSpec(**grids,
-                 tol_threshold=tols.get("threshold", 1e-3),
-                 tol_root=tols.get("root", 1e-10),
-                 tol_winding=tols.get("winding", 0.05))
+    # make_potential refuses a block that is no object or has an unknown key
+    potential = make_potential(raw["potential"])
+    g = GridSpec(**{_GRID_FIELDS[name][k]: v for name, block in blocks.items()
+                    for k, v in block.items()})
     out_dir = outputs.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("outputs.directory must be a string")
@@ -90,10 +91,9 @@ def load_config(path: str):
         raise ConfigError(f"unknown output formats: {sorted(bad)}")
 
     normalized = {
-        "potential": pot_block,
-        "grids": {k: getattr(g, k) for k in sorted(_GRID_KEYS)},
-        "tolerances": {"threshold": g.tol_threshold, "root": g.tol_root,
-                       "winding": g.tol_winding},
+        "potential": dict(raw["potential"]),
+        **{name: {k: getattr(g, f) for k, f in keys.items()}
+           for name, keys in _GRID_FIELDS.items()},
         "outputs": {"directory": out_dir, "formats": sorted(formats)},
     }
     blob = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
@@ -251,7 +251,7 @@ def cmd_winding(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    curve = assemble_boundary(d)
+    curve = assemble_boundary(d, g)
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     ph = np.unwrap(np.angle(curve.points))
     rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,

@@ -253,7 +253,6 @@ class GridSpec:
 
     m_theta: int = 512
     n_site: int = 128
-    n_tail: int | None = None
     beta_max: float = 12.0
     m_beta: int = 1024
     z_max: float | None = None
@@ -264,15 +263,19 @@ class GridSpec:
     tol_winding: float = 0.05
 
     def __post_init__(self):
-        for name in ("m_theta", "n_site", "m_beta", "n_edge", "n_tail"):
+        for name in ("m_theta", "n_site", "m_beta", "n_edge"):
             v = getattr(self, name)
-            if not (name == "n_tail" and v is None) and not _is_int(v):
+            if not _is_int(v):
                 raise ConfigError(f"{name} must be an integer, not {v!r}")
         for name, low in (("beta_max", 0), ("alpha_max", 0), ("z_max", 1), ("tol_threshold", 0),
                           ("tol_root", 0), ("tol_winding", 0)):
             v = getattr(self, name)
             if not (name == "z_max" and v is None) and not (_is_real(v) and v > low):
                 raise ConfigError(f"{name} must be a finite real number above {low}, not {v!r}")
+        # the beta grid spans 2 beta_max and the scattering edge 4 alpha_max
+        for name, span in (("beta_max", 2.0), ("alpha_max", 4.0)):
+            if not math.isfinite(span * getattr(self, name)):
+                raise ConfigError(f"{name} overflows the span {span:g} {name} of its grid")
         # the operator checks read an n_site/2 block; an edge needs two ends
         if self.n_site < 2 or self.n_edge < 2:
             raise ConfigError("n_site and n_edge must be at least 2")
@@ -280,8 +283,6 @@ class GridSpec:
             raise ConfigError("m_beta must be positive")
         if self.m_theta < 2 * self.n_site:
             raise ConfigError("m_theta must be at least 2 * n_site")
-        if self.n_tail is not None and self.n_tail < self.n_site:
-            raise ConfigError("n_tail must be at least n_site")
         if self.m_beta % 2 != 0:
             raise ConfigError("m_beta must be even")
 

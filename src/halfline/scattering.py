@@ -64,9 +64,7 @@ class ScatteringData:
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the Jost values zeta theta(n) = zeta^(n+1) t(n) on the grid for
-    n = -1..n_site-1, row index n + 1; omega is its row 0.  edge_beta is
-    where `assemble_boundary` samples the scattering edge of the boundary
-    symbol: `edge_beta` of the grid's n_edge and alpha_max.
+    n = -1..n_site-1, row index n + 1; omega is its row 0.
     """
 
     potential: Potential
@@ -78,7 +76,6 @@ class ScatteringData:
     amplitude: np.ndarray
     eta: np.ndarray
     smatrix: np.ndarray
-    edge_beta: np.ndarray
     omega_minus: float
     omega_plus: float
     delta_minus: float
@@ -196,13 +193,6 @@ def _omega_off_axis(p: Potential, z) -> np.ndarray:
     return _kernels.jost_function_values(p.values, z)
 
 
-def edge_beta(g: GridSpec) -> np.ndarray:
-    """The n_edge values of beta, from 2 alpha_max down to -2 alpha_max, at
-    which the scattering edge of the boundary symbol samples s(tanh beta)."""
-    bmax = 2.0 * g.alpha_max
-    return np.linspace(bmax, -bmax, g.n_edge)
-
-
 def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
     m_thetas points, each with g's other settings.
@@ -230,9 +220,8 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
                             amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
     dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
     roots, count = bound_states(p, g, z_max)
-    beta = edge_beta(g)
     return [ScatteringData(
-        potential=p, **fields_, edge_beta=beta, omega_minus=om_m, omega_plus=om_p,
+        potential=p, **fields_, omega_minus=om_m, omega_plus=om_p,
         delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
         bound_states=roots, count_n=count) for fields_ in on_grid]
 

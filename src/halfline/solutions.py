@@ -49,22 +49,20 @@ def regular_solution(p: Potential, point, n_max: int) -> SolutionSequence:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     two_z = np.array([point.two_z])
+    if not np.isfinite(two_z[0]):           # refused as the Jost kernels refuse it
+        raise ValueError(f"2z must be finite, not {point.two_z}")
     vals = _kernels.regular_values(p.values, two_z, n_max)[:, 0]
     return SolutionSequence(kind=_kind("regular", p), point=point,
                             values=vals.astype(complex), potential=p)
 
 
-def jost_solution(p: Potential, point, n_max: int,
-                  n_tail: int | None = None) -> SolutionSequence:
-    """Jost solution on n = -1..n_max by the scaled backward recursion.
-
-    The potential must vanish from the tail start onward; `n_tail` may name
-    the intended tail and is rejected if the support sticks out of it.
-    """
+def jost_solution(p: Potential, point, n_max: int) -> SolutionSequence:
+    """Jost solution on n = -1..n_max by the scaled backward recursion, which
+    starts from the exact free tail past the table."""
     if isinstance(point, SpectralPoint) and point.is_threshold:
         raise ValueError("lambda = +-1 is a threshold: Omega(+-1) comes from "
                          "classify_thresholds")
-    return _jost_sequence(p, point, n_max, n_tail)
+    return _jost_sequence(p, point, n_max)
 
 
 def jost_coordinate(point):
@@ -75,10 +73,7 @@ def jost_coordinate(point):
     return point.zeta if point.zeta.imag else point.lam
 
 
-def _jost_sequence(p: Potential, point, n_max: int, n_tail: int | None) -> SolutionSequence:
-    if n_tail is not None and p.support_end > n_tail:
-        raise NumericsError(
-            f"tail not free: support runs to {p.support_end}, tail starts at {n_tail}")
+def _jost_sequence(p: Potential, point, n_max: int) -> SolutionSequence:
     rows = _kernels.jost_scaled(p.values, jost_coordinate(point), n_max)[1][:, 0]
     return SolutionSequence(kind=_kind("jost", p), point=point,
                             values=rows / complex(point.zeta), potential=p)

@@ -65,7 +65,7 @@ class BoundaryCurve:
         raise IndexError(i)
 
 
-def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
+def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
     """Concatenate the four edges into one closed curve.
 
     Traversal: the scattering edge from beta = +inf down to -inf, then
@@ -78,15 +78,14 @@ def assemble_boundary(d: ScatteringData) -> BoundaryCurve:
     slope, while the Gamma profiles saturate like e^(-pi alpha).
 
     The scattering edge steps Omega of d.potential at theta = 2 atan(e^(-beta))
-    for beta in d.edge_beta; n_edge and 2 alpha_max are its length and first
-    point (exact: linspace keeps its endpoints).  Its turn, the sum of its
-    phase steps, is checked against the cut grid's (eta(+1) - eta(-1))/pi:
-    an edge too coarse to follow the phase can lose a whole turn without any
-    large sampled jump.
+    for g.n_edge values of beta from 2 g.alpha_max down to -2 g.alpha_max.
+    Its turn, the sum of its phase steps, is checked against the cut grid's
+    (eta(+1) - eta(-1))/pi: an edge too coarse to follow the phase can lose a
+    whole turn without any large sampled jump.
     """
-    beta = d.edge_beta
-    n_edge, bmax = len(beta), float(beta[0])
-    amax = bmax / 2.0
+    n_edge, amax = g.n_edge, float(g.alpha_max)
+    bmax = 2.0 * amax
+    beta = np.linspace(bmax, -bmax, n_edge)
     sp, sm = d.s_plus, d.s_minus
     theta = 2.0 * np.arctan(np.exp(-beta))
     omega = _kernels.jost_function_values(d.potential.values, np.exp(-1j * theta))
@@ -174,6 +173,6 @@ def winding_number(curve: BoundaryCurve, tol_winding: float = 0.05,
 
 def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingReport:
     """Assemble the boundary curve and compare its winding with the
-    bound-state count.  p is not read: the boundary comes from d alone."""
-    curve = assemble_boundary(d)
+    bound-state count.  p is not read: the boundary comes from d and g."""
+    curve = assemble_boundary(d, g)
     return winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -56,10 +57,11 @@ class TestValidate:
         path.write_text(json.dumps({"potential": {"kind": "zero"}, "grid": {}}))
         assert main(["validate", str(path)]) == 2
 
-    def test_unknown_potential_key_exit_2(self, tmp_path):
+    def test_unknown_potential_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.5, "rho": 3.0,
                                    "weird": 1})
         assert main(["validate", str(cfg)]) == 2
+        assert "bad potential parameters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grids", [
         {"n_edge": 0}, {"n_edge": 1}, {"n_site": 0}, {"n_site": 1}, {"m_beta": 0},
@@ -94,16 +96,54 @@ class TestValidate:
         ({"z_max": "3"}, {}), ({"z_max": 1.0}, {}), ({"z_max": float("nan")}, {}),
         ({}, {"root": float("nan")}), ({"beta_max": float("nan")}, {}),
         ({"beta_max": float("inf")}, {}), ({"alpha_max": True}, {}),
+        ({"alpha_max": 4.5e307}, {}), ({"alpha_max": 1e308}, {}),
+        ({"beta_max": 9e307}, {}), ({"beta_max": 1e308}, {}),
     ])
     def test_bad_grid_float_exit_2(self, tmp_path, grids, tols):
         # window widths, z_max and tolerances must be finite real numbers,
-        # z_max above 1; each of these crashed or ran through a later stage
+        # z_max above 1; each of these crashed or ran through a later stage.
+        # The sample grids span 4 alpha_max and 2 beta_max, which must be
+        # finite too: these widths gave a NaN edge or an SVD that did not converge
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
             "grids": {"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024, **grids},
             "tolerances": tols, "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["validate", str(cfg)]) == 2
+
+    def test_block_keys_are_gridspec_fields(self, tmp_path, capsys):
+        # every GridSpec field is a key of its block, each tol_x field the
+        # tolerance x, and the normalized config echoes the value given
+        grids = {"m_theta": 300, "n_site": 70, "beta_max": 11.0, "m_beta": 510,
+                 "z_max": 4.0, "n_edge": 1000, "alpha_max": 10.0}
+        tols = {"threshold": 2e-3, "root": 1e-11, "winding": 0.04}
+        fields = {f.name for f in dataclasses.fields(halfline.GridSpec)}
+        assert fields == set(grids) | {"tol_" + k for k in tols}
+        cfg = write_cfg(tmp_path, {"kind": "zero"}, grids=grids, tolerances=tols)
+        assert main(["validate", str(cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["grids"], out["tolerances"]) == (grids, tols)
+        assert load_config(str(cfg))[1] == halfline.GridSpec(
+            **grids, **{"tol_" + k: v for k, v in tols.items()})
+
+    @pytest.mark.parametrize("grids,tols", [
+        ({"tol_root": 1e-10}, {}), ({}, {"m_theta": 256}), ({"n_tail": 64}, {}),
+    ], ids=["tol_root_in_grids", "m_theta_in_tolerances", "n_tail"])
+    def test_key_outside_its_block_exit_2(self, tmp_path, capsys, grids, tols):
+        cfg = write_cfg(tmp_path, {"kind": "zero"}, grids={"m_theta": 256, **grids},
+                        tolerances=tols)
+        assert main(["validate", str(cfg)]) == 2
+        assert "unknown keys in" in capsys.readouterr().err
+
+    def test_config_hash_pinned(self, tmp_path, capsys):
+        # a change to the normalized config, and so to every hash, is deliberate
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+            "grids": {"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024},
+            "outputs": {"directory": "out"}}))
+        assert main(["validate", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["config_hash"] == "f5f4f16fae96ec28"
 
     @pytest.mark.parametrize("potential,code", [
         ({"kind": "random_decaying", "seed": 0, "rho_gen": 0}, 3),

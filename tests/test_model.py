@@ -212,8 +212,6 @@ class TestGridSpec:
         with pytest.raises(hl.ConfigError):
             hl.GridSpec(m_theta=100, n_site=64)
         with pytest.raises(hl.ConfigError):
-            hl.GridSpec(n_tail=10)
-        with pytest.raises(hl.ConfigError):
             hl.GridSpec(tol_root=0.0)
 
     def test_default_z_max(self):

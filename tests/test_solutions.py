@@ -18,7 +18,7 @@ def free_regular(n, point):
 
 def jost_at_threshold(p, sign, n_max):
     """Threshold Jost solution, tail (+-1)^n, by the backward recursion."""
-    return solutions._jost_sequence(p, hl.SpectralPoint.threshold(sign), n_max, None)
+    return solutions._jost_sequence(p, hl.SpectralPoint.threshold(sign), n_max)
 
 
 def seq_values(seq, n_from, n_to):
@@ -55,6 +55,18 @@ class TestRegularSolution:
             for pt in (hl.SpectralPoint.from_lambda(0.3), hl.OffAxisPoint.from_z(1.7)):
                 seq = hl.regular_solution(p, pt, 40)
                 assert recurrence_residual(seq) < 1e-12
+
+    @pytest.mark.parametrize("z", [1e308, -1.7e308])
+    def test_infinite_two_z_refused(self, z):
+        # 2z overflows: the recursion gave [0, 1, inf+nanj, nan+nanj, ...] and
+        # a RuntimeWarning; the Jost kernels refuse the same point
+        pt = hl.OffAxisPoint.from_z(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2z must be finite"):
+                hl.regular_solution(hl.rank_one(0.75), pt, 3)
+        with pytest.raises(ValueError, match="2z finite"):
+            hl.jost_solution(hl.rank_one(0.75), pt, 3)
 
 
 class TestFreeRegular:
@@ -93,11 +105,6 @@ class TestJostSolution:
             assert seq.value(-1) == pytest.approx(1.0 / zeta - 2.0 * v0, rel=1e-13)
             n = np.arange(0, 6)
             assert np.allclose(seq_values(seq, 0, 5), np.asarray(zeta) ** n, rtol=1e-13)
-
-    def test_tail_not_free_guard(self):
-        p = hl.table_potential(np.ones(30) * 0.01, rho=3.0)
-        with pytest.raises(hl.NumericsError, match="tail not free"):
-            hl.jost_solution(p, hl.SpectralPoint.from_lambda(0.2), 5, n_tail=10)
 
     def test_threshold_routed_elsewhere(self):
         with pytest.raises(ValueError):

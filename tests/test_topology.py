@@ -40,7 +40,7 @@ class TestBoundaryAssembly:
     def test_free_curve_is_constant(self, scatter_cache):
         g = small_grid()
         p = hl.zero_potential()
-        curve = hl.assemble_boundary(scatter_cache(p, g))
+        curve = hl.assemble_boundary(scatter_cache(p, g), g)
         assert np.max(np.abs(curve.points - 1.0)) < 1e-12
         assert curve.min_abs > 1 - 1e-12
 
@@ -48,7 +48,7 @@ class TestBoundaryAssembly:
         g = small_grid()
         p = hl.rank_one(0.5)
         d = scatter_cache(p, g)
-        curve = hl.assemble_boundary(d)
+        curve = hl.assemble_boundary(d, g)
         sl = curve.edge_slices["scattering"]
         assert curve.points[sl.start] == d.s_plus
         assert curve.points[sl.stop - 1] == d.s_minus
@@ -57,7 +57,7 @@ class TestBoundaryAssembly:
         for v0 in (0.5, 0.75, 1.5):
             g = small_grid()
             p = hl.rank_one(v0)
-            curve = hl.assemble_boundary(scatter_cache(p, g))
+            curve = hl.assemble_boundary(scatter_cache(p, g), g)
             assert curve.min_abs > 1e-3
 
 
