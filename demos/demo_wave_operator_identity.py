@@ -17,7 +17,7 @@ ds = hl.scattering_grids(p, g, m_thetas)    # one bound-state search for the thr
 d = ds[1]                                   # the data on g
 grid = hl.quadrature_grid(g.m_theta, g.n_site)
 
-W = hl.wave_operator(d, grid)
+W = hl.wave_operator(d, grid, g.tol_threshold)
 print("wave operator W_- on", W.shape, "sites")
 print("  isometry defect  |W*W - 1| :", f"{hl.wave_isometry_defect(W):.3e}")
 print("  completeness     |WW* - (1-P_b)| :",
@@ -26,7 +26,7 @@ print("  completeness     |WW* - (1-P_b)| :",
 print("\nidentity residual under refinement:")
 for m, dm in zip(m_thetas, ds):
     gridm = hl.quadrature_grid(m, g.n_site)
-    r = hl.wave_identity_residual(dm, gridm, hl.wave_operator(dm, gridm))
+    r = hl.wave_identity_residual(dm, gridm, hl.wave_operator(dm, gridm, g.tol_threshold))
     print(f"  m_theta = {m:5d}: {r:.3e}")
 
 K = hl.correction_operator(d, grid)
@@ -42,5 +42,5 @@ nb = g.n_site // 2
 print("\nscattering operator:")
 print("  |[S, H0]| interior:", f"{np.max(np.abs((S @ H0 - H0 @ S)[:nb, :nb])):.3e}")
 print("  |S - W_+^* W_-| interior:",
-      f"""{np.max(np.abs((S - hl.wave_operator(d, grid, sign=+1).conj().T
+      f"""{np.max(np.abs((S - hl.wave_operator(d, grid, g.tol_threshold, sign=+1).conj().T
                          @ W)[:nb, :nb])):.3e}""")

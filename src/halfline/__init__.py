@@ -8,15 +8,12 @@ winding-number version of Levinson's theorem.
 
 from .errors import (AssumptionError, CheckFailure, ConfigError, HalflineError,
                      NumericsError)
-from .model import (GridSpec, OffAxisPoint, Potential, SpectralPoint,
-                    TridiagonalTruncation, hamiltonian_truncation, make_potential,
-                    random_decaying, rank_one, table_potential, theta_midpoints,
-                    zero_potential)
-from .solutions import (DecayReport, SolutionSequence, decay_scan, jost_solution,
-                        regular_solution, volterra_jost)
-from .scattering import (ScatteringData, bound_states, classify_thresholds,
-                         eta_endpoints, jost_function, levinson_residual,
-                         scattering_grid, scattering_grids, wronskian)
+from .model import (GridSpec, Potential, TridiagonalTruncation, hamiltonian_truncation,
+                    make_potential, random_decaying, rank_one, table_potential,
+                    theta_midpoints, zero_potential)
+from .solutions import DecayReport, decay_scan, jost_solution, regular_solution, volterra_jost
+from .scattering import (ScatteringData, bound_states, classify_thresholds, eta_endpoints,
+                         levinson_residual, scattering_grid, scattering_grids, wronskian)
 from .specops import (QuadratureGrid, completeness_defect, correction_operator,
                       cos_sin_coupling, jost_transform, quadrature_grid,
                       scattering_operator, shift_identity_residual,

@@ -8,9 +8,10 @@ midpoints, the thresholds, the bound states and the decay scan.  Only
 Each point is stepped on its own, so a value does not depend on its batch.
 
 `jost_scaled` and `jost_function_values` take each point in its own
-coordinate, and step it in real lanes.  Any other input is refused with a
-ValueError: a real z with |z| < 1 or 2z not finite (NaN and +-inf among
-them), a complex zeta off the unit circle (checked in the step).
+coordinate, and step it in real lanes.  `jost_points` is the one check of
+that coordinate, for them and for the solutions of `halfline.solutions`;
+any other input is refused with a ValueError: a real z with |z| < 1 or 2z
+not finite (NaN and +-inf among them), a complex zeta off the unit circle.
   - A real array holds points z with |z| >= 1 and 2z finite, the
     thresholds included; the kernel takes zeta = `off_axis_zeta(z)` and
     2z, and returns float64.  Each is one lane of the scaled recursion
@@ -132,10 +133,8 @@ BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 #: x(0), x(1) in place, writing row i of the lanes to rows[i] for i < n_rows:
 #: real lanes, or when cut is 1 (re, im) lane pairs scaled by zeta^L, with the
 #: free tail past the table, and given dev (else NULL) raising dev[n] to the
-#: max over the points of |t(n) - 1|^2; it returns the number of cut points
-#: off the unit circle, and then steps none
-_LANES = _entry("lanes", None, int, int, int, None, int, None, int, None,
-                restype=ctypes.c_long)
+#: max over the points of |t(n) - 1|^2
+_LANES = _entry("lanes", None, int, int, int, None, int, None, int, None)
 
 #: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
 #: beyond +-b[j] of the symmetric tridiagonal matrix with diagonal d and
@@ -161,16 +160,15 @@ def _step_lanes(V, lane, rows, cut, dev=None):
     writing their kept rows to rows (the `lanes` entry of `_step.c`) and,
     given dev of shape (2, L - 1), the decay reduction of the first half of
     the points to dev[0] and of the second to dev[1].  A split cuts between
-    points.  A batch of cut points with one off the unit circle is refused."""
+    points."""
     per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
     out = rows.ctypes.data if rows.size else p      # no rows kept: never written
 
     def step(lo, hi):
         d = None if dev is None else dev[int(lo > 0)].ctypes.data
-        return _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
-                      out + 8 * per * lo, rows.shape[0], d)
-    if any(_halves(step, V, width // per)):
-        raise ValueError("complex Jost points must lie on |zeta| = 1")
+        _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
+               out + 8 * per * lo, rows.shape[0], d)
+    _halves(step, V, width // per)
 
 
 def off_axis_zeta(z):
@@ -182,11 +180,27 @@ def off_axis_zeta(z):
     return np.copysign(np.where(a > 1e150, 0.5 / a, 1.0 / (a + np.sqrt(c * c - 1.0))), z)
 
 
-def _real_points(V, z, n_rows):
-    if not np.all((np.abs(z) >= 1.0) & (np.abs(z) <= np.finfo(np.float64).max / 2)):
+def jost_points(x):
+    """(x, zeta) for the Jost points x as an array: a real z with |z| >= 1
+    and 2z finite, the thresholds +-1 among them, has zeta = `off_axis_zeta(z)`;
+    a complex zeta is a point on the cut.  Any other point is refused with a
+    ValueError, the same test for every kernel and every solution: a complex
+    zeta with ||zeta|^2 - 1| above 1e-15 or not finite, a real z with |z| < 1,
+    NaN or 2z not finite."""
+    x = np.atleast_1d(x)
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x, np.complex128)
+        if not np.all(np.abs(x.real * x.real + x.imag * x.imag - 1.0) <= 1e-15):
+            raise ValueError("complex Jost points must lie on |zeta| = 1")
+        return x, x
+    if not np.all((np.abs(x) >= 1.0) & (np.abs(x) <= np.finfo(np.float64).max / 2)):
         raise ValueError("real Jost points need |z| >= 1 and 2z finite")
+    return x, off_axis_zeta(x)
+
+
+def _real_points(V, z, zeta, n_rows):
     lane = np.empty((5, z.shape[0]))        # 2z, s = zeta, b = zeta^2, x(L) = x(L+1) = 1
-    lane[0], lane[1], lane[3:] = 2.0 * z, off_axis_zeta(z), 1.0
+    lane[0], lane[1], lane[3:] = 2.0 * z, zeta, 1.0
     np.multiply(lane[1], lane[1], out=lane[2])
     rows = np.ones((n_rows, z.shape[0])) if n_rows else lane[:0]
     _step_lanes(V, lane, rows, False)
@@ -209,10 +223,10 @@ def _cut_points(V, zeta, n_rows, dev=None):
 def _jost(V, x, n_rows):
     """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2:
     real x as z, complex x as zeta."""
-    V, x = np.ascontiguousarray(V, dtype=np.float64), np.atleast_1d(x)
+    V, (x, zeta) = np.ascontiguousarray(V, dtype=np.float64), jost_points(x)
     if np.iscomplexobj(x):
-        return _cut_points(V, np.ascontiguousarray(x, np.complex128), n_rows)
-    return _real_points(V, x, n_rows)
+        return _cut_points(V, x, n_rows)
+    return _real_points(V, x, zeta, n_rows)
 
 
 def jost_scaled(V, x, n_keep):
@@ -238,7 +252,7 @@ def _deviations(V, zeta):
     as cut points: every zeta must lie on |zeta| = 1."""
     V = np.ascontiguousarray(V, dtype=np.float64)
     dev = np.zeros((2, max(V.shape[0] - 1, 0)))
-    _cut_points(V, np.ascontiguousarray(np.atleast_1d(zeta), np.complex128), 0, dev)
+    _cut_points(V, jost_points(np.asarray(zeta, np.complex128))[0], 0, dev)
     return np.sqrt(np.maximum(dev[0], dev[1]))
 
 

@@ -209,22 +209,16 @@ static void power(long n, const double *zeta, long k, double *out)
  * (re, im) pairs from (1, zeta); in the row s, which they do not read, they
  * put zeta^L, which scales x(0) and their rows, and past the table their
  * rows are the free tail zeta^r.  Given dev (cut lanes only), they raise
- * dev[n] to the max over the points of |t(n) - 1|^2 for n = 0..L-2.
- * Returns the number of cut points with ||zeta|^2 - 1| above 1e-15, which
- * are not stepped. */
-long lanes(const double *V, long L, long n, int cut, double *lane, long width,
+ * dev[n] to the max over the points of |t(n) - 1|^2 for n = 0..L-2.  The
+ * caller has checked that every cut point lies on |zeta| = 1. */
+void lanes(const double *V, long L, long n, int cut, double *lane, long width,
            double *rows, long n_rows, double *dev)
 {
     double *s = lane + width, *x2 = lane + 4 * width;
-    long off = 0;
     if (!cut) {
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, 0, 0, 0);
-        return 0;
+        return;
     }
-    for (long k = 0; k < n; k += 2)
-        off += !(fabs(x2[k] * x2[k] + x2[k + 1] * x2[k + 1] - 1.0) <= 1e-15);
-    if (off)
-        return off;
     power(n / 2, x2, L, s);
     for (long r = L; r < n_rows; r++)
         for (long k = 0; k < n; k += 2) {
@@ -241,7 +235,6 @@ long lanes(const double *V, long L, long n, int cut, double *lane, long width,
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, dev, 1);
     else
         run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, 0, 1);
-    return 0;
 }
 
 /* count[j] = the number of eigenvalues beyond +-b[j], j < nb, of the symmetric

@@ -1,4 +1,4 @@
-"""Potentials, spectral-parameter geometry, grids, and finite truncations.
+"""Potentials, the theta-midpoint nodes, grids, and finite truncations.
 
 The Hamiltonian is H = H0 + V(X) on square-summable sequences over the
 half-line sites 0, 1, 2, ..., where H0 is the symmetrised shift with matrix
@@ -23,7 +23,8 @@ from .errors import AssumptionError, ConfigError, NumericsError
 RHO_MIN = 2.5
 ENVELOPE_FLOOR = 1e-16
 
-#: longest `random_decaying` table: 2.5 times the 1,665,610 sites of rho_gen 2.6
+#: longest generated table: 2.5 times the 1,665,610 sites of `random_decaying`
+#: with rho_gen 2.6
 MAX_TABLE_SITES = 2 ** 22
 
 #: the off-diagonal entry of H0, (u(n-1) + u(n+1))/2
@@ -36,9 +37,14 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    """A finite real number that is not a bool."""
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and math.isfinite(v))
+    """A finite real number that is not a bool: an int too large for a float
+    is not."""
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +76,6 @@ class Potential:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
 
-    def value(self, n: int) -> float:
-        if 0 <= n < len(self.values):
-            return float(self.values[n])
-        return 0.0
-
     def diagonal(self, size: int) -> np.ndarray:
         d = np.zeros(size)
         k = min(size, len(self.values))
@@ -87,14 +88,13 @@ class Potential:
         h.update(self.values.tobytes())
         return h.hexdigest()[:16]
 
-    def is_free(self) -> bool:
-        return len(self.values) == 0
-
 
 def _validated(values, rho: float, kind: str, params: dict) -> Potential:
     if not rho > RHO_MIN:
         raise AssumptionError(
             f"assumption violated: decay exponent rho must exceed 5/2, got {rho}")
+    if not _is_real(rho):
+        raise ConfigError(f"rho must be a finite real number, not {rho!r}")
     try:
         values = np.asarray(values)
     except ValueError:          # ragged nesting
@@ -117,8 +117,8 @@ def zero_potential(rho: float = 3.0) -> Potential:
 def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
     if not _is_real(v0):
         raise ConfigError(f"v0 must be a finite real number, not {v0!r}")
-    if not _is_int(site) or site < 0:
-        raise ConfigError(f"site must be a non-negative integer, not {site!r}")
+    if not _is_int(site) or not 0 <= site < MAX_TABLE_SITES:
+        raise ConfigError(f"site must be an integer in [0, {MAX_TABLE_SITES}), not {site!r}")
     values = np.zeros(site + 1)
     values[site] = v0
     return _validated(values, rho, "rank_one", {"v0": v0, "site": site})
@@ -142,6 +142,8 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
     if not rho_gen > RHO_MIN:       # the table's length grows without bound toward 5/2
         raise AssumptionError(
             f"assumption violated: rho_gen must exceed 5/2, got {rho_gen}")
+    if not _is_real(rho_gen):
+        raise ConfigError(f"rho_gen must be a finite real number, not {rho_gen!r}")
     length = (amplitude / ENVELOPE_FLOOR) ** (1.0 / rho_gen)
     if not length <= MAX_TABLE_SITES:     # refused before an array is asked for
         raise ConfigError(f"random_decaying table of {length:.4g} sites exceeds {MAX_TABLE_SITES}")
@@ -174,78 +176,14 @@ def make_potential(spec: dict) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# spectral points
+# grids and truncations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Point of the continuous spectrum, on the upper rim of the cut.
-
-    lam = cos(theta) in [-1, 1], zeta = lam - i sqrt(1 - lam^2) = e^(-i theta).
-    """
-
-    lam: float
-    theta: float
-    zeta: complex
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "SpectralPoint":
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        lam = math.cos(theta)
-        # sin(pi) is 1.2e-16 in floating point: the thresholds get zeta = +-1 exactly
-        zeta = complex(lam, -math.sin(theta)) if 0.0 < theta < math.pi else complex(lam)
-        return cls(lam=lam, theta=theta, zeta=zeta)
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "SpectralPoint":
-        if not -1.0 <= lam <= 1.0:
-            raise ValueError("lambda must lie in [-1, 1]")
-        return cls.from_theta(math.acos(lam))
-
-    @classmethod
-    def threshold(cls, sign: int) -> "SpectralPoint":
-        if sign not in (1, -1):
-            raise ValueError("threshold sign must be +1 or -1")
-        return cls.from_theta(0.0 if sign == 1 else math.pi)
-
-    @property
-    def is_threshold(self) -> bool:
-        return abs(self.lam) == 1.0
-
-    @property
-    def two_z(self) -> complex:
-        return complex(2.0 * self.lam)
-
-
-@dataclass(frozen=True)
-class OffAxisPoint:
-    """Real spectral parameter z with |z| > 1 and the contracting branch
-    zeta(z) = z - sqrt(z^2 - 1), |zeta| < 1, sign(zeta) = sign(z)."""
-
-    z: float
-    zeta: float
-
-    @classmethod
-    def from_z(cls, z: float) -> "OffAxisPoint":
-        if not abs(z) > 1.0:
-            raise ValueError("off-axis point needs |z| > 1")
-        return cls(z=float(z), zeta=float(_kernels.off_axis_zeta(z)))
-
-    @property
-    def two_z(self) -> complex:
-        return complex(2.0 * self.z)
-
 
 def theta_midpoints(m: int) -> np.ndarray:
     """The midpoint nodes theta_j = (j + 1/2) pi / m, ordered by increasing
     lambda = cos(theta)."""
     return ((np.arange(m) + 0.5) * np.pi / m)[::-1].copy()
 
-
-# ---------------------------------------------------------------------------
-# grids and truncations
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GridSpec:

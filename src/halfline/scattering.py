@@ -8,6 +8,9 @@ Omega on the real axis outside [-1, 1] are the eigenvalues of H; zeros at the
 endpoints are threshold resonances and contribute the half-integer
 corrections in Levinson's relation
     eta(+1) - eta(-1) = pi (N + Delta_- + Delta_+).
+Omega is read from the Jost kernels, at a real z off the cut and its ends
+and at zeta on the cut (`_kernels.jost_points`).  `wronskian` is the
+constancy oracle for two solution arrays of `halfline.solutions`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from . import _kernels
 from .errors import NumericsError
 from .model import GridSpec, Potential, hamiltonian_truncation, theta_midpoints
-from .solutions import SolutionSequence, jost_coordinate
 
 #: relative tolerance on Wronskian constancy
 WRONSKIAN_RTOL = 1e-10
@@ -32,25 +34,17 @@ SCAN_POINTS = 512
 SCAN_FLOOR = 1e-9
 
 
-def wronskian(u: SolutionSequence, v: SolutionSequence) -> complex:
-    """Common value of (u(n) v(n+1) - u(n+1) v(n)) / 2; raises when the
-    sequences are not solutions at the same point (the value drifts)."""
-    if abs(complex(u.point.two_z) - complex(v.point.two_z)) > 0:
-        raise NumericsError("not solutions: different spectral points")
-    a, b = u.values, v.values
-    k = min(len(a), len(b))
-    w = 0.5 * (a[: k - 1] * b[1:k] - a[1:k] * b[: k - 1])
+def wronskian(u: np.ndarray, v: np.ndarray) -> complex:
+    """Common value of (u(n) v(n+1) - u(n+1) v(n)) / 2 of two solutions on
+    n = -1..n_max at one point; raises when the value drifts, as it does for
+    sequences that are not solutions at the same point."""
+    k = min(len(u), len(v))
+    w = 0.5 * (u[: k - 1] * v[1:k] - u[1:k] * v[: k - 1])
     # drift is measured against the product scale: w itself may cancel to 0
-    scale = max(float(np.max(np.abs(a[:k])) * np.max(np.abs(b[:k]))), 1e-300)
+    scale = max(float(np.max(np.abs(u[:k])) * np.max(np.abs(v[:k]))), 1e-300)
     if np.max(np.abs(w - w[0])) > WRONSKIAN_RTOL * scale:
         raise NumericsError("not solutions: Wronskian is not constant")
     return complex(w[0])
-
-
-def jost_function(p: Potential, point) -> complex:
-    """Omega(z) = zeta(z) theta(-1, z); its imaginary part is zero for real z
-    outside (-1, 1), the thresholds included."""
-    return complex(_kernels.jost_function_values(p.values, jost_coordinate(point))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Regular and Jost solutions of the half-line Schrodinger recurrence.
 
 The recurrence is (u(n-1) + u(n+1))/2 + V(n) u(n) = z u(n) on sites n >= 0,
-with the convention that sequences carry the extra index n = -1.  The
-regular solution is fixed by u(-1) = 0, u(0) = 1 and stepped forward.  The
-Jost solution behaves like zeta(z)^n at infinity; for finitely supported
+with the convention that sequences carry the extra index n = -1.  A point
+is given as the Jost kernels take it (`_kernels.jost_points`): a real z with
+|z| >= 1, the thresholds +-1 among them, or a complex zeta with |zeta| = 1 on
+the cut, where z = Re zeta; any other point is refused with a ValueError.
+Each solution is an array of its values on n = -1..n_max, index n + 1.
+
+The regular solution is fixed by u(-1) = 0, u(0) = 1 and stepped forward.
+The Jost solution behaves like zeta(z)^n at infinity; for finitely supported
 potentials it equals zeta^n exactly beyond the support, so stepping the
 scaled variable t(n) = theta(n)/zeta^n backward from the tail is exact and
 stable.  The Volterra summation equation provides an independent oracle for
@@ -18,90 +23,53 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import OffAxisPoint, Potential, SpectralPoint, theta_midpoints
+from .model import Potential, theta_midpoints
 
 #: rounding slack allowed on exact inequalities
 DECAY_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class SolutionSequence:
-    """Values of a solution on n = -1..n_max (index offset one)."""
-
-    kind: str
-    point: object
-    values: np.ndarray
-    potential: Potential
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    def value(self, n: int) -> complex:
-        return complex(self.values[n + 1])
-
-
-def _kind(base: str, p: Potential) -> str:
-    return ("free_" + base) if p.is_free() else base
-
-
-def regular_solution(p: Potential, point, n_max: int) -> SolutionSequence:
-    """Forward recursion from the boundary pair u(-1) = 0, u(0) = 1."""
+def regular_solution(p: Potential, x, n_max: int) -> np.ndarray:
+    """Forward recursion from the boundary pair u(-1) = 0, u(0) = 1 at the
+    point x, with 2z = 2 Re x: real values."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    two_z = np.array([point.two_z])
-    if not np.isfinite(two_z[0]):           # refused as the Jost kernels refuse it
-        raise ValueError(f"2z must be finite, not {point.two_z}")
-    vals = _kernels.regular_values(p.values, two_z, n_max)[:, 0]
-    return SolutionSequence(kind=_kind("regular", p), point=point,
-                            values=vals.astype(complex), potential=p)
+    x = _kernels.jost_points(x)[0]
+    return _kernels.regular_values(p.values, 2.0 * x.real, n_max)[:, 0]
 
 
-def jost_solution(p: Potential, point, n_max: int) -> SolutionSequence:
-    """Jost solution on n = -1..n_max by the scaled backward recursion, which
-    starts from the exact free tail past the table."""
-    if isinstance(point, SpectralPoint) and point.is_threshold:
-        raise ValueError("lambda = +-1 is a threshold: Omega(+-1) comes from "
-                         "classify_thresholds")
-    return _jost_sequence(p, point, n_max)
-
-
-def jost_coordinate(point):
-    """The point as the Jost kernels take it: the real z off the cut and at
-    its ends zeta = +-1, else zeta."""
-    if isinstance(point, OffAxisPoint):
-        return point.z
-    return point.zeta if point.zeta.imag else point.lam
-
-
-def _jost_sequence(p: Potential, point, n_max: int) -> SolutionSequence:
-    rows = _kernels.jost_scaled(p.values, jost_coordinate(point), n_max)[1][:, 0]
-    return SolutionSequence(kind=_kind("jost", p), point=point,
-                            values=rows / complex(point.zeta), potential=p)
+def jost_solution(p: Potential, x, n_max: int) -> np.ndarray:
+    """Jost solution at the point x by the scaled backward recursion, which
+    starts from the exact free tail past the table: real for real z, the
+    thresholds too, whose theta(-1) equals Omega(+-1) of
+    `scattering.classify_thresholds` times +-1 bit for bit."""
+    x, zeta = _kernels.jost_points(x)
+    return _kernels.jost_scaled(p.values, x, n_max)[1][:, 0] / zeta[0]
 
 
 # ---------------------------------------------------------------------------
 # Volterra oracle
 # ---------------------------------------------------------------------------
 
-def volterra_jost(p: Potential, point, n_max: int) -> SolutionSequence:
-    """Jost values from the Volterra summation equation (oracle path).
+def volterra_jost(p: Potential, x, n_max: int) -> np.ndarray:
+    """Jost values from the Volterra summation equation (oracle path), at a
+    point zeta = e^(-i theta) on the cut or at a threshold z = +-1.
 
     Back-substitution through theta(n) = zeta^n - 2 sum_{m>n} K(m-n) V(m) theta(m)
     with kernel K(k) = sin(k theta)/sin(theta), degenerating to k (+-1)^(k-1)
     at the thresholds.  O(support^2); meant for small tables.
     """
-    L = p.support_end
-    if isinstance(point, OffAxisPoint):
-        raise ValueError("oracle implemented on the spectral cut only")
-    zeta = complex(point.zeta)
-    if point.is_threshold:
-        sgn = 1.0 if point.lam > 0 else -1.0
+    L, zeta = p.support_end, complex(_kernels.jost_points(x)[0][0])
+    if zeta.imag:
+        theta = -np.angle(zeta)
+        def kernel(k):
+            return np.sin(k * theta) / np.sin(theta)
+    elif abs(zeta.real) == 1.0:
+        sgn = zeta.real
         def kernel(k):
             return k * sgn ** (k - 1)
     else:
-        st = np.sin(point.theta)
-        def kernel(k):
-            return np.sin(k * point.theta) / st
+        raise ValueError("the Volterra oracle takes zeta on the cut or z = +-1")
     top = max(L + 1, n_max + 1)
     vals = np.empty(top + 1, dtype=complex)     # theta(n) for n = 0..top
     for n in range(top, L - 2, -1):
@@ -111,11 +79,8 @@ def volterra_jost(p: Potential, point, n_max: int) -> SolutionSequence:
         m = np.arange(n + 1, L)
         acc = np.sum(kernel(m - n) * p.values[m] * vals[m])
         vals[n] = zeta ** n - 2.0 * acc
-    theta_m1 = zeta ** (-1) if L == 0 else \
-        (2.0 * (0.5 * point.two_z - p.value(0)) * vals[0] - vals[1])
-    out = np.concatenate([[theta_m1], vals[:n_max + 1]])
-    return SolutionSequence(kind=_kind("jost", p), point=point,
-                            values=out, potential=p)
+    theta_m1 = zeta ** (-1) if L == 0 else 2.0 * (zeta.real - p.values[0]) * vals[0] - vals[1]
+    return np.concatenate([[theta_m1], vals[:n_max + 1]])
 
 
 # ---------------------------------------------------------------------------

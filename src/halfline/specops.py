@@ -83,7 +83,7 @@ def scattering_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
 
 
 def jost_transform(d: ScatteringData, grid: QuadratureGrid,
-                   tol_threshold: float = 1e-3) -> np.ndarray:
+                   tol_threshold: float) -> np.ndarray:
     """Generalised transform F_- built from the perturbed wave functions; in
     the free case it is the sine transform.  F_+ = conj(F_-) on the cut."""
     _require_same_grid(d, grid.m)
@@ -95,8 +95,8 @@ def jost_transform(d: ScatteringData, grid: QuadratureGrid,
     return grid.sqrt_weights[:, None] * psi_m.T
 
 
-def wave_operator(d: ScatteringData, grid: QuadratureGrid, sign: int = -1,
-                  tol_threshold: float = 1e-3) -> np.ndarray:
+def wave_operator(d: ScatteringData, grid: QuadratureGrid, tol_threshold: float,
+                  sign: int = -1) -> np.ndarray:
     """Stationary wave operator W_- = F_-^* Fsin (or W_+ = F_-^T Fsin for sign=+1)."""
     Fm = jost_transform(d, grid, tol_threshold)
     W = _real_product(Fm, grid.fsin)

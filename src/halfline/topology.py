@@ -142,9 +142,9 @@ class WindingReport:
     min_abs: float
 
 
-def winding_number(curve: BoundaryCurve, tol_winding: float = 0.05,
-                   count_n: int | None = None) -> WindingReport:
-    """Unwrap the phase along the closed curve and round the total turn.
+def winding_number(curve: BoundaryCurve, tol_winding: float, count_n: int) -> WindingReport:
+    """Unwrap the phase along the closed curve, round the total turn and
+    compare it with the bound-state count count_n.
 
     Raises when consecutive samples jump by pi/2 or more (undersampled) or
     when the total is not within tol_winding of an integer.
@@ -165,9 +165,8 @@ def winding_number(curve: BoundaryCurve, tol_winding: float = 0.05,
             per_edge[name] = 0.0
             continue
         per_edge[name] = float((ph[sl.stop - 1] - ph[sl.start]) / (2.0 * np.pi))
-    n = -1 if count_n is None else count_n
     return WindingReport(winding=w, raw_phase_total=total, per_edge=per_edge,
-                         n_from_scattering=n, match=(w == n),
+                         n_from_scattering=count_n, match=(w == count_n),
                          max_jump=max_jump, min_abs=curve.min_abs)
 
 

@@ -122,15 +122,20 @@ def decay_bound(V, t):
     return 2.0 * float(np.max(cut_bound(V, 0, np.max(np.abs(t), axis=0)), initial=0.0))
 
 
-def decay_diagnostic(p, point):
-    """Check |theta(n) - zeta^n| against the tail bound at one spectral point,
-    on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1 is the
-    exact tail); the per-point reference for `decay_scan`, stepped by the
-    long-double recursion."""
+def rim_zeta(lam):
+    """zeta = lam - i sqrt(1 - lam^2) on the upper rim of the cut, Re zeta = lam."""
+    return complex(lam, -math.sqrt(1.0 - lam * lam))
+
+
+def decay_diagnostic(p, zeta):
+    """Check |theta(n) - zeta^n| against the tail bound at one point zeta of
+    the cut, on the sites n = 0..L-2 that the recursion steps to (t(L-1) = 1
+    is the exact tail); the per-point reference for `decay_scan`, stepped by
+    the long-double recursion."""
     L = p.support_end
     if L == 0:
         return hl.DecayReport(0.0, 0.0)
-    t = long_double_t(p.values, point.zeta, point.two_z)[1:L, 0]
+    t = long_double_t(p.values, zeta, 2.0 * zeta.real)[1:L, 0]
     dev = np.abs(t - 1).astype(float)           # |zeta^n| = 1 on the cut
     bounds = solutions._tail_bounds(p)[:L - 1]
     viol = float(np.max(dev - bounds, initial=-np.inf))
@@ -140,12 +145,11 @@ def decay_diagnostic(p, point):
     return hl.DecayReport(viol, c_emp)
 
 
-def recurrence_residual(seq):
-    """Max defect of the recurrence over the interior sites of a solution
-    sequence, relative to (1 + |z|) max |u|."""
-    u = seq.values
-    z = 0.5 * complex(seq.point.two_z)
-    v = seq.potential.diagonal(len(u) - 2)
+def recurrence_residual(p, x, u):
+    """Max defect of the recurrence over the interior sites of the solution
+    values u at the point x (z = Re x), relative to (1 + |z|) max |u|."""
+    z = complex(x).real
+    v = p.diagonal(len(u) - 2)
     lhs = 0.5 * (u[:-2] + u[2:]) + (v - z) * u[1:-1]
     scale = (1.0 + abs(z)) * np.max(np.abs(u))
     return 0.0 if scale == 0.0 else float(np.max(np.abs(lhs)) / scale)

@@ -50,7 +50,7 @@ def test_criterion_01_free_case_identities(scatter_cache, operator_stage):
         assert np.max(np.abs(d.eta)) <= 1e-10
         S = hl.scattering_operator(d, grid)
         assert np.max(np.abs(S - np.eye(g.n_site))) <= 1e-10
-        W = hl.wave_operator(d, grid)
+        W = hl.wave_operator(d, grid, g.tol_threshold)
         assert np.max(np.abs(W - np.eye(g.n_site))) <= 1e-10
         assert hl.wave_identity_residual(d, grid, W) <= 1e-10
         assert shift_identity(g)["composite"] <= 1e-10
@@ -158,6 +158,7 @@ def test_criterion_10_isometry_and_completeness(scatter_cache):
     with _Timer(10, "wave-operator isometry and completeness", budget=60.0):
         p = hl.rank_one(0.75)
         d = scatter_cache(p, GRID)
-        W = hl.wave_operator(d, hl.quadrature_grid(GRID.m_theta, GRID.n_site))
+        W = hl.wave_operator(d, hl.quadrature_grid(GRID.m_theta, GRID.n_site),
+                             GRID.tol_threshold)
         assert hl.wave_isometry_defect(W) <= 1e-6
         assert hl.completeness_defect(W, p) <= 1e-4

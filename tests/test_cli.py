@@ -97,13 +97,14 @@ class TestValidate:
         ({}, {"root": float("nan")}), ({"beta_max": float("nan")}, {}),
         ({"beta_max": float("inf")}, {}), ({"alpha_max": True}, {}),
         ({"alpha_max": 4.5e307}, {}), ({"alpha_max": 1e308}, {}),
-        ({"beta_max": 9e307}, {}), ({"beta_max": 1e308}, {}),
+        ({"beta_max": 9e307}, {}), ({"beta_max": 1e308}, {}), ({"alpha_max": 10 ** 400}, {}),
     ])
     def test_bad_grid_float_exit_2(self, tmp_path, grids, tols):
         # window widths, z_max and tolerances must be finite real numbers,
         # z_max above 1; each of these crashed or ran through a later stage.
         # The sample grids span 4 alpha_max and 2 beta_max, which must be
-        # finite too: these widths gave a NaN edge or an SVD that did not converge
+        # finite too: these widths gave a NaN edge or an SVD that did not converge.
+        # An int too large for a float exited 1 with an OverflowError
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
@@ -157,11 +158,20 @@ class TestValidate:
         ({"kind": "rank_one", "v0": True}, 2),
         ({"kind": "random_decaying", "seed": 0, "amplitude": 1e300}, 2),
         ({"kind": "random_decaying", "seed": 0, "amplitude": 1e6, "rho_gen": 2.6}, 2),
+        ({"kind": "rank_one", "v0": 10 ** 400}, 2),
+        ({"kind": "random_decaying", "seed": 0, "amplitude": 10 ** 400}, 2),
+        ({"kind": "random_decaying", "seed": 0, "rho_gen": 10 ** 400}, 2),
+        ({"kind": "rank_one", "v0": 0.75, "rho": 10 ** 400}, 2),
+        ({"kind": "rank_one", "v0": 0.75, "rho": float("inf")}, 2),
+        ({"kind": "rank_one", "v0": 0.75, "site": 10 ** 400}, 2),
+        ({"kind": "rank_one", "v0": 0.75, "site": 2 ** 22}, 2),
     ])
     def test_bad_potential_refused(self, tmp_path, potential, code):
         # each of these crashed `validate` or ran through it; a rho_gen not
         # above 5/2 is refused before its table (107 PiB for 1.0) is built, and
-        # so is a table longer than MAX_TABLE_SITES (289,426,612 sites for 1e6)
+        # so is a table longer than MAX_TABLE_SITES (289,426,612 sites for 1e6,
+        # 2^22 + 1 for the site 2^22).  An int too large for a float exited 1
+        # with an OverflowError
         cfg = write_cfg(tmp_path, potential)
         assert main(["validate", str(cfg)]) == code
 

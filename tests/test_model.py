@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
-from conftest import reference_sturm_counts
-from halfline._kernels import off_axis_zeta
+from conftest import reference_sturm_counts, rim_zeta
+from halfline import _kernels
+from halfline._kernels import jost_points, off_axis_zeta
 
 
 class TestPotential:
@@ -20,7 +21,7 @@ class TestPotential:
     def test_zero_envelope(self):
         p = hl.zero_potential()
         assert p.envelope_const == 0.0
-        assert p.is_free()
+        assert p.support_end == 0
 
     def test_table_envelope_scan_oracle(self):
         n = np.arange(21)
@@ -52,61 +53,68 @@ class TestPotential:
 
     def test_make_potential_dispatch(self):
         p = hl.make_potential({"kind": "rank_one", "v0": 0.5, "rho": 3.0})
-        assert p.value(0) == 0.5 and p.value(1) == 0.0
+        assert p.diagonal(2).tolist() == [0.5, 0.0]
 
 
 class TestSpectralGeometry:
+    """The coordinate of a Jost point (`_kernels.jost_points`): real z with
+    zeta = `off_axis_zeta(z)`, or zeta itself on the cut."""
+
     def test_zeta_at_two(self):
-        pt = hl.OffAxisPoint.from_z(2.0)
-        assert pt.zeta == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-15)
+        zeta = off_axis_zeta(2.0)
+        assert zeta == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-15)
         # oracle: zeta solves zeta^2 - 2 z zeta + 1 = 0 inside the disk
-        assert abs(pt.zeta ** 2 - 4.0 * pt.zeta + 1.0) < 1e-14
-        assert abs(pt.zeta) < 1.0
+        assert abs(zeta ** 2 - 4.0 * zeta + 1.0) < 1e-14
+        assert abs(zeta) < 1.0
 
     def test_zeta_at_minus_two(self):
-        pt = hl.OffAxisPoint.from_z(-2.0)
-        assert pt.zeta == pytest.approx(-2.0 + math.sqrt(3.0), abs=1e-15)
-        assert abs(pt.zeta) < 1.0 and pt.zeta < 0.0
+        zeta = off_axis_zeta(-2.0)
+        assert zeta == pytest.approx(-2.0 + math.sqrt(3.0), abs=1e-15)
+        assert abs(zeta) < 1.0 and zeta < 0.0
 
     def test_zeta_on_rim_at_zero(self):
-        pt = hl.SpectralPoint.from_lambda(0.0)
-        assert pt.zeta == pytest.approx(-1j, abs=1e-15)
+        x, zeta = jost_points(rim_zeta(0.0))
+        assert zeta[0] == -1j and x[0].real == 0.0
 
     @pytest.mark.parametrize("z", [1.0001, 1.5, 3.0, 10.0, -1.2, -50.0])
     def test_offaxis_invariants(self, z):
-        pt = hl.OffAxisPoint.from_z(z)
-        assert abs(pt.zeta) < 1.0
-        assert np.sign(pt.zeta) == np.sign(z)
-        assert pt.zeta + 1.0 / pt.zeta == pytest.approx(2.0 * z, rel=1e-14)
+        zeta = off_axis_zeta(z)
+        assert abs(zeta) < 1.0
+        assert np.sign(zeta) == np.sign(z)
+        assert zeta + 1.0 / zeta == pytest.approx(2.0 * z, rel=1e-14)
 
     def test_zeta_as_before_where_z_squared_is_finite(self):
         z = np.geomspace(1.0 + 1e-12, 1.3e154, 4001)
         z = np.concatenate([z, -z, [1e150], np.nextafter(1e150, [0.0, np.inf])])
         old = np.sign(z) / (np.abs(z) + np.sqrt(z * z - 1.0))
         assert np.array_equal(off_axis_zeta(z), old)
-        assert [hl.OffAxisPoint.from_z(x).zeta for x in z[::50]] == old[::50].tolist()
+        assert np.array_equal(jost_points(z)[1], old)
 
     @pytest.mark.parametrize("z", [1.4e154, -1e200, 1e300, 1.7e308])
     def test_zeta_without_overflow(self, z):
         # z^2 overflows: zeta = 1/(2z) to the last bit, not 0
-        pt = hl.OffAxisPoint.from_z(z)
-        assert pt.zeta == off_axis_zeta(z) == 0.5 / z
-        assert pt.zeta * z == pytest.approx(0.5, rel=1e-14)
+        zeta = off_axis_zeta(z)
+        assert zeta == 0.5 / z
+        assert zeta * z == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("lam", np.linspace(-1, 1, 17))
     def test_rim_invariants(self, lam):
-        pt = hl.SpectralPoint.from_lambda(lam)
-        assert abs(pt.zeta) == pytest.approx(1.0, abs=1e-15)
-        assert pt.zeta.real == pytest.approx(lam, abs=1e-15)
-        assert pt.zeta.imag <= 0.0
-        assert pt.zeta + 1.0 / pt.zeta == pytest.approx(2.0 * lam, abs=1e-13)
+        # a rim point built from lambda, thresholds included, lies within the
+        # kernels' circle tolerance, and its 2z = 2 Re zeta is 2 lambda
+        x, zeta = jost_points(rim_zeta(lam))
+        zeta = complex(zeta[0])
+        assert abs(zeta) == pytest.approx(1.0, abs=1e-15)
+        assert zeta.real == lam
+        assert zeta.imag <= 0.0
+        assert zeta + 1.0 / zeta == pytest.approx(2.0 * lam, abs=1e-13)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_threshold_zeta_exact(self, sign):
-        # sin(pi) != 0 in floating point; the threshold must not carry it
-        pt = hl.SpectralPoint.threshold(sign)
-        assert pt.zeta.imag == 0.0 and pt.zeta.real == sign == pt.lam
-        assert hl.SpectralPoint.from_lambda(float(sign)).zeta == pt.zeta
+        # a threshold is the real z = +-1, stepped with zeta = +-1 exactly:
+        # no sin(pi) = 1.2e-16 can enter, and Omega(+-1) is real
+        x, zeta = jost_points(float(sign))
+        assert x.dtype == zeta.dtype == np.float64 and zeta[0] == sign
+        assert _kernels.jost_function_values(hl.rank_one(0.5).values, x).dtype == np.float64
 
 
 class TestTruncation:

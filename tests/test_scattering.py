@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import halfline as hl
 from conftest import (EPS, TWO_SITE, closed_form_bound_state, closed_form_omega, cut_bound,
                       decay_bound, long_double_t, reference_bisection, reference_jost_rows,
-                      scan_brackets)
+                      rim_zeta, scan_brackets)
 from halfline import _kernels, scattering
 
 
@@ -23,6 +23,11 @@ def off_axis_zeta(z):
     z = np.asarray(z, float)
     return np.where(np.abs(z) == 1.0, z,
                     np.sign(z) / (np.abs(z) + np.sqrt(np.abs(z * z - 1.0))))
+
+
+def omega(p, x):
+    """Omega at the one point x, stepped alone: real z or zeta on the cut."""
+    return _kernels.jost_function_values(p.values, x)[0]
 
 
 KERNEL_POTENTIALS = {
@@ -113,24 +118,21 @@ def assert_deviations_match_reference(V, zeta):
 
 class TestWronskian:
     def test_free_pair_at_two(self):
-        pt = hl.OffAxisPoint.from_z(2.0)
         p = hl.zero_potential()
-        phi = hl.regular_solution(p, pt, 20)
-        jost = hl.jost_solution(p, pt, 20)
+        phi = hl.regular_solution(p, 2.0, 20)
+        jost = hl.jost_solution(p, 2.0, 20)
         w = hl.wronskian(phi, jost)
         assert w.real == pytest.approx(-(2.0 + math.sqrt(3.0)) / 2.0, rel=1e-12)
         assert abs(w.imag) < 1e-14
 
     def test_self_wronskian_vanishes(self):
-        pt = hl.SpectralPoint.from_lambda(0.3)
-        u = hl.jost_solution(hl.rank_one(0.4), pt, 15)
+        u = hl.jost_solution(hl.rank_one(0.4), rim_zeta(0.3), 15)
         assert hl.wronskian(u, u) == 0.0
 
     def test_rank_one_value_at_zero(self):
         # omega = -theta(-1)/2 with theta(-1) = 1/zeta - 2 v0, zeta(0) = -i
-        pt = hl.SpectralPoint.from_lambda(0.0)
         p = hl.rank_one(0.75)
-        w = hl.wronskian(hl.regular_solution(p, pt, 25), hl.jost_solution(p, pt, 25))
+        w = hl.wronskian(hl.regular_solution(p, -1j, 25), hl.jost_solution(p, -1j, 25))
         assert w == pytest.approx(0.75 - 0.5j, rel=1e-12)
 
 
@@ -138,10 +140,10 @@ class TestJostFunction:
     def test_free_is_one(self):
         p = hl.zero_potential()
         for lam in np.linspace(-0.95, 0.95, 9):
-            assert hl.jost_function(p, hl.SpectralPoint.from_lambda(lam)) == pytest.approx(1.0)
+            assert omega(p, rim_zeta(lam)) == pytest.approx(1.0)
 
     def test_rank_one_closed_form_at_zero(self):
-        om = hl.jost_function(hl.rank_one(0.75), hl.SpectralPoint.from_lambda(0.0))
+        om = omega(hl.rank_one(0.75), -1j)
         assert om == pytest.approx(1.0 + 1.5j, rel=1e-13)
 
     @pytest.mark.parametrize("v0", [0.25, -0.5, 0.75, 1.5])
@@ -263,8 +265,7 @@ class TestJostFunction:
         p = hl.random_decaying(3, rho_gen=4.0)
         g = hl.GridSpec(m_theta=64, n_site=32)
         d = hl.scattering_grid(p, g)
-        single = [hl.jost_function(p, hl.SpectralPoint(lam, th, complex(z)))
-                  for lam, th, z in zip(d.lam, d.theta, d.zeta)]
+        single = [omega(p, z) for z in d.zeta]
         assert np.array_equal(single, d.omega)
         for k, z in enumerate(d.zeta):
             _, rows = _kernels.jost_scaled(p.values, np.array([z]), g.n_site - 1)
@@ -281,16 +282,13 @@ class TestJostFunction:
         batch = _kernels.jost_function_values(p.values, z)
         assert batch.dtype == np.float64
         assert np.array_equal(batch, ref)
-        points = [hl.SpectralPoint.threshold(+1), hl.SpectralPoint.threshold(-1)]
-        points += [hl.OffAxisPoint.from_z(x) for x in z[2:]]
-        single = [hl.jost_function(p, pt) for pt in points]
+        single = [omega(p, x) for x in z]
         assert np.array_equal(single, ref)
 
     def test_real_off_axis(self):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         for z in (1.3, -2.5, 4.0):
-            om = hl.jost_function(p, hl.OffAxisPoint.from_z(z))
-            assert om.imag == 0.0
+            assert omega(p, z).dtype == np.float64
 
 
 class TestStepBlocks:
@@ -482,7 +480,7 @@ class TestScatteringGrid:
 
     def test_lambda_zero_values(self):
         # node-free check of the closed forms at lambda = 0
-        om = hl.jost_function(hl.rank_one(0.75), hl.SpectralPoint.from_lambda(0.0))
+        om = omega(hl.rank_one(0.75), -1j)
         assert abs(om) == pytest.approx(math.sqrt(3.25), rel=1e-13)
         assert np.angle(om) == pytest.approx(math.atan2(1.5, 1.0), rel=1e-13)
         s = np.conj(om) / om
@@ -546,8 +544,7 @@ class TestOneRecursionPerGrid:
         assert (dm, dp, sm, sp, om_m, om_p) == (ds[0].delta_minus, ds[0].delta_plus,
                                                 ds[0].s_minus, ds[0].s_plus,
                                                 ds[0].omega_minus, ds[0].omega_plus)
-        assert [om_m, om_p] == [hl.jost_function(p, hl.SpectralPoint.threshold(s)).real
-                                for s in (-1, 1)]
+        assert [om_m, om_p] == [omega(p, s) for s in (-1.0, 1.0)]
         roots, count = hl.bound_states(p, g)
         assert np.array_equal(roots, ds[0].bound_states) and count == ds[0].count_n
 

@@ -1,167 +1,178 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import halfline as hl
-from conftest import decay_bound, decay_diagnostic, long_double_t, recurrence_residual
-from halfline import solutions
+from conftest import (decay_bound, decay_diagnostic, long_double_t, recurrence_residual,
+                      rim_zeta)
+from halfline import _kernels, solutions
+from halfline._kernels import off_axis_zeta
 
 
-def free_regular(n, point):
-    """sin((n+1) theta) / sin(theta), the free regular solution on the cut."""
-    if point.is_threshold:
+def free_regular(n, zeta):
+    """sin((n+1) theta) / sin(theta), the free regular solution at
+    zeta = e^(-i theta) on the cut."""
+    if zeta.imag == 0.0:
         raise ValueError("free kernel is singular at lambda = +-1; "
                          "use the recursion instead")
-    return float(np.sin((n + 1) * point.theta) / np.sin(point.theta))
+    theta = -np.angle(zeta)
+    return float(np.sin((n + 1) * theta) / np.sin(theta))
 
 
-def jost_at_threshold(p, sign, n_max):
-    """Threshold Jost solution, tail (+-1)^n, by the backward recursion."""
-    return solutions._jost_sequence(p, hl.SpectralPoint.threshold(sign), n_max)
+class TestPointDomain:
+    @pytest.mark.parametrize("x", [0.5, -0.999, 0.0, math.nan, math.inf, -math.inf, 1e308,
+                                   -1.7e308, 1.1 + 0j, 0.6 + 0.6j, 0.5j, complex(math.nan, 0.0)])
+    def test_refused_as_the_kernels_refuse(self, x):
+        # real |z| < 1, NaN, +-inf, 2z not finite and zeta off |zeta| = 1; the
+        # regular recursion stepped 2z = 2 Re zeta for any zeta, and for 2z =
+        # inf gave [0, 1, inf+nanj, nan+nanj, ...] beside a RuntimeWarning
+        p = hl.rank_one(0.75)
+        with pytest.raises(ValueError, match="Jost points"):
+            _kernels.jost_function_values(p.values, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solution in (hl.regular_solution, hl.jost_solution, hl.volterra_jost):
+                with pytest.raises(ValueError, match="Jost points"):
+                    solution(p, x, 3)
 
-
-def seq_values(seq, n_from, n_to):
-    return np.array([seq.value(n) for n in range(n_from, n_to + 1)])
+    @pytest.mark.parametrize("x", [1.5, -2.0, 1.0 + 1e-9])
+    def test_volterra_takes_the_cut_only(self, x):
+        p = hl.rank_one(0.75)
+        assert np.isfinite(hl.jost_solution(p, x, 3)).all()
+        with pytest.raises(ValueError, match="on the cut or z = \\+-1"):
+            hl.volterra_jost(p, x, 3)
 
 
 class TestRegularSolution:
     def test_free_at_lambda_zero(self):
         # Chebyshev of the second kind at lambda = 0: 1, 0, -1, 0, 1, ...
-        seq = hl.regular_solution(hl.zero_potential(),
-                                  hl.SpectralPoint.from_lambda(0.0), 8)
+        u = hl.regular_solution(hl.zero_potential(), rim_zeta(0.0), 8)
         expected = np.sin((np.arange(-1, 9) + 1) * np.pi / 2)
-        assert np.allclose(seq_values(seq, -1, 8), expected, atol=1e-14)
-        assert seq.kind == "free_regular"
+        assert np.allclose(u, expected, atol=1e-14)
+        assert u.dtype == np.float64
 
     def test_one_step_by_hand(self):
-        seq = hl.regular_solution(hl.rank_one(0.75), hl.OffAxisPoint.from_z(2.0), 3)
-        assert seq.value(-1) == 0.0 and seq.value(0) == 1.0
-        assert seq.value(1) == pytest.approx(2.0 * (2.0 - 0.75), abs=1e-15)
+        u = hl.regular_solution(hl.rank_one(0.75), 2.0, 3)
+        assert u[0] == 0.0 and u[1] == 1.0
+        assert u[2] == pytest.approx(2.0 * (2.0 - 0.75), abs=1e-15)
 
     def test_free_closed_form_off_axis(self):
         # (zeta^(-n-1) - zeta^(n+1)) / (2 sqrt(z^2-1)) against the recursion
-        pt = hl.OffAxisPoint.from_z(2.0)
-        seq = hl.regular_solution(hl.zero_potential(), pt, 20)
+        u = hl.regular_solution(hl.zero_potential(), 2.0, 20)
         n = np.arange(-1, 21)
-        zeta = pt.zeta
+        zeta = off_axis_zeta(2.0)
         closed = (zeta ** (-(n + 1)) - zeta ** (n + 1)) / (2.0 * np.sqrt(3.0))
-        got = seq_values(seq, -1, 20)
-        assert np.max(np.abs(got - closed) / np.abs(closed).max()) < 1e-12
+        assert np.max(np.abs(u - closed) / np.abs(closed).max()) < 1e-12
 
     def test_schrodinger_residual_invariant(self):
         for p in (hl.zero_potential(), hl.rank_one(-0.5),
                   hl.table_potential([0.3, -0.2], rho=3.0)):
-            for pt in (hl.SpectralPoint.from_lambda(0.3), hl.OffAxisPoint.from_z(1.7)):
-                seq = hl.regular_solution(p, pt, 40)
-                assert recurrence_residual(seq) < 1e-12
-
-    @pytest.mark.parametrize("z", [1e308, -1.7e308])
-    def test_infinite_two_z_refused(self, z):
-        # 2z overflows: the recursion gave [0, 1, inf+nanj, nan+nanj, ...] and
-        # a RuntimeWarning; the Jost kernels refuse the same point
-        pt = hl.OffAxisPoint.from_z(z)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="2z must be finite"):
-                hl.regular_solution(hl.rank_one(0.75), pt, 3)
-        with pytest.raises(ValueError, match="2z finite"):
-            hl.jost_solution(hl.rank_one(0.75), pt, 3)
+            for x in (rim_zeta(0.3), 1.7):
+                u = hl.regular_solution(p, x, 40)
+                assert recurrence_residual(p, x, u) < 1e-12
 
 
 class TestFreeRegular:
     def test_value_examples(self):
-        pt = hl.SpectralPoint.from_lambda(0.5)   # theta = pi/3
-        assert free_regular(0, pt) == pytest.approx(1.0)
-        assert free_regular(2, pt) == pytest.approx(0.0, abs=1e-15)
-        assert free_regular(1, hl.SpectralPoint.from_lambda(0.0)) == pytest.approx(0.0, abs=1e-15)
+        zeta = rim_zeta(0.5)   # theta = pi/3
+        assert free_regular(0, zeta) == pytest.approx(1.0)
+        assert free_regular(2, zeta) == pytest.approx(0.0, abs=1e-15)
+        assert free_regular(1, rim_zeta(0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_threshold_rejected(self):
         with pytest.raises(ValueError):
-            free_regular(1, hl.SpectralPoint.threshold(+1))
+            free_regular(1, 1.0 + 0j)
 
     def test_matches_recursion(self):
-        pt = hl.SpectralPoint.from_lambda(-0.35)
-        seq = hl.regular_solution(hl.zero_potential(), pt, 30)
+        zeta = rim_zeta(-0.35)
+        u = hl.regular_solution(hl.zero_potential(), zeta, 30)
         for n in (0, 5, 17, 30):
-            assert seq.value(n).real == pytest.approx(free_regular(n, pt), abs=1e-11)
+            assert u[n + 1] == pytest.approx(free_regular(n, zeta), abs=1e-11)
 
 
 class TestJostSolution:
     def test_free_is_zeta_power(self):
-        pt = hl.SpectralPoint.from_lambda(0.4)
-        seq = hl.jost_solution(hl.zero_potential(), pt, 10)
+        zeta = rim_zeta(0.4)
+        u = hl.jost_solution(hl.zero_potential(), zeta, 10)
         n = np.arange(-1, 11)
-        assert np.allclose(seq_values(seq, -1, 10), pt.zeta ** n, atol=1e-14)
-        assert seq.kind == "free_jost"
+        assert np.allclose(u, zeta ** n, atol=1e-14)
 
     @pytest.mark.parametrize("v0", [0.75, -0.3, 1.5])
     def test_rank_one_closed_form(self, v0):
-        for pt in (hl.SpectralPoint.from_lambda(0.0),
-                   hl.SpectralPoint.from_lambda(-0.6),
-                   hl.OffAxisPoint.from_z(2.0)):
-            seq = hl.jost_solution(hl.rank_one(v0), pt, 5)
-            zeta = pt.zeta
-            assert seq.value(-1) == pytest.approx(1.0 / zeta - 2.0 * v0, rel=1e-13)
+        for x in (rim_zeta(0.0), rim_zeta(-0.6), 2.0):
+            u = hl.jost_solution(hl.rank_one(v0), x, 5)
+            zeta = x if isinstance(x, complex) else off_axis_zeta(x)
+            assert u[0] == pytest.approx(1.0 / zeta - 2.0 * v0, rel=1e-13)
             n = np.arange(0, 6)
-            assert np.allclose(seq_values(seq, 0, 5), np.asarray(zeta) ** n, rtol=1e-13)
+            assert np.allclose(u[1:], np.asarray(zeta) ** n, rtol=1e-13)
 
-    def test_threshold_routed_elsewhere(self):
-        with pytest.raises(ValueError):
-            hl.jost_solution(hl.rank_one(0.5), hl.SpectralPoint.threshold(1), 5)
+    @pytest.mark.parametrize("p", [hl.rank_one(0.5), hl.table_potential([0.3, -0.2], rho=3.0),
+                                   hl.random_decaying(3, rho_gen=4.0)],
+                             ids=["resonant", "two_site", "random_rho4"])
+    def test_thresholds_equal_classify_thresholds(self, p):
+        # z = +-1 steps as a real point: zeta theta(-1) is Omega(+-1) of the
+        # threshold classification, bit for bit, and the values are real
+        om = hl.classify_thresholds(p, 1e-3)[4:]
+        u = [hl.jost_solution(p, z, 4) for z in (-1.0, 1.0)]
+        assert [-u[0][0], u[1][0]] == list(om)
+        assert u[0].dtype == u[1].dtype == np.float64
 
     def test_residual_invariant(self):
         p = hl.table_potential([0.2, -0.4, 0.1], rho=3.0)
-        for pt in (hl.SpectralPoint.from_lambda(0.55), hl.OffAxisPoint.from_z(-1.4)):
-            seq = hl.jost_solution(p, pt, 30)
-            assert recurrence_residual(seq) < 1e-12
+        for x in (rim_zeta(0.55), -1.4):
+            u = hl.jost_solution(p, x, 30)
+            assert recurrence_residual(p, x, u) < 1e-12
 
 
 class TestThresholdJost:
     def test_free(self):
-        seq = jost_at_threshold(hl.zero_potential(), +1, 6)
-        assert np.allclose(seq_values(seq, -1, 6), 1.0, atol=1e-15)
+        u = hl.jost_solution(hl.zero_potential(), 1.0, 6)
+        assert np.allclose(u, 1.0, atol=1e-15)
 
     def test_half_strength_resonance(self):
-        seq = jost_at_threshold(hl.rank_one(0.5), +1, 3)
-        assert seq.value(-1) == pytest.approx(0.0, abs=1e-15)   # 2(1-0.5)*1 - 1
+        u = hl.jost_solution(hl.rank_one(0.5), 1.0, 3)
+        assert u[0] == pytest.approx(0.0, abs=1e-15)   # 2(1-0.5)*1 - 1
 
     def test_negative_threshold(self):
-        seq = jost_at_threshold(hl.rank_one(0.5), -1, 3)
-        assert seq.value(-1) == pytest.approx(-2.0, abs=1e-15)  # 2(-1-0.5)*1 + 1
+        u = hl.jost_solution(hl.rank_one(0.5), -1.0, 3)
+        assert u[0] == pytest.approx(-2.0, abs=1e-15)  # 2(-1-0.5)*1 + 1
 
     def test_residual_invariant(self):
         p = hl.table_potential([0.2, -0.1, 0.05], rho=3.0)
-        for sign in (+1, -1):
-            assert recurrence_residual(jost_at_threshold(p, sign, 20)) < 1e-12
+        for z in (1.0, -1.0):
+            assert recurrence_residual(p, z, hl.jost_solution(p, z, 20)) < 1e-12
 
 
 class TestVolterraOracle:
     def test_recursion_matches_volterra(self):
         rng = np.random.default_rng(7)
         p = hl.table_potential(rng.uniform(-0.3, 0.3, 21), rho=3.0)
-        pt = hl.SpectralPoint.from_lambda(0.3)
-        rec = hl.jost_solution(p, pt, 25)
-        vol = hl.volterra_jost(p, pt, 25)
-        assert np.max(np.abs(rec.values - vol.values)) < 1e-10
+        zeta = rim_zeta(0.3)
+        rec = hl.jost_solution(p, zeta, 25)
+        vol = hl.volterra_jost(p, zeta, 25)
+        assert np.max(np.abs(rec - vol)) < 1e-10
 
     @pytest.mark.parametrize("lam", [-0.9, -0.2, 0.45, 0.8])
     def test_multiple_points(self, lam):
         rng = np.random.default_rng(3)
         p = hl.table_potential(rng.uniform(-0.2, 0.2, 15), rho=3.0)
-        pt = hl.SpectralPoint.from_lambda(lam)
-        rec = hl.jost_solution(p, pt, 18)
-        vol = hl.volterra_jost(p, pt, 18)
-        assert np.max(np.abs(rec.values - vol.values)) < 1e-10
+        zeta = rim_zeta(lam)
+        rec = hl.jost_solution(p, zeta, 18)
+        vol = hl.volterra_jost(p, zeta, 18)
+        assert np.max(np.abs(rec - vol)) < 1e-10
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_threshold_kernel_limit(self, sign):
-        # the kernel sin(k theta)/sin(theta) degenerates to k (+-1)^(k-1)
+        # the kernel sin(k theta)/sin(theta) degenerates to k (+-1)^(k-1),
+        # at the real threshold z = +-1 and at zeta = +-1 on the cut alike
         rng = np.random.default_rng(11)
         p = hl.table_potential(rng.uniform(-0.15, 0.15, 12), rho=3.0)
-        rec = jost_at_threshold(p, sign, 14)
-        vol = hl.volterra_jost(p, hl.SpectralPoint.threshold(sign), 14)
-        assert np.max(np.abs(rec.values - vol.values)) < 1e-10
+        rec = hl.jost_solution(p, float(sign), 14)
+        for x in (float(sign), complex(sign)):
+            vol = hl.volterra_jost(p, x, 14)
+            assert np.max(np.abs(rec - vol)) < 1e-10
 
 
 class TestWronskianProperties:
@@ -169,31 +180,26 @@ class TestWronskianProperties:
         # {theta, conj theta} = i sin(theta_angle): nonzero inside the band
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         for lam in (-0.7, 0.0, 0.5):
-            pt = hl.SpectralPoint.from_lambda(lam)
-            seq = hl.jost_solution(p, pt, 25)
-            conj = hl.SolutionSequence(kind="jost", point=pt,
-                                       values=np.conj(seq.values), potential=p)
-            w = hl.wronskian(seq, conj)
-            assert w == pytest.approx(1j * np.sin(pt.theta), rel=1e-12)
+            zeta = rim_zeta(lam)
+            u = hl.jost_solution(p, zeta, 25)
+            w = hl.wronskian(u, np.conj(u))
+            assert w == pytest.approx(-1j * zeta.imag, rel=1e-12)
 
     def test_constancy_guard(self):
-        pt = hl.SpectralPoint.from_lambda(0.2)
-        p = hl.zero_potential()
-        good = hl.jost_solution(p, pt, 20)
-        bad = hl.SolutionSequence(kind="jost", point=pt,
-                                  values=np.arange(22) * (1.0 + 0j), potential=p)
+        good = hl.jost_solution(hl.zero_potential(), rim_zeta(0.2), 20)
+        bad = np.arange(22) * (1.0 + 0j)
         with pytest.raises(hl.NumericsError, match="not solutions"):
             hl.wronskian(good, bad)
 
 
 class TestDecayDiagnostic:
     def test_free_passes_trivially(self):
-        rep = decay_diagnostic(hl.zero_potential(), hl.SpectralPoint.from_lambda(0.1))
+        rep = decay_diagnostic(hl.zero_potential(), rim_zeta(0.1))
         assert rep.max_violation == 0.0
 
     def test_rank_one_tail_exact(self):
         # theta(n) = zeta^n exactly on the nonnegative sites
-        rep = decay_diagnostic(hl.rank_one(0.75), hl.SpectralPoint.from_lambda(0.0))
+        rep = decay_diagnostic(hl.rank_one(0.75), rim_zeta(0.0))
         assert rep.max_violation <= 0.0 + 1e-15
         assert rep.empirical_c <= 1e-14
 
@@ -214,16 +220,12 @@ class TestDecayDiagnostic:
         # the grid decay_scan rolls over, as single points
         m = 32
         th = (np.arange(m) + 0.5) * np.pi / m
-        zeta = np.exp(-1j * th)
-        points = [hl.SpectralPoint(lam=float(np.cos(t)), theta=float(t), zeta=complex(z))
-                  for t, z in zip(th, zeta)]
-        points += [hl.SpectralPoint(lam=1.0, theta=0.0, zeta=1.0 + 0j),
-                   hl.SpectralPoint(lam=-1.0, theta=np.pi, zeta=-1.0 + 0j)]
-        reps = [decay_diagnostic(p, pt) for pt in points]
+        zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
+        reps = [decay_diagnostic(p, z) for z in zeta]
         scan = hl.decay_scan(p, m)
         # within the bound of the long-double rows, at every site weighted
         # by at most (L - 1)^(rho - 2) in the envelope constant
-        t = long_double_t(p.values, [pt.zeta for pt in points], [pt.two_z for pt in points])
+        t = long_double_t(p.values, zeta, 2.0 * zeta.real)
         tol = decay_bound(p.values, t)
         assert scan.max_violation == pytest.approx(
             max(r.max_violation for r in reps), rel=0, abs=tol)

@@ -7,6 +7,9 @@ import halfline as hl
 from conftest import closed_form_omega, shift_identity, wave_identity
 from halfline import _kernels
 
+#: the default threshold tolerance of GridSpec
+TOL = hl.GridSpec().tol_threshold
+
 
 def coupling_pv_matrix(grid):
     """Skip-diagonal principal-value discretisation of the singular kernel
@@ -122,7 +125,7 @@ class TestWaveTransforms:
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
         grid = hl.quadrature_grid(grid_default.m_theta, 64)
-        Fm = hl.jost_transform(d, grid)
+        Fm = hl.jost_transform(d, grid, TOL)
         F = grid.fsin
         assert np.max(np.abs(np.conj(Fm) - F)) < 1e-12
         assert np.max(np.abs(Fm - F)) < 1e-12
@@ -146,15 +149,15 @@ class TestWaveTransforms:
         phi = _kernels.regular_values(p.values, 2.0 * d.lam, n - 1)[1:]
         sq = np.sqrt(2.0 / np.pi) * (1.0 - d.lam ** 2) ** 0.25 / d.amplitude
         Fp = grid.sqrt_weights[:, None] * (sq * phi * np.conj(d.omega / d.amplitude)).T
-        assert np.array_equal(Fp, np.conj(hl.jost_transform(d, grid)))
-        W_plus = hl.wave_operator(d, grid, sign=+1)
-        assert np.array_equal(W_plus, np.conj(hl.wave_operator(d, grid)))
+        assert np.array_equal(Fp, np.conj(hl.jost_transform(d, grid, TOL)))
+        W_plus = hl.wave_operator(d, grid, TOL, sign=+1)
+        assert np.array_equal(W_plus, np.conj(hl.wave_operator(d, grid, TOL)))
         assert np.max(np.abs(W_plus - Fp.conj().T @ grid.fsin)) < 1e-14
 
     def test_kernel_value_against_closed_form(self, pack075):
         p, d, _ = pack075
         grid = hl.quadrature_grid(d.m_theta, 8)
-        Fp = np.conj(hl.jost_transform(d, grid))
+        Fp = np.conj(hl.jost_transform(d, grid, TOL))
         j = 200
         om = closed_form_omega(0.75, d.zeta[j])
         a = abs(om)
@@ -168,30 +171,30 @@ class TestWaveOperator:
     def test_free_identity(self, grid_default, scatter_cache):
         p = hl.zero_potential()
         d = scatter_cache(p, grid_default)
-        W = hl.wave_operator(d, hl.quadrature_grid(grid_default.m_theta, 64))
+        W = hl.wave_operator(d, hl.quadrature_grid(grid_default.m_theta, 64), TOL)
         assert np.max(np.abs(W - np.eye(64))) < 1e-12
 
     def test_isometry_generic(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, grid)
+        W = hl.wave_operator(d, grid, TOL)
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_two_site(self, grid_default, scatter_cache):
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         d = scatter_cache(p, grid_default)
-        W = hl.wave_operator(d, hl.quadrature_grid(512, 128))
+        W = hl.wave_operator(d, hl.quadrature_grid(512, 128), TOL)
         assert hl.wave_isometry_defect(W) < 1e-6
 
     def test_isometry_resonant_degrades(self, grid_default, scatter_cache):
         # threshold resonance slows the co-isometry convergence to ~1e-4
         p = hl.rank_one(0.5)
         d = scatter_cache(p, grid_default)
-        W = hl.wave_operator(d, hl.quadrature_grid(512, 128))
+        W = hl.wave_operator(d, hl.quadrature_grid(512, 128), TOL)
         assert hl.wave_isometry_defect(W) < 5e-4
 
     def test_completeness_against_projector(self, pack075):
         p, d, grid = pack075
-        W = hl.wave_operator(d, grid)
+        W = hl.wave_operator(d, grid, TOL)
         assert hl.completeness_defect(W, p) < 1e-4
 
 
@@ -219,8 +222,8 @@ class TestScatteringOperator:
     def test_consistent_with_wave_operator_product(self, pack075):
         p, d, grid = pack075
         S = hl.scattering_operator(d, grid)
-        Wm = hl.wave_operator(d, grid, sign=-1)
-        Wp = hl.wave_operator(d, grid, sign=+1)
+        Wm = hl.wave_operator(d, grid, TOL, sign=-1)
+        Wp = hl.wave_operator(d, grid, TOL, sign=+1)
         D = S - Wp.conj().T @ Wm
         assert np.max(np.abs(D[:64, :64])) < 2e-6
 
@@ -335,7 +338,7 @@ class TestWaveIdentity:
         A = (U + np.eye(ni)) / 2.0 @ (S - np.eye(ni))
         block = _composed_block(grid, d.smatrix, b)
         assert np.max(np.abs(block - A[:b, :b])) < 1e-13
-        W = hl.wave_operator(d, grid)[:b, :b]
+        W = hl.wave_operator(d, grid, TOL)[:b, :b]
         K = hl.correction_operator(d, grid)[:b, :b]
         full = np.max(np.abs(W - np.eye(b) - A[:b, :b] - K))
         assert abs(wave_identity(d, g) - full) < 1e-13

@@ -118,4 +118,4 @@ class TestWindingNumber:
             edge_slices={"scattering": slice(0, n), "gamma_minus": slice(n, n),
                          "constant": slice(n, n), "gamma_plus": slice(n, n)})
         with pytest.raises(hl.NumericsError, match="not integer"):
-            hl.winding_number(curve, tol_winding=0.05)
+            hl.winding_number(curve, hl.GridSpec().tol_winding, count_n=0)
