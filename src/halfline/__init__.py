@@ -22,6 +22,6 @@ from .rescaled import (BetaGrid, SingularReport, b_weight, beta_grid,
                        energy_rescale_matrix, hyperbolic_pv_matrix, operator_checks,
                        pdo_apply, pv_kernel_action_gap, weyl_commutation_defect)
 from .topology import (BoundaryCurve, WindingReport, assemble_boundary,
-                       gamma_curve, winding_number, winding_report)
+                       gamma_curve, scattering_edge, winding_number, winding_report)
 
 __version__ = "0.1.0"

@@ -19,25 +19,25 @@ not finite (NaN and +-inf among them), a complex zeta off the unit circle.
     the operations of the complex per-site numpy loop (`reference_jost_rows`
     in the tests), whose values it equals bit for bit.
   - A complex array holds points zeta on the cut, |zeta| = 1; the kernel
-    takes 2z = 2 Re zeta, and returns complex128.  Each is two lanes, re
-    and im, of the unscaled theta~(n-1) = (2z - 2V(n)) theta~(n) -
-    theta~(n+1) from (theta~(L-1), theta~(L)) = (1, zeta); Omega =
-    zeta^L theta~(-1), with zeta^L to a few ulps.  Its rounding error grows
-    like L^2 eps near the thresholds, where the two solutions meet, as the
-    complex loop's does, and is far smaller than that loop's away from them.
+    takes 2z = 2 Re zeta, and returns complex128.  Each is two lanes, re and
+    im, in split layout (`_step.c`), of the unscaled theta~(n-1) = fma(2z -
+    2V(n), theta~(n), -theta~(n+1)) from (theta~(L-1), theta~(L)) = (1, zeta);
+    Omega = zeta^L theta~(-1), unfused, with zeta^L to a few ulps.  Its error
+    grows like L^2 eps near the thresholds, where the two solutions meet, as
+    the complex loop's does, and is far smaller than that loop's elsewhere.
 The kept rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0
 is Omega; past the table they are the free tail zeta^(n+1).  On a table of
 SPLIT_SITES sites or more and a machine with a second CPU, the second half
-of the points is stepped meanwhile on a worker thread (ctypes releases the
-GIL for the call).
+of the points is stepped meanwhile on a worker thread (`meanwhile`; ctypes
+releases the GIL for the call).
 
 `decay_scan` checks the decay on cut points in the same cut lanes: beside
-each pair a phase g = conj(zeta)^(L-1-n) turns one product per site, and the
+each point a phase g = conj(zeta)^(L-1-n) turns one product per site, and the
 step raises, per site, the max over the points of |theta~(n) - g|^2 =
 |t(n) - 1|^2 (NaN if any is); one square root per site ends it.  Split in two
 halves, each half raises its own row, and the rows are merged.
 
-A call pays for whole blocks of BLOCK lanes, which the bound-state bisection
+A call pays for whole blocks of BLOCK points, which the bound-state bisection
 fills with the midpoints of its next levels (`scattering._bisect`).
 `sturm_counts`, the library's `sturm`, is the count oracle: Sturm counts from
 LDL^T pivots, four chains side by side, independent of the Jost step.
@@ -124,16 +124,12 @@ def _entry(name, *argtypes, restype=None):
     return fn
 
 
-#: lanes per block of the lane step (`block_lanes` of `_step.c`)
+#: points per block of the lane step (`block_lanes` of `_step.c`)
 BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 
 
 #: lanes(V, L, n, cut, lane, width, rows, n_rows, dev) steps n lanes of the
-#: lane buffer (rows 2z, s, b, x(L), x(L+1), of width doubles each) down to
-#: x(0), x(1) in place, writing row i of the lanes to rows[i] for i < n_rows:
-#: real lanes, or when cut is 1 (re, im) lane pairs scaled by zeta^L, with the
-#: free tail past the table, and given dev (else NULL) raising dev[n] to the
-#: max over the points of |t(n) - 1|^2
+#: lane buffer (rows 2z, s, b, x(L), x(L+1)) down the table: see `_step.c`
 _LANES = _entry("lanes", None, int, int, int, None, int, None, int, None)
 
 #: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
@@ -143,16 +139,41 @@ _LANES = _entry("lanes", None, int, int, int, None, int, None, int, None)
 _STURM = _entry("sturm", None, int, float, None, int, None, restype=ctypes.c_long)
 
 
+@contextlib.contextmanager
+def meanwhile(fn, *args):
+    """fn(*args) on a worker thread while the block runs; yields a function
+    that joins it and returns its value or raises its exception.  It has
+    ended when the block is left, and an exception of the block goes first."""
+    import threading        # loaded by numpy already
+    out = {}
+
+    def work():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:        # an interrupt too
+            out["error"] = exc
+    worker = threading.Thread(target=work, name="halfline-step")
+    worker.start()
+
+    def result():
+        worker.join()
+        if "error" in out:
+            raise out["error"]
+        return out["value"]
+    try:
+        yield result
+    finally:
+        worker.join()
+
+
 def _halves(fn, V, n):
     """[fn(0, n)], or for a long table on a machine with a second CPU
     [fn(0, half), fn(half, n)], the second on a worker thread that has ended
     when this returns.  An exception in either half reaches the caller."""
     if V.shape[0] < SPLIT_SITES or n < 2 or (os.cpu_count() or 1) < 2:
         return [fn(0, n)]
-    from concurrent.futures import ThreadPoolExecutor      # 10 ms to import
-    with ThreadPoolExecutor(1, "halfline-step") as worker:
-        second = worker.submit(fn, n // 2, n)
-        return [fn(0, n // 2), second.result()]
+    with meanwhile(fn, n // 2, n) as second:
+        return [fn(0, n // 2), second()]
 
 
 def _step_lanes(V, lane, rows, cut, dev=None):

@@ -3,22 +3,25 @@
  * ctypes.  Row r of a table V[0..L-1] holds x(r - 1); the lanes step down
  * from the free tail, the rows L and L + 1.
  *
- * lanes steps BLOCK real lanes at a time, each quantity a few vector-typed
- * locals that stay in 512-bit registers where the CPU has them; the last
- * block is padded with copies of its lanes, whole (re, im) pairs of them,
- * never written out.
+ * lanes steps BLOCK points at a time, each quantity a few vectors of 8
+ * lanes that stay in 512-bit registers where the CPU has them; the last
+ * block is padded with copies of its points, never written out.
  *   - A real point is one lane of the scaled recursion
  *     x_r = ((a - 2 V[r]) s) x_{r+1} - b x_{r+2}, s = zeta, b = zeta^2, with
  *     no product fused (the build passes -ffp-contract=off): the per-site
  *     complex numpy loop with zero imaginary parts, bit for bit.
  *   - A cut point is two lanes, re and im, of the unscaled recursion
- *     x_r = fma(a - 2 V[r], x_{r+1}, -x_{r+2}): s = b = 1 folded away.
+ *     x_r = fma(c, x_{r+1}, -x_{r+2}), c = a - 2 V[r]: s = b = 1 folded away.
+ *     In split layout (re lanes of 8 points in one vector, im lanes in
+ *     another) c is computed once per point, and a trip of two sites trades
+ *     the roles of u and w.  x(0) and the rows are scaled by zeta^L
+ *     (`power`), the products unfused; every fused operation is an fma.
  *
  * Given dev, the cut lanes also reduce the decay check.  From
  * x(L-1) = theta~(L-1) = 1 they carry the phase g = conj(zeta)^(L-1-n),
  * one product per site, and raise dev[n] to the max over the points of
  * |theta~(n) - g|^2 = |t(n) - 1|^2 for n = 0..L-2; a NaN raises it to NaN.
- * block_lanes exports BLOCK: a call pays for whole blocks of lanes.
+ * block_lanes exports BLOCK: a call pays for whole blocks of points.
  *
  * sturm is the bound-state count oracle, independent of the Jost step: the
  * Sturm counts of a symmetric tridiagonal matrix from the pivots of its
@@ -36,15 +39,15 @@ typedef double vec __attribute__((vector_size(8 * sizeof(double))));
 typedef long vec_l __attribute__((vector_size(8 * sizeof(long))));
 typedef unsigned long vec_u __attribute__((vector_size(8 * sizeof(long))));
 
-/* the lanes of v with re and im swapped in each pair */
-#define SWAP(v) __builtin_shuffle(v, (vec_l){1, 0, 3, 2, 5, 4, 7, 6})
-
-#define NV 4                    /* vectors per block of lanes */
+#define NV 4                    /* vectors per block of real lanes, or of re lanes */
 #define BLOCK (8 * NV)
+#define INLINE static inline __attribute__((always_inline))
 
 const long block_lanes = BLOCK;
 
-static inline __attribute__((always_inline)) vec vfma(vec a, vec b, vec c)
+typedef struct { vec re[NV], im[NV]; } cv;     /* a block of cut points, split */
+
+INLINE vec vfma(vec a, vec b, vec c)
 {
     vec r;
     for (int i = 0; i < 8; i++)
@@ -54,7 +57,7 @@ static inline __attribute__((always_inline)) vec vfma(vec a, vec b, vec c)
 
 /* the larger of a and b, NaN if either is, for a and b in +0..+inf or NaN:
  * as unsigned integers their bits order them, NaN of either sign on top */
-static inline __attribute__((always_inline)) vec vmax(vec a, vec b)
+INLINE vec vmax(vec a, vec b)
 {
     vec_u x = (vec_u)a, y = (vec_u)b, r;
     for (int i = 0; i < 8; i++)
@@ -62,105 +65,86 @@ static inline __attribute__((always_inline)) vec vmax(vec a, vec b)
     return (vec)r;
 }
 
-/* the lanes j.. of x, the ones past j + m copies of the first m: for cut
- * lanes (m even) whole (re, im) pairs, which add nothing to the decay max */
-static inline __attribute__((always_inline)) void
-load(vec *v, const double *x, long j, long m)
+/* the lanes x[step j], x[step (j + 1)], ..., past j + m copies of the first m */
+INLINE void load(vec *v, const double *x, long j, long m, long step)
 {
     double l[BLOCK];
     for (int k = 0; k < BLOCK; k++)
-        l[k] = x[j + k % m];
+        l[k] = x[step * (j + k % m)];
     memcpy(v, l, sizeof l);
 }
 
-/* the first m lanes of v to x + j, through a copy, so that v can stay in
- * registers; given f, each (re, im) lane pair times the complex f + j */
-static inline __attribute__((always_inline)) void
-store(double *x, long j, long m, const vec *v, const double *f)
+/* the first m lanes of v to x[step j], ..., through a copy: v stays in registers */
+INLINE void store(double *x, long j, long m, long step, const vec *v)
 {
     double l[BLOCK];
     memcpy(l, v, sizeof l);
-    if (!f)
-        memcpy(x + j, l, m * sizeof(double));
-    else
-        for (long k = 0; k < m; k += 2) {
-            x[j + k] = f[j + k] * l[k] - f[j + k + 1] * l[k + 1];
-            x[j + k + 1] = f[j + k] * l[k + 1] + f[j + k + 1] * l[k];
-        }
+    for (long k = 0; k < m; k++)
+        x[step * (j + k)] = l[k];
 }
 
-/* The lane step, compiled for real lanes, for cut lanes and for cut lanes
- * with the decay reduction. */
-static inline __attribute__((always_inline)) void
-run(const double *V, long L, long n, const double *a,
-    const double *s, const double *b, double *x1, double *x2,
-    double *rows, long stride, long n_rows, const double *f, double *dev, const int cut)
+/* the first m points of v, split, to the complex points j.. of x */
+INLINE void put(double *x, long j, long m, const cv *v)
 {
-    for (long j = 0; j < n; j += BLOCK) {
-        long m = n - j < BLOCK ? n - j : BLOCK;
-        vec av[NV], sv[NV], bv[NV], u[NV], w[NV], g[NV], zr[NV], zi[NV];
-        load(av, a, j, m);
-        load(u, x1, j, m);
-        load(w, x2, j, m);
-        if (!cut) {
-            load(sv, s, j, m);
-            load(bv, b, j, m);
-        }
-        if (dev)                /* g = 1 = u; zeta = w, as (re, re) and (im, -im) */
-            for (int q = 0; q < NV; q++) {
-                g[q] = u[q];
-                zr[q] = __builtin_shuffle(w[q], (vec_l){0, 0, 2, 2, 4, 4, 6, 6});
-                zi[q] = __builtin_shuffle(w[q], (vec_l){1, 1, 3, 3, 5, 5, 7, 7})
-                        * (vec){1, -1, 1, -1, 1, -1, 1, -1};
-            }
-        for (long r = L - 1; r >= 0; r--) {
-            double two_v = 2.0 * V[r];
-            vec d[NV];
-#pragma GCC unroll 8            /* so that the vectors stay in registers */
-            for (int q = 0; q < NV; q++) {
-                vec c = av[q] - two_v;
-                vec x = cut ? vfma(c, u[q], -w[q]) : c * sv[q] * u[q] - bv[q] * w[q];
-                w[q] = u[q];
-                u[q] = x;
-                if (dev) {
-                    g[q] = vfma(SWAP(g[q]), zi[q], g[q] * zr[q]);
-                    d[q] = (x - g[q]) * (x - g[q]);
-                    d[q] += SWAP(d[q]);
-                }
-            }
-            if (dev && r > 0) {     /* each pair holds its sum twice: max over lanes 0, 2, 4, 6 */
-                for (int h = NV / 2; h; h /= 2)
-                    for (int q = 0; q < h; q++)
-                        d[q] = vmax(d[q], d[q + h]);
-                d[0] = vmax(d[0], __builtin_shuffle(d[0], (vec_l){4, 5, 6, 7, 0, 1, 2, 3}));
-                d[0] = vmax(d[0], __builtin_shuffle(d[0], (vec_l){2, 3, 0, 1, 6, 7, 4, 5}));
-                dev[r - 1] = vmax(d[0], (vec){0} + dev[r - 1])[0];
-            }
-            if (r < n_rows)
-                store(rows + r * stride, j, m, u, f);
-        }
-        store(x1, j, m, u, f);
-        store(x2, j, m, w, 0);
+    store(x, j, m, 2, v->re), store(x + 1, j, m, 2, v->im);
+}
+
+/* v times f, the products unfused */
+INLINE void cmul(cv *v, const cv *f)
+{
+    for (int q = 0; q < NV; q++) {
+        vec re = f->re[q] * v->re[q] - f->im[q] * v->im[q];
+        v->im[q] = f->re[q] * v->im[q] + f->im[q] * v->re[q];
+        v->re[q] = re;
     }
 }
 
-/* double-double arithmetic, for the scale zeta^L of the cut lanes */
-typedef struct { double h, l; } dd;
-
-static dd dd_sum(double a, double b)
+/* The real lanes' step. */
+static void run(const double *V, long L, long n, const double *a, const double *s,
+                const double *b, double *x1, double *x2, double *rows, long stride,
+                long n_rows)
 {
-    double s = a + b, v = s - a;
+    for (long j = 0; j < n; j += BLOCK) {
+        long m = n - j < BLOCK ? n - j : BLOCK;
+        vec av[NV], sv[NV], bv[NV], u[NV], w[NV];
+        load(av, a, j, m, 1);
+        load(sv, s, j, m, 1);
+        load(bv, b, j, m, 1);
+        load(u, x1, j, m, 1);
+        load(w, x2, j, m, 1);
+        for (long r = L - 1; r >= 0; r--) {
+            double two_v = 2.0 * V[r];
+#pragma GCC unroll 8            /* so that the vectors stay in registers */
+            for (int q = 0; q < NV; q++) {
+                vec x = (av[q] - two_v) * sv[q] * u[q] - bv[q] * w[q];
+                w[q] = u[q];
+                u[q] = x;
+            }
+            if (r < n_rows)
+                store(rows + r * stride, j, m, 1, u);
+        }
+        store(x1, j, m, 1, u);
+        store(x2, j, m, 1, w);
+    }
+}
+
+/* double-double arithmetic on 8 points at a time, for the scale zeta^L */
+typedef struct { vec h, l; } dd;
+
+INLINE dd dd_sum(vec a, vec b)
+{
+    vec s = a + b, v = s - a;
     return (dd){s, (a - (s - v)) + (b - v)};
 }
 
-static dd dd_mul(dd a, dd b)
+INLINE dd dd_mul(dd a, dd b)
 {
-    double p = a.h * b.h;
-    return dd_sum(p, fma(a.h, b.h, -p) + (a.h * b.l + a.l * b.h));
+    vec p = a.h * b.h;
+    return dd_sum(p, vfma(a.h, b.h, -p) + (a.h * b.l + a.l * b.h));
 }
 
 /* a b - c d */
-static dd dd_det(dd a, dd b, dd c, dd d)
+INLINE dd dd_det(dd a, dd b, dd c, dd d)
 {
     dd x = dd_mul(a, b), y = dd_mul(c, d), s = dd_sum(x.h, -y.h);
     return dd_sum(s.h, s.l + (x.l - y.l));
@@ -168,37 +152,96 @@ static dd dd_det(dd a, dd b, dd c, dd d)
 
 typedef struct { dd re, im; } zd;
 
-static zd zd_mul(zd a, zd b)
+INLINE zd zd_mul(zd a, zd b)
 {
     return (zd){dd_det(a.re, b.re, a.im, b.im), dd_det(a.re, b.im, (dd){-a.im.h, -a.im.l}, b.re)};
 }
 
-/* out = zeta^k for n interleaved complex points and k >= 0, by binary
- * powering in double-double arithmetic and rounded once: within a few ulps,
- * and exact where every product is (zeta = +-1, +-i).  The points go in
- * chunks, each bit of k over a chunk, so that the loop over points
- * vectorizes. */
-static void power(long n, const double *zeta, long k, double *out)
+/* (*fr, *fi) = zeta^k for the 8 points (zr, zi), k >= 0, by binary powering in
+ * double-double, rounded once: a few ulps, exact where every product is */
+INLINE void power(vec zr, vec zi, long k, vec *fr, vec *fi)
 {
-    for (long j0 = 0; j0 < n; j0 += 64) {
-        long m = n - j0 < 64 ? n - j0 : 64;
-        zd b[64], p[64];
-        for (long j = 0; j < m; j++) {
-            b[j] = (zd){{zeta[2 * (j0 + j)], 0.0}, {zeta[2 * (j0 + j) + 1], 0.0}};
-            p[j] = (zd){{1.0, 0.0}, {0.0, 0.0}};
+    const vec zero = {0}, one = zero + 1.0;
+    zd b = {{zr, zero}, {zi, zero}}, p = {{one, zero}, {zero, zero}};
+    for (long e = k, first = 1; e; first &= !(e & 1), e >>= 1) {
+        if (e & 1)
+            p = first ? b : zd_mul(p, b);
+        if (e > 1)
+            b = zd_mul(b, b);
+    }
+    *fr = p.re.h + p.re.l;
+    *fi = p.im.h + p.im.l;
+}
+
+/* Site r of a block of cut points: w = x(r + 2) becomes x(r), from u = x(r + 1),
+ * and goes to row r < n_rows times f; given dev, g turns and raises dev[r - 1]. */
+INLINE void site(const double *V, long r, const vec *av, const cv *u, cv *w, cv *g,
+                 const cv *z, const cv *f, double *rows, long width, long n_rows, long j,
+                 long m, double *dev)
+{
+    double two_v = 2.0 * V[r];
+    vec d[NV];
+#pragma GCC unroll 8
+    for (int q = 0; q < NV; q++) {
+        vec c = av[q] - two_v;
+        w->re[q] = vfma(c, u->re[q], -w->re[q]);
+        w->im[q] = vfma(c, u->im[q], -w->im[q]);
+        if (dev) {
+            vec h = g->re[q];
+            g->re[q] = vfma(g->im[q], z->im[q], h * z->re[q]);
+            g->im[q] = vfma(h, -z->im[q], g->im[q] * z->re[q]);
+            vec er = w->re[q] - g->re[q], ei = w->im[q] - g->im[q];
+            d[q] = er * er + ei * ei;
         }
-        for (long e = k, first = 1; e; first &= !(e & 1), e >>= 1) {
-            if (e & 1)
-                for (long j = 0; j < m; j++)
-                    p[j] = first ? b[j] : zd_mul(p[j], b[j]);
-            if (e > 1)
-                for (long j = 0; j < m; j++)
-                    b[j] = zd_mul(b[j], b[j]);
+    }
+    if (dev && r > 0) {         /* a tree over the vectors, then over the lanes */
+        for (int h = NV / 2; h; h /= 2)
+            for (int q = 0; q < h; q++)
+                d[q] = vmax(d[q], d[q + h]);
+        for (long h = 4; h; h /= 2)
+            d[0] = vmax(d[0], __builtin_shuffle(d[0], (vec_l){0, 1, 2, 3, 4, 5, 6, 7} ^ h));
+        dev[r - 1] = vmax(d[0], (vec){0} + dev[r - 1])[0];
+    }
+    if (r < n_rows) {
+        cv x = *w;
+        cmul(&x, f);
+        put(rows + r * width, j, m, &x);
+    }
+}
+
+/* The cut lanes' step, on the n complex points of the lane buffer. */
+INLINE void run_cut(const double *V, long L, long n, double *lane, long width,
+                    double *rows, long n_rows, double *dev)
+{
+    double *x1 = lane + 3 * width, *x2 = x1 + width;
+    for (long j = 0; j < n; j += BLOCK) {
+        long m = n - j < BLOCK ? n - j : BLOCK;
+        vec av[NV];
+        cv u, w, z, f, g, t;
+        load(av, lane, j, m, 2);
+        load(u.re, x1, j, m, 2), load(u.im, x1 + 1, j, m, 2);
+        load(z.re, x2, j, m, 2), load(z.im, x2 + 1, j, m, 2);
+        for (int q = 0; q < NV; q++)
+            power(z.re[q], z.im[q], L, f.re + q, f.im + q);
+        put(lane + width, j, m, &f);
+        w = z, g = u, t = f;
+        for (long r = L; r < n_rows; r++) {     /* the free tail zeta^r */
+            if (r > L)
+                cmul(&t, &z);
+            put(rows + r * width, j, m, &t);
         }
-        for (long j = 0; j < m; j++) {
-            out[2 * (j0 + j)] = p[j].re.h + p[j].re.l;
-            out[2 * (j0 + j) + 1] = p[j].im.h + p[j].im.l;
+        long r = L - 1;
+        for (; r > 0; r -= 2) {
+            site(V, r, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev);
+            site(V, r - 1, av, &w, &u, &g, &z, &f, rows, width, n_rows, j, m, dev);
         }
+        if (r == 0) {
+            site(V, 0, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev);
+            t = u, u = w, w = t;
+        }
+        put(x2, j, m, &w);
+        cmul(&u, &f);
+        put(x1, j, m, &u);
     }
 }
 
@@ -214,27 +257,13 @@ static void power(long n, const double *zeta, long k, double *out)
 void lanes(const double *V, long L, long n, int cut, double *lane, long width,
            double *rows, long n_rows, double *dev)
 {
-    double *s = lane + width, *x2 = lane + 4 * width;
-    if (!cut) {
-        run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, 0, 0, 0);
-        return;
-    }
-    power(n / 2, x2, L, s);
-    for (long r = L; r < n_rows; r++)
-        for (long k = 0; k < n; k += 2) {
-            double *o = rows + r * width + k;
-            if (r == L) {
-                o[0] = s[k];
-                o[1] = s[k + 1];
-            } else {
-                o[0] = o[-width] * x2[k] - o[1 - width] * x2[k + 1];
-                o[1] = o[-width] * x2[k + 1] + o[1 - width] * x2[k];
-            }
-        }
-    if (dev)
-        run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, dev, 1);
+    double *s = lane + width;
+    if (!cut)
+        run(V, L, n, lane, s, s + width, s + 2 * width, s + 3 * width, rows, width, n_rows);
+    else if (dev)
+        run_cut(V, L, n / 2, lane, width, rows, n_rows, dev);
     else
-        run(V, L, n, lane, s, s + width, x2 - width, x2, rows, width, n_rows, s, 0, 1);
+        run_cut(V, L, n / 2, lane, width, rows, n_rows, 0);
 }
 
 /* count[j] = the number of eigenvalues beyond +-b[j], j < nb, of the symmetric

@@ -28,7 +28,7 @@ from .model import GridSpec, Potential, make_potential
 from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
                          scattering_grids)
-from .topology import assemble_boundary, winding_number, winding_report
+from .topology import assemble_boundary, scattering_edge, winding_number
 
 #: pass/fail gates used by the report command
 GATES = {
@@ -250,8 +250,9 @@ def cmd_waveop(args) -> int:
 def cmd_winding(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
-    d = scattering_grid(p, g)
-    curve = assemble_boundary(d, g)
+    with _kernels.meanwhile(scattering_edge, p, g) as edge:
+        d = scattering_grid(p, g)
+        curve = assemble_boundary(d, g, edge())
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     ph = np.unwrap(np.angle(curve.points))
     rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,
@@ -276,11 +277,12 @@ def cmd_winding(args) -> int:
 def cmd_report(args) -> int:
     p, g, outputs, normalized, cfg_hash = _start(args)
     t0 = time.perf_counter()
-    payload, d, _ = _waveop_payload(p, g)
-    _scatter_outputs(d, outputs, cfg_hash)
-    scatter = _scatter_summary(d)
-    _write_json(outputs, "waveop.json", payload, cfg_hash)
-    wrep = winding_report(d, p, g)
+    with _kernels.meanwhile(scattering_edge, p, g) as edge:
+        payload, d, _ = _waveop_payload(p, g)
+        _scatter_outputs(d, outputs, cfg_hash)
+        scatter = _scatter_summary(d)
+        _write_json(outputs, "waveop.json", payload, cfg_hash)
+        wrep = winding_number(assemble_boundary(d, g, edge()), g.tol_winding, d.count_n)
     passes = _gates(g, scatter, payload, wrep)
     report = {
         "provenance": {"config": normalized},

@@ -31,11 +31,16 @@ DECAY_SLACK = 1e-10
 
 def regular_solution(p: Potential, x, n_max: int) -> np.ndarray:
     """Forward recursion from the boundary pair u(-1) = 0, u(0) = 1 at the
-    point x, with 2z = 2 Re x: real values."""
+    point x, with 2z = 2 Re x: real values, refused once they overflow."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     x = _kernels.jost_points(x)[0]
-    return _kernels.regular_values(p.values, 2.0 * x.real, n_max)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _kernels.regular_values(p.values, 2.0 * x.real, n_max)[:, 0]
+    if not np.isfinite(u).all():
+        n = int(np.argmin(np.isfinite(u))) - 1
+        raise NumericsError(f"the regular solution at x = {x[0]} overflows at n = {n}")
+    return u
 
 
 def jost_solution(p: Potential, x, n_max: int) -> np.ndarray:

@@ -65,8 +65,17 @@ class BoundaryCurve:
         raise IndexError(i)
 
 
-def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
-    """Concatenate the four edges into one closed curve.
+def scattering_edge(p: Potential, g: GridSpec) -> tuple:
+    """(beta, Omega) on the scattering edge: g.n_edge values of beta from
+    2 alpha_max down to -2 alpha_max, Omega of p at theta = 2 atan(e^(-beta))."""
+    beta = np.linspace(2.0 * float(g.alpha_max), -2.0 * float(g.alpha_max), g.n_edge)
+    theta = 2.0 * np.arctan(np.exp(-beta))
+    return beta, _kernels.jost_function_values(p.values, np.exp(-1j * theta))
+
+
+def assemble_boundary(d: ScatteringData, g: GridSpec, edge: tuple) -> BoundaryCurve:
+    """Concatenate the four edges into one closed curve; edge is
+    `scattering_edge(d.potential, g)`.
 
     Traversal: the scattering edge from beta = +inf down to -inf, then
     Gamma_- with alpha rising, the constant edge, and Gamma_+ with alpha
@@ -77,18 +86,12 @@ def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
     s(tanh beta) approaches its limit only like e^(-beta) times the phase
     slope, while the Gamma profiles saturate like e^(-pi alpha).
 
-    The scattering edge steps Omega of d.potential at theta = 2 atan(e^(-beta))
-    for g.n_edge values of beta from 2 g.alpha_max down to -2 g.alpha_max.
-    Its turn, the sum of its phase steps, is checked against the cut grid's
-    (eta(+1) - eta(-1))/pi: an edge too coarse to follow the phase can lose a
-    whole turn without any large sampled jump.
+    The turn of the scattering edge, the sum of its phase steps, is checked
+    against the cut grid's (eta(+1) - eta(-1))/pi: an edge too coarse to
+    follow the phase can lose a whole turn without any large sampled jump.
     """
-    n_edge, amax = g.n_edge, float(g.alpha_max)
-    bmax = 2.0 * amax
-    beta = np.linspace(bmax, -bmax, n_edge)
+    (beta, omega), n_edge, amax = edge, g.n_edge, float(g.alpha_max)
     sp, sm = d.s_plus, d.s_minus
-    theta = 2.0 * np.arctan(np.exp(-beta))
-    omega = _kernels.jost_function_values(d.potential.values, np.exp(-1j * theta))
     s_edge = np.conj(omega) / omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)
@@ -119,7 +122,7 @@ def assemble_boundary(d: ScatteringData, g: GridSpec) -> BoundaryCurve:
         raise NumericsError(f"undersampled: the scattering edge turns {turn:.3f}, "
                             f"(eta(+1) - eta(-1))/pi is {(eta_p1 - eta_m1) / np.pi:.3f}")
     params = {
-        "scattering": np.concatenate([[bmax], beta, [-bmax]]),
+        "scattering": np.concatenate([beta[:1], beta, -beta[:1]]),
         "gamma_minus": np.concatenate([[-amax], alpha_up, [amax]]),
         "constant": np.zeros(len(const)),
         "gamma_plus": np.concatenate([[amax], alpha_up[::-1], [-amax]]),
@@ -171,7 +174,7 @@ def winding_number(curve: BoundaryCurve, tol_winding: float, count_n: int) -> Wi
 
 
 def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingReport:
-    """Assemble the boundary curve and compare its winding with the
-    bound-state count.  p is not read: the boundary comes from d and g."""
-    curve = assemble_boundary(d, g)
+    """Assemble the boundary curve of d, with p's Omega on the scattering
+    edge, and compare its winding with the bound-state count."""
+    curve = assemble_boundary(d, g, scattering_edge(p, g))
     return winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)

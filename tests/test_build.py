@@ -97,3 +97,21 @@ def test_source_compiles_without_warnings():
                              os.devnull, str(PACKAGE / "_step.c")],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_build_fuses_only_explicit_fma():
+    # every fused operation of the step is written as an explicit fma, which
+    # rounds as the tests' models do; gcc's vectorizer can still turn complex
+    # products of scalar code into fused add-subtracts despite
+    # -ffp-contract=off, which moves Omega by an ulp
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump on PATH")
+    from halfline import _kernels
+    result = subprocess.run([objdump, "-d", _kernels._LIB._name], capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "<lanes>:" in result.stdout
+    fused = [line for line in result.stdout.splitlines()
+             if "vfmaddsub" in line or "vfmsubadd" in line]
+    assert fused == []

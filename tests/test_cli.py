@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -15,6 +17,8 @@ import halfline
 from conftest import closed_form_bound_state, scan_brackets
 from halfline import _kernels
 from halfline.cli import load_config, main
+from halfline.errors import NumericsError
+from halfline.topology import scattering_edge
 
 SRC = str(Path(halfline.__file__).resolve().parents[1])
 
@@ -477,6 +481,74 @@ class TestReport:
             assert f"# config={h}" in (tmp_path / "out" / name).read_text()
         wave = json.loads((tmp_path / "out" / "waveop.json").read_text())
         assert wave["config_hash"] == h
+
+
+class TestEdgeWorker:
+    """report and winding step the scattering edge on a worker thread while
+    the caller's thread computes the scattering data and the operator stage.
+    The worker is joined on every path, and its errors come after the
+    refusals of those stages, as when the edge was stepped last."""
+
+    RANK_ONE = {"kind": "rank_one", "v0": 0.75, "rho": 3.0}
+
+    @pytest.fixture
+    def slow_edge(self, monkeypatch):
+        """The edge step, ending 0.2 s late; the threads that ended it."""
+        from halfline import cli
+        ended = []
+
+        def edge(p, g):
+            time.sleep(0.2)
+            out = scattering_edge(p, g)
+            ended.append(threading.get_ident())
+            return out
+        monkeypatch.setattr(cli, "scattering_edge", edge)
+        return ended
+
+    @pytest.fixture
+    def failing_edge(self, monkeypatch):
+        from halfline import cli
+
+        def edge(p, g):
+            raise RuntimeError("the edge step fails")
+        monkeypatch.setattr(cli, "scattering_edge", edge)
+
+    @pytest.mark.parametrize("command", ["report", "winding"])
+    def test_joined_on_exit_0(self, tmp_path, slow_edge, command):
+        threads = threading.active_count()
+        assert main([command, str(write_cfg(tmp_path, self.RANK_ONE))]) == 0
+        assert threading.active_count() == threads
+        assert len(slow_edge) == 1 and slow_edge[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("command", ["report", "winding"])
+    def test_joined_on_a_scattering_refusal(self, tmp_path, slow_edge, capsys, command):
+        # the bound state of rank_one 0.75 lies at z = 13/12, beyond z_max:
+        # the scattering stage refuses while the worker still steps the edge
+        cfg = write_cfg(tmp_path, self.RANK_ONE, grids={
+            "m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024, "z_max": 1.05})
+        threads = threading.active_count()
+        assert main([command, str(cfg)]) == 4
+        assert "z_max too small" in capsys.readouterr().err
+        assert threading.active_count() == threads and len(slow_edge) == 1
+
+    @pytest.mark.parametrize("command", ["report", "winding"])
+    def test_worker_error_raised_at_the_join(self, tmp_path, failing_edge, command):
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="the edge step fails"):
+            main([command, str(write_cfg(tmp_path, self.RANK_ONE))])
+        assert threading.active_count() == threads
+
+    def test_worker_error_after_the_operator_stage(self, tmp_path, failing_edge, monkeypatch,
+                                                   capsys):
+        from halfline import cli
+
+        def refuse(*args):
+            raise NumericsError("the operator stage refuses")
+        monkeypatch.setattr(cli, "operator_checks", refuse)
+        threads = threading.active_count()
+        assert main(["report", str(write_cfg(tmp_path, self.RANK_ONE))]) == 4
+        assert "the operator stage refuses" in capsys.readouterr().err
+        assert threading.active_count() == threads
 
 
 def test_import_path_loads_no_scipy():

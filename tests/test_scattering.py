@@ -3,6 +3,7 @@ import re
 import threading
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -448,6 +449,139 @@ class TestStepBlocks:
         with np.errstate(all="ignore"):     # rows past the double range
             ref = np.max(np.abs(t[1:len(values)] - 1), axis=1, initial=0.0).astype(float)
             assert np.all(np.abs(dev - ref)[finite] <= decay_bound(values, t))
+
+
+class CutLaneModel:
+    """The cut lanes of `_step.c` on one point zeta, each documented
+    operation rounded once to the nearest double through `fractions.Fraction`
+    (an int quotient rounds correctly): c = 2z - 2V, x = fma(c, u, -w), the
+    double-double zeta^L, the unfused products by it, and the decay's phase
+    g and |x - g|^2.  Values, not the signs of zeros, are pinned."""
+
+    @staticmethod
+    def rnd(q):
+        return float(q)
+
+    @classmethod
+    def fma(cls, a, b, c):
+        return cls.rnd(Fraction(a) * Fraction(b) + Fraction(c))
+
+    @classmethod
+    def mul(cls, a, b):
+        return cls.rnd(Fraction(a) * Fraction(b))
+
+    @classmethod
+    def add(cls, a, b):
+        return cls.rnd(Fraction(a) + Fraction(b))
+
+    @classmethod
+    def sub(cls, a, b):
+        return cls.rnd(Fraction(a) - Fraction(b))
+
+    @classmethod
+    def cmul(cls, f, x):
+        """f x, the products unfused."""
+        return (cls.sub(cls.mul(f[0], x[0]), cls.mul(f[1], x[1])),
+                cls.add(cls.mul(f[0], x[1]), cls.mul(f[1], x[0])))
+
+    @classmethod
+    def two_sum(cls, a, b):
+        s = cls.add(a, b)
+        v = cls.sub(s, a)
+        return s, cls.add(cls.sub(a, cls.sub(s, v)), cls.sub(b, v))
+
+    @classmethod
+    def dd_mul(cls, a, b):
+        p = cls.mul(a[0], b[0])
+        low = cls.add(cls.mul(a[0], b[1]), cls.mul(a[1], b[0]))
+        return cls.two_sum(p, cls.add(cls.fma(a[0], b[0], -p), low))
+
+    @classmethod
+    def dd_det(cls, a, b, c, d):
+        """a b - c d"""
+        x, y = cls.dd_mul(a, b), cls.dd_mul(c, d)
+        s = cls.two_sum(x[0], -y[0])
+        return cls.two_sum(s[0], cls.add(s[1], cls.sub(x[1], y[1])))
+
+    @classmethod
+    def power(cls, zeta, k):
+        """zeta^k by binary powering in double-double, rounded once."""
+        def zd_mul(a, b):
+            return (cls.dd_det(a[0], b[0], a[1], b[1]),
+                    cls.dd_det(a[0], b[1], (-a[1][0], -a[1][1]), b[0]))
+        b, p, first = ((zeta[0], 0.0), (zeta[1], 0.0)), ((1.0, 0.0), (0.0, 0.0)), True
+        while k:
+            if k & 1:
+                p = b if first else zd_mul(p, b)
+            if k > 1:
+                b = zd_mul(b, b)
+            first, k = first and not k & 1, k >> 1
+        return cls.add(*p[0]), cls.add(*p[1])
+
+    @classmethod
+    def step(cls, V, zeta, n_rows):
+        """(Omega, rows 0..n_rows-1, |x - g|^2 on the sites n = 0..L-2) at
+        one point: x(r) stepped down from (x(L), x(L+1)) = (1, zeta)."""
+        z = (zeta.real, zeta.imag)
+        L, u, w, g = len(V), (1.0, 0.0), z, (1.0, 0.0)
+        kept, dev = {}, [None] * max(L - 1, 0)
+        for r in range(L - 1, -1, -1):
+            c = cls.sub(2.0 * z[0], 2.0 * V[r])
+            x = (cls.fma(c, u[0], -w[0]), cls.fma(c, u[1], -w[1]))
+            g = (cls.fma(g[1], z[1], cls.mul(g[0], z[0])),
+                 cls.fma(g[0], -z[1], cls.mul(g[1], z[0])))
+            e = (cls.sub(x[0], g[0]), cls.sub(x[1], g[1]))
+            if r > 0:
+                dev[r - 1] = cls.add(cls.mul(e[0], e[0]), cls.mul(e[1], e[1]))
+            kept[r], w, u = x, u, x
+        f = cls.power(z, L)
+        rows, tail = [], f
+        for r in range(n_rows):
+            if r < L:
+                rows.append(cls.cmul(f, kept[r]))
+            else:
+                if r > L:
+                    tail = cls.cmul(tail, z)
+                rows.append(tail)
+        return cls.cmul(f, u), rows, dev
+
+
+class TestCutLaneBits:
+    """The cut lanes equal `CutLaneModel` bit for bit on short tables: a
+    product fused by the compiler, or an operation reordered, moves a value
+    by an ulp that the tests against the long-double recursion let pass."""
+
+    TABLES = {"one_site": [0.75], "two_sites": [0.3, -0.2], "three_sites": [0.5, 0.0, -1.25],
+              "six_sites": [0.4, -0.3, 1.1, 0.05, -0.7, 0.2]}
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_omega_rows_and_deviations(self, name):
+        V = np.array(self.TABLES[name])
+        th = np.r_[(np.arange(256) + 0.5) * np.pi / 256, 1e-7, np.pi / 2, np.pi - 1e-7]
+        zeta = np.exp(-1j * th)
+        n_keep = 4
+        omega, rows = _kernels.jost_scaled(V, zeta, n_keep)
+        dev = _kernels._deviations(V, zeta)
+        model = [CutLaneModel.step(V, z, n_keep + 2) for z in zeta]
+        assert np.array_equal(omega, [complex(*m[0]) for m in model])
+        assert np.array_equal(rows, np.array([[complex(*r) for r in m[1]] for m in model]).T)
+        per_site = [max(m[2][n] for m in model) for n in range(len(V) - 1)]
+        assert np.array_equal(dev, np.sqrt(per_site))
+        assert len(dev) == len(V) - 1
+        for k in range(0, len(zeta), 7):    # the deviations of lone points
+            assert np.array_equal(_kernels._deviations(V, zeta[k:k + 1]), np.sqrt(model[k][2]))
+
+    def test_power_of_the_long_table(self):
+        # the double-double zeta^L of 246,621 sites, left in the lane
+        # buffer's row s, as the model powers it
+        zeta = np.exp(-1j * np.r_[(np.arange(40) + 0.5) * np.pi / 40, 7.5e-9])
+        n, k = len(zeta), 246621
+        lane = np.zeros((5, 2 * n))         # 2z, s, b, 1, zeta
+        lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
+        lane[3, ::2], lane[4] = 1.0, zeta.view(np.float64)
+        _kernels._step_lanes(np.zeros(k), lane, np.empty((0, 2 * n)), True)
+        model = [complex(*CutLaneModel.power((z.real, z.imag), k)) for z in zeta]
+        assert np.array_equal(lane[1].view(np.complex128), model)
 
 
 class TestScatteringGrid:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -72,6 +73,20 @@ class TestRegularSolution:
             for x in (rim_zeta(0.3), 1.7):
                 u = hl.regular_solution(p, x, 40)
                 assert recurrence_residual(p, x, u) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, n", [(1e200, 2), (-1e200, 2), (1e100, 4), (-3e307, 2)])
+    def test_overflow_refused(self, x, n):
+        # the forward recursion grows like (2z)^n: once it leaves the float
+        # range, a refusal that names the point, and no numpy warning
+        with pytest.raises(hl.NumericsError,
+                           match=re.escape(f"regular solution at x = {x} overflows at n = {n}")):
+            hl.regular_solution(hl.rank_one(0.75), x, 5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_finite_answered(self):
+        u = hl.regular_solution(hl.rank_one(0.75), 1e100, 3)
+        assert np.all(np.isfinite(u)) and u[-1] == pytest.approx(8e300, rel=1e-12)
 
 
 class TestFreeRegular:
