@@ -13,11 +13,11 @@ that coordinate, for them and for the solutions of `halfline.solutions`;
 any other input is refused with a ValueError: a real z with |z| < 1 or 2z
 not finite (NaN and +-inf among them), a complex zeta off the unit circle.
   - A real array holds points z with |z| >= 1 and 2z finite, the
-    thresholds included; the kernel takes zeta = `off_axis_zeta(z)` and
-    2z, and returns float64.  Each is one lane of the scaled recursion
-    t = theta/zeta^n, t(n-1) = ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1), in
-    the operations of the complex per-site numpy loop (`reference_jost_rows`
-    in the tests), whose values it equals bit for bit.
+    thresholds included; the kernel takes z and zeta = `off_axis_zeta(z)`,
+    forms 2z and zeta^2, and returns float64.  Each is one lane of the
+    scaled recursion t = theta/zeta^n, t(n-1) = ((2z - 2V(n)) zeta) t(n) -
+    zeta^2 t(n+1), in the operations of the complex per-site numpy loop
+    (`reference_jost_rows` in the tests), whose values it equals bit for bit.
   - A complex array holds points zeta on the cut, |zeta| = 1; the kernel
     takes 2z = 2 Re zeta, and returns complex128.  Each is two lanes, re and
     im, in split layout (`_step.c`), of the unscaled theta~(n-1) = fma(2z -
@@ -25,8 +25,11 @@ not finite (NaN and +-inf among them), a complex zeta off the unit circle.
     Omega = zeta^L theta~(-1), unfused, with zeta^L to a few ulps.  Its error
     grows like L^2 eps near the thresholds, where the two solutions meet, as
     the complex loop's does, and is far smaller than that loop's elsewhere.
-The kept rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0
-is Omega; past the table they are the free tail zeta^(n+1).  On a table of
+`_jost` is the one caller of the step: it hands it the points as
+`jost_points` returns them, contiguous float64 or complex128, and the
+arrays for Omega and the rows, which the step writes in place.  The kept
+rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0 is
+Omega; past the table they are the free tail zeta^(n+1).  On a table of
 SPLIT_SITES sites or more and a machine with a second CPU, the second half
 of the points is stepped meanwhile on a worker thread (`meanwhile`; ctypes
 releases the GIL for the call).
@@ -128,9 +131,10 @@ def _entry(name, *argtypes, restype=None):
 BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 
 
-#: lanes(V, L, n, cut, lane, width, rows, n_rows, dev) steps n lanes of the
-#: lane buffer (rows 2z, s, b, x(L), x(L+1)) down the table: see `_step.c`
-_LANES = _entry("lanes", None, int, int, int, None, int, None, int, None)
+#: lanes(V, L, n, cut, x, zeta, omega, rows, width, n_rows, dev) steps the n
+#: points x (z with its zeta, or a complex zeta) down the table, writing
+#: Omega to omega and n_rows rows to rows: see `_step.c`
+_LANES = _entry("lanes", None, int, int, int, None, None, None, None, int, int, None)
 
 #: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
 #: beyond +-b[j] of the symmetric tridiagonal matrix with diagonal d and
@@ -176,22 +180,6 @@ def _halves(fn, V, n):
         return [fn(0, n // 2), second()]
 
 
-def _step_lanes(V, lane, rows, cut, dev=None):
-    """Step the lanes of the lane buffer down the whole table in place,
-    writing their kept rows to rows (the `lanes` entry of `_step.c`) and,
-    given dev of shape (2, L - 1), the decay reduction of the first half of
-    the points to dev[0] and of the second to dev[1].  A split cuts between
-    points."""
-    per, v, p, width = 1 + cut, V.ctypes.data, lane.ctypes.data, lane.shape[1]
-    out = rows.ctypes.data if rows.size else p      # no rows kept: never written
-
-    def step(lo, hi):
-        d = None if dev is None else dev[int(lo > 0)].ctypes.data
-        _LANES(v, V.shape[0], per * (hi - lo), cut, p + 8 * per * lo, width,
-               out + 8 * per * lo, rows.shape[0], d)
-    _halves(step, V, width // per)
-
-
 def off_axis_zeta(z):
     """zeta(z) = sign(z) / (|z| + sqrt(z^2 - 1)) for real |z| >= 1, which does
     not cancel for large |z|.  Above 1e150, where z^2 may overflow,
@@ -202,7 +190,8 @@ def off_axis_zeta(z):
 
 
 def jost_points(x):
-    """(x, zeta) for the Jost points x as an array: a real z with |z| >= 1
+    """(x, zeta) for the Jost points x as contiguous float64 or complex128
+    arrays, which the compiled step reads in place: a real z with |z| >= 1
     and 2z finite, the thresholds +-1 among them, has zeta = `off_axis_zeta(z)`;
     a complex zeta is a point on the cut.  Any other point is refused with a
     ValueError, the same test for every kernel and every solution: a complex
@@ -214,40 +203,31 @@ def jost_points(x):
         if not np.all(np.abs(x.real * x.real + x.imag * x.imag - 1.0) <= 1e-15):
             raise ValueError("complex Jost points must lie on |zeta| = 1")
         return x, x
+    x = np.ascontiguousarray(x, np.float64)
     if not np.all((np.abs(x) >= 1.0) & (np.abs(x) <= np.finfo(np.float64).max / 2)):
         raise ValueError("real Jost points need |z| >= 1 and 2z finite")
     return x, off_axis_zeta(x)
 
 
-def _real_points(V, z, zeta, n_rows):
-    lane = np.empty((5, z.shape[0]))        # 2z, s = zeta, b = zeta^2, x(L) = x(L+1) = 1
-    lane[0], lane[1], lane[3:] = 2.0 * z, zeta, 1.0
-    np.multiply(lane[1], lane[1], out=lane[2])
-    rows = np.ones((n_rows, z.shape[0])) if n_rows else lane[:0]
-    _step_lanes(V, lane, rows, False)
-    if n_rows > 1:                          # zeta^(n+1) t(n), the power by repeated products
-        rows[1:] *= np.cumprod(np.broadcast_to(lane[1], (n_rows - 1, lane.shape[1])), axis=0)
-    return lane[3], rows
-
-
-def _cut_points(V, zeta, n_rows, dev=None):
-    n = zeta.shape[0]
-    lane = np.empty((5, 2 * n))             # 2z = 2 Re zeta on both lanes, s, b, 1, zeta
-    lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
-    lane[3], lane[4] = 0.0, zeta.view(np.float64)
-    lane[3, ::2] = 1.0
-    rows = np.empty((n_rows, n), np.complex128)
-    _step_lanes(V, lane, rows.view(np.float64), True, dev)
-    return lane[3].view(np.complex128).copy(), rows
-
-
-def _jost(V, x, n_rows):
+def _jost(V, x, n_rows, dev=None):
     """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2:
-    real x as z, complex x as zeta."""
+    real x as z, complex x as zeta.  Given dev of shape (2, L - 1), the decay
+    reduction of the first half of the points goes to dev[0] and of the
+    second to dev[1].  A split (`_halves`) cuts between points."""
     V, (x, zeta) = np.ascontiguousarray(V, dtype=np.float64), jost_points(x)
-    if np.iscomplexobj(x):
-        return _cut_points(V, x, n_rows)
-    return _real_points(V, x, zeta, n_rows)
+    cut, n = np.iscomplexobj(x), x.shape[0]
+    omega = np.empty_like(x)
+    rows = np.empty((n_rows, n), x.dtype) if cut else np.ones((n_rows, n))
+
+    def step(lo, hi):
+        d = None if dev is None else dev[int(lo > 0)].ctypes.data
+        _LANES(V.ctypes.data, V.shape[0], hi - lo, cut, x[lo:].ctypes.data,
+               zeta[lo:].ctypes.data, omega[lo:].ctypes.data, rows[:, lo:].ctypes.data,
+               n, n_rows, d)
+    _halves(step, V, n)
+    if n_rows > 1 and not cut:              # zeta^(n+1) t(n), the power by repeated products
+        rows[1:] *= np.cumprod(np.broadcast_to(zeta, (n_rows - 1, n)), axis=0)
+    return omega, rows
 
 
 def jost_scaled(V, x, n_keep):
@@ -271,9 +251,8 @@ def jost_function_values(V, x):
 def _deviations(V, zeta):
     """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
     as cut points: every zeta must lie on |zeta| = 1."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    dev = np.zeros((2, max(V.shape[0] - 1, 0)))
-    _cut_points(V, jost_points(np.asarray(zeta, np.complex128))[0], 0, dev)
+    dev = np.zeros((2, max(np.shape(V)[0] - 1, 0)))
+    _jost(V, np.asarray(zeta, np.complex128), 0, dev)
     return np.sqrt(np.maximum(dev[0], dev[1]))
 
 

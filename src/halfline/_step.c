@@ -1,17 +1,19 @@
 /* The backward site steps of the Jost recursion; halfline._kernels builds
  * this file into a shared library on first import and calls it through
- * ctypes.  Row r of a table V[0..L-1] holds x(r - 1); the lanes step down
- * from the free tail, the rows L and L + 1.
+ * ctypes.  Row r of a table V[0..L-1] holds x(r - 1); each point steps
+ * down from the free tail, the rows L and L + 1, to x(0), which gives Omega.
  *
- * lanes steps BLOCK points at a time, each quantity a few vectors of 8
- * lanes that stay in 512-bit registers where the CPU has them; the last
- * block is padded with copies of its points, never written out.
- *   - A real point is one lane of the scaled recursion
- *     x_r = ((a - 2 V[r]) s) x_{r+1} - b x_{r+2}, s = zeta, b = zeta^2, with
- *     no product fused (the build passes -ffp-contract=off): the per-site
- *     complex numpy loop with zero imaginary parts, bit for bit.
- *   - A cut point is two lanes, re and im, of the unscaled recursion
- *     x_r = fma(c, x_{r+1}, -x_{r+2}), c = a - 2 V[r]: s = b = 1 folded away.
+ * lanes takes the caller's arrays of points and steps BLOCK points at a
+ * time, each quantity a few vectors of 8 lanes that stay in 512-bit
+ * registers where the CPU has them; the last block is padded with copies of
+ * its points, never written out.
+ *   - A real point z is one lane of the scaled recursion
+ *     x_r = ((a - 2 V[r]) s) x_{r+1} - b x_{r+2}, a = 2z, s = zeta,
+ *     b = zeta^2, with no product fused (the build passes -ffp-contract=off):
+ *     the per-site complex numpy loop with zero imaginary parts, bit for bit.
+ *   - A cut point zeta is two lanes, re and im, of the unscaled recursion
+ *     x_r = fma(c, x_{r+1}, -x_{r+2}), c = a - 2 V[r], a = 2 Re zeta:
+ *     s = b = 1 folded away.
  *     In split layout (re lanes of 8 points in one vector, im lanes in
  *     another) c is computed once per point, and a trip of two sites trades
  *     the roles of u and w.  x(0) and the rows are scaled by zeta^L
@@ -99,19 +101,19 @@ INLINE void cmul(cv *v, const cv *f)
     }
 }
 
-/* The real lanes' step. */
-static void run(const double *V, long L, long n, const double *a, const double *s,
-                const double *b, double *x1, double *x2, double *rows, long stride,
-                long n_rows)
+/* The real lanes' step: from 2z, s = zeta and b = zeta^2, each rounded once,
+ * and x(L) = x(L + 1) = 1 down to Omega = x(0). */
+static void run(const double *V, long L, long n, const double *z, const double *zeta,
+                double *omega, double *rows, long width, long n_rows)
 {
+    const vec one = (vec){0} + 1.0;
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
         vec av[NV], sv[NV], bv[NV], u[NV], w[NV];
-        load(av, a, j, m, 1);
-        load(sv, s, j, m, 1);
-        load(bv, b, j, m, 1);
-        load(u, x1, j, m, 1);
-        load(w, x2, j, m, 1);
+        load(av, z, j, m, 1);
+        load(sv, zeta, j, m, 1);
+        for (int q = 0; q < NV; q++)
+            av[q] *= 2.0, bv[q] = sv[q] * sv[q], u[q] = w[q] = one;
         for (long r = L - 1; r >= 0; r--) {
             double two_v = 2.0 * V[r];
 #pragma GCC unroll 8            /* so that the vectors stay in registers */
@@ -121,10 +123,9 @@ static void run(const double *V, long L, long n, const double *a, const double *
                 u[q] = x;
             }
             if (r < n_rows)
-                store(rows + r * stride, j, m, 1, u);
+                store(rows + r * width, j, m, 1, u);
         }
-        store(x1, j, m, 1, u);
-        store(x2, j, m, 1, w);
+        store(omega, j, m, 1, u);
     }
 }
 
@@ -209,21 +210,21 @@ INLINE void site(const double *V, long r, const vec *av, const cv *u, cv *w, cv 
     }
 }
 
-/* The cut lanes' step, on the n complex points of the lane buffer. */
-INLINE void run_cut(const double *V, long L, long n, double *lane, long width,
-                    double *rows, long n_rows, double *dev)
+/* The cut lanes' step: from 2z = 2 Re zeta and (x(L), x(L + 1)) = (1, zeta)
+ * down to Omega = zeta^L x(0), for the n complex points zeta of x. */
+INLINE void run_cut(const double *V, long L, long n, const double *x, double *omega,
+                    double *rows, long width, long n_rows, double *dev)
 {
-    double *x1 = lane + 3 * width, *x2 = x1 + width;
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
+        const vec zero = {0};
         vec av[NV];
         cv u, w, z, f, g, t;
-        load(av, lane, j, m, 2);
-        load(u.re, x1, j, m, 2), load(u.im, x1 + 1, j, m, 2);
-        load(z.re, x2, j, m, 2), load(z.im, x2 + 1, j, m, 2);
-        for (int q = 0; q < NV; q++)
+        load(z.re, x, j, m, 2), load(z.im, x + 1, j, m, 2);
+        for (int q = 0; q < NV; q++) {
+            av[q] = 2.0 * z.re[q], u.re[q] = zero + 1.0, u.im[q] = zero;
             power(z.re[q], z.im[q], L, f.re + q, f.im + q);
-        put(lane + width, j, m, &f);
+        }
         w = z, g = u, t = f;
         for (long r = L; r < n_rows; r++) {     /* the free tail zeta^r */
             if (r > L)
@@ -235,35 +236,30 @@ INLINE void run_cut(const double *V, long L, long n, double *lane, long width,
             site(V, r, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev);
             site(V, r - 1, av, &w, &u, &g, &z, &f, rows, width, n_rows, j, m, dev);
         }
-        if (r == 0) {
-            site(V, 0, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev);
-            t = u, u = w, w = t;
-        }
-        put(x2, j, m, &w);
+        if (r == 0)
+            site(V, 0, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev), u = w;
         cmul(&u, &f);
-        put(x1, j, m, &u);
+        put(omega, j, m, &u);
     }
 }
 
-/* Step n lanes from the rows (x(L), x(L + 1)) down to (x(0), x(1)), in
- * place, writing row r < n_rows to row r of rows.  The lane buffer holds
- * five rows of width doubles: 2z, the real lanes' factors s and b, x(L) and
- * x(L + 1); rows has rows of width doubles too.  Cut lanes (cut != 0) are
- * (re, im) pairs from (1, zeta); in the row s, which they do not read, they
- * put zeta^L, which scales x(0) and their rows, and past the table their
- * rows are the free tail zeta^r.  Given dev (cut lanes only), they raise
+/* Step the n points x, each from the free tail down to x(0), writing Omega to
+ * omega and row r < n_rows to row r of rows, rows of width points apart.  A
+ * real point (cut = 0) is a z with zeta = off_axis_zeta(z) in zeta, and
+ * rows of doubles; a cut point is a complex zeta (re, im) of x, and zeta is
+ * not read: its rows are complex, scaled by zeta^L, and past the table they
+ * are the free tail zeta^r.  Given dev (cut points only), the step raises
  * dev[n] to the max over the points of |t(n) - 1|^2 for n = 0..L-2.  The
- * caller has checked that every cut point lies on |zeta| = 1. */
-void lanes(const double *V, long L, long n, int cut, double *lane, long width,
-           double *rows, long n_rows, double *dev)
+ * caller has checked every point (`jost_points`). */
+void lanes(const double *V, long L, long n, int cut, const double *x, const double *zeta,
+           double *omega, double *rows, long width, long n_rows, double *dev)
 {
-    double *s = lane + width;
     if (!cut)
-        run(V, L, n, lane, s, s + width, s + 2 * width, s + 3 * width, rows, width, n_rows);
+        run(V, L, n, x, zeta, omega, rows, width, n_rows);
     else if (dev)
-        run_cut(V, L, n / 2, lane, width, rows, n_rows, dev);
+        run_cut(V, L, n, x, omega, rows, 2 * width, n_rows, dev);
     else
-        run_cut(V, L, n / 2, lane, width, rows, n_rows, 0);
+        run_cut(V, L, n, x, omega, rows, 2 * width, n_rows, 0);
 }
 
 /* count[j] = the number of eigenvalues beyond +-b[j], j < nb, of the symmetric

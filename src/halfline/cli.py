@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, scattering
+from . import _kernels
 from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
 from .model import GridSpec, Potential, make_potential
 from .rescaled import operator_checks
@@ -185,7 +185,7 @@ def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
 
     def bs_rows():         # stepped only when the csv file is written
         z = d.bound_states
-        residual = np.abs(scattering._omega_off_axis(d.potential, z))
+        residual = np.abs(_kernels.jost_function_values(d.potential.values, z))
         yield from zip(z, _kernels.off_axis_zeta(z), residual)
     _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows(), cfg_hash)
 

@@ -53,15 +53,14 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class Potential:
-    """Finitely supported real potential table with its decay certificate.
+    """Finitely supported real potential table with its decay exponent rho.
 
     values[n] = V(n) for 0 <= n < support_end; sites beyond the table are
-    exactly zero.  envelope_const = sup (1+n)^rho |V(n)| over the support.
+    exactly zero.
     """
 
     values: np.ndarray
     rho: float
-    envelope_const: float
     kind: str = "table"
     params: dict = field(default_factory=dict)
 
@@ -102,12 +101,7 @@ def _validated(values, rho: float, kind: str, params: dict) -> Potential:
     if values.dtype.kind not in "iuf" or values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ConfigError("potential table must be a one-dimensional list of finite real numbers")
     values = np.trim_zeros(values.astype(float), "b")
-    if values.size:
-        env = float(np.max((1.0 + np.arange(len(values))) ** rho * np.abs(values)))
-    else:
-        env = 0.0
-    return Potential(values=values.copy(), rho=float(rho), envelope_const=env,
-                     kind=kind, params=dict(params))
+    return Potential(values=values.copy(), rho=float(rho), kind=kind, params=dict(params))
 
 
 def zero_potential(rho: float = 3.0) -> Potential:

@@ -117,7 +117,7 @@ def bound_states(p: Potential, g: GridSpec, z_max: float | None = None):
     """
     z_max = g.effective_z_max(p) if z_max is None else z_max
     z_scan = _scan_points(z_max)
-    scan = _omega_off_axis(p, z_scan)
+    scan = _kernels.jost_function_values(p.values, z_scan)
     roots = []
     for z, om in zip(z_scan.reshape(2, -1), scan.reshape(2, -1)):
         idx = np.where(np.diff(np.sign(om)) != 0)[0]
@@ -156,7 +156,7 @@ def _bisect(p: Potential, lo, hi, flo, tol: float) -> list:
             mids = [0.5 * (a + b) for a, b in level]
             tree += mids
             level = [half for (a, b), m in zip(level, mids) for half in ((a, m), (m, b))]
-        omega = dict(zip(tree, _omega_off_axis(p, tree).tolist()))
+        omega = dict(zip(tree, _kernels.jost_function_values(p.values, tree).tolist()))
         for _ in range(d):
             for j in range(k):
                 mid = 0.5 * (lo[j] + hi[j])
@@ -180,11 +180,6 @@ def _scan_points(z_max: float) -> np.ndarray:
     1 + SCAN_FLOOR, then the same points negated."""
     z_side = 1.0 + np.geomspace(z_max - 1.0, SCAN_FLOOR, SCAN_POINTS)
     return np.concatenate([z_side, -z_side])
-
-
-def _omega_off_axis(p: Potential, z) -> np.ndarray:
-    """Omega at the real points z, |z| >= 1."""
-    return _kernels.jost_function_values(p.values, z)
 
 
 def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from halfline import rescaled, scattering, solutions
+from halfline import _kernels, rescaled, scattering, solutions
 
 # canonical test potentials
 RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
@@ -173,8 +173,9 @@ def scan_brackets(p, g):
     """The brackets (lo, hi, Omega(lo)) of the bound-state scan's sign changes,
     one triple per side with a sign change."""
     z_scan = scattering._scan_points(g.effective_z_max(p))
+    scan = _kernels.jost_function_values(p.values, z_scan)
     out = []
-    for z, om in zip(z_scan.reshape(2, -1), scattering._omega_off_axis(p, z_scan).reshape(2, -1)):
+    for z, om in zip(z_scan.reshape(2, -1), scan.reshape(2, -1)):
         idx = np.where(np.diff(np.sign(om)) != 0)[0]
         if idx.size:
             out.append((z[idx], z[idx + 1], om[idx]))
@@ -189,7 +190,7 @@ def reference_bisection(p, lo, hi, flo, tol):
     lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
     while np.any((np.abs(hi - lo) > tol) & (np.nextafter(lo, hi) != hi)):
         mid = 0.5 * (lo + hi)
-        fm = scattering._omega_off_axis(p, mid)
+        fm = _kernels.jost_function_values(p.values, mid)
         same = (fm > 0) == (flo > 0)
         lo = np.where(same, mid, lo)
         flo = np.where(same, fm, flo)

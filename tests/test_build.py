@@ -115,3 +115,17 @@ def test_build_fuses_only_explicit_fma():
     fused = [line for line in result.stdout.splitlines()
              if "vfmaddsub" in line or "vfmsubadd" in line]
     assert fused == []
+
+
+def test_library_exports_only_bound_entries():
+    # the library defines exactly the entries that _kernels binds, so that
+    # no dead entry outlives a change of the step's interface
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm on PATH")
+    from halfline import _kernels
+    result = subprocess.run([nm, "-D", "--defined-only", _kernels._LIB._name],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    names = {line.split()[-1] for line in result.stdout.splitlines() if line.strip()}
+    assert names == {"block_lanes", "lanes", "sturm"}

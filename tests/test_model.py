@@ -13,29 +13,13 @@ from halfline._kernels import jost_points, off_axis_zeta
 
 
 class TestPotential:
-    def test_rank_one_envelope(self):
+    def test_rank_one_support(self):
         p = hl.rank_one(0.75, site=0, rho=3.0)
-        assert p.envelope_const == 0.75
         assert p.support_end == 1
 
-    def test_zero_envelope(self):
+    def test_zero_support(self):
         p = hl.zero_potential()
-        assert p.envelope_const == 0.0
         assert p.support_end == 0
-
-    def test_table_envelope_scan_oracle(self):
-        n = np.arange(21)
-        vals = (1.0 + n) ** -3.0
-        p = hl.table_potential(vals, rho=3.0)
-        # direct scan of (1+n)^rho |V(n)| over the support
-        oracle = max((1.0 + k) ** 3.0 * abs(vals[k]) for k in range(21))
-        assert p.envelope_const == pytest.approx(oracle, abs=0)
-        assert p.envelope_const == pytest.approx(1.0, rel=1e-15)
-
-    def test_envelope_dominates_table(self):
-        p = hl.random_decaying(0, amplitude=0.3)
-        n = np.arange(p.support_end)
-        assert np.all(p.envelope_const * (1.0 + n) ** (-p.rho) >= np.abs(p.values) - 1e-300)
 
     def test_rho_too_small_rejected(self):
         with pytest.raises(hl.AssumptionError, match="assumption violated"):

@@ -167,15 +167,10 @@ class TestJostFunction:
         assert_forms_match_reference(V, np.exp(-1j * th), 9)
 
     def test_power_within_few_ulps(self):
-        # the scale zeta^L of the cut lanes, which they leave in the lane
-        # buffer's row s, against mpmath
+        # the scale zeta^L of the cut lanes, which they write unmultiplied
+        # to the first kept row past the table, against mpmath
         def power(zeta, k):
-            n = len(zeta)
-            lane = np.zeros((5, 2 * n))     # 2z, s, b, 1, zeta
-            lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
-            lane[3, ::2], lane[4] = 1.0, zeta.view(np.float64)
-            _kernels._step_lanes(np.zeros(k), lane, np.empty((0, 2 * n)), True)
-            return lane[1].view(np.complex128)
+            return _kernels.jost_scaled(np.zeros(k), zeta, k - 1)[1][k]
 
         th = np.array([7.5e-9, 0.3, 1.0, 2.0, np.pi / 2, np.pi - 1e-6, 3.0])
         zeta = np.exp(-1j * th)
@@ -290,6 +285,26 @@ class TestJostFunction:
         p = hl.table_potential([0.3, -0.2], rho=3.0)
         for z in (1.3, -2.5, 4.0):
             assert omega(p, z).dtype == np.float64
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_input_layouts_equal_contiguous(self, split, request):
+        # the compiled step reads the points in place: an int list, a
+        # strided view and a big-endian array give the bits of contiguous
+        # float64 or complex128, whole and split across the worker
+        if split:
+            request.getfixturevalue("split_all")
+        V = KERNEL_POTENTIALS["short_random"].values
+        z = np.array([1.0, -1.0, 1.3, 9.0, -4.0, -1.7, 2.0, 5.0] * 5)
+        zeta = np.exp(-1j * (np.arange(80) + 0.5) * np.pi / 80)
+        layouts = [[1, -1, 2, -3, 5, 7, -1], z[::2], z.astype(">f8"), zeta[::2],
+                   zeta.astype(">c16")]
+        for x in layouts:
+            plain = np.array(x, np.complex128 if np.iscomplexobj(x) else np.float64)
+            assert plain.flags.c_contiguous and plain.dtype.isnative
+            for form in (lambda y: [_kernels.jost_function_values(V, y)],
+                         lambda y: _kernels.jost_scaled(V, y, 5),
+                         lambda y: [_kernels._deviations(V, y)] if np.iscomplexobj(y) else []):
+                assert [a.tobytes() for a in form(x)] == [a.tobytes() for a in form(plain)]
 
 
 class TestStepBlocks:
@@ -572,16 +587,13 @@ class TestCutLaneBits:
             assert np.array_equal(_kernels._deviations(V, zeta[k:k + 1]), np.sqrt(model[k][2]))
 
     def test_power_of_the_long_table(self):
-        # the double-double zeta^L of 246,621 sites, left in the lane
-        # buffer's row s, as the model powers it
+        # the double-double zeta^L of 246,621 sites, written unmultiplied to
+        # the first kept row past the table, as the model powers it
         zeta = np.exp(-1j * np.r_[(np.arange(40) + 0.5) * np.pi / 40, 7.5e-9])
-        n, k = len(zeta), 246621
-        lane = np.zeros((5, 2 * n))         # 2z, s, b, 1, zeta
-        lane[0].reshape(n, 2)[:] = 2.0 * zeta.real[:, None]
-        lane[3, ::2], lane[4] = 1.0, zeta.view(np.float64)
-        _kernels._step_lanes(np.zeros(k), lane, np.empty((0, 2 * n)), True)
+        k = 246621
+        power = _kernels.jost_scaled(np.zeros(k), zeta, k - 1)[1][k]
         model = [complex(*CutLaneModel.power((z.real, z.imag), k)) for z in zeta]
-        assert np.array_equal(lane[1].view(np.complex128), model)
+        assert np.array_equal(power, model)
 
 
 class TestScatteringGrid:
@@ -731,10 +743,10 @@ def assert_bisection_as_reference(p, g=hl.GridSpec()):
     bit for bit, in ceil(levels / d) kernel calls, where d is the most levels
     whose 2^d - 1 midpoints per bracket fit the blocks of lanes that one level
     takes.  Returns the number of brackets per side."""
-    omega, block = scattering._omega_off_axis, _kernels.BLOCK
+    omega, block = _kernels.jost_function_values, _kernels.BLOCK
     sides = []
     for lo, hi, flo in scan_brackets(p, g):
-        with mock.patch.object(scattering, "_omega_off_axis", wraps=omega) as one_level:
+        with mock.patch.object(_kernels, "jost_function_values", wraps=omega) as one_level:
             reference = reference_bisection(p, lo, hi, flo, g.tol_root)
         k = lo.size
         lanes = block * -(-k // block)
@@ -742,11 +754,11 @@ def assert_bisection_as_reference(p, g=hl.GridSpec()):
         calls = -(-one_level.call_count // d)
         points = []
 
-        def tree(p, z):             # a search that would not end fails here
+        def tree(V, z):             # a search that would not end fails here
             points.append(np.size(z))
             assert len(points) <= calls and points[-1] <= lanes
-            return omega(p, z)
-        with mock.patch.object(scattering, "_omega_off_axis", tree):
+            return omega(V, z)
+        with mock.patch.object(_kernels, "jost_function_values", tree):
             roots = np.array(scattering._bisect(p, lo, hi, flo, g.tol_root))
         assert roots.tobytes() == reference.tobytes()
         assert len(points) == calls
