@@ -26,13 +26,13 @@ not finite (NaN and +-inf among them), a complex zeta off the unit circle.
     grows like L^2 eps near the thresholds, where the two solutions meet, as
     the complex loop's does, and is far smaller than that loop's elsewhere.
 `_jost` is the one caller of the step: it hands it the points as
-`jost_points` returns them, contiguous float64 or complex128, and the
-arrays for Omega and the rows, which the step writes in place.  The kept
-rows are zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0 is
-Omega; past the table they are the free tail zeta^(n+1).  On a table of
-SPLIT_SITES sites or more and a machine with a second CPU, the second half
-of the points is stepped meanwhile on a worker thread (`meanwhile`; ctypes
-releases the GIL for the call).
+`jost_points` returns them, contiguous float64 or complex128, and the array
+of rows, at least one, which the step writes in place.  The kept rows are
+zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0 is Omega, the one
+copy the step writes; past the table they are the free tail zeta^(n+1).
+On a table of SPLIT_SITES sites or more and a machine with a second CPU,
+the second half of the points is stepped meanwhile on a worker thread
+(`meanwhile`; ctypes releases the GIL for the call).
 
 `decay_scan` checks the decay on cut points in the same cut lanes: beside
 each point a phase g = conj(zeta)^(L-1-n) turns one product per site, and the
@@ -131,10 +131,10 @@ def _entry(name, *argtypes, restype=None):
 BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 
 
-#: lanes(V, L, n, cut, x, zeta, omega, rows, width, n_rows, dev) steps the n
-#: points x (z with its zeta, or a complex zeta) down the table, writing
-#: Omega to omega and n_rows rows to rows: see `_step.c`
-_LANES = _entry("lanes", None, int, int, int, None, None, None, None, int, int, None)
+#: lanes(V, L, n, cut, x, zeta, rows, width, n_rows, dev) steps the n points
+#: x (z with its zeta, or a complex zeta) down the table, writing n_rows >= 1
+#: rows to rows, Omega as row 0: see `_step.c`
+_LANES = _entry("lanes", None, int, int, int, None, None, None, int, int, None)
 
 #: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
 #: beyond +-b[j] of the symmetric tridiagonal matrix with diagonal d and
@@ -210,24 +210,22 @@ def jost_points(x):
 
 
 def _jost(V, x, n_rows, dev=None):
-    """Omega on every point and its rows zeta theta(n) for n = -1..n_rows-2:
-    real x as z, complex x as zeta.  Given dev of shape (2, L - 1), the decay
-    reduction of the first half of the points goes to dev[0] and of the
-    second to dev[1].  A split (`_halves`) cuts between points."""
+    """The rows zeta theta(n) for n = -1..n_rows-2 on every point, n_rows >= 1,
+    row 0 Omega: real x as z, complex x as zeta.  Given dev of shape (2, L - 1),
+    the decay reduction of the first half of the points goes to dev[0] and of
+    the second to dev[1].  A split (`_halves`) cuts between points."""
     V, (x, zeta) = np.ascontiguousarray(V, dtype=np.float64), jost_points(x)
     cut, n = np.iscomplexobj(x), x.shape[0]
-    omega = np.empty_like(x)
     rows = np.empty((n_rows, n), x.dtype) if cut else np.ones((n_rows, n))
 
     def step(lo, hi):
         d = None if dev is None else dev[int(lo > 0)].ctypes.data
         _LANES(V.ctypes.data, V.shape[0], hi - lo, cut, x[lo:].ctypes.data,
-               zeta[lo:].ctypes.data, omega[lo:].ctypes.data, rows[:, lo:].ctypes.data,
-               n, n_rows, d)
+               zeta[lo:].ctypes.data, rows[:, lo:].ctypes.data, n, n_rows, d)
     _halves(step, V, n)
     if n_rows > 1 and not cut:              # zeta^(n+1) t(n), the power by repeated products
         rows[1:] *= np.cumprod(np.broadcast_to(zeta, (n_rows - 1, n)), axis=0)
-    return omega, rows
+    return rows
 
 
 def jost_scaled(V, x, n_keep):
@@ -237,22 +235,23 @@ def jost_scaled(V, x, n_keep):
 
     Returns (omega, rows), float64 for real x and complex128 for complex x;
     rows has shape (n_keep + 2, points), row index n + 1, and its row 0 is
-    omega.
+    omega.  omega is a copy: a view would keep all the rows alive.
     """
-    return _jost(V, x, int(n_keep) + 2)
+    rows = _jost(V, x, int(n_keep) + 2)
+    return rows[0].copy(), rows
 
 
 def jost_function_values(V, x):
     """Omega(z) = zeta theta(-1) on a batch of points: real x is z, giving
     float64, complex x is zeta on the cut, giving complex128."""
-    return _jost(V, x, 0)[0]
+    return _jost(V, x, 1)[0]
 
 
 def _deviations(V, zeta):
     """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
     as cut points: every zeta must lie on |zeta| = 1."""
     dev = np.zeros((2, max(np.shape(V)[0] - 1, 0)))
-    _jost(V, np.asarray(zeta, np.complex128), 0, dev)
+    _jost(V, np.asarray(zeta, np.complex128), 1, dev)
     return np.sqrt(np.maximum(dev[0], dev[1]))
 
 

@@ -1,7 +1,7 @@
 /* The backward site steps of the Jost recursion; halfline._kernels builds
  * this file into a shared library on first import and calls it through
  * ctypes.  Row r of a table V[0..L-1] holds x(r - 1); each point steps
- * down from the free tail, the rows L and L + 1, to x(0), which gives Omega.
+ * down from the free tail, the rows L and L + 1, to x(0), row 0: Omega.
  *
  * lanes takes the caller's arrays of points and steps BLOCK points at a
  * time, each quantity a few vectors of 8 lanes that stay in 512-bit
@@ -16,7 +16,7 @@
  *     s = b = 1 folded away.
  *     In split layout (re lanes of 8 points in one vector, im lanes in
  *     another) c is computed once per point, and a trip of two sites trades
- *     the roles of u and w.  x(0) and the rows are scaled by zeta^L
+ *     the roles of u and w.  The rows, x(0) among them, are scaled by zeta^L
  *     (`power`), the products unfused; every fused operation is an fma.
  *
  * Given dev, the cut lanes also reduce the decay check.  From
@@ -102,9 +102,9 @@ INLINE void cmul(cv *v, const cv *f)
 }
 
 /* The real lanes' step: from 2z, s = zeta and b = zeta^2, each rounded once,
- * and x(L) = x(L + 1) = 1 down to Omega = x(0). */
+ * and x(L) = x(L + 1) = 1 down to row 0, Omega = x(0). */
 static void run(const double *V, long L, long n, const double *z, const double *zeta,
-                double *omega, double *rows, long width, long n_rows)
+                double *rows, long width, long n_rows)
 {
     const vec one = (vec){0} + 1.0;
     for (long j = 0; j < n; j += BLOCK) {
@@ -125,7 +125,6 @@ static void run(const double *V, long L, long n, const double *z, const double *
             if (r < n_rows)
                 store(rows + r * width, j, m, 1, u);
         }
-        store(omega, j, m, 1, u);
     }
 }
 
@@ -211,9 +210,9 @@ INLINE void site(const double *V, long r, const vec *av, const cv *u, cv *w, cv 
 }
 
 /* The cut lanes' step: from 2z = 2 Re zeta and (x(L), x(L + 1)) = (1, zeta)
- * down to Omega = zeta^L x(0), for the n complex points zeta of x. */
-INLINE void run_cut(const double *V, long L, long n, const double *x, double *omega,
-                    double *rows, long width, long n_rows, double *dev)
+ * down to row 0, Omega = zeta^L x(0), for the n complex points zeta of x. */
+INLINE void run_cut(const double *V, long L, long n, const double *x, double *rows,
+                    long width, long n_rows, double *dev)
 {
     for (long j = 0; j < n; j += BLOCK) {
         long m = n - j < BLOCK ? n - j : BLOCK;
@@ -237,29 +236,27 @@ INLINE void run_cut(const double *V, long L, long n, const double *x, double *om
             site(V, r - 1, av, &w, &u, &g, &z, &f, rows, width, n_rows, j, m, dev);
         }
         if (r == 0)
-            site(V, 0, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev), u = w;
-        cmul(&u, &f);
-        put(omega, j, m, &u);
+            site(V, 0, av, &u, &w, &g, &z, &f, rows, width, n_rows, j, m, dev);
     }
 }
 
-/* Step the n points x, each from the free tail down to x(0), writing Omega to
- * omega and row r < n_rows to row r of rows, rows of width points apart.  A
- * real point (cut = 0) is a z with zeta = off_axis_zeta(z) in zeta, and
- * rows of doubles; a cut point is a complex zeta (re, im) of x, and zeta is
- * not read: its rows are complex, scaled by zeta^L, and past the table they
- * are the free tail zeta^r.  Given dev (cut points only), the step raises
+/* Step the n points x, each from the free tail down to x(0), writing row
+ * r < n_rows to row r of rows, rows of width points apart: n_rows >= 1, and
+ * row 0 is Omega.  A real point (cut = 0) is a z with zeta = off_axis_zeta(z)
+ * in zeta, and rows of doubles; a cut point is a complex zeta (re, im) of x,
+ * and zeta is not read: its rows are complex, scaled by zeta^L, and past the
+ * table they are the free tail zeta^r.  Given dev (cut points only), the step raises
  * dev[n] to the max over the points of |t(n) - 1|^2 for n = 0..L-2.  The
  * caller has checked every point (`jost_points`). */
 void lanes(const double *V, long L, long n, int cut, const double *x, const double *zeta,
-           double *omega, double *rows, long width, long n_rows, double *dev)
+           double *rows, long width, long n_rows, double *dev)
 {
     if (!cut)
-        run(V, L, n, x, zeta, omega, rows, width, n_rows);
+        run(V, L, n, x, zeta, rows, width, n_rows);
     else if (dev)
-        run_cut(V, L, n, x, omega, rows, 2 * width, n_rows, dev);
+        run_cut(V, L, n, x, rows, 2 * width, n_rows, dev);
     else
-        run_cut(V, L, n, x, omega, rows, 2 * width, n_rows, 0);
+        run_cut(V, L, n, x, rows, 2 * width, n_rows, 0);
 }
 
 /* count[j] = the number of eigenvalues beyond +-b[j], j < nb, of the symmetric

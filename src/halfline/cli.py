@@ -28,7 +28,7 @@ from .model import GridSpec, Potential, make_potential
 from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
                          scattering_grids)
-from .topology import assemble_boundary, scattering_edge, winding_number
+from .topology import WindingReport, assemble_boundary, scattering_edge, winding_number
 
 #: pass/fail gates used by the report command
 GATES = {
@@ -247,6 +247,11 @@ def cmd_waveop(args) -> int:
     return 0
 
 
+def _winding_keys(w: WindingReport) -> dict:
+    """The keys of w that winding.json and report.json both write."""
+    return {k: getattr(w, k) for k in ("winding", "raw_phase_total", "per_edge", "match")}
+
+
 def cmd_winding(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
@@ -259,13 +264,8 @@ def cmd_winding(args) -> int:
              curve.points[i].imag, ph[i]) for i in range(len(curve.points)))
     _write_csv(outputs, "winding.csv",
                ["edge", "param", "re", "im", "phase_unwrapped"], rows, cfg_hash)
-    _write_json(outputs, "winding.json", {
-        "winding": report.winding,
-        "raw_phase_total": report.raw_phase_total,
-        "per_edge": report.per_edge,
-        "n_from_scattering": report.n_from_scattering,
-        "match": report.match,
-    }, cfg_hash)
+    _write_json(outputs, "winding.json", {**_winding_keys(report),
+                                          "n_from_scattering": d.count_n}, cfg_hash)
     print(f"winding: {report.winding} (N={d.count_n}, match={report.match}) "
           f"[{time.perf_counter() - t0:.2f}s]")
     if args.check:
@@ -288,12 +288,7 @@ def cmd_report(args) -> int:
         "provenance": {"config": normalized},
         "scattering": scatter,
         "operators": payload,
-        "winding": {
-            "winding": wrep.winding,
-            "raw_phase_total": wrep.raw_phase_total,
-            "per_edge": wrep.per_edge,
-            "match": wrep.match,
-        },
+        "winding": _winding_keys(wrep),
         "pass": passes,
     }
     _write_json(outputs, "report.json", report, cfg_hash)

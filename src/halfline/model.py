@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class Potential:
 
     values: np.ndarray
     rho: float
-    kind: str = "table"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -88,7 +86,7 @@ class Potential:
         return h.hexdigest()[:16]
 
 
-def _validated(values, rho: float, kind: str, params: dict) -> Potential:
+def _validated(values, rho: float) -> Potential:
     if not rho > RHO_MIN:
         raise AssumptionError(
             f"assumption violated: decay exponent rho must exceed 5/2, got {rho}")
@@ -101,11 +99,11 @@ def _validated(values, rho: float, kind: str, params: dict) -> Potential:
     if values.dtype.kind not in "iuf" or values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ConfigError("potential table must be a one-dimensional list of finite real numbers")
     values = np.trim_zeros(values.astype(float), "b")
-    return Potential(values=values.copy(), rho=float(rho), kind=kind, params=dict(params))
+    return Potential(values=values.copy(), rho=float(rho))
 
 
 def zero_potential(rho: float = 3.0) -> Potential:
-    return _validated(np.zeros(0), rho, "zero", {})
+    return _validated(np.zeros(0), rho)
 
 
 def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
@@ -115,11 +113,11 @@ def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
         raise ConfigError(f"site must be an integer in [0, {MAX_TABLE_SITES}), not {site!r}")
     values = np.zeros(site + 1)
     values[site] = v0
-    return _validated(values, rho, "rank_one", {"v0": v0, "site": site})
+    return _validated(values, rho)
 
 
 def table_potential(values, rho: float) -> Potential:
-    return _validated(values, rho, "table", {})
+    return _validated(values, rho)
 
 
 def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
@@ -145,8 +143,7 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
     rng = np.random.default_rng(seed)
     n = np.arange(length)
     values = amplitude * rng.uniform(-1.0, 1.0, length) * (1.0 + n) ** (-rho_gen)
-    return _validated(values, rho_gen if rho is None else rho, "random_decaying",
-                      {"seed": seed, "rho_gen": rho_gen, "amplitude": amplitude})
+    return _validated(values, rho_gen if rho is None else rho)
 
 
 def make_potential(spec: dict) -> Potential:
@@ -233,20 +230,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TridiagonalTruncation:
-    """Dirichlet truncation of H onto the first `size` sites."""
+    """Dirichlet truncation of H onto the first len(diagonal) sites."""
 
-    size: int
     diagonal: np.ndarray
 
     def matrix(self) -> np.ndarray:
         m = np.diag(self.diagonal).astype(float)
-        off = OFF_DIAGONAL * np.ones(self.size - 1)
+        off = OFF_DIAGONAL * np.ones(len(self.diagonal) - 1)
         m += np.diag(off, 1) + np.diag(off, -1)
         return m
 
     def eigenvalues(self) -> np.ndarray:
         from scipy.linalg import eigh_tridiagonal     # tests and demos only: off the import path
-        return eigh_tridiagonal(self.diagonal, OFF_DIAGONAL * np.ones(self.size - 1),
+        return eigh_tridiagonal(self.diagonal, OFF_DIAGONAL * np.ones(len(self.diagonal) - 1),
                                 eigvals_only=True)
 
     def eigenvalues_beyond(self, bounds) -> list:
@@ -264,4 +260,4 @@ class TridiagonalTruncation:
 def hamiltonian_truncation(p: Potential, size: int) -> TridiagonalTruncation:
     if size < 1:
         raise ValueError("size must be at least 1")
-    return TridiagonalTruncation(size=size, diagonal=p.diagonal(size))
+    return TridiagonalTruncation(diagonal=p.diagonal(size))

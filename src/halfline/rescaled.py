@@ -38,7 +38,6 @@ class BetaGrid:
     """Uniform midpoint grid on [-beta_max, beta_max] with DFT frequencies."""
 
     m_beta: int
-    beta_max: float
     h: float
     beta: np.ndarray
     xi: np.ndarray
@@ -48,8 +47,7 @@ def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
     if m_beta % 2 != 0:
         raise NumericsError("m_beta must be even")
     h = 2.0 * beta_max / m_beta
-    return BetaGrid(m_beta=m_beta, beta_max=beta_max, h=h,
-                    beta=-beta_max + (np.arange(m_beta) + 0.5) * h,
+    return BetaGrid(m_beta=m_beta, h=h, beta=-beta_max + (np.arange(m_beta) + 0.5) * h,
                     xi=2.0 * np.pi * np.fft.fftfreq(m_beta, d=h))
 
 

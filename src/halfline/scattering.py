@@ -87,13 +87,16 @@ class ScatteringData:
 def classify_thresholds(p: Potential, tol_threshold: float):
     """Threshold corrections from Omega(+-1).
 
-    Delta = 1/2 when |Omega| < tol, 0 when |Omega| > 10 tol; the band
-    in between is refused as unstable.  The limiting scattering-matrix
-    values are +1 (generic) and -1 (resonant).
+    Delta = 1/2 when |Omega| < tol, 0 when |Omega| > 10 tol; the band in
+    between is refused as unstable, and an Omega that is not finite as an
+    overflow.  The limiting scattering-matrix values are +1 (generic) and
+    -1 (resonant).
     """
     om_m, om_p = _kernels.jost_function_values(p.values, np.array([-1.0, 1.0])).tolist()
     out = []
-    for om in (om_m, om_p):
+    for z, om in ((-1, om_m), (1, om_p)):
+        if not math.isfinite(om):
+            raise NumericsError(f"Jost recursion overflows: Omega({z:+d}) = {om}")
         mag = abs(om)
         if tol_threshold / 10.0 < mag < 10.0 * tol_threshold:
             raise NumericsError(
@@ -189,8 +192,8 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     Each cut grid is stepped on its own, keeping the rows zeta theta(n) for
     n = -1..n_site-1 that the correction kernel reads.  The grid-free stages
     (threshold classification, bound states and their count) then run once
-    and step their own points.  An input whose scan would overflow is refused before
-    any point is stepped.
+    and step their own points.  An input whose scan would overflow is refused
+    before any point is stepped, a grid whose Omega overflows before it is read.
     """
     z_max = g.effective_z_max(p)
     on_grid = []
@@ -198,6 +201,9 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
         theta = theta_midpoints(m)
         zeta, lam = np.exp(-1j * theta), np.cos(theta)
         om, rows = _kernels.jost_scaled(p.values, zeta, g.n_site - 1)
+        if bad := np.count_nonzero(~np.isfinite(om)):
+            raise NumericsError(f"Jost recursion overflows: Omega is not finite on {bad} of "
+                                f"{m} cut-grid points")
         amplitude = np.abs(om)
         if np.min(amplitude) == 0.0:
             raise NumericsError("interior zero of the Jost function")

@@ -34,7 +34,6 @@ class QuadratureGrid:
 
     m: int
     theta: np.ndarray
-    lam: np.ndarray
     weights: np.ndarray
     fsin: np.ndarray
     fcos: np.ndarray
@@ -53,8 +52,7 @@ def quadrature_grid(m: int, n_site: int) -> QuadratureGrid:
         raise NumericsError(f"grid too small: n_site = {n_site} exceeds m/2 = {m // 2}")
     theta = theta_midpoints(m)
     phase = np.outer(theta, np.arange(1, n_site + 1))
-    return QuadratureGrid(m=m, theta=theta, lam=np.cos(theta),
-                          weights=(np.pi / m) * np.sin(theta),
+    return QuadratureGrid(m=m, theta=theta, weights=(np.pi / m) * np.sin(theta),
                           fsin=np.sqrt(2.0 / m) * np.sin(phase),
                           fcos=np.sqrt(2.0 / m) * np.cos(phase))
 

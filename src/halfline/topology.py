@@ -139,10 +139,8 @@ class WindingReport:
     winding: int
     raw_phase_total: float
     per_edge: dict
-    n_from_scattering: int
     match: bool
     max_jump: float
-    min_abs: float
 
 
 def winding_number(curve: BoundaryCurve, tol_winding: float, count_n: int) -> WindingReport:
@@ -169,8 +167,7 @@ def winding_number(curve: BoundaryCurve, tol_winding: float, count_n: int) -> Wi
             continue
         per_edge[name] = float((ph[sl.stop - 1] - ph[sl.start]) / (2.0 * np.pi))
     return WindingReport(winding=w, raw_phase_total=total, per_edge=per_edge,
-                         n_from_scattering=count_n, match=(w == count_n),
-                         max_jump=max_jump, min_abs=curve.min_abs)
+                         match=(w == count_n), max_jump=max_jump)
 
 
 def winding_report(d: ScatteringData, p: Potential, g: GridSpec) -> WindingReport:

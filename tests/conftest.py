@@ -13,6 +13,9 @@ RANK_ONE_FAMILY = (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.5)
 TWO_SITE = (0.3, -0.2)
 RANDOM_SEEDS = tuple(range(10))
 RANDOM_AMPLITUDE = 1.5
+# tables whose Jost recursion overflows: Omega(-1) is NaN on the first, and
+# Omega(+-1) = +-inf on the second; on either, Omega on the cut is not finite
+OVERFLOWING_TABLES = {"nan": (3.0,) * 400, "inf": (1e160,) * 3}
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -79,12 +79,12 @@ def test_criterion_02_rank_one_closed_forms(scatter_cache):
 def test_criterion_03_classical_levinson(scatter_cache, random_potentials):
     with _Timer(3, "classical Levinson with matrix-count oracle", budget=60.0):
         pots = [hl.rank_one(v) for v in RANK_ONE_FAMILY] + list(random_potentials)
-        for p in pots:
+        for i, p in enumerate(pots):
             d = scatter_cache(p, GRID)
-            assert hl.levinson_residual(d) <= 1e-3 * np.pi, p.kind
+            assert hl.levinson_residual(d) <= 1e-3 * np.pi, (i, p.values[:3])
             ev = hl.hamiltonian_truncation(p, 2000).eigenvalues()
             n_matrix = int(np.sum(np.abs(ev) > 1.0 + 1e-9))
-            assert n_matrix == d.count_n, (p.kind, p.params)
+            assert n_matrix == d.count_n, (i, p.values[:3])
 
 
 def test_criterion_04_wave_operator_identity(operator_stage):
@@ -118,10 +118,10 @@ def test_criterion_07_topological_levinson(scatter_cache, random_potentials):
     for p in pots:                 # scattering inputs are criterion-3 work
         scatter_cache(p, GRID)
     with _Timer(7, "topological Levinson (winding = N)", budget=30.0):
-        for p in pots:
+        for i, p in enumerate(pots):
             d = scatter_cache(p, GRID)
             rep = hl.winding_report(d, p, GRID)
-            assert rep.winding == d.count_n, (p.kind, p.params)
+            assert rep.winding == d.count_n, (i, p.values[:3])
             em, ep = hl.eta_endpoints(d)
             assert rep.per_edge["scattering"] == pytest.approx((ep - em) / np.pi, abs=0.02)
             assert rep.per_edge["gamma_minus"] == pytest.approx(-d.delta_minus, abs=0.02)
@@ -149,9 +149,9 @@ def test_criterion_09_decay_estimate(random_potentials):
         pots = [hl.rank_one(v) for v in RANK_ONE_FAMILY]
         pots.append(hl.table_potential(TWO_SITE, rho=3.0))
         pots.extend(random_potentials)
-        for p in pots:
+        for i, p in enumerate(pots):
             rep = hl.decay_scan(p, GRID.m_theta)
-            assert rep.max_violation <= 1e-10, (p.kind, p.params)
+            assert rep.max_violation <= 1e-10, (i, p.values[:3])
 
 
 def test_criterion_10_isometry_and_completeness(scatter_cache):

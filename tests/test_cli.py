@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import halfline
-from conftest import closed_form_bound_state, scan_brackets
+from conftest import OVERFLOWING_TABLES, closed_form_bound_state, scan_brackets
 from halfline import _kernels
 from halfline.cli import load_config, main
 from halfline.errors import NumericsError
@@ -248,6 +248,17 @@ class TestScatter:
     def test_ambiguous_threshold_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.4999, "rho": 3.0})
         assert main(["scatter", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("command", ["scatter", "waveop", "winding", "report"])
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TABLES))
+    def test_non_finite_omega_exit_4(self, tmp_path, capsys, name, command):
+        # refused at the first cut grid, with no warning from a NaN on the way
+        values = list(OVERFLOWING_TABLES[name])
+        cfg = write_cfg(tmp_path, {"kind": "table", "values": values, "rho": 3.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(cfg)]) == 4
+        assert "Jost recursion overflows: Omega is not finite" in capsys.readouterr().err
 
 
 class TestWaveop:

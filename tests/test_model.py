@@ -164,11 +164,11 @@ class TestTruncation:
         ([-1.0, -1.0, 0.0], 1),  # first pivot of -T - 1 is zero; eigenvalue -1.59
     ])
     def test_zero_pivot_and_eigenvalue_on_the_bound(self, diagonal, count):
-        t = hl.TridiagonalTruncation(size=len(diagonal), diagonal=np.array(diagonal))
+        t = hl.TridiagonalTruncation(diagonal=np.array(diagonal))
         assert t.eigenvalues_beyond([1.0]) == [count]
 
     def test_nan_pivot_refused(self):
-        t = hl.TridiagonalTruncation(size=3, diagonal=np.array([0.0, np.nan, 0.0]))
+        t = hl.TridiagonalTruncation(diagonal=np.array([0.0, np.nan, 0.0]))
         with pytest.raises(hl.NumericsError, match="NaN pivot"):
             t.eigenvalues_beyond([1.0])
 
@@ -185,7 +185,7 @@ class TestTruncation:
         # repeated along the diagonal, with eigenvalues on and beyond the bounds
         diagonal = np.resize(values, size) if tile else np.zeros(size)
         diagonal[:len(values)] = values[:size]
-        t = hl.TridiagonalTruncation(size=size, diagonal=diagonal)
+        t = hl.TridiagonalTruncation(diagonal=diagonal)
         assert t.eigenvalues_beyond(bounds) == reference_sturm_counts(diagonal, bounds)
 
     @pytest.mark.parametrize("diagonal,bounds,at", [
@@ -194,7 +194,7 @@ class TestTruncation:
         ([0.0, 0.0, 0.0], [2.0, 3.0, np.nan], "nan"),   # an odd last bound
     ])
     def test_first_nan_bound_named(self, diagonal, bounds, at):
-        t = hl.TridiagonalTruncation(size=3, diagonal=np.array(diagonal))
+        t = hl.TridiagonalTruncation(diagonal=np.array(diagonal))
         for counts in (t.eigenvalues_beyond, lambda b: reference_sturm_counts(t.diagonal, b)):
             with pytest.raises(hl.NumericsError, match=re.escape(f"NaN pivot at +-{at}")):
                 counts(bounds)

@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
@@ -13,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfline as hl
-from conftest import (EPS, TWO_SITE, closed_form_bound_state, closed_form_omega, cut_bound,
-                      decay_bound, long_double_t, reference_bisection, reference_jost_rows,
-                      rim_zeta, scan_brackets)
+from conftest import (EPS, OVERFLOWING_TABLES, TWO_SITE, closed_form_bound_state,
+                      closed_form_omega, cut_bound, decay_bound, long_double_t,
+                      reference_bisection, reference_jost_rows, rim_zeta, scan_brackets)
 from halfline import _kernels, scattering
 
 
@@ -88,6 +89,9 @@ def assert_forms_match_reference(V, x, n_keep):
     assert omega.dtype == omega_too.dtype == rows.dtype == kind
     assert rows.shape == (n_keep + 2, len(x))
     assert np.array_equal(omega, omega_too) and np.array_equal(rows[0], omega)
+    # Omega is written once, as row 0, and handed out as a copy of it: holding
+    # Omega must not hold every kept row
+    assert omega.tobytes() == rows[0].tobytes() and not np.shares_memory(omega_too, rows)
     if kind is np.float64:
         zeta, two_z = zeta_and_two_z(x)
         ref = reference_jost_rows(V, zeta, two_z, n_max=n_keep)[:n_keep + 2]
@@ -619,6 +623,17 @@ class TestScatteringGrid:
         d = scatter_cache(hl.table_potential([0.3, -0.2], rho=3.0), grid_default)
         assert np.max(np.abs(np.diff(d.eta))) < np.pi / 2
 
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TABLES))
+    def test_non_finite_omega_refused(self, name, grid_default):
+        # refused before the scattering matrix conj(Omega)/Omega is formed,
+        # and before any guard reads a NaN as a pass
+        p = hl.table_potential(OVERFLOWING_TABLES[name], rho=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hl.NumericsError,
+                               match=r"overflows: Omega is not finite on \d+ of 512 cut-grid"):
+                hl.scattering_grid(p, grid_default)
+
     def test_grid_too_coarse_guard(self):
         p = hl.table_potential([0.0, 3.0], rho=3.0)
         with pytest.raises(hl.NumericsError, match="grid too coarse"):
@@ -657,6 +672,7 @@ class TestOneRecursionPerGrid:
             direct = _kernels.jost_function_values(p.values, d.zeta)
             assert np.array_equal(d.omega, direct)
             assert np.array_equal(d.jost_rows[0], direct)
+            assert not np.shares_memory(d.omega, d.jost_rows)
 
     def test_kept_rows_match_direct_recursion(self, grid_pair, monkeypatch):
         p, grids, ds = grid_pair
@@ -711,6 +727,13 @@ class TestThresholds:
     def test_resonant_minus(self):
         dm, dp, *_ = hl.classify_thresholds(hl.rank_one(-0.5), 1e-3)
         assert (dm, dp) == (0.5, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TABLES))
+    def test_non_finite_omega_refused(self, name):
+        # a NaN or infinite Omega is neither a zero nor clear of one
+        p = hl.table_potential(OVERFLOWING_TABLES[name], rho=3.0)
+        with pytest.raises(hl.NumericsError, match=rf"overflows: Omega\(-1\) = {name}$"):
+            hl.classify_thresholds(p, 1e-3)
 
     def test_ambiguous_band(self):
         with pytest.raises(hl.NumericsError, match="ambiguous threshold"):

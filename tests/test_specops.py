@@ -15,7 +15,7 @@ def coupling_pv_matrix(grid):
     """Skip-diagonal principal-value discretisation of the singular kernel
     (i/pi) (1-lambda^2)^(1/4) (nu-lambda)^(-1) (1-nu^2)^(-1/4), in the
     sqrt(w)-normalised grid coordinates."""
-    lam = grid.lam
+    lam = np.cos(grid.theta)
     sw = grid.sqrt_weights
     jj, kk = np.meshgrid(np.arange(grid.m), np.arange(grid.m), indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -36,7 +36,7 @@ def pv_action_gap(grid):
     F = grid.fsin
     lhs = F @ hl.cos_sin_coupling(grid) @ F.conj().T
     A = coupling_pv_matrix(grid)
-    gvec = grid.lam * (1.0 - grid.lam ** 2) * grid.sqrt_weights
+    gvec = np.cos(grid.theta) * (1.0 - np.cos(grid.theta) ** 2) * grid.sqrt_weights
     return float(np.linalg.norm((lhs - A) @ gvec) / np.linalg.norm(gvec))
 
 
@@ -57,8 +57,8 @@ class TestQuadrature:
 
     def test_nodes_strictly_interior_and_sorted(self):
         g = hl.quadrature_grid(32, 2)
-        assert np.all(np.diff(g.lam) > 0)
-        assert np.all(np.abs(g.lam) < 1.0)
+        assert np.all(np.diff(np.cos(g.theta)) > 0)
+        assert np.all(np.abs(np.cos(g.theta)) < 1.0)
 
 
 class TestTransforms:
@@ -77,9 +77,9 @@ class TestTransforms:
         F, C = g.fsin, g.fcos
         sw = g.sqrt_weights
         psi_sin = np.sqrt(2 / np.pi) * np.sin(np.outer(g.theta, [1, 2, 3])) \
-            / (1 - g.lam[:, None] ** 2) ** 0.25
+            / (1 - np.cos(g.theta)[:, None] ** 2) ** 0.25
         psi_cos = np.sqrt(2 / np.pi) * np.cos(np.outer(g.theta, [1, 2, 3])) \
-            / (1 - g.lam[:, None] ** 2) ** 0.25
+            / (1 - np.cos(g.theta)[:, None] ** 2) ** 0.25
         assert np.max(np.abs(F - sw[:, None] * psi_sin)) < 1e-14
         assert np.max(np.abs(C - sw[:, None] * psi_cos)) < 1e-14
 
@@ -88,7 +88,7 @@ class TestTransforms:
         F = g.fsin
         off = 0.5 * np.ones(63)
         H0 = np.diag(off, 1) + np.diag(off, -1)
-        resid = F @ H0 - g.lam[:, None] * F
+        resid = F @ H0 - np.cos(g.theta)[:, None] * F
         assert np.max(np.abs(resid[:, :63])) < 1e-12   # all but the cut column
 
     def test_site_count_guard(self):
@@ -289,7 +289,7 @@ class TestCorrectionOperator:
         pz[L - 1:] = 0.0
         k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
         psi_sin = np.sqrt(2.0 / np.pi) * np.sin(np.outer(grid.theta, np.arange(1, n + 1))) \
-            / (1.0 - grid.lam[:, None] ** 2) ** 0.25
+            / (1.0 - np.cos(grid.theta)[:, None] ** 2) ** 0.25
         ref = (k0 * grid.weights[None, :]) @ psi_sin
         K = hl.correction_operator(d, grid)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -358,7 +358,7 @@ class TestPrincipalValue:
         g = hl.quadrature_grid(16, 2)
         A = coupling_pv_matrix(g)
         j, k = 3, 11
-        lam = g.lam
+        lam = np.cos(g.theta)
         expect = 2.0 * (1j / (2 * np.pi)) * (1 - lam[j] ** 2) ** 0.25 \
             / (lam[k] - lam[j]) / (1 - lam[k] ** 2) ** 0.25 \
             * np.sqrt(g.weights[j] * g.weights[k])

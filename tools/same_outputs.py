@@ -1,0 +1,89 @@
+"""Run the pipeline commands from two source trees and compare what they leave.
+
+    python tools/same_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository; each command runs as
+`python -m halfline.cli` with PYTHONPATH=<tree>/src.  `scatter`, `waveop`,
+`winding` and `report` run with --check, with and without --refine, on
+rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
+and 3, and without --refine on the 1,665,610-site `random_decaying` table
+with rho_gen 2.6: 36 runs per tree.
+
+Both trees write to one output directory per config, in a temporary
+directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
+stdout with the `[N.NNs]` timings stripped, stderr and the exit code.  The
+script prints each run that differs and what differs in it, then
+`runs N diffs M`, and exits 1 when M > 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: (name, potential block, whether it also runs with --refine)
+CONFIGS = (
+    ("rank_one_0.75", {"kind": "rank_one", "v0": 0.75, "rho": 3.0}, True),
+    ("two_site", {"kind": "table", "values": [0.3, -0.2], "rho": 3.0}, True),
+    ("random_seed_0", {"kind": "random_decaying", "seed": 0, "amplitude": 1.5}, True),
+    ("random_seed_3", {"kind": "random_decaying", "seed": 3, "amplitude": 1.5}, True),
+    ("random_rho_gen_2.6", {"kind": "random_decaying", "seed": 0, "amplitude": 1.5,
+                            "rho_gen": 2.6}, False),
+)
+
+COMMANDS = ("scatter", "waveop", "winding", "report")
+
+TIMING = re.compile(rb"\[\d+\.\d+s\]")
+
+
+def run(tree: Path, argv: list, out: Path) -> dict:
+    """What one command from tree leaves: its output files, stdout without
+    the timings, stderr and exit code; out is emptied first."""
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "halfline.cli", *argv], env=env,
+                          capture_output=True)
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+    return {"files": files, "stdout": TIMING.sub(b"[]", proc.stdout),
+            "stderr": proc.stderr, "exit": proc.returncode}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "halfline").is_dir():
+            ap.error(f"{tree} has no src/halfline")
+    runs = diffs = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+        for name, potential, refine in CONFIGS:
+            out, cfg = Path(work, name, "out"), Path(work, name + ".json")
+            cfg.write_text(json.dumps({"potential": potential,
+                                       "outputs": {"directory": str(out)}}))
+            for flags in ([], ["--refine"]) if refine else ([],):
+                for command in COMMANDS:
+                    argv = [command, str(cfg), "--check", *flags]
+                    a, b = (run(tree, argv, out) for tree in trees)
+                    runs += 1
+                    differ = [k for k in ("stdout", "stderr", "exit") if a[k] != b[k]] + sorted(
+                        f for f in a["files"].keys() | b["files"].keys()
+                        if a["files"].get(f) != b["files"].get(f))
+                    if differ:
+                        diffs += 1
+                        print(f"DIFF {name} {' '.join(argv[:1] + argv[2:])}: {', '.join(differ)}")
+    print(f"runs {runs} diffs {diffs}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
