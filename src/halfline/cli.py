@@ -6,8 +6,8 @@ so results from different configs cannot be mixed silently.  Outputs are
 deterministic given the config (no timestamps inside files); wall-clock
 timings go to stdout only.
 
-Exit codes: 0 pass, 2 config error, 3 decay assumption violated,
-4 numerical failure, 5 identity-check mismatch.
+Exit codes: 0 pass; an error exits with the code and stderr label that
+`_EXITS` gives its class.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import AssumptionError, CheckFailure, ConfigError, NumericsError
+from .errors import AssumptionError, CheckFailure, ConfigError, HalflineError, NumericsError
 from .model import GridSpec, Potential, make_potential
 from .rescaled import operator_checks
 from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
                          scattering_grids)
-from .topology import WindingReport, assemble_boundary, scattering_edge, winding_number
+from .topology import (EDGE_ORDER, WindingReport, assemble_boundary, scattering_edge,
+                       winding_number)
 
 #: pass/fail gates used by the report command
 GATES = {
@@ -39,7 +40,9 @@ GATES = {
     "wave_rank_fraction": 1.0 / 8.0,        # rank(0.1) <= n_site/8
 }
 
-_OUT_KEYS = {"directory", "formats"}
+#: exit code and stderr label of each error class that `main` reports
+_EXITS = {ConfigError: (2, "config error"), AssumptionError: (3, "error"),
+          NumericsError: (4, "numerical failure"), CheckFailure: (5, "check failed")}
 
 #: config key -> GridSpec field in the grids and tolerances blocks: each
 #: tol_x field of GridSpec is the tolerance x, and every other is a grid key
@@ -74,7 +77,7 @@ def load_config(path: str):
         raise ConfigError("config needs a potential block")
     blocks = {name: _config_block(raw.get(name, {}), set(keys), name)
               for name, keys in _GRID_FIELDS.items()}
-    outputs = _config_block(raw.get("outputs", {}), _OUT_KEYS, "outputs")
+    outputs = _config_block(raw.get("outputs", {}), {"directory", "formats"}, "outputs")
 
     # make_potential refuses a block that is no object or has an unknown key
     potential = make_potential(raw["potential"])
@@ -98,7 +101,7 @@ def load_config(path: str):
     }
     blob = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return potential, g, {"directory": out_dir, "formats": sorted(formats)}, normalized, cfg_hash
+    return potential, g, normalized["outputs"], normalized, cfg_hash
 
 
 def _fmt(x) -> str:
@@ -176,7 +179,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
+def _scatter(d: ScatteringData, outputs: dict, cfg_hash: str) -> dict:
+    """Write scatter.csv and boundstates.csv of d; returns its summary."""
     rows = zip(d.lam, d.theta, d.omega.real, d.omega.imag, d.amplitude,
                d.eta, d.smatrix.real, d.smatrix.imag)
     _write_csv(outputs, "scatter.csv",
@@ -188,9 +192,6 @@ def _scatter_outputs(d: ScatteringData, outputs: dict, cfg_hash: str):
         residual = np.abs(_kernels.jost_function_values(d.potential.values, z))
         yield from zip(z, _kernels.off_axis_zeta(z), residual)
     _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows(), cfg_hash)
-
-
-def _scatter_summary(d: ScatteringData) -> dict:
     em, ep = eta_endpoints(d)
     return {
         "count_n": d.count_n,
@@ -209,8 +210,7 @@ def cmd_scatter(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
     t0 = time.perf_counter()
     d = scattering_grid(p, g)
-    _scatter_outputs(d, outputs, cfg_hash)
-    summary = _scatter_summary(d)
+    summary = _scatter(d, outputs, cfg_hash)
     print(f"scatter: N={summary['count_n']} delta=({d.delta_minus},{d.delta_plus}) "
           f"levinson_residual={summary['levinson_residual']:.3e} "
           f"[{time.perf_counter() - t0:.2f}s]")
@@ -220,28 +220,28 @@ def cmd_scatter(args) -> int:
 
 
 def _waveop_payload(p: Potential, g: GridSpec):
-    """The operator identities, their scattering data d on the cut grid of g
-    and the seconds taken.  The data on g and on the grid twice as fine come
-    from one `scattering_grids` call, which runs the grid-free stages once.
+    """The operator identities and their scattering data d on the cut grid
+    of g.  The data on g and on the grid twice as fine come from one
+    `scattering_grids` call, which runs the grid-free stages once.
 
     The scattering data comes first, so that an input it refuses (exit 4)
     is refused before the checks that do not depend on the potential."""
-    t0 = time.perf_counter()
     d, d2 = scattering_grids(p, g, [g.m_theta, 2 * g.m_theta])
     payload = {**operator_checks(d, d2, g),
                "grids": {"m_theta": g.m_theta, "n_site": g.n_site, "m_beta": g.m_beta,
                          "beta_max": g.beta_max}}
-    return payload, d, time.perf_counter() - t0
+    return payload, d
 
 
 def cmd_waveop(args) -> int:
     p, g, outputs, _, cfg_hash = _start(args)
-    payload, _, elapsed = _waveop_payload(p, g)
+    t0 = time.perf_counter()
+    payload, _ = _waveop_payload(p, g)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
     wi = payload["wave_identity"]
     print(f"waveop: identity residual {wi['residual']:.3e} "
           f"(refined {wi['residual_refined']:.3e}, ratio {wi['ratio']:.1f}) "
-          f"[{elapsed:.2f}s]")
+          f"[{time.perf_counter() - t0:.2f}s]")
     if args.check:
         _enforce(_gates(g, ops=payload), "operator identities fail their gates")
     return 0
@@ -260,8 +260,8 @@ def cmd_winding(args) -> int:
         curve = assemble_boundary(d, g, edge())
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
     ph = np.unwrap(np.angle(curve.points))
-    rows = ((curve.edge_name(i), curve.params[i], curve.points[i].real,
-             curve.points[i].imag, ph[i]) for i in range(len(curve.points)))
+    rows = ((name, curve.params[i], curve.points[i].real, curve.points[i].imag, ph[i])
+            for name in EDGE_ORDER for i in range(len(ph))[curve.edge_slices[name]])
     _write_csv(outputs, "winding.csv",
                ["edge", "param", "re", "im", "phase_unwrapped"], rows, cfg_hash)
     _write_json(outputs, "winding.json", {**_winding_keys(report),
@@ -278,9 +278,8 @@ def cmd_report(args) -> int:
     p, g, outputs, normalized, cfg_hash = _start(args)
     t0 = time.perf_counter()
     with _kernels.meanwhile(scattering_edge, p, g) as edge:
-        payload, d, _ = _waveop_payload(p, g)
-        _scatter_outputs(d, outputs, cfg_hash)
-        scatter = _scatter_summary(d)
+        payload, d = _waveop_payload(p, g)
+        scatter = _scatter(d, outputs, cfg_hash)
         _write_json(outputs, "waveop.json", payload, cfg_hash)
         wrep = winding_number(assemble_boundary(d, g, edge()), g.tol_winding, d.count_n)
     passes = _gates(g, scatter, payload, wrep)
@@ -326,18 +325,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 5
+    except HalflineError as exc:
+        code, label = _EXITS[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2, AssumptionError -> 3,
-NumericsError -> 4, CheckFailure -> 5.
+The CLI maps each onto an exit code and a stderr label in one table,
+`cli._EXITS`.
 """
 
 

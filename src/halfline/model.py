@@ -86,7 +86,7 @@ class Potential:
         return h.hexdigest()[:16]
 
 
-def _validated(values, rho: float) -> Potential:
+def table_potential(values, rho: float) -> Potential:
     if not rho > RHO_MIN:
         raise AssumptionError(
             f"assumption violated: decay exponent rho must exceed 5/2, got {rho}")
@@ -103,7 +103,7 @@ def _validated(values, rho: float) -> Potential:
 
 
 def zero_potential(rho: float = 3.0) -> Potential:
-    return _validated(np.zeros(0), rho)
+    return table_potential(np.zeros(0), rho)
 
 
 def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
@@ -113,11 +113,7 @@ def rank_one(v0: float, site: int = 0, rho: float = 3.0) -> Potential:
         raise ConfigError(f"site must be an integer in [0, {MAX_TABLE_SITES}), not {site!r}")
     values = np.zeros(site + 1)
     values[site] = v0
-    return _validated(values, rho)
-
-
-def table_potential(values, rho: float) -> Potential:
-    return _validated(values, rho)
+    return table_potential(values, rho)
 
 
 def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
@@ -143,7 +139,7 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
     rng = np.random.default_rng(seed)
     n = np.arange(length)
     values = amplitude * rng.uniform(-1.0, 1.0, length) * (1.0 + n) ** (-rho_gen)
-    return _validated(values, rho_gen if rho is None else rho)
+    return table_potential(values, rho_gen if rho is None else rho)
 
 
 def make_potential(spec: dict) -> Potential:

@@ -5,7 +5,8 @@ with the convention that sequences carry the extra index n = -1.  A point
 is given as the Jost kernels take it (`_kernels.jost_points`): a real z with
 |z| >= 1, the thresholds +-1 among them, or a complex zeta with |zeta| = 1 on
 the cut, where z = Re zeta; any other point is refused with a ValueError.
-Each solution is an array of its values on n = -1..n_max, index n + 1.
+Each solution is an array of its values on n = -1..n_max, index n + 1;
+n_max < 0 is refused with a ValueError before the point is read.
 
 The regular solution is fixed by u(-1) = 0, u(0) = 1 and stepped forward.
 The Jost solution behaves like zeta(z)^n at infinity; for finitely supported
@@ -23,18 +24,23 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import Potential, theta_midpoints
+from .model import Potential, _is_int, theta_midpoints
 
 #: rounding slack allowed on exact inequalities
 DECAY_SLACK = 1e-10
 
 
+def _points(x, n_max: int) -> tuple:
+    """`_kernels.jost_points(x)`, once n_max is found nonnegative."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return _kernels.jost_points(x)
+
+
 def regular_solution(p: Potential, x, n_max: int) -> np.ndarray:
     """Forward recursion from the boundary pair u(-1) = 0, u(0) = 1 at the
     point x, with 2z = 2 Re x: real values, refused once they overflow."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    x = _kernels.jost_points(x)[0]
+    x = _points(x, n_max)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         u = _kernels.regular_values(p.values, 2.0 * x.real, n_max)[:, 0]
     if not np.isfinite(u).all():
@@ -48,7 +54,7 @@ def jost_solution(p: Potential, x, n_max: int) -> np.ndarray:
     starts from the exact free tail past the table: real for real z, the
     thresholds too, whose theta(-1) equals Omega(+-1) of
     `scattering.classify_thresholds` times +-1 bit for bit."""
-    x, zeta = _kernels.jost_points(x)
+    x, zeta = _points(x, n_max)
     return _kernels.jost_scaled(p.values, x, n_max)[1][:, 0] / zeta[0]
 
 
@@ -64,7 +70,7 @@ def volterra_jost(p: Potential, x, n_max: int) -> np.ndarray:
     with kernel K(k) = sin(k theta)/sin(theta), degenerating to k (+-1)^(k-1)
     at the thresholds.  O(support^2); meant for small tables.
     """
-    L, zeta = p.support_end, complex(_kernels.jost_points(x)[0][0])
+    L, zeta = p.support_end, complex(_points(x, n_max)[0][0])
     if zeta.imag:
         theta = -np.angle(zeta)
         def kernel(k):
@@ -115,7 +121,7 @@ def _tail_bounds(p: Potential) -> np.ndarray:
 
 
 def decay_scan(p: Potential, m_theta: int) -> DecayReport:
-    """Decay check over the full theta grid plus both thresholds.
+    """Decay check over m_theta > 0 theta midpoints plus both thresholds.
 
     One compiled pass steps all points through the table in the cut lanes
     that step the Jost grids, and keeps only the max over the points of
@@ -124,6 +130,8 @@ def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     constant not finite, is refused; so is a deviation above about 1e154,
     whose square overflows in the step.
     """
+    if not (_is_int(m_theta) and m_theta > 0):
+        raise ValueError(f"m_theta must be a positive integer, not {m_theta!r}")
     if p.support_end == 0:
         return DecayReport(0.0, 0.0)
     th = theta_midpoints(m_theta)

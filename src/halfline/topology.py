@@ -53,17 +53,6 @@ class BoundaryCurve:
     params: np.ndarray
     edge_slices: dict
 
-    @property
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.points)))
-
-    def edge_name(self, i: int) -> str:
-        for name in EDGE_ORDER:
-            sl = self.edge_slices[name]
-            if sl.start <= i < sl.stop:
-                return name
-        raise IndexError(i)
-
 
 def scattering_edge(p: Potential, g: GridSpec) -> tuple:
     """(beta, Omega) on the scattering edge: g.n_edge values of beta from
@@ -109,29 +98,22 @@ def assemble_boundary(d: ScatteringData, g: GridSpec, edge: tuple) -> BoundaryCu
             raise NumericsError(f"corner mismatch at {name}: "
                                 f"|{value:.6f} - {corner}| > {CORNER_GUARD}")
 
-    edges = {
-        "scattering": np.concatenate([[sp], s_edge, [sm]]),
-        "gamma_minus": np.concatenate([[sm], gm, [1.0]]),
-        "constant": const,
-        "gamma_plus": np.concatenate([[1.0], gp, [sp]]),
-    }
-    s_full = edges["scattering"]
+    edges = (                   # (points, params) of each edge, in EDGE_ORDER
+        (np.concatenate([[sp], s_edge, [sm]]), np.concatenate([beta[:1], beta, -beta[:1]])),
+        (np.concatenate([[sm], gm, [1.0]]), np.concatenate([[-amax], alpha_up, [amax]])),
+        (const, np.zeros(len(const))),
+        (np.concatenate([[1.0], gp, [sp]]), np.concatenate([[amax], alpha_up[::-1], [-amax]])),
+    )
+    s_full = edges[0][0]
     turn = float(np.sum(np.angle(s_full[1:] / s_full[:-1])) / (2.0 * np.pi))
     eta_m1, eta_p1 = eta_endpoints(d)
     if abs(turn - (eta_p1 - eta_m1) / np.pi) >= EDGE_TURN_GUARD:
         raise NumericsError(f"undersampled: the scattering edge turns {turn:.3f}, "
                             f"(eta(+1) - eta(-1))/pi is {(eta_p1 - eta_m1) / np.pi:.3f}")
-    params = {
-        "scattering": np.concatenate([beta[:1], beta, -beta[:1]]),
-        "gamma_minus": np.concatenate([[-amax], alpha_up, [amax]]),
-        "constant": np.zeros(len(const)),
-        "gamma_plus": np.concatenate([[amax], alpha_up[::-1], [-amax]]),
-    }
-    ends = np.cumsum([0] + [len(edges[name]) for name in EDGE_ORDER]).tolist()
-    return BoundaryCurve(
-        points=np.concatenate([edges[name] for name in EDGE_ORDER]),
-        params=np.concatenate([params[name] for name in EDGE_ORDER]),
-        edge_slices={name: slice(a, b) for name, a, b in zip(EDGE_ORDER, ends, ends[1:])})
+    points, params = (np.concatenate(parts) for parts in zip(*edges))
+    ends = np.cumsum([0] + [len(pts) for pts, _ in edges]).tolist()
+    return BoundaryCurve(points, params, {name: slice(a, b) for name, a, b
+                                          in zip(EDGE_ORDER, ends, ends[1:])})
 
 
 @dataclass(frozen=True)

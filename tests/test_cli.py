@@ -18,7 +18,8 @@ from conftest import OVERFLOWING_TABLES, closed_form_bound_state, scan_brackets
 from halfline import _kernels
 from halfline.cli import load_config, main
 from halfline.errors import NumericsError
-from halfline.topology import scattering_edge
+from halfline.scattering import scattering_grid
+from halfline.topology import EDGE_ORDER, assemble_boundary, scattering_edge
 
 SRC = str(Path(halfline.__file__).resolve().parents[1])
 
@@ -185,6 +186,19 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command,potential,code,label", [
+    ("validate", {"kind": "rank_one", "v0": 0.75, "rho": 3.0, "weird": 1}, 2, "config error: "),
+    ("validate", {"kind": "rank_one", "v0": 0.75, "rho": 2.0}, 3, "error: "),
+    ("scatter", {"kind": "rank_one", "v0": 0.4999, "rho": 3.0}, 4, "numerical failure: "),
+    ("scatter", {"kind": "rank_one", "v0": 0.51, "rho": 3.0}, 5, "check failed: "),
+])
+def test_exit_code_and_stderr_label(tmp_path, capsys, command, potential, code, label):
+    cfg = write_cfg(tmp_path, potential)
+    assert main([command, str(cfg), "--check"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(label) and err.count("\n") == 1, err
+
+
 class TestScatter:
     def test_free_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "zero"})
@@ -302,6 +316,13 @@ class TestWinding:
         assert header == ["edge", "param", "re", "im", "phase_unwrapped"]
         assert {r[0] for r in rows} == {"scattering", "gamma_minus",
                                         "constant", "gamma_plus"}
+        # each row carries its edge's name and parameter, in traversal order
+        p, g, *_ = load_config(cfg)
+        curve = assemble_boundary(scattering_grid(p, g), g, scattering_edge(p, g))
+        sl = curve.edge_slices
+        assert [r[0] for r in rows] == [name for name in EDGE_ORDER
+                                        for _ in range(sl[name].stop - sl[name].start)]
+        assert [r[1] for r in rows] == [f"{x:.17g}" for x in curve.params]
 
     @pytest.mark.parametrize("n_edge", [2, 3, 8, 16])
     def test_coarse_edges_exit_4(self, tmp_path, n_edge):

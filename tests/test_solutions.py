@@ -45,6 +45,16 @@ class TestPointDomain:
         with pytest.raises(ValueError, match="on the cut or z = \\+-1"):
             hl.volterra_jost(p, x, 3)
 
+    @pytest.mark.parametrize("n_max", [-1, -2, -3])
+    @pytest.mark.parametrize("x", [2.0, np.exp(-0.3j)], ids=["real", "cut"])
+    @pytest.mark.parametrize("solution", [hl.regular_solution, hl.jost_solution,
+                                          hl.volterra_jost])
+    def test_negative_n_max_refused(self, solution, x, n_max):
+        # jost_solution gave [theta(-1)] at -1 and crashed below; volterra_jost
+        # counted vals[:n_max + 1] from the end
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            solution(hl.rank_one(0.75), x, n_max)
+
 
 class TestRegularSolution:
     def test_free_at_lambda_zero(self):
@@ -258,6 +268,12 @@ class TestDecayDiagnostic:
             warnings.simplefilter("error")
             with pytest.raises(hl.NumericsError, match="decay check overflows"):
                 hl.decay_scan(p, 64)
+
+    @pytest.mark.parametrize("m_theta", [0, -5, 2.5, True])
+    def test_m_theta_not_a_positive_integer_refused(self, m_theta):
+        # each stepped the thresholds alone (True one point) into a passing report
+        with pytest.raises(ValueError, match="m_theta must be a positive integer"):
+            hl.decay_scan(hl.table_potential([0.3, -0.2, 0.1], rho=3.0), m_theta)
 
     def test_reports_empirical_constant(self):
         p = hl.random_decaying(4, amplitude=0.3)

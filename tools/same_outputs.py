@@ -7,7 +7,11 @@ PARENT and CHANGE are checkouts of this repository; each command runs as
 `winding` and `report` run with --check, with and without --refine, on
 rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
 and 3, and without --refine on the 1,665,610-site `random_decaying` table
-with rho_gen 2.6: 36 runs per tree.
+with rho_gen 2.6: 36 runs per tree.  One more run per config and tree,
+`python -c LIBRARY`, prints the exact bits of library results that no
+command writes: `decay_scan(p, 512)`, `jost_solution` at z = 2 and at
+zeta = e^(-0.3i), `regular_solution` at z = 2, all to n_max 20, and on
+tables of at most 2,000 sites `volterra_jost` at e^(-0.3i): 41 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
@@ -42,14 +46,33 @@ COMMANDS = ("scatter", "waveop", "winding", "report")
 
 TIMING = re.compile(rb"\[\d+\.\d+s\]")
 
+#: run as `python -c LIBRARY POTENTIAL`: one line per call, its result's
+#: bytes in hex or the type and message of what it raised
+LIBRARY = """
+import dataclasses, json, sys
+import numpy as np
+from halfline import decay_scan, jost_solution, make_potential, regular_solution, volterra_jost
+p, cut = make_potential(json.loads(sys.argv[1])), np.exp(-0.3j)
+calls = {"decay_scan": lambda: dataclasses.astuple(decay_scan(p, 512)),
+         "jost_solution real": lambda: jost_solution(p, 2.0, 20),
+         "jost_solution cut": lambda: jost_solution(p, cut, 20),
+         "regular_solution real": lambda: regular_solution(p, 2.0, 20)}
+if p.support_end <= 2000:
+    calls["volterra_jost cut"] = lambda: volterra_jost(p, cut, 20)
+for name, call in calls.items():
+    try:
+        print(name, np.asarray(call()).tobytes().hex())
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
 
 def run(tree: Path, argv: list, out: Path) -> dict:
-    """What one command from tree leaves: its output files, stdout without
-    the timings, stderr and exit code; out is emptied first."""
+    """What `python argv` with tree's source leaves: the files in out,
+    stdout without the timings, stderr and exit code; out is emptied first."""
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "halfline.cli", *argv], env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
     return {"files": files, "stdout": TIMING.sub(b"[]", proc.stdout),
             "stderr": proc.stderr, "exit": proc.returncode}
@@ -70,17 +93,20 @@ def main(argv=None) -> int:
             out, cfg = Path(work, name, "out"), Path(work, name + ".json")
             cfg.write_text(json.dumps({"potential": potential,
                                        "outputs": {"directory": str(out)}}))
-            for flags in ([], ["--refine"]) if refine else ([],):
-                for command in COMMANDS:
-                    argv = [command, str(cfg), "--check", *flags]
-                    a, b = (run(tree, argv, out) for tree in trees)
-                    runs += 1
-                    differ = [k for k in ("stdout", "stderr", "exit") if a[k] != b[k]] + sorted(
-                        f for f in a["files"].keys() | b["files"].keys()
-                        if a["files"].get(f) != b["files"].get(f))
-                    if differ:
-                        diffs += 1
-                        print(f"DIFF {name} {' '.join(argv[:1] + argv[2:])}: {', '.join(differ)}")
+            argvs = {" ".join([command, "--check", *flags]):
+                     ["-m", "halfline.cli", command, str(cfg), "--check", *flags]
+                     for flags in (([], ["--refine"]) if refine else ([],))
+                     for command in COMMANDS}
+            argvs["library"] = ["-c", LIBRARY, json.dumps(potential)]
+            for label, argv in argvs.items():
+                a, b = (run(tree, argv, out) for tree in trees)
+                runs += 1
+                differ = [k for k in ("stdout", "stderr", "exit") if a[k] != b[k]] + sorted(
+                    f for f in a["files"].keys() | b["files"].keys()
+                    if a["files"].get(f) != b["files"].get(f))
+                if differ:
+                    diffs += 1
+                    print(f"DIFF {name} {label}: {', '.join(differ)}")
     print(f"runs {runs} diffs {diffs}")
     return 1 if diffs else 0
 
