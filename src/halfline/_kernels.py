@@ -34,11 +34,11 @@ On a table of SPLIT_SITES sites or more and a machine with a second CPU,
 the second half of the points is stepped meanwhile on a worker thread
 (`meanwhile`; ctypes releases the GIL for the call).
 
-`decay_scan` checks the decay on cut points in the same cut lanes: beside
-each point a phase g = conj(zeta)^(L-1-n) turns one product per site, and the
-step raises, per site, the max over the points of |theta~(n) - g|^2 =
-|t(n) - 1|^2 (NaN if any is); one square root per site ends it.  Split in two
-halves, each half raises its own row, and the rows are merged.
+`decay_scan` returns per site the max over cut points of |t(n) - 1|, which
+`solutions.decay_scan` judges: beside each point a phase g = conj(zeta)^(L-1-n)
+turns one product per site, the step raises the max of |theta~(n) - g|^2 =
+|t(n) - 1|^2 (NaN if any is), and one square root ends it.  Each half of a
+split raises its own row, and the rows are merged.
 
 A call pays for whole blocks of BLOCK points, which the bound-state bisection
 fills with the midpoints of its next levels (`scattering._bisect`).
@@ -247,28 +247,12 @@ def jost_function_values(V, x):
     return _jost(V, x, 1)[0]
 
 
-def _deviations(V, zeta):
+def decay_scan(V, zeta):
     """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
     as cut points: every zeta must lie on |zeta| = 1."""
     dev = np.zeros((2, max(np.shape(V)[0] - 1, 0)))
     _jost(V, np.asarray(zeta, np.complex128), 1, dev)
     return np.sqrt(np.maximum(dev[0], dev[1]))
-
-
-def decay_scan(V, zeta, bounds, rho):
-    """Roll the Jost recursion over all points at once, tracking the worst
-    excess of max_k |t(n) - 1| over bounds[n] and the empirical envelope
-    constant max_n (1+n)^(rho-2) max_k |t(n) - 1|.
-
-    The points zeta must lie on |zeta| = 1.  The sites checked are n =
-    0..L-2, the ones the recursion steps to.  Returns (worst_violation,
-    c_empirical); (-inf, 0) when there are none.
-    """
-    dev = _deviations(V, zeta)
-    sites = np.arange(dev.shape[0])
-    worst = np.max(dev - bounds[:dev.shape[0]], initial=-np.inf)
-    c_emp = np.max(dev * (1.0 + sites) ** (float(rho) - 2.0), initial=0.0)
-    return float(worst), float(c_emp)
 
 
 def sturm_counts(diagonal, c2, bounds):

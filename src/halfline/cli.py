@@ -108,6 +108,14 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write(outputs: dict, name: str, text: str):
+    """Write text to outputs/name; a file that cannot be written is a config error."""
+    try:
+        (Path(outputs["directory"]) / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output file: {exc}") from None
+
+
 def _write_csv(outputs: dict, name: str, header: list, rows, cfg_hash: str):
     """Write outputs/name when the config asks for csv files; rows may be lazy."""
     if "csv" not in outputs["formats"]:
@@ -116,7 +124,7 @@ def _write_csv(outputs: dict, name: str, header: list, rows, cfg_hash: str):
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
                               else str(v) for v in row))
-    (Path(outputs["directory"]) / name).write_text("\n".join(lines) + "\n")
+    _write(outputs, name, "\n".join(lines) + "\n")
 
 
 def _write_json(outputs: dict, name: str, obj: dict, cfg_hash: str):
@@ -126,7 +134,7 @@ def _write_json(outputs: dict, name: str, obj: dict, cfg_hash: str):
     # numpy arrays and scalars that are not Python numbers go out through tolist
     text = json.dumps({"config_hash": cfg_hash, **obj}, sort_keys=True, indent=2,
                       default=lambda x: x.tolist())
-    (Path(outputs["directory"]) / name).write_text(text + "\n")
+    _write(outputs, name, text + "\n")
 
 
 def _gates(g: GridSpec, scatter: dict | None = None, ops: dict | None = None,
@@ -169,7 +177,10 @@ def _start(args):
     p, g, outputs, normalized, cfg_hash = load_config(args.config)
     if args.refine:
         g = g.refined()
-    Path(outputs["directory"]).mkdir(parents=True, exist_ok=True)
+    try:        # a NUL byte in the path raises ValueError
+        Path(outputs["directory"]).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}") from None
     return p, g, outputs, normalized, cfg_hash
 
 

@@ -87,11 +87,11 @@ class Potential:
 
 
 def table_potential(values, rho: float) -> Potential:
+    if not _is_real(rho):
+        raise ConfigError(f"rho must be a finite real number, not {rho!r}")
     if not rho > RHO_MIN:
         raise AssumptionError(
             f"assumption violated: decay exponent rho must exceed 5/2, got {rho}")
-    if not _is_real(rho):
-        raise ConfigError(f"rho must be a finite real number, not {rho!r}")
     try:
         values = np.asarray(values)
     except ValueError:          # ragged nesting
@@ -127,11 +127,11 @@ def random_decaying(seed: int, rho_gen: float = 3.0, amplitude: float = 1.5,
         raise ConfigError(f"seed must be a non-negative integer, not {seed!r}")
     if not _is_real(amplitude) or amplitude <= 0:
         raise ConfigError(f"amplitude must be a finite real number above 0, not {amplitude!r}")
+    if not _is_real(rho_gen):
+        raise ConfigError(f"rho_gen must be a finite real number, not {rho_gen!r}")
     if not rho_gen > RHO_MIN:       # the table's length grows without bound toward 5/2
         raise AssumptionError(
             f"assumption violated: rho_gen must exceed 5/2, got {rho_gen}")
-    if not _is_real(rho_gen):
-        raise ConfigError(f"rho_gen must be a finite real number, not {rho_gen!r}")
     length = (amplitude / ENVELOPE_FLOOR) ** (1.0 / rho_gen)
     if not length <= MAX_TABLE_SITES:     # refused before an array is asked for
         raise ConfigError(f"random_decaying table of {length:.4g} sites exceeds {MAX_TABLE_SITES}")

@@ -141,37 +141,23 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
 # the operator stage of a report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularReport:
-    """Singular values of a sampled remainder plus the finite-rank summary."""
-
-    singular_values: np.ndarray
-
-    @property
-    def s1(self) -> float:
-        return float(self.singular_values[0]) if self.singular_values.size else 0.0
-
-    @property
-    def rank_tenth(self) -> int:
-        """Smallest r with s_(r+1) <= 0.1 s_1."""
-        sv = self.singular_values
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
-        return int(np.searchsorted(-sv, -0.1 * sv[0]))
+def _singular(mat: np.ndarray) -> dict:
+    """The summary of a sampled remainder: its leading singular value s1, the
+    smallest r with s_(r+1) <= 0.1 s1 and its first 32 singular values."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    s1 = float(sv[0]) if sv.size else 0.0
+    return {"s1": s1, "rank_tenth": int(np.searchsorted(-sv, -0.1 * s1)) if s1 != 0.0 else 0,
+            "singular_values": sv[:32]}
 
 
-def _sv_report(mat: np.ndarray) -> SingularReport:
-    return SingularReport(np.linalg.svd(mat, compute_uv=False))
-
-
-def _stability(base: SingularReport, fine: SingularReport) -> dict:
-    """The base remainder's summary and its leading singular value's change
-    under refinement."""
-    if base.s1 > 0 and fine.s1 > 10.0 * base.s1:
+def _stability(base: dict, s1_fine: float) -> dict:
+    """The base remainder's summary and the change of its leading singular
+    value s1 to s1_fine under refinement."""
+    s1 = base["s1"]
+    if s1 > 0 and s1_fine > 10.0 * s1:
         raise NumericsError("not convergent: leading singular value grows under refinement")
-    return {"s1": base.s1, "rank_tenth": base.rank_tenth, "s1_refined": fine.s1,
-            "rel_change": abs(fine.s1 - base.s1) / base.s1 if base.s1 > 0 else 0.0,
-            "singular_values": base.singular_values[:32]}
+    return {**base, "s1_refined": s1_fine,
+            "rel_change": abs(s1_fine - s1) / s1 if s1 > 0 else 0.0}
 
 
 def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
@@ -206,12 +192,12 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
         grid = quadrature_grid(dd.m_theta, n)
         W = wave_operator(dd, grid, tol_threshold=g.tol_threshold)
         S = scattering_operator(dd, grid)
-        checks = (_sv_report((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
+        checks = (_singular((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
                   wave_identity_residual(dd, grid, W))
         if dd is not d:
             return checks
         U = cos_sin_coupling(grid)
-        return checks + (_stability(_sv_report(U - P), _sv_report(U - P_fine)),
+        return checks + (_stability(_singular(U - P), _singular(U - P_fine)["s1"]),
                          shift_identity_residual(grid, U))
 
     # each operator is reduced as soon as it is formed, and one cut grid's
@@ -219,7 +205,7 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     # later steps meet few held arrays (peak RSS)
     P_fine = pulled_back(2 * g.m_beta)[0]
     P, P_shift = pulled_back(g.m_beta, shift=True)
-    shift = _sv_report(np.diag(np.ones(n - 1), -1) - P_shift)
+    shift = _singular(np.diag(np.ones(n - 1), -1) - P_shift)
     symbol, base, coupling, exact = on_cut_grid(d)
     symbol2, refined = on_cut_grid(d2)
     return {
@@ -231,11 +217,11 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
         "shift_identity": {
             "exact_residual": exact["composite"],
             "naive_product_residual": exact["naive_product"],
-            "symbol_s1": shift.s1,
-            "symbol_rank_tenth": shift.rank_tenth,
+            "symbol_s1": shift["s1"],
+            "symbol_rank_tenth": shift["rank_tenth"],
         },
         "coupling_symbol": coupling,
-        "wave_symbol": _stability(symbol, symbol2),
+        "wave_symbol": _stability(symbol, symbol2["s1"]),
     }
 
 

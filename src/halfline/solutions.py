@@ -123,12 +123,13 @@ def _tail_bounds(p: Potential) -> np.ndarray:
 def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     """Decay check over m_theta > 0 theta midpoints plus both thresholds.
 
-    One compiled pass steps all points through the table in the cut lanes
-    that step the Jost grids, and keeps only the max over the points of
-    |t(n) - 1| per site, so large random tables stay cheap.  A recursion or
-    tail bound that overflows, leaving the worst excess or the envelope
-    constant not finite, is refused; so is a deviation above about 1e154,
-    whose square overflows in the step.
+    One compiled pass (`_kernels.decay_scan`) steps all points through the
+    table in the cut lanes of the Jost grids and keeps the max over the
+    points of |t(n) - 1| per site, so large random tables stay cheap; its
+    excess over the tail bounds is judged here, and the envelope constant is
+    max_n (1+n)^(rho-2) of it.  A recursion or tail bound that overflows,
+    leaving either not finite, is refused; so is a deviation above about
+    1e154, whose square overflows in the step.
     """
     if not (_is_int(m_theta) and m_theta > 0):
         raise ValueError(f"m_theta must be a positive integer, not {m_theta!r}")
@@ -137,10 +138,12 @@ def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     th = theta_midpoints(m_theta)
     zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        worst, c_emp = _kernels.decay_scan(p.values, zeta, _tail_bounds(p), p.rho)
+        dev = _kernels.decay_scan(p.values, zeta)
+        worst = float(np.max(dev - _tail_bounds(p)[:dev.shape[0]], initial=-np.inf))
+        c_emp = float(np.max(dev * (1.0 + np.arange(dev.shape[0])) ** (p.rho - 2.0), initial=0.0))
     if p.support_end > 1 and not (np.isfinite(worst) and np.isfinite(c_emp)):
         raise NumericsError(f"decay check overflows: worst excess {worst:.3e}, "
                             f"envelope constant {c_emp:.3e}")
     if worst > DECAY_SLACK:
         raise NumericsError(f"estimate violated: excess {worst:.3e}")
-    return DecayReport(float(worst), float(c_emp))
+    return DecayReport(worst, c_emp)

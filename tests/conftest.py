@@ -34,13 +34,13 @@ def grid_default():
 
 @pytest.fixture(scope="session")
 def scatter_cache():
-    """Memoised scattering data keyed by (potential hash, m_theta,
-    tol_threshold, n_site, n_edge, alpha_max): the data keeps Jost rows for
-    n_site sites and Omega on the boundary edge of (n_edge, alpha_max)."""
+    """Memoised scattering data keyed by (potential hash, GridSpec): every
+    field of the frozen GridSpec is in the key, among them z_max and
+    tol_root, which move the bound states."""
     cache = {}
 
     def get(p, g):
-        key = (p.content_hash(), g.m_theta, g.tol_threshold, g.n_site, g.n_edge, g.alpha_max)
+        key = (p.content_hash(), g)
         if key not in cache:
             cache[key] = hl.scattering_grid(p, g)
         return cache[key]
@@ -221,11 +221,12 @@ def reference_sturm_counts(diagonal, bounds, c2=0.25):
 
 
 def symbol_remainder(op, g, apply, m_beta=None):
-    """Singular values of op - R^*[a]R on g's sites, a(X, D) applied to R's
-    columns by `apply`, at m_beta (g's by default)."""
+    """The singular-value summary of op - R^*[a]R on g's sites, as the
+    operator stage writes it, a(X, D) applied to R's columns by `apply`, at
+    m_beta (g's by default)."""
     bg = hl.beta_grid(m_beta or g.m_beta, g.beta_max)
     R = hl.energy_rescale_matrix(bg, g.n_site)
-    return hl.SingularReport(np.linalg.svd(op - R.T @ apply(bg, R), compute_uv=False))
+    return rescaled._singular(op - R.T @ apply(bg, R))
 
 
 def wave_identity(d, g):

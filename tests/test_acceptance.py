@@ -138,9 +138,9 @@ def test_criterion_08_shift_identity():
         assert shift_identity(GRID)["composite"] <= 1e-6
         T = np.diag(np.ones(GRID.n_site - 1), -1)
         rep = symbol_remainder(T, GRID, shift_symbol_apply)
-        assert rep.rank_tenth <= GRID.m_beta // 16
+        assert rep["rank_tenth"] <= GRID.m_beta // 16
         fine = symbol_remainder(T, GRID, shift_symbol_apply, m_beta=2 * GRID.m_beta)
-        s1, s1f = rep.s1, fine.s1
+        s1, s1f = rep["s1"], fine["s1"]
         assert abs(s1f - s1) / s1 < 0.05
 
 

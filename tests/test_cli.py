@@ -180,6 +180,23 @@ class TestValidate:
         cfg = write_cfg(tmp_path, potential)
         assert main(["validate", str(cfg)]) == code
 
+    @pytest.mark.parametrize("potential,code,message", [
+        ({"kind": "rank_one", "v0": 0.75, "rho": float("nan")}, 2,
+         "rho must be a finite real number"),
+        ({"kind": "rank_one", "v0": 0.75, "rho": "3"}, 2, "rho must be a finite real number"),
+        ({"kind": "rank_one", "v0": 0.75, "rho": None}, 2, "rho must be a finite real number"),
+        ({"kind": "random_decaying", "seed": 0, "rho_gen": float("nan")}, 2,
+         "rho_gen must be a finite real number"),
+        ({"kind": "rank_one", "v0": 0.75, "rho": 2.0}, 3, "rho must exceed 5/2"),
+        ({"kind": "random_decaying", "seed": 0, "rho_gen": 2.5}, 3, "rho_gen must exceed 5/2"),
+    ], ids=["rho_nan", "rho_string", "rho_null", "rho_gen_nan", "rho_2", "rho_gen_2.5"])
+    def test_decay_exponent_is_a_number_first(self, tmp_path, capsys, potential, code, message):
+        # a NaN failed the comparison with 5/2 first and exited 3; a string
+        # exited 2 with the TypeError of that comparison as its message
+        cfg = write_cfg(tmp_path, potential)
+        assert main(["validate", str(cfg)]) == code
+        assert message in capsys.readouterr().err
+
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -513,6 +530,39 @@ class TestReport:
             assert f"# config={h}" in (tmp_path / "out" / name).read_text()
         wave = json.loads((tmp_path / "out" / "waveop.json").read_text())
         assert wave["config_hash"] == h
+
+
+class TestOutputLocation:
+    """An output location that cannot be written is a config error, exit 2.
+    Each of these exited 1 with a traceback, the last one after all the
+    computation."""
+
+    @staticmethod
+    def out_dir(tmp_path, case):
+        """outputs.directory for the case: a file; a path with a NUL byte; a
+        path below a file; a directory whose scatter.csv is a directory."""
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        if case == "directory_is_a_file":
+            return str(plain)
+        if case == "nul_byte":
+            return str(tmp_path / "o\0ut")
+        if case == "below_a_file":
+            return str(plain / "out")
+        (tmp_path / "out" / "scatter.csv").mkdir(parents=True)
+        return str(tmp_path / "out")
+
+    @pytest.mark.parametrize("case", ["directory_is_a_file", "nul_byte", "below_a_file",
+                                      "output_file_is_a_directory"])
+    @pytest.mark.parametrize("command", ["scatter", "report"])
+    def test_exit_2(self, tmp_path, capsys, command, case):
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        raw = json.loads(cfg.read_text())
+        raw["outputs"]["directory"] = self.out_dir(tmp_path, case)
+        cfg.write_text(json.dumps(raw))
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot ") and err.count("\n") == 1, err
 
 
 class TestEdgeWorker:

@@ -31,6 +31,13 @@ class TestPotential:
         with pytest.raises(hl.ConfigError):
             hl.table_potential([0.1, np.nan], rho=3.0)
 
+    @pytest.mark.parametrize("rho", [None, "3", np.nan])
+    def test_rho_not_a_real_number_rejected(self, rho):
+        # checked before the comparison with 5/2: None and "3" raised a
+        # TypeError there, and NaN an AssumptionError
+        with pytest.raises(hl.ConfigError, match="rho must be a finite real number"):
+            hl.table_potential([0.3], rho)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(hl.ConfigError):
             hl.make_potential({"kind": "bogus"})

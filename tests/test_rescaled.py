@@ -201,9 +201,9 @@ class TestCouplingRemainder:
     def test_compactness_profile(self):
         g = hl.GridSpec(m_theta=512, n_site=64, m_beta=512)
         rep = symbol_remainder(coupling(g), g, hl.pdo_apply)
-        assert rep.s1 < 1.0
-        assert rep.rank_tenth <= g.m_beta // 16
-        sv = rep.singular_values
+        assert rep["s1"] < 1.0
+        assert rep["rank_tenth"] <= g.m_beta // 16
+        sv = rep["singular_values"]
         assert sv[0] >= sv[-1]
 
     def test_stability_under_refinement(self, operator_stage):
@@ -216,11 +216,11 @@ class TestCouplingRemainder:
         g = hl.GridSpec(m_theta=512, n_site=128)
         mbs = (1024, 2048, 4096, 8192, 16384)
         reps = [symbol_remainder(coupling(g), g, hl.pdo_apply, m_beta=mb) for mb in mbs]
-        s1 = np.array([r.s1 for r in reps])
+        s1 = np.array([r["s1"] for r in reps])
         assert np.all(np.isfinite(s1)) and np.all(s1 > 0)
         assert np.all(np.abs(np.diff(s1)) < 1e-5 * s1[1:])
         for r, mb in zip(reps, mbs):
-            assert r.rank_tenth <= mb // 16
+            assert r["rank_tenth"] <= mb // 16
 
 
 class TestWaveRemainder:

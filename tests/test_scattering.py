@@ -17,7 +17,7 @@ import halfline as hl
 from conftest import (EPS, OVERFLOWING_TABLES, TWO_SITE, closed_form_bound_state,
                       closed_form_omega, cut_bound, decay_bound, long_double_t,
                       reference_bisection, reference_jost_rows, rim_zeta, scan_brackets)
-from halfline import _kernels, scattering
+from halfline import _kernels, scattering, solutions
 
 
 def off_axis_zeta(z):
@@ -115,7 +115,7 @@ def assert_deviations_match_reference(V, zeta):
     on the unit circle, lies within `decay_bound` of the long-double one."""
     V = np.asarray(V, float)
     ref, bound = long_double_deviations(V, zeta)
-    dev = _kernels._deviations(V, zeta)
+    dev = _kernels.decay_scan(V, zeta)
     assert dev.shape == ref.shape
     err = np.abs(dev - ref.astype(float))
     assert np.all(err <= bound), (np.max(err), bound)
@@ -206,7 +206,7 @@ class TestJostFunction:
         forms = [lambda: _kernels.jost_function_values(V, x),
                  lambda: _kernels.jost_scaled(V, x, 3)]
         if np.iscomplexobj(x):
-            forms.append(lambda: _kernels.decay_scan(V, x, np.ones(2), 3.0))
+            forms.append(lambda: _kernels.decay_scan(V, x))
         for form in forms:
             with pytest.raises(ValueError, match=re.escape(message)):
                 form()
@@ -307,7 +307,7 @@ class TestJostFunction:
             assert plain.flags.c_contiguous and plain.dtype.isnative
             for form in (lambda y: [_kernels.jost_function_values(V, y)],
                          lambda y: _kernels.jost_scaled(V, y, 5),
-                         lambda y: [_kernels._deviations(V, y)] if np.iscomplexobj(y) else []):
+                         lambda y: [_kernels.decay_scan(V, y)] if np.iscomplexobj(y) else []):
                 assert [a.tobytes() for a in form(x)] == [a.tobytes() for a in form(plain)]
 
 
@@ -387,9 +387,9 @@ class TestStepBlocks:
             assert_deviations_match_reference(V, zeta)
         elif first is ValueError:
             with pytest.raises(ValueError, match=re.escape("on |zeta| = 1")):
-                _kernels._deviations(V, zeta)
+                _kernels.decay_scan(V, zeta)
         else:
-            dev = _kernels._deviations(V, zeta)
+            dev = _kernels.decay_scan(V, zeta)
             assert np.array_equal(dev[:1], [first], equal_nan=True)
             with pytest.raises(hl.NumericsError, match="decay check overflows"):
                 hl.decay_scan(hl.table_potential(V, rho=3.0), len(zeta))
@@ -399,18 +399,18 @@ class TestStepBlocks:
         # 110 sites, reduced per site while they are stepped, within the
         # bound of the long-double rows; split in two halves and whole, bit
         # for bit the same
-        p = hl.random_decaying(3, rho_gen=6.0)
-        V = p.values[:110]
-        zeta = self.points(n, False)
-        bounds = np.linspace(1e-3, 0.5, len(V))
-        dev, tol = long_double_deviations(V, zeta)
+        p = hl.table_potential(hl.random_decaying(3, rho_gen=6.0).values[:110], rho=3.0)
+        zeta = np.r_[np.exp(-1j * hl.theta_midpoints(n)), 1.0, -1.0]
+        bounds = solutions._tail_bounds(p)
+        dev, tol = long_double_deviations(p.values, zeta)
         dev = dev.astype(float)
-        worst, c_emp = _kernels.decay_scan(V, zeta, bounds, 3.0)
-        assert worst == pytest.approx(float(np.max(dev - bounds[:len(dev)])), rel=0, abs=tol)
-        assert c_emp == pytest.approx(float(np.max(dev * (1.0 + np.arange(len(dev))))),
-                                      rel=0, abs=tol * len(dev))
+        rep = hl.decay_scan(p, n)
+        assert rep.max_violation == pytest.approx(float(np.max(dev - bounds[:len(dev)])),
+                                                  rel=0, abs=tol)
+        assert rep.empirical_c == pytest.approx(float(np.max(dev * (1.0 + np.arange(len(dev))))),
+                                                rel=0, abs=tol * len(dev))
         split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
-        assert _kernels.decay_scan(V, zeta, bounds, 3.0) == (worst, c_emp)
+        assert hl.decay_scan(p, n) == rep
 
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(-3.0, 3.0), max_size=7),
@@ -459,9 +459,9 @@ class TestStepBlocks:
                 mp.setattr(_kernels.os, "cpu_count", lambda: 2)
             if any(r != 1.0 for r in radii):
                 with pytest.raises(ValueError, match=re.escape("on |zeta| = 1")):
-                    _kernels._deviations(values, zeta)
+                    _kernels.decay_scan(values, zeta)
                 return
-            dev = _kernels._deviations(values, zeta)
+            dev = _kernels.decay_scan(values, zeta)
         t = long_double_t(values, *zeta_and_two_z(zeta))
         finite = np.isfinite(dev)
         assert np.all(finite) or np.max(np.abs(t)) > 1e150
@@ -580,7 +580,7 @@ class TestCutLaneBits:
         zeta = np.exp(-1j * th)
         n_keep = 4
         omega, rows = _kernels.jost_scaled(V, zeta, n_keep)
-        dev = _kernels._deviations(V, zeta)
+        dev = _kernels.decay_scan(V, zeta)
         model = [CutLaneModel.step(V, z, n_keep + 2) for z in zeta]
         assert np.array_equal(omega, [complex(*m[0]) for m in model])
         assert np.array_equal(rows, np.array([[complex(*r) for r in m[1]] for m in model]).T)
@@ -588,7 +588,7 @@ class TestCutLaneBits:
         assert np.array_equal(dev, np.sqrt(per_site))
         assert len(dev) == len(V) - 1
         for k in range(0, len(zeta), 7):    # the deviations of lone points
-            assert np.array_equal(_kernels._deviations(V, zeta[k:k + 1]), np.sqrt(model[k][2]))
+            assert np.array_equal(_kernels.decay_scan(V, zeta[k:k + 1]), np.sqrt(model[k][2]))
 
     def test_power_of_the_long_table(self):
         # the double-double zeta^L of 246,621 sites, written unmultiplied to

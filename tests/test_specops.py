@@ -48,6 +48,17 @@ def pack075(grid_default, scatter_cache):
     return p, d, grid
 
 
+@pytest.mark.parametrize("build", [hl.scattering_operator,
+                                   lambda d, grid: hl.jost_transform(d, grid, TOL),
+                                   hl.correction_operator],
+                         ids=["scattering_operator", "jost_transform", "correction_operator"])
+def test_grid_of_another_m_refused(pack075, build):
+    # the data on m_theta points, the cut grid of half as many
+    _, d, grid = pack075
+    with pytest.raises(hl.NumericsError, match="scattering data and quadrature grid disagree"):
+        build(d, hl.quadrature_grid(grid.m // 2, grid.n_site))
+
+
 class TestQuadrature:
     def test_weights_sum_to_two(self):
         # midpoint rule: the total weight converges to 2 at second order

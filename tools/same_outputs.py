@@ -7,11 +7,15 @@ PARENT and CHANGE are checkouts of this repository; each command runs as
 `winding` and `report` run with --check, with and without --refine, on
 rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
 and 3, and without --refine on the 1,665,610-site `random_decaying` table
-with rho_gen 2.6: 36 runs per tree.  One more run per config and tree,
-`python -c LIBRARY`, prints the exact bits of library results that no
-command writes: `decay_scan(p, 512)`, `jost_solution` at z = 2 and at
-zeta = e^(-0.3i), `regular_solution` at z = 2, all to n_max 20, and on
-tables of at most 2,000 sites `volterra_jost` at e^(-0.3i): 41 runs.
+with rho_gen 2.6 and on three configs that are refused: rank_one 0.51
+(`scatter` and `report` exit 5 on the Levinson gate), the 400-site table of
+3.0 (exit 4, the Jost recursion overflows) and rank_one 0.75 at small grids
+with z_max 1.05 (exit 4, z_max too small).  `validate` runs once per config.
+One more run per config and tree, `python -c LIBRARY`, prints the exact bits
+of library results that no command writes, or what they raise:
+`decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
+`regular_solution` at z = 2, all to n_max 20, and on tables of at most 2,000
+sites `volterra_jost` at e^(-0.3i): 64 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
@@ -32,14 +36,22 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: (name, potential block, whether it also runs with --refine)
+#: (name, config without its outputs block, whether it also runs with --refine)
 CONFIGS = (
-    ("rank_one_0.75", {"kind": "rank_one", "v0": 0.75, "rho": 3.0}, True),
-    ("two_site", {"kind": "table", "values": [0.3, -0.2], "rho": 3.0}, True),
-    ("random_seed_0", {"kind": "random_decaying", "seed": 0, "amplitude": 1.5}, True),
-    ("random_seed_3", {"kind": "random_decaying", "seed": 3, "amplitude": 1.5}, True),
-    ("random_rho_gen_2.6", {"kind": "random_decaying", "seed": 0, "amplitude": 1.5,
-                            "rho_gen": 2.6}, False),
+    ("rank_one_0.75", {"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0}}, True),
+    ("two_site", {"potential": {"kind": "table", "values": [0.3, -0.2], "rho": 3.0}}, True),
+    ("random_seed_0", {"potential": {"kind": "random_decaying", "seed": 0,
+                                     "amplitude": 1.5}}, True),
+    ("random_seed_3", {"potential": {"kind": "random_decaying", "seed": 3,
+                                     "amplitude": 1.5}}, True),
+    ("random_rho_gen_2.6", {"potential": {"kind": "random_decaying", "seed": 0,
+                                          "amplitude": 1.5, "rho_gen": 2.6}}, False),
+    ("rank_one_0.51", {"potential": {"kind": "rank_one", "v0": 0.51, "rho": 3.0}}, False),
+    ("table_400_of_3", {"potential": {"kind": "table", "values": [3.0] * 400, "rho": 3.0}},
+     False),
+    ("z_max_1.05", {"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                    "grids": {"m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024,
+                              "z_max": 1.05}}, False),
 )
 
 COMMANDS = ("scatter", "waveop", "winding", "report")
@@ -89,15 +101,15 @@ def main(argv=None) -> int:
             ap.error(f"{tree} has no src/halfline")
     runs = diffs = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
-        for name, potential, refine in CONFIGS:
+        for name, config, refine in CONFIGS:
             out, cfg = Path(work, name, "out"), Path(work, name + ".json")
-            cfg.write_text(json.dumps({"potential": potential,
-                                       "outputs": {"directory": str(out)}}))
+            cfg.write_text(json.dumps({**config, "outputs": {"directory": str(out)}}))
             argvs = {" ".join([command, "--check", *flags]):
                      ["-m", "halfline.cli", command, str(cfg), "--check", *flags]
                      for flags in (([], ["--refine"]) if refine else ([],))
                      for command in COMMANDS}
-            argvs["library"] = ["-c", LIBRARY, json.dumps(potential)]
+            argvs["validate"] = ["-m", "halfline.cli", "validate", str(cfg)]
+            argvs["library"] = ["-c", LIBRARY, json.dumps(config["potential"])]
             for label, argv in argvs.items():
                 a, b = (run(tree, argv, out) for tree in trees)
                 runs += 1
