@@ -6,6 +6,10 @@ so results from different configs cannot be mixed silently.  Outputs are
 deterministic given the config (no timestamps inside files); wall-clock
 timings go to stdout only.
 
+`main` runs each command: `_start`, then, but for `validate`, one timed call of
+its `cmd_*`, which writes the files and returns (summary line, gate passes,
+failure message); --check, always on for `report`, refuses a failed gate.
+
 Exit codes: 0 pass; an error exits with the code and stderr label that
 `_EXITS` gives its class.
 """
@@ -70,8 +74,6 @@ def load_config(path: str):
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
     _config_block(raw, {"potential", "grids", "tolerances", "outputs"}, "config")
     if raw.get("potential") is None:
         raise ConfigError("config needs a potential block")
@@ -161,12 +163,6 @@ def _gates(g: GridSpec, scatter: dict | None = None, ops: dict | None = None,
     return passes
 
 
-def _enforce(passes: dict, message: str):
-    if not all(passes.values()):
-        failed = ", ".join(k for k, v in sorted(passes.items()) if not v)
-        raise CheckFailure(f"{message} ({failed})")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -182,12 +178,6 @@ def _start(args):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot make the output directory: {exc}") from None
     return p, g, outputs, normalized, cfg_hash
-
-
-def cmd_validate(args) -> int:
-    _, _, _, normalized, cfg_hash = load_config(args.config)
-    print(json.dumps({"config_hash": cfg_hash, **normalized}, sort_keys=True, indent=2))
-    return 0
 
 
 def _scatter(d: ScatteringData, outputs: dict, cfg_hash: str) -> dict:
@@ -217,17 +207,12 @@ def _scatter(d: ScatteringData, outputs: dict, cfg_hash: str) -> dict:
     }
 
 
-def cmd_scatter(args) -> int:
-    p, g, outputs, _, cfg_hash = _start(args)
-    t0 = time.perf_counter()
+def cmd_scatter(p, g, outputs, normalized, cfg_hash):
     d = scattering_grid(p, g)
     summary = _scatter(d, outputs, cfg_hash)
-    print(f"scatter: N={summary['count_n']} delta=({d.delta_minus},{d.delta_plus}) "
-          f"levinson_residual={summary['levinson_residual']:.3e} "
-          f"[{time.perf_counter() - t0:.2f}s]")
-    if args.check:
-        _enforce(_gates(g, scatter=summary), "scattering data fails its gate")
-    return 0
+    return (f"scatter: N={summary['count_n']} delta=({d.delta_minus},{d.delta_plus}) "
+            f"levinson_residual={summary['levinson_residual']:.3e}",
+            _gates(g, scatter=summary), "scattering data fails its gate")
 
 
 def _waveop_payload(p: Potential, g: GridSpec):
@@ -244,18 +229,13 @@ def _waveop_payload(p: Potential, g: GridSpec):
     return payload, d
 
 
-def cmd_waveop(args) -> int:
-    p, g, outputs, _, cfg_hash = _start(args)
-    t0 = time.perf_counter()
+def cmd_waveop(p, g, outputs, normalized, cfg_hash):
     payload, _ = _waveop_payload(p, g)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
     wi = payload["wave_identity"]
-    print(f"waveop: identity residual {wi['residual']:.3e} "
-          f"(refined {wi['residual_refined']:.3e}, ratio {wi['ratio']:.1f}) "
-          f"[{time.perf_counter() - t0:.2f}s]")
-    if args.check:
-        _enforce(_gates(g, ops=payload), "operator identities fail their gates")
-    return 0
+    return (f"waveop: identity residual {wi['residual']:.3e} "
+            f"(refined {wi['residual_refined']:.3e}, ratio {wi['ratio']:.1f})",
+            _gates(g, ops=payload), "operator identities fail their gates")
 
 
 def _winding_keys(w: WindingReport) -> dict:
@@ -263,9 +243,7 @@ def _winding_keys(w: WindingReport) -> dict:
     return {k: getattr(w, k) for k in ("winding", "raw_phase_total", "per_edge", "match")}
 
 
-def cmd_winding(args) -> int:
-    p, g, outputs, _, cfg_hash = _start(args)
-    t0 = time.perf_counter()
+def cmd_winding(p, g, outputs, normalized, cfg_hash):
     with _kernels.meanwhile(scattering_edge, p, g) as edge:
         d = scattering_grid(p, g)
         curve = assemble_boundary(d, g, edge())
@@ -277,17 +255,11 @@ def cmd_winding(args) -> int:
                ["edge", "param", "re", "im", "phase_unwrapped"], rows, cfg_hash)
     _write_json(outputs, "winding.json", {**_winding_keys(report),
                                           "n_from_scattering": d.count_n}, cfg_hash)
-    print(f"winding: {report.winding} (N={d.count_n}, match={report.match}) "
-          f"[{time.perf_counter() - t0:.2f}s]")
-    if args.check:
-        _enforce(_gates(g, winding=report),
-                 "winding number does not match the bound-state count")
-    return 0
+    return (f"winding: {report.winding} (N={d.count_n}, match={report.match})",
+            _gates(g, winding=report), "winding number does not match the bound-state count")
 
 
-def cmd_report(args) -> int:
-    p, g, outputs, normalized, cfg_hash = _start(args)
-    t0 = time.perf_counter()
+def cmd_report(p, g, outputs, normalized, cfg_hash):
     with _kernels.meanwhile(scattering_edge, p, g) as edge:
         payload, d = _waveop_payload(p, g)
         scatter = _scatter(d, outputs, cfg_hash)
@@ -302,13 +274,9 @@ def cmd_report(args) -> int:
         "pass": passes,
     }
     _write_json(outputs, "report.json", report, cfg_hash)
-    elapsed = time.perf_counter() - t0
-    for k, v in sorted(passes.items()):
-        print(f"  {'PASS' if v else 'FAIL'} {k}")
-    print(f"report: {'all pass' if all(passes.values()) else 'FAILURES'} "
-          f"[{elapsed:.2f}s]")
-    _enforce(passes, "report contains failing checks")
-    return 0
+    lines = [f"  {'PASS' if v else 'FAIL'} {k}" for k, v in sorted(passes.items())]
+    lines.append(f"report: {'all pass' if all(passes.values()) else 'FAILURES'}")
+    return "\n".join(lines), passes, "report contains failing checks"
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +287,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scattering theory for discrete Schrodinger operators "
                     "on the half-line")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("validate", cmd_validate), ("scatter", cmd_scatter),
-                     ("waveop", cmd_waveop), ("winding", cmd_winding),
-                     ("report", cmd_report)):
+    for name, fn in (("validate", None), ("scatter", cmd_scatter), ("waveop", cmd_waveop),
+                     ("winding", cmd_winding), ("report", cmd_report)):
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to the JSON config")
         sp.add_argument("--check", action="store_true",
                         help="exit 5 when an identity check fails")
         sp.add_argument("--refine", action="store_true",
                         help="double the spectral grids before running")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, check=name == "report")    # report always checks
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        p, g, outputs, normalized, cfg_hash = _start(args)
+        if args.fn is None:         # validate
+            print(json.dumps({"config_hash": cfg_hash, **normalized}, sort_keys=True, indent=2))
+            return 0
+        t0 = time.perf_counter()
+        line, passes, message = args.fn(p, g, outputs, normalized, cfg_hash)
+        print(f"{line} [{time.perf_counter() - t0:.2f}s]")
+        if args.check and not all(passes.values()):
+            failed = ", ".join(k for k, v in sorted(passes.items()) if not v)
+            raise CheckFailure(f"{message} ({failed})")
+        return 0
     except HalflineError as exc:
         code, label = _EXITS[type(exc)]
         print(f"{label}: {exc}", file=sys.stderr)

@@ -57,14 +57,13 @@ class ScatteringData:
 
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
-    holds the Jost values zeta theta(n) = zeta^(n+1) t(n) on the grid for
-    n = -1..n_site-1, row index n + 1; omega is its row 0.
+    holds the Jost values zeta theta(n) = zeta^(n+1) t(n) at the grid's
+    zeta = e^(-i theta) for n = -1..n_site-1, row index n + 1; omega is its row 0.
     """
 
     potential: Potential
     theta: np.ndarray
     lam: np.ndarray
-    zeta: np.ndarray
     jost_rows: np.ndarray
     omega: np.ndarray
     amplitude: np.ndarray
@@ -74,8 +73,6 @@ class ScatteringData:
     omega_plus: float
     delta_minus: float
     delta_plus: float
-    s_minus: float
-    s_plus: float
     bound_states: np.ndarray
     count_n: int
 
@@ -89,8 +86,8 @@ def classify_thresholds(p: Potential, tol_threshold: float):
 
     Delta = 1/2 when |Omega| < tol, 0 when |Omega| > 10 tol; the band in
     between is refused as unstable, and an Omega that is not finite as an
-    overflow.  The limiting scattering-matrix values are +1 (generic) and
-    -1 (resonant).
+    overflow.  Returns (Delta_-, Delta_+, Omega(-1), Omega(+1)); the limiting
+    scattering-matrix value s(+-1) is +1 (generic) or -1 (resonant, Delta = 1/2).
     """
     om_m, om_p = _kernels.jost_function_values(p.values, np.array([-1.0, 1.0])).tolist()
     out = []
@@ -103,10 +100,7 @@ def classify_thresholds(p: Potential, tol_threshold: float):
                 f"ambiguous threshold: |Omega| = {mag:.3e} near tolerance "
                 f"{tol_threshold:.1e}")
         out.append(0.5 if mag < tol_threshold else 0.0)
-    delta_minus, delta_plus = out
-    s_minus = -1.0 if delta_minus == 0.5 else 1.0
-    s_plus = -1.0 if delta_plus == 0.5 else 1.0
-    return delta_minus, delta_plus, s_minus, s_plus, om_m, om_p
+    return (*out, om_m, om_p)
 
 
 def bound_states(p: Potential, g: GridSpec, z_max: float | None = None):
@@ -211,14 +205,13 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
         jump = np.max(np.abs(np.diff(eta)), initial=0.0)
         if jump >= np.pi / 2:
             raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
-        on_grid.append(dict(theta=theta, lam=lam, zeta=zeta, jost_rows=rows, omega=om,
+        on_grid.append(dict(theta=theta, lam=lam, jost_rows=rows, omega=om,
                             amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
-    dm, dp, s_m, s_p, om_m, om_p = classify_thresholds(p, g.tol_threshold)
+    dm, dp, om_m, om_p = classify_thresholds(p, g.tol_threshold)
     roots, count = bound_states(p, g, z_max)
     return [ScatteringData(
         potential=p, **fields_, omega_minus=om_m, omega_plus=om_p,
-        delta_minus=dm, delta_plus=dp, s_minus=s_m, s_plus=s_p,
-        bound_states=roots, count_n=count) for fields_ in on_grid]
+        delta_minus=dm, delta_plus=dp, bound_states=roots, count_n=count) for fields_ in on_grid]
 
 
 def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:

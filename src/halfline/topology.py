@@ -80,7 +80,7 @@ def assemble_boundary(d: ScatteringData, g: GridSpec, edge: tuple) -> BoundaryCu
     follow the phase can lose a whole turn without any large sampled jump.
     """
     (beta, omega), n_edge, amax = edge, g.n_edge, float(g.alpha_max)
-    sp, sm = d.s_plus, d.s_minus
+    sp, sm = (-1.0 if delta == 0.5 else 1.0 for delta in (d.delta_plus, d.delta_minus))
     s_edge = np.conj(omega) / omega
 
     alpha_up = np.linspace(-amax, amax, n_edge)

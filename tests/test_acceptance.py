@@ -65,7 +65,7 @@ def test_criterion_02_rank_one_closed_forms(scatter_cache):
         for v0 in RANK_ONE_FAMILY:
             p = hl.rank_one(v0)
             d = scatter_cache(p, GRID)
-            assert np.max(np.abs(d.omega - closed_form_omega(v0, d.zeta))) <= 1e-10
+            assert np.max(np.abs(d.omega - closed_form_omega(v0, np.exp(-1j * d.theta)))) <= 1e-10
             assert abs(d.omega_plus - (1.0 - 2.0 * v0)) <= 1e-12
             assert abs(d.omega_minus - (1.0 + 2.0 * v0)) <= 1e-12
             zb = closed_form_bound_state(v0)

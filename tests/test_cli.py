@@ -202,6 +202,20 @@ class TestValidate:
         path.write_text("{nope")
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("config,message", [
+        (None, "cannot read config"), ([], "config must be an object"),
+        ({}, "config needs a potential block"),
+        ({"potential": {"kind": "zero"}, "outputs": {"formats": ["xml"]}},
+         "unknown output formats"),
+        ({"potential": {"kind": "zero"}, "grids": {"m_beta": 513}}, "m_beta must be even"),
+    ], ids=["missing_file", "list_root", "no_potential", "xml_format", "odd_m_beta"])
+    def test_config_refused(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
 
 @pytest.mark.parametrize("command,potential,code,label", [
     ("validate", {"kind": "rank_one", "v0": 0.75, "rho": 3.0, "weird": 1}, 2, "config error: "),
@@ -351,8 +365,22 @@ class TestWinding:
         assert main(["winding", str(cfg)]) == 4
         assert main(["winding", str(cfg), "--check"]) == 4
 
+    def test_refine_doubles_the_edge(self, tmp_path):
+        # n_edge 1024 doubled, and the two snapped corners
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        assert main(["winding", str(cfg), "--refine"]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "winding.csv")
+        assert sum(r[0] == "scattering" for r in rows) == 2050
+
 
 class TestReport:
+    def test_refine_doubles_the_spectral_grids(self, tmp_path):
+        # the site window n_site stays
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        assert main(["report", str(cfg), "--refine"]) == 0
+        grids = json.loads((tmp_path / "out" / "waveop.json").read_text())["grids"]
+        assert (grids["m_theta"], grids["m_beta"], grids["n_site"]) == (512, 1024, 64)
+
     def test_all_pass_and_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         assert main(["report", str(cfg)]) == 0
@@ -552,9 +580,13 @@ class TestOutputLocation:
         (tmp_path / "out" / "scatter.csv").mkdir(parents=True)
         return str(tmp_path / "out")
 
-    @pytest.mark.parametrize("case", ["directory_is_a_file", "nul_byte", "below_a_file",
-                                      "output_file_is_a_directory"])
-    @pytest.mark.parametrize("command", ["scatter", "report"])
+    # validate writes no file, but makes the directory as every command does:
+    # it printed the config and exited 0 on a directory it could not make
+    @pytest.mark.parametrize("command,case", [
+        (command, case) for command in ("scatter", "report", "validate")
+        for case in ("directory_is_a_file", "nul_byte", "below_a_file",
+                     "output_file_is_a_directory")
+        if (command, case) != ("validate", "output_file_is_a_directory")])
     def test_exit_2(self, tmp_path, capsys, command, case):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         raw = json.loads(cfg.read_text())

@@ -222,6 +222,13 @@ class TestCouplingRemainder:
         for r, mb in zip(reps, mbs):
             assert r["rank_tenth"] <= mb // 16
 
+    def test_growing_leading_value_refused(self):
+        # s1 more than ten times larger on the finer grid
+        from halfline.rescaled import _stability
+        base = {"s1": 1.0, "rank_tenth": 1, "singular_values": [1.0]}
+        with pytest.raises(hl.NumericsError, match="not convergent"):
+            _stability(base, 11.0)
+
 
 class TestWaveRemainder:
     def test_free_vanishes(self, operator_stage):

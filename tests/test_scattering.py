@@ -154,7 +154,7 @@ class TestJostFunction:
     @pytest.mark.parametrize("v0", [0.25, -0.5, 0.75, 1.5])
     def test_rank_one_closed_form_on_grid(self, v0, grid_default, scatter_cache):
         d = scatter_cache(hl.rank_one(v0), grid_default)
-        assert np.max(np.abs(d.omega - closed_form_omega(v0, d.zeta))) < 1e-10
+        assert np.max(np.abs(d.omega - closed_form_omega(v0, np.exp(-1j * d.theta)))) < 1e-10
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POTENTIALS))
     def test_cut_grid_matches_reference_loop(self, name):
@@ -265,9 +265,10 @@ class TestJostFunction:
         p = hl.random_decaying(3, rho_gen=4.0)
         g = hl.GridSpec(m_theta=64, n_site=32)
         d = hl.scattering_grid(p, g)
-        single = [omega(p, z) for z in d.zeta]
+        zeta = np.exp(-1j * d.theta)
+        single = [omega(p, z) for z in zeta]
         assert np.array_equal(single, d.omega)
-        for k, z in enumerate(d.zeta):
+        for k, z in enumerate(zeta):
             _, rows = _kernels.jost_scaled(p.values, np.array([z]), g.n_site - 1)
             assert np.array_equal(rows[:, 0], d.jost_rows[:, k]), k
 
@@ -610,7 +611,8 @@ class TestScatteringGrid:
 
     def test_rank_one_amplitude_and_phase(self, grid_default, scatter_cache):
         d = scatter_cache(hl.rank_one(0.75), grid_default)
-        assert np.allclose(d.amplitude, np.abs(closed_form_omega(0.75, d.zeta)), rtol=1e-12)
+        assert np.allclose(d.amplitude, np.abs(closed_form_omega(0.75, np.exp(-1j * d.theta))),
+                           rtol=1e-12)
         em, ep = hl.eta_endpoints(d)
         assert ep - em == pytest.approx(np.pi, abs=1e-3 * np.pi)
 
@@ -669,7 +671,7 @@ class TestOneRecursionPerGrid:
     def test_omega_is_row_zero(self, grid_pair):
         p, _, ds = grid_pair
         for d in ds:
-            direct = _kernels.jost_function_values(p.values, d.zeta)
+            direct = _kernels.jost_function_values(p.values, np.exp(-1j * d.theta))
             assert np.array_equal(d.omega, direct)
             assert np.array_equal(d.jost_rows[0], direct)
             assert not np.shares_memory(d.omega, d.jost_rows)
@@ -678,11 +680,11 @@ class TestOneRecursionPerGrid:
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
             assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
-            args = (p.values, d.zeta, g.n_site - 1)
+            args = (p.values, np.exp(-1j * d.theta), g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
         monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)     # halves, one on a worker thread
         for g, d in zip(grids, ds):
-            args = (p.values, d.zeta, g.n_site - 1)
+            args = (p.values, np.exp(-1j * d.theta), g.n_site - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
     def test_second_grid_reuse_equals_fresh_build(self, grid_pair):
@@ -702,10 +704,9 @@ class TestOneRecursionPerGrid:
         # Omega(+-1) of the two-point call equals each threshold stepped alone
         p, grids, ds = grid_pair
         g = grids[0]
-        dm, dp, sm, sp, om_m, om_p = hl.classify_thresholds(p, g.tol_threshold)
-        assert (dm, dp, sm, sp, om_m, om_p) == (ds[0].delta_minus, ds[0].delta_plus,
-                                                ds[0].s_minus, ds[0].s_plus,
-                                                ds[0].omega_minus, ds[0].omega_plus)
+        dm, dp, om_m, om_p = hl.classify_thresholds(p, g.tol_threshold)
+        assert (dm, dp, om_m, om_p) == (ds[0].delta_minus, ds[0].delta_plus,
+                                        ds[0].omega_minus, ds[0].omega_plus)
         assert [om_m, om_p] == [omega(p, s) for s in (-1.0, 1.0)]
         roots, count = hl.bound_states(p, g)
         assert np.array_equal(roots, ds[0].bound_states) and count == ds[0].count_n
@@ -713,14 +714,14 @@ class TestOneRecursionPerGrid:
 
 class TestThresholds:
     def test_free(self):
-        dm, dp, sm, sp, om_m, om_p = hl.classify_thresholds(hl.zero_potential(), 1e-3)
-        assert (dm, dp) == (0.0, 0.0) and (sm, sp) == (1.0, 1.0)
+        dm, dp, om_m, om_p = hl.classify_thresholds(hl.zero_potential(), 1e-3)
+        assert (dm, dp) == (0.0, 0.0)
         assert om_m == 1.0 and om_p == 1.0
 
     def test_resonant_plus(self):
-        dm, dp, sm, sp, om_m, om_p = hl.classify_thresholds(hl.rank_one(0.5), 1e-3)
-        assert dp == 0.5 and sp == -1.0
-        assert dm == 0.0 and sm == 1.0
+        dm, dp, om_m, om_p = hl.classify_thresholds(hl.rank_one(0.5), 1e-3)
+        assert dp == 0.5
+        assert dm == 0.0
         assert om_p == pytest.approx(0.0, abs=1e-14)
         assert om_m == pytest.approx(2.0, rel=1e-14)
 

@@ -170,7 +170,7 @@ class TestWaveTransforms:
         grid = hl.quadrature_grid(d.m_theta, 8)
         Fp = np.conj(hl.jost_transform(d, grid, TOL))
         j = 200
-        om = closed_form_omega(0.75, d.zeta[j])
+        om = closed_form_omega(0.75, np.exp(-1j * d.theta)[j])
         a = abs(om)
         sigma_m = np.conj(om) / a
         expected = np.sqrt(grid.weights[j]) * np.sqrt(2 / np.pi) \
@@ -277,7 +277,8 @@ class TestCorrectionOperator:
     def test_kept_rows_equal_fresh_recursion(self, p, grid_default, scatter_cache):
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
-        fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, d.zeta, n - 1)[1])
+        zeta = np.exp(-1j * d.theta)
+        fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, zeta, n - 1)[1])
         assert np.array_equal(d.jost_rows[:n + 1], fresh.jost_rows)
         grid = hl.quadrature_grid(512, n)
         assert np.array_equal(hl.correction_operator(d, grid),
@@ -292,7 +293,7 @@ class TestCorrectionOperator:
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
         grid = hl.quadrature_grid(d.m_theta, n)
-        powers = d.zeta[None, :] ** np.arange(1, n + 1)[:, None]
+        powers = np.exp(-1j * d.theta)[None, :] ** np.arange(1, n + 1)[:, None]
         # past the table the rows are the free tail zeta^(n+1), where p is 0
         L = p.support_end
         assert np.max(np.abs(d.jost_rows[L:n + 1] - powers[L - 1:]), initial=0.0) < 1e-13

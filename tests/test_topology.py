@@ -50,8 +50,17 @@ class TestBoundaryAssembly:
         d = scatter_cache(p, g)
         curve = hl.assemble_boundary(d, g, hl.scattering_edge(p, g))
         sl = curve.edge_slices["scattering"]
-        assert curve.points[sl.start] == d.s_plus
-        assert curve.points[sl.stop - 1] == d.s_minus
+        assert curve.points[sl.start] == -1.0       # s(+1): resonant
+        assert curve.points[sl.stop - 1] == 1.0     # s(-1)
+
+    def test_corner_mismatch_refused(self, scatter_cache):
+        # Omega = i on the whole edge gives s = -1 where rank_one 0.75's
+        # generic threshold puts the corner s(+1) = +1
+        g = small_grid()
+        p = hl.rank_one(0.75)
+        beta, _ = hl.scattering_edge(p, g)
+        with pytest.raises(hl.NumericsError, match="corner mismatch at scattering start"):
+            hl.assemble_boundary(scatter_cache(p, g), g, (beta, 1j * np.ones(len(beta))))
 
     def test_curve_avoids_origin(self, scatter_cache):
         for v0 in (0.5, 0.75, 1.5):
@@ -107,6 +116,16 @@ class TestWindingNumber:
         p = hl.rank_one(0.75)
         with pytest.raises(hl.NumericsError, match="undersampled"):
             hl.winding_report(scatter_cache(p, g), p, g)
+
+    def test_phase_jump_refused(self):
+        # a closed curve of quarter turns and one half turn back
+        pts = np.array([1, 1j, -1, -1j, 1, -1, 1], dtype=complex)
+        curve = hl.BoundaryCurve(
+            points=pts, params=np.arange(7.0),
+            edge_slices={"scattering": slice(0, 7), "gamma_minus": slice(7, 7),
+                         "constant": slice(7, 7), "gamma_plus": slice(7, 7)})
+        with pytest.raises(hl.NumericsError, match="undersampled: phase jump"):
+            hl.winding_number(curve, hl.GridSpec().tol_winding, count_n=1)
 
     def test_open_arc_not_integer(self):
         # quarter turn: the rounding residual 0.25 exceeds any sane tolerance

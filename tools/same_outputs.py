@@ -15,7 +15,9 @@ One more run per config and tree, `python -c LIBRARY`, prints the exact bits
 of library results that no command writes, or what they raise:
 `decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
 `regular_solution` at z = 2, all to n_max 20, and on tables of at most 2,000
-sites `volterra_jost` at e^(-0.3i): 64 runs.
+sites `volterra_jost` at e^(-0.3i).  The four commands also run once per config
+without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
+from `report` alone): 96 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
@@ -104,10 +106,9 @@ def main(argv=None) -> int:
         for name, config, refine in CONFIGS:
             out, cfg = Path(work, name, "out"), Path(work, name + ".json")
             cfg.write_text(json.dumps({**config, "outputs": {"directory": str(out)}}))
-            argvs = {" ".join([command, "--check", *flags]):
-                     ["-m", "halfline.cli", command, str(cfg), "--check", *flags]
-                     for flags in (([], ["--refine"]) if refine else ([],))
-                     for command in COMMANDS}
+            flag_sets = [[], ["--check"]] + ([["--check", "--refine"]] if refine else [])
+            argvs = {" ".join([command, *flags]): ["-m", "halfline.cli", command, str(cfg), *flags]
+                     for flags in flag_sets for command in COMMANDS}
             argvs["validate"] = ["-m", "halfline.cli", "validate", str(cfg)]
             argvs["library"] = ["-c", LIBRARY, json.dumps(config["potential"])]
             for label, argv in argvs.items():
