@@ -44,6 +44,13 @@ GATES = {
     "wave_rank_fraction": 1.0 / 8.0,        # rank(0.1) <= n_site/8
 }
 
+#: the files each command writes, by output format
+FILES = {"scatter": {"csv": ("scatter.csv", "boundstates.csv")},
+         "waveop": {"json": ("waveop.json",)},
+         "winding": {"csv": ("winding.csv",), "json": ("winding.json",)},
+         "report": {"csv": ("scatter.csv", "boundstates.csv"),
+                    "json": ("waveop.json", "report.json")}}
+
 #: exit code and stderr label of each error class that `main` reports
 _EXITS = {ConfigError: (2, "config error"), AssumptionError: (3, "error"),
           NumericsError: (4, "numerical failure"), CheckFailure: (5, "check failed")}
@@ -65,9 +72,10 @@ def _config_block(block, allowed: set, where: str) -> dict:
     return dict(block)
 
 
-def load_config(path: str):
+def load_config(path: str, refine: bool = False):
     """Parse and validate the config file; returns (potential, grids, outputs,
-    normalized-config-dict, hash)."""
+    normalized-config-dict, hash).  With refine the grids are refined first,
+    so the normalized config and its hash name the grids that run."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -85,6 +93,8 @@ def load_config(path: str):
     potential = make_potential(raw["potential"])
     g = GridSpec(**{_GRID_FIELDS[name][k]: v for name, block in blocks.items()
                     for k, v in block.items()})
+    if refine:
+        g = g.refined()
     out_dir = outputs.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("outputs.directory must be a string")
@@ -169,14 +179,19 @@ def _gates(g: GridSpec, scatter: dict | None = None, ops: dict | None = None,
 
 def _start(args):
     """The config (its grids refined under --refine), with its output
-    directory made: (potential, grids, outputs, normalized config, hash)."""
-    p, g, outputs, normalized, cfg_hash = load_config(args.config)
-    if args.refine:
-        g = g.refined()
+    directory made and refused where a file that the command would write is
+    a directory: (potential, grids, outputs, normalized config, hash)."""
+    p, g, outputs, normalized, cfg_hash = load_config(args.config, args.refine)
+    out = Path(outputs["directory"])
     try:        # a NUL byte in the path raises ValueError
-        Path(outputs["directory"]).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot make the output directory: {exc}") from None
+    for fmt in outputs["formats"]:
+        for name in args.files.get(fmt, ()):
+            if (out / name).is_dir():
+                raise ConfigError(f"cannot write the output file {out / name}: "
+                                  "it is a directory")
     return p, g, outputs, normalized, cfg_hash
 
 
@@ -295,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit 5 when an identity check fails")
         sp.add_argument("--refine", action="store_true",
                         help="double the spectral grids before running")
-        sp.set_defaults(fn=fn, check=name == "report")    # report always checks
+        sp.set_defaults(fn=fn, check=name == "report",      # report always checks
+                        files=FILES.get(name, {}))
     return ap
 
 

@@ -64,14 +64,19 @@ def sech_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
 
 def symbol_columns(bg: BetaGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(q, v) with (-tanh(pi D) + i tanh(X/2) sech(pi D)) X = i q and
-    tanh(pi D) X = i v, for the real columns of X: both real, from one rfft."""
-    Xh = np.fft.rfft(X, axis=0)      # the first m/2 + 1 bins, the last one Nyquist
-    q = np.fft.irfft(sech_pi_d_symbol(bg)[:len(Xh), None] * Xh, n=bg.m_beta, axis=0)
-    q *= np.tanh(bg.beta / 2.0)[:, None]
-    Xh *= -1j * tanh_pi_d_symbol(bg)[:len(Xh), None]
-    v = np.fft.irfft(Xh, n=bg.m_beta, axis=0)
+    tanh(pi D) X = i v, for the real columns of X: both real, from one rfft.
+
+    The transforms run along the rows of X.T, the last axis, and q and v come
+    back as transposes.  For R, which is the transpose of a site-major array,
+    those rows are contiguous; a C-ordered X is copied by numpy."""
+    Xh = np.fft.rfft(X.T)            # the first m/2 + 1 bins, the last one Nyquist
+    bins = Xh.shape[-1]
+    q = np.fft.irfft(sech_pi_d_symbol(bg)[:bins] * Xh, n=bg.m_beta)
+    q *= np.tanh(bg.beta / 2.0)
+    Xh *= -1j * tanh_pi_d_symbol(bg)[:bins]
+    v = np.fft.irfft(Xh, n=bg.m_beta)
     q -= v
-    return q, v
+    return q.T, v.T
 
 
 def _shift_real(bg: BetaGrid, X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,20 +126,23 @@ def pv_kernel_action_gap(bg: BetaGrid) -> float:
 
 def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
     """R[k, n] = sqrt(h) sech(beta_k) psi_sin(n, tanh beta_k), evaluated
-    directly at lambda = tanh(beta_k) with theta(beta) = 2 atan(e^(-beta))."""
+    directly at lambda = tanh(beta_k) with theta(beta) = 2 atan(e^(-beta)).
+
+    R (m_beta x n_site) is the transpose of a site-major array, so each
+    site's column R[:, n] is contiguous: `symbol_columns` transforms along it."""
     if n_site > bg.m_beta // 4:
         raise NumericsError("beta window too small: n_site exceeds m_beta/4")
     theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
     with np.errstate(over="ignore"):
         sech_b = 1.0 / np.cosh(bg.beta)
-    e = np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b)[:, None] \
-        * np.sin(np.outer(theta_b, np.arange(1, n_site + 1)))
-    gram = e.T @ e
+    e = np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b) \
+        * np.sin(np.outer(np.arange(1, n_site + 1), theta_b))
+    gram = e @ e.T
     nb = n_site // 2
     defect = float(np.max(np.abs((gram - np.eye(n_site))[:nb, :nb])))
     if defect > GRAM_GUARD:
         raise NumericsError(f"beta window too small: interior Gram defect {defect:.2e}")
-    return e
+    return e.T
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +174,18 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
 
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
-    no m_beta x m_beta matrix is formed), U at m_theta, and Fsin, Fcos, W_-
-    and S on each cut grid.  From them come
+    no m_beta x m_beta matrix is formed), U at m_theta, and Fsin, Fcos and S
+    on each cut grid.  W_- and K0 Fsin are formed on the interior site block
+    b = n_site/2 alone, the only part that the checks read.  From them come
       shift_identity:  T = H0 + i (1-H0^2)^(1/2) U^* exactly, and the
                        remainder T - R^*[tanh(X) - i sech(X) tanh(pi D)]R;
       coupling_symbol: U - R^*[pdo]R, at m_beta and 2 m_beta;
       wave_symbol:     W_- - 1 - (1/2)(1 + R^*[pdo]R)(S - 1) on the interior
                        site block, on both cut grids;
       wave_identity:   the defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on
-                       both cut grids.
+                       the interior block, on both cut grids.
     """
-    n = g.n_site
+    n, b = g.n_site, g.n_site // 2
     eye = np.eye(n)
 
     def pulled_back(m_beta, shift=False):
@@ -190,9 +199,9 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
         """The wave checks on the cut grid of dd, and on the grid of g U's
         remainders and the exact shift identity."""
         grid = quadrature_grid(dd.m_theta, n)
-        W = wave_operator(dd, grid, tol_threshold=g.tol_threshold)
+        W = wave_operator(dd, grid.first(b), tol_threshold=g.tol_threshold)
         S = scattering_operator(dd, grid)
-        checks = (_singular((W - eye - 0.5 * (eye + P) @ (S - eye))[:n // 2, :n // 2]),
+        checks = (_singular(W - np.eye(b) - 0.5 * (eye + P)[:b] @ (S - eye)[:, :b]),
                   wave_identity_residual(dd, grid, W))
         if dd is not d:
             return checks

@@ -16,7 +16,7 @@ they also give zeta^(n+1) = sqrt(m/2) (Fcos - i Fsin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,12 @@ class QuadratureGrid:
     @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
+
+    def first(self, b: int) -> "QuadratureGrid":
+        """The grid on its first b sites: views of fsin and fcos, no new trig.
+        Each row of an operator formed on it, and so its b x b block, has the
+        bits of the same rows of the operator formed on all n_site sites."""
+        return replace(self, fsin=self.fsin[:, :b], fcos=self.fcos[:, :b])
 
 
 def quadrature_grid(m: int, n_site: int) -> QuadratureGrid:
@@ -150,7 +156,9 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
 
 def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, W: np.ndarray) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
-    block, for the wave operator W (n_site x n_site) on the cut grid of d.
+    block, b = grid.n_site // 2, for the wave operator W on the cut grid of d.
+    Only W[:b, :b] is read, so W may be formed on all sites or on the block
+    alone (`QuadratureGrid.first`); K0 Fsin is formed on the block alone.
 
     The product (U+1)/2 (S-1) is composed at the full quadrature-supported
     site dimension (m-2): truncating the composition at n_site leaks the
@@ -160,10 +168,10 @@ def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, W: np.ndarra
     Only the block x block corner that the defect reads is composed (see
     `_composed_block`): O(m block^2) time and O(m block) memory.
     """
-    block = W.shape[0] // 2
-    K = correction_operator(d, grid)
+    block = grid.n_site // 2
+    K = correction_operator(d, grid.first(block))
     A = _composed_block(grid, d.smatrix, block)
-    R = W[:block, :block] - (np.eye(block) + A + K[:block, :block])
+    R = W[:block, :block] - (np.eye(block) + A + K)
     return float(np.max(np.abs(R)))
 
 

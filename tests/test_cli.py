@@ -16,7 +16,7 @@ import pytest
 import halfline
 from conftest import OVERFLOWING_TABLES, closed_form_bound_state, scan_brackets
 from halfline import _kernels
-from halfline.cli import load_config, main
+from halfline.cli import FILES, load_config, main
 from halfline.errors import NumericsError
 from halfline.scattering import scattering_grid
 from halfline.topology import EDGE_ORDER, assemble_boundary, scattering_edge
@@ -381,6 +381,28 @@ class TestReport:
         grids = json.loads((tmp_path / "out" / "waveop.json").read_text())["grids"]
         assert (grids["m_theta"], grids["m_beta"], grids["n_site"]) == (512, 1024, 64)
 
+    def test_refine_is_hashed_and_in_the_provenance(self, tmp_path, capsys):
+        # the hash and provenance name the grids that ran: before, both read
+        # m_theta 256 under --refine, the same as the run without it
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        out = tmp_path / "out"
+        reports = []
+        for flags in ([], ["--refine"]):
+            assert main(["report", str(cfg), *flags]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        plain, refined = reports
+        assert plain["config_hash"] != refined["config_hash"]
+        grids = refined["provenance"]["config"]["grids"]
+        assert (grids["m_theta"], grids["m_beta"], grids["n_edge"]) == (512, 1024, 2048)
+        assert plain["provenance"]["config"]["grids"]["m_theta"] == 256
+        for name in ("scatter.csv", "boundstates.csv"):
+            assert f"# config={refined['config_hash']}" in (out / name).read_text()
+        capsys.readouterr()
+        assert main(["validate", str(cfg), "--refine"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["config_hash"] == refined["config_hash"]
+        assert shown["grids"] == grids
+
     def test_all_pass_and_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         assert main(["report", str(cfg)]) == 0
@@ -524,7 +546,7 @@ class TestReport:
             counted(rescaled, name, lambda bg, *rest: bg.m_beta)
         counted(rescaled, "cos_sin_coupling")
         for name in ("rfft", "fft", "ifft"):
-            counted(np.fft, name, lambda X, *rest: len(X))
+            counted(np.fft, name, lambda X, *rest: X.shape[-1])
         counted(np.linalg, "svd")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
@@ -549,6 +571,14 @@ class TestReport:
         assert written and not any(f.suffix == absent for f in written)
         assert all(h in f.read_text() for f in written)
 
+    @pytest.mark.parametrize("command", ["scatter", "waveop", "winding", "report"])
+    def test_files_name_what_each_command_writes(self, tmp_path, command):
+        # `_start` refuses a directory in the place of each file that FILES names
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
+        assert main([command, str(cfg)]) == 0
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == sorted(
+            name for names in FILES[command].values() for name in names)
+
     def test_hash_stamped_everywhere(self, tmp_path):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": -0.75, "rho": 3.0})
         assert main(["report", str(cfg)]) == 0
@@ -565,10 +595,14 @@ class TestOutputLocation:
     Each of these exited 1 with a traceback, the last one after all the
     computation."""
 
-    @staticmethod
-    def out_dir(tmp_path, case):
+    #: the first and the last file each command writes
+    ENDS = {"scatter": ("scatter.csv", "boundstates.csv"), "report": ("scatter.csv", "report.json")}
+
+    @classmethod
+    def out_dir(cls, tmp_path, command, case):
         """outputs.directory for the case: a file; a path with a NUL byte; a
-        path below a file; a directory whose scatter.csv is a directory."""
+        path below a file; a directory in which the first or the last file
+        that the command writes is a directory."""
         plain = tmp_path / "plain"
         plain.write_text("")
         if case == "directory_is_a_file":
@@ -577,24 +611,29 @@ class TestOutputLocation:
             return str(tmp_path / "o\0ut")
         if case == "below_a_file":
             return str(plain / "out")
-        (tmp_path / "out" / "scatter.csv").mkdir(parents=True)
+        (tmp_path / "out" / cls.ENDS[command][case == "last_output_file_is_a_directory"]).mkdir(
+            parents=True)
         return str(tmp_path / "out")
 
     # validate writes no file, but makes the directory as every command does:
-    # it printed the config and exited 0 on a directory it could not make
+    # it printed the config and exited 0 on a directory it could not make.
+    # A directory in the place of any output file, the last one too, is
+    # refused before a file is written
     @pytest.mark.parametrize("command,case", [
         (command, case) for command in ("scatter", "report", "validate")
         for case in ("directory_is_a_file", "nul_byte", "below_a_file",
-                     "output_file_is_a_directory")
-        if (command, case) != ("validate", "output_file_is_a_directory")])
+                     "output_file_is_a_directory", "last_output_file_is_a_directory")
+        if command != "validate" or "output_file" not in case])
     def test_exit_2(self, tmp_path, capsys, command, case):
         cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0})
         raw = json.loads(cfg.read_text())
-        raw["outputs"]["directory"] = self.out_dir(tmp_path, case)
+        raw["outputs"]["directory"] = self.out_dir(tmp_path, command, case)
         cfg.write_text(json.dumps(raw))
         assert main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot ") and err.count("\n") == 1, err
+        if "output_file" in case:       # nothing written beside the directory
+            assert [f.is_dir() for f in (tmp_path / "out").iterdir()] == [True]
 
 
 class TestEdgeWorker:

@@ -125,6 +125,36 @@ class TestMatrixFreeSymbols:
             assert np.max(np.abs(diff)) < 1e-13, name
 
 
+def reference_symbol_columns(bg, X):
+    """`symbol_columns` with its transforms run down the columns (axis 0)."""
+    Xh = np.fft.rfft(X, axis=0)
+    q = np.fft.irfft(sech_pi_d_symbol(bg)[:len(Xh), None] * Xh, n=bg.m_beta, axis=0)
+    q *= np.tanh(bg.beta / 2.0)[:, None]
+    Xh *= -1j * tanh_pi_d_symbol(bg)[:len(Xh), None]
+    v = np.fft.irfft(Xh, n=bg.m_beta, axis=0)
+    q -= v
+    return q, v
+
+
+class TestRowTransforms:
+    """`symbol_columns` transforms along the rows of X.T, contiguous for R:
+    the bits of the transforms down X's columns."""
+
+    @pytest.mark.parametrize("m_beta,n_site", [(512, 64), (1024, 128)])
+    def test_rescale_columns_bit_for_bit(self, m_beta, n_site):
+        bg = hl.beta_grid(m_beta, 12.0)
+        R = hl.energy_rescale_matrix(bg, n_site)
+        assert R.shape == (m_beta, n_site) and R.T.flags.c_contiguous
+        for got, expect in zip(symbol_columns(bg, R), reference_symbol_columns(bg, R)):
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+
+    def test_c_ordered_input(self):
+        bg = hl.beta_grid(256, 12.0)
+        X = np.random.default_rng(3).standard_normal((256, 10))
+        for got, expect in zip(symbol_columns(bg, X), reference_symbol_columns(bg, X)):
+            assert np.array_equal(got, expect)
+
+
 class TestRescaleMatrix:
     def test_gram_near_identity(self, bg1024):
         R = hl.energy_rescale_matrix(bg1024, 64)

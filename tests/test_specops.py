@@ -365,6 +365,47 @@ class TestWaveIdentity:
         assert np.all(ratios >= 4.0), ratios
 
 
+class TestInteriorBlock:
+    """The operator stage forms W_- and K0 Fsin on the interior block
+    b = n_site/2 alone, on `QuadratureGrid.first(b)`: each block form has the
+    bits of the full form's b x b block.  The random table's K0 is nonzero
+    on every site, inside the block and past it."""
+
+    SMALL = hl.GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024)
+
+    @pytest.fixture(scope="class", params=[
+        hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
+        hl.random_decaying(0, rho_gen=4.0)], ids=["rank_one_0.75", "two_site", "random"])
+    def data(self, request, scatter_cache):
+        d = scatter_cache(request.param, self.SMALL)
+        return d, hl.quadrature_grid(d.m_theta, self.SMALL.n_site), self.SMALL.n_site // 2
+
+    def test_first_is_views(self, data):
+        _, grid, b = data
+        first = grid.first(b)
+        assert first.n_site == b and first.m == grid.m and first.theta is grid.theta
+        assert first.fsin.base is grid.fsin and first.fcos.base is grid.fcos
+        assert np.array_equal(first.fsin, grid.fsin[:, :b])
+
+    def test_correction_operator(self, data):
+        d, grid, b = data
+        assert np.array_equal(hl.correction_operator(d, grid.first(b)),
+                              hl.correction_operator(d, grid)[:b, :b])
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_wave_operator(self, data, sign):
+        d, grid, b = data
+        assert np.array_equal(hl.wave_operator(d, grid.first(b), TOL, sign=sign),
+                              hl.wave_operator(d, grid, TOL, sign=sign)[:b, :b])
+
+    def test_wave_identity_residual_reads_the_block(self, data):
+        d, grid, b = data
+        W = hl.wave_operator(d, grid, TOL)
+        full = hl.wave_identity_residual(d, grid, W)
+        assert hl.wave_identity_residual(d, grid, W[:b, :b]) == full
+        assert full <= 1e-6
+
+
 class TestPrincipalValue:
     def test_kernel_entries_definition(self):
         g = hl.quadrature_grid(16, 2)

@@ -15,7 +15,11 @@ One more run per config and tree, `python -c LIBRARY`, prints the exact bits
 of library results that no command writes, or what they raise:
 `decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
 `regular_solution` at z = 2, all to n_max 20, and on tables of at most 2,000
-sites `volterra_jost` at e^(-0.3i).  The four commands also run once per config
+sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
+512 the operator matrices that `report.json` only summarises:
+`energy_rescale_matrix`, `pdo_apply` on it, `wave_operator`,
+`scattering_operator` and `correction_operator` on all sites, and
+`wave_identity_residual`.  The four commands also run once per config
 without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
 from `report` alone): 96 runs.
 
@@ -63,14 +67,27 @@ TIMING = re.compile(rb"\[\d+\.\d+s\]")
 #: run as `python -c LIBRARY POTENTIAL`: one line per call, its result's
 #: bytes in hex or the type and message of what it raised
 LIBRARY = """
-import dataclasses, json, sys
+import dataclasses, functools, json, sys
 import numpy as np
-from halfline import decay_scan, jost_solution, make_potential, regular_solution, volterra_jost
+from halfline import (GridSpec, beta_grid, correction_operator, decay_scan,
+                      energy_rescale_matrix, jost_solution, make_potential, pdo_apply,
+                      quadrature_grid, regular_solution, scattering_grid, scattering_operator,
+                      volterra_jost, wave_identity_residual, wave_operator)
 p, cut = make_potential(json.loads(sys.argv[1])), np.exp(-0.3j)
+g = GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024)
+bg, grid = beta_grid(g.m_beta, g.beta_max), quadrature_grid(g.m_theta, g.n_site)
+d = functools.cache(lambda: scattering_grid(p, g))
+W = functools.cache(lambda: wave_operator(d(), grid, g.tol_threshold))
 calls = {"decay_scan": lambda: dataclasses.astuple(decay_scan(p, 512)),
          "jost_solution real": lambda: jost_solution(p, 2.0, 20),
          "jost_solution cut": lambda: jost_solution(p, cut, 20),
-         "regular_solution real": lambda: regular_solution(p, 2.0, 20)}
+         "regular_solution real": lambda: regular_solution(p, 2.0, 20),
+         "energy_rescale_matrix": lambda: energy_rescale_matrix(bg, g.n_site),
+         "pdo_apply R": lambda: pdo_apply(bg, energy_rescale_matrix(bg, g.n_site)),
+         "wave_operator": W,
+         "scattering_operator": lambda: scattering_operator(d(), grid),
+         "correction_operator": lambda: correction_operator(d(), grid),
+         "wave_identity_residual": lambda: wave_identity_residual(d(), grid, W())}
 if p.support_end <= 2000:
     calls["volterra_jost cut"] = lambda: volterra_jost(p, cut, 20)
 for name, call in calls.items():
