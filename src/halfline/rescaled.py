@@ -129,7 +129,8 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
     directly at lambda = tanh(beta_k) with theta(beta) = 2 atan(e^(-beta)).
 
     R (m_beta x n_site) is the transpose of a site-major array, so each
-    site's column R[:, n] is contiguous: `symbol_columns` transforms along it."""
+    site's column R[:, n] is contiguous: `symbol_columns` transforms along it.
+    The guard forms the Gram matrix R^T R on the first n_site/2 sites alone."""
     if n_site > bg.m_beta // 4:
         raise NumericsError("beta window too small: n_site exceeds m_beta/4")
     theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
@@ -137,9 +138,8 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
         sech_b = 1.0 / np.cosh(bg.beta)
     e = np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b) \
         * np.sin(np.outer(np.arange(1, n_site + 1), theta_b))
-    gram = e @ e.T
     nb = n_site // 2
-    defect = float(np.max(np.abs((gram - np.eye(n_site))[:nb, :nb])))
+    defect = float(np.max(np.abs(e[:nb] @ e[:nb].T - np.eye(nb))))
     if defect > GRAM_GUARD:
         raise NumericsError(f"beta window too small: interior Gram defect {defect:.2e}")
     return e.T
@@ -175,8 +175,9 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
     no m_beta x m_beta matrix is formed), U at m_theta, and Fsin, Fcos and S
-    on each cut grid.  W_- and K0 Fsin are formed on the interior site block
-    b = n_site/2 alone, the only part that the checks read.  From them come
+    on each cut grid.  The checks read the interior site block b = n_site/2,
+    where W_-, K0 Fsin and the identities' products are formed alone; S is
+    formed on all sites and read on its first b columns.  From them come
       shift_identity:  T = H0 + i (1-H0^2)^(1/2) U^* exactly, and the
                        remainder T - R^*[tanh(X) - i sech(X) tanh(pi D)]R;
       coupling_symbol: U - R^*[pdo]R, at m_beta and 2 m_beta;
@@ -186,7 +187,6 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
                        the interior block, on both cut grids.
     """
     n, b = g.n_site, g.n_site // 2
-    eye = np.eye(n)
 
     def pulled_back(m_beta, shift=False):
         """R^*[pdo]R at m_beta, and R^*[shift symbol]R if `shift`: one rfft of R."""
@@ -201,8 +201,8 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
         grid = quadrature_grid(dd.m_theta, n)
         W = wave_operator(dd, grid.first(b), tol_threshold=g.tol_threshold)
         S = scattering_operator(dd, grid)
-        checks = (_singular(W - np.eye(b) - 0.5 * (eye + P)[:b] @ (S - eye)[:, :b]),
-                  wave_identity_residual(dd, grid, W))
+        rem = W - np.eye(b) - 0.5 * (P[:b] + np.eye(b, n)) @ (S[:, :b] - np.eye(n, b))
+        checks = (_singular(rem), wave_identity_residual(dd, grid, W))
         if dd is not d:
             return checks
         U = cos_sin_coupling(grid)

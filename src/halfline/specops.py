@@ -47,9 +47,11 @@ class QuadratureGrid:
         return np.sqrt(self.weights)
 
     def first(self, b: int) -> "QuadratureGrid":
-        """The grid on its first b sites: views of fsin and fcos, no new trig.
+        """The grid on its first b sites, 1 <= b <= n_site: views of fsin and fcos.
         Each row of an operator formed on it, and so its b x b block, has the
         bits of the same rows of the operator formed on all n_site sites."""
+        if not 1 <= b <= self.n_site:
+            raise ValueError(f"first(b): b = {b} is not in 1..n_site = {self.n_site}")
         return replace(self, fsin=self.fsin[:, :b], fcos=self.fcos[:, :b])
 
 
@@ -135,8 +137,8 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
 # the wave-operator identity
 # ---------------------------------------------------------------------------
 
-def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np.ndarray:
-    """A[:b, :b] of A = (U+1)/2 (S-1), U and S composed at m-2 sites.
+def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray) -> np.ndarray:
+    """A[:b, :b] of A = (U+1)/2 (S-1), U and S composed at m-2 sites, b = grid.n_site.
 
     A[:b, :b] = 1/2 (U[:b, :] S[:, :b] - U[:b, :b] + S[:b, :b] - 1), and
     U[:b, :] S[:, :b] = i Fcos_b^T (F F^T) (s Fsin_b), with F the m-2 sine
@@ -145,33 +147,31 @@ def _composed_block(grid: QuadratureGrid, smatrix: np.ndarray, block: int) -> np
     less the projections onto modes m-1 and m: the block costs O(m b^2) and
     forms no m x (m-2) transform.
     """
-    m = grid.m
-    F, C = grid.fsin[:, :block], grid.fcos[:, :block]
+    m, F, C = grid.m, grid.fsin, grid.fcos
     Y = smatrix[:, None] * F
     top = np.stack([np.sqrt(2.0 / m) * np.sin((m - 1) * grid.theta),
                     np.sqrt(1.0 / m) * np.sin(m * grid.theta)], axis=1)
     US = 1j * (C.T @ (Y - top @ (top.T @ Y)))
-    return 0.5 * (US - 1j * (C.T @ F) + F.T @ Y - np.eye(block))
+    return 0.5 * (US - 1j * (C.T @ F) + F.T @ Y - np.eye(grid.n_site))
 
 
 def wave_identity_residual(d: ScatteringData, grid: QuadratureGrid, W: np.ndarray) -> float:
     """Max-norm defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on the interior
     block, b = grid.n_site // 2, for the wave operator W on the cut grid of d.
     Only W[:b, :b] is read, so W may be formed on all sites or on the block
-    alone (`QuadratureGrid.first`); K0 Fsin is formed on the block alone.
+    alone; K0 Fsin and the composed product are formed on `grid.first(b)`.
 
     The product (U+1)/2 (S-1) is composed at the full quadrature-supported
     site dimension (m-2): truncating the composition at n_site leaks the
     slowly decaying sine-cosine tails and floors the residual around 1e-4
     regardless of m.  Composed at full resolution the residual is genuine
-    quadrature error and falls at least at second order in the node count.
-    Only the block x block corner that the defect reads is composed (see
-    `_composed_block`): O(m block^2) time and O(m block) memory.
+    quadrature error and falls at least at second order in the node count;
+    its b x b block costs O(m b^2) time and O(m b) memory (`_composed_block`).
     """
-    block = grid.n_site // 2
-    K = correction_operator(d, grid.first(block))
-    A = _composed_block(grid, d.smatrix, block)
-    R = W[:block, :block] - (np.eye(block) + A + K)
+    b = grid.n_site // 2
+    inner = grid.first(b)
+    K = correction_operator(d, inner)
+    R = W[:b, :b] - (np.eye(b) + _composed_block(inner, d.smatrix) + K)
     return float(np.max(np.abs(R)))
 
 
@@ -199,22 +199,21 @@ def completeness_defect(W: np.ndarray, p: Potential) -> float:
 # ---------------------------------------------------------------------------
 
 def shift_identity_residual(grid: QuadratureGrid, U: np.ndarray) -> dict:
-    """Defect of T = H0 + i (1 - H0^2)^(1/2) U^* on the site truncation.
+    """Defect of T = H0 + i (1 - H0^2)^(1/2) U^* on the interior n_site/2 block.
 
     `composite` assembles the product (1-H0^2)^(1/2) U^* as one quadrature
     in the spectral representation (sin(theta) multiplier against the cosine
     transform), which keeps the identity exact to rounding; `naive_product`
     multiplies the separately truncated factors and carries the projection
-    leakage of the truncated site space.
+    leakage of the truncated site space.  Both are formed on the block
+    alone, their rows from `grid.first(b)`; U is given on all n_site sites.
     """
-    F, n = grid.fsin, grid.n_site
-    block = n // 2
-    sth = np.sin(grid.theta)
-    T = np.diag(np.ones(n - 1), -1)
-    H0 = (T + T.T) / 2.0
-    composite = F.T @ (sth[:, None] * grid.fcos)
-    sqrt_term = F.T @ (sth[:, None] * F)
-    naive = 1j * (sqrt_term @ U.conj().T)
-    r_comp = float(np.max(np.abs((T - H0 - composite)[:block, :block])))
-    r_naive = float(np.max(np.abs((T - H0 - naive)[:block, :block])))
-    return {"composite": r_comp, "naive_product": r_naive}
+    b = grid.n_site // 2
+    inner = grid.first(b)
+    sth = np.sin(grid.theta)[:, None]
+    T = np.eye(b, k=-1)
+    composite = inner.fsin.T @ (sth * inner.fcos)
+    naive = 1j * ((inner.fsin.T @ (sth * grid.fsin)) @ U[:b].conj().T)
+    t_h0 = T - (T + T.T) / 2.0                     # T - H0
+    return {"composite": float(np.max(np.abs(t_h0 - composite))),
+            "naive_product": float(np.max(np.abs(t_h0 - naive)))}

@@ -3,7 +3,7 @@ import pytest
 
 import halfline as hl
 from conftest import shift_symbol_apply, symbol_remainder
-from halfline.rescaled import sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
+from halfline.rescaled import GRAM_GUARD, sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
 
 
 def rescale_intertwining_defect(bg, n_site):
@@ -155,7 +155,37 @@ class TestRowTransforms:
             assert np.array_equal(got, expect)
 
 
+def full_gram_defect(bg, n_site):
+    """The guard's defect from the whole n_site x n_site Gram matrix, read on
+    its n_site/2 block: the form before only the block was formed."""
+    theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
+    with np.errstate(over="ignore"):
+        sech_b = 1.0 / np.cosh(bg.beta)
+    e = np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b) \
+        * np.sin(np.outer(np.arange(1, n_site + 1), theta_b))
+    gram = e @ e.T
+    nb = n_site // 2
+    return float(np.max(np.abs((gram - np.eye(n_site))[:nb, :nb])))
+
+
 class TestRescaleMatrix:
+    @pytest.mark.parametrize("m_beta", [1024, 2048])
+    @pytest.mark.parametrize("n_site", [64, 128])
+    def test_guard_refuses_where_the_full_gram_did(self, m_beta, n_site):
+        refused = 0
+        for beta_max in np.arange(3.0, 12.01, 0.25):
+            bg = hl.beta_grid(m_beta, beta_max)
+            defect = full_gram_defect(bg, n_site)
+            if defect > GRAM_GUARD:
+                refused += 1
+                with pytest.raises(hl.NumericsError) as err:
+                    hl.energy_rescale_matrix(bg, n_site)
+                assert str(err.value) == \
+                    f"beta window too small: interior Gram defect {defect:.2e}", beta_max
+            else:
+                hl.energy_rescale_matrix(bg, n_site)
+        assert 0 < refused < 37
+
     def test_gram_near_identity(self, bg1024):
         R = hl.energy_rescale_matrix(bg1024, 64)
         G = R.T @ R

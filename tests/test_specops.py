@@ -71,6 +71,19 @@ class TestQuadrature:
         assert np.all(np.diff(np.cos(g.theta)) > 0)
         assert np.all(np.abs(np.cos(g.theta)) < 1.0)
 
+    def test_first_of_all_sites_is_the_grid(self):
+        grid = hl.quadrature_grid(256, 64)
+        whole = grid.first(64)
+        assert whole.n_site == 64 and whole.m == 256
+        for name in ("theta", "weights", "fsin", "fcos"):
+            assert np.array_equal(getattr(whole, name), getattr(grid, name)), name
+
+    @pytest.mark.parametrize("b", [-1, 0, 65])
+    def test_first_refuses_a_block_outside_the_grid(self, b):
+        # first(-1) gave 63 sites, first(65) all 64 and first(0) an empty grid
+        with pytest.raises(ValueError, match=rf"b = {b} is not in 1\.\.n_site = 64"):
+            hl.quadrature_grid(256, 64).first(b)
+
 
 class TestTransforms:
     def test_small_gram_exact(self):
@@ -348,7 +361,7 @@ class TestWaveIdentity:
         U = 1j * (C.T @ F)
         S = F.T @ (d.smatrix[:, None] * F)
         A = (U + np.eye(ni)) / 2.0 @ (S - np.eye(ni))
-        block = _composed_block(grid, d.smatrix, b)
+        block = _composed_block(grid.first(b), d.smatrix)
         assert np.max(np.abs(block - A[:b, :b])) < 1e-13
         W = hl.wave_operator(d, grid, TOL)[:b, :b]
         K = hl.correction_operator(d, grid)[:b, :b]
@@ -424,7 +437,32 @@ class TestPrincipalValue:
         assert gaps[1] < 0.7 * gaps[0]
 
 
+def full_shift_identity(grid, U):
+    """The shift-identity residuals from the n_site x n_site products, read
+    on their n_site/2 block: the form before only the block was formed."""
+    F, n = grid.fsin, grid.n_site
+    block = n // 2
+    sth = np.sin(grid.theta)
+    T = np.diag(np.ones(n - 1), -1)
+    H0 = (T + T.T) / 2.0
+    composite = F.T @ (sth[:, None] * grid.fcos)
+    sqrt_term = F.T @ (sth[:, None] * F)
+    naive = 1j * (sqrt_term @ U.conj().T)
+    r_comp = float(np.max(np.abs((T - H0 - composite)[:block, :block])))
+    r_naive = float(np.max(np.abs((T - H0 - naive)[:block, :block])))
+    return {"composite": r_comp, "naive_product": r_naive}
+
+
 class TestShiftIdentity:
+    @pytest.mark.parametrize("m,n_site", [(256, 64), (512, 128), (1024, 128)])
+    def test_block_equals_full_form(self, m, n_site):
+        grid = hl.quadrature_grid(m, n_site)
+        U = hl.cos_sin_coupling(grid)
+        got, expect = hl.shift_identity_residual(grid, U), full_shift_identity(grid, U)
+        assert got.keys() == expect.keys()
+        for key in expect:
+            assert np.array_equal(got[key], expect[key]), key
+
     def test_composite_exact(self):
         res = shift_identity(hl.GridSpec())
         assert res["composite"] < 1e-10
