@@ -80,7 +80,6 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("b", [-1, 0, 65])
     def test_first_refuses_a_block_outside_the_grid(self, b):
-        # first(-1) gave 63 sites, first(65) all 64 and first(0) an empty grid
         with pytest.raises(ValueError, match=rf"b = {b} is not in 1\.\.n_site = 64"):
             hl.quadrature_grid(256, 64).first(b)
 
