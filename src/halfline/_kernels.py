@@ -32,7 +32,10 @@ zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0 is Omega, the one
 copy the step writes; past the table they are the free tail zeta^(n+1).
 On a table of SPLIT_SITES sites or more and a machine with a second CPU,
 the second half of the points is stepped meanwhile on a worker thread
-(`meanwhile`; ctypes releases the GIL for the call).
+(`meanwhile`; ctypes releases the GIL for the call).  `halfline report` runs
+its stages in two such lanes: the grid-free stages beside the cut grids,
+then the scattering edge beside the operator stage, whose BLAS
+`one_blas_thread` holds to one thread so that the two lanes fit two CPUs.
 
 `decay_scan` returns per site the max over cut points of |t(n) - 1|, which
 `solutions.decay_scan` judges: beside each point a phase g = conj(zeta)^(L-1-n)
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 import re
@@ -168,6 +172,40 @@ def meanwhile(fn, *args):
         yield result
     finally:
         worker.join()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where numpy
+    links none: looked up on the first call through numpy's linear-algebra
+    extension, whose dependencies hold the library."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread while the block runs, and on the count
+    it found again when the block is left.  A product's sums then do not
+    depend on the thread count, and BLAS threads do not compete with a
+    `meanwhile` worker for the CPUs.  Without OpenBLAS the block runs as is."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    found = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(found)
 
 
 def _halves(fn, V, n):

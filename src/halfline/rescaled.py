@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import NumericsError
 from .model import GridSpec
 from .scattering import ScatteringData
@@ -130,7 +131,10 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
 
     R (m_beta x n_site) is the transpose of a site-major array, so each
     site's column R[:, n] is contiguous: `symbol_columns` transforms along it.
-    The guard forms the Gram matrix R^T R on the first n_site/2 sites alone."""
+    The guard forms the Gram matrix R^T R on the first n_site/2 sites alone,
+    so n_site is at least 2."""
+    if n_site < 2:
+        raise ValueError(f"energy_rescale_matrix: n_site = {n_site} is below 2")
     if n_site > bg.m_beta // 4:
         raise NumericsError("beta window too small: n_site exceeds m_beta/4")
     theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
@@ -168,9 +172,14 @@ def _stability(base: dict, s1_fine: float) -> dict:
             "rel_change": abs(s1_fine - s1) / s1 if s1 > 0 else 0.0}
 
 
+@_kernels.one_blas_thread()
 def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities of a report, d holding the scattering data on
-    the cut grid of g and d2 on the grid twice as fine.
+    the cut grid of g and d2 on the grid twice as fine.  numpy's OpenBLAS runs
+    on one thread for the call (`_kernels.one_blas_thread`), so its products
+    and SVDs sum in the same order whatever the process's thread count, and
+    leave the second CPU to the scattering edge that `halfline report` steps
+    meanwhile.
 
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so

@@ -179,39 +179,51 @@ def _scan_points(z_max: float) -> np.ndarray:
     return np.concatenate([z_side, -z_side])
 
 
+def cut_grid_fields(p: Potential, g: GridSpec, m: int) -> dict:
+    """The fields of `ScatteringData` on the cut grid of m theta-midpoints,
+    stepped with the rows zeta theta(n) for n = -1..n_site-1 that the
+    correction kernel reads; a grid whose Omega overflows, vanishes or jumps
+    by pi/2 or more between nodes is refused."""
+    theta = theta_midpoints(m)
+    zeta, lam = np.exp(-1j * theta), np.cos(theta)
+    om, rows = _kernels.jost_scaled(p.values, zeta, g.n_site - 1)
+    if bad := np.count_nonzero(~np.isfinite(om)):
+        raise NumericsError(f"Jost recursion overflows: Omega is not finite on {bad} of "
+                            f"{m} cut-grid points")
+    amplitude = np.abs(om)
+    if np.min(amplitude) == 0.0:
+        raise NumericsError("interior zero of the Jost function")
+    eta = np.unwrap(np.angle(om))
+    jump = np.max(np.abs(np.diff(eta)), initial=0.0)
+    if jump >= np.pi / 2:
+        raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
+    return dict(theta=theta, lam=lam, jost_rows=rows, omega=om, amplitude=amplitude,
+                eta=eta, smatrix=np.conj(om) / om)
+
+
+def grid_free_fields(p: Potential, g: GridSpec, z_max: float) -> dict:
+    """The fields of `ScatteringData` that every cut grid shares: the
+    threshold classification, then the bound states up to z_max and their
+    count.  They step their own points and read no cut grid."""
+    dm, dp, om_m, om_p = classify_thresholds(p, g.tol_threshold)
+    roots, count = bound_states(p, g, z_max)
+    return dict(omega_minus=om_m, omega_plus=om_p, delta_minus=dm, delta_plus=dp,
+                bound_states=roots, count_n=count)
+
+
 def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
     m_thetas points, each with g's other settings.
 
-    Each cut grid is stepped on its own, keeping the rows zeta theta(n) for
-    n = -1..n_site-1 that the correction kernel reads.  The grid-free stages
-    (threshold classification, bound states and their count) then run once
-    and step their own points.  An input whose scan would overflow is refused
-    before any point is stepped, a grid whose Omega overflows before it is read.
+    Each cut grid is stepped on its own (`cut_grid_fields`); the grid-free
+    stages (`grid_free_fields`) then run once.  Both run in the caller's
+    thread.  An input whose scan would overflow is refused before any point
+    is stepped, a grid whose Omega overflows before it is read.
     """
     z_max = g.effective_z_max(p)
-    on_grid = []
-    for m in m_thetas:
-        theta = theta_midpoints(m)
-        zeta, lam = np.exp(-1j * theta), np.cos(theta)
-        om, rows = _kernels.jost_scaled(p.values, zeta, g.n_site - 1)
-        if bad := np.count_nonzero(~np.isfinite(om)):
-            raise NumericsError(f"Jost recursion overflows: Omega is not finite on {bad} of "
-                                f"{m} cut-grid points")
-        amplitude = np.abs(om)
-        if np.min(amplitude) == 0.0:
-            raise NumericsError("interior zero of the Jost function")
-        eta = np.unwrap(np.angle(om))
-        jump = np.max(np.abs(np.diff(eta)), initial=0.0)
-        if jump >= np.pi / 2:
-            raise NumericsError(f"grid too coarse: phase jump {jump:.3f} >= pi/2")
-        on_grid.append(dict(theta=theta, lam=lam, jost_rows=rows, omega=om,
-                            amplitude=amplitude, eta=eta, smatrix=np.conj(om) / om))
-    dm, dp, om_m, om_p = classify_thresholds(p, g.tol_threshold)
-    roots, count = bound_states(p, g, z_max)
-    return [ScatteringData(
-        potential=p, **fields_, omega_minus=om_m, omega_plus=om_p,
-        delta_minus=dm, delta_plus=dp, bound_states=roots, count_n=count) for fields_ in on_grid]
+    on_grid = [cut_grid_fields(p, g, m) for m in m_thetas]
+    shared = grid_free_fields(p, g, z_max)
+    return [ScatteringData(potential=p, **fields_, **shared) for fields_ in on_grid]
 
 
 def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -637,8 +638,9 @@ class TestOutputLocation:
 
 
 class TestEdgeWorker:
-    """report and winding step the scattering edge on a worker thread while
-    the caller's thread computes the scattering data and the operator stage.
+    """report and winding step the scattering edge on a worker thread: winding
+    while the caller's thread computes the scattering data, report once the
+    scattering data exists, while the caller's thread runs the operator stage.
     The worker is joined on every path, and its errors come after the
     refusals of those stages, as when the edge was stepped last."""
 
@@ -676,13 +678,15 @@ class TestEdgeWorker:
     @pytest.mark.parametrize("command", ["report", "winding"])
     def test_joined_on_a_scattering_refusal(self, tmp_path, slow_edge, capsys, command):
         # the bound state of rank_one 0.75 lies at z = 13/12, beyond z_max:
-        # the scattering stage refuses while the worker still steps the edge
+        # winding's scattering stage refuses while the worker still steps the
+        # edge; report refuses before it starts the edge
         cfg = write_cfg(tmp_path, self.RANK_ONE, grids={
             "m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024, "z_max": 1.05})
         threads = threading.active_count()
         assert main([command, str(cfg)]) == 4
         assert "z_max too small" in capsys.readouterr().err
-        assert threading.active_count() == threads and len(slow_edge) == 1
+        assert threading.active_count() == threads
+        assert len(slow_edge) == {"report": 0, "winding": 1}[command]
 
     @pytest.mark.parametrize("command", ["report", "winding"])
     def test_worker_error_raised_at_the_join(self, tmp_path, failing_edge, command):
@@ -702,6 +706,88 @@ class TestEdgeWorker:
         assert main(["report", str(write_cfg(tmp_path, self.RANK_ONE))]) == 4
         assert "the operator stage refuses" in capsys.readouterr().err
         assert threading.active_count() == threads
+
+
+class TestGridFreeWorker:
+    """waveop and report step the grid-free stages (thresholds, bound states)
+    on a worker thread while the caller's thread steps the two cut grids.
+    The worker is joined on every path; a cut grid's refusal goes first and
+    the grid-free stages' comes at the join, as when they ran one after the
+    other."""
+
+    RANK_ONE = {"kind": "rank_one", "v0": 0.75, "rho": 3.0}
+
+    @pytest.fixture
+    def slow_free(self, monkeypatch):
+        """The grid-free stages, starting 0.2 s late; the threads they ran on."""
+        from halfline import cli
+        ran = []
+        fields = cli.grid_free_fields
+
+        def free(*args):
+            ran.append(threading.get_ident())
+            time.sleep(0.2)
+            return fields(*args)
+        monkeypatch.setattr(cli, "grid_free_fields", free)
+        return ran
+
+    @pytest.mark.parametrize("command", ["report", "waveop"])
+    def test_joined_on_exit_0(self, tmp_path, slow_free, command):
+        threads = threading.active_count()
+        assert main([command, str(write_cfg(tmp_path, self.RANK_ONE))]) == 0
+        assert threading.active_count() == threads
+        assert len(slow_free) == 1 and slow_free[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("command", ["report", "waveop"])
+    def test_cut_grid_refusal_goes_first(self, tmp_path, slow_free, capsys, command):
+        # both stages refuse the 400-site table of 3.0, the grid-free stages
+        # with "Omega(-1) = nan": the cut grid's message is the one printed
+        cfg = write_cfg(tmp_path, {"kind": "table", "values": [3.0] * 400, "rho": 3.0})
+        threads = threading.active_count()
+        assert main([command, str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "Omega is not finite on" in err and "Omega(-1)" not in err
+        assert threading.active_count() == threads and len(slow_free) == 1
+
+    @pytest.mark.parametrize("command", ["report", "waveop"])
+    def test_grid_free_refusal_at_the_join(self, tmp_path, slow_free, capsys, command):
+        # the cut grids pass; the bound state at z = 13/12 lies beyond z_max
+        cfg = write_cfg(tmp_path, self.RANK_ONE, grids={
+            "m_theta": 256, "n_site": 64, "m_beta": 512, "n_edge": 1024, "z_max": 1.05})
+        threads = threading.active_count()
+        assert main([command, str(cfg)]) == 4
+        assert "z_max too small" in capsys.readouterr().err
+        assert threading.active_count() == threads and len(slow_free) == 1
+
+    @pytest.mark.parametrize("command", ["report", "waveop"])
+    def test_worker_error_raised_at_the_join(self, tmp_path, monkeypatch, command):
+        from halfline import cli
+
+        def free(*args):
+            raise RuntimeError("the grid-free stages fail")
+        monkeypatch.setattr(cli, "grid_free_fields", free)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="the grid-free stages fail"):
+            main([command, str(write_cfg(tmp_path, self.RANK_ONE))])
+        assert threading.active_count() == threads
+
+
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the operator stage holds numpy's OpenBLAS to one thread, whatever the
+    # process was started with
+    written = []
+    for threads in ("1", "2"):
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                        name=f"cfg-{threads}.json")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "halfline.cli", "report", str(cfg)],
+                             env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        written.append({name: (tmp_path / "out" / name).read_bytes()
+                        for name in ("report.json", "waveop.json")})
+        shutil.rmtree(tmp_path / "out")
+    assert written[0] == written[1]
 
 
 def test_import_path_loads_no_scipy():

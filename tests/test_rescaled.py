@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from halfline import _kernels, rescaled
 from conftest import shift_symbol_apply, symbol_remainder
 from halfline.rescaled import GRAM_GUARD, sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
 
@@ -203,6 +204,17 @@ class TestRescaleMatrix:
             * np.sin(theta_b) / (1 - np.tanh(b) ** 2) ** 0.25
         assert np.max(np.abs(R[:, 0] - col0)) < 1e-12
 
+    @pytest.mark.parametrize("n_site", [0, 1])
+    def test_fewer_than_two_sites_refused(self, bg1024, n_site):
+        # the guard's block holds n_site // 2 sites
+        with pytest.raises(ValueError, match=f"n_site = {n_site} is below 2"):
+            hl.energy_rescale_matrix(bg1024, n_site)
+
+    def test_two_sites(self, bg1024):
+        R = hl.energy_rescale_matrix(bg1024, 2)
+        assert R.shape == (1024, 2)
+        assert np.max(np.abs(R.T @ R - np.eye(2))) < 1e-10
+
     def test_window_guard(self):
         with pytest.raises(hl.NumericsError, match="beta window too small"):
             hl.energy_rescale_matrix(hl.beta_grid(1024, 3.0), 64)
@@ -317,3 +329,40 @@ class TestShiftCheck:
         assert a["shift_identity"] == b["shift_identity"]
         assert np.array_equal(a["coupling_symbol"]["singular_values"],
                               b["coupling_symbol"]["singular_values"])
+
+
+class TestOneBlasThread:
+    """operator_checks runs numpy's OpenBLAS on one thread and leaves it on
+    the count it found, on return and on a refusal."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The thread counts read inside the stage, each time R is formed."""
+        blas = _kernels._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = blas
+        found = get()
+        set_(2)
+        seen = []
+        form = rescaled.energy_rescale_matrix
+
+        def formed(*args):
+            seen.append(get())
+            return form(*args)
+        monkeypatch.setattr(rescaled, "energy_rescale_matrix", formed)
+        yield get, seen
+        set_(found)
+
+    def test_restored_on_return(self, threads, operator_stage):
+        get, seen = threads
+        before = get()
+        operator_stage(hl.rank_one(0.75), hl.GridSpec(m_theta=256, n_site=64, m_beta=512))
+        assert seen == [1, 1] and get() == before
+
+    def test_restored_on_the_gram_guard_refusal(self, threads, operator_stage):
+        get, seen = threads
+        before = get()
+        with pytest.raises(hl.NumericsError, match="interior Gram defect"):
+            operator_stage(hl.rank_one(0.75), hl.GridSpec(beta_max=5.5))
+        assert seen == [1] and get() == before
