@@ -36,6 +36,9 @@ the second half of the points is stepped meanwhile on a worker thread
 its stages in two such lanes: the grid-free stages beside the cut grids,
 then the scattering edge beside the operator stage, whose BLAS
 `one_blas_thread` holds to one thread so that the two lanes fit two CPUs.
+The operator stage's own jobs are lanes (`meanwhile(..., lane=True)`): they
+take a worker only while no other worker of `meanwhile` is alive, and run
+on the calling thread otherwise, so the stage never makes a third thread.
 
 `decay_scan` returns per site the max over cut points of |t(n) - 1|, which
 `solutions.decay_scan` judges: beside each point a phase g = conj(zeta)^(L-1-n)
@@ -70,6 +73,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -147,21 +151,50 @@ _LANES = _entry("lanes", None, int, int, int, None, None, None, int, int, None)
 _STURM = _entry("sturm", None, int, float, None, int, None, restype=ctypes.c_long)
 
 
+#: guards the counts below, which every thread of the process shares
+_lock = threading.Lock()
+
+#: workers of `meanwhile` that have started and not yet ended
+_workers = 0
+
+
 @contextlib.contextmanager
-def meanwhile(fn, *args):
+def meanwhile(fn, *args, lane=False):
     """fn(*args) on a worker thread while the block runs; yields a function
     that joins it and returns its value or raises its exception.  It has
-    ended when the block is left, and an exception of the block goes first."""
-    import threading        # loaded by numpy already
+    ended when the block is left, and an exception of the block goes first.
+
+    A lane (lane=True) takes a worker only while no other worker of
+    `meanwhile` is alive, in any thread: otherwise fn(*args) runs at once on
+    the calling thread, before the block, as the two would run one after the
+    other, and an exception of it is raised there."""
+    global _workers
+    with _lock:
+        serial = lane and _workers > 0
+        if not serial:
+            _workers += 1
+    if serial:
+        value = fn(*args)
+        yield lambda: value
+        return
     out = {}
 
     def work():
+        global _workers
         try:
             out["value"] = fn(*args)
         except BaseException as exc:        # an interrupt too
             out["error"] = exc
+        finally:
+            with _lock:
+                _workers -= 1
     worker = threading.Thread(target=work, name="halfline-step")
-    worker.start()
+    try:
+        worker.start()
+    except BaseException:
+        with _lock:
+            _workers -= 1
+        raise
 
     def result():
         worker.join()
@@ -189,23 +222,39 @@ def _openblas():
     return None
 
 
+#: sections of `one_blas_thread` that have been entered and not yet left,
+#: and the thread count that the first of them found
+_blas_sections = 0
+_blas_found = 0
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """numpy's OpenBLAS on one thread while the block runs, and on the count
-    it found again when the block is left.  A product's sums then do not
-    depend on the thread count, and BLAS threads do not compete with a
-    `meanwhile` worker for the CPUs.  Without OpenBLAS the block runs as is."""
+    """numpy's OpenBLAS on one thread while the block runs.  A product's sums
+    then do not depend on the thread count, and BLAS threads do not compete
+    with a `meanwhile` worker for the CPUs.  The count is process-wide, so
+    the workers that the block starts run on one thread too.  Sections may
+    overlap, in one thread or several: the first to enter sets one thread,
+    and the last to leave sets the count that the first found.  Without
+    OpenBLAS the block runs as is."""
+    global _blas_sections, _blas_found
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_ = blas
-    found = get()
-    set_(1)
+    with _lock:
+        if _blas_sections == 0:
+            _blas_found = get()
+            set_(1)
+        _blas_sections += 1
     try:
         yield
     finally:
-        set_(found)
+        with _lock:
+            _blas_sections -= 1
+            if _blas_sections == 0:
+                set_(_blas_found)
 
 
 def _halves(fn, V, n):

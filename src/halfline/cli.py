@@ -232,7 +232,9 @@ def cmd_scatter(p, g, outputs, normalized, cfg_hash):
 
 def _scattering_pair(p: Potential, g: GridSpec) -> list:
     """[d, d2]: the scattering data of p on the cut grid of g and on the
-    grid twice as fine, as `scattering_grids` gives them, in two lanes.
+    grid twice as fine, as `scattering_grids` gives them, in two lanes, but
+    with the n_site/2 + 1 Jost rows that the operator stage's correction
+    kernel reads (`scattering_grids` keeps n_site + 1).
 
     z_max is refused first.  The grid-free stages (thresholds, bound states
     and their count) then step on a worker thread (`_kernels.meanwhile`)
@@ -243,7 +245,7 @@ def _scattering_pair(p: Potential, g: GridSpec) -> list:
     the operator checks, which do not depend on the potential."""
     z_max = g.effective_z_max(p)
     with _kernels.meanwhile(grid_free_fields, p, g, z_max) as free:
-        on_grid = [cut_grid_fields(p, g, m) for m in (g.m_theta, 2 * g.m_theta)]
+        on_grid = [cut_grid_fields(p, g, m, g.n_site // 2 + 1) for m in (g.m_theta, 2 * g.m_theta)]
         shared = free()
     return [ScatteringData(potential=p, **fields_, **shared) for fields_ in on_grid]
 

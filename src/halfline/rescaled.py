@@ -140,8 +140,9 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
     theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
     with np.errstate(over="ignore"):
         sech_b = 1.0 / np.cosh(bg.beta)
-    e = np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b) \
-        * np.sin(np.outer(np.arange(1, n_site + 1), theta_b))
+    e = np.outer(np.arange(1, n_site + 1), theta_b)        # formed in place
+    np.sin(e, out=e)
+    e *= np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b)
     nb = n_site // 2
     defect = float(np.max(np.abs(e[:nb] @ e[:nb].T - np.eye(nb))))
     if defect > GRAM_GUARD:
@@ -172,14 +173,55 @@ def _stability(base: dict, s1_fine: float) -> dict:
             "rel_change": abs(s1_fine - s1) / s1 if s1 > 0 else 0.0}
 
 
+#: sites per block of R's transforms in `_pull_back`: the FFT temporaries of
+#: a block stay small beside R, where those of all sites at once set the
+#: stage's peak RSS
+TRANSFORM_SITES = 16
+
+
+def _pull_back(bg: BetaGrid, R: np.ndarray, rows: np.ndarray, shift_rows=None):
+    """(R^T q, R^T [shift symbol] R or None) for R's real columns q with
+    [pdo] R = i q, so that R^*[pdo]R = 1j R^T q.
+
+    R's transforms (`symbol_columns`) run in blocks of TRANSFORM_SITES
+    sites and write q.T to rows, and the shift symbol's real columns to
+    shift_rows if given: arrays of n_site x m_beta that the caller allocates.
+    Each product is then one GEMM over all sites."""
+    for lo in range(0, R.shape[1], TRANSFORM_SITES):
+        X = R[:, lo:lo + TRANSFORM_SITES]
+        q, v = symbol_columns(bg, X)
+        rows[lo:lo + TRANSFORM_SITES] = q.T
+        if shift_rows is not None:
+            shift_rows[lo:lo + TRANSFORM_SITES] = _shift_real(bg, X, v).T
+    return R.T @ rows.T, None if shift_rows is None else R.T @ shift_rows.T
+
+
+def _rescaled_symbols(g: GridSpec):
+    """Phase 1 of `operator_checks`: (R^*[pdo]R at m_beta, R^*[pdo]R at
+    2 m_beta, the summary of the shift remainder T - R^*[shift symbol]R).
+
+    R at 2 m_beta is formed and guarded first; its transforms and product
+    run in a lane (`_kernels.meanwhile`) while this thread forms R at m_beta,
+    guards it, and pulls both symbols back through it."""
+    n = g.n_site
+    bg2 = beta_grid(2 * g.m_beta, g.beta_max)
+    R2 = energy_rescale_matrix(bg2, n)
+    with _kernels.meanwhile(_pull_back, bg2, R2, np.empty((n, bg2.m_beta)), lane=True) as fine:
+        bg = beta_grid(g.m_beta, g.beta_max)
+        R = energy_rescale_matrix(bg, n)
+        Rq, P_shift = _pull_back(bg, R, np.empty((n, bg.m_beta)), np.empty((n, bg.m_beta)))
+        shift = _singular(np.diag(np.ones(n - 1), -1) - P_shift)
+        return 1j * Rq, 1j * fine()[0], shift
+
+
 @_kernels.one_blas_thread()
 def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities of a report, d holding the scattering data on
-    the cut grid of g and d2 on the grid twice as fine.  numpy's OpenBLAS runs
-    on one thread for the call (`_kernels.one_blas_thread`), so its products
-    and SVDs sum in the same order whatever the process's thread count, and
-    leave the second CPU to the scattering edge that `halfline report` steps
-    meanwhile.
+    the cut grid of g and d2 on the grid twice as fine, with at least the
+    Jost rows n = -1..n_site/2 - 1 that the correction kernel reads.  numpy's
+    OpenBLAS runs on one thread for the call (`_kernels.one_blas_thread`), so
+    its products and SVDs sum in the same order whatever the process's
+    thread count, and the stage's two lanes fit two CPUs.
 
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
@@ -194,38 +236,43 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
                        site block, on both cut grids;
       wave_identity:   the defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on
                        the interior block, on both cut grids.
+
+    The stage runs in two phases, each with one lane (`_kernels.meanwhile`
+    with lane=True): a worker thread while no other worker is alive, else
+    the lane's job first on this thread.  Phase 1 pulls the symbols back
+    (`_rescaled_symbols`).  In phase 2 the lane runs the checks on d's cut
+    grid while this thread forms d2's grid and its S; after the join come
+    the remainders' SVDs, the coupling's stability, then W_- and the wave
+    identity on d2's grid.  The values do not depend on the lanes, and the
+    refusals come in the serial order: the Gram guards at 2 m_beta and
+    m_beta, a resonant grid on d, the coupling "not convergent", a resonant
+    grid on d2, the wave symbol "not convergent".
     """
     n, b = g.n_site, g.n_site // 2
+    P, P_fine, shift = _rescaled_symbols(g)
 
-    def pulled_back(m_beta, shift=False):
-        """R^*[pdo]R at m_beta, and R^*[shift symbol]R if `shift`: one rfft of R."""
-        bg = beta_grid(m_beta, g.beta_max)
-        R = energy_rescale_matrix(bg, n)
-        q, v = symbol_columns(bg, R)
-        return 1j * (R.T @ q), (R.T @ _shift_real(bg, R, v) if shift else None)
+    def remainder(W, S):
+        """The wave-symbol remainder on the interior block."""
+        return W - np.eye(b) - 0.5 * (P[:b] + np.eye(b, n)) @ (S[:, :b] - np.eye(n, b))
 
-    def on_cut_grid(dd):
-        """The wave checks on the cut grid of dd, and on the grid of g U's
-        remainders and the exact shift identity."""
-        grid = quadrature_grid(dd.m_theta, n)
-        W = wave_operator(dd, grid.first(b), tol_threshold=g.tol_threshold)
-        S = scattering_operator(dd, grid)
-        rem = W - np.eye(b) - 0.5 * (P[:b] + np.eye(b, n)) @ (S[:, :b] - np.eye(n, b))
-        checks = (_singular(rem), wave_identity_residual(dd, grid, W))
-        if dd is not d:
-            return checks
+    def coarse():
+        """The checks on d's cut grid that read no refined operator: the
+        wave-symbol remainder, the wave identity, U and the exact shift identity."""
+        grid = quadrature_grid(d.m_theta, n)
+        W = wave_operator(d, grid.first(b), tol_threshold=g.tol_threshold)
+        rem = remainder(W, scattering_operator(d, grid))
         U = cos_sin_coupling(grid)
-        return checks + (_stability(_singular(U - P), _singular(U - P_fine)["s1"]),
-                         shift_identity_residual(grid, U))
+        return rem, wave_identity_residual(d, grid, W), U, shift_identity_residual(grid, U)
 
-    # each operator is reduced as soon as it is formed, and one cut grid's
-    # transforms are held at a time, so the FFT and kernel temporaries of the
-    # later steps meet few held arrays (peak RSS)
-    P_fine = pulled_back(2 * g.m_beta)[0]
-    P, P_shift = pulled_back(g.m_beta, shift=True)
-    shift = _singular(np.diag(np.ones(n - 1), -1) - P_shift)
-    symbol, base, coupling, exact = on_cut_grid(d)
-    symbol2, refined = on_cut_grid(d2)
+    with _kernels.meanwhile(coarse, lane=True) as on_coarse:
+        grid2 = quadrature_grid(d2.m_theta, n)
+        S2 = scattering_operator(d2, grid2)
+        rem, base, U, exact = on_coarse()
+    symbol = _singular(rem)
+    coupling = _stability(_singular(U - P), _singular(U - P_fine)["s1"])
+    W2 = wave_operator(d2, grid2.first(b), tol_threshold=g.tol_threshold)
+    symbol2 = _singular(remainder(W2, S2))
+    refined = wave_identity_residual(d2, grid2, W2)
     return {
         "wave_identity": {
             "residual": base,

@@ -58,7 +58,9 @@ class ScatteringData:
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the Jost values zeta theta(n) = zeta^(n+1) t(n) at the grid's
-    zeta = e^(-i theta) for n = -1..n_site-1, row index n + 1; omega is its row 0.
+    zeta = e^(-i theta) for n = -1..n_rows-2, row index n + 1; omega is its
+    row 0.  `scattering_grids` keeps n_rows = n_site + 1 rows; `halfline
+    report` and `waveop` keep the n_site/2 + 1 that the correction kernel reads.
     """
 
     potential: Potential
@@ -179,14 +181,14 @@ def _scan_points(z_max: float) -> np.ndarray:
     return np.concatenate([z_side, -z_side])
 
 
-def cut_grid_fields(p: Potential, g: GridSpec, m: int) -> dict:
+def cut_grid_fields(p: Potential, g: GridSpec, m: int, n_rows: int) -> dict:
     """The fields of `ScatteringData` on the cut grid of m theta-midpoints,
-    stepped with the rows zeta theta(n) for n = -1..n_site-1 that the
+    stepped with the n_rows rows zeta theta(n), n = -1..n_rows-2, that the
     correction kernel reads; a grid whose Omega overflows, vanishes or jumps
     by pi/2 or more between nodes is refused."""
     theta = theta_midpoints(m)
     zeta, lam = np.exp(-1j * theta), np.cos(theta)
-    om, rows = _kernels.jost_scaled(p.values, zeta, g.n_site - 1)
+    om, rows = _kernels.jost_scaled(p.values, zeta, n_rows - 2)
     if bad := np.count_nonzero(~np.isfinite(om)):
         raise NumericsError(f"Jost recursion overflows: Omega is not finite on {bad} of "
                             f"{m} cut-grid points")
@@ -215,13 +217,14 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
     m_thetas points, each with g's other settings.
 
-    Each cut grid is stepped on its own (`cut_grid_fields`); the grid-free
-    stages (`grid_free_fields`) then run once.  Both run in the caller's
-    thread.  An input whose scan would overflow is refused before any point
-    is stepped, a grid whose Omega overflows before it is read.
+    Each cut grid is stepped on its own (`cut_grid_fields`), keeping the
+    Jost rows of all n_site sites; the grid-free stages (`grid_free_fields`)
+    then run once.  Both run in the caller's thread.  An input whose scan
+    would overflow is refused before any point is stepped, a grid whose
+    Omega overflows before it is read.
     """
     z_max = g.effective_z_max(p)
-    on_grid = [cut_grid_fields(p, g, m) for m in m_thetas]
+    on_grid = [cut_grid_fields(p, g, m, g.n_site + 1) for m in m_thetas]
     shared = grid_free_fields(p, g, z_max)
     return [ScatteringData(potential=p, **fields_, **shared) for fields_ in on_grid]
 

@@ -525,8 +525,9 @@ class TestReport:
 
     def test_each_operator_formed_once(self, tmp_path, monkeypatch):
         # each cut grid with its sine and cosine transforms, and F_-, once per
-        # cut grid, R at m_beta and 2 m_beta with one rfft and one pull-back
-        # each, U once; no complex FFT; the five SVDs are those of test_svd_count
+        # cut grid, R at m_beta and 2 m_beta, each transformed in blocks of
+        # TRANSFORM_SITES sites with one rfft a block, U once; no complex FFT;
+        # the five SVDs are those of test_svd_count
         from halfline import rescaled, specops
         calls = {name: [] for name in ("quadrature_grid", "jost_transform",
                                        "energy_rescale_matrix", "symbol_columns",
@@ -553,10 +554,12 @@ class TestReport:
         cfg.write_text(json.dumps({"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
                                    "outputs": {"directory": str(tmp_path / "out")}}))
         assert main(["report", str(cfg)]) == 0
+        blocks = 128 // rescaled.TRANSFORM_SITES            # n_site 128
         assert {name: sorted(sizes) for name, sizes in calls.items()} == {
             "quadrature_grid": [512, 1024], "jost_transform": [512, 1024],
-            "energy_rescale_matrix": [1024, 2048], "symbol_columns": [1024, 2048],
-            "cos_sin_coupling": [0], "rfft": [1024, 2048], "fft": [], "ifft": [], "svd": [0] * 5}
+            "energy_rescale_matrix": [1024, 2048],
+            "symbol_columns": [1024] * blocks + [2048] * blocks, "cos_sin_coupling": [0],
+            "rfft": [1024] * blocks + [2048] * blocks, "fft": [], "ifft": [], "svd": [0] * 5}
 
     @pytest.mark.parametrize("fmt,absent", [("json", ".csv"), ("csv", ".json")])
     def test_output_formats_honoured(self, tmp_path, capsys, fmt, absent):
@@ -769,6 +772,55 @@ class TestGridFreeWorker:
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="the grid-free stages fail"):
             main([command, str(write_cfg(tmp_path, self.RANK_ONE))])
+        assert threading.active_count() == threads
+
+
+class TestOperatorLanes:
+    """The operator stage's two lanes take a worker only while no other
+    worker is alive: in `waveop` they do; in `report`, beside an edge that
+    is still stepping, they run on the command's thread.  Both write the
+    same waveop.json, and a refusal of the stage leaves no worker behind."""
+
+    RANK_ONE = {"kind": "rank_one", "v0": 0.75, "rho": 3.0}
+
+    def test_report_beside_the_edge_writes_the_same_bits(self, tmp_path, monkeypatch):
+        from halfline import cli, rescaled
+        ran, form, checks = [], rescaled.cos_sin_coupling, cli.operator_checks
+        stage_over = threading.Event()
+
+        def coupling(grid):
+            ran.append(threading.get_ident())
+            return form(grid)
+
+        def stage(*args):
+            try:
+                return checks(*args)
+            finally:
+                stage_over.set()
+
+        def edge(p, g):         # alive until the operator stage has ended
+            stage_over.wait(10)
+            return scattering_edge(p, g)
+        monkeypatch.setattr(rescaled, "cos_sin_coupling", coupling)
+        cfg = write_cfg(tmp_path, self.RANK_ONE)
+        threads = threading.active_count()
+        assert main(["waveop", str(cfg)]) == 0
+        alone = (tmp_path / "out" / "waveop.json").read_bytes()
+        monkeypatch.setattr(cli, "operator_checks", stage)
+        monkeypatch.setattr(cli, "scattering_edge", edge)
+        assert main(["report", str(cfg)]) == 0
+        assert (tmp_path / "out" / "waveop.json").read_bytes() == alone
+        assert ran[0] != threading.get_ident() and ran[1] == threading.get_ident()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("command", ["waveop", "report"])
+    def test_resonant_grid_refused(self, tmp_path, capsys, command):
+        # the coarse cut grid's W_-, formed on a lane, refuses
+        cfg = write_cfg(tmp_path, {"kind": "rank_one", "v0": 0.5, "rho": 3.0},
+                        tolerances={"threshold": 0.05})
+        threads = threading.active_count()
+        assert main([command, str(cfg)]) == 4
+        assert "resonant grid: amplitude below threshold tolerance" in capsys.readouterr().err
         assert threading.active_count() == threads
 
 

@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -366,3 +370,202 @@ class TestOneBlasThread:
         with pytest.raises(hl.NumericsError, match="interior Gram defect"):
             operator_stage(hl.rank_one(0.75), hl.GridSpec(beta_max=5.5))
         assert seen == [1] and get() == before
+
+    def test_overlapping_sections(self):
+        # A enters, B enters, A leaves, B leaves: B's section stays on one
+        # thread after A has left, and the count found before A is restored
+        blas = _kernels._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = blas
+        found = get()
+        set_(2)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with _kernels.one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with _kernels.one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b after a left"] = get()
+        try:
+            workers = [threading.Thread(target=f) for f in (a, b)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(10)
+            assert not any(w.is_alive() for w in workers)
+            assert seen == {"b after a left": 1} and get() == 2
+        finally:
+            set_(found)
+
+    def test_counts_under_contention(self):
+        # eight threads on two CPUs enter and leave BLAS sections, and now and
+        # then a lane, with a short switch interval: a lost update of either
+        # count leaves it above zero, a section on two threads or the count
+        # found unrestored
+        blas = _kernels._openblas()
+        if blas is None:
+            pytest.skip("numpy links no OpenBLAS")
+        get, set_ = blas
+        found, interval = get(), sys.getswitchinterval()
+        set_(2)
+        inside = set()
+
+        def churn():
+            for k in range(5000):
+                with _kernels.one_blas_thread():
+                    inside.add(get())
+                if k % 100 == 0:
+                    with _kernels.meanwhile(int, lane=True) as lane:
+                        lane()
+        try:
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60)
+            assert not any(w.is_alive() for w in workers)
+            assert _kernels._workers == 0 and _kernels._blas_sections == 0
+            assert inside == {1} and get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_(found)
+
+
+def _fields(payload, prefix=""):
+    """(key path, value) of every leaf of a payload."""
+    for k, v in payload.items():
+        if isinstance(v, dict):
+            yield from _fields(v, f"{prefix}{k}.")
+        else:
+            yield prefix + k, v
+
+
+class TestLanes:
+    """operator_checks runs in two phases with one lane each: a worker thread
+    while no other worker of `_kernels.meanwhile` is alive, else the lane's
+    job first on the calling thread.  Both paths give the same bits and the
+    serial refusal order, and the worker has ended when the call returns."""
+
+    GRID = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
+
+    @pytest.fixture(params=["lanes", "serial"])
+    def path(self, request, operator_stage):
+        """operator_stage(p, g) with no other worker alive ("lanes") or beside
+        a dummy worker ("serial"); threading.active_count() is checked to be
+        back where it started on return and on a refusal."""
+        def run(p, g):
+            threads = threading.active_count()
+            try:
+                if request.param == "lanes":
+                    return operator_stage(p, g)
+                stop = threading.Event()
+                with _kernels.meanwhile(stop.wait):
+                    try:
+                        return operator_stage(p, g)
+                    finally:
+                        stop.set()
+            finally:
+                assert threading.active_count() == threads
+        run.serial = request.param == "serial"
+        return run
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        """(job, beta or theta grid size, thread, BLAS thread count) at each of
+        R's transform blocks and at U; the threads that were started."""
+        blas = _kernels._openblas()
+        seen, started = [], []
+        for name, size in (("symbol_columns", lambda bg, X: bg.m_beta),
+                           ("cos_sin_coupling", lambda grid: grid.m)):
+            def spy(*args, fn=getattr(rescaled, name), name=name, size=size):
+                seen.append((name, size(*args), threading.get_ident(),
+                             blas[0]() if blas else 1))
+                return fn(*args)
+            monkeypatch.setattr(rescaled, name, spy)
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return seen, started
+
+    @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], 3.0)])
+    def test_same_bits_on_both_paths(self, operator_stage, p):
+        lanes = dict(_fields(operator_stage(p, self.GRID)))
+        stop = threading.Event()
+        with _kernels.meanwhile(stop.wait):
+            try:
+                serial = dict(_fields(operator_stage(p, self.GRID)))
+            finally:
+                stop.set()
+        assert lanes.keys() == serial.keys()
+        for key, value in lanes.items():
+            assert np.array_equal(value, serial[key]), key
+
+    def test_where_each_job_runs(self, path, jobs):
+        seen, started = jobs
+        path(hl.rank_one(0.75), self.GRID)
+        here, blocks = threading.get_ident(), 64 // rescaled.TRANSFORM_SITES
+        assert sorted((name, size) for name, size, _, _ in seen) == [
+            ("cos_sin_coupling", 256)] + [("symbol_columns", 512)] * blocks + [
+            ("symbol_columns", 1024)] * blocks
+        assert all(blas == 1 for *_, blas in seen)
+        away = {(name, size) for name, size, thread, _ in seen if thread != here}
+        if path.serial:     # the dummy worker is the one thread started
+            assert started == ["halfline-step"] and not away
+        else:               # R's transforms at 2 m_beta, and d's grid with U
+            assert started == ["halfline-step"] * 2
+            assert away == {("symbol_columns", 1024), ("cos_sin_coupling", 256)}
+
+    @pytest.fixture
+    def wave_grids(self, monkeypatch):
+        """The cut grid sizes on which W_- is formed, in order."""
+        grids, form = [], rescaled.wave_operator
+
+        def formed(d, grid, **kw):
+            grids.append(grid.m)
+            return form(d, grid, **kw)
+        monkeypatch.setattr(rescaled, "wave_operator", formed)
+        return grids
+
+    def test_resonant_coarse_grid(self, path, wave_grids):
+        # rank_one 0.5 has a threshold resonance: min |Omega| is 6.1e-3 on
+        # 256 nodes and 3.1e-3 on 512
+        with pytest.raises(hl.NumericsError, match="resonant grid"):
+            path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=0.05))
+        assert wave_grids == [256]
+
+    def test_resonant_refined_grid(self, path, wave_grids):
+        with pytest.raises(hl.NumericsError, match="resonant grid"):
+            path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=0.005))
+        assert wave_grids == [256, 512]
+
+    def test_coupling_refusal_before_the_refined_grid(self, path, wave_grids, monkeypatch):
+        def refuse(base, s1_fine):
+            raise hl.NumericsError("not convergent: the coupling refuses")
+        monkeypatch.setattr(rescaled, "_stability", refuse)
+        with pytest.raises(hl.NumericsError, match="not convergent"):
+            path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=0.005))
+        assert wave_grids == [256]
+
+    def test_gram_guard_at_twice_m_beta_first(self, path, monkeypatch):
+        formed, form = [], rescaled.energy_rescale_matrix
+
+        def spy(bg, n_site):
+            formed.append(bg.m_beta)
+            return form(bg, n_site)
+        monkeypatch.setattr(rescaled, "energy_rescale_matrix", spy)
+        with pytest.raises(hl.NumericsError, match="interior Gram defect 8.99e-04"):
+            path(hl.rank_one(0.75), hl.GridSpec(beta_max=5.5))
+        assert formed == [2048]

@@ -14,7 +14,9 @@ with z_max 1.05 (exit 4, z_max too small) and rank_one 0.75 with beta_max
 5.5 (`waveop` and `report` exit 4: R's interior Gram defect exceeds its
 guard, and the message names it; at this window the defect peaks on the
 block's last site, so a guard that reads a different block prints another
-value).  `validate` runs once per config.
+value), and rank_one 0.5 with the threshold tolerance 0.05 (`waveop` and
+`report` exit 4: the coarse cut grid is resonant, which the operator stage
+finds on a lane).  `validate` runs once per config.
 One more run per config and tree, `python -c LIBRARY`, prints the exact bits
 of library results that no command writes, or what they raise:
 `decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
@@ -25,7 +27,7 @@ sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
 `scattering_operator` and `correction_operator` on all sites, and
 `wave_identity_residual`.  The four commands also run once per config
 without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
-from `report` alone): 106 runs.
+from `report` alone): 116 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
@@ -64,6 +66,8 @@ CONFIGS = (
                               "z_max": 1.05}}, False),
     ("beta_max_5.5", {"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
                       "grids": {"beta_max": 5.5}}, False),
+    ("resonant_0.5", {"potential": {"kind": "rank_one", "v0": 0.5, "rho": 3.0},
+                      "tolerances": {"threshold": 0.05}}, False),
 )
 
 COMMANDS = ("scatter", "waveop", "winding", "report")
