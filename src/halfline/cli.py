@@ -28,10 +28,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import AssumptionError, CheckFailure, ConfigError, HalflineError, NumericsError
-from .model import GridSpec, Potential, make_potential
+from .model import GridSpec, make_potential
 from .rescaled import operator_checks
-from .scattering import (ScatteringData, cut_grid_fields, eta_endpoints, grid_free_fields,
-                         levinson_residual, scattering_grid)
+from .scattering import (ScatteringData, eta_endpoints, levinson_residual, scattering_grid,
+                         scattering_grids)
 from .topology import (EDGE_ORDER, WindingReport, assemble_boundary, scattering_edge,
                        winding_number)
 
@@ -230,26 +230,6 @@ def cmd_scatter(p, g, outputs, normalized, cfg_hash):
             _gates(g, scatter=summary), "scattering data fails its gate")
 
 
-def _scattering_pair(p: Potential, g: GridSpec) -> list:
-    """[d, d2]: the scattering data of p on the cut grid of g and on the
-    grid twice as fine, as `scattering_grids` gives them, in two lanes, but
-    with the n_site/2 + 1 Jost rows that the operator stage's correction
-    kernel reads (`scattering_grids` keeps n_site + 1).
-
-    z_max is refused first.  The grid-free stages (thresholds, bound states
-    and their count) then step on a worker thread (`_kernels.meanwhile`)
-    while this thread steps the two cut grids; they read nothing of each
-    other.  A cut grid's refusal goes first, and a refusal of the grid-free
-    stages is raised at the join: the order of the serial stages.  Callers
-    run this first, so that an input it refuses (exit 4) is refused before
-    the operator checks, which do not depend on the potential."""
-    z_max = g.effective_z_max(p)
-    with _kernels.meanwhile(grid_free_fields, p, g, z_max) as free:
-        on_grid = [cut_grid_fields(p, g, m, g.n_site // 2 + 1) for m in (g.m_theta, 2 * g.m_theta)]
-        shared = free()
-    return [ScatteringData(potential=p, **fields_, **shared) for fields_ in on_grid]
-
-
 def _waveop_payload(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities on the scattering data d on the cut grid of g
     and d2 on the grid twice as fine, with the grids they ran on."""
@@ -259,7 +239,7 @@ def _waveop_payload(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
 
 
 def cmd_waveop(p, g, outputs, normalized, cfg_hash):
-    payload = _waveop_payload(*_scattering_pair(p, g), g)
+    payload = _waveop_payload(*scattering_grids(p, g, [g.m_theta, 2 * g.m_theta]), g)
     _write_json(outputs, "waveop.json", payload, cfg_hash)
     wi = payload["wave_identity"]
     return (f"waveop: identity residual {wi['residual']:.3e} "
@@ -290,9 +270,9 @@ def cmd_winding(p, g, outputs, normalized, cfg_hash):
 
 def cmd_report(p, g, outputs, normalized, cfg_hash):
     # the edge starts once the scattering data exists, so an input refused
-    # there steps no edge; it takes the CPU that the operator stage, whose
-    # BLAS runs on one thread, leaves free
-    d, d2 = _scattering_pair(p, g)
+    # there steps no edge and runs no operator check; it takes the CPU that
+    # the operator stage, whose BLAS runs on one thread, leaves free
+    d, d2 = scattering_grids(p, g, [g.m_theta, 2 * g.m_theta])
     with _kernels.meanwhile(scattering_edge, p, g) as edge:
         payload = _waveop_payload(d, d2, g)
         scatter = _scatter(d, outputs, cfg_hash)

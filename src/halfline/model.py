@@ -168,7 +168,9 @@ def make_potential(spec: dict) -> Potential:
 
 def theta_midpoints(m: int) -> np.ndarray:
     """The midpoint nodes theta_j = (j + 1/2) pi / m, ordered by increasing
-    lambda = cos(theta)."""
+    lambda = cos(theta).  An m that is not a positive integer is refused."""
+    if not (_is_int(m) and m > 0):
+        raise ValueError(f"m_theta must be a positive integer, not {m!r}")
     return ((np.arange(m) + 0.5) * np.pi / m)[::-1].copy()
 
 

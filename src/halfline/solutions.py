@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericsError
-from .model import Potential, _is_int, theta_midpoints
+from .model import Potential, theta_midpoints
 
 #: rounding slack allowed on exact inequalities
 DECAY_SLACK = 1e-10
@@ -131,11 +131,9 @@ def decay_scan(p: Potential, m_theta: int) -> DecayReport:
     leaving either not finite, is refused; so is a deviation above about
     1e154, whose square overflows in the step.
     """
-    if not (_is_int(m_theta) and m_theta > 0):
-        raise ValueError(f"m_theta must be a positive integer, not {m_theta!r}")
+    th = theta_midpoints(m_theta)
     if p.support_end == 0:
         return DecayReport(0.0, 0.0)
-    th = theta_midpoints(m_theta)
     zeta = np.concatenate([np.exp(-1j * th), [1.0 + 0j, -1.0 + 0j]])
     with np.errstate(over="ignore", invalid="ignore"):
         dev = _kernels.decay_scan(p.values, zeta)

@@ -56,9 +56,9 @@ class QuadratureGrid:
 
 
 def quadrature_grid(m: int, n_site: int) -> QuadratureGrid:
+    theta = theta_midpoints(m)
     if n_site > m // 2:
         raise NumericsError(f"grid too small: n_site = {n_site} exceeds m/2 = {m // 2}")
-    theta = theta_midpoints(m)
     phase = np.outer(theta, np.arange(1, n_site + 1))
     return QuadratureGrid(m=m, theta=theta, weights=(np.pi / m) * np.sin(theta),
                           fsin=np.sqrt(2.0 / m) * np.sin(phase),

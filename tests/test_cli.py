@@ -723,15 +723,15 @@ class TestGridFreeWorker:
     @pytest.fixture
     def slow_free(self, monkeypatch):
         """The grid-free stages, starting 0.2 s late; the threads they ran on."""
-        from halfline import cli
+        from halfline import scattering
         ran = []
-        fields = cli.grid_free_fields
+        fields = scattering.grid_free_fields
 
         def free(*args):
             ran.append(threading.get_ident())
             time.sleep(0.2)
             return fields(*args)
-        monkeypatch.setattr(cli, "grid_free_fields", free)
+        monkeypatch.setattr(scattering, "grid_free_fields", free)
         return ran
 
     @pytest.mark.parametrize("command", ["report", "waveop"])
@@ -764,11 +764,11 @@ class TestGridFreeWorker:
 
     @pytest.mark.parametrize("command", ["report", "waveop"])
     def test_worker_error_raised_at_the_join(self, tmp_path, monkeypatch, command):
-        from halfline import cli
+        from halfline import scattering
 
         def free(*args):
             raise RuntimeError("the grid-free stages fail")
-        monkeypatch.setattr(cli, "grid_free_fields", free)
+        monkeypatch.setattr(scattering, "grid_free_fields", free)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="the grid-free stages fail"):
             main([command, str(write_cfg(tmp_path, self.RANK_ONE))])

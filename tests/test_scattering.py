@@ -679,21 +679,24 @@ class TestOneRecursionPerGrid:
     def test_kept_rows_match_direct_recursion(self, grid_pair, monkeypatch):
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
-            assert d.jost_rows.shape == (g.n_site + 1, g.m_theta)
-            args = (p.values, np.exp(-1j * d.theta), g.n_site - 1)
+            assert d.jost_rows.shape == (g.n_site // 2 + 1, g.m_theta)
+            args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
         monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)     # halves, one on a worker thread
         for g, d in zip(grids, ds):
-            args = (p.values, np.exp(-1j * d.theta), g.n_site - 1)
+            args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
     def test_second_grid_reuse_equals_fresh_build(self, grid_pair):
-        # both grids share the grid-free stages
+        # both grids share the grid-free stages; scattering_grid keeps the
+        # Jost rows of all sites, scattering_grids the first n_site/2 + 1
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
             alone = hl.scattering_grid(p, g)
             for f in fields(hl.ScatteringData):
                 a, b = getattr(d, f.name), getattr(alone, f.name)
+                if f.name == "jost_rows":
+                    b = b[:g.n_site // 2 + 1]
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and np.array_equal(a, b), f.name
                 else:
@@ -710,6 +713,60 @@ class TestOneRecursionPerGrid:
         assert [om_m, om_p] == [omega(p, s) for s in (-1.0, 1.0)]
         roots, count = hl.bound_states(p, g)
         assert np.array_equal(roots, ds[0].bound_states) and count == ds[0].count_n
+
+
+class TestBuilderThreads:
+    """scattering_grid runs the grid-free stages on the caller's thread, as
+    a short table is cheapest stepped alone; scattering_grids runs them on a
+    worker while its own thread steps the cut grids, and has joined it on
+    return and on each refusal."""
+
+    @pytest.fixture
+    def free_threads(self, monkeypatch):
+        """The threads that the grid-free stages ran on, each 0.1 s late."""
+        ran, fields_ = [], scattering.grid_free_fields
+
+        def free(*args):
+            ran.append(threading.current_thread())
+            time.sleep(0.1)
+            return fields_(*args)
+        monkeypatch.setattr(scattering, "grid_free_fields", free)
+        return ran
+
+    def test_one_grid_on_the_callers_thread(self, free_threads):
+        threads = threading.active_count()
+        hl.scattering_grid(hl.rank_one(0.75), hl.GridSpec(m_theta=256, n_site=64))
+        assert free_threads == [threading.current_thread()]
+        assert threading.active_count() == threads
+
+    def test_grids_on_a_worker_joined_on_return(self, free_threads):
+        threads = threading.active_count()
+        ds = hl.scattering_grids(hl.rank_one(0.75), hl.GridSpec(), [512, 1024])
+        assert [d.m_theta for d in ds] == [512, 1024] and ds[0].count_n == 1
+        (worker,) = free_threads
+        assert worker is not threading.current_thread() and not worker.is_alive()
+        assert threading.active_count() == threads
+
+    def test_cut_grid_refusal_joins_the_worker(self, free_threads):
+        # both stages refuse the 400-site table of 3.0, the grid-free stages
+        # with "Omega(-1) = nan": the cut grid's refusal is the one raised
+        p = hl.table_potential([3.0] * 400, rho=3.0)
+        threads = threading.active_count()
+        with pytest.raises(hl.NumericsError, match="Omega is not finite on") as info:
+            hl.scattering_grids(p, hl.GridSpec(), [512, 1024])
+        assert "Omega(-1)" not in str(info.value)
+        (worker,) = free_threads
+        assert not worker.is_alive() and threading.active_count() == threads
+
+    def test_grid_free_refusal_joins_the_worker(self, free_threads):
+        # the cut grids pass; the bound state at z = 13/12 lies beyond z_max
+        g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024, z_max=1.05)
+        threads = threading.active_count()
+        with pytest.raises(hl.NumericsError, match="z_max too small"):
+            hl.scattering_grids(hl.rank_one(0.75), g, [256, 512])
+        (worker,) = free_threads
+        assert worker is not threading.current_thread() and not worker.is_alive()
+        assert threading.active_count() == threads
 
 
 class TestThresholds:

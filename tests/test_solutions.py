@@ -269,11 +269,20 @@ class TestDecayDiagnostic:
             with pytest.raises(hl.NumericsError, match="decay check overflows"):
                 hl.decay_scan(p, 64)
 
-    @pytest.mark.parametrize("m_theta", [0, -5, 2.5, True])
+    @pytest.mark.parametrize("m_theta", [0, -5, 2.5, True, 1])
     def test_m_theta_not_a_positive_integer_refused(self, m_theta):
-        # each stepped the thresholds alone (True one point) into a passing report
-        with pytest.raises(ValueError, match="m_theta must be a positive integer"):
-            hl.decay_scan(hl.table_potential([0.3, -0.2, 0.1], rho=3.0), m_theta)
+        # decay_scan stepped the thresholds alone (True one point) into a
+        # passing report; 2.5 built three theta nodes, the first at pi, and
+        # scattering_grids a passing grid on them.  One node is too few for
+        # the Levinson endpoints of scattering_grids alone
+        p = hl.table_potential([0.3, -0.2, 0.1], rho=3.0)
+        calls = [lambda: hl.scattering_grids(p, hl.GridSpec(), [512, m_theta])]
+        if m_theta != 1:
+            calls += [lambda: hl.decay_scan(p, m_theta), lambda: hl.quadrature_grid(m_theta, 1),
+                      lambda: hl.theta_midpoints(m_theta)]
+        for call in calls:
+            with pytest.raises(ValueError, match="m_theta must be a positive integer"):
+                call()
 
     def test_reports_empirical_constant(self):
         p = hl.random_decaying(4, amplitude=0.3)

@@ -27,10 +27,12 @@ sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
 `scattering_operator` and `correction_operator` on all sites, and
 `wave_identity_residual`.  The four commands also run once per config
 without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
-from `report` alone): 116 runs.
+from `report` alone).  Last, each tree runs its own copy of each of the four
+demos in `demos/`, whose stdout every change keeps: 120 runs.
 
 Both trees write to one output directory per config, in a temporary
-directory, because the directory is part of the config hash.  A run compares the bytes of every output file,
+directory, because the directory is part of the config hash; every run
+starts in the tree's root.  A run compares the bytes of every output file,
 stdout with the `[N.NNs]` timings stripped, stderr and the exit code.  The
 script prints each run that differs and what differs in it, then
 `runs N diffs M`, and exits 1 when M > 0.
@@ -72,6 +74,9 @@ CONFIGS = (
 
 COMMANDS = ("scatter", "waveop", "winding", "report")
 
+DEMOS = ("demo_jost_and_levinson.py", "demo_rescaled_symbol.py",
+         "demo_topological_levinson.py", "demo_wave_operator_identity.py")
+
 TIMING = re.compile(rb"\[\d+\.\d+s\]")
 
 #: run as `python -c LIBRARY POTENTIAL`: one line per call, its result's
@@ -109,11 +114,12 @@ for name, call in calls.items():
 
 
 def run(tree: Path, argv: list, out: Path) -> dict:
-    """What `python argv` with tree's source leaves: the files in out,
-    stdout without the timings, stderr and exit code; out is emptied first."""
+    """What `python argv` in tree's root with its source leaves: the files
+    in out, stdout without the timings, stderr and exit code; out is
+    emptied first."""
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True)
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
     return {"files": files, "stdout": TIMING.sub(b"[]", proc.stdout),
             "stderr": proc.stderr, "exit": proc.returncode}
@@ -130,6 +136,7 @@ def main(argv=None) -> int:
             ap.error(f"{tree} has no src/halfline")
     runs = diffs = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+        batches = []
         for name, config, refine in CONFIGS:
             out, cfg = Path(work, name, "out"), Path(work, name + ".json")
             cfg.write_text(json.dumps({**config, "outputs": {"directory": str(out)}}))
@@ -138,6 +145,10 @@ def main(argv=None) -> int:
                      for flags in flag_sets for command in COMMANDS}
             argvs["validate"] = ["-m", "halfline.cli", "validate", str(cfg)]
             argvs["library"] = ["-c", LIBRARY, json.dumps(config["potential"])]
+            batches.append((name, out, argvs))
+        # the demos write no file: their out is a directory that nothing makes
+        batches.append(("demos", Path(work, "demos"), {d: [f"demos/{d}"] for d in DEMOS}))
+        for name, out, argvs in batches:
             for label, argv in argvs.items():
                 a, b = (run(tree, argv, out) for tree in trees)
                 runs += 1
