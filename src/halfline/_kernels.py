@@ -37,9 +37,9 @@ its stages in two such lanes: the grid-free stages beside the cut grids, in
 `scattering.scattering_grids`, then the scattering edge beside the operator
 stage, whose BLAS `one_blas_thread` holds to one thread so that the two
 lanes fit two CPUs.
-The operator stage's own jobs are lanes (`meanwhile(..., lane=True)`): they
-take a worker only while no other worker of `meanwhile` is alive, and run
-on the calling thread otherwise, so the stage never makes a third thread.
+The operator stage's coarse side is one lane (`meanwhile(..., lane=True)`):
+it takes a worker only while no other worker of `meanwhile` is alive, and
+runs on the calling thread otherwise, so the stage never makes a third thread.
 
 `decay_scan` returns per site the max over cut points of |t(n) - 1|, which
 `solutions.decay_scan` judges: beside each point a phase g = conj(zeta)^(L-1-n)

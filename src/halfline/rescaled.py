@@ -196,24 +196,6 @@ def _pull_back(bg: BetaGrid, R: np.ndarray, rows: np.ndarray, shift_rows=None):
     return R.T @ rows.T, None if shift_rows is None else R.T @ shift_rows.T
 
 
-def _rescaled_symbols(g: GridSpec):
-    """Phase 1 of `operator_checks`: (R^*[pdo]R at m_beta, R^*[pdo]R at
-    2 m_beta, the summary of the shift remainder T - R^*[shift symbol]R).
-
-    R at 2 m_beta is formed and guarded first; its transforms and product
-    run in a lane (`_kernels.meanwhile`) while this thread forms R at m_beta,
-    guards it, and pulls both symbols back through it."""
-    n = g.n_site
-    bg2 = beta_grid(2 * g.m_beta, g.beta_max)
-    R2 = energy_rescale_matrix(bg2, n)
-    with _kernels.meanwhile(_pull_back, bg2, R2, np.empty((n, bg2.m_beta)), lane=True) as fine:
-        bg = beta_grid(g.m_beta, g.beta_max)
-        R = energy_rescale_matrix(bg, n)
-        Rq, P_shift = _pull_back(bg, R, np.empty((n, bg.m_beta)), np.empty((n, bg.m_beta)))
-        shift = _singular(np.diag(np.ones(n - 1), -1) - P_shift)
-        return 1j * Rq, 1j * fine()[0], shift
-
-
 @_kernels.one_blas_thread()
 def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities of a report, d holding the scattering data on
@@ -221,7 +203,7 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     Jost rows n = -1..n_site/2 - 1 that the correction kernel reads.  numpy's
     OpenBLAS runs on one thread for the call (`_kernels.one_blas_thread`), so
     its products and SVDs sum in the same order whatever the process's
-    thread count, and the stage's two lanes fit two CPUs.
+    thread count, and the stage's lane fits two CPUs.
 
     Each operator is formed once: R and R^*[pdo]R at m_beta and 2 m_beta
     (pdo = -tanh(pi D) + i tanh(X/2) sech(pi D), applied to R's columns, so
@@ -237,41 +219,55 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
       wave_identity:   the defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on
                        the interior block, on both cut grids.
 
-    The stage runs in two phases, each with one lane (`_kernels.meanwhile`
-    with lane=True): a worker thread while no other worker is alive, else
-    the lane's job first on this thread.  Phase 1 pulls the symbols back
-    (`_rescaled_symbols`).  In phase 2 the lane runs the checks on d's cut
-    grid while this thread forms d2's grid and its S; after the join come
-    the remainders' SVDs, the coupling's stability, then W_- and the wave
-    identity on d2's grid.  The values do not depend on the lanes, and the
-    refusals come in the serial order: the Gram guards at 2 m_beta and
-    m_beta, a resonant grid on d, the coupling "not convergent", a resonant
-    grid on d2, the wave symbol "not convergent".
+    R at 2 m_beta is formed and guarded first.  Then one lane
+    (`_kernels.meanwhile` with lane=True: a worker thread while no other
+    worker is alive, else the lane's job first on this thread) runs the
+    coarse side: R at m_beta, guarded, its pull-backs and the shift
+    remainder, then on d's cut grid W_-, S, the wave-symbol remainder, U,
+    the wave identity and the exact shift identity.  Meanwhile this thread
+    pulls the symbol back through R at 2 m_beta and forms d2's grid and its
+    S, which refuse nothing once GridSpec holds m_theta >= 2 n_site (only a
+    d2 on fewer than 2 n_site nodes is refused there, "grid too small").
+    Each R is released once pulled back: kept alive, the two raised the
+    peak RSS of `report --refine` by 5.5 MB.  After the join come the
+    remainders' SVDs, the coupling's stability, then W_- and the wave
+    identity on d2's grid.  The values do not depend on the lane, and the refusals come in
+    the serial order: the Gram guards at 2 m_beta and m_beta, a resonant
+    grid on d, the coupling "not convergent", a resonant grid on d2, the
+    wave symbol "not convergent".
     """
     n, b = g.n_site, g.n_site // 2
-    P, P_fine, shift = _rescaled_symbols(g)
+    bg2 = beta_grid(2 * g.m_beta, g.beta_max)
+    R2 = energy_rescale_matrix(bg2, n)
 
-    def remainder(W, S):
+    def remainder(P, W, S):
         """The wave-symbol remainder on the interior block."""
         return W - np.eye(b) - 0.5 * (P[:b] + np.eye(b, n)) @ (S[:, :b] - np.eye(n, b))
 
     def coarse():
-        """The checks on d's cut grid that read no refined operator: the
-        wave-symbol remainder, the wave identity, U and the exact shift identity."""
+        """Everything that reads R at m_beta or d's cut grid and no refined operator."""
+        bg = beta_grid(g.m_beta, g.beta_max)
+        Rq, P_shift = _pull_back(bg, energy_rescale_matrix(bg, n),
+                                 np.empty((n, bg.m_beta)), np.empty((n, bg.m_beta)))
+        shift = _singular(np.diag(np.ones(n - 1), -1) - P_shift)
+        P = 1j * Rq
         grid = quadrature_grid(d.m_theta, n)
         W = wave_operator(d, grid.first(b), tol_threshold=g.tol_threshold)
-        rem = remainder(W, scattering_operator(d, grid))
+        rem = remainder(P, W, scattering_operator(d, grid))
         U = cos_sin_coupling(grid)
-        return rem, wave_identity_residual(d, grid, W), U, shift_identity_residual(grid, U)
+        return P, shift, rem, wave_identity_residual(d, grid, W), U, \
+            shift_identity_residual(grid, U)
 
     with _kernels.meanwhile(coarse, lane=True) as on_coarse:
+        P_fine = 1j * _pull_back(bg2, R2, np.empty((n, bg2.m_beta)))[0]
+        del R2
         grid2 = quadrature_grid(d2.m_theta, n)
         S2 = scattering_operator(d2, grid2)
-        rem, base, U, exact = on_coarse()
+        P, shift, rem, base, U, exact = on_coarse()
     symbol = _singular(rem)
     coupling = _stability(_singular(U - P), _singular(U - P_fine)["s1"])
     W2 = wave_operator(d2, grid2.first(b), tol_threshold=g.tol_threshold)
-    symbol2 = _singular(remainder(W2, S2))
+    symbol2 = _singular(remainder(P, W2, S2))
     refined = wave_identity_residual(d2, grid2, W2)
     return {
         "wave_identity": {

@@ -451,9 +451,9 @@ def _fields(payload, prefix=""):
 
 
 class TestLanes:
-    """operator_checks runs in two phases with one lane each: a worker thread
-    while no other worker of `_kernels.meanwhile` is alive, else the lane's
-    job first on the calling thread.  Both paths give the same bits and the
+    """operator_checks runs the coarse side in one lane: a worker thread while
+    no other worker of `_kernels.meanwhile` is alive, else the lane's job
+    first on the calling thread.  Both paths give the same bits and the
     serial refusal order, and the worker has ended when the call returns."""
 
     GRID = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
@@ -524,9 +524,9 @@ class TestLanes:
         away = {(name, size) for name, size, thread, _ in seen if thread != here}
         if path.serial:     # the dummy worker is the one thread started
             assert started == ["halfline-step"] and not away
-        else:               # R's transforms at 2 m_beta, and d's grid with U
-            assert started == ["halfline-step"] * 2
-            assert away == {("symbol_columns", 1024), ("cos_sin_coupling", 256)}
+        else:               # R's transforms at m_beta, and U with d's checks
+            assert started == ["halfline-step"]
+            assert away == {("symbol_columns", 512), ("cos_sin_coupling", 256)}
 
     @pytest.fixture
     def wave_grids(self, monkeypatch):
@@ -559,13 +559,24 @@ class TestLanes:
             path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=0.005))
         assert wave_grids == [256]
 
-    def test_gram_guard_at_twice_m_beta_first(self, path, monkeypatch):
+    @pytest.fixture
+    def rescale_sizes(self, monkeypatch):
+        """The m_beta at which R is formed, in order."""
         formed, form = [], rescaled.energy_rescale_matrix
 
         def spy(bg, n_site):
             formed.append(bg.m_beta)
             return form(bg, n_site)
         monkeypatch.setattr(rescaled, "energy_rescale_matrix", spy)
+        return formed
+
+    def test_gram_guard_at_twice_m_beta_first(self, path, rescale_sizes):
         with pytest.raises(hl.NumericsError, match="interior Gram defect 8.99e-04"):
             path(hl.rank_one(0.75), hl.GridSpec(beta_max=5.5))
-        assert formed == [2048]
+        assert rescale_sizes == [2048]
+
+    def test_gram_guard_at_m_beta_refuses_from_the_lane(self, path, rescale_sizes,
+                                                        wave_grids):
+        with pytest.raises(hl.NumericsError, match="interior Gram defect 9.23e-02"):
+            path(hl.rank_one(0.75), replace(self.GRID, m_beta=256))
+        assert rescale_sizes == [512, 256] and wave_grids == []

@@ -7,16 +7,18 @@ PARENT and CHANGE are checkouts of this repository; each command runs as
 `winding` and `report` run with --check, with and without --refine, on
 rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
 and 3, and without --refine on the 1,665,610-site `random_decaying` table
-with rho_gen 2.6 and on four configs that are refused: rank_one 0.51
+with rho_gen 2.6 and on six configs that are refused: rank_one 0.51
 (`scatter` and `report` exit 5 on the Levinson gate), the 400-site table of
 3.0 (exit 4, the Jost recursion overflows), rank_one 0.75 at small grids
-with z_max 1.05 (exit 4, z_max too small) and rank_one 0.75 with beta_max
+with z_max 1.05 (exit 4, z_max too small), rank_one 0.75 with beta_max
 5.5 (`waveop` and `report` exit 4: R's interior Gram defect exceeds its
 guard, and the message names it; at this window the defect peaks on the
 block's last site, so a guard that reads a different block prints another
-value), and rank_one 0.5 with the threshold tolerance 0.05 (`waveop` and
-`report` exit 4: the coarse cut grid is resonant, which the operator stage
-finds on a lane).  `validate` runs once per config.
+value), rank_one 0.75 with m_beta 512 (`waveop` and `report` exit 4: R at
+2 m_beta passes its guard and R at m_beta, formed on the operator stage's
+lane, does not), and rank_one 0.5 with the threshold tolerance 0.05
+(`waveop` and `report` exit 4: the coarse cut grid is resonant, which the
+operator stage finds on its lane).  `validate` runs once per config.
 One more run per config and tree, `python -c LIBRARY`, prints the exact bits
 of library results that no command writes, or what they raise:
 `decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
@@ -28,7 +30,7 @@ sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
 `wave_identity_residual`.  The four commands also run once per config
 without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
 from `report` alone).  Last, each tree runs its own copy of each of the four
-demos in `demos/`, whose stdout every change keeps: 120 runs.
+demos in `demos/`, whose stdout every change keeps: 130 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash; every run
@@ -68,6 +70,8 @@ CONFIGS = (
                               "z_max": 1.05}}, False),
     ("beta_max_5.5", {"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
                       "grids": {"beta_max": 5.5}}, False),
+    ("m_beta_512", {"potential": {"kind": "rank_one", "v0": 0.75, "rho": 3.0},
+                    "grids": {"m_beta": 512}}, False),
     ("resonant_0.5", {"potential": {"kind": "rank_one", "v0": 0.5, "rho": 3.0},
                       "tolerances": {"threshold": 0.05}}, False),
 )
