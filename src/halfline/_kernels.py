@@ -6,61 +6,32 @@ kept rows, the scattering edge, the bound-state scan and its bisection
 midpoints, the thresholds, the bound states and the decay scan.  Only
 `regular_values`, which steps n_site rows and not the table, stays numpy.
 Each point is stepped on its own, so a value does not depend on its batch.
-
-`jost_scaled` and `jost_function_values` take each point in its own
-coordinate, and step it in real lanes.  `jost_points` is the one check of
-that coordinate, for them and for the solutions of `halfline.solutions`;
-any other input is refused with a ValueError: a real z with |z| < 1 or 2z
-not finite (NaN and +-inf among them), a complex zeta off the unit circle.
-  - A real array holds points z with |z| >= 1 and 2z finite, the
-    thresholds included; the kernel takes z and zeta = `off_axis_zeta(z)`,
-    forms 2z and zeta^2, and returns float64.  Each is one lane of the
-    scaled recursion t = theta/zeta^n, t(n-1) = ((2z - 2V(n)) zeta) t(n) -
-    zeta^2 t(n+1), in the operations of the complex per-site numpy loop
-    (`reference_jost_rows` in the tests), whose values it equals bit for bit.
-  - A complex array holds points zeta on the cut, |zeta| = 1; the kernel
-    takes 2z = 2 Re zeta, and returns complex128.  Each is two lanes, re and
-    im, in split layout (`_step.c`), of the unscaled theta~(n-1) = fma(2z -
-    2V(n), theta~(n), -theta~(n+1)) from (theta~(L-1), theta~(L)) = (1, zeta);
-    Omega = zeta^L theta~(-1), unfused, with zeta^L to a few ulps.  Its error
-    grows like L^2 eps near the thresholds, where the two solutions meet, as
-    the complex loop's does, and is far smaller than that loop's elsewhere.
-`_jost` is the one caller of the step: it hands it the points as
-`jost_points` returns them, contiguous float64 or complex128, and the array
-of rows, at least one, which the step writes in place.  The kept rows are
-zeta theta(n) = zeta^(n+1) t(n), n = -1..n_keep, so row 0 is Omega, the one
-copy the step writes; past the table they are the free tail zeta^(n+1).
-On a table of SPLIT_SITES sites or more and a machine with a second CPU,
-the second half of the points is stepped meanwhile on a worker thread
-(`meanwhile`; ctypes releases the GIL for the call).  `halfline report` runs
-its stages in two such lanes: the grid-free stages beside the cut grids, in
-`scattering.scattering_grids`, then the scattering edge beside the operator
-stage, whose BLAS `one_blas_thread` holds to one thread so that the two
-lanes fit two CPUs.
-The operator stage's coarse side is one lane (`meanwhile(..., lane=True)`):
-it takes a worker only while no other worker of `meanwhile` is alive, and
-runs on the calling thread otherwise, so the stage never makes a third thread.
-
-`decay_scan` returns per site the max over cut points of |t(n) - 1|, which
-`solutions.decay_scan` judges: beside each point a phase g = conj(zeta)^(L-1-n)
-turns one product per site, the step raises the max of |theta~(n) - g|^2 =
-|t(n) - 1|^2 (NaN if any is), and one square root ends it.  Each half of a
-split raises its own row, and the rows are merged.
-
-A call pays for whole blocks of BLOCK points, which the bound-state bisection
-fills with the midpoints of its next levels (`scattering._bisect`).
-`sturm_counts`, the library's `sturm`, is the count oracle: Sturm counts from
-LDL^T pivots, four chains side by side, independent of the Jost step.
-
-The first import builds `_step.c` with gcc and CFLAGS into the build
-artifact `__pycache__/_step-<hash>.so` beside this file, named by the hash
-of the source and the flags; it compiles to a temporary file, renames it
-into place and deletes the artifacts of other hashes, and later imports only
-load it.  Without gcc on PATH, or without a writable `__pycache__`, the
-import raises an ImportError that says which.
-
 Backward stepping is stable: off the cut the unwanted solution decays like
 zeta^(-2n) toward smaller n, and on the cut both solutions stay bounded.
+
+`jost_scaled` and `jost_function_values` take each point in its own
+coordinate; `jost_points` is the one check of it, for them and for
+`halfline.solutions`.
+  - A real z, |z| >= 1 and 2z finite, is one lane of the scaled recursion
+    t = theta/zeta^n, t(n-1) = ((2z - 2V(n)) zeta) t(n) - zeta^2 t(n+1),
+    zeta = `off_axis_zeta(z)`: float64, bit for bit the complex per-site
+    numpy loop (`reference_jost_rows` in the tests).
+  - A complex zeta on the cut is two lanes, re and im, of the unscaled
+    theta~(n-1) = fma(2z - 2V(n), theta~(n), -theta~(n+1)) from
+    (theta~(L-1), theta~(L)) = (1, zeta), 2z = 2 Re zeta; Omega = zeta^L
+    theta~(-1), unfused, with zeta^L to a few ulps: complex128.  Its error
+    grows like L^2 eps near the thresholds, as the complex loop's does, and
+    is far smaller than that loop's elsewhere.
+`_jost` is the one caller of the step.  The kept rows are zeta theta(n) =
+zeta^(n+1) t(n), n = -1..n_keep, so row 0 is Omega, the one copy the step
+writes; past the table they are the free tail zeta^(n+1).
+
+One rule decides where the step runs (`meanwhile`, `_split`): a thread is
+started only for work above FLOOR site blocks while a CPU is idle, that is
+while the calling thread and the live `meanwhile` workers number fewer than
+CPUS.  A call above FLOOR is cut into chunks, which its thread takes, with a
+worker while a CPU is idle and any thread that would block joining it.
+The first import builds `_step.c` (`_build`); later imports only load it.
 """
 
 from __future__ import annotations
@@ -69,12 +40,10 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import os
-import re
-import shutil
-import subprocess
-import tempfile
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,15 +52,20 @@ import numpy as np
 CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
           "-shared", "-fPIC")
 
-#: table sites from which the second half of a grid's points is stepped on a
-#: worker thread.  A call alone gains from the split on shorter tables too
-#: (2 vCPUs, a 246,621-site table: its 2,048-point edge 29-30 ms split against
-#: 51-56 ms), but there `report`'s own lanes already hold both CPUs
-SPLIT_SITES = 2 ** 19
+#: site blocks (table sites times blocks of BLOCK points) above which a call is
+#: cut into chunks and a job may take a thread: about 0.5 ms of lanes, against
+#: 0.10-0.13 ms for a thread's start and join (2 vCPUs)
+FLOOR = 100_000
+
+CPUS = os.cpu_count() or 1
 
 
 def _build() -> str:
-    """The path of the compiled step, built from `_step.c` if absent."""
+    """The path of the compiled step `__pycache__/_step-<hash>.so` beside this
+    file, named by the hash of the source and the flags.  If absent it is
+    built through a temporary file renamed into place, and the artifacts of
+    other hashes are deleted.  Without gcc on PATH, or without a writable
+    `__pycache__`, an ImportError says which."""
     here = os.path.dirname(os.path.abspath(__file__))
     source = os.path.join(here, "_step.c")
     with open(source, "rb") as f:
@@ -100,6 +74,7 @@ def _build() -> str:
     lib = os.path.join(cache, f"_step-{tag}.so")
     if os.path.exists(lib):
         return lib
+    import re, shutil, subprocess, tempfile     # the build alone needs them
     gcc = shutil.which("gcc")
     if gcc is None:
         raise ImportError(f"no C compiler (gcc) on PATH to build {source}")
@@ -138,60 +113,61 @@ def _entry(name, *argtypes, restype=None):
     return fn
 
 
-#: points per block of the lane step (`block_lanes` of `_step.c`)
+#: points per block of the lane step (`block_lanes` of `_step.c`): a call pays
+#: for whole blocks, which `scattering._bisect` fills with midpoints
 BLOCK = ctypes.c_long.in_dll(_LIB, "block_lanes").value
 
 
 #: lanes(V, L, n, cut, x, zeta, rows, width, n_rows, dev) steps the n points
 #: x (z with its zeta, or a complex zeta) down the table, writing n_rows >= 1
-#: rows to rows, Omega as row 0: see `_step.c`
+#: rows to rows, Omega as row 0 (`_step.c`); ctypes releases the GIL for it
 _LANES = _entry("lanes", None, int, int, int, None, None, None, int, int, None)
 
-#: sturm(d, n, c2, b, nb, count) writes to count[j] the number of eigenvalues
-#: beyond +-b[j] of the symmetric tridiagonal matrix with diagonal d and
-#: squared off-diagonal c2, and returns 1 + the first j whose pivots end NaN,
-#: else 0
+#: sturm(d, n, c2, b, nb, count) writes the counts of `sturm_counts` to count
+#: and returns 1 + its nan
 _STURM = _entry("sturm", None, int, float, None, int, None, restype=ctypes.c_long)
 
 
-#: guards the counts below, which every thread of the process shares
-_lock = threading.Lock()
+#: guards the state below; a joining thread waits on it for the worker's next call
+_lock = threading.Condition()
 
 #: workers of `meanwhile` that have started and not yet ended
 _workers = 0
 
+#: .job: the `meanwhile` job that the current thread runs, on a worker
+_here = threading.local()
+
 
 @contextlib.contextmanager
-def meanwhile(fn, *args, lane=False):
-    """fn(*args) on a worker thread while the block runs; yields a function
-    that joins it and returns its value or raises its exception.  It has
-    ended when the block is left, and an exception of the block goes first.
-
-    A lane (lane=True) takes a worker only while no other worker of
-    `meanwhile` is alive, in any thread: otherwise fn(*args) runs at once on
-    the calling thread, before the block, as the two would run one after the
-    other, and an exception of it is raised there."""
+def meanwhile(fn, *args, work=math.inf):
+    """fn(*args) on a worker while the block runs if its work in site blocks is
+    above FLOOR and a CPU is idle, else on the calling thread at the join;
+    yields the join, which returns its value or raises its exception.  An
+    exception of the block goes first; the worker has ended when the block is
+    left, and a joining thread helps it (`_join`)."""
     global _workers
     with _lock:
-        serial = lane and _workers > 0
-        if not serial:
+        alone = not (work > FLOOR and 1 + _workers < CPUS)
+        if not alone:
             _workers += 1
-    if serial:
-        value = fn(*args)
-        yield lambda: value
+    if alone:
+        yield lambda: fn(*args)
         return
-    out = {}
+    job = SimpleNamespace(call=None, done=False, error=None)
 
-    def work():
+    def run():
         global _workers
+        _here.job = job
         try:
-            out["value"] = fn(*args)
+            job.value = fn(*args)
         except BaseException as exc:        # an interrupt too
-            out["error"] = exc
+            job.error = exc
         finally:
             with _lock:
                 _workers -= 1
-    worker = threading.Thread(target=work, name="halfline-step")
+                job.done = True
+                _lock.notify_all()
+    worker = threading.Thread(target=run, name="halfline-step")
     try:
         worker.start()
     except BaseException:
@@ -200,14 +176,72 @@ def meanwhile(fn, *args, lane=False):
         raise
 
     def result():
-        worker.join()
-        if "error" in out:
-            raise out["error"]
-        return out["value"]
+        _join(job)
+        if job.error is not None:
+            raise job.error
+        return job.value
     try:
         yield result
     finally:
+        _join(job)
         worker.join()
+
+
+def _join(job):
+    """Wait until the worker of job has ended, taking meanwhile in slot 2 the
+    chunks that remain of each call it opens."""
+    call = None
+    while True:
+        with _lock:
+            _lock.wait_for(lambda: job.done or job.call is not None and job.call is not call)
+            if job.done:
+                return
+            call = job.call
+        with call.helping:
+            _take(call, 2)
+
+
+def _take(call, slot):
+    """step(lo, hi, slot) on each chunk of call that no thread has taken; one
+    that fails ends the call, and its exception goes to call.error."""
+    while True:
+        with _lock:
+            chunk = next(call.chunks, None)
+        if chunk is None:
+            return
+        try:
+            call.step(*chunk, slot)
+        except BaseException as exc:        # an interrupt too
+            call.error, call.chunks = exc, iter(())
+
+
+def _split(step, sites, n):
+    """step(lo, hi, slot) over the points 0..n on a table of sites sites: one
+    step(0, n, 0) at or below FLOOR site blocks or within one block.  Above,
+    chunks of whole blocks, about FLOOR / 2 site blocks each, taken by this
+    thread in slot 0, a worker in slot 1 while a CPU is idle, and on a
+    `meanwhile` worker the thread that joins it in slot 2.  All have ended on
+    return, and a chunk's exception is raised here."""
+    blocks = -(-n // BLOCK)
+    if sites * blocks <= FLOOR or blocks < 2:
+        return step(0, n, 0)
+    width = BLOCK * max(1, FLOOR // (2 * sites))
+    chunks = iter([(lo, min(lo + width, n)) for lo in range(0, n, width)])
+    call = SimpleNamespace(step=step, chunks=chunks, helping=threading.Lock(), error=None)
+    job = getattr(_here, "job", SimpleNamespace())     # a worker's, or one no thread joins
+    try:
+        with _lock:
+            job.call = call
+            _lock.notify_all()
+        with meanwhile(_take, call, 1, work=sites * blocks) as worker:
+            _take(call, 0)
+            worker()
+    finally:
+        job.call = None
+        with call.helping:                  # a chunk of the joining thread has ended
+            pass
+    if call.error is not None:
+        raise call.error
 
 
 @functools.cache
@@ -233,13 +267,11 @@ _blas_found = 0
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """numpy's OpenBLAS on one thread while the block runs.  A product's sums
-    then do not depend on the thread count, and BLAS threads do not compete
-    with a `meanwhile` worker for the CPUs.  The count is process-wide, so
-    the workers that the block starts run on one thread too.  Sections may
-    overlap, in one thread or several: the first to enter sets one thread,
-    and the last to leave sets the count that the first found.  Without
-    OpenBLAS the block runs as is."""
+    """numpy's OpenBLAS on one thread while the block runs, so that a product's
+    sums do not depend on the thread count and BLAS leaves the other CPU to a
+    worker; the count is process-wide.  Sections may overlap, in any threads:
+    the first to enter sets one thread, the last to leave restores the count
+    that the first found.  Without OpenBLAS the block runs as is."""
     global _blas_sections, _blas_found
     blas = _openblas()
     if blas is None:
@@ -260,16 +292,6 @@ def one_blas_thread():
                 set_(_blas_found)
 
 
-def _halves(fn, V, n):
-    """[fn(0, n)], or for a long table on a machine with a second CPU
-    [fn(0, half), fn(half, n)], the second on a worker thread that has ended
-    when this returns.  An exception in either half reaches the caller."""
-    if V.shape[0] < SPLIT_SITES or n < 2 or (os.cpu_count() or 1) < 2:
-        return [fn(0, n)]
-    with meanwhile(fn, n // 2, n) as second:
-        return [fn(0, n // 2), second()]
-
-
 def off_axis_zeta(z):
     """zeta(z) = sign(z) / (|z| + sqrt(z^2 - 1)) for real |z| >= 1, which does
     not cancel for large |z|.  Above 1e150, where z^2 may overflow,
@@ -281,12 +303,11 @@ def off_axis_zeta(z):
 
 def jost_points(x):
     """(x, zeta) for the Jost points x as contiguous float64 or complex128
-    arrays, which the compiled step reads in place: a real z with |z| >= 1
-    and 2z finite, the thresholds +-1 among them, has zeta = `off_axis_zeta(z)`;
-    a complex zeta is a point on the cut.  Any other point is refused with a
-    ValueError, the same test for every kernel and every solution: a complex
-    zeta with ||zeta|^2 - 1| above 1e-15 or not finite, a real z with |z| < 1,
-    NaN or 2z not finite."""
+    arrays, which the compiled step reads in place: a real z, |z| >= 1 and 2z
+    finite, has zeta = `off_axis_zeta(z)`; a complex zeta lies on the cut.
+    Any other point is refused with a ValueError, for every kernel and
+    solution: a zeta with ||zeta|^2 - 1| above 1e-15 or not finite, a real z
+    with |z| < 1, NaN or 2z not finite."""
     x = np.atleast_1d(x)
     if np.iscomplexobj(x):
         x = np.ascontiguousarray(x, np.complex128)
@@ -301,32 +322,31 @@ def jost_points(x):
 
 def _jost(V, x, n_rows, dev=None):
     """The rows zeta theta(n) for n = -1..n_rows-2 on every point, n_rows >= 1,
-    row 0 Omega: real x as z, complex x as zeta.  Given dev of shape (2, L - 1),
-    the decay reduction of the first half of the points goes to dev[0] and of
-    the second to dev[1].  A split (`_halves`) cuts between points."""
+    row 0 Omega: real x as z, complex x as zeta.  Given dev of shape (3, L - 1),
+    the decay reduction of the points of each dev slot (`_split`) goes to its row."""
     V, (x, zeta) = np.ascontiguousarray(V, dtype=np.float64), jost_points(x)
     cut, n = np.iscomplexobj(x), x.shape[0]
-    rows = np.empty((n_rows, n), x.dtype) if cut else np.ones((n_rows, n))
+    # kept rows on a 64-byte boundary: 16 bytes past one, their stores ran 1.4x slower
+    buf = np.empty(n_rows * x.nbytes + 64, np.uint8)
+    rows = np.ndarray((n_rows, n), x.dtype, buf, -buf.ctypes.data % 64 if n_rows > 1 else 0)
+    if not cut:
+        rows.fill(1.0)                      # the real lanes' free tail t = 1
 
-    def step(lo, hi):
-        d = None if dev is None else dev[int(lo > 0)].ctypes.data
+    def step(lo, hi, slot):
         _LANES(V.ctypes.data, V.shape[0], hi - lo, cut, x[lo:].ctypes.data,
-               zeta[lo:].ctypes.data, rows[:, lo:].ctypes.data, n, n_rows, d)
-    _halves(step, V, n)
+               zeta[lo:].ctypes.data, rows[:, lo:].ctypes.data, n, n_rows,
+               None if dev is None else dev[slot].ctypes.data)
+    _split(step, V.shape[0], n)
     if n_rows > 1 and not cut:              # zeta^(n+1) t(n), the power by repeated products
         rows[1:] *= np.cumprod(np.broadcast_to(zeta, (n_rows - 1, n)), axis=0)
     return rows
 
 
 def jost_scaled(V, x, n_keep):
-    """Omega(z) = zeta theta(-1) and the Jost values zeta theta(n) =
-    zeta^(n+1) t(n) for n = -1..n_keep on every point: real x is z, complex
-    x is zeta on the cut.
-
-    Returns (omega, rows), float64 for real x and complex128 for complex x;
-    rows has shape (n_keep + 2, points), row index n + 1, and its row 0 is
-    omega.  omega is a copy: a view would keep all the rows alive.
-    """
+    """(omega, rows): Omega = zeta theta(-1) and the Jost values zeta theta(n)
+    = zeta^(n+1) t(n), n = -1..n_keep, row index n + 1, on every point: real
+    x is z, giving float64, complex x is zeta on the cut, giving complex128.
+    omega is a copy of row 0: a view would keep all the rows alive."""
     rows = _jost(V, x, int(n_keep) + 2)
     return rows[0].copy(), rows
 
@@ -338,18 +358,21 @@ def jost_function_values(V, x):
 
 
 def decay_scan(V, zeta):
-    """max over the points of |t(n) - 1| for the sites n = 0..L-2, stepped
-    as cut points: every zeta must lie on |zeta| = 1."""
-    dev = np.zeros((2, max(np.shape(V)[0] - 1, 0)))
+    """max over the cut points zeta of |t(n) - 1| for the sites n = 0..L-2:
+    beside each point a phase g = conj(zeta)^(L-1-n) turns one product per
+    site, the step raises the max of |theta~(n) - g|^2 (NaN if any is) in a
+    row per slot, and the max of the rows and one square root end it."""
+    dev = np.zeros((3, max(np.shape(V)[0] - 1, 0)))
     _jost(V, np.asarray(zeta, np.complex128), 1, dev)
-    return np.sqrt(np.maximum(dev[0], dev[1]))
+    return np.sqrt(np.max(dev, axis=0))
 
 
 def sturm_counts(diagonal, c2, bounds):
     """(counts, nan): for each b in bounds, the number of eigenvalues beyond
     +-b of the symmetric tridiagonal matrix with this diagonal and squared
-    off-diagonal c2; nan is the index of the first bound whose LDL^T pivots
-    end NaN (the counts from it on are unset), or -1."""
+    off-diagonal c2, from LDL^T pivots, independent of the Jost step; nan is
+    the index of the first bound whose pivots end NaN (the counts from it on
+    are unset), or -1."""
     d = np.ascontiguousarray(diagonal, np.float64)
     b = np.ascontiguousarray(bounds, np.float64)
     counts = np.zeros(b.shape[0], np.int64)
@@ -359,17 +382,11 @@ def sturm_counts(diagonal, c2, bounds):
 
 
 def regular_values(V, two_z, n_max):
-    """Forward recursion for the regular solution, rows n = -1..n_max.
-
-    Boundary pair (0, 1); real input gives a real table.
-    """
-    two_z = np.atleast_1d(np.asarray(two_z))
-    V = np.asarray(V, dtype=float)
-    Vp = np.zeros(max(n_max + 1, 1))
-    k = min(len(V), n_max + 1)
-    Vp[:k] = V[:k]
+    """Forward recursion for the regular solution, rows n = -1..n_max, from
+    the boundary pair (0, 1); real input gives a real table."""
+    two_z, V = np.atleast_1d(np.asarray(two_z)), np.asarray(V, dtype=float)
     out = np.zeros((n_max + 2, two_z.shape[0]), dtype=np.result_type(two_z.dtype, np.float64))
     out[1] = 1.0
-    for n in range(0, n_max):
-        out[n + 2] = (two_z - 2.0 * Vp[n]) * out[n + 1] - out[n]
+    for n in range(n_max):
+        out[n + 2] = (two_z - 2.0 * (V[n] if n < len(V) else 0.0)) * out[n + 1] - out[n]
     return out

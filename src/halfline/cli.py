@@ -116,10 +116,6 @@ def load_config(path: str, refine: bool = False):
     return potential, g, normalized["outputs"], normalized, cfg_hash
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write(outputs: dict, name: str, text: str):
     """Write text to outputs/name; a file that cannot be written is a config error."""
     try:
@@ -128,14 +124,16 @@ def _write(outputs: dict, name: str, text: str):
         raise ConfigError(f"cannot write the output file: {exc}") from None
 
 
-def _write_csv(outputs: dict, name: str, header: list, rows, cfg_hash: str):
-    """Write outputs/name when the config asks for csv files; rows may be lazy."""
+def _write_csv(outputs: dict, name: str, header: list, columns, cfg_hash: str):
+    """Write outputs/name when the config asks for csv files, one row per
+    index of the columns that columns() returns, called only then: a list
+    is written as its strings, and any other column as numbers in %.17g."""
     if "csv" not in outputs["formats"]:
         return
-    lines = [f"# config={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+    cols = columns()
+    row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in cols)
+    rows = zip(*(c if isinstance(c, list) else np.asarray(c, float).tolist() for c in cols))
+    lines = [f"# config={cfg_hash}", ",".join(header), *(row % r for r in rows)]
     _write(outputs, name, "\n".join(lines) + "\n")
 
 
@@ -197,17 +195,14 @@ def _start(args):
 
 def _scatter(d: ScatteringData, outputs: dict, cfg_hash: str) -> dict:
     """Write scatter.csv and boundstates.csv of d; returns its summary."""
-    rows = zip(d.lam, d.theta, d.omega.real, d.omega.imag, d.amplitude,
-               d.eta, d.smatrix.real, d.smatrix.imag)
     _write_csv(outputs, "scatter.csv",
-               ["lambda", "theta", "re_omega", "im_omega", "amplitude",
-                "eta", "re_s", "im_s"], rows, cfg_hash)
-
-    def bs_rows():         # stepped only when the csv file is written
-        z = d.bound_states
-        residual = np.abs(_kernels.jost_function_values(d.potential.values, z))
-        yield from zip(z, _kernels.off_axis_zeta(z), residual)
-    _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"], bs_rows(), cfg_hash)
+               ["lambda", "theta", "re_omega", "im_omega", "amplitude", "eta", "re_s", "im_s"],
+               lambda: (d.lam, d.theta, d.omega.real, d.omega.imag, d.amplitude, d.eta,
+                        d.smatrix.real, d.smatrix.imag), cfg_hash)
+    z = d.bound_states
+    _write_csv(outputs, "boundstates.csv", ["z", "zeta", "residual"],
+               lambda: (z, _kernels.off_axis_zeta(z),
+                        np.abs(_kernels.jost_function_values(d.potential.values, z))), cfg_hash)
     em, ep = eta_endpoints(d)
     return {
         "count_n": d.count_n,
@@ -257,11 +252,12 @@ def cmd_winding(p, g, outputs, normalized, cfg_hash):
         d = scattering_grid(p, g)
         curve = assemble_boundary(d, g, edge())
     report = winding_number(curve, tol_winding=g.tol_winding, count_n=d.count_n)
-    ph = np.unwrap(np.angle(curve.points))
-    rows = ((name, curve.params[i], curve.points[i].real, curve.points[i].imag, ph[i])
-            for name in EDGE_ORDER for i in range(len(ph))[curve.edge_slices[name]])
-    _write_csv(outputs, "winding.csv",
-               ["edge", "param", "re", "im", "phase_unwrapped"], rows, cfg_hash)
+    # the edges are concatenated in EDGE_ORDER
+    _write_csv(outputs, "winding.csv", ["edge", "param", "re", "im", "phase_unwrapped"],
+               lambda: ([name for name in EDGE_ORDER
+                         for _ in range(len(curve.points))[curve.edge_slices[name]]],
+                        curve.params, curve.points.real, curve.points.imag,
+                        np.unwrap(np.angle(curve.points))), cfg_hash)
     _write_json(outputs, "winding.json", {**_winding_keys(report),
                                           "n_from_scattering": d.count_n}, cfg_hash)
     return (f"winding: {report.winding} (N={d.count_n}, match={report.match})",

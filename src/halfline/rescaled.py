@@ -219,22 +219,17 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
       wave_identity:   the defect of W_- = 1 + (U+1)/2 (S-1) + K0 Fsin on
                        the interior block, on both cut grids.
 
-    R at 2 m_beta is formed and guarded first.  Then one lane
-    (`_kernels.meanwhile` with lane=True: a worker thread while no other
-    worker is alive, else the lane's job first on this thread) runs the
-    coarse side: R at m_beta, guarded, its pull-backs and the shift
-    remainder, then on d's cut grid W_-, S, the wave-symbol remainder, U,
-    the wave identity and the exact shift identity.  Meanwhile this thread
-    pulls the symbol back through R at 2 m_beta and forms d2's grid and its
-    S, which refuse nothing once GridSpec holds m_theta >= 2 n_site (only a
-    d2 on fewer than 2 n_site nodes is refused there, "grid too small").
-    Each R is released once pulled back: kept alive, the two raised the
-    peak RSS of `report --refine` by 5.5 MB.  After the join come the
-    remainders' SVDs, the coupling's stability, then W_- and the wave
-    identity on d2's grid.  The values do not depend on the lane, and the refusals come in
-    the serial order: the Gram guards at 2 m_beta and m_beta, a resonant
-    grid on d, the coupling "not convergent", a resonant grid on d2, the
-    wave symbol "not convergent".
+    R at 2 m_beta is formed and guarded first.  The coarse side then runs
+    through `_kernels.meanwhile`: R at m_beta, guarded, its pull-backs and
+    the shift remainder, then on d's grid W_-, S, the wave-symbol remainder,
+    U and both identities.  Before the join this thread pulls the symbol
+    back through R at 2 m_beta and forms d2's S, which refuses nothing under
+    GridSpec.  Each R is released once pulled back: kept alive, the two
+    raised the peak RSS of `report --refine` by 5.5 MB.  After the join come
+    the SVDs, the coupling's stability, then W_- and the wave identity on
+    d2.  The values do not depend on the thread, and the refusals keep the
+    serial order: the Gram guards at 2 m_beta and m_beta, a resonant d, the
+    coupling "not convergent", a resonant d2, the wave symbol "not convergent".
     """
     n, b = g.n_site, g.n_site // 2
     bg2 = beta_grid(2 * g.m_beta, g.beta_max)
@@ -258,7 +253,7 @@ def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
         return P, shift, rem, wave_identity_residual(d, grid, W), U, \
             shift_identity_residual(grid, U)
 
-    with _kernels.meanwhile(coarse, lane=True) as on_coarse:
+    with _kernels.meanwhile(coarse) as on_coarse:
         P_fine = 1j * _pull_back(bg2, R2, np.empty((n, bg2.m_beta)))[0]
         del R2
         grid2 = quadrature_grid(d2.m_theta, n)

@@ -59,9 +59,7 @@ class ScatteringData:
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the Jost values zeta theta(n) = zeta^(n+1) t(n) at the grid's
     zeta = e^(-i theta) for n = -1..n_rows-2, row index n + 1; omega is its
-    row 0.  `scattering_grid` keeps n_rows = n_site + 1 rows;
-    `scattering_grids`, the builder of `halfline report` and `waveop`, keeps
-    the n_site/2 + 1 that the operator stage's correction kernel reads.
+    row 0; `scattering_grids` sets n_rows.
     """
 
     potential: Potential
@@ -214,38 +212,31 @@ def grid_free_fields(p: Potential, g: GridSpec, z_max: float) -> dict:
                 bound_states=roots, count_n=count)
 
 
-def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
+def scattering_grids(p: Potential, g: GridSpec, m_thetas, n_rows: int | None = None) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
-    m_thetas points, each with g's other settings and the n_site/2 + 1 Jost
-    rows that the operator stage's correction kernel reads: the builder of
-    `halfline report` and `waveop`.
-
-    An m_theta below 2, too few nodes for `eta_endpoints`, is refused first,
-    then a z_max whose scan would overflow.  The grid-free stages
-    (`grid_free_fields`) then step on a worker thread (`_kernels.meanwhile`)
-    while this thread steps each cut grid (`cut_grid_fields`); they read
-    nothing of each other.  A cut grid's refusal goes first, and a refusal
-    of the grid-free stages is raised at the join: the order of the serial
-    stages of `scattering_grid`.
-    """
+    m_thetas points, each with g's other settings and n_rows Jost rows, by
+    default the n_site/2 + 1 that the operator stage reads.  An m_theta
+    below 2 is refused first, then a z_max whose scan would overflow.  The
+    grid-free stages (`grid_free_fields`) run through `_kernels.meanwhile`,
+    with their scan's work, while this thread steps each cut grid
+    (`cut_grid_fields`), so a cut grid's refusal goes first, and theirs is
+    raised at the join."""
     m_thetas = list(m_thetas)       # read twice: an iterator would be spent
     if bad := [m for m in m_thetas if not (_is_int(m) and m >= 2)]:
         raise ValueError(f"m_theta must be a positive integer of at least 2, not {bad[0]!r}")
     z_max = g.effective_z_max(p)
-    with _kernels.meanwhile(grid_free_fields, p, g, z_max) as free:
-        on_grid = [cut_grid_fields(p, m, g.n_site // 2 + 1) for m in m_thetas]
+    n_rows = g.n_site // 2 + 1 if n_rows is None else n_rows
+    scan = p.support_end * (2 * SCAN_POINTS // _kernels.BLOCK)
+    with _kernels.meanwhile(grid_free_fields, p, g, z_max, work=scan) as free:
+        on_grid = [cut_grid_fields(p, m, n_rows) for m in m_thetas]
         shared = free()
     return [ScatteringData(potential=p, **fields_, **shared) for fields_ in on_grid]
 
 
 def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
     """All scattering data of p on the theta-midpoint grid of g, with the
-    Jost rows of all n_site sites: the stages of `scattering_grids` on one
-    grid, one after the other in the caller's thread.  A worker would cost a
-    short table more than it saves (`levinson_sweep` in `bench/run.py`)."""
-    z_max = g.effective_z_max(p)
-    on_grid = cut_grid_fields(p, g.m_theta, g.n_site + 1)
-    return ScatteringData(potential=p, **on_grid, **grid_free_fields(p, g, z_max))
+    Jost rows of all n_site sites (`scattering_grids`)."""
+    return scattering_grids(p, g, [g.m_theta], g.n_site + 1)[0]
 
 
 def eta_endpoints(d: ScatteringData):

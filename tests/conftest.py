@@ -27,6 +27,13 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Every test sees two CPUs, so that where `_kernels` runs work does not
+    depend on the machine."""
+    monkeypatch.setattr(_kernels, "CPUS", 2)
+
+
 @pytest.fixture(scope="session")
 def grid_default():
     return hl.GridSpec()          # m_theta=512, n_site=128, m_beta=1024

@@ -83,6 +83,18 @@ def test_missing_compiler_is_an_import_error(copy, tmp_path_factory):
     assert artifacts(copy) == []
 
 
+def test_loading_imports_no_build_module():
+    # with the artifact present, as importing it here leaves it,
+    # importing the command line needs no subprocess
+    from halfline import _kernels       # builds the artifact if it is missing
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", "import halfline.cli, sys; "
+                             "print('subprocess' in sys.modules)"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_source_ships_as_package_data():
     with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as f:
         config = tomllib.load(f)

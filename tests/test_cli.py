@@ -713,12 +713,18 @@ class TestEdgeWorker:
 
 class TestGridFreeWorker:
     """waveop and report step the grid-free stages (thresholds, bound states)
-    on a worker thread while the caller's thread steps the two cut grids.
-    The worker is joined on every path; a cut grid's refusal goes first and
-    the grid-free stages' comes at the join, as when they ran one after the
-    other."""
+    on a worker thread while the caller's thread steps the two cut grids,
+    where the bound-state scan's work is above the floor, here lowered to 0
+    (below it they run on the caller's thread after the cut grids:
+    `TestBuilderThreads` in test_scattering.py).  The worker is joined on
+    every path; a cut grid's refusal goes first and the grid-free stages'
+    comes at the join, as when they ran one after the other."""
 
     RANK_ONE = {"kind": "rank_one", "v0": 0.75, "rho": 3.0}
+
+    @pytest.fixture(autouse=True)
+    def above_the_floor(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "FLOOR", 0)
 
     @pytest.fixture
     def slow_free(self, monkeypatch):

@@ -408,9 +408,9 @@ class TestOneBlasThread:
 
     def test_counts_under_contention(self):
         # eight threads on two CPUs enter and leave BLAS sections, and now and
-        # then a lane, with a short switch interval: a lost update of either
-        # count leaves it above zero, a section on two threads or the count
-        # found unrestored
+        # then a `meanwhile` block, with a short switch interval: a lost update
+        # of either count leaves it above zero, a section on two threads or the
+        # count found unrestored
         blas = _kernels._openblas()
         if blas is None:
             pytest.skip("numpy links no OpenBLAS")
@@ -424,8 +424,8 @@ class TestOneBlasThread:
                 with _kernels.one_blas_thread():
                     inside.add(get())
                 if k % 100 == 0:
-                    with _kernels.meanwhile(int, lane=True) as lane:
-                        lane()
+                    with _kernels.meanwhile(int) as job:
+                        job()
         try:
             sys.setswitchinterval(1e-6)
             workers = [threading.Thread(target=churn) for _ in range(8)]
@@ -451,10 +451,10 @@ def _fields(payload, prefix=""):
 
 
 class TestLanes:
-    """operator_checks runs the coarse side in one lane: a worker thread while
-    no other worker of `_kernels.meanwhile` is alive, else the lane's job
-    first on the calling thread.  Both paths give the same bits and the
-    serial refusal order, and the worker has ended when the call returns."""
+    """operator_checks runs the coarse side through `_kernels.meanwhile`: on
+    a worker thread while a CPU is idle, else on the calling thread at the
+    join.  Both paths give the same bits and the serial refusal order, and
+    the worker has ended when the call returns."""
 
     GRID = hl.GridSpec(m_theta=256, n_site=64, m_beta=512)
 
@@ -558,6 +558,24 @@ class TestLanes:
         with pytest.raises(hl.NumericsError, match="not convergent"):
             path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=0.005))
         assert wave_grids == [256]
+
+    @pytest.mark.parametrize("tol, refusal", [(1e-3, "not convergent: the wave symbol"),
+                                              (0.005, "resonant grid")],
+                             ids=["wave_symbol", "resonant_refined_first"])
+    def test_wave_symbol_refusal_last(self, path, wave_grids, monkeypatch, tol, refusal):
+        # the second stability check, the wave symbol's, refuses: after W_-
+        # on d2's grid, and after its resonant-grid refusal
+        calls, stability = [], rescaled._stability
+
+        def refuse_second(base, s1_fine):
+            calls.append(s1_fine)
+            if len(calls) == 2:
+                raise hl.NumericsError("not convergent: the wave symbol refuses")
+            return stability(base, s1_fine)
+        monkeypatch.setattr(rescaled, "_stability", refuse_second)
+        with pytest.raises(hl.NumericsError, match=refusal):
+            path(hl.rank_one(0.5), replace(self.GRID, tol_threshold=tol))
+        assert wave_grids == [256, 512]
 
     @pytest.fixture
     def rescale_sizes(self, monkeypatch):

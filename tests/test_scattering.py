@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 import time
 import warnings
@@ -41,11 +42,31 @@ KERNEL_POTENTIALS = {
 
 @pytest.fixture
 def split_all(monkeypatch):
-    """Split every grid of two points or more across a worker thread, on
-    any machine; the monkeypatch, to undo it."""
-    monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)
-    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
+    """Cut every call of two blocks or more into chunks of one block, which a
+    worker takes beside the calling thread; the monkeypatch, to undo it."""
+    monkeypatch.setattr(_kernels, "FLOOR", 0)
     return monkeypatch
+
+
+class Steps(list):
+    """(first point, thread) of each call of the compiled step; .slow_here:
+    whether this thread's calls, and not the others', start 2 ms late."""
+    slow_here = False
+
+
+@pytest.fixture
+def spied_steps(monkeypatch):
+    """The calls of the compiled step, those of the threads that are not
+    slow 2 ms late, so that every thread takes chunks wherever it may."""
+    seen, lanes, here = Steps(), _kernels._LANES, threading.get_ident()
+
+    def spy(V, L, n, cut, x, *args):
+        if (threading.get_ident() == here) == seen.slow_here:
+            time.sleep(0.002)
+        seen.append((x, threading.get_ident()))
+        lanes(V, L, n, cut, x, *args)
+    monkeypatch.setattr(_kernels, "_LANES", spy)
+    return seen
 
 
 def kept_powers(zeta, n_rows):
@@ -212,7 +233,7 @@ class TestJostFunction:
                 form()
 
     def test_split_grid_matches_whole(self, split_all):
-        # halves stepped by this thread and by a worker thread
+        # chunks stepped by this thread and by a worker thread
         p = KERNEL_POTENTIALS["short_random"]
         th = (np.arange(65) + 0.5) * np.pi / 65
         zeta, z = np.exp(-1j * th), 1.0 + np.geomspace(2.0, 1e-9, 33)
@@ -221,42 +242,133 @@ class TestJostFunction:
                  lambda: _kernels.jost_scaled(p.values, zeta, 9)[1],
                  lambda: hl.decay_scan(p, 65))
         split = [form() for form in forms]
-        split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
+        split_all.setattr(_kernels, "FLOOR", 2 ** 62)
         whole = [form() for form in forms]
         for a, b in zip(split[:3], whole[:3]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert split[3] == whole[3]
 
-    def test_split_steps_second_half_on_a_worker(self, split_all):
+    @pytest.mark.parametrize("way", ["worker", "join", "join_slowly"])
+    def test_chunked_and_helped_calls_match_whole(self, way, spied_steps):
+        # 11,066 sites: each call is above the floor, and is cut into chunks
+        # that this thread takes with a worker while the other CPU is idle,
+        # or that this thread takes when it joins the worker that opened it;
+        # joining slowly, its last chunk ends after the worker's, which
+        # must wait for it before it scales the rows or merges the decay
+        spied_steps.slow_here = way == "join_slowly"
+        p = hl.random_decaying(978390736, rho_gen=4.0, amplitude=1.5)
+        zeta, z = np.exp(-1j * hl.theta_midpoints(2048)), 1.0 + np.geomspace(2.0, 1e-9, 1024)
+        assert p.support_end * 1024 // _kernels.BLOCK > _kernels.FLOOR
+        forms = (lambda: _kernels.jost_function_values(p.values, zeta),
+                 lambda: _kernels.jost_function_values(p.values, z),
+                 lambda: _kernels.jost_scaled(p.values, zeta, 9)[1],
+                 lambda: _kernels.jost_scaled(p.values, z, 9)[1],
+                 lambda: _kernels.decay_scan(p.values, zeta))
         threads = threading.active_count()
-        seen = []
+        for form in forms:
+            with mock.patch.object(_kernels, "FLOOR", 2 ** 62):
+                whole = form()
+            del spied_steps[:]
+            if way == "worker":
+                split = form()
+            else:
+                with _kernels.meanwhile(form) as job:
+                    split = job()
+            assert split.dtype == whole.dtype and np.array_equal(split, whole)
+            stepped_by = {thread for _, thread in spied_steps}
+            assert len(spied_steps) > 2 and len(stepped_by) == 2
+            assert threading.get_ident() in stepped_by
+            assert threading.active_count() == threads
 
-        def half(lo, hi):
-            seen.append((lo, hi, threading.get_ident()))
-            return lo
+    def test_chunks_of_whole_blocks(self):
+        # 10^6 sites: chunks of one block, taken by this thread and a worker
+        # with a slot each; a call below the floor is one step on this thread
+        seen, n = [], 5 * _kernels.BLOCK + 3
+        threads = threading.active_count()
 
-        assert _kernels._halves(half, np.zeros(3), 5) == [0, 2]
-        first, second = sorted(seen)
-        assert first == (0, 2, threading.get_ident())
-        assert second[:2] == (2, 5) and second[2] != threading.get_ident()
+        def step(lo, hi, slot):
+            time.sleep(0.01)
+            seen.append((lo, hi, slot, threading.get_ident()))
+        _kernels._split(step, 10 ** 6, n)
+        assert sorted(s[:2] for s in seen) == [(lo, min(lo + _kernels.BLOCK, n))
+                                               for lo in range(0, n, _kernels.BLOCK)]
+        assert len({s[2:] for s in seen}) == 2 and {s[2] for s in seen} == {0, 1}
         assert threading.active_count() == threads
+        del seen[:]
+        _kernels._split(step, _kernels.FLOOR // 6, n)
+        assert seen == [(0, n, 0, threading.get_ident())]
 
-    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_no_worker_while_both_cpus_are_busy(self):
+        seen, stop = [], threading.Event()
+        with _kernels.meanwhile(stop.wait):
+            threads = threading.active_count()
+            _kernels._split(lambda *chunk: seen.append(chunk), 10 ** 6, 100)
+            assert threading.active_count() == threads
+            stop.set()
+        assert [s[:2] for s in seen] == [(0, 32), (32, 64), (64, 96), (96, 100)]
+        assert {s[2] for s in seen} == {0}
+
+    def test_chunks_under_contention(self):
+        # eight threads on two CPUs open calls, half of them on a `meanwhile`
+        # worker that the thread joins at once, with a short switch interval:
+        # a lost update would step a chunk twice or never, or leave a worker
+        errors, interval = [], sys.getswitchinterval()
+
+        def churn(k):
+            try:
+                for r in range(40):
+                    seen, n = [], 7 * _kernels.BLOCK + k
+
+                    def call():
+                        _kernels._split(lambda lo, hi, slot: seen.append((lo, hi)), 10 ** 6, n)
+                    if r % 2:
+                        with _kernels.meanwhile(call) as job:
+                            job()
+                    else:
+                        call()
+                    assert sorted(seen) == [(lo, min(lo + _kernels.BLOCK, n))
+                                            for lo in range(0, n, _kernels.BLOCK)]
+            except BaseException as exc:
+                errors.append(exc)
+        try:
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=churn, args=(k,)) for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and _kernels._workers == 0
+
+    @pytest.mark.parametrize("way", ["worker", "join"])
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt],
                              ids=["ValueError", "interrupt"])
-    def test_failing_half_reaches_caller(self, split_all, failing, error):
+    def test_failing_chunk_reaches_caller(self, way, error):
+        # the third chunk fails; every chunk that started has ended when the
+        # error reaches the caller, and no chunk starts after it
         threads = threading.active_count()
-        finished = []
+        started, ended = [], []
 
-        def half(lo, hi):
-            if (lo == 0) == (failing == "first"):
-                raise error(f"{failing} half fails")
-            time.sleep(0.05)                # the other half ends after the failure
-            finished.append(lo)
+        def step(lo, hi, slot):
+            started.append(lo)
+            time.sleep(0.01)
+            if lo == 2 * _kernels.BLOCK:
+                raise error("a chunk fails")
+            ended.append(lo)
 
-        with pytest.raises(error, match=f"{failing} half fails"):
-            _kernels._halves(half, np.zeros(3), 4)
-        assert len(finished) == 1           # the worker was joined, not left running
+        def call():
+            return _kernels._split(step, 10 ** 6, 8 * _kernels.BLOCK)
+        with pytest.raises(error, match="a chunk fails"):
+            if way == "worker":
+                call()
+            else:
+                with _kernels.meanwhile(call) as job:
+                    job()
+        assert len(started) == len(ended) + 1 < 8
+        time.sleep(0.03)
+        assert len(started) == len(ended) + 1
         assert threading.active_count() == threads
 
     def test_lone_point_equals_cut_grid(self):
@@ -410,7 +522,7 @@ class TestStepBlocks:
                                                   rel=0, abs=tol)
         assert rep.empirical_c == pytest.approx(float(np.max(dev * (1.0 + np.arange(len(dev))))),
                                                 rel=0, abs=tol * len(dev))
-        split_all.setattr(_kernels, "SPLIT_SITES", 2 ** 62)
+        split_all.setattr(_kernels, "FLOOR", 2 ** 62)
         assert hl.decay_scan(p, n) == rep
 
     @settings(max_examples=150, deadline=None)
@@ -428,8 +540,7 @@ class TestStepBlocks:
         x = np.sign(np.cos(angles)) * 0.5 * (radii + 1.0 / radii) if real else np.exp(1j * angles)
         with pytest.MonkeyPatch.context() as mp:
             if split:
-                mp.setattr(_kernels, "SPLIT_SITES", 0)
-                mp.setattr(_kernels.os, "cpu_count", lambda: 2)
+                mp.setattr(_kernels, "FLOOR", 0)
             assert_forms_match_reference(values, x, n_keep)
             off = radii != 1.0
             if off.any():       # |z| or |zeta| = min(r, 1/r) < 1
@@ -456,8 +567,7 @@ class TestStepBlocks:
         zeta = np.tile(np.asarray(radii) * unit, copies)
         with pytest.MonkeyPatch.context() as mp:
             if split:
-                mp.setattr(_kernels, "SPLIT_SITES", 0)
-                mp.setattr(_kernels.os, "cpu_count", lambda: 2)
+                mp.setattr(_kernels, "FLOOR", 0)
             if any(r != 1.0 for r in radii):
                 with pytest.raises(ValueError, match=re.escape("on |zeta| = 1")):
                     _kernels.decay_scan(values, zeta)
@@ -682,7 +792,7 @@ class TestOneRecursionPerGrid:
             assert d.jost_rows.shape == (g.n_site // 2 + 1, g.m_theta)
             args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
-        monkeypatch.setattr(_kernels, "SPLIT_SITES", 0)     # halves, one on a worker thread
+        monkeypatch.setattr(_kernels, "FLOOR", 0)       # chunks, some on a worker thread
         for g, d in zip(grids, ds):
             args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
@@ -716,10 +826,12 @@ class TestOneRecursionPerGrid:
 
 
 class TestBuilderThreads:
-    """scattering_grid runs the grid-free stages on the caller's thread, as
-    a short table is cheapest stepped alone; scattering_grids runs them on a
-    worker while its own thread steps the cut grids, and has joined it on
-    return and on each refusal."""
+    """scattering_grids, and scattering_grid through it, runs the grid-free
+    stages on a worker while its own thread steps the cut grids, where the
+    bound-state scan's work is above the floor and a CPU is idle; else on
+    its own thread after the cut grids, as a short table is cheapest stepped
+    alone.  On either path a cut grid's refusal goes first, the grid-free
+    stages' comes at the join, and no worker is left on return."""
 
     @pytest.fixture
     def free_threads(self, monkeypatch):
@@ -733,21 +845,44 @@ class TestBuilderThreads:
         monkeypatch.setattr(scattering, "grid_free_fields", free)
         return ran
 
+    @pytest.fixture
+    def above_the_floor(self, monkeypatch):
+        """The floor lowered to 0: every table's scan is above it."""
+        monkeypatch.setattr(_kernels, "FLOOR", 0)
+
     def test_one_grid_on_the_callers_thread(self, free_threads):
         threads = threading.active_count()
         hl.scattering_grid(hl.rank_one(0.75), hl.GridSpec(m_theta=256, n_site=64))
         assert free_threads == [threading.current_thread()]
         assert threading.active_count() == threads
 
-    def test_grids_on_a_worker_joined_on_return(self, free_threads):
+    def test_grids_on_a_worker_joined_on_return(self, free_threads, above_the_floor):
         threads = threading.active_count()
         ds = hl.scattering_grids(hl.rank_one(0.75), hl.GridSpec(), [512, 1024])
         assert [d.m_theta for d in ds] == [512, 1024] and ds[0].count_n == 1
-        (worker,) = free_threads
-        assert worker is not threading.current_thread() and not worker.is_alive()
+        d = hl.scattering_grid(hl.rank_one(0.75), hl.GridSpec(m_theta=256, n_site=64))
+        assert d.jost_rows.shape == (65, 256)
+        assert len(free_threads) == 2
+        for worker in free_threads:
+            assert worker is not threading.current_thread() and not worker.is_alive()
         assert threading.active_count() == threads
 
-    def test_cut_grid_refusal_joins_the_worker(self, free_threads):
+    def test_above_the_floor_on_a_worker(self, free_threads):
+        # 11,066 sites: the scan is above the floor; beside a worker that
+        # holds the other CPU the stages run on this thread
+        p = hl.random_decaying(978390736, rho_gen=4.0, amplitude=1.5)
+        assert p.support_end * 2 * scattering.SCAN_POINTS // _kernels.BLOCK > _kernels.FLOOR
+        threads = threading.active_count()
+        hl.scattering_grid(p, hl.GridSpec(m_theta=256, n_site=64))
+        assert free_threads[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+        stop = threading.Event()
+        with _kernels.meanwhile(stop.wait):
+            hl.scattering_grid(p, hl.GridSpec(m_theta=256, n_site=64))
+            stop.set()
+        assert free_threads[1] is threading.current_thread()
+
+    def test_cut_grid_refusal_joins_the_worker(self, free_threads, above_the_floor):
         # both stages refuse the 400-site table of 3.0, the grid-free stages
         # with "Omega(-1) = nan": the cut grid's refusal is the one raised
         p = hl.table_potential([3.0] * 400, rho=3.0)
@@ -758,7 +893,7 @@ class TestBuilderThreads:
         (worker,) = free_threads
         assert not worker.is_alive() and threading.active_count() == threads
 
-    def test_grid_free_refusal_joins_the_worker(self, free_threads):
+    def test_grid_free_refusal_joins_the_worker(self, free_threads, above_the_floor):
         # the cut grids pass; the bound state at z = 13/12 lies beyond z_max
         g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024, z_max=1.05)
         threads = threading.active_count()
@@ -766,6 +901,22 @@ class TestBuilderThreads:
             hl.scattering_grids(hl.rank_one(0.75), g, [256, 512])
         (worker,) = free_threads
         assert worker is not threading.current_thread() and not worker.is_alive()
+        assert threading.active_count() == threads
+
+    def test_refusal_order_without_a_worker(self, free_threads):
+        # below the floor: the cut grid refuses before the grid-free stages
+        # run, and these refuse after the cut grids, on this thread
+        threads = threading.active_count()
+        p = hl.table_potential([3.0] * 400, rho=3.0)
+        for build in (lambda: hl.scattering_grids(p, hl.GridSpec(), [512, 1024]),
+                      lambda: hl.scattering_grid(p, hl.GridSpec())):
+            with pytest.raises(hl.NumericsError, match="Omega is not finite on"):
+                build()
+        assert free_threads == []
+        g = hl.GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024, z_max=1.05)
+        with pytest.raises(hl.NumericsError, match="z_max too small"):
+            hl.scattering_grids(hl.rank_one(0.75), g, [256, 512])
+        assert free_threads == [threading.current_thread()]
         assert threading.active_count() == threads
 
 

@@ -7,7 +7,9 @@ PARENT and CHANGE are checkouts of this repository; each command runs as
 `winding` and `report` run with --check, with and without --refine, on
 rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
 and 3, and without --refine on the 1,665,610-site `random_decaying` table
-with rho_gen 2.6 and on six configs that are refused: rank_one 0.51
+with rho_gen 2.6, on the 11,066-site `random_decaying` seed 978390736 with
+rho_gen 4 (the sweep's size, whose calls are cut into chunks above
+`_kernels.FLOOR`) and on six configs that are refused: rank_one 0.51
 (`scatter` and `report` exit 5 on the Levinson gate), the 400-site table of
 3.0 (exit 4, the Jost recursion overflows), rank_one 0.75 at small grids
 with z_max 1.05 (exit 4, z_max too small), rank_one 0.75 with beta_max
@@ -30,7 +32,7 @@ sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
 `wave_identity_residual`.  The four commands also run once per config
 without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
 from `report` alone).  Last, each tree runs its own copy of each of the four
-demos in `demos/`, whose stdout every change keeps: 130 runs.
+demos in `demos/`, whose stdout every change keeps: 140 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash; every run
@@ -62,6 +64,8 @@ CONFIGS = (
                                      "amplitude": 1.5}}, True),
     ("random_rho_gen_2.6", {"potential": {"kind": "random_decaying", "seed": 0,
                                           "amplitude": 1.5, "rho_gen": 2.6}}, False),
+    ("random_rho_gen_4", {"potential": {"kind": "random_decaying", "seed": 978390736,
+                                        "amplitude": 1.5, "rho_gen": 4.0}}, False),
     ("rank_one_0.51", {"potential": {"kind": "rank_one", "v0": 0.51, "rho": 3.0}}, False),
     ("table_400_of_3", {"potential": {"kind": "table", "values": [3.0] * 400, "rho": 3.0}},
      False),
