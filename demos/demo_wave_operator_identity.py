@@ -14,7 +14,7 @@ p = hl.table_potential([0.3, -0.2], rho=3.0)
 g = hl.GridSpec()
 m_thetas = (256, 512, 1024)
 ds = hl.scattering_grids(p, g, m_thetas)    # one bound-state search for the three grids
-d = hl.scattering_grid(p, g)                # the data on g, with the Jost rows of all sites
+d = ds[m_thetas.index(g.m_theta)]           # the data on g
 grid = hl.quadrature_grid(g.m_theta, g.n_site)
 
 W = hl.wave_operator(d, grid, g.tol_threshold)

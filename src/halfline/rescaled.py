@@ -199,8 +199,8 @@ def _pull_back(bg: BetaGrid, R: np.ndarray, rows: np.ndarray, shift_rows=None):
 @_kernels.one_blas_thread()
 def operator_checks(d: ScatteringData, d2: ScatteringData, g: GridSpec) -> dict:
     """The operator identities of a report, d holding the scattering data on
-    the cut grid of g and d2 on the grid twice as fine, with at least the
-    Jost rows n = -1..n_site/2 - 1 that the correction kernel reads.  numpy's
+    the cut grid of g and d2 on the grid twice as fine, each with the Jost
+    rows that `scattering_grids` keeps on the table under g.  numpy's
     OpenBLAS runs on one thread for the call (`_kernels.one_blas_thread`), so
     its products and SVDs sum in the same order whatever the process's
     thread count, and the stage's lane fits two CPUs.

@@ -58,8 +58,8 @@ class ScatteringData:
     Arrays are ordered by increasing lambda.  eta is unwrapped from the
     lambda = -1 end with its first value reduced to (-pi, pi].  jost_rows
     holds the Jost values zeta theta(n) = zeta^(n+1) t(n) at the grid's
-    zeta = e^(-i theta) for n = -1..n_rows-2, row index n + 1; omega is its
-    row 0; `scattering_grids` sets n_rows.
+    zeta = e^(-i theta), row index n + 1, for n = -1..n_rows-2, n_rows =
+    max(1, min(L, g.n_site + 1)) on a table of L sites; omega is its row 0.
     """
 
     potential: Potential
@@ -182,9 +182,9 @@ def _scan_points(z_max: float) -> np.ndarray:
 
 def cut_grid_fields(p: Potential, m: int, n_rows: int) -> dict:
     """The fields of `ScatteringData` on the cut grid of m theta-midpoints,
-    stepped with the n_rows rows zeta theta(n), n = -1..n_rows-2, that the
-    correction kernel reads; a grid whose Omega overflows, vanishes or jumps
-    by pi/2 or more between nodes is refused."""
+    stepped with the n_rows rows zeta theta(n), n = -1..n_rows-2, that
+    `scattering_grids` keeps on the table; a grid whose Omega overflows,
+    vanishes or jumps by pi/2 or more between nodes is refused."""
     theta = theta_midpoints(m)
     zeta, lam = np.exp(-1j * theta), np.cos(theta)
     om, rows = _kernels.jost_scaled(p.values, zeta, n_rows - 2)
@@ -212,10 +212,11 @@ def grid_free_fields(p: Potential, g: GridSpec, z_max: float) -> dict:
                 bound_states=roots, count_n=count)
 
 
-def scattering_grids(p: Potential, g: GridSpec, m_thetas, n_rows: int | None = None) -> list:
+def scattering_grids(p: Potential, g: GridSpec, m_thetas) -> list:
     """Assemble all scattering data of p on the theta-midpoint grids of
-    m_thetas points, each with g's other settings and n_rows Jost rows, by
-    default the n_site/2 + 1 that the operator stage reads.  An m_theta
+    m_thetas points, each with g's other settings and the Jost rows of the
+    table alone, up to g.n_site sites (`ScatteringData`): past the table
+    they are the free tail, where the correction kernel is 0.  An m_theta
     below 2 is refused first, then a z_max whose scan would overflow.  The
     grid-free stages (`grid_free_fields`) run through `_kernels.meanwhile`,
     with their scan's work, while this thread steps each cut grid
@@ -225,7 +226,7 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas, n_rows: int | None = N
     if bad := [m for m in m_thetas if not (_is_int(m) and m >= 2)]:
         raise ValueError(f"m_theta must be a positive integer of at least 2, not {bad[0]!r}")
     z_max = g.effective_z_max(p)
-    n_rows = g.n_site // 2 + 1 if n_rows is None else n_rows
+    n_rows = max(1, min(p.support_end, g.n_site + 1))
     scan = p.support_end * (2 * SCAN_POINTS // _kernels.BLOCK)
     with _kernels.meanwhile(grid_free_fields, p, g, z_max, work=scan) as free:
         on_grid = [cut_grid_fields(p, m, n_rows) for m in m_thetas]
@@ -234,9 +235,8 @@ def scattering_grids(p: Potential, g: GridSpec, m_thetas, n_rows: int | None = N
 
 
 def scattering_grid(p: Potential, g: GridSpec) -> ScatteringData:
-    """All scattering data of p on the theta-midpoint grid of g, with the
-    Jost rows of all n_site sites (`scattering_grids`)."""
-    return scattering_grids(p, g, [g.m_theta], g.n_site + 1)[0]
+    """All scattering data of p on the theta-midpoint grid of g (`scattering_grids`)."""
+    return scattering_grids(p, g, [g.m_theta])[0]
 
 
 def eta_endpoints(d: ScatteringData):

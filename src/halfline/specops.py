@@ -118,17 +118,16 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
     from the remainder kernel K0(n, lambda) = sqrt(2/pi) [conj(p zeta) -
     s p zeta] / (2i) with p(n, lambda) = (theta(n) - zeta^n)/(1-lambda^2)^(1/4).
 
-    zeta theta(n) is read from the rows that `scattering_grid` kept, and
-    zeta^(n+1) is sqrt(m/2) (Fcos - i Fsin); p is exactly 0 on the free tail
-    past the table."""
+    p(n) is 0 for n >= L - 1 on a table of L sites, where theta(n) = zeta^n, so
+    it is formed on the k = min(n_site, L - 1) sites before alone: zeta theta(n)
+    from the kept rows (`scattering_grids`), zeta^(n+1) as sqrt(m/2) (Fcos - i Fsin)."""
     _require_same_grid(d, grid.m)
-    n_site = grid.n_site
-    if n_site > d.jost_rows.shape[0] - 1:
-        raise ValueError(f"scattering data keeps Jost rows for "
-                         f"{d.jost_rows.shape[0] - 1} sites, not {n_site}")
-    pz = (d.jost_rows[1:n_site + 1] - np.sqrt(grid.m / 2.0) * (grid.fcos - 1j * grid.fsin).T) \
-        / (1.0 - d.lam ** 2) ** 0.25
-    pz[max(d.potential.support_end - 1, 0):] = 0.0
+    k, kept = min(grid.n_site, max(d.potential.support_end - 1, 0)), len(d.jost_rows) - 1
+    if k > kept:
+        raise ValueError(f"scattering data keeps Jost rows for {kept} sites, not {k}")
+    powers = np.sqrt(grid.m / 2.0) * (grid.fcos[:, :k] - 1j * grid.fsin[:, :k]).T
+    pz = np.zeros((grid.n_site, grid.m), complex)
+    pz[:k] = (d.jost_rows[1:k + 1] - powers) / (1.0 - d.lam ** 2) ** 0.25
     k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
     return _real_product((k0 * grid.weights[None, :]).T, grid.fsin / grid.sqrt_weights[:, None])
 

@@ -1,6 +1,8 @@
 import math
 import os
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,15 @@ def suite_potentials():
 @pytest.fixture(scope="session")
 def random_potentials():
     return [hl.random_decaying(s, amplitude=RANDOM_AMPLITUDE) for s in RANDOM_SEEDS]
+
+
+def load_bench(name):
+    """The benchmark's module bench/<name>.py, compiled from its text and
+    only read: nothing is written beside it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def closed_form_omega(v0, zeta):

@@ -787,26 +787,26 @@ class TestOneRecursionPerGrid:
             assert not np.shares_memory(d.omega, d.jost_rows)
 
     def test_kept_rows_match_direct_recursion(self, grid_pair, monkeypatch):
+        # the rows of the table alone, up to the n_site + 1 of a full grid
         p, grids, ds = grid_pair
+        kept = max(1, min(p.support_end, grids[0].n_site + 1))
         for g, d in zip(grids, ds):
-            assert d.jost_rows.shape == (g.n_site // 2 + 1, g.m_theta)
-            args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
+            assert d.jost_rows.shape == (kept, g.m_theta)
+            args = (p.values, np.exp(-1j * d.theta), kept - 2)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
         monkeypatch.setattr(_kernels, "FLOOR", 0)       # chunks, some on a worker thread
         for g, d in zip(grids, ds):
-            args = (p.values, np.exp(-1j * d.theta), g.n_site // 2 - 1)
+            args = (p.values, np.exp(-1j * d.theta), kept - 2)
             assert np.array_equal(d.jost_rows, _kernels.jost_scaled(*args)[1])
 
     def test_second_grid_reuse_equals_fresh_build(self, grid_pair):
-        # both grids share the grid-free stages; scattering_grid keeps the
-        # Jost rows of all sites, scattering_grids the first n_site/2 + 1
+        # both grids share the grid-free stages, and scattering_grid keeps
+        # the same Jost rows as scattering_grids
         p, grids, ds = grid_pair
         for g, d in zip(grids, ds):
             alone = hl.scattering_grid(p, g)
             for f in fields(hl.ScatteringData):
                 a, b = getattr(d, f.name), getattr(alone, f.name)
-                if f.name == "jost_rows":
-                    b = b[:g.n_site // 2 + 1]
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and np.array_equal(a, b), f.name
                 else:
@@ -861,7 +861,7 @@ class TestBuilderThreads:
         ds = hl.scattering_grids(hl.rank_one(0.75), hl.GridSpec(), [512, 1024])
         assert [d.m_theta for d in ds] == [512, 1024] and ds[0].count_n == 1
         d = hl.scattering_grid(hl.rank_one(0.75), hl.GridSpec(m_theta=256, n_site=64))
-        assert d.jost_rows.shape == (65, 256)
+        assert d.jost_rows.shape == (1, 256)        # the one-site table keeps Omega alone
         assert len(free_threads) == 2
         for worker in free_threads:
             assert worker is not threading.current_thread() and not worker.is_alive()

@@ -11,6 +11,16 @@ from halfline import _kernels
 TOL = hl.GridSpec().tol_threshold
 
 
+#: table lengths about the kept-row bounds n_site/2 + 1 = 65 and n_site + 1 = 129
+#: of the default grid, and the shortest tables
+KEPT_ROW_LENGTHS = (0, 1, 21, 64, 65, 66, 128, 129, 130)
+
+
+def cubic_table(L):
+    """The table 0.5 (1 + n)^-3 on the sites n < L."""
+    return hl.table_potential(0.5 * (1.0 + np.arange(L)) ** -3.0, rho=3.0)
+
+
 def coupling_pv_matrix(grid):
     """Skip-diagonal principal-value discretisation of the singular kernel
     (i/pi) (1-lambda^2)^(1/4) (nu-lambda)^(-1) (1-nu^2)^(-1/4), in the
@@ -284,14 +294,20 @@ class TestCorrectionOperator:
 
 
     @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0),
-                                   hl.random_decaying(3, rho_gen=4.0)],
-                             ids=["rank_one", "two_site", "random_rho4"])
+                                   hl.random_decaying(3, rho_gen=4.0)]
+                             + [cubic_table(L) for L in KEPT_ROW_LENGTHS],
+                             ids=["rank_one", "two_site", "random_rho4"]
+                             + [f"table_{L}" for L in KEPT_ROW_LENGTHS])
     def test_kept_rows_equal_fresh_recursion(self, p, grid_default, scatter_cache):
+        # the rows of the table alone, up to the n_site + 1 of a full grid,
+        # each equal to the recursion kept on all sites, and K0 Fsin from
+        # them equal to K0 Fsin from all rows
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
+        assert d.jost_rows.shape == (max(1, min(p.support_end, n + 1)), d.m_theta)
         zeta = np.exp(-1j * d.theta)
         fresh = replace(d, jost_rows=_kernels.jost_scaled(p.values, zeta, n - 1)[1])
-        assert np.array_equal(d.jost_rows[:n + 1], fresh.jost_rows)
+        assert np.array_equal(d.jost_rows, fresh.jost_rows[:len(d.jost_rows)])
         grid = hl.quadrature_grid(512, n)
         assert np.array_equal(hl.correction_operator(d, grid),
                               hl.correction_operator(fresh, grid))
@@ -302,14 +318,16 @@ class TestCorrectionOperator:
     def test_matches_zeta_power_formula(self, p, grid_default, scatter_cache):
         # zeta^(n+1) read from the cosine and sine tables against the complex
         # power of zeta, with the kernel and the sine columns written out here
+        # on the rows of all sites
         d = scatter_cache(p, grid_default)
         n = grid_default.n_site
         grid = hl.quadrature_grid(d.m_theta, n)
         powers = np.exp(-1j * d.theta)[None, :] ** np.arange(1, n + 1)[:, None]
+        rows = _kernels.jost_scaled(p.values, np.exp(-1j * d.theta), n - 1)[1]
         # past the table the rows are the free tail zeta^(n+1), where p is 0
         L = p.support_end
-        assert np.max(np.abs(d.jost_rows[L:n + 1] - powers[L - 1:]), initial=0.0) < 1e-13
-        pz = (d.jost_rows[1:n + 1] - powers) / (1.0 - d.lam ** 2) ** 0.25
+        assert np.max(np.abs(rows[L:] - powers[L - 1:]), initial=0.0) < 1e-13
+        pz = (rows[1:] - powers) / (1.0 - d.lam ** 2) ** 0.25
         pz[L - 1:] = 0.0
         k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
         psi_sin = np.sqrt(2.0 / np.pi) * np.sin(np.outer(grid.theta, np.arange(1, n + 1))) \
@@ -319,9 +337,11 @@ class TestCorrectionOperator:
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_more_sites_than_kept_rows_refused(self, scatter_cache):
-        p = hl.rank_one(0.75)
+        # a long table keeps the rows of n_site = 64 sites: a grid of 128
+        # sites reads table rows that were not kept
+        p = hl.random_decaying(3, rho_gen=4.0)
         d = scatter_cache(p, hl.GridSpec(n_site=64))
-        with pytest.raises(ValueError, match="keeps Jost rows for 64 sites"):
+        with pytest.raises(ValueError, match="keeps Jost rows for 64 sites, not 128"):
             hl.correction_operator(d, hl.quadrature_grid(512, 128))
 
 

@@ -8,30 +8,21 @@ up every dotted part before it without a guard: a renamed owner (a class
 such as `model.TridiagonalTruncation`) would crash every traced run."""
 
 import importlib
-import types
-from pathlib import Path
 
 import halfline as hl
+from conftest import load_bench
 from halfline import _kernels
-
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-
-
-def load_tracing():
-    """The tracer module, compiled from its text: nothing is written beside it."""
-    module = types.ModuleType("bench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
-    return module
 
 
 def test_each_kernel_site_exists():
-    names = [name for module, name, _, _ in load_tracing().SITES if module == "halfline._kernels"]
+    names = [name for module, name, _, _ in load_bench("tracing").SITES
+             if module == "halfline._kernels"]
     assert "jost_function_values" in names and "decay_scan" in names
     assert [name for name in names if not hasattr(_kernels, name)] == []
 
 
 def test_traced_kernel_call_counts_its_points():
-    tracer = load_tracing().Tracer()
+    tracer = load_bench("tracing").Tracer()
     tracer.install()
     try:
         hl.classify_thresholds(hl.rank_one(0.75), 1e-3)
@@ -62,7 +53,7 @@ def site_owners():
     owner looked up as `Tracer.install` looks it up, None where a part of
     its path is missing."""
     out = []
-    for module, path, _, _ in load_tracing().SITES:
+    for module, path, _, _ in load_bench("tracing").SITES:
         *outer, name = path.split(".")
         owner = importlib.import_module(module)
         for part in outer:

@@ -5,34 +5,35 @@
 PARENT and CHANGE are checkouts of this repository; each command runs as
 `python -m halfline.cli` with PYTHONPATH=<tree>/src.  `scatter`, `waveop`,
 `winding` and `report` run with --check, with and without --refine, on
-rank_one 0.75, the two-site table (0.3, -0.2) and `random_decaying` seeds 0
-and 3, and without --refine on the 1,665,610-site `random_decaying` table
-with rho_gen 2.6, on the 11,066-site `random_decaying` seed 978390736 with
-rho_gen 4 (the sweep's size, whose calls are cut into chunks above
+rank_one 0.75, the two-site table (0.3, -0.2), `random_decaying` seeds 0 and
+3, the 21-site table 0.5 (1 + n)^-3 and the 105-site `random_decaying` seed
+5 with rho_gen 8 (tables shorter than the n_site + 1 Jost rows that a cut
+grid may keep), and without --refine on the 1,665,610-site `random_decaying`
+table with rho_gen 2.6, on the 11,066-site `random_decaying` seed 978390736
+with rho_gen 4 (the sweep's size, whose calls are cut into chunks above
 `_kernels.FLOOR`) and on six configs that are refused: rank_one 0.51
 (`scatter` and `report` exit 5 on the Levinson gate), the 400-site table of
 3.0 (exit 4, the Jost recursion overflows), rank_one 0.75 at small grids
-with z_max 1.05 (exit 4, z_max too small), rank_one 0.75 with beta_max
-5.5 (`waveop` and `report` exit 4: R's interior Gram defect exceeds its
-guard, and the message names it; at this window the defect peaks on the
-block's last site, so a guard that reads a different block prints another
-value), rank_one 0.75 with m_beta 512 (`waveop` and `report` exit 4: R at
-2 m_beta passes its guard and R at m_beta, formed on the operator stage's
-lane, does not), and rank_one 0.5 with the threshold tolerance 0.05
-(`waveop` and `report` exit 4: the coarse cut grid is resonant, which the
-operator stage finds on its lane).  `validate` runs once per config.
-One more run per config and tree, `python -c LIBRARY`, prints the exact bits
-of library results that no command writes, or what they raise:
-`decay_scan(p, 512)`, `jost_solution` at z = 2 and at zeta = e^(-0.3i),
-`regular_solution` at z = 2, all to n_max 20, and on tables of at most 2,000
-sites `volterra_jost` at e^(-0.3i); and at m_theta 256, n_site 64 and m_beta
-512 the operator matrices that `report.json` only summarises:
-`energy_rescale_matrix`, `pdo_apply` on it, `wave_operator`,
-`scattering_operator` and `correction_operator` on all sites, and
-`wave_identity_residual`.  The four commands also run once per config
-without --check, where only `report` enforces its gates (rank_one 0.51: exit 5
-from `report` alone).  Last, each tree runs its own copy of each of the four
-demos in `demos/`, whose stdout every change keeps: 140 runs.
+with z_max 1.05 (exit 4, z_max too small), rank_one 0.75 with beta_max 5.5
+(`waveop` and `report` exit 4: R's interior Gram defect exceeds its guard,
+and the message names it; at this window the defect peaks on the block's
+last site, so a guard that reads a different block prints another value),
+rank_one 0.75 with m_beta 512 (`waveop` and `report` exit 4: R at 2 m_beta
+passes its guard and R at m_beta, formed on the operator stage's lane, does
+not), and rank_one 0.5 with the threshold tolerance 0.05 (`waveop` and
+`report` exit 4: the coarse cut grid is resonant, which the operator stage
+finds on its lane).  `validate` runs once per config.  One more run per config
+and tree, `python -c LIBRARY`, prints the exact bits of library results that
+no command writes, or what they raise: `decay_scan(p, 512)`, `jost_solution`
+at z = 2 and at zeta = e^(-0.3i), `regular_solution` at z = 2, all to n_max
+20, and on tables of at most 2,000 sites `volterra_jost` at e^(-0.3i); and
+at m_theta 256, n_site 64 and m_beta 512 the operator matrices that
+`report.json` only summarises: `energy_rescale_matrix`, `pdo_apply` on it,
+`wave_operator`, `scattering_operator` and `correction_operator` on all
+sites, and `wave_identity_residual`.  The four commands also run once per
+config without --check, where only `report` enforces its gates (rank_one
+0.51: exit 5 from `report` alone).  Last, each tree runs its own copy of each
+of the four demos in `demos/`, whose stdout every change keeps: 168 runs.
 
 Both trees write to one output directory per config, in a temporary
 directory, because the directory is part of the config hash; every run
@@ -62,6 +63,10 @@ CONFIGS = (
                                      "amplitude": 1.5}}, True),
     ("random_seed_3", {"potential": {"kind": "random_decaying", "seed": 3,
                                      "amplitude": 1.5}}, True),
+    ("table_21", {"potential": {"kind": "table", "rho": 3.0,
+                                "values": [0.5 * (1.0 + n) ** -3.0 for n in range(21)]}}, True),
+    ("random_rho_gen_8", {"potential": {"kind": "random_decaying", "seed": 5,
+                                        "amplitude": 1.5, "rho_gen": 8.0}}, True),
     ("random_rho_gen_2.6", {"potential": {"kind": "random_decaying", "seed": 0,
                                           "amplitude": 1.5, "rho_gen": 2.6}}, False),
     ("random_rho_gen_4", {"potential": {"kind": "random_decaying", "seed": 978390736,
