@@ -98,8 +98,9 @@ def table_potential(values, rho: float) -> Potential:
         values = np.asarray(None)
     if values.dtype.kind not in "iuf" or values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ConfigError("potential table must be a one-dimensional list of finite real numbers")
-    values = np.trim_zeros(values.astype(float), "b")
-    return Potential(values=values.copy(), rho=float(rho))
+    # the table ends at its last nonzero entry: trailing zeros, -0.0 too, are trimmed
+    end = len(values) - int(np.argmax(np.append(values[::-1] != 0, True)))
+    return Potential(values=values[:end].astype(float), rho=float(rho))
 
 
 def zero_potential(rho: float = 3.0) -> Potential:
@@ -214,10 +215,11 @@ class GridSpec:
             raise ConfigError("m_beta must be even")
 
     def effective_z_max(self, p: Potential) -> float:
-        z_max = 1.0 + 2.0 * (1.0 + p.sup_norm) if self.z_max is None else self.z_max
+        sup = p.sup_norm            # an O(L) pass, read once
+        z_max = 1.0 + 2.0 * (1.0 + sup) if self.z_max is None else self.z_max
         # the bound-state scan steps 2z - 2V(n) for |z| up to z_max
-        if not math.isfinite(2.0 * (z_max + p.sup_norm)):
-            raise NumericsError(f"z_max {z_max:.3e} and sup|V| {p.sup_norm:.3e} overflow 2(z - V)")
+        if not math.isfinite(2.0 * (z_max + sup)):
+            raise NumericsError(f"z_max {z_max:.3e} and sup|V| {sup:.3e} overflow 2(z - V)")
         return z_max
 
     def refined(self) -> "GridSpec":

@@ -15,6 +15,7 @@ test would be wrong, the remainders are O(1).
 
 Both symbols act on R's real columns in real arithmetic, from one rfft
 (`symbol_columns`): sech(pi D) is even and tanh(pi D) odd, Nyquist bin zeroed.
+Their factors in X and D are formed once per grid, by `beta_grid`.
 """
 
 from __future__ import annotations
@@ -36,31 +37,34 @@ GRAM_GUARD = 1e-4
 
 @dataclass(frozen=True)
 class BetaGrid:
-    """Uniform midpoint grid on [-beta_max, beta_max] with DFT frequencies."""
+    """Uniform midpoint grid on [-beta_max, beta_max] with DFT frequencies xi
+    and the symbols' factors, formed once per grid: sech(pi xi) and tanh(pi xi)
+    on the m_beta/2 + 1 rfft bins, tanh(beta/2), tanh(beta) and sech(beta)."""
 
     m_beta: int
     h: float
     beta: np.ndarray
     xi: np.ndarray
+    sech_pi_xi: np.ndarray
+    tanh_pi_xi: np.ndarray
+    tanh_half_beta: np.ndarray
+    tanh_beta: np.ndarray
+    sech_beta: np.ndarray
 
 
 def beta_grid(m_beta: int, beta_max: float) -> BetaGrid:
     if m_beta % 2 != 0:
         raise NumericsError("m_beta must be even")
     h = 2.0 * beta_max / m_beta
-    return BetaGrid(m_beta=m_beta, h=h, beta=-beta_max + (np.arange(m_beta) + 0.5) * h,
-                    xi=2.0 * np.pi * np.fft.fftfreq(m_beta, d=h))
-
-
-def tanh_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
-    s = np.tanh(np.pi * bg.xi)
-    s[bg.m_beta // 2] = 0.0      # an odd symbol vanishes at the unpaired Nyquist bin
-    return s
-
-
-def sech_pi_d_symbol(bg: BetaGrid) -> np.ndarray:
+    beta = -beta_max + (np.arange(m_beta) + 0.5) * h
+    xi = 2.0 * np.pi * np.fft.fftfreq(m_beta, d=h)
+    pi_xi = np.pi * xi[:m_beta // 2 + 1]        # the rfft bins, the last one Nyquist
+    tanh_pi_xi = np.tanh(pi_xi)
+    tanh_pi_xi[-1] = 0.0        # an odd symbol vanishes at the unpaired Nyquist bin
     with np.errstate(over="ignore"):
-        return 1.0 / np.cosh(np.pi * bg.xi)
+        return BetaGrid(m_beta=m_beta, h=h, beta=beta, xi=xi, sech_pi_xi=1.0 / np.cosh(pi_xi),
+                        tanh_pi_xi=tanh_pi_xi, tanh_half_beta=np.tanh(beta / 2.0),
+                        tanh_beta=np.tanh(beta), sech_beta=1.0 / np.cosh(beta))
 
 
 def symbol_columns(bg: BetaGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,20 +75,12 @@ def symbol_columns(bg: BetaGrid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     back as transposes.  For R, which is the transpose of a site-major array,
     those rows are contiguous; a C-ordered X is copied by numpy."""
     Xh = np.fft.rfft(X.T)            # the first m/2 + 1 bins, the last one Nyquist
-    bins = Xh.shape[-1]
-    q = np.fft.irfft(sech_pi_d_symbol(bg)[:bins] * Xh, n=bg.m_beta)
-    q *= np.tanh(bg.beta / 2.0)
-    Xh *= -1j * tanh_pi_d_symbol(bg)[:bins]
+    q = np.fft.irfft(bg.sech_pi_xi * Xh, n=bg.m_beta)
+    q *= bg.tanh_half_beta
+    Xh *= -1j * bg.tanh_pi_xi
     v = np.fft.irfft(Xh, n=bg.m_beta)
     q -= v
     return q.T, v.T
-
-
-def _shift_real(bg: BetaGrid, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The shift symbol on the real X: tanh(X) X + sech(X) v, v from `symbol_columns`."""
-    with np.errstate(over="ignore"):
-        sech_b = 1.0 / np.cosh(bg.beta)
-    return np.tanh(bg.beta)[:, None] * X + sech_b[:, None] * v
 
 
 def pdo_apply(bg: BetaGrid, X: np.ndarray) -> np.ndarray:
@@ -103,7 +99,7 @@ def hyperbolic_pv_matrix(bg: BetaGrid) -> np.ndarray:
     (i/pi) sech^(1/2)(beta) cosh^(1/2)(gamma) / sinh(gamma - beta)."""
     b = bg.beta
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ker = (1j / np.pi) * np.sqrt(1.0 / np.cosh(b))[:, None] \
+        ker = (1j / np.pi) * np.sqrt(bg.sech_beta)[:, None] \
             * np.sqrt(np.cosh(b))[None, :] / np.sinh(b[None, :] - b[:, None])
     np.fill_diagonal(ker, 0.0)
     return ker * bg.h
@@ -138,11 +134,9 @@ def energy_rescale_matrix(bg: BetaGrid, n_site: int) -> np.ndarray:
     if n_site > bg.m_beta // 4:
         raise NumericsError("beta window too small: n_site exceeds m_beta/4")
     theta_b = 2.0 * np.arctan(np.exp(-bg.beta))
-    with np.errstate(over="ignore"):
-        sech_b = 1.0 / np.cosh(bg.beta)
     e = np.outer(np.arange(1, n_site + 1), theta_b)        # formed in place
     np.sin(e, out=e)
-    e *= np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(sech_b)
+    e *= np.sqrt(2.0 * bg.h / np.pi) * np.sqrt(bg.sech_beta)
     nb = n_site // 2
     defect = float(np.max(np.abs(e[:nb] @ e[:nb].T - np.eye(nb))))
     if defect > GRAM_GUARD:
@@ -183,16 +177,16 @@ def _pull_back(bg: BetaGrid, R: np.ndarray, rows: np.ndarray, shift_rows=None):
     """(R^T q, R^T [shift symbol] R or None) for R's real columns q with
     [pdo] R = i q, so that R^*[pdo]R = 1j R^T q.
 
-    R's transforms (`symbol_columns`) run in blocks of TRANSFORM_SITES
-    sites and write q.T to rows, and the shift symbol's real columns to
-    shift_rows if given: arrays of n_site x m_beta that the caller allocates.
-    Each product is then one GEMM over all sites."""
+    R's transforms (`symbol_columns`) run in blocks of TRANSFORM_SITES sites
+    and write q.T to rows, and the shift symbol's real columns tanh(X) X +
+    sech(X) v to shift_rows if given: n_site x m_beta arrays that the caller
+    allocates, so that each product is one GEMM over all sites."""
     for lo in range(0, R.shape[1], TRANSFORM_SITES):
         X = R[:, lo:lo + TRANSFORM_SITES]
         q, v = symbol_columns(bg, X)
         rows[lo:lo + TRANSFORM_SITES] = q.T
         if shift_rows is not None:
-            shift_rows[lo:lo + TRANSFORM_SITES] = _shift_real(bg, X, v).T
+            shift_rows[lo:lo + TRANSFORM_SITES] = bg.tanh_beta * X.T + bg.sech_beta * v.T
     return R.T @ rows.T, None if shift_rows is None else R.T @ shift_rows.T
 
 

@@ -120,11 +120,14 @@ def correction_operator(d: ScatteringData, grid: QuadratureGrid) -> np.ndarray:
 
     p(n) is 0 for n >= L - 1 on a table of L sites, where theta(n) = zeta^n, so
     it is formed on the k = min(n_site, L - 1) sites before alone: zeta theta(n)
-    from the kept rows (`scattering_grids`), zeta^(n+1) as sqrt(m/2) (Fcos - i Fsin)."""
+    from the kept rows (`scattering_grids`), zeta^(n+1) as sqrt(m/2) (Fcos - i Fsin).
+    At k = 0, as on every one-site table, K0 Fsin is the zero block."""
     _require_same_grid(d, grid.m)
     k, kept = min(grid.n_site, max(d.potential.support_end - 1, 0)), len(d.jost_rows) - 1
     if k > kept:
         raise ValueError(f"scattering data keeps Jost rows for {kept} sites, not {k}")
+    if k == 0:
+        return np.zeros((grid.n_site, grid.n_site), complex)
     powers = np.sqrt(grid.m / 2.0) * (grid.fcos[:, :k] - 1j * grid.fsin[:, :k]).T
     pz = np.zeros((grid.n_site, grid.m), complex)
     pz[:k] = (d.jost_rows[1:k + 1] - powers) / (1.0 - d.lam ** 2) ** 0.25

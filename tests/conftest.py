@@ -178,8 +178,9 @@ def recurrence_residual(p, x, u):
 
 def shift_symbol_apply(bg, X):
     """The shift's symbol tanh(X) - i sech(X) tanh(pi D) on the real columns
-    of X: real."""
-    return rescaled._shift_real(bg, X, rescaled.symbol_columns(bg, X)[1])
+    of X: real, tanh(X) X + sech(X) v with tanh(pi D) X = i v."""
+    v = rescaled.symbol_columns(bg, X)[1]
+    return bg.tanh_beta[:, None] * X + bg.sech_beta[:, None] * v
 
 
 def closed_form_bound_state(v0):

@@ -525,11 +525,12 @@ class TestReport:
 
     def test_each_operator_formed_once(self, tmp_path, monkeypatch):
         # each cut grid with its sine and cosine transforms, and F_-, once per
-        # cut grid, R at m_beta and 2 m_beta, each transformed in blocks of
-        # TRANSFORM_SITES sites with one rfft a block, U once; no complex FFT;
-        # the five SVDs are those of test_svd_count
+        # cut grid, each beta grid with its symbols' factors and R at m_beta
+        # and 2 m_beta, each R transformed in blocks of TRANSFORM_SITES sites
+        # with one rfft a block, U once; no complex FFT; the five SVDs are
+        # those of test_svd_count
         from halfline import rescaled, specops
-        calls = {name: [] for name in ("quadrature_grid", "jost_transform",
+        calls = {name: [] for name in ("quadrature_grid", "jost_transform", "beta_grid",
                                        "energy_rescale_matrix", "symbol_columns",
                                        "cos_sin_coupling", "rfft", "fft", "ifft", "svd")}
 
@@ -544,6 +545,7 @@ class TestReport:
         for owner in (rescaled, specops):
             counted(owner, "quadrature_grid", lambda m, n_site: m)
         counted(specops, "jost_transform", lambda d, grid, *rest: grid.m)
+        counted(rescaled, "beta_grid", lambda m_beta, beta_max: m_beta)
         for name in ("energy_rescale_matrix", "symbol_columns"):
             counted(rescaled, name, lambda bg, *rest: bg.m_beta)
         counted(rescaled, "cos_sin_coupling")
@@ -557,7 +559,7 @@ class TestReport:
         blocks = 128 // rescaled.TRANSFORM_SITES            # n_site 128
         assert {name: sorted(sizes) for name, sizes in calls.items()} == {
             "quadrature_grid": [512, 1024], "jost_transform": [512, 1024],
-            "energy_rescale_matrix": [1024, 2048],
+            "beta_grid": [1024, 2048], "energy_rescale_matrix": [1024, 2048],
             "symbol_columns": [1024] * blocks + [2048] * blocks, "cos_sin_coupling": [0],
             "rfft": [1024] * blocks + [2048] * blocks, "fft": [], "ifft": [], "svd": [0] * 5}
 

@@ -38,6 +38,20 @@ class TestPotential:
         with pytest.raises(hl.ConfigError, match="rho must be a finite real number"):
             hl.table_potential([0.3], rho)
 
+    @pytest.mark.parametrize("values", [[0.3, -0.2, 0.0, -0.0], [-0.0, 0.5, -0.0], [-0.0],
+                                        [0.0, 0.0], [], [1, 2, 0, 0], [0, 0], [-3, 0, 7],
+                                        np.array([5, 0, 0], np.uint8)],
+                             ids=["negative_zero_tail", "negative_zero_ends", "negative_zero",
+                                  "zeros", "empty", "int_tail", "int_zeros", "int",
+                                  "uint8_tail"])
+    def test_trailing_zeros_trimmed_as_trim_zeros(self, values):
+        # the bits, dtype and length of np.trim_zeros on a float copy of the
+        # table, in an array of the table's own
+        ref = np.trim_zeros(np.asarray(values).astype(float), "b")
+        got = hl.table_potential(values, 3.0).values
+        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes() and got.size == ref.size
+        assert got.base is None and not got.flags.writeable
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(hl.ConfigError):
             hl.make_potential({"kind": "bogus"})
@@ -216,3 +230,17 @@ class TestGridSpec:
     def test_default_z_max(self):
         p = hl.rank_one(0.75)
         assert hl.GridSpec().effective_z_max(p) == pytest.approx(1 + 2 * 1.75)
+
+    def test_sup_norm_read_once(self, monkeypatch):
+        # sup|V| is an O(L) pass: one read per call, whether z_max is given
+        # and whether 2(z - V) overflows
+        reads, sup = [], hl.Potential.sup_norm
+        monkeypatch.setattr(hl.Potential, "sup_norm",
+                            property(lambda p: reads.append(1) or sup.fget(p)))
+        p = hl.rank_one(-0.75)
+        assert hl.GridSpec().effective_z_max(p) == 1.0 + 2.0 * 1.75
+        assert hl.GridSpec(z_max=3.0).effective_z_max(p) == 3.0
+        with pytest.raises(hl.NumericsError,
+                           match=re.escape("z_max 1.000e+308 and sup|V| 7.500e-01 overflow")):
+            hl.GridSpec(z_max=1e308).effective_z_max(p)
+        assert len(reads) == 3

@@ -8,7 +8,7 @@ import pytest
 import halfline as hl
 from halfline import _kernels, rescaled
 from conftest import shift_symbol_apply, symbol_remainder
-from halfline.rescaled import GRAM_GUARD, sech_pi_d_symbol, symbol_columns, tanh_pi_d_symbol
+from halfline.rescaled import GRAM_GUARD, symbol_columns
 
 
 def rescale_intertwining_defect(bg, n_site):
@@ -26,6 +26,15 @@ def bg1024():
     return hl.beta_grid(1024, 12.0)
 
 
+def full_symbols(bg):
+    """tanh(pi xi) and sech(pi xi) on all m_beta DFT bins, tanh's unpaired
+    Nyquist bin 0: the multipliers of the complex-FFT references."""
+    tanh_sym = np.tanh(np.pi * bg.xi)
+    tanh_sym[bg.m_beta // 2] = 0.0
+    with np.errstate(over="ignore"):
+        return tanh_sym, 1.0 / np.cosh(np.pi * bg.xi)
+
+
 class TestBetaGrid:
     def test_spacing_invariant(self, bg1024):
         assert bg1024.h * bg1024.m_beta == pytest.approx(24.0)
@@ -34,6 +43,23 @@ class TestBetaGrid:
     def test_odd_count_rejected(self):
         with pytest.raises(hl.NumericsError):
             hl.beta_grid(1023, 12.0)
+
+    @pytest.mark.parametrize("m_beta", [256, 512, 1024, 2048, 4096])
+    def test_factors_bit_for_bit(self, m_beta):
+        # each factor the grid carries against its formula on beta and on
+        # the first m_beta/2 + 1 DFT bins, the rfft's, tanh's Nyquist bin +0.0;
+        # sech(pi xi) overflows to 0 on the top bins from m_beta 2048
+        bg = hl.beta_grid(m_beta, 12.0)
+        tanh_sym, sech_sym = full_symbols(bg)
+        bins = m_beta // 2 + 1
+        with np.errstate(over="ignore"):
+            sech_b = 1.0 / np.cosh(bg.beta)
+        expect = {"sech_pi_xi": sech_sym[:bins], "tanh_pi_xi": tanh_sym[:bins],
+                  "tanh_half_beta": np.tanh(bg.beta / 2.0), "tanh_beta": np.tanh(bg.beta),
+                  "sech_beta": sech_b}
+        for name, value in expect.items():
+            got = getattr(bg, name)
+            assert got.dtype == np.float64 and got.tobytes() == value.tobytes(), name
 
 
 def fourier_apply(symbol, X):
@@ -52,17 +78,16 @@ class TestFourierMultipliers:
     def test_pure_frequency_is_eigenvector(self, bg1024):
         xi0 = bg1024.xi[17]
         v = np.exp(1j * xi0 * bg1024.beta)
-        Tv = fourier_apply(tanh_pi_d_symbol(bg1024), v[:, None])[:, 0]
+        Tv = fourier_apply(full_symbols(bg1024)[0], v[:, None])[:, 0]
         assert np.max(np.abs(Tv - np.tanh(np.pi * xi0) * v)) < 1e-10
 
     def test_sech_preserves_constants(self, bg1024):
         v = np.ones((bg1024.m_beta, 1), dtype=complex)
-        Sv = fourier_apply(sech_pi_d_symbol(bg1024), v)
+        Sv = fourier_apply(full_symbols(bg1024)[1], v)
         assert np.max(np.abs(Sv - v)) < 1e-12     # sech(0) = 1 on the DC bin
 
     def test_nyquist_bin_zeroed_for_odd_symbol(self, bg1024):
-        s = tanh_pi_d_symbol(bg1024)
-        assert s[bg1024.m_beta // 2] == 0.0
+        assert bg1024.tanh_pi_xi[bg1024.m_beta // 2] == 0.0
 
     @pytest.mark.parametrize("m_beta", [256, 1024])
     def test_real_form_matches_complex_fft(self, m_beta):
@@ -70,7 +95,7 @@ class TestFourierMultipliers:
         # symbols built on them, against the complex-FFT multipliers
         bg = hl.beta_grid(m_beta, 12.0)
         eye = np.eye(m_beta)
-        T, S = fourier_apply(tanh_pi_d_symbol(bg), eye), fourier_apply(sech_pi_d_symbol(bg), eye)
+        T, S = (fourier_apply(sym, eye) for sym in full_symbols(bg))
         with np.errstate(over="ignore"):
             sech_b = 1.0 / np.cosh(bg.beta)
         pdo = -T + 1j * np.tanh(bg.beta / 2.0)[:, None] * S
@@ -95,10 +120,8 @@ class TestMatrixFreeSymbols:
     @pytest.fixture(scope="class", params=[256, 1024])
     def dense(self, request):
         bg = hl.beta_grid(request.param, 12.0)
-        tanh_sym = np.tanh(np.pi * bg.xi)
-        tanh_sym[bg.m_beta // 2] = 0.0
+        tanh_sym, sech_sym = full_symbols(bg)
         with np.errstate(over="ignore"):
-            sech_sym = 1.0 / np.cosh(np.pi * bg.xi)
             sech_x = 1.0 / np.cosh(bg.beta)
         T, S = dense_multiplier(tanh_sym), dense_multiplier(sech_sym)
         return bg, {
@@ -110,10 +133,11 @@ class TestMatrixFreeSymbols:
 
     def test_applications_match_dense(self, dense):
         bg, M = dense
+        tanh_sym, sech_sym = full_symbols(bg)
         X = np.random.default_rng(7).standard_normal((bg.m_beta, 12))
         got = {
-            "tanh": fourier_apply(tanh_pi_d_symbol(bg), X),
-            "sech": fourier_apply(sech_pi_d_symbol(bg), X),
+            "tanh": fourier_apply(tanh_sym, X),
+            "sech": fourier_apply(sech_sym, X),
             "pdo": hl.pdo_apply(bg, X),
             "shift": shift_symbol_apply(bg, X),
         }
@@ -131,11 +155,13 @@ class TestMatrixFreeSymbols:
 
 
 def reference_symbol_columns(bg, X):
-    """`symbol_columns` with its transforms run down the columns (axis 0)."""
+    """`symbol_columns` with its transforms run down the columns (axis 0),
+    the symbols formed here on all DFT bins and read on the rfft's."""
+    tanh_sym, sech_sym = full_symbols(bg)
     Xh = np.fft.rfft(X, axis=0)
-    q = np.fft.irfft(sech_pi_d_symbol(bg)[:len(Xh), None] * Xh, n=bg.m_beta, axis=0)
+    q = np.fft.irfft(sech_sym[:len(Xh), None] * Xh, n=bg.m_beta, axis=0)
     q *= np.tanh(bg.beta / 2.0)[:, None]
-    Xh *= -1j * tanh_pi_d_symbol(bg)[:len(Xh), None]
+    Xh *= -1j * tanh_sym[:len(Xh), None]
     v = np.fft.irfft(Xh, n=bg.m_beta, axis=0)
     q -= v
     return q, v

@@ -336,6 +336,26 @@ class TestCorrectionOperator:
         K = hl.correction_operator(d, grid)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("m", [1024, 2048])
+    @pytest.mark.parametrize("p", [hl.rank_one(0.75), hl.table_potential([0.3, -0.2], rho=3.0)],
+                             ids=["rank_one", "two_site"])
+    def test_bits_of_the_full_height_product(self, p, m, scatter_cache):
+        # K0 Fsin with p on all n_site rows, zero past k = min(n_site, L - 1),
+        # and its full product: rank_one's k = 0 zero block, returned
+        # without a product, has these bits and no sign bit set
+        d = scatter_cache(p, hl.GridSpec(m_theta=m))
+        grid = hl.quadrature_grid(m, 64)
+        k = min(64, p.support_end - 1)
+        powers = np.sqrt(m / 2.0) * (grid.fcos[:, :k] - 1j * grid.fsin[:, :k]).T
+        pz = np.zeros((64, m), complex)
+        pz[:k] = (d.jost_rows[1:k + 1] - powers) / (1.0 - d.lam ** 2) ** 0.25
+        k0 = np.sqrt(2.0 / np.pi) * (np.conj(pz) - d.smatrix[None, :] * pz) / 2j
+        F, fsin = k0 * grid.weights[None, :], grid.fsin / grid.sqrt_weights[:, None]
+        ref = F.real @ fsin + 1j * (F.imag @ fsin)
+        K = hl.correction_operator(d, grid)
+        assert K.dtype == ref.dtype and K.shape == (64, 64) and K.tobytes() == ref.tobytes()
+        assert np.signbit(K.view(float)).any() == (k > 0)
+
     def test_more_sites_than_kept_rows_refused(self, scatter_cache):
         # a long table keeps the rows of n_site = 64 sites: a grid of 128
         # sites reads table rows that were not kept

@@ -29,6 +29,8 @@ at z = 2 and at zeta = e^(-0.3i), `regular_solution` at z = 2, all to n_max
 20, and on tables of at most 2,000 sites `volterra_jost` at e^(-0.3i); and
 at m_theta 256, n_site 64 and m_beta 512 the operator matrices that
 `report.json` only summarises: `energy_rescale_matrix`, `pdo_apply` on it,
+both products of `rescaled._pull_back` on it (R^T q and R^T [shift symbol] R,
+the latter summarised only by `symbol_s1` and `symbol_rank_tenth`),
 `wave_operator`, `scattering_operator` and `correction_operator` on all
 sites, and `wave_identity_residual`.  The four commands also run once per
 config without --check, where only `report` enforces its gates (rank_one
@@ -99,19 +101,24 @@ import dataclasses, functools, json, sys
 import numpy as np
 from halfline import (GridSpec, beta_grid, correction_operator, decay_scan,
                       energy_rescale_matrix, jost_solution, make_potential, pdo_apply,
-                      quadrature_grid, regular_solution, scattering_grid, scattering_operator,
-                      volterra_jost, wave_identity_residual, wave_operator)
+                      quadrature_grid, regular_solution, rescaled, scattering_grid,
+                      scattering_operator, volterra_jost, wave_identity_residual, wave_operator)
 p, cut = make_potential(json.loads(sys.argv[1])), np.exp(-0.3j)
 g = GridSpec(m_theta=256, n_site=64, m_beta=512, n_edge=1024)
 bg, grid = beta_grid(g.m_beta, g.beta_max), quadrature_grid(g.m_theta, g.n_site)
 d = functools.cache(lambda: scattering_grid(p, g))
 W = functools.cache(lambda: wave_operator(d(), grid, g.tol_threshold))
+rows = lambda: np.empty((g.n_site, g.m_beta))
+pulled = functools.cache(
+    lambda: rescaled._pull_back(bg, energy_rescale_matrix(bg, g.n_site), rows(), rows()))
 calls = {"decay_scan": lambda: dataclasses.astuple(decay_scan(p, 512)),
          "jost_solution real": lambda: jost_solution(p, 2.0, 20),
          "jost_solution cut": lambda: jost_solution(p, cut, 20),
          "regular_solution real": lambda: regular_solution(p, 2.0, 20),
          "energy_rescale_matrix": lambda: energy_rescale_matrix(bg, g.n_site),
          "pdo_apply R": lambda: pdo_apply(bg, energy_rescale_matrix(bg, g.n_site)),
+         "_pull_back R^T q": lambda: pulled()[0],
+         "_pull_back shift": lambda: pulled()[1],
          "wave_operator": W,
          "scattering_operator": lambda: scattering_operator(d(), grid),
          "correction_operator": lambda: correction_operator(d(), grid),
