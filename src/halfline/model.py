@@ -98,9 +98,7 @@ def table_potential(values, rho: float) -> Potential:
         values = np.asarray(None)
     if values.dtype.kind not in "iuf" or values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ConfigError("potential table must be a one-dimensional list of finite real numbers")
-    # the table ends at its last nonzero entry: trailing zeros, -0.0 too, are trimmed
-    end = len(values) - int(np.argmax(np.append(values[::-1] != 0, True)))
-    return Potential(values=values[:end].astype(float), rho=float(rho))
+    return Potential(values=np.trim_zeros(values, "b").astype(float), rho=float(rho))
 
 
 def zero_potential(rho: float = 3.0) -> Potential:

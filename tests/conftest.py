@@ -178,9 +178,11 @@ def recurrence_residual(p, x, u):
 
 def shift_symbol_apply(bg, X):
     """The shift's symbol tanh(X) - i sech(X) tanh(pi D) on the real columns
-    of X: real, tanh(X) X + sech(X) v with tanh(pi D) X = i v."""
-    v = rescaled.symbol_columns(bg, X)[1]
-    return bg.tanh_beta[:, None] * X + bg.sech_beta[:, None] * v
+    of X: real, the columns that `rescaled._pull_back` writes to its shift rows."""
+    rows = np.empty((X.shape[1], bg.m_beta))
+    shift_rows = np.empty_like(rows)
+    rescaled._pull_back(bg, X, rows, shift_rows)
+    return shift_rows.T
 
 
 def closed_form_bound_state(v0):

@@ -76,15 +76,19 @@ def dense_multiplier(symbol):
 
 class TestFourierMultipliers:
     def test_pure_frequency_is_eigenvector(self, bg1024):
-        xi0 = bg1024.xi[17]
-        v = np.exp(1j * xi0 * bg1024.beta)
-        Tv = fourier_apply(full_symbols(bg1024)[0], v[:, None])[:, 0]
-        assert np.max(np.abs(Tv - np.tanh(np.pi * xi0) * v)) < 1e-10
+        # tanh(pi D) cos(xi0 beta) = i tanh(pi xi0) sin(xi0 beta), and
+        # sech(pi D) multiplies it by sech(pi xi0): q + v = tanh(X/2) sech(pi D) X
+        b, xi0 = bg1024.beta, bg1024.xi[17]
+        q, v = symbol_columns(bg1024, np.cos(xi0 * b)[:, None])
+        assert np.max(np.abs(v[:, 0] - np.tanh(np.pi * xi0) * np.sin(xi0 * b))) < 1e-10
+        sech_part = np.tanh(b / 2.0) * np.cos(xi0 * b) / np.cosh(np.pi * xi0)
+        assert np.max(np.abs(q[:, 0] + v[:, 0] - sech_part)) < 1e-10
 
     def test_sech_preserves_constants(self, bg1024):
-        v = np.ones((bg1024.m_beta, 1), dtype=complex)
-        Sv = fourier_apply(full_symbols(bg1024)[1], v)
-        assert np.max(np.abs(Sv - v)) < 1e-12     # sech(0) = 1 on the DC bin
+        # sech(0) = 1 and tanh(0) = 0 on the DC bin: q = tanh(X/2), v = 0
+        q, v = symbol_columns(bg1024, np.ones((bg1024.m_beta, 1)))
+        assert np.max(np.abs(q[:, 0] - np.tanh(bg1024.beta / 2.0))) < 1e-12
+        assert np.max(np.abs(v)) < 1e-12
 
     def test_nyquist_bin_zeroed_for_odd_symbol(self, bg1024):
         assert bg1024.tanh_pi_xi[bg1024.m_beta // 2] == 0.0
@@ -146,12 +150,14 @@ class TestMatrixFreeSymbols:
         assert np.max(np.abs(hl.pdo_apply(bg, np.eye(bg.m_beta)) - M["pdo"])) < 1e-13
 
     def test_pull_back_matches_dense(self, dense):
+        # both products of the operator stage's pull-back, R^*[pdo]R = 1j R^T q
+        # and R^T [shift] R, against the dense symbols pulled back
         bg, M = dense
         n = bg.m_beta // 8
         R = hl.energy_rescale_matrix(bg, n)
-        for name, apply in (("pdo", hl.pdo_apply), ("shift", shift_symbol_apply)):
-            diff = R.T @ apply(bg, R) - R.T @ M[name] @ R
-            assert np.max(np.abs(diff)) < 1e-13, name
+        Rq, P_shift = rescaled._pull_back(bg, R, np.empty((n, bg.m_beta)), np.empty((n, bg.m_beta)))
+        for name, got in (("pdo", 1j * Rq), ("shift", P_shift)):
+            assert np.max(np.abs(got - R.T @ M[name] @ R)) < 1e-13, name
 
 
 def reference_symbol_columns(bg, X):
